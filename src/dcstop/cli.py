@@ -77,17 +77,28 @@ def _parse_instance(config: dict):
     return spec, cost, mu
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _solver_options(config: dict) -> dict:
     solver = config.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver: must be an object")
     resolution = solver.get("resolution", 40)
-    if not isinstance(resolution, int) or resolution < 1:
+    if not _is_int(resolution) or resolution < 1:
         raise ConfigError("solver: resolution must be a positive integer")
     debug = solver.get("debug", False)
     if not isinstance(debug, bool):
         raise ConfigError("solver: debug must be a boolean")
     return {"resolution": resolution, "debug": debug}
+
+
+def _seed(config: dict) -> int:
+    seed = config.get("seed", 0)
+    if not _is_int(seed):
+        raise ConfigError("seed: must be an integer")
+    return seed
 
 
 def _config_digest(config: dict) -> str:
@@ -161,13 +172,7 @@ def cmd_policy(args) -> int:
         "policy_objective": acc.leaf_expectation(),
         "residual": residual,
     }
-    doc = mvm_to_json(tree)
-    doc["config_digest"] = _config_digest(config)
-    doc["version"] = __version__
-    path = os.path.join(_out_dir(), "policy.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _emit("policy.json", mvm_to_json(tree), config)
     _emit("result.json", payload, config)
     _echo(payload)
     return 0
@@ -227,11 +232,9 @@ def cmd_simulate(args) -> int:
     if not isinstance(sim, dict):
         raise ConfigError("simulate: must be an object")
     n_paths = sim.get("paths", 100_000)
-    if not isinstance(n_paths, int) or n_paths < 1:
+    if not _is_int(n_paths) or n_paths < 1:
         raise ConfigError("simulate: paths must be a positive integer")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: must be an integer")
+    seed = _seed(config)
     problem = build_lp(spec, cost, mu)
     solution = solve_lp(problem)
     if solution.status != "optimal":
@@ -284,12 +287,9 @@ def cmd_validate(args) -> int:
     from .lattice import atom_steps
 
     steps = atom_steps(spec, mu.atoms)
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: must be an integer")
     from .rst import feasible_kernel
 
-    kernel = feasible_kernel(spec, mu, np.random.default_rng(seed))
+    kernel = feasible_kernel(spec, mu, np.random.default_rng(_seed(config)))
     tree = from_kernel(kernel, spec)
     report = validate(tree, mu)
     if not report.ok:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 from .lattice import LatticeSpec, PathState
 
 KINDS = ("terminal", "running_max", "time", "markov")
@@ -38,22 +38,26 @@ class CostSpec:
         allowed = MARKOV_NAMES if self.kind == "markov" else SCALAR_NAMES
         if self.name not in allowed:
             raise ConfigError(f"cost name {self.name!r} not in {allowed} for kind {self.kind!r}")
-        if self.name == "indicator" and "threshold" not in self.params:
-            raise ConfigError("indicator cost needs params['threshold']")
+        if self.name == "indicator":
+            if "threshold" not in self.params:
+                raise ConfigError("indicator cost needs params['threshold']")
+            finite_number(self.params["threshold"], "indicator threshold")
         if self.name == "polynomial":
             coeffs = self.params.get("coeffs")
-            if not coeffs or not all(isinstance(c, (int, float)) for c in coeffs):
+            if not coeffs:
                 raise ConfigError("polynomial cost needs params['coeffs'] as a number list")
+            for c in coeffs:
+                finite_number(c, "polynomial coefficient")
         if self.name == "polynomial2":
             coeffs = self.params.get("coeffs")
-            ok = bool(coeffs) and all(
-                hasattr(row, "__len__") and all(isinstance(c, (int, float)) for c in row)
-                for row in coeffs
-            )
-            if not ok:
+            if not coeffs or not all(hasattr(row, "__len__") for row in coeffs):
                 raise ConfigError("polynomial2 cost needs params['coeffs'] as a coefficient matrix")
-        if self.holder2_constant is not None and not self.holder2_constant >= 0:
-            raise ConfigError(f"holder2_constant must be nonnegative, got {self.holder2_constant!r}")
+            for row in coeffs:
+                for c in row:
+                    finite_number(c, "polynomial2 coefficient")
+        hc = self.holder2_constant
+        if hc is not None and finite_number(hc, "holder2_constant") < 0:
+            raise ConfigError(f"holder2_constant must be nonnegative, got {hc!r}")
 
 
 def _scalar_fn(name: str, params: Mapping) -> Callable[[float], float]:
@@ -199,5 +203,5 @@ def cost_from_json(data: dict) -> CostSpec:
         kind=str(kind),
         name=str(name),
         params=dict(data.get("params", {})),
-        holder2_constant=float(hc) if hc is not None else None,
+        holder2_constant=finite_number(hc, "holder2_constant") if hc is not None else None,
     )

@@ -38,8 +38,8 @@ from .lattice import (
     NodeId,
     atom_steps,
     children,
+    node_of_history,
     nodes_at_step,
-    project_to_recombining,
     root,
     state,
 )
@@ -417,6 +417,22 @@ def _mu_vector(mu: DiscreteMeasure) -> np.ndarray:
     return np.asarray(mu.weights, dtype=float)
 
 
+def _continuation(spec: LatticeSpec, node: NodeId, rep: Callable[[NodeId], ConcavePL],
+                  want_prov: bool = False) -> ConcavePL:
+    """Value of holding on at ``node``: the pair supremum of its children's ``rep``."""
+    up, down = children(spec, node)
+    return pair_sup(rep(up), rep(down), want_prov=want_prov)
+
+
+def _bellman(spec: LatticeSpec, cost: CostSpec, node: NodeId,
+             rep: Callable[[NodeId], ConcavePL], at_atom: bool) -> ConcavePL:
+    """One backward step: the continuation, then the atom decision at an atom step."""
+    cont = _continuation(spec, node, rep)
+    if at_atom:
+        return perspective(evaluate(cost, state(spec, node)), cont)
+    return cont
+
+
 def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
           resolution: int, debug: bool = False) -> ValueTable:
     """Exact block backward induction for the constrained stopping value.
@@ -433,26 +449,24 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     r = len(steps)
     horizon = steps[-1]
     step_of_atom = {s: i for i, s in enumerate(steps)}
+    # Built first so that an oversized resolution fails before the induction.
+    grids = {k: SimplexGrid(k, resolution) for k in range(1, r + 1)}
     reps: dict[tuple[int, NodeId], ConcavePL] = {}
+
+    def rep(node: NodeId) -> ConcavePL:
+        return reps[(node.step, node)]
 
     for s in range(horizon, -1, -1):
         for node in nodes_at_step(spec, s):
-            st = state(spec, node)
             if s == horizon:
-                reps[(s, node)] = ConcavePL.constant(evaluate(cost, st))
-                continue
-            up, down = children(spec, node)
-            cont = pair_sup(reps[(s + 1, up)], reps[(s + 1, down)])
-            if s in step_of_atom:
-                reps[(s, node)] = perspective(evaluate(cost, st), cont)
+                reps[(s, node)] = ConcavePL.constant(evaluate(cost, state(spec, node)))
             else:
-                reps[(s, node)] = cont
+                reps[(s, node)] = _bellman(spec, cost, node, rep, s in step_of_atom)
 
     root_value = reps[(0, root(spec))].evaluate(_mu_vector(mu))
 
     tables: dict[tuple[int, int, NodeId], np.ndarray] = {}
     slack = SLACK_FLOOR
-    grids = {k: SimplexGrid(k, resolution) for k in range(1, r + 1)}
     for k in range(1, r + 1):
         s = steps[r - k]
         grid = grids[k]
@@ -462,7 +476,7 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
             slack = max(slack, grid.max_adjacent_diff(vals))
 
     if debug:
-        _check_scaling(spec, cost, reps, tables, grids, step_of_atom)
+        _check_scaling(spec, cost, rep, tables, grids)
 
     h = hashlib.sha256()
     for key in sorted(tables, key=lambda t: (t[0], t[1], repr(t[2]))):
@@ -477,16 +491,14 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     )
 
 
-def _check_scaling(spec, cost, reps, tables, grids, step_of_atom):
+def _check_scaling(spec, cost, rep, tables, grids):
     """Boundary entries must equal the explicit stop/renormalize quotient."""
     for (k, s, node), vals in tables.items():
         if k == 1:
             continue
         grid = grids[k]
-        st = state(spec, node)
-        c = evaluate(cost, st)
-        up, down = children(spec, node)
-        inner = pair_sup(reps[(s + 1, up)], reps[(s + 1, down)])
+        c = evaluate(cost, state(spec, node))
+        inner = _continuation(spec, node, rep)
         for y, stored in zip(grid.fractions, vals):
             y1 = y[0]
             if 1.0 - y1 <= 1e-14:
@@ -517,28 +529,18 @@ def check_dpp(table: ValueTable, theta: Callable[[LatticeSpec, NodeId], bool]) -
     degenerates into a full recomputation.
     """
     spec = table.spec
-    steps = table.steps
-    horizon = steps[-1]
-    step_of_atom = {s: i for i, s in enumerate(steps)}
-    memo: dict[tuple[int, NodeId], ConcavePL] = {}
+    horizon = table.steps[-1]
+    memo: dict[NodeId, ConcavePL] = {}
 
-    def u(s: int, node: NodeId) -> ConcavePL:
-        key = (s, node)
-        if key in memo:
-            return memo[key]
-        if s == horizon or theta(spec, node):
-            rep = table.reps[(s, node)]
-        else:
-            up, down = children(spec, node)
-            cont = pair_sup(u(s + 1, up), u(s + 1, down))
-            if s in step_of_atom:
-                rep = perspective(evaluate(table.cost, state(spec, node)), cont)
+    def u(node: NodeId) -> ConcavePL:
+        if node not in memo:
+            if node.step == horizon or theta(spec, node):
+                memo[node] = table.reps[(node.step, node)]
             else:
-                rep = cont
-        memo[key] = rep
-        return rep
+                memo[node] = _bellman(spec, table.cost, node, u, node.step in table.steps)
+        return memo[node]
 
-    recomputed = u(0, root(spec)).evaluate(_mu_vector(table.mu))
+    recomputed = u(root(spec)).evaluate(_mu_vector(table.mu))
     residual = abs(recomputed - table.root_value)
     return DppReport(residual=residual, slack=table.slack, ok=residual <= table.slack)
 
@@ -593,21 +595,13 @@ def extract_policy(table: ValueTable) -> MvmTree:
             f"policy extraction walks 2^{horizon} histories (limit 2^{POLICY_DEPTH_LIMIT})"
         )
     step_of_atom = {s: i for i, s in enumerate(steps)}
-
-    def lattice_node(bits: tuple[int, ...]) -> NodeId:
-        node = NodeId(step=len(bits), history=bits)
-        if spec.mode != "history":
-            node = project_to_recombining(spec, node)
-        return node
-
     split_memo: dict[NodeId, ConcavePL] = {}
 
-    def split_fn(s: int, bits: tuple[int, ...]) -> ConcavePL:
-        node = lattice_node(bits)
+    def split_fn(bits: tuple[int, ...]) -> ConcavePL:
+        node = node_of_history(spec, bits)
         if node not in split_memo:
-            up, down = children(spec, node)
-            split_memo[node] = pair_sup(
-                table.reps[(s + 1, up)], table.reps[(s + 1, down)], want_prov=True
+            split_memo[node] = _continuation(
+                spec, node, lambda child: table.reps[(child.step, child)], want_prov=True
             )
         return split_memo[node]
 
@@ -633,7 +627,7 @@ def extract_policy(table: ValueTable) -> MvmTree:
                 rem_up = rem_dn = rem
             else:
                 y = rem[live] / mass
-                p, q = _facet_split(split_fn(s, bits), y)
+                p, q = _facet_split(split_fn(bits), y)
                 rem_up = rem.copy()
                 rem_dn = rem.copy()
                 rem_up[live] = mass * p

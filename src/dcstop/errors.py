@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check of every config reader."""
+
+import numbers
+import sys
 
 
 class DcstopError(ValueError):
@@ -35,3 +38,15 @@ class SpliceError(DcstopError):
 
 class SizeGuardError(DcstopError):
     """An exact computation was requested beyond its supported size."""
+
+
+def finite_number(value, what: str) -> float:
+    """``value`` as a float when it is a finite real number, else ``ConfigError``.
+
+    Bools are refused although Python counts them as ints: ``true`` in a
+    config is never a number.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)

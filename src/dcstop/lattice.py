@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import ConfigError, CoverageError, NoChildrenError, ValidationError
+from .errors import ConfigError, CoverageError, NoChildrenError, ValidationError, finite_number
 
 MODES = ("recombining", "history")
 # Full history enumeration beyond this depth is refused outright.
@@ -33,10 +33,12 @@ class LatticeSpec:
     mode: str = "recombining"
 
     def __post_init__(self):
-        if not isinstance(self.depth, int) or self.depth < 1:
+        if isinstance(self.depth, bool) or not isinstance(self.depth, int) or self.depth < 1:
             raise ConfigError(f"depth must be a positive integer, got {self.depth!r}")
-        if not self.dt > 0:
+        if finite_number(self.dt, "dt") <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
+        if not isinstance(self.augment_max, bool):
+            raise ConfigError(f"augment_max must be a boolean, got {self.augment_max!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "history" and self.depth > MAX_HISTORY_DEPTH:
@@ -179,7 +181,7 @@ def nodes_at_step(spec: LatticeSpec, step: int) -> list[NodeId]:
     if step < 0 or step > spec.depth:
         raise CoverageError(f"step {step} outside lattice of depth {spec.depth}")
     if spec.mode == "history":
-        return [NodeId(step=step, history=bits) for bits in _bit_tuples(step)]
+        return [NodeId(step=step, history=bits) for bits in histories(step)]
     out = []
     for level in range(-step, step + 1, 2):
         if spec.augment_max:
@@ -191,9 +193,21 @@ def nodes_at_step(spec: LatticeSpec, step: int) -> list[NodeId]:
     return out
 
 
-def _bit_tuples(n: int) -> Iterator[tuple[int, ...]]:
+def histories(n: int) -> Iterator[tuple[int, ...]]:
+    """Every ``n``-move bit string, in the order of its binary code (first move highest)."""
     for code in range(2 ** n):
         yield tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def history_to_str(bits: tuple[int, ...]) -> str:
+    """A bit string as ``U``/``D`` letters, the form every JSON payload uses."""
+    return "".join("U" if b else "D" for b in bits)
+
+
+def history_from_str(text: str) -> tuple[int, ...]:
+    if any(ch not in "UD" for ch in text):
+        raise ValidationError(f"history string must use U/D, got {text!r}")
+    return tuple(1 if ch == "U" else 0 for ch in text)
 
 
 def state(spec: LatticeSpec, node: NodeId) -> PathState:
@@ -219,9 +233,18 @@ def project_to_recombining(spec: LatticeSpec, node: NodeId) -> NodeId:
     return NodeId(step=node.step, level=level)
 
 
+def node_of_history(spec: LatticeSpec, bits: tuple[int, ...]) -> NodeId:
+    """The node of ``spec`` that the driver path prefix ``bits`` reaches."""
+    node = NodeId(step=len(bits), history=bits)
+    return node if spec.mode == "history" else project_to_recombining(spec, node)
+
+
 def time_to_step(spec: LatticeSpec, t: float) -> int:
     """Map a time onto the step grid, refusing off-grid times."""
-    s = round(t / spec.dt)
+    ratio = t / spec.dt
+    if not math.isfinite(ratio):
+        raise CoverageError(f"time {t} is not on the step grid with dt={spec.dt}")
+    s = round(ratio)
     if abs(s * spec.dt - t) > TIME_SNAP_TOL:
         raise CoverageError(f"time {t} is not on the step grid with dt={spec.dt}")
     if s < 0 or s > spec.depth:
@@ -260,16 +283,16 @@ def spec_from_json(data: dict) -> LatticeSpec:
     except KeyError as exc:
         raise ConfigError(f"lattice config missing field {exc}") from exc
     return LatticeSpec(
-        depth=int(depth),
-        dt=float(dt),
-        augment_max=bool(data.get("augment_max", False)),
-        mode=str(data.get("mode", "recombining")),
+        depth=depth,
+        dt=finite_number(dt, "dt"),
+        augment_max=data.get("augment_max", False),
+        mode=data.get("mode", "recombining"),
     )
 
 
 def node_to_json(node: NodeId) -> dict:
     if node.history is not None:
-        return {"step": node.step, "history": "".join("U" if b else "D" for b in node.history)}
+        return {"step": node.step, "history": history_to_str(node.history)}
     out = {"step": node.step, "level": node.level}
     if node.max_level is not None:
         out["max_level"] = node.max_level
@@ -278,10 +301,7 @@ def node_to_json(node: NodeId) -> dict:
 
 def node_from_json(data: dict) -> NodeId:
     if "history" in data:
-        bits = tuple(1 if ch == "U" else 0 for ch in data["history"])
-        if any(ch not in "UD" for ch in data["history"]):
-            raise ValidationError(f"history string must use U/D, got {data['history']!r}")
-        return NodeId(step=int(data["step"]), history=bits)
+        return NodeId(step=int(data["step"]), history=history_from_str(data["history"]))
     return NodeId(
         step=int(data["step"]),
         level=int(data["level"]),

@@ -9,10 +9,11 @@ coarser time grid.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Sequence
 
-from .errors import CoverageError, EmptyTailError, ValidationError
+from .errors import CoverageError, EmptyTailError, ValidationError, finite_number
 
 # Weights must reproduce a probability vector to this accuracy.
 WEIGHT_TOL = 1e-12
@@ -42,6 +43,8 @@ class DiscreteMeasure:
         merged_t: list[float] = []
         merged_w: list[float] = []
         for t, w in pairs:
+            if not (math.isfinite(t) and math.isfinite(w)):
+                raise ValidationError(f"non-finite atom {t} or weight {w}")
             if w < -WEIGHT_TOL:
                 raise ValidationError(f"negative weight {w} at atom {t}")
             w = max(w, 0.0)
@@ -274,8 +277,8 @@ def measure_to_json(mu: DiscreteMeasure) -> list[dict[str, float]]:
 def measure_from_json(data: Sequence[dict]) -> DiscreteMeasure:
     """Read ``[{"t": ..., "w": ...}, ...]``, renormalizing small ingest error."""
     try:
-        atoms = [float(item["t"]) for item in data]
-        weights = [float(item["w"]) for item in data]
+        atoms = [finite_number(item["t"], "atom time") for item in data]
+        weights = [finite_number(item["w"], "weight") for item in data]
     except (TypeError, KeyError) as exc:
         raise ValidationError(f"measure entries must be objects with 't' and 'w': {exc}") from exc
     total = sum(weights)

@@ -28,17 +28,24 @@ import numpy as np
 
 from .cost import CostSpec, evaluate
 from .errors import SpliceError, ValidationError
-from .lattice import LatticeSpec, NodeId, project_to_recombining, state
+from .lattice import (
+    LatticeSpec,
+    NodeId,
+    histories,
+    history_from_str,
+    history_to_str,
+    node_of_history,
+    state,
+)
 from .measures import (
     DiscreteMeasure,
     is_right_shift_of,
     monotone_coupling,
 )
-from .rst import StoppingKernel
+from .rst import DEAD_MASS, StoppingKernel
 
 MARTINGALE_TOL = 1e-12
 SPLICE_TOL = 1e-9
-DEAD_MASS = 1e-15
 
 Bits = tuple[int, ...]
 
@@ -191,21 +198,15 @@ def from_kernel(kernel: StoppingKernel, spec: LatticeSpec) -> MvmTree:
         vec = np.zeros(r)
         surv = 1.0
         for i, s in enumerate(steps):
-            prefix = bits[:s]
-            node = NodeId(step=s, history=prefix)
-            if spec.mode != "history":
-                node = project_to_recombining(spec, node)
-            qv = 1.0 if i == r - 1 else kernel.q[node]
+            qv = 1.0 if i == r - 1 else kernel.q[node_of_history(spec, bits[:s])]
             vec[i] = surv * qv
             surv *= 1.0 - qv
         return vec
 
-    for code in range(2 ** last):
-        bits = tuple((code >> (last - 1 - i)) & 1 for i in range(last))
+    for bits in histories(last):
         vectors[bits] = leaf_vector(bits)
     for s in range(last - 1, -1, -1):
-        for code in range(2 ** s):
-            bits = tuple((code >> (s - 1 - i)) & 1 for i in range(s))
+        for bits in histories(s):
             vectors[bits] = 0.5 * (vectors[bits + (1,)] + vectors[bits + (0,)])
     return MvmTree(spec.dt, kernel.atom_times, vectors)
 
@@ -398,7 +399,7 @@ def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec, y0: float = 0.0)
 
 def mvm_to_json(mvm: MvmTree) -> dict:
     nodes = {
-        "".join("U" if b else "D" for b in bits): [float(v) for v in vec]
+        history_to_str(bits): [float(v) for v in vec]
         for bits, vec in sorted(mvm.vectors.items(), key=lambda kv: (len(kv[0]), kv[0]))
     }
     return {
@@ -418,8 +419,5 @@ def mvm_from_json(data: dict) -> MvmTree:
         raise ValidationError(f"malformed tree payload: {exc}") from exc
     vectors: dict[Bits, np.ndarray] = {}
     for key, vec in raw.items():
-        if any(ch not in "UD" for ch in key):
-            raise ValidationError(f"node key must use U/D, got {key!r}")
-        bits = tuple(1 if ch == "U" else 0 for ch in key)
-        vectors[bits] = np.asarray(vec, dtype=float)
+        vectors[history_from_str(key)] = np.asarray(vec, dtype=float)
     return MvmTree(dt, atom_times, vectors, start_step=int(data.get("start_step", 0)))

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .cost import CostSpec, evaluate
 from .errors import SizeGuardError, ValidationError
-from .lattice import LatticeSpec, NodeId, atom_steps, state
+from .lattice import LatticeSpec, NodeId, atom_steps, histories, state
 from .measures import DiscreteMeasure
 from .rst import StoppingKernel
 
@@ -73,8 +72,7 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
     var_keys: list[tuple[int, tuple[int, ...]]] = []
     col: dict[tuple[int, tuple[int, ...]], int] = {}
     for i, s in enumerate(steps):
-        for code in range(2 ** s):
-            bits = tuple((code >> (s - 1 - j)) & 1 for j in range(s))
+        for bits in histories(s):
             col[(i, bits)] = len(var_keys)
             var_keys.append((i, bits))
     n = len(var_keys)
@@ -84,16 +82,14 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
     b = np.zeros(m)
     c = np.zeros(n)
     row_kinds = []
-    for leaf in range(n_leaves):
-        bits = tuple((leaf >> (horizon - 1 - j)) & 1 for j in range(horizon))
+    for leaf, bits in enumerate(histories(horizon)):
         for i, s in enumerate(steps):
             a[leaf, col[(i, bits[:s])]] = 1.0
         b[leaf] = 1.0
         row_kinds.append("path")
     for i, s in enumerate(steps):
         row = n_leaves + i
-        for code in range(2 ** s):
-            bits = tuple((code >> (s - 1 - j)) & 1 for j in range(s))
+        for bits in histories(s):
             a[row, col[(i, bits)]] = 1.0
         b[row] = mu.weights[i] * 2 ** s
         row_kinds.append("marginal")
@@ -106,122 +102,48 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
     )
 
 
-def _pivot(t: np.ndarray, row: int, col: int) -> None:
-    t[row] /= t[row, col]
-    for i in range(t.shape[0]):
-        if i != row and t[i, col] != 0.0:
-            t[i] -= t[i, col] * t[row]
+def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol):
+    """Two-phase dense simplex, Bland's rule throughout.
 
-
-def _simplex_float(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Two-phase dense simplex, Bland's rule throughout."""
+    Runs on float arrays with ``tol=PIVOT_TOL`` or on object arrays of
+    ``Fraction`` with ``tol=0``, where every comparison below is exact.
+    Bland's rule cannot cycle, so the routine terminates in either
+    arithmetic.
+    """
     m, n = a.shape
-    a = a.copy()
-    b = b.copy()
-    for i in range(m):
-        if b[i] < 0.0:
-            a[i] *= -1.0
-            b[i] *= -1.0
+    flip = np.where(b < 0, -1, 1)
+    a = a * flip[:, None]
+    b = b * flip
+    zero = b[0] * 0
     # Phase 1 tableau: original columns, artificial identity, rhs, and a
     # bottom objective row minimizing the artificial total.
-    t = np.zeros((m + 1, n + m + 1))
+    t = np.full((m + 1, n + m + 1), zero, dtype=a.dtype)
     t[:m, :n] = a
-    t[:m, n:n + m] = np.eye(m)
+    t[range(m), range(n, n + m)] = zero + 1
     t[:m, -1] = b
     basis = list(range(n, n + m))
     t[m, :n] = -a.sum(axis=0)
     t[m, -1] = -b.sum()
 
+    def pivot(row: int, col: int) -> None:
+        t[row] /= t[row, col]
+        for i in range(m + 1):
+            if i != row and t[i, col] != 0:
+                t[i] -= t[i, col] * t[row]
+
     def run(active: int) -> None:
         while True:
-            enter = -1
-            for j in range(active):
-                if t[m, j] < -PIVOT_TOL:
-                    enter = j
-                    break
-            if enter < 0:
+            entering = np.flatnonzero(t[m, :active] < -tol)
+            if not entering.size:
                 return
+            enter = int(entering[0])
             leave, best, best_var = -1, np.inf, -1
             for i in range(m):
-                if t[i, enter] > PIVOT_TOL:
+                if t[i, enter] > tol:
                     ratio = t[i, -1] / t[i, enter]
-                    if ratio < best - PIVOT_TOL or (
-                        abs(ratio - best) <= PIVOT_TOL and basis[i] < best_var
+                    if ratio < best - tol or (
+                        abs(ratio - best) <= tol and basis[i] < best_var
                     ):
-                        leave, best, best_var = i, ratio, basis[i]
-            if leave < 0:
-                raise ValidationError("LP is unbounded")
-            _pivot(t, leave, enter)
-            basis[leave] = enter
-
-    run(n + m)
-    if t[m, -1] < -1e-7:
-        return "infeasible", 0.0, np.zeros(n), tuple(basis)
-    # Drive leftover artificials out of the basis; a row with no real pivot
-    # candidate is redundant and harmless, its artificial stays at zero.
-    for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                if abs(t[i, j]) > PIVOT_TOL:
-                    _pivot(t, i, j)
-                    basis[i] = j
-                    break
-    t[:, n:n + m] = 0.0
-    t[m, :] = 0.0
-    t[m, :n] = -c
-    for i in range(m):
-        if basis[i] < n and t[m, basis[i]] != 0.0:
-            t[m] -= t[m, basis[i]] * t[i]
-    run(n)
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = t[i, -1]
-    return "optimal", float(c @ x), x, tuple(basis)
-
-
-def _simplex_fraction(a_rows, b_vec, c_vec):
-    """Same algorithm in exact rationals; pivots on any nonzero entry."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    zero, one = Fraction(0), Fraction(1)
-    t = []
-    for i in range(m):
-        row = list(a_rows[i])
-        if b_vec[i] < 0:
-            row = [-v for v in row]
-            rhs = -b_vec[i]
-        else:
-            rhs = b_vec[i]
-        row += [one if j == i else zero for j in range(m)]
-        row.append(rhs)
-        t.append(row)
-    obj = [zero] * (n + m + 1)
-    for i in range(m):
-        for j in range(n):
-            obj[j] -= t[i][j]
-        obj[-1] -= t[i][-1]
-    t.append(obj)
-    basis = list(range(n, n + m))
-
-    def pivot(row: int, col: int) -> None:
-        pv = t[row][col]
-        t[row] = [v / pv for v in t[row]]
-        for i in range(m + 1):
-            if i != row and t[i][col] != 0:
-                f = t[i][col]
-                t[i] = [v - f * w for v, w in zip(t[i], t[row])]
-
-    def run(active: int) -> None:
-        while True:
-            enter = next((j for j in range(active) if t[m][j] < 0), -1)
-            if enter < 0:
-                return
-            leave, best, best_var = -1, None, -1
-            for i in range(m):
-                if t[i][enter] > 0:
-                    ratio = t[i][-1] / t[i][enter]
-                    if best is None or ratio < best or (ratio == best and basis[i] < best_var):
                         leave, best, best_var = i, ratio, basis[i]
             if leave < 0:
                 raise ValidationError("LP is unbounded")
@@ -229,32 +151,30 @@ def _simplex_fraction(a_rows, b_vec, c_vec):
             basis[leave] = enter
 
     run(n + m)
-    if t[m][-1] != 0:
-        return "infeasible", zero, [zero] * n, tuple(basis)
+    # Artificial mass left above a hundred pivot tolerances (any at all when
+    # exact) means no feasible point.
+    if t[m, -1] < -100 * tol:
+        return "infeasible", zero, np.full(n, zero, dtype=a.dtype), tuple(basis)
+    # Drive leftover artificials out of the basis; a row with no real pivot
+    # candidate is redundant and harmless, its artificial stays at zero.
     for i in range(m):
         if basis[i] >= n:
-            for j in range(n):
-                if t[i][j] != 0:
-                    pivot(i, j)
-                    basis[i] = j
-                    break
-    for i in range(m + 1):
-        for j in range(n, n + m):
-            t[i][j] = zero
-    t[m] = [zero] * (n + m + 1)
-    for j in range(n):
-        t[m][j] = -c_vec[j]
+            candidates = np.flatnonzero(abs(t[i, :n]) > tol)
+            if candidates.size:
+                pivot(i, int(candidates[0]))
+                basis[i] = int(candidates[0])
+    t[:, n:n + m] = zero
+    t[m, :] = zero
+    t[m, :n] = -c
     for i in range(m):
-        if basis[i] < n and t[m][basis[i]] != 0:
-            f = t[m][basis[i]]
-            t[m] = [v - f * w for v, w in zip(t[m], t[i])]
+        if basis[i] < n and t[m, basis[i]] != 0:
+            t[m] -= t[m, basis[i]] * t[i]
     run(n)
-    x = [zero] * n
+    x = np.full(n, zero, dtype=a.dtype)
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = t[i][-1]
-    value = sum(cv * xv for cv, xv in zip(c_vec, x))
-    return "optimal", value, x, tuple(basis)
+            x[basis[i]] = t[i, -1]
+    return "optimal", c @ x, x, tuple(basis)
 
 
 def _duals(problem: LpProblem, x: np.ndarray, basis) -> tuple[np.ndarray, float, float, float]:
@@ -272,7 +192,7 @@ def _duals(problem: LpProblem, x: np.ndarray, basis) -> tuple[np.ndarray, float,
     return y, rc_violation, slackness, gap
 
 
-def _absorb_rounding_defect(problem: LpProblem, b_vec: list[Fraction]) -> None:
+def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
     """Make marginal rows exactly consistent with unit total mass.
 
     Float-normalized weights can encode a total mass one ulp away from one,
@@ -297,16 +217,14 @@ def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
     rounded to floats but the pivoting itself is exact.
     """
     if exact:
-        a_rows = [[Fraction(*float(v).as_integer_ratio()) for v in row]
-                  for row in problem.a]
-        b_vec = [Fraction(*float(v).as_integer_ratio()) for v in problem.b]
-        c_vec = [Fraction(*float(v).as_integer_ratio()) for v in problem.c]
-        _absorb_rounding_defect(problem, b_vec)
-        status, value, x, basis = _simplex_fraction(a_rows, b_vec, c_vec)
-        x = np.array([float(v) for v in x])
-        value = float(value)
+        # Fraction(float) is exact, so the rationals encode the float data.
+        a, b, c = (np.frompyfunc(Fraction, 1, 1)(v) for v in (problem.a, problem.b, problem.c))
+        _absorb_rounding_defect(problem, b)
+        status, value, x, basis = _simplex(a, b, c, tol=0)
+        x = x.astype(float)
     else:
-        status, value, x, basis = _simplex_float(problem.a, problem.b, problem.c)
+        status, value, x, basis = _simplex(problem.a, problem.b, problem.c, tol=PIVOT_TOL)
+    value = float(value)
     if status != "optimal":
         return LpSolution(
             status=status, value=float("nan"), x=x, basis=basis,
@@ -345,8 +263,7 @@ def lp_solution_to_kernel(problem: LpProblem, solution: LpSolution) -> StoppingK
     q: dict[NodeId, float] = {}
     for i, s in enumerate(steps):
         final = i == len(steps) - 1
-        for code in range(2 ** s):
-            bits = tuple((code >> (s - 1 - j)) & 1 for j in range(s))
+        for bits in histories(s):
             used = sum(by_node[(j, bits[:steps[j]])] for j in range(i))
             remaining = 1.0 - used
             node = NodeId(step=s, history=bits)

@@ -100,11 +100,24 @@ def _check_same_lattice(kernel: StoppingKernel, spec: LatticeSpec):
         raise ValidationError("kernel was built for a different lattice")
 
 
-def _forward_stops(kernel: StoppingKernel, spec: LatticeSpec):
+def _advance(spec: LatticeSpec, alive) -> dict:
+    """Mass one driver step on: each ``(node, mass)`` sends half to each child.
+
+    Children are filled in the order the pairs come, up before down, and
+    ``mass`` may be a float or an array of masses.
+    """
+    nxt = {}
+    for node, mass in alive:
+        for child in children(spec, node):
+            nxt[child] = nxt.get(child, 0.0) + 0.5 * mass
+    return nxt
+
+
+def _forward_stops(kernel: StoppingKernel, spec: LatticeSpec) -> list[dict[NodeId, float]]:
     """Sweep the lattice forward, splitting alive mass at every atom step.
 
-    Returns ``(stops, alive_after)`` where ``stops[i]`` maps node -> mass
-    stopping at atom i (path-probability weighted, unconditional).
+    ``stops[i]`` maps node -> mass stopping at atom i (path-probability
+    weighted, unconditional).
     """
     steps = kernel.steps()
     last = steps[-1]
@@ -119,21 +132,14 @@ def _forward_stops(kernel: StoppingKernel, spec: LatticeSpec):
                 alive[node] = mass * (1.0 - qv)
             stops.append(stopped)
         if s < last:
-            nxt: dict[NodeId, float] = {}
-            for node, mass in alive.items():
-                if mass == 0.0:
-                    continue
-                up, down = children(spec, node)
-                nxt[up] = nxt.get(up, 0.0) + 0.5 * mass
-                nxt[down] = nxt.get(down, 0.0) + 0.5 * mass
-            alive = nxt
-    return stops, alive
+            alive = _advance(spec, ((node, mass) for node, mass in alive.items() if mass != 0.0))
+    return stops
 
 
 def marginal_of(kernel: StoppingKernel, spec: LatticeSpec) -> DiscreteMeasure:
     """Law of the stopping time induced by the kernel."""
     _check_same_lattice(kernel, spec)
-    stops, _ = _forward_stops(kernel, spec)
+    stops = _forward_stops(kernel, spec)
     weights = [sum(d.values()) for d in stops]
     return DiscreteMeasure(kernel.atom_times, weights)
 
@@ -141,7 +147,7 @@ def marginal_of(kernel: StoppingKernel, spec: LatticeSpec) -> DiscreteMeasure:
 def objective_value(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec) -> float:
     """Expected cost at the stop, exactly (forward sweep, no sampling)."""
     _check_same_lattice(kernel, spec)
-    stops, _ = _forward_stops(kernel, spec)
+    stops = _forward_stops(kernel, spec)
     total = 0.0
     for stopped in stops:
         for node, mass in stopped.items():
@@ -192,11 +198,10 @@ def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
         fractions.append([(j, m / wi) for j, m in row if m > 0.0])
 
     last = tgt_steps[-1]
-    zeros = [0.0] * len(target)
     # alive[node]: mass still run by the old kernel; earm[node][j]: mass headed
     # to stop at target atom j.
     alive: dict[NodeId, float] = {root(spec): 1.0}
-    earm: dict[NodeId, list[float]] = {root(spec): zeros[:]}
+    earm: dict[NodeId, np.ndarray] = {root(spec): np.zeros(len(target))}
     new_q: dict[NodeId, float] = {}
     shift = 0.0
     for s in range(0, last + 1):
@@ -227,19 +232,8 @@ def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
                 else:
                     new_q[node] = min(1.0, stopping / total_alive)
         if s < last:
-            nxt_alive: dict[NodeId, float] = {}
-            nxt_earm: dict[NodeId, list[float]] = {}
-            for node, mass in alive.items():
-                marks = earm[node]
-                for child in children(spec, node):
-                    if child not in nxt_alive:
-                        nxt_alive[child] = 0.0
-                        nxt_earm[child] = zeros[:]
-                    nxt_alive[child] += 0.5 * mass
-                    cm = nxt_earm[child]
-                    for jj, m in enumerate(marks):
-                        cm[jj] += 0.5 * m
-            alive, earm = nxt_alive, nxt_earm
+            alive = _advance(spec, alive.items())
+            earm = _advance(spec, earm.items())
     return StoppingKernel(spec, target.atoms, new_q), shift
 
 
@@ -376,12 +370,7 @@ def feasible_kernel(spec: LatticeSpec, mu: DiscreteMeasure,
     cur = 0
     for i, s in enumerate(steps):
         for _ in range(s - cur):
-            nxt: dict[NodeId, float] = {}
-            for node, mass in alive.items():
-                up, down = children(spec, node)
-                nxt[up] = nxt.get(up, 0.0) + 0.5 * mass
-                nxt[down] = nxt.get(down, 0.0) + 0.5 * mass
-            alive = nxt
+            alive = _advance(spec, alive.items())
         cur = s
         if i == len(steps) - 1:
             for node in nodes_at_step(spec, s):

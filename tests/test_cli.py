@@ -191,6 +191,27 @@ class TestConfigErrors:
         assert main(["solve", self.write(tmp_path, config)]) == 2
         assert "resolution" in capsys.readouterr().err
 
+    # Each section replacement holds one "@", written as the raw JSON token.
+    @pytest.mark.parametrize("sections, token", [
+        ({"measure": [{"t": 1.0, "w": "@"}, {"t": 2.0, "w": 1.0}]}, "NaN"),
+        ({"measure": [{"t": 1.0, "w": 0.5}, {"t": "@", "w": 0.5}]}, "1e999"),
+        ({"measure": [{"t": 2.0, "w": "@"}]}, "true"),
+        ({"lattice": {"depth": "@", "dt": 1.0}, "measure": [{"t": 1.0, "w": 1.0}]}, "true"),
+        ({"lattice": {"depth": "@", "dt": 1.0}}, "2.7"),
+        ({"lattice": {"depth": 2, "dt": 1.0, "augment_max": "@"}}, '"no"'),
+        ({"cost": {"kind": "terminal", "name": "indicator", "params": {"threshold": "@"}}},
+         "NaN"),
+        ({"cost": {"kind": "terminal", "name": "polynomial", "params": {"coeffs": ["@"]}}},
+         "true"),
+    ])
+    def test_malformed_numbers_exit_2(self, tmp_path, monkeypatch, capsys, sections, token):
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = {**base_config(), **sections}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config).replace('"@"', token))
+        assert main(["solve", str(path)]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
 
 class TestVerificationFailure:
     def test_zero_modulus_constant_fails_the_sweep(self, tmp_path, monkeypatch, capsys):

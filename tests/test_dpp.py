@@ -38,6 +38,7 @@ from dcstop import (
     validate,
 )
 
+import dcstop.dpp as dpp
 from conftest import all_paths, brute_kernel_stats, random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
@@ -347,6 +348,15 @@ class TestSolve:
         spec, cost, mu = worked_instance()
         with pytest.raises(ConfigError):
             solve(spec, cost, mu, resolution=0)
+
+    def test_size_guard_fires_before_the_induction(self, monkeypatch):
+        def induction(*args, **kwargs):
+            raise AssertionError("the induction ran before the grid size guard")
+
+        monkeypatch.setattr(dpp, "pair_sup", induction)
+        mu = DiscreteMeasure((1.0, 2.0, 3.0), (0.2, 0.3, 0.5))
+        with pytest.raises(SizeGuardError):
+            solve(LatticeSpec(depth=3, dt=1.0), ABS, mu, resolution=2000)
 
 
 class TestCheckDpp:

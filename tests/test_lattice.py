@@ -194,6 +194,10 @@ class TestValidation:
             LatticeSpec(depth=2, dt=1.0, mode="trinomial")
         with pytest.raises(ConfigError):
             LatticeSpec(depth=21, dt=1.0, mode="history")
+        with pytest.raises(ConfigError):
+            LatticeSpec(depth=2, dt=math.inf)
+        with pytest.raises(ConfigError):
+            LatticeSpec(depth=True, dt=1.0)
 
     def test_nodes_at_step_range(self):
         spec = LatticeSpec(depth=2, dt=1.0)

@@ -192,6 +192,14 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             DiscreteMeasure([1.0, 2.0], [1.2, -0.2])
 
+    @pytest.mark.parametrize("atoms, weights", [
+        ((1.0, 2.0), (math.nan, 1.0)),
+        ((1.0, math.inf), (0.5, 0.5)),
+    ])
+    def test_non_finite_rejected(self, atoms, weights):
+        with pytest.raises(ValidationError):
+            DiscreteMeasure(atoms, weights)
+
     def test_atoms_strictly_positive(self):
         with pytest.raises(ValidationError):
             DiscreteMeasure([0.0, 1.0], [0.5, 0.5])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcstop import (
     CostSpec,
@@ -208,6 +210,34 @@ class TestOracleValue:
             lp = oracle_value(spec, cost, mu)
             dp = solve(spec, cost, mu, resolution=30).root_value
             assert abs(lp - dp) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_block_solver_matches_both_arithmetics(self, data):
+        depth = data.draw(st.integers(1, 5), label="depth")
+        augment = data.draw(st.booleans(), label="augment_max")
+        steps = sorted(data.draw(
+            st.lists(st.integers(1, depth), min_size=1, max_size=3, unique=True), label="steps"
+        ))
+        units = data.draw(
+            st.lists(st.integers(1, 9), min_size=len(steps), max_size=len(steps)), label="units"
+        )
+        level = float(data.draw(st.integers(-depth, depth), label="level"))
+        costs = [
+            IDENTITY,
+            CostSpec(kind="terminal", name="polynomial", params={"coeffs": [2.5]}),
+            CostSpec(kind="terminal", name="indicator", params={"threshold": level}),
+            ABS,
+        ]
+        if augment:
+            costs.append(CostSpec(kind="running_max", name="indicator",
+                                  params={"threshold": abs(level)}))
+        cost = data.draw(st.sampled_from(costs), label="cost")
+        spec = LatticeSpec(depth=depth, dt=1.0, augment_max=augment)
+        mu = DiscreteMeasure([float(s) for s in steps], [u / sum(units) for u in units])
+        value = solve(spec, cost, mu, resolution=2).root_value
+        assert abs(value - oracle_value(spec, cost, mu, exact=True)) <= 1e-9
+        assert abs(value - oracle_value(spec, cost, mu)) <= 1e-7
 
     def test_overfull_marginal_row_is_infeasible(self):
         # More mass at the first atom than any rule can stop there.
