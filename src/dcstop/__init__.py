@@ -28,11 +28,8 @@ from .dpp import (
     DppReport,
     SimplexGrid,
     ValueTable,
-    atom_boundary,
     check_dpp,
     extract_policy,
-    from_samples,
-    one_step_sup,
     pair_sup,
     perspective,
     solve,

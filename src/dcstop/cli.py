@@ -25,10 +25,10 @@ import numpy as np
 from . import __version__
 from .cost import cost_from_json
 from .errors import ConfigError, DcstopError
-from .lattice import spec_from_json
+from .lattice import atom_steps, spec_from_json
 from .measures import measure_from_json, measure_to_json
-from .mvm import accumulate, from_kernel, mvm_to_json, to_kernel, validate
-from .oracle import build_lp, lp_solution_to_kernel, solve_lp
+from .mvm import accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel, validate
+from .oracle import build_lp, check_oracle_depth, lp_solution_to_kernel, solve_lp
 from .rst import kernel_to_json, marginal_of, objective_value, simulate
 from .stability import convergence_sweep, rows_to_csv
 
@@ -155,8 +155,9 @@ def cmd_policy(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
     opts = _solver_options(config)
-    from .dpp import extract_policy, solve
+    from .dpp import check_policy_depth, extract_policy, solve
 
+    check_policy_depth(atom_steps(spec, mu.atoms)[-1])
     table = solve(spec, cost, mu, opts["resolution"], debug=opts["debug"])
     tree = extract_policy(table)
     report = validate(tree, mu)
@@ -207,6 +208,7 @@ def cmd_compare(args) -> int:
     from .dpp import solve
     from .oracle import oracle_value
 
+    check_oracle_depth(atom_steps(spec, mu.atoms)[-1])
     table = solve(spec, cost, mu, opts["resolution"], debug=opts["debug"])
     reference = oracle_value(spec, cost, mu)
     difference = abs(table.root_value - reference)
@@ -284,9 +286,8 @@ def cmd_validate(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
     _solver_options(config)
-    from .lattice import atom_steps
-
     steps = atom_steps(spec, mu.atoms)
+    check_tree_depth(steps[-1])
     from .rst import feasible_kernel
 
     kernel = feasible_kernel(spec, mu, np.random.default_rng(_seed(config)))

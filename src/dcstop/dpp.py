@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from math import comb
 from typing import Callable, Optional
 
@@ -56,14 +57,14 @@ SLACK_FLOOR = 1e-9
 
 
 class SimplexGrid:
-    """All length-``k`` compositions of ``resolution``, with interpolation.
+    """All length-``k`` compositions of ``resolution``, in descending lexicographic order.
 
     Grid points are integer vectors summing to the resolution; ``fractions``
-    divides them through.  Interpolation uses the standard simplicial
-    subdivision in cumulative coordinates, which never leaves the simplex.
+    divides them through.  The solver samples its tables on these points and
+    reads the table slack off neighbouring points.
     """
 
-    __slots__ = ("k", "resolution", "points", "fractions", "index")
+    __slots__ = ("k", "resolution", "points", "fractions")
 
     def __init__(self, k: int, resolution: int):
         if not (isinstance(k, int) and k >= 1):
@@ -76,92 +77,47 @@ class SimplexGrid:
                 f"simplex grid would hold {n} points (limit {GRID_SIZE_LIMIT}); "
                 "lower the resolution"
             )
-        pts = np.zeros((n, k), dtype=np.int64)
-        row = 0
-
-        def fill(prefix, remaining, pos):
-            nonlocal row
-            if pos == k - 1:
-                pts[row, :pos] = prefix
-                pts[row, pos] = remaining
-                row += 1
-                return
-            for v in range(remaining, -1, -1):
-                fill(prefix + [v], remaining - v, pos + 1)
-
-        fill([], resolution, 0)
+        # Stars and bars: bar positions in ascending lexicographic order give the
+        # compositions in ascending order, so the reversed rows descend.
+        bars = np.fromiter(
+            chain.from_iterable(combinations(range(resolution + k - 1), k - 1)),
+            dtype=np.int64, count=n * (k - 1),
+        ).reshape(n, k - 1)[::-1]
+        ends = np.full((n, 1), -1, dtype=np.int64)
+        pts = np.diff(np.hstack([ends, bars, ends + resolution + k]), axis=1) - 1
         self.k = k
         self.resolution = resolution
         self.points = pts
         self.fractions = pts.astype(float) / resolution
-        self.index = {tuple(p): i for i, p in enumerate(pts.tolist())}
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
 
-    def barycentric(self, y) -> list[tuple[int, float]]:
-        """Vertices and weights of the grid cell containing ``y``."""
-        y = np.asarray(y, dtype=float)
-        r, k = self.resolution, self.k
-        if k == 1:
-            return [(0, 1.0)]
-        u = r * np.cumsum(y[:-1])
-        u = np.clip(u, 0.0, float(r))
-        f = np.floor(u).astype(np.int64)
-        frac = u - f
-        for j in range(k - 1):
-            if f[j] >= r:
-                f[j], frac[j] = r - 1, 1.0
-        # Cumulative coordinates must stay nondecreasing along the chain.
-        order = sorted(range(k - 1), key=lambda j: (-frac[j], -j))
-        chains = [f.copy()]
-        cur = f.copy()
-        for j in order:
-            cur = cur.copy()
-            cur[j] += 1
-            chains.append(cur)
-        w = [1.0 - frac[order[0]]] if order else [1.0]
-        for m in range(len(order) - 1):
-            w.append(frac[order[m]] - frac[order[m + 1]])
-        if order:
-            w.append(frac[order[-1]])
-        out = []
-        for chain, wt in zip(chains, w):
-            if wt <= 0.0:
-                continue
-            compo = [int(chain[0])]
-            for j in range(1, k - 1):
-                compo.append(int(chain[j] - chain[j - 1]))
-            compo.append(int(r - chain[-1]))
-            if any(c < 0 for c in compo):
-                continue
-            out.append((self.index[tuple(compo)], float(wt)))
-        total = sum(wt for _, wt in out)
-        return [(i, wt / total) for i, wt in out]
-
-    def interpolate(self, values, y) -> float:
-        vals = np.asarray(values, dtype=float)
-        return float(sum(w * vals[i] for i, w in self.barycentric(y)))
-
     def max_adjacent_diff(self, values) -> float:
-        """Largest value change across one unit of grid mass transfer."""
+        """Largest value change across one unit of grid mass transfer.
+
+        Each point is keyed by its first ``k - 1`` coordinates in base
+        ``resolution + 1``; the keys strictly descend with the rows, so moving
+        one unit from coordinate ``i`` to ``j`` is a key offset found by binary
+        search.  NaN differences are skipped.
+        """
         vals = np.asarray(values, dtype=float)
+        k, base = self.k, self.resolution + 1
+        # Python-int keys only when base ** (k - 1) would overflow int64.
+        wide = base ** (k - 1) > np.iinfo(np.int64).max
+        weight = np.array([base ** e for e in range(k - 2, -1, -1)] + [0],
+                          dtype=object if wide else np.int64)
+        keys = self.points @ weight
+        ascending = -keys
         worst = 0.0
-        for idx in range(self.size):
-            p = self.points[idx]
-            for i in range(self.k):
-                if p[i] == 0:
-                    continue
-                for j in range(self.k):
-                    if i == j:
-                        continue
-                    q = p.copy()
-                    q[i] -= 1
-                    q[j] += 1
-                    other = self.index.get(tuple(q.tolist()))
-                    if other is not None and other > idx:
-                        worst = max(worst, abs(float(vals[idx] - vals[other])))
+        for i in range(k):
+            rows = np.flatnonzero(self.points[:, i] > 0)
+            for j in range(k):
+                if i != j:
+                    nbr = np.searchsorted(ascending, -(keys[rows] - weight[i] + weight[j]))
+                    diffs = np.abs(vals[rows] - vals[nbr])
+                    worst = float(np.fmax.reduce(diffs, initial=worst))
         return worst
 
 
@@ -281,20 +237,6 @@ def _pieces_from_affine(affine: np.ndarray, k: int, total: float) -> np.ndarray:
     return g
 
 
-def from_samples(grid: SimplexGrid, values) -> ConcavePL:
-    """Concave envelope of values sampled on a simplex grid."""
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (grid.size,):
-        raise ConfigError(f"expected {grid.size} values, got shape {vals.shape}")
-    if grid.k == 1:
-        return ConcavePL.constant(float(vals[0]))
-    cloud = np.column_stack([grid.fractions[:, : grid.k - 1], vals])
-    affine, vert_ids, _ = _hull_upper(cloud)
-    pieces = _pieces_from_affine(affine, grid.k, total=1.0)
-    verts = np.column_stack([grid.fractions[vert_ids], vals[vert_ids]])
-    return ConcavePL(k=grid.k, pieces=pieces, verts=verts)
-
-
 def pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> ConcavePL:
     """Best mean-preserving split of a driver step.
 
@@ -356,46 +298,17 @@ def perspective(stop_value: float, inner: ConcavePL) -> ConcavePL:
     return ConcavePL(k=k, pieces=pieces, verts=np.vstack([apex, base]))
 
 
-def one_step_sup(grid: SimplexGrid, vu, vd) -> np.ndarray:
-    """Grid-sampled pair supremum of two grid-sampled value functions.
-
-    The inputs are concavified first (splitting mass across grid cells is one
-    more admissible randomization), so the result dominates the pointwise
-    average, is midpoint-concave and is a fixpoint of itself.
-    """
-    w = pair_sup(from_samples(grid, vu), from_samples(grid, vd))
-    return w.evaluate_batch(grid.fractions)
-
-
-def atom_boundary(grid: SimplexGrid, node_value_next, cost_now: float, y) -> float:
-    """Stop-or-renormalize readout at an atom from a grid-sampled table.
-
-    Pays ``cost_now`` on the leading coordinate of ``y`` and reads the rest,
-    rescaled back onto the simplex, out of ``node_value_next`` by barycentric
-    interpolation (the rescaled point need not be a grid point).  With all
-    mass on the leading coordinate the table is not consulted at all.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (grid.k + 1,):
-        raise ConfigError(
-            f"expected a point with {grid.k + 1} coordinates, got shape {y.shape}"
-        )
-    y1 = float(y[0])
-    if 1.0 - y1 <= 1e-14:
-        return float(cost_now)
-    inner = grid.interpolate(node_value_next, y[1:] / (1.0 - y1))
-    return y1 * float(cost_now) + (1.0 - y1) * inner
-
-
 @dataclass(frozen=True)
 class ValueTable:
-    """Solver output: root value plus grid-sampled block boundary tables.
+    """Solver output: root value, exact value functions and their grid samples.
 
-    ``tables`` maps ``(k, step, node)`` to values on ``SimplexGrid(k)``: the
-    pre-decision value of holding a renormalized ``k``-atom future law at the
-    block's closing atom step.  ``slack`` is the largest adjacent-grid value
-    difference across all tables, a Lipschitz-times-mesh bound on anything a
-    grid readout can miss.
+    ``reps`` maps ``(step, node)`` to the exact concave value function there.
+    ``tables`` maps ``(k, step, node)`` to that function sampled on the rows of
+    ``SimplexGrid(k, resolution).points`` at the block's closing atom step: the
+    pre-decision value of holding a renormalized ``k``-atom future law.  The
+    tables feed ``digest`` and ``slack``, the largest value difference between
+    adjacent grid points across all tables (at least ``SLACK_FLOOR``), a
+    Lipschitz-times-mesh bound on anything one grid step can move.
     """
 
     spec: LatticeSpec
@@ -408,9 +321,6 @@ class ValueTable:
     slack: float
     digest: str
     reps: dict[tuple[int, NodeId], ConcavePL] = field(repr=False)
-
-    def grid(self, k: int) -> SimplexGrid:
-        return SimplexGrid(k, self.resolution)
 
 
 def _mu_vector(mu: DiscreteMeasure) -> np.ndarray:
@@ -496,20 +406,21 @@ def _check_scaling(spec, cost, rep, tables, grids):
     for (k, s, node), vals in tables.items():
         if k == 1:
             continue
-        grid = grids[k]
+        y = grids[k].fractions
         c = evaluate(cost, state(spec, node))
         inner = _continuation(spec, node, rep)
-        for y, stored in zip(grid.fractions, vals):
-            y1 = y[0]
-            if 1.0 - y1 <= 1e-14:
-                direct = c
-            else:
-                direct = y1 * c + (1.0 - y1) * inner.evaluate(y[1:] / (1.0 - y1))
-            if abs(direct - stored) > 1e-12:
-                raise AssertionError(
-                    f"renormalization identity off by {abs(direct - stored):.3e} "
-                    f"at block {k}, step {s}, node {node}"
-                )
+        y1, rest = y[:, 0], 1.0 - y[:, 0]
+        live = rest > 1e-14
+        direct = np.full(len(y), c)
+        direct[live] = y1[live] * c + rest[live] * inner.evaluate_batch(
+            y[live, 1:] / rest[live, None])
+        off = np.flatnonzero(np.abs(direct - vals) > 1e-12)
+        if off.size:
+            err = abs(direct[off[0]] - vals[off[0]])
+            raise AssertionError(
+                f"renormalization identity off by {err:.3e} "
+                f"at block {k}, step {s}, node {node}"
+            )
 
 
 @dataclass(frozen=True)
@@ -577,6 +488,14 @@ def _facet_split(w: ConcavePL, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def check_policy_depth(horizon: int) -> None:
+    """Refuse a policy tree past ``POLICY_DEPTH_LIMIT``; cheap enough to run before ``solve``."""
+    if horizon > POLICY_DEPTH_LIMIT:
+        raise SizeGuardError(
+            f"policy extraction walks 2^{horizon} histories (limit 2^{POLICY_DEPTH_LIMIT})"
+        )
+
+
 def extract_policy(table: ValueTable) -> MvmTree:
     """Forward sweep turning the solved tables into an explicit law tree.
 
@@ -590,10 +509,7 @@ def extract_policy(table: ValueTable) -> MvmTree:
     steps = table.steps
     r = len(steps)
     horizon = steps[-1]
-    if horizon > POLICY_DEPTH_LIMIT:
-        raise SizeGuardError(
-            f"policy extraction walks 2^{horizon} histories (limit 2^{POLICY_DEPTH_LIMIT})"
-        )
+    check_policy_depth(horizon)
     step_of_atom = {s: i for i, s in enumerate(steps)}
     split_memo: dict[NodeId, ConcavePL] = {}
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .cost import CostSpec, evaluate
-from .errors import SpliceError, ValidationError
+from .errors import SizeGuardError, SpliceError, ValidationError
 from .lattice import (
     LatticeSpec,
     NodeId,
@@ -46,6 +46,8 @@ from .rst import DEAD_MASS, StoppingKernel
 
 MARTINGALE_TOL = 1e-12
 SPLICE_TOL = 1e-9
+# ``from_kernel`` walks every history in Python: 2^16 of them take a few seconds.
+TREE_DEPTH_LIMIT = 16
 
 Bits = tuple[int, ...]
 
@@ -181,6 +183,14 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
     return MvmReport(True, None)
 
 
+def check_tree_depth(horizon: int) -> None:
+    """Refuse a law tree past ``TREE_DEPTH_LIMIT`` before any kernel is built or walked."""
+    if horizon > TREE_DEPTH_LIMIT:
+        raise SizeGuardError(
+            f"law tree from a kernel walks 2^{horizon} histories (limit 2^{TREE_DEPTH_LIMIT})"
+        )
+
+
 def from_kernel(kernel: StoppingKernel, spec: LatticeSpec) -> MvmTree:
     """Tree of conditional laws of a kernel's stopping time.
 
@@ -191,6 +201,7 @@ def from_kernel(kernel: StoppingKernel, spec: LatticeSpec) -> MvmTree:
     """
     steps = kernel.steps()
     last = steps[-1]
+    check_tree_depth(last)
     r = len(kernel.atom_times)
     vectors: dict[Bits, np.ndarray] = {}
 

@@ -56,6 +56,14 @@ class LpSolution:
     duality_gap: float
 
 
+def check_oracle_depth(horizon: int) -> None:
+    """Refuse a history tree past ``ORACLE_DEPTH_LIMIT`` before building anything."""
+    if horizon > ORACLE_DEPTH_LIMIT:
+        raise SizeGuardError(
+            f"oracle tree has 2^{horizon} paths (limit 2^{ORACLE_DEPTH_LIMIT})"
+        )
+
+
 def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProblem:
     """Assemble the history-tree stopping polytope for a target law.
 
@@ -64,10 +72,7 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
     """
     steps = tuple(atom_steps(spec, mu.atoms))
     horizon = steps[-1]
-    if horizon > ORACLE_DEPTH_LIMIT:
-        raise SizeGuardError(
-            f"oracle tree has 2^{horizon} paths (limit 2^{ORACLE_DEPTH_LIMIT})"
-        )
+    check_oracle_depth(horizon)
     hist = LatticeSpec(depth=horizon, dt=spec.dt, mode="history")
     var_keys: list[tuple[int, tuple[int, ...]]] = []
     col: dict[tuple[int, tuple[int, ...]], int] = {}

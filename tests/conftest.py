@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from dcstop import (
+    ConcavePL,
     DiscreteMeasure,
     LatticeSpec,
     NodeId,
@@ -20,6 +21,7 @@ from dcstop import (
     project_to_recombining,
     state,
 )
+from dcstop.dpp import _hull_upper, _pieces_from_affine
 
 
 def all_paths(n: int) -> list[tuple[int, ...]]:
@@ -63,3 +65,21 @@ def random_measure(rng: np.random.Generator, times) -> DiscreteMeasure:
     """A random law on the given atom times with all weights bounded away from 0."""
     w = rng.dirichlet(np.ones(len(times))) + 0.02
     return DiscreteMeasure(times, w / w.sum())
+
+
+def from_samples(grid, values) -> ConcavePL:
+    """Concave envelope of values sampled on a simplex grid, as an exact ``ConcavePL``."""
+    vals = np.asarray(values, dtype=float)
+    assert vals.shape == (grid.size,)
+    if grid.k == 1:
+        return ConcavePL.constant(float(vals[0]))
+    cloud = np.column_stack([grid.fractions[:, : grid.k - 1], vals])
+    affine, vert_ids, _ = _hull_upper(cloud)
+    pieces = _pieces_from_affine(affine, grid.k, total=1.0)
+    verts = np.column_stack([grid.fractions[vert_ids], vals[vert_ids]])
+    return ConcavePL(k=grid.k, pieces=pieces, verts=verts)
+
+
+def grid_rows(grid) -> dict[tuple[int, ...], int]:
+    """Row of each grid point, keyed by its integer coordinates."""
+    return {tuple(p): i for i, p in enumerate(grid.points.tolist())}

@@ -213,6 +213,30 @@ class TestConfigErrors:
         assert "invalid input" in capsys.readouterr().err
 
 
+class TestGuardsBeforeWork:
+    @pytest.mark.parametrize("command, depth, expensive, message", [
+        ("compare", 13, "dcstop.dpp.solve", "oracle tree has 2^13 paths (limit 2^12)"),
+        ("policy", 13, "dcstop.dpp.solve",
+         "policy extraction walks 2^13 histories (limit 2^12)"),
+        ("validate", 17, "dcstop.rst.feasible_kernel",
+         "law tree from a kernel walks 2^17 histories (limit 2^16)"),
+    ])
+    def test_depth_guard_fires_first(self, tmp_path, monkeypatch, capsys,
+                                     command, depth, expensive, message):
+        def expensive_call(*args, **kwargs):
+            raise AssertionError("the expensive call ran before the depth guard")
+
+        monkeypatch.setattr(expensive, expensive_call)
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = base_config()
+        config["lattice"]["depth"] = depth
+        config["measure"] = [{"t": 1.0, "w": 0.5}, {"t": float(depth), "w": 0.5}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
 class TestVerificationFailure:
     def test_zero_modulus_constant_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
         # Claiming a zero continuity constant shrinks every bound to the

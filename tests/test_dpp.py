@@ -19,14 +19,11 @@ from dcstop import (
     SizeGuardError,
     StoppingKernel,
     accumulate,
-    atom_boundary,
     check_dpp,
     evaluate,
     extract_policy,
-    from_samples,
     marginal_of,
     nodes_at_step,
-    one_step_sup,
     oracle_value,
     pair_sup,
     perspective,
@@ -39,7 +36,7 @@ from dcstop import (
 )
 
 import dcstop.dpp as dpp
-from conftest import all_paths, brute_kernel_stats, random_measure
+from conftest import all_paths, brute_kernel_stats, from_samples, grid_rows, random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 IDENTITY = CostSpec(kind="terminal", name="identity")
@@ -66,42 +63,36 @@ class TestSimplexGrid:
         assert (grid.points >= 0).all()
         assert np.allclose(grid.fractions.sum(axis=1), 1.0)
 
-    def test_barycentric_at_grid_points(self):
-        grid = SimplexGrid(3, 5)
-        for i, y in enumerate(grid.fractions):
-            cell = grid.barycentric(y)
-            top = {j: w for j, w in cell if w > 1e-12}
-            assert top == pytest.approx({i: 1.0}, abs=1e-12)
-
-    def test_barycentric_weights_reproduce_the_point(self):
-        rng = np.random.default_rng(50)
-        grid = SimplexGrid(4, 6)
-        for y in random_simplex_points(rng, 4, 25):
-            cell = grid.barycentric(y)
-            assert all(w >= -1e-12 for _, w in cell)
-            assert sum(w for _, w in cell) == pytest.approx(1.0, abs=1e-12)
-            recon = sum(w * grid.fractions[i] for i, w in cell)
-            assert recon == pytest.approx(y, abs=1e-10)
-
-    def test_interpolation_exact_for_affine_data(self):
-        rng = np.random.default_rng(51)
-        grid = SimplexGrid(3, 8)
-        a = np.array([0.3, -1.2, 2.0])
-        values = grid.fractions @ a
-        for y in random_simplex_points(rng, 3, 25):
-            assert grid.interpolate(values, y) == pytest.approx(float(y @ a), abs=1e-12)
+    @pytest.mark.parametrize("k,resolution", [(1, 5), (2, 7), (3, 4), (4, 3), (3, 12)])
+    def test_points_descend_lexicographically(self, k, resolution):
+        grid = SimplexGrid(k, resolution)
+        brute = sorted((p for p in itertools.product(range(resolution + 1), repeat=k)
+                        if sum(p) == resolution), reverse=True)
+        assert grid.points.tolist() == [list(p) for p in brute]
 
     def test_max_adjacent_diff_hand_example(self):
         grid = SimplexGrid(2, 2)
-        order = [grid.index[key] for key in [(2, 0), (1, 1), (0, 2)]]
+        rows = grid_rows(grid)
+        order = [rows[key] for key in [(2, 0), (1, 1), (0, 2)]]
         values = np.empty(3)
         values[order] = [0.0, 1.0, 3.0]
         assert grid.max_adjacent_diff(values) == pytest.approx(2.0, abs=0)
 
+    # (70, 1): the base-2 keys of 70 coordinates overflow int64.
+    @pytest.mark.parametrize("k,resolution", [(1, 3), (2, 1), (2, 9), (3, 2), (3, 11),
+                                              (4, 1), (4, 6), (70, 1)])
+    def test_max_adjacent_diff_matches_the_pairwise_loop(self, k, resolution):
+        rng = np.random.default_rng(67)
+        grid = SimplexGrid(k, resolution)
+        for scale in (1e-6, 1.0, 1e6):
+            values = scale * rng.normal(size=grid.size)
+            assert grid.max_adjacent_diff(values) == pairwise_max_adjacent_diff(grid, values)
+        values[::3] = np.nan
+        assert grid.max_adjacent_diff(values) == pairwise_max_adjacent_diff(grid, values)
+
     def test_single_coordinate_grid_is_trivial(self):
         grid = SimplexGrid(1, 9)
         assert grid.size == 1
-        assert grid.barycentric([1.0]) == [(0, 1.0)]
         assert grid.max_adjacent_diff([4.2]) == 0.0
 
     def test_guards(self):
@@ -111,6 +102,26 @@ class TestSimplexGrid:
             SimplexGrid(0, 5)
         with pytest.raises(SizeGuardError):
             SimplexGrid(3, 2000)
+
+
+def pairwise_max_adjacent_diff(grid, values):
+    """Reference slack: every point against each one-unit transfer, one pair at a time."""
+    rows = grid_rows(grid)
+    worst = 0.0
+    for idx, p in enumerate(grid.points):
+        for i in range(grid.k):
+            if p[i] == 0:
+                continue
+            for j in range(grid.k):
+                if i == j:
+                    continue
+                q = p.copy()
+                q[i] -= 1
+                q[j] += 1
+                other = rows.get(tuple(q.tolist()))
+                if other is not None and other > idx:
+                    worst = max(worst, abs(float(values[idx] - values[other])))
+    return worst
 
 
 class TestEnvelope:
@@ -154,11 +165,12 @@ class TestEnvelope:
 
 def brute_grid_pair_sup(grid, vu, vd):
     """Best grid-pair randomization per grid point, by full enumeration."""
+    rows = grid_rows(grid)
     out = np.full(grid.size, -np.inf)
     for t, target in enumerate(grid.points):
         doubled = 2 * target
         for i, p in enumerate(grid.points):
-            j = grid.index.get(tuple((doubled - p).tolist()))
+            j = rows.get(tuple((doubled - p).tolist()))
             if j is not None:
                 out[t] = max(out[t], 0.5 * (vu[i] + vd[j]))
     return out
@@ -201,41 +213,53 @@ class TestPairSup:
         grid = SimplexGrid(3, 5)
         rows = np.array([[0.5, -0.2, 1.0], [0.0, 0.9, 0.3]])
         concave = (grid.fractions @ rows.T).min(axis=1)
-        again = one_step_sup(grid, concave, concave)
+        w = from_samples(grid, concave)
+        again = pair_sup(w, w).evaluate_batch(grid.fractions)
         assert again == pytest.approx(concave, abs=1e-12)
 
     def test_one_step_sup_concavifies_inputs_first(self):
         grid = SimplexGrid(2, 4)
         convex = np.abs(grid.fractions[:, 0] - 0.5)
-        got = one_step_sup(grid, convex, convex)
+        w = from_samples(grid, convex)
+        got = pair_sup(w, w).evaluate_batch(grid.fractions)
         assert got.min() >= 0.5 - 1e-12
+
+
+def exact_inner() -> ConcavePL:
+    """``min(0.4 y1 + 1.1 y2, y1 + 0.2 y2)`` on the 2-simplex, kinked at ``y1 = 0.6``."""
+    return ConcavePL(
+        k=2,
+        pieces=np.array([[0.4, 1.1], [1.0, 0.2]]),
+        verts=np.array([[1.0, 0.0, 0.4], [0.6, 0.4, 0.68], [0.0, 1.0, 0.2]]),
+    )
 
 
 class TestAtomBoundary:
     def test_all_mass_on_the_atom_skips_the_table(self):
-        grid = SimplexGrid(2, 4)
-        poison = np.full(grid.size, np.nan)
-        assert atom_boundary(grid, poison, 3.25, [1.0, 0.0, 0.0]) == 3.25
+        huge = ConcavePL(k=2, pieces=np.array([[1e9, -1e9], [-1e9, 1e9]]),
+                         verts=np.array([[0.5, 0.5, 0.0]]))
+        assert perspective(3.25, huge).evaluate([1.0, 0.0, 0.0]) == 3.25
 
     def test_no_mass_on_the_atom_reads_the_table(self):
-        grid = SimplexGrid(2, 4)
-        values = grid.fractions[:, 0] * 2.0
-        got = atom_boundary(grid, values, 99.0, [0.0, 0.25, 0.75])
+        inner = ConcavePL(k=2, pieces=np.array([[2.0, 0.0]]),
+                          verts=np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
+        got = perspective(99.0, inner).evaluate([0.0, 0.25, 0.75])
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_even_split_against_zero_table(self):
-        grid = SimplexGrid(1, 1)
-        assert atom_boundary(grid, [0.0], 1.0, [0.5, 0.5]) == pytest.approx(0.5, abs=0)
+        cone = perspective(1.0, ConcavePL.constant(0.0))
+        assert cone.evaluate([0.5, 0.5]) == pytest.approx(0.5, abs=0)
 
     def test_matches_perspective_everywhere(self):
         rng = np.random.default_rng(56)
-        grid = SimplexGrid(2, 6)
-        rows = np.array([[0.4, 1.1], [1.0, 0.2]])
-        inner_vals = (grid.fractions @ rows.T).min(axis=1)
-        cone = perspective(0.8, from_samples(grid, inner_vals))
+        inner = exact_inner()
+        cone = perspective(0.8, inner)
         for y in random_simplex_points(rng, 3, 25):
-            direct = atom_boundary(grid, inner_vals, 0.8, y)
+            y1 = y[0]
+            direct = y1 * 0.8 + (1.0 - y1) * inner.evaluate(y[1:] / (1.0 - y1))
             assert cone.evaluate(y) == pytest.approx(direct, abs=1e-12)
+        for vert in cone.verts:
+            assert cone.evaluate(vert[:3]) == pytest.approx(vert[3], abs=1e-12)
 
     def test_perspective_apex_value(self):
         inner = ConcavePL.constant(-7.0)
@@ -243,11 +267,6 @@ class TestAtomBoundary:
         assert cone.evaluate([1.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
         assert cone.evaluate([0.0, 1.0]) == pytest.approx(-7.0, abs=1e-12)
         assert cone.evaluate([0.5, 0.5]) == pytest.approx(-2.5, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        grid = SimplexGrid(2, 4)
-        with pytest.raises(ConfigError):
-            atom_boundary(grid, np.zeros(grid.size), 0.0, [0.5, 0.25, 0.2, 0.05])
 
 
 class TestSolve:
@@ -289,6 +308,39 @@ class TestSolve:
         table = solve(spec, ABS, mu, resolution=7, debug=True)
         assert table.root_value >= 0.0
 
+    def test_debug_check_catches_a_corrupted_table_entry(self):
+        rng = np.random.default_rng(60)
+        spec = LatticeSpec(depth=3, dt=0.5)
+        mu = random_measure(rng, (0.5, 1.0, 1.5))
+        table = solve(spec, ABS, mu, resolution=7)
+        grids = {k: SimplexGrid(k, 7) for k in (1, 2, 3)}
+
+        def rep(node):
+            return table.reps[(node.step, node)]
+
+        dpp._check_scaling(spec, ABS, rep, table.tables, grids)
+        key = next(key for key in table.tables if key[0] == 3)
+        table.tables[key][5] += 1e-9
+        with pytest.raises(AssertionError, match="renormalization identity off by"):
+            dpp._check_scaling(spec, ABS, rep, table.tables, grids)
+
+    # Recorded before the grid layer was rebuilt on arrays; any change to the
+    # order of the grid points, the sampled tables or the slack shows here.
+    @pytest.mark.parametrize("spec, cost, mu, resolution, slack, digest", [
+        (LatticeSpec(depth=2, dt=1.0), INDICATOR, DiscreteMeasure((1.0, 2.0), (0.5, 0.5)), 40,
+         0.012500000000000178,
+         "6bd09eacb10ff8e2a8bd21cce16e0ad1be58584d56cea3bcd8369e2616d9c651"),
+        (LatticeSpec(depth=4, dt=1.0, augment_max=True),
+         CostSpec(kind="running_max", name="identity"),
+         DiscreteMeasure((1.0, 3.0, 4.0), (0.25, 0.25, 0.5)), 200,
+         0.006250000000000311,
+         "f7ca79410bf9488337087ffc9990bf143525b10a48c4ee7da53a3343f6a2d2e9"),
+    ])
+    def test_golden_digest_and_slack(self, spec, cost, mu, resolution, slack, digest):
+        table = solve(spec, cost, mu, resolution=resolution)
+        assert table.slack == slack
+        assert table.digest == digest
+
     def test_terminal_atom_tables_match_the_cost(self):
         spec, cost, mu = worked_instance()
         table = solve(spec, cost, mu, resolution=4)
@@ -305,13 +357,14 @@ class TestSolve:
         for (k, _, _), vals in table.tables.items():
             if k < 2:
                 continue
-            grid = table.grid(k)
+            grid = SimplexGrid(k, table.resolution)
+            rows = grid_rows(grid)
             for _ in range(20):
                 i, j = rng.integers(0, grid.size, size=2)
                 doubled = grid.points[i] + grid.points[j]
                 if (doubled % 2).any():
                     continue
-                m = grid.index.get(tuple((doubled // 2).tolist()))
+                m = rows.get(tuple((doubled // 2).tolist()))
                 if m is None:
                     continue
                 assert vals[m] >= 0.5 * (vals[i] + vals[j]) - 1e-12

@@ -11,6 +11,7 @@ from dcstop import (
     LatticeSpec,
     MvmTree,
     NodeId,
+    SizeGuardError,
     SpliceError,
     StoppingKernel,
     ValidationError,
@@ -92,6 +93,12 @@ class TestFromKernel:
             tree = from_kernel(kernel, spec)
             report = validate(tree, mu=marginal_of(kernel, spec))
             assert report.ok, report.violation
+
+    def test_depth_guard(self):
+        spec = LatticeSpec(depth=17, dt=1.0)
+        kernel = random_kernel(spec, (1.0, 17.0), np.random.default_rng(34))
+        with pytest.raises(SizeGuardError, match=r"2\^17 histories \(limit 2\^16\)"):
+            from_kernel(kernel, spec)
 
 
 class TestValidate:
