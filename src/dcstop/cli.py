@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .cost import cost_from_json
-from .errors import ConfigError, DcstopError
+from .errors import ConfigError, DcstopError, finite_number
 from .lattice import atom_steps, spec_from_json
 from .measures import measure_from_json, measure_to_json
 from .mvm import accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel, validate
@@ -96,8 +96,8 @@ def _solver_options(config: dict) -> dict:
 
 def _seed(config: dict) -> int:
     seed = config.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError("seed: must be an integer")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError("seed: must be a non-negative integer")
     return seed
 
 
@@ -193,7 +193,7 @@ def cmd_oracle(args) -> int:
         "duality_gap": solution.duality_gap,
         "reduced_cost_violation": solution.reduced_cost_violation,
         "slackness_violation": solution.slackness_violation,
-        "variables": len(problem.var_keys),
+        "variables": problem.a.shape[1],
         "exact": bool(args.exact),
     }
     _emit("result.json", payload, config)
@@ -272,6 +272,7 @@ def cmd_stability(args) -> int:
     grids = stab["grids"]
     if not isinstance(grids, list) or not all(isinstance(g, list) for g in grids):
         raise ConfigError("stability: grids must be a list of time lists")
+    grids = [[finite_number(t, "stability: grid time") for t in g] for g in grids]
     report = convergence_sweep(spec, cost, mu, grids, opts["resolution"])
     rows_to_csv(report.rows, os.path.join(_out_dir(), "table.csv"))
     payload = {"all_within": report.all_within, "levels": len(report.rows)}

@@ -39,6 +39,7 @@ from .lattice import (
     NodeId,
     atom_steps,
     children,
+    histories,
     node_of_history,
     nodes_at_step,
     root,
@@ -175,10 +176,10 @@ class ConcavePL:
         return int(np.argmin(vals))
 
 
-def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper envelope of a (d+1)-dim point cloud (last axis is the value).
 
-    Returns ``(affine, vert_ids, facet_vert_ids)`` where ``affine`` rows are
+    Returns ``(affine, vert_ids)`` where ``affine`` rows are
     ``(a, beta)`` with envelope ``min_a a . x + beta`` over the x-projection.
     A sentinel far below the cloud keeps the hull full-dimensional even when
     the data is affine.
@@ -187,17 +188,14 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.nda
     if d == 1:
         chain = _upper_hull_2d(points[:, 0], points[:, 1])
         affine = []
-        facets = []
         for a, b in zip(chain, chain[1:]):
             xa, va = points[a]
             xb, vb = points[b]
             slope = (vb - va) / (xb - xa)
             affine.append((slope, va - slope * xa))
-            facets.append(np.array([a, b]))
         if not affine:
             affine.append((0.0, float(points[chain[0], 1])))
-            facets.append(np.array([chain[0]]))
-        return np.array(affine), np.array(chain), facets
+        return np.array(affine), np.array(chain)
     span = float(points[:, -1].max() - points[:, -1].min())
     sentinel = np.concatenate(
         [points[:, :-1].mean(axis=0), [points[:, -1].min() - 10.0 * (span + 1.0)]]
@@ -207,7 +205,6 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.nda
     eqs = hull.equations
     upper = eqs[:, d] > UPPER_FACET_TOL
     affine = []
-    facets = []
     vert_ids: set[int] = set()
     for fi in np.flatnonzero(upper):
         n = eqs[fi]
@@ -217,10 +214,9 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.nda
         if sid in simplex:
             continue
         affine.append(np.concatenate([a, [beta]]))
-        facets.append(simplex.copy())
         vert_ids.update(int(i) for i in simplex)
     order = sorted(vert_ids)
-    return np.array(affine), np.array(order), facets
+    return np.array(affine), np.array(order)
 
 
 def _pieces_from_affine(affine: np.ndarray, k: int, total: float) -> np.ndarray:
@@ -266,7 +262,7 @@ def pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> Concave
     yd = down.verts[:, :k]
     sums = (up.verts[:, None, :] + down.verts[None, :, :]).reshape(-1, k + 1)
     cloud = np.column_stack([sums[:, : k - 1], sums[:, k]])
-    affine, vert_ids, _ = _hull_upper(cloud)
+    affine, vert_ids = _hull_upper(cloud)
     pieces = _pieces_from_affine(affine, k, total=2.0)
     verts = np.column_stack([0.5 * sums[vert_ids, :k], 0.5 * sums[vert_ids, k]])
     prov = None
@@ -522,13 +518,15 @@ def extract_policy(table: ValueTable) -> MvmTree:
         return split_memo[node]
 
     vectors: dict[tuple[int, ...], np.ndarray] = {}
-    remaining = {(): _mu_vector(table.mu).copy()}
-    frozen = {(): np.zeros(r)}
+    # Per history of step s, in code order: the unnormalized future law and
+    # the frozen stop masses.  Code c's children are 2c (down) and 2c + 1 (up).
+    remaining = [_mu_vector(table.mu).copy()]
+    frozen = [np.zeros(r)]
     for s in range(horizon + 1):
-        for bits in [b for b in remaining if len(b) == s]:
-            rem = remaining[bits]
-            fro = frozen[bits]
-            i = step_of_atom.get(s)
+        i = step_of_atom.get(s)
+        live = [j for j in range(r) if steps[j] > s]
+        next_remaining, next_frozen = [], []
+        for bits, rem, fro in zip(histories(s), remaining, frozen):
             if i is not None:
                 fro = fro.copy()
                 rem = rem.copy()
@@ -537,7 +535,6 @@ def extract_policy(table: ValueTable) -> MvmTree:
             vectors[bits] = fro + rem
             if s == horizon:
                 continue
-            live = [j for j in range(r) if steps[j] > s]
             mass = float(rem[live].sum())
             if mass <= 1e-14:
                 rem_up = rem_dn = rem
@@ -548,10 +545,9 @@ def extract_policy(table: ValueTable) -> MvmTree:
                 rem_dn = rem.copy()
                 rem_up[live] = mass * p
                 rem_dn[live] = 2.0 * rem[live] - rem_up[live]
-            remaining[bits + (1,)] = rem_up
-            frozen[bits + (1,)] = fro
-            remaining[bits + (0,)] = rem_dn
-            frozen[bits + (0,)] = fro
+            next_remaining += [rem_dn, rem_up]
+            next_frozen += [fro, fro]
+        remaining, frozen = next_remaining, next_frozen
     return MvmTree(spec.dt, table.mu.atoms, vectors)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional
 
 from .errors import ConfigError, CoverageError, NoChildrenError, ValidationError, finite_number
@@ -194,9 +195,15 @@ def nodes_at_step(spec: LatticeSpec, step: int) -> list[NodeId]:
 
 
 def histories(n: int) -> Iterator[tuple[int, ...]]:
-    """Every ``n``-move bit string, in the order of its binary code (first move highest)."""
-    for code in range(2 ** n):
-        yield tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+    """Every ``n``-move bit string, in the order of its binary code.
+
+    The code of a history reads its moves as binary digits, first move
+    highest, up = 1.  So the prefix of code ``c`` at an earlier step ``s`` is
+    ``c >> (n - s)``, and the children of ``c`` are ``2c`` (down) and
+    ``2c + 1`` (up).  Every walk over a step's histories goes through here,
+    in this order, which is the lexicographic order of the bit tuples.
+    """
+    return product((0, 1), repeat=n)
 
 
 def history_to_str(bits: tuple[int, ...]) -> str:

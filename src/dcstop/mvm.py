@@ -21,6 +21,7 @@ carry atom times in absolute units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,11 +88,15 @@ class MvmTree:
                 )
             clean[tuple(bits)] = arr
         for s in range(depth + 1):
-            missing = 2 ** s - sum(1 for b in clean if len(b) == s)
+            missing = sum(1 for bits in histories(s) if bits not in clean)
             if missing:
                 raise ValidationError(f"{missing} node vectors missing at step {s}")
-        if any(len(b) > depth for b in clean):
-            raise ValidationError(f"vectors present beyond the last atom step {depth}")
+        extra = len(clean) - (2 ** (depth + 1) - 1)
+        if extra:
+            raise ValidationError(
+                f"{extra} vectors keyed by something other than a history of at most "
+                f"{depth} steps"
+            )
         object.__setattr__(self, "dt", float(dt))
         object.__setattr__(self, "start_step", int(start_step))
         object.__setattr__(self, "atom_times", times)
@@ -111,7 +116,7 @@ class MvmTree:
         return DiscreteMeasure([t for t, _ in kept], [w for _, w in kept])
 
     def leaves(self) -> list[Bits]:
-        return [b for b in self.vectors if len(b) == self.depth]
+        return list(histories(self.depth))
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,9 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
     """Check root law, martingale, adaptedness and normalization, in that order.
 
     Returns the first violation found as ``(node, property, residual)``.
-    The scan is breadth-first from the root so the reported node is the
-    shallowest offender for its property.
+    The scan is breadth-first from the root, each step in code order, so the
+    reported node is the shallowest offender for its property and, among
+    those, the one with the lowest code.
     """
     if mu is not None:
         target = np.zeros(len(mvm.atom_times))
@@ -148,11 +154,8 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
         res = float(np.max(np.abs(mvm.root_vector() - target)))
         if res > tol:
             return MvmReport(False, MvmViolation(_bits_node(()), "root", res))
-    by_step: dict[int, list[Bits]] = {}
-    for bits in mvm.vectors:
-        by_step.setdefault(len(bits), []).append(bits)
     for s in range(mvm.depth):
-        for bits in sorted(by_step[s]):
+        for bits in histories(s):
             vec = mvm.vectors[bits]
             up = mvm.vectors[bits + (1,)]
             down = mvm.vectors[bits + (0,)]
@@ -163,7 +166,7 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
         frozen = [i for i, r in enumerate(mvm.rel_steps) if r <= s]
         if not frozen:
             continue
-        for bits in sorted(by_step[s]):
+        for bits in histories(s):
             vec = mvm.vectors[bits]
             for child in (bits + (1,), bits + (0,)):
                 cvec = mvm.vectors[child]
@@ -171,7 +174,7 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
                 if res > tol:
                     return MvmReport(False, MvmViolation(_bits_node(bits), "adapted", res))
     for s in range(mvm.depth + 1):
-        for bits in sorted(by_step[s]):
+        for bits in histories(s):
             vec = mvm.vectors[bits]
             if float(vec.min()) < -tol:
                 return MvmReport(
@@ -203,22 +206,23 @@ def from_kernel(kernel: StoppingKernel, spec: LatticeSpec) -> MvmTree:
     last = steps[-1]
     check_tree_depth(last)
     r = len(kernel.atom_times)
-    vectors: dict[Bits, np.ndarray] = {}
-
-    def leaf_vector(bits: Bits) -> np.ndarray:
-        vec = np.zeros(r)
-        surv = 1.0
-        for i, s in enumerate(steps):
-            qv = 1.0 if i == r - 1 else kernel.q[node_of_history(spec, bits[:s])]
-            vec[i] = surv * qv
-            surv *= 1.0 - qv
-        return vec
-
-    for bits in histories(last):
-        vectors[bits] = leaf_vector(bits)
+    # One row per history of the current step, in code order: the stop mass
+    # each atom has taken so far, and the mass still alive.
+    stopped = np.zeros((1, r))
+    alive = np.ones(1)
+    for s in range(1, last + 1):
+        stopped, alive = np.repeat(stopped, 2, axis=0), np.repeat(alive, 2)
+        if s in steps:
+            i = steps.index(s)
+            qv = (np.ones(alive.size) if i == r - 1 else
+                  np.array([kernel.q[node_of_history(spec, bits)] for bits in histories(s)]))
+            stopped[:, i] = alive * qv
+            alive = alive * (1.0 - qv)
+    vectors: dict[Bits, np.ndarray] = dict(zip(histories(last), stopped))
     for s in range(last - 1, -1, -1):
-        for bits in histories(s):
-            vectors[bits] = 0.5 * (vectors[bits + (1,)] + vectors[bits + (0,)])
+        # Children of code c sit at 2c (down) and 2c + 1 (up).
+        stopped = 0.5 * (stopped[1::2] + stopped[0::2])
+        vectors.update(zip(histories(s), stopped))
     return MvmTree(spec.dt, kernel.atom_times, vectors)
 
 
@@ -235,9 +239,8 @@ def to_kernel(mvm: MvmTree) -> StoppingKernel:
     q: dict[NodeId, float] = {}
     for i, s in enumerate(mvm.rel_steps):
         final = i == len(mvm.rel_steps) - 1
-        for bits, vec in mvm.vectors.items():
-            if len(bits) != s:
-                continue
+        for bits in histories(s):
+            vec = mvm.vectors[bits]
             remaining = 1.0 - float(vec[:i].sum())
             if remaining <= DEAD_MASS:
                 q[_bits_node(bits)] = 1.0 if final else 0.0
@@ -288,15 +291,13 @@ def extract_continuation(base: MvmTree, bits: Bits) -> MvmTree:
         raise SpliceError(f"no future mass at node {bits}")
     keep = [i for i in future if y[i] > DEAD_MASS]
     times = [base.atom_times[i] for i in keep]
-    vectors: dict[Bits, np.ndarray] = {}
-    for nb, vec in base.vectors.items():
-        if len(nb) >= len(bits) and nb[:len(bits)] == bits:
-            rel = nb[len(bits):]
-            vectors[rel] = np.array([vec[i] for i in keep]) / mass
     # The subtree may extend past the continuation's own last atom; those
     # fully frozen tails are dropped and rebuilt on splice.
     last_rel = round(times[-1] / base.dt) - abs_step
-    vectors = {b: v for b, v in vectors.items() if len(b) <= last_rel}
+    vectors = {
+        rel: base.vectors[bits + rel][keep] / mass
+        for s in range(last_rel + 1) for rel in histories(s)
+    }
     return MvmTree(base.dt, times, vectors, start_step=abs_step)
 
 
@@ -352,19 +353,16 @@ def splice(base: MvmTree, bits: Bits, continuation: MvmTree) -> MvmTree:
     past_part = np.array([y[i] if i not in future else 0.0 for i in range(len(y))])
 
     new_vectors = dict(base.vectors)
-    depth_below = base.depth - len(bits)
-    frontier = [()]
-    for s in range(depth_below + 1):
-        next_frontier = []
-        for rel in frontier:
-            if rel in continuation.vectors:
-                cont_vec = continuation.vectors[rel]
-            else:
-                cont_vec = continuation.vectors[rel[:continuation.depth]]
-            new_vectors[bits + rel] = past_part + mass * (cont_vec @ transfer)
-            if s < depth_below:
-                next_frontier.extend((rel + (1,), rel + (0,)))
-        frontier = next_frontier
+    level: list[np.ndarray] = []
+    for s in range(base.depth - len(bits) + 1):
+        if s <= continuation.depth:
+            level = [past_part + mass * (continuation.vectors[rel] @ transfer)
+                     for rel in histories(s)]
+        else:
+            # Past the continuation's last atom every law is frozen: each
+            # node (code c) repeats its parent's (code c >> 1).
+            level = [level[code >> 1].copy() for code in range(2 ** s)]
+        new_vectors.update((bits + rel, vec) for rel, vec in zip(histories(s), level))
     return MvmTree(base.dt, base.atom_times, new_vectors, start_step=base.start_step)
 
 
@@ -377,8 +375,7 @@ class Accumulator:
     depth: int
 
     def leaf_expectation(self) -> float:
-        total = sum(v for b, v in self.y.items() if len(b) == self.depth)
-        return total / 2 ** self.depth
+        return math.fsum(self.y[bits] for bits in histories(self.depth)) / 2 ** self.depth
 
 
 def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec, y0: float = 0.0) -> Accumulator:
@@ -395,23 +392,22 @@ def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec, y0: float = 0.0)
     hist_spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
     step_to_atom = {r: i for i, r in enumerate(mvm.rel_steps)}
     y: dict[Bits, float] = {(): y0}
-    order = sorted(mvm.vectors, key=len)
-    for bits in order:
-        if not bits:
-            continue
-        val = y[bits[:-1]]
-        i = step_to_atom.get(len(bits))
-        if i is not None:
-            st = state(hist_spec, _bits_node(bits))
-            val += evaluate(cost, st) * float(mvm.vectors[bits][i])
-        y[bits] = val
+    level = [y0]
+    for s in range(1, mvm.depth + 1):
+        i = step_to_atom.get(s)
+        level = [level[code >> 1] for code in range(2 ** s)]
+        for code, bits in enumerate(histories(s)):
+            if i is not None:
+                st = state(hist_spec, _bits_node(bits))
+                level[code] += evaluate(cost, st) * float(mvm.vectors[bits][i])
+            y[bits] = level[code]
     return Accumulator(y0=y0, y=y, depth=mvm.depth)
 
 
 def mvm_to_json(mvm: MvmTree) -> dict:
     nodes = {
-        history_to_str(bits): [float(v) for v in vec]
-        for bits, vec in sorted(mvm.vectors.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        history_to_str(bits): [float(v) for v in mvm.vectors[bits]]
+        for s in range(mvm.depth + 1) for bits in histories(s)
     }
     return {
         "dt": mvm.dt,

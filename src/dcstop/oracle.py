@@ -8,6 +8,13 @@ masses hit the target law).  The optimum over this polytope is the same value
 the block solver computes, reached by entirely different means, which is what
 makes the comparison worth running.
 
+Every history is addressed by its binary code (see ``lattice.histories``).
+Atom ``i`` at step ``s_i`` owns a block of ``2**s_i`` columns, one per code,
+and the blocks follow the atom order.  The first ``2**horizon`` rows are the
+path rows in leaf-code order; the last ``len(steps)`` rows are the marginal
+rows in atom order.  Leaf ``c`` meets atom ``i`` at its prefix ``c >> (horizon
+- s_i)``.
+
 The solver is a dense two-phase simplex with Bland's rule, in either float or
 exact rational arithmetic, and reports dual-based optimality residuals.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,17 +39,20 @@ PIVOT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Equality-form problem: maximize ``c . x`` over ``A x = b, x >= 0``."""
+    """Equality-form problem: maximize ``c . x`` over ``A x = b, x >= 0``.
+
+    Columns come in one block per atom, ``2**steps[i]`` wide and indexed by
+    history code; rows are the leaf paths in code order, then one marginal
+    row per atom (see the module docstring).
+    """
 
     spec: LatticeSpec
     cost: CostSpec
     mu: DiscreteMeasure
     steps: tuple[int, ...]
-    var_keys: tuple[tuple[int, tuple[int, ...]], ...]
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    row_kinds: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -74,37 +85,21 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
     horizon = steps[-1]
     check_oracle_depth(horizon)
     hist = LatticeSpec(depth=horizon, dt=spec.dt, mode="history")
-    var_keys: list[tuple[int, tuple[int, ...]]] = []
-    col: dict[tuple[int, tuple[int, ...]], int] = {}
+    # First column of each atom's block, then the column count.
+    offsets = list(accumulate((2 ** s for s in steps), initial=0))
+    leaves = np.arange(2 ** horizon)
+    a = np.zeros((leaves.size + len(steps), offsets[-1]))
+    b = np.ones(a.shape[0])
+    c = np.zeros(a.shape[1])
     for i, s in enumerate(steps):
-        for bits in histories(s):
-            col[(i, bits)] = len(var_keys)
-            var_keys.append((i, bits))
-    n = len(var_keys)
-    n_leaves = 2 ** horizon
-    m = n_leaves + len(steps)
-    a = np.zeros((m, n))
-    b = np.zeros(m)
-    c = np.zeros(n)
-    row_kinds = []
-    for leaf, bits in enumerate(histories(horizon)):
-        for i, s in enumerate(steps):
-            a[leaf, col[(i, bits[:s])]] = 1.0
-        b[leaf] = 1.0
-        row_kinds.append("path")
-    for i, s in enumerate(steps):
-        row = n_leaves + i
-        for bits in histories(s):
-            a[row, col[(i, bits)]] = 1.0
-        b[row] = mu.weights[i] * 2 ** s
-        row_kinds.append("marginal")
-    for j, (i, bits) in enumerate(var_keys):
-        node = NodeId(step=steps[i], history=bits)
-        c[j] = evaluate(cost, state(hist, node)) * 2.0 ** (-steps[i])
-    return LpProblem(
-        spec=spec, cost=cost, mu=mu, steps=steps,
-        var_keys=tuple(var_keys), a=a, b=b, c=c, row_kinds=tuple(row_kinds),
-    )
+        a[leaves, offsets[i] + (leaves >> (horizon - s))] = 1.0
+        a[leaves.size + i, offsets[i]:offsets[i + 1]] = 1.0
+        b[leaves.size + i] = mu.weights[i] * 2 ** s
+        c[offsets[i]:offsets[i + 1]] = [
+            evaluate(cost, state(hist, NodeId(step=s, history=bits))) * 2.0 ** (-s)
+            for bits in histories(s)
+        ]
+    return LpProblem(spec=spec, cost=cost, mu=mu, steps=steps, a=a, b=b, c=c)
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol):
@@ -206,13 +201,11 @@ def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
     the last marginal row; anything larger is left alone so genuinely
     inconsistent data still surfaces as infeasible.
     """
-    marginal_rows = [i for i, kind in enumerate(problem.row_kinds) if kind == "marginal"]
-    if len(marginal_rows) != len(problem.steps):
-        return
-    total = sum(b_vec[row] / 2 ** s for row, s in zip(marginal_rows, problem.steps))
-    defect = 1 - total
+    steps = problem.steps
+    marginals = b_vec[len(b_vec) - len(steps):]
+    defect = 1 - sum(w / 2 ** s for w, s in zip(marginals, steps))
     if defect != 0 and abs(defect) < Fraction(1, 10 ** 9):
-        b_vec[marginal_rows[-1]] += defect * 2 ** problem.steps[-1]
+        b_vec[-1] += defect * 2 ** steps[-1]
 
 
 def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
@@ -260,22 +253,19 @@ def lp_solution_to_kernel(problem: LpProblem, solution: LpSolution) -> StoppingK
     dead branches default to zero, the final atom always stops.
     """
     steps = problem.steps
-    horizon = steps[-1]
-    hist = LatticeSpec(depth=horizon, dt=problem.spec.dt, mode="history")
-    by_node: dict[tuple[int, tuple[int, ...]], float] = {
-        key: float(solution.x[j]) for j, key in enumerate(problem.var_keys)
-    }
+    hist = LatticeSpec(depth=steps[-1], dt=problem.spec.dt, mode="history")
+    offsets = list(accumulate((2 ** s for s in steps), initial=0))
+    x = [float(v) for v in solution.x]
     q: dict[NodeId, float] = {}
     for i, s in enumerate(steps):
         final = i == len(steps) - 1
-        for bits in histories(s):
-            used = sum(by_node[(j, bits[:steps[j]])] for j in range(i))
-            remaining = 1.0 - used
+        for code, bits in enumerate(histories(s)):
             node = NodeId(step=s, history=bits)
+            remaining = 1.0 - sum(x[offsets[j] + (code >> (s - steps[j]))] for j in range(i))
             if final:
                 q[node] = 1.0
             elif remaining <= 1e-12:
                 q[node] = 0.0
             else:
-                q[node] = min(1.0, max(0.0, by_node[(i, bits)] / remaining))
+                q[node] = min(1.0, max(0.0, x[offsets[i] + code] / remaining))
     return StoppingKernel(hist, problem.mu.atoms, q)

@@ -273,15 +273,12 @@ def _atom_lookups(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec):
             size = s + 1
         q_arr = np.full(size, np.nan)
         c_arr = np.full(size, np.nan)
-        for node in nodes:
-            if spec.mode == "history":
-                idx = 0
-                for b in node.history:
-                    idx = (idx << 1) | b
-            elif spec.augment_max:
-                idx = ((node.level + s) // 2) * (s + 1) + node.max_level
-            else:
+        # History nodes come in code order, so there a node's index is its code.
+        for idx, node in enumerate(nodes):
+            if spec.mode != "history":
                 idx = (node.level + s) // 2
+                if spec.augment_max:
+                    idx = idx * (s + 1) + node.max_level
             q_arr[idx] = kernel.q[node]
             c_arr[idx] = evaluate(cost, state(spec, node))
         lookups.append((s, q_arr, c_arr))

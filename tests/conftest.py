@@ -74,7 +74,7 @@ def from_samples(grid, values) -> ConcavePL:
     if grid.k == 1:
         return ConcavePL.constant(float(vals[0]))
     cloud = np.column_stack([grid.fractions[:, : grid.k - 1], vals])
-    affine, vert_ids, _ = _hull_upper(cloud)
+    affine, vert_ids = _hull_upper(cloud)
     pieces = _pieces_from_affine(affine, grid.k, total=1.0)
     verts = np.column_stack([grid.fractions[vert_ids], vals[vert_ids]])
     return ConcavePL(k=grid.k, pieces=pieces, verts=verts)

@@ -212,6 +212,21 @@ class TestConfigErrors:
         assert main(["solve", str(path)]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, sections, message", [
+        ("simulate", {"seed": -1}, "seed: must be a non-negative integer"),
+        ("validate", {"seed": -1}, "seed: must be a non-negative integer"),
+        ("stability", {"stability": {"grids": [[2.0], ["a", 2.0]]}},
+         "stability: grid time must be a finite number, got 'a'"),
+        ("stability", {"stability": {"grids": [[2.0], [True, 2.0]]}},
+         "stability: grid time must be a finite number, got True"),
+    ])
+    def test_holes_of_the_running_command_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                 command, sections, message):
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        path = self.write(tmp_path, {**base_config(), **sections})
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
 
 class TestGuardsBeforeWork:
     @pytest.mark.parametrize("command, depth, expensive, message", [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from dcstop import (
     StoppingKernel,
     ValidationError,
     accumulate,
+    evaluate,
     extract_continuation,
     feasible_kernel,
     from_kernel,
@@ -30,6 +33,8 @@ from dcstop import (
     to_kernel,
     validate,
 )
+
+from dcstop.lattice import histories, node_of_history, state
 
 from conftest import random_measure
 
@@ -59,7 +64,43 @@ def constant_tree(weights: tuple[float, ...], atoms=(1.0, 2.0), depth=2) -> MvmT
     return MvmTree(1.0, atoms, vectors)
 
 
+def reference_from_kernel(kernel, spec):
+    """Per-leaf hazard products, then halving averages: the loop the level sweep replaced."""
+    steps = kernel.steps()
+    r = len(steps)
+    vectors = {}
+    for bits in histories(steps[-1]):
+        vec = np.zeros(r)
+        surv = 1.0
+        for i, s in enumerate(steps):
+            qv = 1.0 if i == r - 1 else kernel.q[node_of_history(spec, bits[:s])]
+            vec[i] = surv * qv
+            surv *= 1.0 - qv
+        vectors[bits] = vec
+    for s in range(steps[-1] - 1, -1, -1):
+        for bits in histories(s):
+            vectors[bits] = 0.5 * (vectors[bits + (1,)] + vectors[bits + (0,)])
+    return vectors
+
+
+KERNEL_SPECS = [
+    LatticeSpec(depth=8, dt=1.0),
+    LatticeSpec(depth=7, dt=1.0, augment_max=True),
+    LatticeSpec(depth=6, dt=1.0, mode="history"),
+]
+
+
 class TestFromKernel:
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["recombining", "max", "history"])
+    def test_matches_the_per_leaf_loop(self, spec):
+        rng = np.random.default_rng(spec.depth)
+        for atoms in ((float(spec.depth),), (1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
+            kernel = random_kernel(spec, atoms, rng)
+            tree = from_kernel(kernel, spec)
+            want = reference_from_kernel(kernel, spec)
+            assert tree.vectors.keys() == want.keys()
+            assert all(np.array_equal(tree.vectors[b], want[b]) for b in want)
+
     def test_worked_tree_vectors(self):
         tree = worked_tree()
         assert tree.vectors[()] == pytest.approx((0.5, 0.5), abs=1e-15)
@@ -116,6 +157,21 @@ class TestValidate:
         assert report.violation.prop == "martingale"
         assert report.violation.node.step == 0
         assert report.violation.residual == pytest.approx(5e-4, abs=1e-12)
+
+    def test_lowest_code_reported_among_one_steps_violations(self):
+        # Both step-2 parents (1, 1) and (0, 1) break the martingale property;
+        # the one with the lower code is reported, whatever order the dict
+        # was filled in (here up-first, as a forward sweep fills it).
+        tree = constant_tree((0.5, 0.5), atoms=(1.0, 3.0), depth=3)
+        up_first = sorted(tree.vectors, key=lambda b: (len(b), [1 - x for x in b]))
+        vectors = {bits: tree.vectors[bits].copy() for bits in up_first}
+        for parent, nudge in (((1, 1), 1e-3), ((0, 1), 2e-3)):
+            for child in (parent + (1,), parent + (0,)):
+                vectors[child] = vectors[child] + np.array([nudge, -nudge])
+        report = validate(MvmTree(1.0, tree.atom_times, vectors))
+        assert report.violation.prop == "martingale"
+        assert report.violation.node.history == (0, 1)
+        assert report.violation.residual == pytest.approx(2e-3, abs=1e-12)
 
     def test_frozen_coordinate_drift_is_adapted_violation(self):
         # Mirror-image nudges on the two children keep their average intact,
@@ -314,6 +370,27 @@ class TestSplice:
 
 
 class TestAccumulate:
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["recombining", "max", "history"])
+    def test_matches_the_parent_first_loop(self, spec):
+        rng = np.random.default_rng(50 + spec.depth)
+        tree = from_kernel(random_kernel(spec, (1.0, 3.0, float(spec.depth)), rng), spec)
+        cost = CostSpec(kind="terminal", name="abs")
+        acc = accumulate(tree, spec, cost, y0=0.3)
+        hist = LatticeSpec(depth=tree.depth, dt=tree.dt, mode="history")
+        want = {(): 0.3}
+        for bits in sorted(tree.vectors, key=len):
+            if bits:
+                want[bits] = want[bits[:-1]]
+                if len(bits) in tree.rel_steps:
+                    i = tree.rel_steps.index(len(bits))
+                    node = NodeId(step=len(bits), history=bits)
+                    want[bits] += evaluate(cost, state(hist, node)) * float(tree.vectors[bits][i])
+        assert acc.y == want
+        leaves = [want[b] for b in histories(tree.depth)]
+        assert acc.leaf_expectation() == math.fsum(leaves) / 2 ** tree.depth
+        assert acc.leaf_expectation() == pytest.approx(sum(leaves) / 2 ** tree.depth,
+                                                       rel=1e-14, abs=1e-15)
+
     def test_worked_tree_leaf_values(self):
         tree = worked_tree()
         spec = LatticeSpec(depth=2, dt=1.0)
@@ -372,6 +449,18 @@ class TestConstruction:
         vectors = dict(tree.vectors)
         vectors[(1, 1, 1)] = np.array([0.5, 0.5])
         with pytest.raises(ValidationError):
+            MvmTree(1.0, tree.atom_times, vectors)
+
+    def test_non_history_key_with_the_right_count(self):
+        # Two keys of length one, as at every complete step 1, but (2,) is no history.
+        with pytest.raises(ValidationError, match="missing at step 1"):
+            MvmTree(1.0, (1.0,), {(): [1.0], (1,): [1.0], (2,): [1.0]})
+
+    def test_extra_key_beside_a_complete_tree(self):
+        tree = constant_tree((0.5, 0.5))
+        vectors = dict(tree.vectors)
+        vectors[(2,)] = np.array([0.5, 0.5])
+        with pytest.raises(ValidationError, match="1 vectors keyed by something other"):
             MvmTree(1.0, tree.atom_times, vectors)
 
     def test_off_grid_atom_time(self):

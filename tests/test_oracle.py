@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,12 @@ from dcstop import (
     DiscreteMeasure,
     LatticeSpec,
     LpProblem,
+    NodeId,
     SizeGuardError,
+    StoppingKernel,
     ValidationError,
     build_lp,
+    evaluate,
     feasible_kernel,
     lp_solution_to_kernel,
     marginal_of,
@@ -23,6 +28,8 @@ from dcstop import (
     solve,
     solve_lp,
 )
+from dcstop.lattice import atom_steps, histories, state
+from dcstop.oracle import LpSolution
 
 from conftest import random_measure
 
@@ -41,47 +48,129 @@ def tiny_problem(a, b, c):
     """Wrap a handmade equality-form system in the problem container."""
     spec = LatticeSpec(depth=1, dt=1.0)
     mu = DiscreteMeasure((1.0,), (1.0,))
-    n = len(c)
     return LpProblem(
         spec=spec, cost=IDENTITY, mu=mu, steps=(1,),
-        var_keys=tuple((0, (j,)) for j in range(n)),
         a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float),
-        c=np.asarray(c, dtype=float), row_kinds=tuple("path" for _ in b),
+        c=np.asarray(c, dtype=float),
     )
+
+
+def column(steps, i, code):
+    """Column of the history with ``code`` in atom ``i``'s block."""
+    return sum(2 ** s for s in steps[:i]) + code
+
+
+def reference_build_lp(spec, cost, mu):
+    """The tuple-keyed assembly the index arithmetic replaced: ``(a, b, c)``."""
+    steps = tuple(atom_steps(spec, mu.atoms))
+    horizon = steps[-1]
+    hist = LatticeSpec(depth=horizon, dt=spec.dt, mode="history")
+    var_keys, col = [], {}
+    for i, s in enumerate(steps):
+        for bits in histories(s):
+            col[(i, bits)] = len(var_keys)
+            var_keys.append((i, bits))
+    n_leaves = 2 ** horizon
+    a = np.zeros((n_leaves + len(steps), len(var_keys)))
+    b = np.zeros(n_leaves + len(steps))
+    c = np.zeros(len(var_keys))
+    for leaf, bits in enumerate(histories(horizon)):
+        for i, s in enumerate(steps):
+            a[leaf, col[(i, bits[:s])]] = 1.0
+        b[leaf] = 1.0
+    for i, s in enumerate(steps):
+        for bits in histories(s):
+            a[n_leaves + i, col[(i, bits)]] = 1.0
+        b[n_leaves + i] = mu.weights[i] * 2 ** s
+    for j, (i, bits) in enumerate(var_keys):
+        node = NodeId(step=steps[i], history=bits)
+        c[j] = evaluate(cost, state(hist, node)) * 2.0 ** (-steps[i])
+    return a, b, c, var_keys
+
+
+def reference_kernel_q(problem, x, var_keys):
+    """The tuple-keyed hazard read-off the shifted codes replaced."""
+    steps = problem.steps
+    by_node = {key: float(x[j]) for j, key in enumerate(var_keys)}
+    q = {}
+    for i, s in enumerate(steps):
+        final = i == len(steps) - 1
+        for bits in histories(s):
+            used = sum(by_node[(j, bits[:steps[j]])] for j in range(i))
+            remaining = 1.0 - used
+            node = NodeId(step=s, history=bits)
+            if final:
+                q[node] = 1.0
+            elif remaining <= 1e-12:
+                q[node] = 0.0
+            else:
+                q[node] = min(1.0, max(0.0, by_node[(i, bits)] / remaining))
+    hist = LatticeSpec(depth=steps[-1], dt=problem.spec.dt, mode="history")
+    return StoppingKernel(hist, problem.mu.atoms, q).q
 
 
 class TestBuildLp:
     def test_worked_problem_dimensions(self):
         problem = worked_problem()
-        assert len(problem.var_keys) == 6
+        assert problem.steps == (1, 2)
         assert problem.a.shape == (6, 6)
-        assert problem.row_kinds.count("path") == 4
-        assert problem.row_kinds.count("marginal") == 2
-        expected_keys = {(0, (0,)), (0, (1,)),
-                         (1, (0, 0)), (1, (0, 1)), (1, (1, 0)), (1, (1, 1))}
-        assert set(problem.var_keys) == expected_keys
+        # One block per atom, 2**step columns wide: codes 0-1, then 0-3.
+        assert column(problem.steps, 1, 0) == 2
+        assert column(problem.steps, 1, 3) == problem.a.shape[1] - 1
 
     def test_row_structure(self):
         problem = worked_problem()
-        for row, kind in zip(problem.a, problem.row_kinds):
-            assert set(np.unique(row)) <= {0.0, 1.0}
-        paths = [i for i, k in enumerate(problem.row_kinds) if k == "path"]
+        assert set(np.unique(problem.a)) <= {0.0, 1.0}
+        paths = range(4)
         assert all(problem.a[i].sum() == 2 for i in paths)
         assert all(problem.b[i] == 1.0 for i in paths)
-        marginals = [i for i, k in enumerate(problem.row_kinds) if k == "marginal"]
+        # Leaf row c holds its prefix c >> 1 in the first block and itself in the second.
+        for leaf in paths:
+            assert problem.a[leaf, column(problem.steps, 0, leaf >> 1)] == 1.0
+            assert problem.a[leaf, column(problem.steps, 1, leaf)] == 1.0
+        marginals = [4, 5]
         # Marginal rows are scaled by the path count at their step.
         assert problem.a[marginals[0]].sum() == 2
+        assert problem.a[marginals[0], :2].sum() == 2
         assert problem.b[marginals[0]] == pytest.approx(1.0)
         assert problem.a[marginals[1]].sum() == 4
+        assert problem.a[marginals[1], 2:].sum() == 4
         assert problem.b[marginals[1]] == pytest.approx(2.0)
 
     def test_objective_uses_true_path_weights(self):
         problem = worked_problem()
-        coeff = dict(zip(problem.var_keys, problem.c))
-        assert coeff[(0, (1,))] == pytest.approx(0.5)
-        assert coeff[(0, (0,))] == pytest.approx(0.0)
-        assert coeff[(1, (1, 1))] == pytest.approx(0.25)
-        assert coeff[(1, (0, 1))] == pytest.approx(0.0)
+        coeff = problem.c
+        assert coeff[column(problem.steps, 0, 0b1)] == pytest.approx(0.5)
+        assert coeff[column(problem.steps, 0, 0b0)] == pytest.approx(0.0)
+        assert coeff[column(problem.steps, 1, 0b11)] == pytest.approx(0.25)
+        assert coeff[column(problem.steps, 1, 0b01)] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_matches_the_tuple_keyed_assembly(self, depth, augment):
+        rng = np.random.default_rng(depth + 10 * augment)
+        spec = LatticeSpec(depth=depth, dt=0.5, augment_max=augment)
+        costs = [ABS, CostSpec(kind="running_max", name="identity") if augment else INDICATOR]
+        for n_atoms in range(1, min(4, depth) + 1):
+            steps = sorted(rng.choice(np.arange(1, depth + 1), n_atoms, replace=False))
+            steps[-1] = depth
+            mu = random_measure(rng, [0.5 * s for s in sorted(set(steps))])
+            for cost in costs:
+                problem = build_lp(spec, cost, mu)
+                a, b, c, var_keys = reference_build_lp(spec, cost, mu)
+                assert np.array_equal(problem.a, a)
+                assert np.array_equal(problem.b, b)
+                assert np.array_equal(problem.c, c)
+                # Masses past one, exact zeros and signed zeros reach every
+                # branch of the hazard read-off.
+                x = rng.uniform(0.0, 0.7, a.shape[1])
+                x[rng.random(x.size) < 0.2] = 0.0
+                x[rng.random(x.size) < 0.1] = -0.0
+                solution = LpSolution("optimal", 0.0, x, (), np.zeros(0), 0.0, 0.0, 0.0)
+                got = lp_solution_to_kernel(problem, solution).q
+                want = reference_kernel_q(problem, x, var_keys)
+                assert [(k, repr(v)) for k, v in got.items()] == \
+                    [(k, repr(v)) for k, v in want.items()]
 
     def test_depth_guard(self):
         spec = LatticeSpec(depth=13, dt=1.0)
@@ -96,9 +185,9 @@ class TestSolveLp:
         solution = solve_lp(problem)
         assert solution.status == "optimal"
         assert solution.value == pytest.approx(0.5, abs=1e-12)
-        x = dict(zip(problem.var_keys, solution.x))
-        assert x[(0, (1,))] == pytest.approx(1.0, abs=1e-12)
-        assert x[(0, (0,))] == pytest.approx(0.0, abs=1e-12)
+        x = solution.x
+        assert x[column(problem.steps, 0, 0b1)] == pytest.approx(1.0, abs=1e-12)
+        assert x[column(problem.steps, 0, 0b0)] == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_problem_against_line_sweep(self):
         # With p the stop probability at the favorable first-step node, the
@@ -244,11 +333,6 @@ class TestOracleValue:
         spec = LatticeSpec(depth=2, dt=1.0)
         mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
         problem = build_lp(spec, INDICATOR, mu)
-        squeezed = LpProblem(
-            spec=problem.spec, cost=problem.cost, mu=problem.mu,
-            steps=problem.steps, var_keys=problem.var_keys,
-            a=problem.a, b=problem.b.copy(), c=problem.c,
-            row_kinds=problem.row_kinds,
-        )
+        squeezed = replace(problem, b=problem.b.copy())
         squeezed.b[4] = 3.0
         assert solve_lp(squeezed).status == "infeasible"
