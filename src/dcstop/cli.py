@@ -29,7 +29,7 @@ from .lattice import atom_steps, spec_from_json
 from .measures import measure_from_json, measure_to_json
 from .mvm import accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel, validate
 from .oracle import build_lp, check_oracle_depth, lp_solution_to_kernel, solve_lp
-from .rst import kernel_to_json, marginal_of, objective_value, simulate
+from .rst import check_sim_paths, kernel_to_json, marginal_of, objective_value, simulate
 from .stability import convergence_sweep, rows_to_csv
 
 MAX_ATOMS = 4
@@ -236,6 +236,7 @@ def cmd_simulate(args) -> int:
     n_paths = sim.get("paths", 100_000)
     if not _is_int(n_paths) or n_paths < 1:
         raise ConfigError("simulate: paths must be a positive integer")
+    check_sim_paths(n_paths)
     seed = _seed(config)
     problem = build_lp(spec, cost, mu)
     solution = solve_lp(problem)

@@ -15,8 +15,12 @@ path rows in leaf-code order; the last ``len(steps)`` rows are the marginal
 rows in atom order.  Leaf ``c`` meets atom ``i`` at its prefix ``c >> (horizon
 - s_i)``.
 
-The solver is a dense two-phase simplex with Bland's rule, in either float or
-exact rational arithmetic, and reports dual-based optimality residuals.
+The float route solves the LP with HiGHS through ``scipy.optimize.linprog``
+(the dual revised simplex of Huangfu & Hall, Math. Prog. Comp. 2018), which
+shares no code with the block solver.  ``exact=True`` runs a dense two-phase
+Bland simplex over rationals instead.  Either way dcstop recomputes the
+optimality certificate itself from the primal ``x`` and the duals: reduced-
+cost violation, complementary slackness and duality gap.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .cost import CostSpec, evaluate
 from .errors import SizeGuardError, ValidationError
@@ -34,7 +39,6 @@ from .measures import DiscreteMeasure
 from .rst import StoppingKernel
 
 ORACLE_DEPTH_LIMIT = 12
-PIVOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ class LpSolution:
     status: str
     value: float
     x: np.ndarray
-    basis: tuple[int, ...]
     duals: np.ndarray
     reduced_cost_violation: float
     slackness_violation: float
@@ -102,13 +105,11 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
     return LpProblem(spec=spec, cost=cost, mu=mu, steps=steps, a=a, b=b, c=c)
 
 
-def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol):
-    """Two-phase dense simplex, Bland's rule throughout.
+def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Two-phase dense simplex over ``Fraction`` object arrays, Bland's rule throughout.
 
-    Runs on float arrays with ``tol=PIVOT_TOL`` or on object arrays of
-    ``Fraction`` with ``tol=0``, where every comparison below is exact.
-    Bland's rule cannot cycle, so the routine terminates in either
-    arithmetic.
+    Every comparison is exact, and Bland's rule cannot cycle, so the routine
+    terminates.  Returns the status, value, ``x`` and the final basis.
     """
     m, n = a.shape
     flip = np.where(b < 0, -1, 1)
@@ -133,17 +134,15 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol):
 
     def run(active: int) -> None:
         while True:
-            entering = np.flatnonzero(t[m, :active] < -tol)
+            entering = np.flatnonzero(t[m, :active] < 0)
             if not entering.size:
                 return
             enter = int(entering[0])
             leave, best, best_var = -1, np.inf, -1
             for i in range(m):
-                if t[i, enter] > tol:
+                if t[i, enter] > 0:
                     ratio = t[i, -1] / t[i, enter]
-                    if ratio < best - tol or (
-                        abs(ratio - best) <= tol and basis[i] < best_var
-                    ):
+                    if ratio < best or (ratio == best and basis[i] < best_var):
                         leave, best, best_var = i, ratio, basis[i]
             if leave < 0:
                 raise ValidationError("LP is unbounded")
@@ -151,15 +150,14 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol):
             basis[leave] = enter
 
     run(n + m)
-    # Artificial mass left above a hundred pivot tolerances (any at all when
-    # exact) means no feasible point.
-    if t[m, -1] < -100 * tol:
+    # Any artificial mass left means no feasible point.
+    if t[m, -1] < 0:
         return "infeasible", zero, np.full(n, zero, dtype=a.dtype), tuple(basis)
     # Drive leftover artificials out of the basis; a row with no real pivot
     # candidate is redundant and harmless, its artificial stays at zero.
     for i in range(m):
         if basis[i] >= n:
-            candidates = np.flatnonzero(abs(t[i, :n]) > tol)
+            candidates = np.flatnonzero(t[i, :n] != 0)
             if candidates.size:
                 pivot(i, int(candidates[0]))
                 basis[i] = int(candidates[0])
@@ -177,19 +175,14 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol):
     return "optimal", c @ x, x, tuple(basis)
 
 
-def _duals(problem: LpProblem, x: np.ndarray, basis) -> tuple[np.ndarray, float, float, float]:
+def _certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Reduced-cost violation, complementary slackness and duality gap of ``(x, y)``."""
     a, b, c = problem.a, problem.b, problem.c
-    cols = [j for j in basis if j < a.shape[1]]
-    bmat = a[:, cols]
-    cb = c[cols]
-    # Solve B^T y = c_B in the least-squares sense; with redundant rows the
-    # basis matrix is rectangular but any consistent y certifies optimality.
-    y, *_ = np.linalg.lstsq(bmat.T, cb, rcond=None)
     rc = c - y @ a
     rc_violation = float(max(0.0, rc.max(initial=0.0)))
     slackness = float(np.max(np.abs(x * rc), initial=0.0))
     gap = float(abs(c @ x - y @ b))
-    return y, rc_violation, slackness, gap
+    return rc_violation, slackness, gap
 
 
 def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
@@ -208,31 +201,52 @@ def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
         b_vec[-1] += defect * 2 ** steps[-1]
 
 
+def _solve_exact(problem: LpProblem):
+    """Status, value, ``x`` and duals (``None`` unless optimal) by the rational simplex."""
+    # Fraction(float) is exact, so the rationals encode the float data.
+    a, b, c = (np.frompyfunc(Fraction, 1, 1)(v) for v in (problem.a, problem.b, problem.c))
+    _absorb_rounding_defect(problem, b)
+    status, value, x, basis = _simplex(a, b, c)
+    x = x.astype(float)
+    if status != "optimal":
+        return status, value, x, None
+    cols = [j for j in basis if j < problem.a.shape[1]]
+    # Solve B^T y = c_B in the least-squares sense; with redundant rows the
+    # basis matrix is rectangular but any consistent y certifies optimality.
+    y, *_ = np.linalg.lstsq(problem.a[:, cols].T, problem.c[cols], rcond=None)
+    return status, value, x, y
+
+
+def _solve_highs(problem: LpProblem):
+    """Status, value, ``x`` and duals (``None`` unless optimal) by HiGHS."""
+    res = linprog(-problem.c, A_eq=problem.a, b_eq=problem.b, bounds=(0, None), method="highs")
+    if res.status == 2:
+        return "infeasible", np.nan, np.zeros(problem.a.shape[1]), None
+    if res.status == 3:
+        raise ValidationError("LP is unbounded")
+    if res.status != 0:
+        raise ValidationError(f"LP solver failed: {res.message}")
+    return "optimal", problem.c @ res.x, res.x, -res.eqlin.marginals
+
+
 def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
     """Optimize the stopping polytope and certify the result through duals.
 
-    ``exact`` switches to rational arithmetic; the returned solution is then
-    rounded to floats but the pivoting itself is exact.
+    The float route is HiGHS; ``exact`` switches to the rational Bland
+    simplex, whose solution is then rounded to floats.  Either way the
+    certificate is recomputed here from ``x`` and the duals.
     """
-    if exact:
-        # Fraction(float) is exact, so the rationals encode the float data.
-        a, b, c = (np.frompyfunc(Fraction, 1, 1)(v) for v in (problem.a, problem.b, problem.c))
-        _absorb_rounding_defect(problem, b)
-        status, value, x, basis = _simplex(a, b, c, tol=0)
-        x = x.astype(float)
-    else:
-        status, value, x, basis = _simplex(problem.a, problem.b, problem.c, tol=PIVOT_TOL)
-    value = float(value)
+    status, value, x, y = (_solve_exact if exact else _solve_highs)(problem)
     if status != "optimal":
         return LpSolution(
-            status=status, value=float("nan"), x=x, basis=basis,
+            status=status, value=float("nan"), x=x,
             duals=np.zeros(problem.a.shape[0]),
             reduced_cost_violation=float("nan"),
             slackness_violation=float("nan"), duality_gap=float("nan"),
         )
-    y, rc_violation, slackness, gap = _duals(problem, x, basis)
+    rc_violation, slackness, gap = _certificate(problem, x, y)
     return LpSolution(
-        status=status, value=value, x=x, basis=basis, duals=y,
+        status=status, value=float(value), x=x, duals=y,
         reduced_cost_violation=rc_violation,
         slackness_violation=slackness, duality_gap=gap,
     )

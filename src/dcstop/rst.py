@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostSpec, evaluate
-from .errors import RightShiftError, ValidationError
+from .errors import RightShiftError, SizeGuardError, ValidationError
 from .lattice import (
     LatticeSpec,
     NodeId,
@@ -44,6 +44,8 @@ Q_SNAP_TOL = 1e-12
 DEAD_MASS = 1e-15
 # Fixed Monte Carlo chunk so results depend on the seed only.
 SIM_CHUNK = 1 << 17
+# Every path's payoff is kept until the end, 8 bytes each: 800 MB at the limit.
+SIM_PATH_LIMIT = 10 ** 8
 
 
 class StoppingKernel:
@@ -285,6 +287,12 @@ def _atom_lookups(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec):
     return lookups
 
 
+def check_sim_paths(n_paths: int) -> None:
+    """Refuse a Monte Carlo run past ``SIM_PATH_LIMIT`` paths before any draw."""
+    if n_paths > SIM_PATH_LIMIT:
+        raise SizeGuardError(f"simulation of {n_paths} paths (limit {SIM_PATH_LIMIT})")
+
+
 def simulate(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec,
              n_paths: int, seed: int) -> SimReport:
     """Monte Carlo estimate of the kernel objective.
@@ -294,6 +302,7 @@ def simulate(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec,
     function of ``seed`` and ``n_paths``.
     """
     _check_same_lattice(kernel, spec)
+    check_sim_paths(n_paths)
     lookups = _atom_lookups(kernel, spec, cost)
     last = lookups[-1][0]
     rng = np.random.default_rng(seed)

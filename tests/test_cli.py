@@ -251,6 +251,20 @@ class TestGuardsBeforeWork:
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == f"invalid input: {message}\n"
 
+    def test_path_guard_fires_first(self, tmp_path, monkeypatch, capsys):
+        def build_lp(*args, **kwargs):
+            raise AssertionError("the LP was built before the path guard")
+
+        monkeypatch.setattr("dcstop.cli.build_lp", build_lp)
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = base_config()
+        config["simulate"]["paths"] = 10 ** 12
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "invalid input: simulation of 1000000000000 paths (limit 100000000)\n"
+
 
 class TestVerificationFailure:
     def test_zero_modulus_constant_fails_the_sweep(self, tmp_path, monkeypatch, capsys):

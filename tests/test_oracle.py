@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dcstop import (
     solve_lp,
 )
 from dcstop.lattice import atom_steps, histories, state
-from dcstop.oracle import LpSolution
+from dcstop.oracle import ORACLE_DEPTH_LIMIT, LpSolution
 
 from conftest import random_measure
 
@@ -166,7 +167,7 @@ class TestBuildLp:
                 x = rng.uniform(0.0, 0.7, a.shape[1])
                 x[rng.random(x.size) < 0.2] = 0.0
                 x[rng.random(x.size) < 0.1] = -0.0
-                solution = LpSolution("optimal", 0.0, x, (), np.zeros(0), 0.0, 0.0, 0.0)
+                solution = LpSolution("optimal", 0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
                 got = lp_solution_to_kernel(problem, solution).q
                 want = reference_kernel_q(problem, x, var_keys)
                 assert [(k, repr(v)) for k, v in got.items()] == \
@@ -224,6 +225,14 @@ class TestSolveLp:
     def test_unbounded_system(self):
         with pytest.raises(ValidationError):
             solve_lp(tiny_problem([[0.0]], [0.0], [1.0]))
+
+    def test_other_solver_status_is_a_validation_error(self, monkeypatch):
+        def linprog(*args, **kwargs):
+            return SimpleNamespace(status=4, message="Numerical difficulties encountered.")
+
+        monkeypatch.setattr("dcstop.oracle.linprog", linprog)
+        with pytest.raises(ValidationError, match="Numerical difficulties encountered"):
+            solve_lp(worked_problem())
 
     def test_exact_arithmetic_agrees(self):
         problem = worked_problem()
@@ -326,7 +335,26 @@ class TestOracleValue:
         mu = DiscreteMeasure([float(s) for s in steps], [u / sum(units) for u in units])
         value = solve(spec, cost, mu, resolution=2).root_value
         assert abs(value - oracle_value(spec, cost, mu, exact=True)) <= 1e-9
-        assert abs(value - oracle_value(spec, cost, mu)) <= 1e-7
+        assert abs(value - oracle_value(spec, cost, mu)) <= 1e-9
+
+    @pytest.mark.parametrize("augment, steps, weights", [
+        (False, (4, 8, ORACLE_DEPTH_LIMIT), (0.3, 0.3, 0.4)),
+        (True, (6, ORACLE_DEPTH_LIMIT), (0.4, 0.6)),
+    ])
+    def test_agreement_at_the_largest_supported_depth(self, augment, steps, weights):
+        spec = LatticeSpec(depth=ORACLE_DEPTH_LIMIT, dt=1.0, augment_max=augment)
+        mu = DiscreteMeasure([float(s) for s in steps], weights)
+        problem = build_lp(spec, ABS, mu)
+        solution = solve_lp(problem)
+        assert solution.status == "optimal"
+        assert abs(solve(spec, ABS, mu, resolution=2).root_value - solution.value) <= 1e-9
+        assert max(solution.reduced_cost_violation, solution.slackness_violation,
+                   solution.duality_gap) <= 1e-9
+        kernel = lp_solution_to_kernel(problem, solution)
+        assert objective_value(kernel, kernel.spec, ABS) == pytest.approx(solution.value, abs=1e-10)
+        marg = marginal_of(kernel, kernel.spec)
+        assert marg.atoms == mu.atoms
+        assert marg.weights == pytest.approx(mu.weights, abs=1e-10)
 
     def test_overfull_marginal_row_is_infeasible(self):
         # More mass at the first atom than any rule can stop there.

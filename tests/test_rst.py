@@ -11,6 +11,7 @@ from dcstop import (
     LatticeSpec,
     NodeId,
     RightShiftError,
+    SizeGuardError,
     StoppingKernel,
     ValidationError,
     ceiling_project,
@@ -274,6 +275,11 @@ class TestSimulate:
         assert payload["n_paths"] == 1000
         assert payload["seed"] == 1
         assert payload["mean"] == report.mean
+
+    def test_path_guard(self):
+        spec, kernel = worked_kernel()
+        with pytest.raises(SizeGuardError, match="limit 100000000"):
+            simulate(kernel, spec, INDICATOR, n_paths=10 ** 8 + 1, seed=1)
 
 
 class TestGenerators:
