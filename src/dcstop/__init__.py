@@ -9,7 +9,7 @@ of conditional stopping laws connect the two views and support splicing,
 simulation and stability sweeps.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -123,4 +123,6 @@ from .stability import (
     rows_to_csv,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, without the submodules the imports bind.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

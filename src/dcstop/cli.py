@@ -33,7 +33,8 @@ from .rst import check_sim_paths, kernel_to_json, marginal_of, objective_value, 
 from .stability import convergence_sweep, rows_to_csv
 
 MAX_ATOMS = 4
-COMPARE_TOL = 1e-6
+# Relative bound on how far the solver, oracle and policy values may differ.
+AGREE_TOL = 1e-9
 
 
 class _Failure(Exception):
@@ -132,6 +133,11 @@ def _echo(payload: dict) -> None:
             print(f"{key}: {value}")
 
 
+def _agree_bound(table) -> float:
+    """``AGREE_TOL`` relative to the solved value, and never above the table slack."""
+    return min(table.slack, AGREE_TOL * max(1.0, abs(table.root_value)))
+
+
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
@@ -166,7 +172,7 @@ def cmd_policy(args) -> int:
         raise _Failure(f"policy tree violates {v.prop} at {v.node} (residual {v.residual:.3e})")
     acc = accumulate(tree, spec, cost)
     residual = abs(acc.leaf_expectation() - table.root_value)
-    if residual > max(1e-9, table.slack):
+    if residual > _agree_bound(table):
         raise _Failure(f"policy objective off the solved value by {residual:.3e}")
     payload = {
         "value": table.root_value,
@@ -212,7 +218,7 @@ def cmd_compare(args) -> int:
     table = solve(spec, cost, mu, opts["resolution"], debug=opts["debug"])
     reference = oracle_value(spec, cost, mu)
     difference = abs(table.root_value - reference)
-    tolerance = max(COMPARE_TOL, table.slack)
+    tolerance = _agree_bound(table)
     payload = {
         "solver_value": table.root_value,
         "oracle_value": reference,

@@ -495,18 +495,16 @@ def check_policy_depth(horizon: int) -> None:
 def extract_policy(table: ValueTable) -> MvmTree:
     """Forward sweep turning the solved tables into an explicit law tree.
 
-    Each history node carries its frozen stop masses plus the remaining
-    (unnormalized) future law; driver steps split the remainder through the
-    optimal pair-sup facet, atom steps freeze the leading coordinate.  The
+    Each history node carries the stop masses of the atoms already passed,
+    which stay frozen, plus the (unnormalized) law of the atoms still ahead,
+    which each driver step splits through the optimal pair-sup facet.  The
     result is a valid adapted martingale tree whose objective matches the
     root value.
     """
     spec = table.spec
     steps = table.steps
-    r = len(steps)
     horizon = steps[-1]
     check_policy_depth(horizon)
-    step_of_atom = {s: i for i, s in enumerate(steps)}
     split_memo: dict[NodeId, ConcavePL] = {}
 
     def split_fn(bits: tuple[int, ...]) -> ConcavePL:
@@ -517,37 +515,20 @@ def extract_policy(table: ValueTable) -> MvmTree:
             )
         return split_memo[node]
 
-    vectors: dict[tuple[int, ...], np.ndarray] = {}
-    # Per history of step s, in code order: the unnormalized future law and
-    # the frozen stop masses.  Code c's children are 2c (down) and 2c + 1 (up).
-    remaining = [_mu_vector(table.mu).copy()]
-    frozen = [np.zeros(r)]
-    for s in range(horizon + 1):
-        i = step_of_atom.get(s)
-        live = [j for j in range(r) if steps[j] > s]
-        next_remaining, next_frozen = [], []
-        for bits, rem, fro in zip(histories(s), remaining, frozen):
-            if i is not None:
-                fro = fro.copy()
-                rem = rem.copy()
-                fro[i] += rem[i]
-                rem[i] = 0.0
-            vectors[bits] = fro + rem
-            if s == horizon:
-                continue
-            mass = float(rem[live].sum())
-            if mass <= 1e-14:
-                rem_up = rem_dn = rem
-            else:
-                y = rem[live] / mass
-                p, q = _facet_split(split_fn(bits), y)
-                rem_up = rem.copy()
-                rem_dn = rem.copy()
-                rem_up[live] = mass * p
-                rem_dn[live] = 2.0 * rem[live] - rem_up[live]
-            next_remaining += [rem_dn, rem_up]
-            next_frozen += [fro, fro]
-        remaining, frozen = next_remaining, next_frozen
+    # One row per history in heap order: row h has its children at rows
+    # 2h + 1 (down) and 2h + 2 (up).
+    vectors = np.empty((2 ** (horizon + 1) - 1, len(steps)))
+    vectors[0] = _mu_vector(table.mu)
+    for s in range(horizon):
+        live = [j for j, step in enumerate(steps) if step > s]
+        for h, bits in enumerate(histories(s), start=2 ** s - 1):
+            vec = vectors[h]
+            vectors[2 * h + 1] = vectors[2 * h + 2] = vec
+            mass = float(vec[live].sum())
+            if mass > 1e-14:
+                p, _ = _facet_split(split_fn(bits), vec[live] / mass)
+                vectors[2 * h + 2, live] = mass * p
+                vectors[2 * h + 1, live] = 2.0 * vec[live] - vectors[2 * h + 2, live]
     return MvmTree(spec.dt, table.mu.atoms, vectors)
 
 

@@ -202,8 +202,26 @@ def histories(n: int) -> Iterator[tuple[int, ...]]:
     ``c >> (n - s)``, and the children of ``c`` are ``2c`` (down) and
     ``2c + 1`` (up).  Every walk over a step's histories goes through here,
     in this order, which is the lexicographic order of the bit tuples.
+
+    An array over a whole history tree lists its steps one after another, in
+    heap order: history ``c`` of step ``s`` is row ``2**s - 1 + c``, the
+    children of row ``h`` are rows ``2h + 1`` (down) and ``2h + 2`` (up), and a
+    node's descendants at any later step fill one contiguous run of rows.
     """
     return product((0, 1), repeat=n)
+
+
+def heap_row(bits: tuple[int, ...]) -> int:
+    """Heap row of a history: in binary, ``row + 1`` is a leading 1 and then its bits."""
+    row = 1
+    for b in bits:
+        row = 2 * row + b
+    return row - 1
+
+
+def heap_history(row: int) -> tuple[int, ...]:
+    """The history at heap row ``row``; the inverse of ``heap_row``."""
+    return tuple(int(ch) for ch in bin(row + 1)[3:])
 
 
 def history_to_str(bits: tuple[int, ...]) -> str:
@@ -212,7 +230,7 @@ def history_to_str(bits: tuple[int, ...]) -> str:
 
 
 def history_from_str(text: str) -> tuple[int, ...]:
-    if any(ch not in "UD" for ch in text):
+    if not isinstance(text, str) or any(ch not in "UD" for ch in text):
         raise ValidationError(f"history string must use U/D, got {text!r}")
     return tuple(1 if ch == "U" else 0 for ch in text)
 

@@ -14,24 +14,28 @@ detects terminating (pure) trees, splices a continuation tree into a node
 through a monotone-coupling reweighting, and integrates running payoff along
 the tree (the Mayer-form accumulator).
 
-Trees are always indexed by full histories.  A tree may start at a positive
-step (``start_step > 0``); such subtrees act as continuations for splicing and
-carry atom times in absolute units.
+A tree is one array with a row per history, in heap order (see
+``lattice.histories``), so checks and surgery work on whole steps of rows.  A
+tree may start at a positive step (``start_step > 0``); such subtrees act as
+continuations for splicing and carry atom times in absolute units.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .cost import CostSpec, evaluate
-from .errors import SizeGuardError, SpliceError, ValidationError
+from .errors import ConfigError, SizeGuardError, SpliceError, ValidationError, finite_number
 from .lattice import (
     LatticeSpec,
     NodeId,
+    heap_history,
+    heap_row,
     histories,
     history_from_str,
     history_to_str,
@@ -47,28 +51,40 @@ from .rst import DEAD_MASS, StoppingKernel
 
 MARTINGALE_TOL = 1e-12
 SPLICE_TOL = 1e-9
-# ``from_kernel`` walks every history in Python: 2^16 of them take a few seconds.
+# A tree holds 2^(depth + 1) - 1 rows, but reading its kernel back out
+# (``to_kernel``) makes one node per history in Python: ``dcstop validate`` at
+# depth 16 takes about 4 s on a 2-core x86 machine.
 TREE_DEPTH_LIMIT = 16
 
-Bits = tuple[int, ...]
+
+def _descendants(row: int, s: int) -> slice:
+    """Heap rows ``s`` steps below ``row``; ``_descendants(0, s)`` is step ``s``."""
+    return slice(((row + 1) << s) - 1, ((row + 2) << s) - 1)
 
 
-def _bits_node(bits: Bits) -> NodeId:
+def _node(row) -> NodeId:
+    bits = heap_history(int(row))
     return NodeId(step=len(bits), history=bits)
 
 
 class MvmTree:
-    """History-indexed tree of weight vectors over a fixed atom grid."""
+    """Heap-ordered weight vectors over a fixed atom grid.
+
+    ``vectors`` (read-only) has a row per history up to the last atom and a column per atom.
+    """
 
     __slots__ = ("dt", "start_step", "atom_times", "rel_steps", "depth", "vectors")
 
-    def __init__(self, dt: float, atom_times, vectors: dict[Bits, np.ndarray],
-                 start_step: int = 0):
-        if not dt > 0:
-            raise ValidationError(f"dt must be positive, got {dt!r}")
+    def __init__(self, dt: float, atom_times, vectors, start_step: int = 0):
+        integral = isinstance(start_step, numbers.Integral) and not isinstance(start_step, bool)
+        if not (integral and start_step >= 0):
+            raise ValidationError(f"start_step must be a non-negative integer, got {start_step!r}")
+        if not 0 < dt < math.inf:
+            raise ValidationError(f"dt must be positive and finite, got {dt!r}")
         times = tuple(float(t) for t in atom_times)
-        if not times or any(b - a <= 0 for a, b in zip(times, times[1:])):
-            raise ValidationError("atom times must be nonempty and strictly increasing")
+        if not times or not all(math.isfinite(t) for t in times) or any(
+                b - a <= 0 for a, b in zip(times, times[1:])):
+            raise ValidationError("atom times must be finite, nonempty and strictly increasing")
         rel_steps = []
         for t in times:
             s = round(t / dt)
@@ -79,44 +95,30 @@ class MvmTree:
                 raise ValidationError(f"atom time {t} lies before the tree start")
             rel_steps.append(r)
         depth = rel_steps[-1]
-        clean: dict[Bits, np.ndarray] = {}
-        for bits, vec in vectors.items():
-            arr = np.asarray(vec, dtype=float)
-            if arr.shape != (len(times),):
-                raise ValidationError(
-                    f"vector at {bits} has shape {arr.shape}, expected ({len(times)},)"
-                )
-            clean[tuple(bits)] = arr
-        for s in range(depth + 1):
-            missing = sum(1 for bits in histories(s) if bits not in clean)
-            if missing:
-                raise ValidationError(f"{missing} node vectors missing at step {s}")
-        extra = len(clean) - (2 ** (depth + 1) - 1)
-        if extra:
-            raise ValidationError(
-                f"{extra} vectors keyed by something other than a history of at most "
-                f"{depth} steps"
-            )
+        arr = np.array(vectors, dtype=float)
+        shape = (2 ** (depth + 1) - 1, len(times))
+        if arr.shape != shape:
+            raise ValidationError(f"vectors have shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError("vectors must be finite")
+        arr.flags.writeable = False
         object.__setattr__(self, "dt", float(dt))
         object.__setattr__(self, "start_step", int(start_step))
         object.__setattr__(self, "atom_times", times)
         object.__setattr__(self, "rel_steps", tuple(rel_steps))
         object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "vectors", clean)
+        object.__setattr__(self, "vectors", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("MvmTree is immutable")
 
     def root_vector(self) -> np.ndarray:
-        return self.vectors[()]
+        return self.vectors[0]
 
     def root_measure(self) -> DiscreteMeasure:
         vec = self.root_vector()
         kept = [(t, w) for t, w in zip(self.atom_times, vec) if w > 0.0]
         return DiscreteMeasure([t for t, _ in kept], [w for _, w in kept])
-
-    def leaves(self) -> list[Bits]:
-        return list(histories(self.depth))
 
 
 @dataclass(frozen=True)
@@ -137,9 +139,10 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
     """Check root law, martingale, adaptedness and normalization, in that order.
 
     Returns the first violation found as ``(node, property, residual)``.
-    The scan is breadth-first from the root, each step in code order, so the
-    reported node is the shallowest offender for its property and, among
-    those, the one with the lowest code.
+    Within a property the reported node is the first offender in heap order:
+    the shallowest, and among those the one with the lowest code.  An
+    adaptedness residual is the up child's when that one offends, else the
+    down child's.
     """
     if mu is not None:
         target = np.zeros(len(mvm.atom_times))
@@ -150,39 +153,27 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
                     target[i] = w
                     del lookup[a]
         if lookup:
-            return MvmReport(False, MvmViolation(_bits_node(()), "root", 1.0))
+            return MvmReport(False, MvmViolation(_node(0), "root", 1.0))
         res = float(np.max(np.abs(mvm.root_vector() - target)))
         if res > tol:
-            return MvmReport(False, MvmViolation(_bits_node(()), "root", res))
-    for s in range(mvm.depth):
-        for bits in histories(s):
-            vec = mvm.vectors[bits]
-            up = mvm.vectors[bits + (1,)]
-            down = mvm.vectors[bits + (0,)]
-            res = float(np.max(np.abs(vec - 0.5 * (up + down))))
-            if res > tol:
-                return MvmReport(False, MvmViolation(_bits_node(bits), "martingale", res))
-    for s in range(mvm.depth):
-        frozen = [i for i, r in enumerate(mvm.rel_steps) if r <= s]
-        if not frozen:
-            continue
-        for bits in histories(s):
-            vec = mvm.vectors[bits]
-            for child in (bits + (1,), bits + (0,)):
-                cvec = mvm.vectors[child]
-                res = max(abs(float(vec[i] - cvec[i])) for i in frozen)
-                if res > tol:
-                    return MvmReport(False, MvmViolation(_bits_node(bits), "adapted", res))
-    for s in range(mvm.depth + 1):
-        for bits in histories(s):
-            vec = mvm.vectors[bits]
-            if float(vec.min()) < -tol:
-                return MvmReport(
-                    False, MvmViolation(_bits_node(bits), "normalized", -float(vec.min()))
-                )
-            res = abs(float(vec.sum()) - 1.0)
-            if res > tol:
-                return MvmReport(False, MvmViolation(_bits_node(bits), "normalized", res))
+            return MvmReport(False, MvmViolation(_node(0), "root", res))
+    vec = mvm.vectors
+    inner, down, up = vec[: len(vec) // 2], vec[1::2], vec[2::2]
+    # Atom i is frozen from step rel_steps[i] on, that is from row 2**rel_steps[i] - 1.
+    frozen = np.arange(len(inner))[:, None] >= np.array([2 ** r - 1 for r in mvm.rel_steps])
+    drift_up = np.max(np.where(frozen, np.abs(inner - up), 0.0), axis=1)
+    drift_down = np.max(np.where(frozen, np.abs(inner - down), 0.0), axis=1)
+    low = vec.min(axis=1)
+    # Per property, one residual per row, exceeding ``tol`` exactly where the row offends.
+    residuals = (
+        ("martingale", np.max(np.abs(inner - 0.5 * (up + down)), axis=1)),
+        ("adapted", np.where(drift_up > tol, drift_up, drift_down)),
+        ("normalized", np.where(low < -tol, -low, np.abs(vec.sum(axis=1) - 1.0))),
+    )
+    for prop, res in residuals:
+        bad = np.flatnonzero(res > tol)
+        if bad.size:
+            return MvmReport(False, MvmViolation(_node(bad[0]), prop, float(res[bad[0]])))
     return MvmReport(True, None)
 
 
@@ -218,11 +209,11 @@ def from_kernel(kernel: StoppingKernel, spec: LatticeSpec) -> MvmTree:
                   np.array([kernel.q[node_of_history(spec, bits)] for bits in histories(s)]))
             stopped[:, i] = alive * qv
             alive = alive * (1.0 - qv)
-    vectors: dict[Bits, np.ndarray] = dict(zip(histories(last), stopped))
+    vectors = np.empty((2 ** (last + 1) - 1, r))
+    vectors[_descendants(0, last)] = stopped
     for s in range(last - 1, -1, -1):
-        # Children of code c sit at 2c (down) and 2c + 1 (up).
         stopped = 0.5 * (stopped[1::2] + stopped[0::2])
-        vectors.update(zip(histories(s), stopped))
+        vectors[_descendants(0, s)] = stopped
     return MvmTree(spec.dt, kernel.atom_times, vectors)
 
 
@@ -239,22 +230,20 @@ def to_kernel(mvm: MvmTree) -> StoppingKernel:
     q: dict[NodeId, float] = {}
     for i, s in enumerate(mvm.rel_steps):
         final = i == len(mvm.rel_steps) - 1
-        for bits in histories(s):
-            vec = mvm.vectors[bits]
+        for bits, vec in zip(histories(s), mvm.vectors[_descendants(0, s)]):
             remaining = 1.0 - float(vec[:i].sum())
-            if remaining <= DEAD_MASS:
-                q[_bits_node(bits)] = 1.0 if final else 0.0
-            elif final:
-                q[_bits_node(bits)] = 1.0
-            else:
-                q[_bits_node(bits)] = min(1.0, max(0.0, float(vec[i]) / remaining))
+            q[NodeId(step=s, history=bits)] = (
+                1.0 if final else 0.0 if remaining <= DEAD_MASS
+                else min(1.0, max(0.0, float(vec[i]) / remaining)))
     return StoppingKernel(spec, mvm.atom_times, q)
 
 
 @dataclass(frozen=True)
 class TerminationReport:
+    """``tau`` holds each leaf's stopping time, leaves in code order."""
+
     terminating: bool
-    tau: Optional[dict[Bits, float]]
+    tau: Optional[np.ndarray]
     first_diffuse: Optional[NodeId]
 
 
@@ -265,43 +254,44 @@ def termination(mvm: MvmTree, tol: float = MARTINGALE_TOL) -> TerminationReport:
     carrying the unit weight, and the induced kernel is pure (all hazards 0
     or 1); conversely pure kernels produce terminating trees.
     """
-    tau: dict[Bits, float] = {}
-    for bits in mvm.leaves():
-        vec = mvm.vectors[bits]
-        top = int(np.argmax(vec))
-        if vec[top] < 1.0 - tol:
-            return TerminationReport(False, None, _bits_node(bits))
-        tau[bits] = mvm.atom_times[top]
-    return TerminationReport(True, tau, None)
+    first_leaf = len(mvm.vectors) // 2
+    leaves = mvm.vectors[first_leaf:]
+    diffuse = np.flatnonzero(leaves.max(axis=1) < 1.0 - tol)
+    if diffuse.size:
+        return TerminationReport(False, None, _node(first_leaf + diffuse[0]))
+    return TerminationReport(True, np.array(mvm.atom_times)[np.argmax(leaves, axis=1)], None)
 
 
-def extract_continuation(base: MvmTree, bits: Bits) -> MvmTree:
+def _future_law(base: MvmTree, bits):
+    """Row and vector of node ``bits``, its atoms ahead, their mass, and those carrying weight."""
+    if len(bits) > base.depth or any(b not in (0, 1) for b in bits):
+        raise SpliceError(f"node {bits} not in the tree")
+    row = heap_row(bits)
+    y = base.vectors[row]
+    future = [i for i, r in enumerate(base.rel_steps) if r > len(bits)]
+    mass = float(sum(y[i] for i in future))
+    if mass <= SPLICE_TOL:
+        raise SpliceError(f"no future mass at node {bits}")
+    return row, y, future, mass, [i for i in future if y[i] > DEAD_MASS]
+
+
+def extract_continuation(base: MvmTree, bits) -> MvmTree:
     """The renormalized strict-future law tree rooted at ``bits``.
 
     Splicing this back into the same node reproduces ``base`` exactly.
     """
     bits = tuple(bits)
-    if bits not in base.vectors:
-        raise SpliceError(f"node {bits} not in the tree")
+    row, _, _, mass, keep = _future_law(base, bits)
     abs_step = base.start_step + len(bits)
-    future = [i for i, r in enumerate(base.rel_steps) if r > len(bits)]
-    y = base.vectors[bits]
-    mass = float(sum(y[i] for i in future))
-    if mass <= SPLICE_TOL:
-        raise SpliceError(f"no future mass at node {bits}")
-    keep = [i for i in future if y[i] > DEAD_MASS]
     times = [base.atom_times[i] for i in keep]
     # The subtree may extend past the continuation's own last atom; those
     # fully frozen tails are dropped and rebuilt on splice.
     last_rel = round(times[-1] / base.dt) - abs_step
-    vectors = {
-        rel: base.vectors[bits + rel][keep] / mass
-        for s in range(last_rel + 1) for rel in histories(s)
-    }
-    return MvmTree(base.dt, times, vectors, start_step=abs_step)
+    subtree = np.concatenate([base.vectors[_descendants(row, s)] for s in range(last_rel + 1)])
+    return MvmTree(base.dt, times, subtree[:, keep] / mass, start_step=abs_step)
 
 
-def splice(base: MvmTree, bits: Bits, continuation: MvmTree) -> MvmTree:
+def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
     """Replace the future of ``base`` below ``bits`` by ``continuation``.
 
     The frozen past coordinates at the node are kept.  The continuation's laws
@@ -311,8 +301,7 @@ def splice(base: MvmTree, bits: Bits, continuation: MvmTree) -> MvmTree:
     laws raise ``SpliceError``.
     """
     bits = tuple(bits)
-    if bits not in base.vectors:
-        raise SpliceError(f"node {bits} not in the tree")
+    row, y, future, mass, keep = _future_law(base, bits)
     abs_step = base.start_step + len(bits)
     if continuation.start_step != abs_step:
         raise SpliceError(
@@ -320,18 +309,9 @@ def splice(base: MvmTree, bits: Bits, continuation: MvmTree) -> MvmTree:
         )
     if abs(continuation.dt - base.dt) > 1e-15:
         raise SpliceError("continuation uses a different step width")
-    t = abs_step * base.dt
-    if continuation.atom_times[0] <= t + 1e-9:
+    if continuation.atom_times[0] <= abs_step * base.dt + 1e-9:
         raise SpliceError("continuation atoms must lie strictly after the splice time")
-    future = [i for i, r in enumerate(base.rel_steps) if r > len(bits)]
-    y = base.vectors[bits]
-    mass = float(sum(y[i] for i in future))
-    if mass <= SPLICE_TOL:
-        raise SpliceError(f"no future mass at node {bits}")
-    keep = [i for i in future if y[i] > DEAD_MASS]
-    node_future = DiscreteMeasure(
-        [base.atom_times[i] for i in keep], [y[i] / mass for i in keep]
-    )
+    node_future = DiscreteMeasure([base.atom_times[i] for i in keep], [y[i] / mass for i in keep])
     zeta = continuation.root_measure()
     if not is_right_shift_of(node_future, zeta, tol=SPLICE_TOL):
         raise SpliceError(
@@ -340,42 +320,38 @@ def splice(base: MvmTree, bits: Bits, continuation: MvmTree) -> MvmTree:
     coupling = monotone_coupling(zeta, node_future)
     # Row-stochastic transfer matrix from continuation atoms to base atoms.
     transfer = np.zeros((len(continuation.atom_times), len(base.atom_times)))
-    zeta_index = {}
-    for k, t_src in enumerate(zeta.atoms):
-        for j, t_cont in enumerate(continuation.atom_times):
-            if abs(t_cont - t_src) <= 1e-9:
-                zeta_index[k] = j
-    for k, row in enumerate(coupling.rows):
-        j = zeta_index[k]
-        wk = zeta.weights[k]
-        for cell, m in row:
-            transfer[j, keep[cell]] += m / wk
+    for k, row_k in enumerate(coupling.rows):
+        j = next(j for j, t in enumerate(continuation.atom_times)
+                 if abs(t - zeta.atoms[k]) <= 1e-9)
+        for cell, m in row_k:
+            transfer[j, keep[cell]] += m / zeta.weights[k]
     past_part = np.array([y[i] if i not in future else 0.0 for i in range(len(y))])
+    # One vector-matrix product per node: a matrix product may sum in another
+    # order and so differ from a single node's law in the last bit.
+    mapped = past_part + mass * np.matmul(continuation.vectors[:, None, :], transfer)[:, 0]
 
-    new_vectors = dict(base.vectors)
-    level: list[np.ndarray] = []
+    vectors = np.array(base.vectors)
     for s in range(base.depth - len(bits) + 1):
         if s <= continuation.depth:
-            level = [past_part + mass * (continuation.vectors[rel] @ transfer)
-                     for rel in histories(s)]
+            level = mapped[_descendants(0, s)]
         else:
             # Past the continuation's last atom every law is frozen: each
-            # node (code c) repeats its parent's (code c >> 1).
-            level = [level[code >> 1].copy() for code in range(2 ** s)]
-        new_vectors.update((bits + rel, vec) for rel, vec in zip(histories(s), level))
-    return MvmTree(base.dt, base.atom_times, new_vectors, start_step=base.start_step)
+            # node repeats its parent's.
+            level = np.repeat(level, 2, axis=0)
+        vectors[_descendants(row, s)] = level
+    return MvmTree(base.dt, base.atom_times, vectors, start_step=base.start_step)
 
 
 @dataclass(frozen=True)
 class Accumulator:
-    """Running payoff ``Y`` along the tree: ``y0`` plus cost paid at each freeze."""
+    """Running payoff ``Y`` per node, in heap order: ``y0`` plus cost paid at each freeze."""
 
     y0: float
-    y: dict[Bits, float]
+    y: np.ndarray
     depth: int
 
     def leaf_expectation(self) -> float:
-        return math.fsum(self.y[bits] for bits in histories(self.depth)) / 2 ** self.depth
+        return math.fsum(self.y[len(self.y) // 2:]) / 2 ** self.depth
 
 
 def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec, y0: float = 0.0) -> Accumulator:
@@ -391,40 +367,54 @@ def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec, y0: float = 0.0)
         raise ValidationError("lattice step width differs from the tree's")
     hist_spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
     step_to_atom = {r: i for i, r in enumerate(mvm.rel_steps)}
-    y: dict[Bits, float] = {(): y0}
-    level = [y0]
+    y = np.empty(len(mvm.vectors))
+    y[0] = y0
     for s in range(1, mvm.depth + 1):
+        rows = _descendants(0, s)
+        y[rows] = np.repeat(y[_descendants(0, s - 1)], 2)
         i = step_to_atom.get(s)
-        level = [level[code >> 1] for code in range(2 ** s)]
-        for code, bits in enumerate(histories(s)):
-            if i is not None:
-                st = state(hist_spec, _bits_node(bits))
-                level[code] += evaluate(cost, st) * float(mvm.vectors[bits][i])
-            y[bits] = level[code]
+        if i is not None:
+            paid = [evaluate(cost, state(hist_spec, NodeId(step=s, history=bits)))
+                    for bits in histories(s)]
+            y[rows] += np.array(paid) * mvm.vectors[rows, i]
     return Accumulator(y0=y0, y=y, depth=mvm.depth)
 
 
 def mvm_to_json(mvm: MvmTree) -> dict:
-    nodes = {
-        history_to_str(bits): [float(v) for v in mvm.vectors[bits]]
-        for s in range(mvm.depth + 1) for bits in histories(s)
-    }
+    keys = (history_to_str(bits) for s in range(mvm.depth + 1) for bits in histories(s))
     return {
         "dt": mvm.dt,
         "start_step": mvm.start_step,
         "atom_times": list(mvm.atom_times),
-        "nodes": nodes,
+        "nodes": dict(zip(keys, mvm.vectors.tolist())),
     }
 
 
 def mvm_from_json(data: dict) -> MvmTree:
+    """Tree from its JSON form, where nodes are keyed by ``U``/``D`` history strings.
+
+    Every history up to the last atom must appear, and nothing else; any
+    malformed payload raises ``ValidationError``.
+    """
     try:
-        dt = float(data["dt"])
-        atom_times = [float(t) for t in data["atom_times"]]
-        raw = data["nodes"]
-    except (KeyError, TypeError) as exc:
+        dt = finite_number(data["dt"], "dt")
+        atom_times = [finite_number(t, "atom time") for t in data["atom_times"]]
+        start_step = data.get("start_step", 0)
+        nodes = data["nodes"].items()
+    except (AttributeError, ConfigError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed tree payload: {exc}") from exc
-    vectors: dict[Bits, np.ndarray] = {}
-    for key, vec in raw.items():
-        vectors[history_from_str(key)] = np.asarray(vec, dtype=float)
-    return MvmTree(dt, atom_times, vectors, start_step=int(data.get("start_step", 0)))
+    rows = {}
+    for key, vec in nodes:
+        # JSON numbers only: no strings, no booleans.
+        if not (isinstance(vec, list) and len(vec) == len(atom_times)
+                and all(type(w) in (int, float) for w in vec)):
+            raise ValidationError(
+                f"vector at {key!r} must be a list of {len(atom_times)} numbers, got {vec!r}"
+            )
+        rows[heap_row(history_from_str(key))] = vec
+    size = max(rows, default=-1) + 1
+    if len(rows) < size:
+        raise ValidationError(
+            f"{size - len(rows)} of the {size} histories up to the deepest node key are missing"
+        )
+    return MvmTree(dt, atom_times, [rows[h] for h in range(size)], start_step=start_step)

@@ -15,6 +15,7 @@ from dcstop import (
     ConcavePL,
     DiscreteMeasure,
     LatticeSpec,
+    MvmTree,
     NodeId,
     atom_steps,
     evaluate,
@@ -22,6 +23,7 @@ from dcstop import (
     state,
 )
 from dcstop.dpp import _hull_upper, _pieces_from_affine
+from dcstop.lattice import heap_history
 
 
 def all_paths(n: int) -> list[tuple[int, ...]]:
@@ -83,3 +85,14 @@ def from_samples(grid, values) -> ConcavePL:
 def grid_rows(grid) -> dict[tuple[int, ...], int]:
     """Row of each grid point, keyed by its integer coordinates."""
     return {tuple(p): i for i, p in enumerate(grid.points.tolist())}
+
+
+def tree_from_dict(dt, atom_times, vectors, start_step=0) -> MvmTree:
+    """A law tree from vectors keyed by history bit tuples, each put at its heap row."""
+    rows = [vectors[heap_history(h)] for h in range(len(vectors))]
+    return MvmTree(dt, atom_times, np.array(rows, dtype=float), start_step=start_step)
+
+
+def tree_dict(tree: MvmTree) -> dict[tuple[int, ...], np.ndarray]:
+    """A law tree's vectors keyed by history bit tuples."""
+    return {heap_history(h): vec for h, vec in enumerate(tree.vectors)}

@@ -142,7 +142,7 @@ def test_criterion_03_solver_matches_oracle_across_the_sweep(c3_results):
     for inst in c3_results:
         assert inst.lp_solution.status == "optimal"
         diff = abs(inst.table.root_value - inst.lp_solution.value)
-        assert diff <= 1e-3, (inst.cost.name, inst.mu.atoms, diff)
+        assert diff <= 1e-9, (inst.cost.name, inst.mu.atoms, diff)
         total += inst.solve_seconds
         if inst.worked:
             assert inst.table.root_value == pytest.approx(0.5, abs=1e-9)

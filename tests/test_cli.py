@@ -110,6 +110,22 @@ class TestCompare:
         assert payload["agree"] is True
         assert payload["difference"] <= payload["tolerance"]
 
+    @pytest.mark.parametrize("changes,tolerance", [
+        ({}, 1e-9),
+        ({"cost": {"kind": "terminal", "name": "square"}}, 1.5e-9),
+        # Value 1.5 again, but constant tables: the slack, 1e-9, caps the bound.
+        ({"cost": {"kind": "terminal", "name": "abs"},
+          "lattice": {"depth": 4, "dt": 1.0, "augment_max": True},
+          "measure": [{"t": 3.0, "w": 0.5}, {"t": 4.0, "w": 0.5}]}, 1e-9),
+    ], ids=["value-below-one", "value-1.5", "slack-cap"])
+    def test_tolerance_is_relative_to_the_value(self, workspace, changes, tolerance):
+        config_path, out = workspace
+        config_path.write_text(json.dumps({**base_config(), **changes}))
+        assert main(["compare", str(config_path)]) == 0
+        payload = read_result(out)
+        assert payload["tolerance"] == pytest.approx(tolerance, rel=1e-12)
+        assert payload["difference"] <= payload["tolerance"]
+
 
 class TestSimulate:
     def test_seeded_run(self, workspace):

@@ -36,6 +36,7 @@ from dcstop import (
 )
 
 import dcstop.dpp as dpp
+from dcstop.lattice import heap_row
 from conftest import all_paths, brute_kernel_stats, from_samples, grid_rows, random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
@@ -449,9 +450,9 @@ class TestExtractPolicy:
     def test_worked_instance_structure(self):
         spec, cost, mu = worked_instance()
         tree = extract_policy(solve(spec, cost, mu, resolution=3))
-        assert tree.vectors[()] == pytest.approx((0.5, 0.5), abs=1e-12)
-        assert tree.vectors[(1,)] == pytest.approx((1.0, 0.0), abs=1e-12)
-        assert tree.vectors[(0,)] == pytest.approx((0.0, 1.0), abs=1e-12)
+        assert tree.vectors[heap_row(())] == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert tree.vectors[heap_row((1,))] == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert tree.vectors[heap_row((0,))] == pytest.approx((0.0, 1.0), abs=1e-12)
         assert termination(tree).terminating
 
     def test_policy_validates_and_attains_the_value(self):
@@ -471,8 +472,7 @@ class TestExtractPolicy:
         table = solve(spec, cost, mu, resolution=5)
         a = extract_policy(table)
         b = extract_policy(table)
-        for bits, vec in a.vectors.items():
-            assert (b.vectors[bits] == vec).all()
+        assert np.array_equal(a.vectors, b.vectors)
 
     def test_round_trip_to_kernel(self):
         rng = np.random.default_rng(65)

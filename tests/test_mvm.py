@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from dcstop import (
     accumulate,
     evaluate,
     extract_continuation,
+    extract_policy,
     feasible_kernel,
     from_kernel,
     marginal_of,
@@ -28,15 +30,19 @@ from dcstop import (
     objective_value,
     oracle_value,
     random_kernel,
+    solve,
     splice,
     termination,
     to_kernel,
     validate,
 )
 
-from dcstop.lattice import histories, node_of_history, state
+from dcstop.lattice import heap_history, heap_row, histories, node_of_history, state
+from dcstop.measures import is_right_shift_of, monotone_coupling
+from dcstop.mvm import MARTINGALE_TOL, SPLICE_TOL, MvmReport, MvmViolation
+from dcstop.rst import DEAD_MASS
 
-from conftest import random_measure
+from conftest import random_measure, tree_dict, tree_from_dict
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 
@@ -55,13 +61,7 @@ def worked_tree() -> MvmTree:
 
 
 def constant_tree(weights: tuple[float, ...], atoms=(1.0, 2.0), depth=2) -> MvmTree:
-    vec = np.asarray(weights, dtype=float)
-    vectors = {}
-    for s in range(depth + 1):
-        for code in range(2 ** s):
-            bits = tuple((code >> (s - 1 - i)) & 1 for i in range(s))
-            vectors[bits] = vec.copy()
-    return MvmTree(1.0, atoms, vectors)
+    return MvmTree(1.0, atoms, np.tile(weights, (2 ** (depth + 1) - 1, 1)))
 
 
 def reference_from_kernel(kernel, spec):
@@ -83,6 +83,111 @@ def reference_from_kernel(kernel, spec):
     return vectors
 
 
+def _bits_node(bits) -> NodeId:
+    return NodeId(step=len(bits), history=bits)
+
+
+def reference_validate(mvm, mu=None, tol=MARTINGALE_TOL):
+    """The dict walk the array checks replaced: node by node, step by step, in code order."""
+    vectors = tree_dict(mvm)
+    if mu is not None:
+        target = np.zeros(len(mvm.atom_times))
+        lookup = {t: w for t, w in zip(mu.atoms, mu.weights)}
+        for i, t in enumerate(mvm.atom_times):
+            for a, w in list(lookup.items()):
+                if abs(a - t) <= 1e-9:
+                    target[i] = w
+                    del lookup[a]
+        if lookup:
+            return MvmReport(False, MvmViolation(_bits_node(()), "root", 1.0))
+        res = float(np.max(np.abs(vectors[()] - target)))
+        if res > tol:
+            return MvmReport(False, MvmViolation(_bits_node(()), "root", res))
+    for s in range(mvm.depth):
+        for bits in histories(s):
+            vec = vectors[bits]
+            up = vectors[bits + (1,)]
+            down = vectors[bits + (0,)]
+            res = float(np.max(np.abs(vec - 0.5 * (up + down))))
+            if res > tol:
+                return MvmReport(False, MvmViolation(_bits_node(bits), "martingale", res))
+    for s in range(mvm.depth):
+        frozen = [i for i, r in enumerate(mvm.rel_steps) if r <= s]
+        if not frozen:
+            continue
+        for bits in histories(s):
+            vec = vectors[bits]
+            for child in (bits + (1,), bits + (0,)):
+                cvec = vectors[child]
+                res = max(abs(float(vec[i] - cvec[i])) for i in frozen)
+                if res > tol:
+                    return MvmReport(False, MvmViolation(_bits_node(bits), "adapted", res))
+    for s in range(mvm.depth + 1):
+        for bits in histories(s):
+            vec = vectors[bits]
+            if float(vec.min()) < -tol:
+                return MvmReport(
+                    False, MvmViolation(_bits_node(bits), "normalized", -float(vec.min()))
+                )
+            res = abs(float(vec.sum()) - 1.0)
+            if res > tol:
+                return MvmReport(False, MvmViolation(_bits_node(bits), "normalized", res))
+    return MvmReport(True, None)
+
+
+def _reference_future(base, bits):
+    vectors = tree_dict(base)
+    if bits not in vectors:
+        raise SpliceError(f"node {bits} not in the tree")
+    future = [i for i, r in enumerate(base.rel_steps) if r > len(bits)]
+    y = vectors[bits]
+    mass = float(sum(y[i] for i in future))
+    if mass <= SPLICE_TOL:
+        raise SpliceError(f"no future mass at node {bits}")
+    return vectors, future, y, mass, [i for i in future if y[i] > DEAD_MASS]
+
+
+def reference_extract_continuation(base, bits):
+    """The dict walk the slice reads replaced."""
+    vectors, _, _, mass, keep = _reference_future(base, bits)
+    abs_step = base.start_step + len(bits)
+    times = [base.atom_times[i] for i in keep]
+    last_rel = round(times[-1] / base.dt) - abs_step
+    sub = {rel: vectors[bits + rel][keep] / mass
+           for s in range(last_rel + 1) for rel in histories(s)}
+    return tree_from_dict(base.dt, times, sub, start_step=abs_step)
+
+
+def reference_splice(base, bits, continuation):
+    """The dict walk the slice writes replaced, one node's vector-matrix product at a time."""
+    vectors, future, y, mass, keep = _reference_future(base, bits)
+    node_future = DiscreteMeasure([base.atom_times[i] for i in keep], [y[i] / mass for i in keep])
+    zeta = continuation.root_measure()
+    if not is_right_shift_of(node_future, zeta, tol=SPLICE_TOL):
+        raise SpliceError("incompatible")
+    coupling = monotone_coupling(zeta, node_future)
+    transfer = np.zeros((len(continuation.atom_times), len(base.atom_times)))
+    zeta_index = {}
+    for k, t_src in enumerate(zeta.atoms):
+        for j, t_cont in enumerate(continuation.atom_times):
+            if abs(t_cont - t_src) <= 1e-9:
+                zeta_index[k] = j
+    for k, row in enumerate(coupling.rows):
+        for cell, m in row:
+            transfer[zeta_index[k], keep[cell]] += m / zeta.weights[k]
+    past_part = np.array([y[i] if i not in future else 0.0 for i in range(len(y))])
+    cont = tree_dict(continuation)
+    new_vectors = dict(vectors)
+    level = []
+    for s in range(base.depth - len(bits) + 1):
+        if s <= continuation.depth:
+            level = [past_part + mass * (cont[rel] @ transfer) for rel in histories(s)]
+        else:
+            level = [level[code >> 1].copy() for code in range(2 ** s)]
+        new_vectors.update((bits + rel, vec) for rel, vec in zip(histories(s), level))
+    return tree_from_dict(base.dt, base.atom_times, new_vectors, start_step=base.start_step)
+
+
 KERNEL_SPECS = [
     LatticeSpec(depth=8, dt=1.0),
     LatticeSpec(depth=7, dt=1.0, augment_max=True),
@@ -98,17 +203,19 @@ class TestFromKernel:
             kernel = random_kernel(spec, atoms, rng)
             tree = from_kernel(kernel, spec)
             want = reference_from_kernel(kernel, spec)
-            assert tree.vectors.keys() == want.keys()
-            assert all(np.array_equal(tree.vectors[b], want[b]) for b in want)
+            got = tree_dict(tree)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[b], want[b]) for b in want)
 
     def test_worked_tree_vectors(self):
         tree = worked_tree()
-        assert tree.vectors[()] == pytest.approx((0.5, 0.5), abs=1e-15)
-        assert tree.vectors[(1,)] == pytest.approx((1.0, 0.0), abs=1e-15)
-        assert tree.vectors[(0,)] == pytest.approx((0.0, 1.0), abs=1e-15)
-        for leaf in tree.leaves():
+        vectors = tree_dict(tree)
+        assert vectors[()] == pytest.approx((0.5, 0.5), abs=1e-15)
+        assert vectors[(1,)] == pytest.approx((1.0, 0.0), abs=1e-15)
+        assert vectors[(0,)] == pytest.approx((0.0, 1.0), abs=1e-15)
+        for leaf in histories(tree.depth):
             expect = (1.0, 0.0) if leaf[0] == 1 else (0.0, 1.0)
-            assert tree.vectors[leaf] == pytest.approx(expect, abs=1e-15)
+            assert vectors[leaf] == pytest.approx(expect, abs=1e-15)
 
     def test_root_equals_kernel_marginal(self):
         rng = np.random.default_rng(31)
@@ -123,8 +230,9 @@ class TestFromKernel:
         rng = np.random.default_rng(32)
         spec = LatticeSpec(depth=3, dt=0.5)
         tree = from_kernel(random_kernel(spec, (0.5, 1.5), rng), spec)
-        avg = sum(tree.vectors[b] for b in tree.leaves()) / 2 ** tree.depth
-        assert avg == pytest.approx(tree.root_vector(), abs=1e-14)
+        leaves = tree.vectors[heap_row((0,) * tree.depth):]
+        assert len(leaves) == 2 ** tree.depth
+        assert leaves.sum(axis=0) / 2 ** tree.depth == pytest.approx(tree.root_vector(), abs=1e-14)
 
     def test_always_validates(self):
         rng = np.random.default_rng(33)
@@ -142,15 +250,85 @@ class TestFromKernel:
             from_kernel(kernel, spec)
 
 
+def _shifted(vectors: np.ndarray, row: int, d: np.ndarray) -> None:
+    """Add ``d`` to the node at ``row`` and to all of its descendants."""
+    k = 0
+    while ((row + 1) << k) - 1 < len(vectors):
+        vectors[((row + 1) << k) - 1:((row + 2) << k) - 1] += d
+        k += 1
+
+
+def corrupted_tree(rng):
+    """A valid law tree with a few random defects, each aimed at one property.
+
+    Returns the tree and the target law to check its root against (or None).
+    A martingale defect moves weight between two atoms of one node.  An
+    adapted or normalized defect moves weight between two atoms across a
+    whole child subtree and back across its sibling's, which keeps every mean
+    and every sum: it breaks only the freezing rule when one atom is frozen at
+    the parent, else only positivity, when the move is large.
+    """
+    depth = int(rng.integers(2, 7))
+    spec = LatticeSpec(depth=depth, dt=1.0)
+    steps = sorted(rng.choice(np.arange(1, depth + 1), size=min(3, depth), replace=False))
+    kernel = random_kernel(spec, tuple(float(s) for s in steps), rng)
+    tree = from_kernel(kernel, spec)
+    vectors = np.array(tree.vectors)
+    r = len(tree.atom_times)
+    for _ in range(int(rng.integers(1, 5))):
+        kind = rng.choice(["martingale", "subtree", "subtree"])
+        size = 10.0 ** rng.uniform(-14, -0.3)
+        d = np.zeros(r)
+        if kind == "martingale":
+            i, j = rng.choice(r, size=2, replace=False)
+            d[i], d[j] = size, -size
+            vectors[int(rng.integers(1, len(vectors)))] += d
+            continue
+        h = int(rng.integers(0, len(vectors) // 2))
+        s = len(heap_history(h))
+        frozen = [i for i in range(r) if tree.rel_steps[i] <= s]
+        ahead = [i for i in range(r) if tree.rel_steps[i] > s]
+        if frozen and rng.random() < 0.5:
+            i, j = rng.choice(frozen), rng.choice(ahead)
+        elif len(ahead) > 1:
+            i, j = rng.choice(ahead, size=2, replace=False)
+        else:
+            continue
+        d[i], d[j] = size, -size
+        _shifted(vectors, 2 * h + 2, d)
+        _shifted(vectors, 2 * h + 1, -d)
+    pick = rng.random()
+    if pick < 0.5:
+        mu = None
+    elif pick < 0.8:
+        mu = tree.root_measure()
+    elif pick < 0.9:
+        mu = random_measure(rng, tree.atom_times)
+    else:
+        mu = DiscreteMeasure((tree.atom_times[-1] + 0.5,), (1.0,))
+    return MvmTree(tree.dt, tree.atom_times, vectors), mu
+
+
 class TestValidate:
+    def test_reports_match_the_dict_walk_on_corrupted_trees(self):
+        rng = np.random.default_rng(70)
+        seen = set()
+        for _ in range(300):
+            tree, mu = corrupted_tree(rng)
+            for tol in (MARTINGALE_TOL, 1e-9, 1e-5):
+                want = reference_validate(tree, mu, tol)
+                assert validate(tree, mu, tol) == want
+                seen.add(want.violation.prop if want.violation else "ok")
+        assert seen == {"ok", "root", "martingale", "adapted", "normalized"}
+
     def test_constant_tree_is_valid(self):
         report = validate(constant_tree((0.5, 0.5)))
         assert report.ok
 
     def test_martingale_violation_reported_at_parent(self):
         tree = constant_tree((0.5, 0.5))
-        vectors = {b: v.copy() for b, v in tree.vectors.items()}
-        vectors[(1,)] = vectors[(1,)] + np.array([1e-3, -1e-3])
+        vectors = np.array(tree.vectors)
+        vectors[heap_row((1,))] += [1e-3, -1e-3]
         bad = MvmTree(1.0, tree.atom_times, vectors)
         report = validate(bad)
         assert not report.ok
@@ -160,14 +338,13 @@ class TestValidate:
 
     def test_lowest_code_reported_among_one_steps_violations(self):
         # Both step-2 parents (1, 1) and (0, 1) break the martingale property;
-        # the one with the lower code is reported, whatever order the dict
-        # was filled in (here up-first, as a forward sweep fills it).
+        # the one with the lower code is reported, although its residual is
+        # the larger one.
         tree = constant_tree((0.5, 0.5), atoms=(1.0, 3.0), depth=3)
-        up_first = sorted(tree.vectors, key=lambda b: (len(b), [1 - x for x in b]))
-        vectors = {bits: tree.vectors[bits].copy() for bits in up_first}
+        vectors = np.array(tree.vectors)
         for parent, nudge in (((1, 1), 1e-3), ((0, 1), 2e-3)):
             for child in (parent + (1,), parent + (0,)):
-                vectors[child] = vectors[child] + np.array([nudge, -nudge])
+                vectors[heap_row(child)] += [nudge, -nudge]
         report = validate(MvmTree(1.0, tree.atom_times, vectors))
         assert report.violation.prop == "martingale"
         assert report.violation.node.history == (0, 1)
@@ -177,9 +354,9 @@ class TestValidate:
         # Mirror-image nudges on the two children keep their average intact,
         # so only the freezing rule trips.
         tree = constant_tree((0.5, 0.5))
-        vectors = {b: v.copy() for b, v in tree.vectors.items()}
-        vectors[(1, 1)] = vectors[(1, 1)] + np.array([1e-3, -1e-3])
-        vectors[(1, 0)] = vectors[(1, 0)] + np.array([-1e-3, 1e-3])
+        vectors = np.array(tree.vectors)
+        vectors[heap_row((1, 1))] += [1e-3, -1e-3]
+        vectors[heap_row((1, 0))] += [-1e-3, 1e-3]
         bad = MvmTree(1.0, tree.atom_times, vectors)
         report = validate(bad)
         assert not report.ok
@@ -189,8 +366,7 @@ class TestValidate:
 
     def test_negative_weight_is_normalization_violation(self):
         tree = constant_tree((0.5, 0.5))
-        vectors = {b: np.array([1.1, -0.1]) for b in tree.vectors}
-        bad = MvmTree(1.0, tree.atom_times, vectors)
+        bad = MvmTree(1.0, tree.atom_times, np.tile([1.1, -0.1], (len(tree.vectors), 1)))
         report = validate(bad)
         assert not report.ok
         assert report.violation.prop == "normalized"
@@ -214,19 +390,19 @@ class TestTermination:
         tree = constant_tree((0.0, 1.0))
         report = termination(tree)
         assert report.terminating
-        assert set(report.tau.values()) == {2.0}
+        assert set(report.tau.tolist()) == {2.0}
 
     def test_diffuse_tree_does_not(self):
         report = termination(constant_tree((0.5, 0.5)))
         assert not report.terminating
         assert report.tau is None
-        assert report.first_diffuse is not None
+        assert report.first_diffuse == NodeId(step=2, history=(0, 0))
 
     def test_worked_tree_stopping_times(self):
         report = termination(worked_tree())
         assert report.terminating
-        for bits, t in report.tau.items():
-            assert t == (1.0 if bits[0] == 1 else 2.0)
+        for leaf, t in zip(histories(2), report.tau):
+            assert t == (1.0 if leaf[0] == 1 else 2.0)
 
     def test_pure_kernels_make_terminating_trees(self):
         rng = np.random.default_rng(34)
@@ -280,6 +456,13 @@ class TestKernelRoundTrip:
             to_kernel(cont)
 
 
+def point_mass_continuation(cont: MvmTree) -> MvmTree:
+    """All of the future at the continuation's first atom: a right shift of any law ahead."""
+    depth = round(cont.atom_times[0] / cont.dt) - cont.start_step
+    return MvmTree(cont.dt, cont.atom_times[:1], np.ones((2 ** (depth + 1) - 1, 1)),
+                   start_step=cont.start_step)
+
+
 class TestSplice:
     def make_base(self, seed=37):
         rng = np.random.default_rng(seed)
@@ -288,32 +471,62 @@ class TestSplice:
         kernel = feasible_kernel(spec, mu, rng)
         return spec, mu, from_kernel(kernel, spec)
 
+    def test_surgery_matches_the_dict_walk(self):
+        rng = np.random.default_rng(71)
+        spliced = 0
+        for _ in range(80):
+            depth = int(rng.integers(2, 7))
+            spec = LatticeSpec(depth=depth, dt=0.5, augment_max=bool(rng.integers(0, 2)))
+            steps = sorted(rng.choice(np.arange(1, depth + 1), size=min(3, depth), replace=False))
+            base = from_kernel(random_kernel(spec, tuple(0.5 * s for s in steps), rng), spec)
+            bits = tuple(int(b) for b in rng.integers(0, 2, size=int(rng.integers(0, base.depth))))
+            try:
+                want = reference_extract_continuation(base, bits)
+            except SpliceError:
+                with pytest.raises(SpliceError):
+                    extract_continuation(base, bits)
+                continue
+            got = extract_continuation(base, bits)
+            assert (got.dt, got.atom_times, got.start_step) == (want.dt, want.atom_times,
+                                                                 want.start_step)
+            assert np.array_equal(got.vectors, want.vectors)
+            flat = MvmTree(got.dt, got.atom_times,
+                           np.tile(got.root_vector(), (len(got.vectors), 1)),
+                           start_step=got.start_step)
+            for cont in (got, flat, point_mass_continuation(got)):
+                assert np.array_equal(splice(base, bits, cont).vectors,
+                                      reference_splice(base, bits, cont).vectors)
+                spliced += 1
+        assert spliced >= 150
+
+    def test_missing_node_rejected(self):
+        _, _, base = self.make_base()
+        for bits in ((0, 1, 1, 0), (2,)):
+            with pytest.raises(SpliceError, match="not in the tree"):
+                extract_continuation(base, bits)
+
     def test_self_splice_is_identity(self):
         _, _, base = self.make_base()
         cont = extract_continuation(base, (1,))
         again = splice(base, (1,), cont)
-        for bits, vec in base.vectors.items():
-            assert again.vectors[bits] == pytest.approx(vec, abs=1e-12)
+        assert again.vectors == pytest.approx(base.vectors, abs=1e-12)
 
     def test_point_mass_continuation_validates(self):
         tree = worked_tree()
-        cont = MvmTree(1.0, (2.0,), {(): np.array([1.0]), (1,): np.array([1.0]),
-                                     (0,): np.array([1.0])}, start_step=1)
+        cont = MvmTree(1.0, (2.0,), np.ones((3, 1)), start_step=1)
         again = splice(tree, (0,), cont)
         assert validate(again, mu=tree.root_measure()).ok
-        for bits, vec in tree.vectors.items():
-            assert again.vectors[bits] == pytest.approx(vec, abs=1e-12)
+        assert again.vectors == pytest.approx(tree.vectors, abs=1e-12)
 
     def test_incompatible_root_law_rejected(self):
         tree = worked_tree()
-        cont = MvmTree(1.0, (2.0,), {(): np.array([1.0]), (1,): np.array([1.0]),
-                                     (0,): np.array([1.0])}, start_step=1)
+        cont = MvmTree(1.0, (2.0,), np.ones((3, 1)), start_step=1)
         with pytest.raises(SpliceError):
             splice(tree, (1,), cont)  # future mass at that node is zero
 
     def test_wrong_start_step_rejected(self):
         tree = worked_tree()
-        cont = MvmTree(1.0, (2.0,), {(): np.array([1.0])}, start_step=2)
+        cont = MvmTree(1.0, (2.0,), [[1.0]], start_step=2)
         with pytest.raises(SpliceError):
             splice(tree, (0,), cont)
 
@@ -321,11 +534,12 @@ class TestSplice:
         spec, mu, base = self.make_base(seed=38)
         bits = (0,)
         cont = extract_continuation(base, bits)
-        flat = {b: cont.vectors[()].copy() for b in cont.vectors}
+        flat = np.tile(cont.root_vector(), (len(cont.vectors), 1))
         flat_tree = MvmTree(cont.dt, cont.atom_times, flat, start_step=cont.start_step)
         again = splice(base, bits, flat_tree)
         assert validate(again, mu=mu).ok
-        assert again.vectors[bits] == pytest.approx(base.vectors[bits], abs=1e-12)
+        row = heap_row(bits)
+        assert again.vectors[row] == pytest.approx(base.vectors[row], abs=1e-12)
 
     def test_improving_both_halves_never_hurts(self):
         # Swap in the best member of a one-parameter continuation family at
@@ -348,7 +562,7 @@ class TestSplice:
         z2 = float(zeta[0])
         lo, hi = max(0.0, 2.0 * z2 - 1.0), min(1.0, 2.0 * z2)
         best, best_val = None, -np.inf
-        params = list(np.linspace(lo, hi, 41)) + [float(incumbent.vectors[(1,)][0])]
+        params = list(np.linspace(lo, hi, 41)) + [float(incumbent.vectors[heap_row((1,))][0])]
         for a in params:
             b = 2.0 * z2 - a
             if not (-1e-12 <= b <= 1.0 + 1e-12):
@@ -360,8 +574,8 @@ class TestSplice:
                     (1, 0): np.array([a, 1.0 - a]),
                     (0, 1): np.array([b, 1.0 - b]),
                     (0, 0): np.array([b, 1.0 - b])}
-            cand = MvmTree(tree.dt, incumbent.atom_times, vecs,
-                           start_step=incumbent.start_step)
+            cand = tree_from_dict(tree.dt, incumbent.atom_times, vecs,
+                                  start_step=incumbent.start_step)
             spliced = splice(tree, bits, cand)
             val = accumulate(spliced, spec, INDICATOR).leaf_expectation()
             if val > best_val:
@@ -377,15 +591,16 @@ class TestAccumulate:
         cost = CostSpec(kind="terminal", name="abs")
         acc = accumulate(tree, spec, cost, y0=0.3)
         hist = LatticeSpec(depth=tree.depth, dt=tree.dt, mode="history")
+        vectors = tree_dict(tree)
         want = {(): 0.3}
-        for bits in sorted(tree.vectors, key=len):
+        for bits in sorted(vectors, key=len):
             if bits:
                 want[bits] = want[bits[:-1]]
                 if len(bits) in tree.rel_steps:
                     i = tree.rel_steps.index(len(bits))
                     node = NodeId(step=len(bits), history=bits)
-                    want[bits] += evaluate(cost, state(hist, node)) * float(tree.vectors[bits][i])
-        assert acc.y == want
+                    want[bits] += evaluate(cost, state(hist, node)) * float(vectors[bits][i])
+        assert acc.y.tolist() == [want[heap_history(h)] for h in range(len(acc.y))]
         leaves = [want[b] for b in histories(tree.depth)]
         assert acc.leaf_expectation() == math.fsum(leaves) / 2 ** tree.depth
         assert acc.leaf_expectation() == pytest.approx(sum(leaves) / 2 ** tree.depth,
@@ -395,10 +610,10 @@ class TestAccumulate:
         tree = worked_tree()
         spec = LatticeSpec(depth=2, dt=1.0)
         acc = accumulate(tree, spec, INDICATOR)
-        assert acc.y[(1, 1)] == pytest.approx(1.0, abs=1e-15)
-        assert acc.y[(1, 0)] == pytest.approx(1.0, abs=1e-15)
-        assert acc.y[(0, 1)] == pytest.approx(0.0, abs=1e-15)
-        assert acc.y[(0, 0)] == pytest.approx(0.0, abs=1e-15)
+        assert acc.y[heap_row((1, 1))] == pytest.approx(1.0, abs=1e-15)
+        assert acc.y[heap_row((1, 0))] == pytest.approx(1.0, abs=1e-15)
+        assert acc.y[heap_row((0, 1))] == pytest.approx(0.0, abs=1e-15)
+        assert acc.y[heap_row((0, 0))] == pytest.approx(0.0, abs=1e-15)
         assert acc.leaf_expectation() == pytest.approx(0.5, abs=1e-15)
 
     def test_flat_before_first_atom(self):
@@ -407,9 +622,8 @@ class TestAccumulate:
         kernel = random_kernel(spec, (2.0, 3.0), rng)
         acc = accumulate(from_kernel(kernel, spec), spec,
                          CostSpec(kind="terminal", name="square"), y0=0.0)
-        for bits, val in acc.y.items():
-            if len(bits) < 2:
-                assert val == 0.0
+        # Steps 0 and 1 are the first three heap rows.
+        assert acc.y[:3].tolist() == [0.0, 0.0, 0.0]
 
     def test_martingale_driver_accumulates_to_zero(self):
         rng = np.random.default_rng(41)
@@ -429,53 +643,84 @@ class TestAccumulate:
         assert acc.leaf_expectation() == pytest.approx(expect, abs=1e-12)
 
 
+def payload(tree: MvmTree) -> dict:
+    return json.loads(json.dumps(mvm_to_json(tree)))
+
+
 class TestConstruction:
     def test_missing_vector(self):
-        tree = constant_tree((0.5, 0.5))
-        vectors = dict(tree.vectors)
-        del vectors[(1, 0)]
-        with pytest.raises(ValidationError):
-            MvmTree(1.0, tree.atom_times, vectors)
+        data = payload(constant_tree((0.5, 0.5)))
+        del data["nodes"]["UD"]
+        with pytest.raises(ValidationError, match="1 of the 7 histories up to the deepest"):
+            mvm_from_json(data)
 
     def test_wrong_vector_length(self):
+        data = payload(constant_tree((0.5, 0.5)))
+        data["nodes"]["U"] = [1.0]
+        with pytest.raises(ValidationError, match="must be a list of 2 numbers"):
+            mvm_from_json(data)
+
+    def test_array_of_the_wrong_shape(self):
         tree = constant_tree((0.5, 0.5))
-        vectors = dict(tree.vectors)
-        vectors[(1,)] = np.array([1.0])
-        with pytest.raises(ValidationError):
-            MvmTree(1.0, tree.atom_times, vectors)
+        for shape in ((6, 2), (7, 1), (7, 2, 1), (14,)):
+            with pytest.raises(ValidationError, match=r"expected \(7, 2\)"):
+                MvmTree(1.0, tree.atom_times, np.full(shape, 0.5))
 
     def test_vectors_beyond_last_atom(self):
-        tree = constant_tree((0.5, 0.5))
-        vectors = dict(tree.vectors)
-        vectors[(1, 1, 1)] = np.array([0.5, 0.5])
-        with pytest.raises(ValidationError):
-            MvmTree(1.0, tree.atom_times, vectors)
+        data = payload(constant_tree((0.5, 0.5)))
+        data["nodes"]["UUU"] = [0.5, 0.5]
+        with pytest.raises(ValidationError, match="7 of the 15 histories"):
+            mvm_from_json(data)
+        # A whole extra step: no gap, but one step more than the atoms reach.
+        data = payload(constant_tree((0.5, 0.5), atoms=(1.0, 3.0), depth=3))
+        data["atom_times"] = [1.0, 2.0]
+        with pytest.raises(ValidationError, match=r"shape \(15, 2\), expected \(7, 2\)"):
+            mvm_from_json(data)
 
     def test_non_history_key_with_the_right_count(self):
-        # Two keys of length one, as at every complete step 1, but (2,) is no history.
-        with pytest.raises(ValidationError, match="missing at step 1"):
-            MvmTree(1.0, (1.0,), {(): [1.0], (1,): [1.0], (2,): [1.0]})
+        # Three keys, as in a complete depth-1 tree, but "X" is no history.
+        with pytest.raises(ValidationError, match="U/D"):
+            mvm_from_json({"dt": 1.0, "atom_times": [1.0],
+                           "nodes": {"": [1.0], "U": [1.0], "X": [1.0]}})
 
     def test_extra_key_beside_a_complete_tree(self):
-        tree = constant_tree((0.5, 0.5))
-        vectors = dict(tree.vectors)
-        vectors[(2,)] = np.array([0.5, 0.5])
-        with pytest.raises(ValidationError, match="1 vectors keyed by something other"):
-            MvmTree(1.0, tree.atom_times, vectors)
+        data = payload(constant_tree((0.5, 0.5)))
+        data["nodes"]["X"] = [0.5, 0.5]
+        with pytest.raises(ValidationError, match="U/D"):
+            mvm_from_json(data)
 
     def test_off_grid_atom_time(self):
         with pytest.raises(ValidationError):
-            MvmTree(1.0, (1.5,), {(): np.array([1.0]), (1,): np.array([1.0]),
-                                  (0,): np.array([1.0])})
+            MvmTree(1.0, (1.5,), np.ones((3, 1)))
 
     def test_atom_before_start(self):
         with pytest.raises(ValidationError):
-            MvmTree(1.0, (1.0,), {(): np.array([1.0])}, start_step=2)
+            MvmTree(1.0, (1.0,), [[1.0]], start_step=2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights(self, value):
+        vectors = np.ones((3, 1))
+        vectors[1, 0] = value
+        with pytest.raises(ValidationError, match="finite"):
+            MvmTree(1.0, (1.0,), vectors)
+
+    @pytest.mark.parametrize("start_step", [2.7, 2.0, True, "2", -1])
+    def test_start_step_is_a_non_negative_int(self, start_step):
+        with pytest.raises(ValidationError, match="start_step"):
+            MvmTree(1.0, (3.0,), np.ones((3, 1)), start_step=start_step)
 
     def test_immutable(self):
         tree = constant_tree((0.5, 0.5))
         with pytest.raises(AttributeError):
             tree.dt = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            tree.vectors[0, 0] = 1.0
+
+    def test_built_from_a_copy(self):
+        vectors = np.full((7, 2), 0.5)
+        tree = MvmTree(1.0, (1.0, 2.0), vectors)
+        vectors[0, 0] = 1.0
+        assert validate(tree).ok
 
 
 class TestJson:
@@ -486,8 +731,25 @@ class TestJson:
         again = mvm_from_json(mvm_to_json(tree))
         assert again.atom_times == tree.atom_times
         assert again.start_step == tree.start_step
-        for bits, vec in tree.vectors.items():
-            assert again.vectors[bits] == pytest.approx(vec, abs=0)
+        assert np.array_equal(again.vectors, tree.vectors)
+
+    def test_continuation_round_trip(self):
+        rng = np.random.default_rng(44)
+        spec = LatticeSpec(depth=4, dt=1.0)
+        base = from_kernel(random_kernel(spec, (1.0, 3.0, 4.0), rng), spec)
+        cont = extract_continuation(base, (1,))
+        again = mvm_from_json(payload(cont))
+        assert (again.start_step, again.atom_times) == (1, cont.atom_times)
+        assert np.array_equal(again.vectors, cont.vectors)
+
+    def test_depth_12_policy_round_trip_is_exact(self):
+        spec = LatticeSpec(depth=12, dt=1.0)
+        mu = DiscreteMeasure((4.0, 8.0, 12.0), (0.3, 0.3, 0.4))
+        tree = extract_policy(solve(spec, CostSpec(kind="terminal", name="abs"), mu, 10))
+        assert tree.vectors.shape == (2 ** 13 - 1, 3)
+        again = mvm_from_json(payload(tree))
+        assert (again.dt, again.atom_times, again.depth) == (tree.dt, tree.atom_times, 12)
+        assert np.array_equal(again.vectors, tree.vectors)
 
     def test_bad_keys(self):
         with pytest.raises(ValidationError):
@@ -495,3 +757,24 @@ class TestJson:
                            "nodes": {"X": [1.0]}})
         with pytest.raises(ValidationError):
             mvm_from_json({"dt": 1.0})
+        with pytest.raises(ValidationError, match="U/D"):
+            mvm_from_json({"dt": 1.0, "atom_times": [1.0], "nodes": {0: [1.0]}})
+
+    @pytest.mark.parametrize("field,value", [
+        ("nan_weights", float("nan")),
+        ("start_step", 2.7),
+        ("start_step", "a"),
+        ("dt", "abc"),
+        ("weight", "x"),
+    ])
+    def test_malformed_payload_is_a_validation_error(self, field, value):
+        data = {"dt": 1.0, "atom_times": [3.0], "start_step": 2,
+                "nodes": {"": [1.0], "U": [1.0], "D": [1.0]}}
+        if field == "nan_weights":
+            data["nodes"] = {key: [value] for key in data["nodes"]}
+        elif field == "weight":
+            data["nodes"]["U"] = [value]
+        else:
+            data[field] = value
+        with pytest.raises(ValidationError):
+            mvm_from_json(data)
