@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .cost import cost_from_json
-from .errors import ConfigError, DcstopError, finite_number
+from .errors import ConfigError, DcstopError, finite_number, is_integer
 from .lattice import atom_steps, spec_from_json
 from .measures import measure_from_json, measure_to_json
 from .mvm import accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel, validate
@@ -78,16 +78,12 @@ def _parse_instance(config: dict):
     return spec, cost, mu
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _solver_options(config: dict) -> dict:
     solver = config.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver: must be an object")
     resolution = solver.get("resolution", 40)
-    if not _is_int(resolution) or resolution < 1:
+    if not is_integer(resolution) or resolution < 1:
         raise ConfigError("solver: resolution must be a positive integer")
     debug = solver.get("debug", False)
     if not isinstance(debug, bool):
@@ -97,7 +93,7 @@ def _solver_options(config: dict) -> dict:
 
 def _seed(config: dict) -> int:
     seed = config.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigError("seed: must be a non-negative integer")
     return seed
 
@@ -240,7 +236,7 @@ def cmd_simulate(args) -> int:
     if not isinstance(sim, dict):
         raise ConfigError("simulate: must be an object")
     n_paths = sim.get("paths", 100_000)
-    if not _is_int(n_paths) or n_paths < 1:
+    if not is_integer(n_paths) or n_paths < 1:
         raise ConfigError("simulate: paths must be a positive integer")
     check_sim_paths(n_paths)
     seed = _seed(config)

@@ -38,9 +38,8 @@ from .lattice import (
     LatticeSpec,
     NodeId,
     atom_steps,
+    child_positions,
     children,
-    histories,
-    node_of_history,
     nodes_at_step,
     root,
     state,
@@ -505,30 +504,27 @@ def extract_policy(table: ValueTable) -> MvmTree:
     steps = table.steps
     horizon = steps[-1]
     check_policy_depth(horizon)
-    split_memo: dict[NodeId, ConcavePL] = {}
-
-    def split_fn(bits: tuple[int, ...]) -> ConcavePL:
-        node = node_of_history(spec, bits)
-        if node not in split_memo:
-            split_memo[node] = _continuation(
-                spec, node, lambda child: table.reps[(child.step, child)], want_prov=True
-            )
-        return split_memo[node]
-
     # One row per history in heap order: row h has its children at rows
-    # 2h + 1 (down) and 2h + 2 (up).
+    # 2h + 1 (down) and 2h + 2 (up).  ``at`` holds each row's node position,
+    # so the histories that reach one node share its split.
     vectors = np.empty((2 ** (horizon + 1) - 1, len(steps)))
     vectors[0] = _mu_vector(table.mu)
+    at = np.zeros(1, dtype=np.intp)
     for s in range(horizon):
         live = [j for j, step in enumerate(steps) if step > s]
-        for h, bits in enumerate(histories(s), start=2 ** s - 1):
+        nodes, splits = nodes_at_step(spec, s), {}
+        for h, pos in enumerate(at.tolist(), start=2 ** s - 1):
             vec = vectors[h]
             vectors[2 * h + 1] = vectors[2 * h + 2] = vec
             mass = float(vec[live].sum())
             if mass > 1e-14:
-                p, _ = _facet_split(split_fn(bits), vec[live] / mass)
+                if pos not in splits:
+                    splits[pos] = _continuation(
+                        spec, nodes[pos], lambda c: table.reps[(c.step, c)], want_prov=True)
+                p, _ = _facet_split(splits[pos], vec[live] / mass)
                 vectors[2 * h + 2, live] = mass * p
                 vectors[2 * h + 1, live] = 2.0 * vec[live] - vectors[2 * h + 2, live]
+        at = child_positions(spec, s)[at].ravel()
     return MvmTree(spec.dt, table.mu.atoms, vectors)
 
 

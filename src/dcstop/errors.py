@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number check of every config reader."""
+"""Exception types shared across the package, and the number checks every reader shares."""
 
 import numbers
 import sys
@@ -38,6 +38,11 @@ class SpliceError(DcstopError):
 
 class SizeGuardError(DcstopError):
     """An exact computation was requested beyond its supported size."""
+
+
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool: ``true`` in a config is never a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def finite_number(value, what: str) -> float:

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .errors import ConfigError, CoverageError, NoChildrenError, ValidationError, finite_number
+import numpy as np
+
+from .errors import (
+    ConfigError,
+    CoverageError,
+    NoChildrenError,
+    ValidationError,
+    finite_number,
+    is_integer,
+)
 
 MODES = ("recombining", "history")
 # Full history enumeration beyond this depth is refused outright.
@@ -178,20 +187,54 @@ def node_prob(spec: LatticeSpec, node: NodeId) -> float:
 
 
 def nodes_at_step(spec: LatticeSpec, step: int) -> list[NodeId]:
-    """All nodes of positive probability at ``step``, in a fixed deterministic order."""
+    """All nodes of positive probability at ``step``, in position order.
+
+    A node's *position* is its index in this list, and every per-step array
+    (kernel hazards, child maps, Monte Carlo states) is indexed by it.  A
+    history node's position is its binary code (see ``histories``), a plain
+    recombining node's is ``(level + step) // 2``, and a max-augmented node's
+    is its rank in the order of ``(level, max_level)``.
+    """
     if step < 0 or step > spec.depth:
         raise CoverageError(f"step {step} outside lattice of depth {spec.depth}")
     if spec.mode == "history":
         return [NodeId(step=step, history=bits) for bits in histories(step)]
-    out = []
-    for level in range(-step, step + 1, 2):
-        if spec.augment_max:
-            for m in range(max(level, 0), step + 1):
-                if paths_with_max(step, level, m) > 0:
-                    out.append(NodeId(step=step, level=level, max_level=m))
-        else:
-            out.append(NodeId(step=step, level=level))
-    return out
+    if spec.augment_max:
+        return [NodeId(step=step, level=level, max_level=m) for level, m in _level_max(step)]
+    return [NodeId(step=step, level=level) for level in range(-step, step + 1, 2)]
+
+
+def _level_max(step: int) -> list[tuple[int, int]]:
+    """``(level, max_level)`` of every max-augmented node at ``step``, in position order."""
+    # A walk that peaks at m and ends at level l makes at least m + (m - l) moves.
+    return [(level, m) for level in range(-step, step + 1, 2)
+            for m in range(max(level, 0), (step + level) // 2 + 1)]
+
+
+def node_count(spec: LatticeSpec, step: int) -> int:
+    """``len(nodes_at_step(spec, step))``, without building the nodes."""
+    if spec.mode == "history":
+        return 2 ** step
+    return len(_level_max(step)) if spec.augment_max else step + 1
+
+
+def child_positions(spec: LatticeSpec, step: int) -> np.ndarray:
+    """Where each node of ``step`` moves one step on, as an ``(n, 2)`` int array.
+
+    Row ``p`` holds the positions at ``step + 1`` of the down child (column 0)
+    and of the up child (column 1) of the node at position ``p``, so a path
+    at ``pos`` that moves ``up_bit`` lands at ``child[pos, up_bit]``.  Every
+    node at ``step + 1`` is the child of one or two nodes, never more.
+    """
+    if step < 0 or step >= spec.depth:
+        raise NoChildrenError(f"step {step} has no children at depth {spec.depth}")
+    if spec.mode == "history":
+        return 2 * np.arange(2 ** step)[:, None] + np.arange(2)
+    if not spec.augment_max:
+        return np.arange(step + 1)[:, None] + np.arange(2)
+    index = {pair: p for p, pair in enumerate(_level_max(step + 1))}
+    return np.array([[index[level - 1, m], index[level + 1, max(m, level + 1)]]
+                     for level, m in _level_max(step)])
 
 
 def histories(n: int) -> Iterator[tuple[int, ...]]:
@@ -258,12 +301,6 @@ def project_to_recombining(spec: LatticeSpec, node: NodeId) -> NodeId:
     return NodeId(step=node.step, level=level)
 
 
-def node_of_history(spec: LatticeSpec, bits: tuple[int, ...]) -> NodeId:
-    """The node of ``spec`` that the driver path prefix ``bits`` reaches."""
-    node = NodeId(step=len(bits), history=bits)
-    return node if spec.mode == "history" else project_to_recombining(spec, node)
-
-
 def time_to_step(spec: LatticeSpec, t: float) -> int:
     """Map a time onto the step grid, refusing off-grid times."""
     ratio = t / spec.dt
@@ -325,10 +362,10 @@ def node_to_json(node: NodeId) -> dict:
 
 
 def node_from_json(data: dict) -> NodeId:
+    ints = {key: data[key] for key in ("step", "level", "max_level") if key in data}
+    for key, value in ints.items():
+        if not is_integer(value):
+            raise ValidationError(f"node {key} must be an integer, got {value!r}")
     if "history" in data:
-        return NodeId(step=int(data["step"]), history=history_from_str(data["history"]))
-    return NodeId(
-        step=int(data["step"]),
-        level=int(data["level"]),
-        max_level=int(data["max_level"]) if "max_level" in data else None,
-    )
+        return NodeId(step=data["step"], history=history_from_str(data["history"]))
+    return NodeId(step=data["step"], level=data["level"], max_level=ints.get("max_level"))

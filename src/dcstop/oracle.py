@@ -269,17 +269,16 @@ def lp_solution_to_kernel(problem: LpProblem, solution: LpSolution) -> StoppingK
     steps = problem.steps
     hist = LatticeSpec(depth=steps[-1], dt=problem.spec.dt, mode="history")
     offsets = list(accumulate((2 ** s for s in steps), initial=0))
-    x = [float(v) for v in solution.x]
-    q: dict[NodeId, float] = {}
-    for i, s in enumerate(steps):
-        final = i == len(steps) - 1
-        for code, bits in enumerate(histories(s)):
-            node = NodeId(step=s, history=bits)
-            remaining = 1.0 - sum(x[offsets[j] + (code >> (s - steps[j]))] for j in range(i))
-            if final:
-                q[node] = 1.0
-            elif remaining <= 1e-12:
-                q[node] = 0.0
-            else:
-                q[node] = min(1.0, max(0.0, x[offsets[i] + code] / remaining))
+    x = np.asarray(solution.x, dtype=float)
+    q = []
+    for i, s in enumerate(steps[:-1]):
+        codes = np.arange(2 ** s)
+        # Mass the earlier atoms stopped on each path, added in atom order.
+        remaining = 1.0 - sum(x[offsets[j] + (codes >> (s - steps[j]))] for j in range(i))
+        dead = remaining <= 1e-12
+        ratio = x[offsets[i]:offsets[i + 1]] / np.where(dead, 1.0, remaining)
+        # min(1, max(0, ratio)), where a ratio of -0.0 reads as 0.0.
+        ratio = np.where(ratio > 0.0, ratio, 0.0)
+        q.append(np.where(dead, 0.0, np.where(ratio < 1.0, ratio, 1.0)))
+    q.append(np.ones(2 ** steps[-1]))
     return StoppingKernel(hist, problem.mu.atoms, q)

@@ -3,13 +3,14 @@
 A kernel assigns each node at an atom step a stop probability ``q`` meaning:
 conditional on having reached the node without stopping, stop there with
 probability ``q``.  The final atom always has ``q = 1``, so the rule is a
-probability distribution over the atom times on every path.  Keying ``q`` by
-node makes adaptedness structural: a decision can only read the path so far.
+probability distribution over the atom times on every path.  Indexing ``q`` by
+node position (see ``lattice.nodes_at_step``) makes adaptedness structural: a
+decision can only read the node, that is, the path so far.
 
-The module computes exact marginals and objective values by a forward sweep,
-re-routes stop mass rightward along a monotone coupling (the push-right
-construction used by the stability bounds), and simulates kernels with a
-seeded vectorized Monte Carlo.
+The module computes exact marginals and objective values by a forward sweep
+over per-step arrays, re-routes stop mass rightward along a monotone coupling
+(the push-right construction used by the stability bounds), and simulates
+kernels with a seeded vectorized Monte Carlo that tracks one position per path.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostSpec, evaluate
-from .errors import RightShiftError, SizeGuardError, ValidationError
+from .errors import ConfigError, RightShiftError, SizeGuardError, ValidationError, finite_number
 from .lattice import (
     LatticeSpec,
-    NodeId,
     atom_steps,
-    children,
+    child_positions,
+    node_count,
     node_from_json,
     node_to_json,
     nodes_at_step,
-    root,
     state,
+    time_to_step,
 )
 from .measures import (
     ATOM_MERGE_TOL,
@@ -49,37 +50,43 @@ SIM_PATH_LIMIT = 10 ** 8
 
 
 class StoppingKernel:
-    """Hazard-form stopping rule over a fixed atom set on a fixed lattice."""
+    """Hazard-form stopping rule over a fixed atom set on a fixed lattice.
+
+    ``q[i]`` (read-only) holds the stop probability at every node of atom
+    ``i``'s step, indexed by the node's position there.
+    """
 
     __slots__ = ("spec", "atom_times", "q")
 
-    def __init__(self, spec: LatticeSpec, atom_times, q: dict[NodeId, float]):
+    def __init__(self, spec: LatticeSpec, atom_times, q):
         times = tuple(float(t) for t in atom_times)
-        if any(b - a <= 0 for a, b in zip(times, times[1:])):
-            raise ValidationError("atom times must be strictly increasing")
+        if not times or any(b - a <= 0 for a, b in zip(times, times[1:])):
+            raise ValidationError("atom times must be nonempty and strictly increasing")
         steps = atom_steps(spec, times)
-        clean: dict[NodeId, float] = {}
-        step_set = set(steps)
-        for node, value in q.items():
-            if node.step not in step_set:
-                raise ValidationError(f"kernel entry at non-atom step {node.step}")
-            v = float(value)
-            if v < -Q_SNAP_TOL or v > 1.0 + Q_SNAP_TOL:
-                raise ValidationError(f"stop probability {v} outside [0, 1] at {node}")
-            clean[node] = min(max(v, 0.0), 1.0)
-        for i, s in enumerate(steps):
-            for node in nodes_at_step(spec, s):
-                if node not in clean:
-                    raise ValidationError(f"kernel missing entry for {node}")
-                if i == len(steps) - 1:
-                    if abs(clean[node] - 1.0) > Q_SNAP_TOL:
-                        raise ValidationError(
-                            f"final atom must stop surely, got q={clean[node]} at {node}"
-                        )
-                    clean[node] = 1.0
+        if len(q) != len(steps):
+            raise ValidationError(f"kernel has {len(q)} stop arrays for {len(steps)} atoms")
+        clean = []
+        for s, values in zip(steps, q):
+            arr = np.array(values, dtype=float)
+            if arr.shape != (node_count(spec, s),):
+                raise ValidationError(
+                    f"step {s} has {node_count(spec, s)} nodes, got q of shape {arr.shape}")
+            final = s == steps[-1]
+            # NaN fails every comparison, so it is refused along with the rest.
+            ok = (np.abs(arr - 1.0) <= Q_SNAP_TOL if final
+                  else (arr >= -Q_SNAP_TOL) & (arr <= 1.0 + Q_SNAP_TOL))
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                need = "1: the final atom must stop surely" if final else "a number in [0, 1]"
+                raise ValidationError(
+                    f"q = {arr[bad[0]]} at position {bad[0]} of step {s} must be {need}")
+            arr = np.ones(arr.size) if final else np.where(
+                arr < 0.0, 0.0, np.where(arr > 1.0, 1.0, arr))
+            arr.flags.writeable = False
+            clean.append(arr)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "atom_times", times)
-        object.__setattr__(self, "q", clean)
+        object.__setattr__(self, "q", tuple(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("StoppingKernel is immutable")
@@ -90,72 +97,65 @@ class StoppingKernel:
         return (
             self.spec == other.spec
             and self.atom_times == other.atom_times
-            and self.q == other.q
+            and all(np.array_equal(a, b) for a, b in zip(self.q, other.q))
         )
 
     def steps(self) -> list[int]:
         return atom_steps(self.spec, self.atom_times)
 
 
-def _check_same_lattice(kernel: StoppingKernel, spec: LatticeSpec):
+def check_same_lattice(kernel: StoppingKernel, spec: LatticeSpec):
+    """Refuse a kernel built for another lattice, where its positions name other nodes."""
     if kernel.spec != spec:
         raise ValidationError("kernel was built for a different lattice")
 
 
-def _advance(spec: LatticeSpec, alive) -> dict:
-    """Mass one driver step on: each ``(node, mass)`` sends half to each child.
+def _advance(child: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Mass one driver step on: each position sends half its mass to each child.
 
-    Children are filled in the order the pairs come, up before down, and
-    ``mass`` may be a float or an array of masses.
+    ``child`` is the step's ``lattice.child_positions``; ``mass`` has one
+    entry, or one row, per position.  A node has at most two parents, so each
+    sum has at most two terms and comes out the same in any order.
     """
-    nxt = {}
-    for node, mass in alive:
-        for child in children(spec, node):
-            nxt[child] = nxt.get(child, 0.0) + 0.5 * mass
-    return nxt
+    if mass.ndim == 2:
+        return np.stack([_advance(child, col) for col in mass.T], axis=1)
+    return np.bincount(child.ravel(), np.repeat(0.5 * mass, 2))
 
 
-def _forward_stops(kernel: StoppingKernel, spec: LatticeSpec) -> list[dict[NodeId, float]]:
+def _forward_stops(kernel: StoppingKernel, spec: LatticeSpec) -> list[np.ndarray]:
     """Sweep the lattice forward, splitting alive mass at every atom step.
 
-    ``stops[i]`` maps node -> mass stopping at atom i (path-probability
-    weighted, unconditional).
+    ``stops[i][p]`` is the mass (path-probability weighted, unconditional)
+    stopping at atom i at the node of position ``p``.
     """
     steps = kernel.steps()
-    last = steps[-1]
-    alive: dict[NodeId, float] = {root(spec): 1.0}
-    stops: list[dict[NodeId, float]] = []
-    for s in range(0, last + 1):
+    alive = np.ones(1)
+    stops = []
+    for s in range(steps[-1] + 1):
         if s in steps:
-            stopped: dict[NodeId, float] = {}
-            for node, mass in alive.items():
-                qv = kernel.q[node]
-                stopped[node] = mass * qv
-                alive[node] = mass * (1.0 - qv)
-            stops.append(stopped)
-        if s < last:
-            alive = _advance(spec, ((node, mass) for node, mass in alive.items() if mass != 0.0))
+            qv = kernel.q[steps.index(s)]
+            stops.append(alive * qv)
+            alive = alive * (1.0 - qv)
+        if s < steps[-1]:
+            alive = _advance(child_positions(spec, s), alive)
     return stops
 
 
 def marginal_of(kernel: StoppingKernel, spec: LatticeSpec) -> DiscreteMeasure:
     """Law of the stopping time induced by the kernel."""
-    _check_same_lattice(kernel, spec)
-    stops = _forward_stops(kernel, spec)
-    weights = [sum(d.values()) for d in stops]
+    check_same_lattice(kernel, spec)
+    weights = [math.fsum(stop) for stop in _forward_stops(kernel, spec)]
     return DiscreteMeasure(kernel.atom_times, weights)
 
 
 def objective_value(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec) -> float:
     """Expected cost at the stop, exactly (forward sweep, no sampling)."""
-    _check_same_lattice(kernel, spec)
-    stops = _forward_stops(kernel, spec)
-    total = 0.0
-    for stopped in stops:
-        for node, mass in stopped.items():
-            if mass != 0.0:
-                total += mass * evaluate(cost, state(spec, node))
-    return total
+    check_same_lattice(kernel, spec)
+    terms = []
+    for s, stop in zip(kernel.steps(), _forward_stops(kernel, spec)):
+        nodes = nodes_at_step(spec, s)
+        terms += [stop[p] * evaluate(cost, state(spec, nodes[p])) for p in np.flatnonzero(stop)]
+    return math.fsum(terms)
 
 
 def push_right(kernel: StoppingKernel, spec: LatticeSpec,
@@ -175,7 +175,7 @@ def push_right(kernel: StoppingKernel, spec: LatticeSpec,
 def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
                           coupling: MonotoneCoupling) -> tuple[StoppingKernel, float]:
     """``push_right`` plus the realized expected shift ``E|tau' - tau|``."""
-    _check_same_lattice(kernel, spec)
+    check_same_lattice(kernel, spec)
     source = marginal_of(kernel, spec)
     if len(source) != len(coupling.source) or any(
         abs(a - b) > ATOM_MERGE_TOL or abs(u - v) > 1e-9
@@ -193,49 +193,41 @@ def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
                 raise RightShiftError(
                     f"coupling moves mass left: {source.atoms[i]} -> {target.atoms[j]}"
                 )
-    # Per source atom: fractions of its stop mass going to each target atom.
-    fractions: list[list[tuple[int, float]]] = []
-    for i, row in enumerate(coupling.rows):
-        wi = source.weights[i]
-        fractions.append([(j, m / wi) for j, m in row if m > 0.0])
+    # Per kernel atom: fractions of its stop mass going to each target atom;
+    # none for an atom where the kernel never stops, which the marginal drops.
+    weight = dict(zip(source.atoms, source.weights))
+    rows = dict(zip(source.atoms, coupling.rows))
+    fractions = [[(j, m / weight[t]) for j, m in rows.get(t, ()) if m > 0.0]
+                 for t in kernel.atom_times]
 
     last = tgt_steps[-1]
-    # alive[node]: mass still run by the old kernel; earm[node][j]: mass headed
-    # to stop at target atom j.
-    alive: dict[NodeId, float] = {root(spec): 1.0}
-    earm: dict[NodeId, np.ndarray] = {root(spec): np.zeros(len(target))}
-    new_q: dict[NodeId, float] = {}
+    # alive[p]: mass still run by the old kernel; earm[p, j]: mass headed to
+    # stop at target atom j.
+    alive = np.ones(1)
+    earm = np.zeros((1, len(target)))
+    new_q = []
     shift = 0.0
     for s in range(0, last + 1):
         if s in src_steps:
             i = src_steps.index(s)
-            for node, mass in alive.items():
-                qv = kernel.q[node]
-                delta = mass * qv
-                alive[node] = mass - delta
-                if delta != 0.0:
-                    marks = earm[node]
-                    for j, frac in fractions[i]:
-                        part = delta * frac
-                        marks[j] += part
-                        shift += part * abs(target.atoms[j] - source.atoms[i])
+            delta = alive * kernel.q[i]
+            alive = alive - delta
+            for j, frac in fractions[i]:
+                part = delta * frac
+                earm[:, j] += part
+                shift += math.fsum(part) * abs(target.atoms[j] - kernel.atom_times[i])
         if s in tgt_steps:
             j = tgt_steps.index(s)
-            final = j == len(tgt_steps) - 1
-            for node in list(earm):
-                marks = earm[node]
-                total_alive = alive[node] + sum(marks[jj] for jj in range(j, len(marks)))
-                stopping = marks[j]
-                marks[j] = 0.0
-                if final:
-                    new_q[node] = 1.0
-                elif total_alive <= DEAD_MASS:
-                    new_q[node] = 0.0
-                else:
-                    new_q[node] = min(1.0, stopping / total_alive)
+            total_alive = alive + earm[:, j:].sum(axis=1)
+            live = total_alive > DEAD_MASS
+            qv = np.zeros(len(alive))
+            qv[live] = np.minimum(1.0, earm[live, j] / total_alive[live])
+            earm[:, j] = 0.0
+            new_q.append(qv if j < len(tgt_steps) - 1 else np.ones(len(alive)))
         if s < last:
-            alive = _advance(spec, alive.items())
-            earm = _advance(spec, earm.items())
+            child = child_positions(spec, s)
+            alive = _advance(child, alive)
+            earm = _advance(child, earm)
     return StoppingKernel(spec, target.atoms, new_q), shift
 
 
@@ -257,36 +249,6 @@ class SimReport:
         }
 
 
-def _encode_levels(levels: np.ndarray, step: int) -> np.ndarray:
-    return (levels + step) // 2
-
-
-def _atom_lookups(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec):
-    """Per atom step: dense arrays mapping an encoded node to (q, cost)."""
-    steps = kernel.steps()
-    lookups = []
-    for s in steps:
-        nodes = nodes_at_step(spec, s)
-        if spec.mode == "history":
-            size = 1 << s
-        elif spec.augment_max:
-            size = (s + 1) * (s + 1)
-        else:
-            size = s + 1
-        q_arr = np.full(size, np.nan)
-        c_arr = np.full(size, np.nan)
-        # History nodes come in code order, so there a node's index is its code.
-        for idx, node in enumerate(nodes):
-            if spec.mode != "history":
-                idx = (node.level + s) // 2
-                if spec.augment_max:
-                    idx = idx * (s + 1) + node.max_level
-            q_arr[idx] = kernel.q[node]
-            c_arr[idx] = evaluate(cost, state(spec, node))
-        lookups.append((s, q_arr, c_arr))
-    return lookups
-
-
 def check_sim_paths(n_paths: int) -> None:
     """Refuse a Monte Carlo run past ``SIM_PATH_LIMIT`` paths before any draw."""
     if n_paths > SIM_PATH_LIMIT:
@@ -297,48 +259,39 @@ def simulate(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec,
              n_paths: int, seed: int) -> SimReport:
     """Monte Carlo estimate of the kernel objective.
 
-    One uniform is drawn per path per atom step (whether or not the path is
-    still alive), so the draw stream and therefore the result is a pure
-    function of ``seed`` and ``n_paths``.
+    Each path carries its node position, moved on through the step's child
+    map; ``kernel.q[i]`` and the stop costs at atom ``i`` are read at it.  One
+    uniform is drawn per path per step for the move and one per path per atom
+    step for the stop (whether or not the path is still alive), so the draw
+    stream and therefore the result is a pure function of ``seed`` and
+    ``n_paths``.
     """
-    _check_same_lattice(kernel, spec)
+    check_same_lattice(kernel, spec)
     check_sim_paths(n_paths)
-    lookups = _atom_lookups(kernel, spec, cost)
-    last = lookups[-1][0]
+    steps = kernel.steps()
+    flat_children = [child_positions(spec, s).ravel() for s in range(steps[-1])]
+    costs = [np.array([evaluate(cost, state(spec, node)) for node in nodes_at_step(spec, s)])
+             for s in steps]
     rng = np.random.default_rng(seed)
-    counts = np.zeros(len(kernel.atom_times), dtype=np.int64)
+    counts = np.zeros(len(steps), dtype=np.int64)
     payoff_chunks = []
     done = 0
     while done < n_paths:
         chunk = min(SIM_CHUNK, n_paths - done)
-        levels = np.zeros(chunk, dtype=np.int64)
-        maxes = np.zeros(chunk, dtype=np.int64)
-        codes = np.zeros(chunk, dtype=np.int64)
+        pos = np.zeros(chunk, dtype=np.intp)
         active = np.ones(chunk, dtype=bool)
         payoff = np.zeros(chunk)
-        atom_idx = 0
-        for s in range(1, last + 1):
+        i = 0
+        for s in range(1, steps[-1] + 1):
             ups = rng.random(chunk) < 0.5
-            levels += np.where(ups, 1, -1)
-            np.maximum(maxes, levels, out=maxes)
-            if spec.mode == "history":
-                codes = (codes << 1) | ups.astype(np.int64)
-            step_s, q_arr, c_arr = lookups[atom_idx]
-            if s == step_s:
-                if spec.mode == "history":
-                    enc = codes
-                elif spec.augment_max:
-                    enc = _encode_levels(levels, s) * (s + 1) + maxes
-                else:
-                    enc = _encode_levels(levels, s)
+            pos = flat_children[s - 1][2 * pos + ups]  # child[pos, up], raveled
+            if s == steps[i]:
                 u = rng.random(chunk)
-                stop_now = active & (u < q_arr[enc])
-                payoff[stop_now] = c_arr[enc[stop_now]]
-                counts[atom_idx] += int(stop_now.sum())
+                stop_now = active & (u < kernel.q[i][pos])
+                payoff[stop_now] = costs[i][pos[stop_now]]
+                counts[i] += int(stop_now.sum())
                 active &= ~stop_now
-                atom_idx += 1
-                if atom_idx == len(lookups):
-                    break
+                i += 1
         payoff_chunks.append(payoff)
         done += chunk
     payoffs = np.concatenate(payoff_chunks)
@@ -355,40 +308,30 @@ def simulate(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec,
 def random_kernel(spec: LatticeSpec, atom_times, rng: np.random.Generator) -> StoppingKernel:
     """Uniformly random stop probabilities; the final atom still stops surely."""
     steps = atom_steps(spec, atom_times)
-    q: dict[NodeId, float] = {}
-    for i, s in enumerate(steps):
-        for node in nodes_at_step(spec, s):
-            q[node] = 1.0 if i == len(steps) - 1 else float(rng.random())
-    return StoppingKernel(spec, atom_times, q)
+    q = [rng.random(node_count(spec, s)) for s in steps[:-1]]
+    return StoppingKernel(spec, atom_times, q + [np.ones(node_count(spec, steps[-1]))])
 
 
 def feasible_kernel(spec: LatticeSpec, mu: DiscreteMeasure,
                     rng: np.random.Generator) -> StoppingKernel:
     """Random kernel whose marginal is exactly ``mu`` (water-filling repair).
 
-    At each atom a random profile is scaled, capping at one, until the stopped
-    mass hits the required weight; the scaling equation is piecewise linear in
-    the factor and solved exactly.
+    At each atom a random profile, drawn in position order, is scaled,
+    capping at one, until the stopped mass hits the required weight; the
+    scaling equation is piecewise linear in the factor and solved exactly.
     """
     steps = atom_steps(spec, mu.atoms)
-    alive: dict[NodeId, float] = {root(spec): 1.0}
-    q: dict[NodeId, float] = {}
-    cur = 0
-    for i, s in enumerate(steps):
-        for _ in range(s - cur):
-            alive = _advance(spec, alive.items())
-        cur = s
-        if i == len(steps) - 1:
-            for node in nodes_at_step(spec, s):
-                q[node] = 1.0
-            continue
-        nodes = list(alive.keys())
-        profile = {n: 0.1 + 0.9 * float(rng.random()) for n in nodes}
-        lam = _solve_waterfill([(alive[n], profile[n]) for n in nodes], mu.weights[i])
-        for node in nodes_at_step(spec, s):
-            q[node] = min(1.0, lam * profile[node]) if node in alive else 0.0
-        for n in nodes:
-            alive[n] *= 1.0 - q[n]
+    alive = np.ones(1)
+    q = []
+    for s in range(steps[-1]):
+        if s in steps:
+            profile = 0.1 + 0.9 * rng.random(len(alive))
+            lam = _solve_waterfill(list(zip(alive.tolist(), profile.tolist())),
+                                   mu.weights[steps.index(s)])
+            q.append(np.minimum(1.0, lam * profile))
+            alive = alive * (1.0 - q[-1])
+        alive = _advance(child_positions(spec, s), alive)
+    q.append(np.ones(len(alive)))
     return StoppingKernel(spec, mu.atoms, q)
 
 
@@ -419,22 +362,37 @@ def _solve_waterfill(pairs: list[tuple[float, float]], target: float) -> float:
 
 
 def kernel_to_json(kernel: StoppingKernel) -> list[dict]:
-    steps = kernel.steps()
     out = []
-    for i, s in enumerate(steps):
-        for node in nodes_at_step(kernel.spec, s):
-            out.append({
-                "node": node_to_json(node),
-                "atom_time": kernel.atom_times[i],
-                "q": kernel.q[node],
-            })
+    for i, s in enumerate(kernel.steps()):
+        for node, qv in zip(nodes_at_step(kernel.spec, s), kernel.q[i].tolist()):
+            out.append({"node": node_to_json(node), "atom_time": kernel.atom_times[i], "q": qv})
     return out
 
 
 def kernel_from_json(spec: LatticeSpec, data) -> StoppingKernel:
+    """Kernel from its JSON form: one ``{"node", "atom_time", "q"}`` entry per node.
+
+    Each node of each atom step must appear exactly once, with its step's
+    atom time.  An atom time off the lattice's grid raises ``CoverageError``,
+    any other malformed payload ``ValidationError``.
+    """
     try:
-        times = sorted({float(item["atom_time"]) for item in data})
-        q = {node_from_json(item["node"]): float(item["q"]) for item in data}
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = [(node_from_json(item["node"]), finite_number(item["atom_time"], "atom time"),
+                    finite_number(item["q"], "q")) for item in data]
+    except (ConfigError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed kernel payload: {exc}") from exc
-    return StoppingKernel(spec, times, q)
+    times = sorted({t for _, t, _ in entries})
+    steps = atom_steps(spec, times)
+    # The one place a node is looked up by key: its position at its step.
+    position = {node: p for s in steps for p, node in enumerate(nodes_at_step(spec, s))}
+    q = {s: np.full(node_count(spec, s), np.nan) for s in steps}
+    for node, t, value in entries:
+        if node not in position or node.step != time_to_step(spec, t):
+            raise ValidationError(f"{node} is not a lattice node at the step of atom time {t}")
+        if not math.isnan(q[node.step][position[node]]):
+            raise ValidationError(f"duplicate kernel entry for {node}")
+        q[node.step][position[node]] = value
+    missing = [node for node, p in position.items() if math.isnan(q[node.step][p])]
+    if missing:
+        raise ValidationError(f"kernel missing entry for {missing[0]}")
+    return StoppingKernel(spec, times, [q[s] for s in steps])

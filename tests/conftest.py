@@ -17,8 +17,10 @@ from dcstop import (
     LatticeSpec,
     MvmTree,
     NodeId,
+    StoppingKernel,
     atom_steps,
     evaluate,
+    nodes_at_step,
     project_to_recombining,
     state,
 )
@@ -38,23 +40,37 @@ def kernel_node(spec: LatticeSpec, bits: tuple[int, ...]) -> NodeId:
     return node
 
 
+def kernel_from_dict(spec: LatticeSpec, atom_times, q: dict[NodeId, float]) -> StoppingKernel:
+    """A kernel from stop probabilities keyed by node, each put at its node's position."""
+    steps = atom_steps(spec, atom_times)
+    return StoppingKernel(spec, atom_times, [[q[n] for n in nodes_at_step(spec, s)] for s in steps])
+
+
+def kernel_dict(kernel: StoppingKernel) -> dict[NodeId, float]:
+    """A kernel's stop probabilities keyed by node."""
+    return {node: float(v) for s, values in zip(kernel.steps(), kernel.q)
+            for node, v in zip(nodes_at_step(kernel.spec, s), values)}
+
+
 def brute_kernel_stats(kernel, spec, cost=None):
     """Stopping-law weights and expected cost by per-path enumeration.
 
-    Walks every driver path separately, multiplying hazards along the way.
-    Returns ``(weights, objective)``; the objective is None when no cost is
-    given.
+    Walks every driver path separately, multiplying hazards along the way;
+    each hazard is looked up at the index of the path's node in
+    ``nodes_at_step``.  Returns ``(weights, objective)``; the objective is
+    None when no cost is given.
     """
     steps = atom_steps(spec, kernel.atom_times)
     horizon = steps[-1]
     hist = LatticeSpec(depth=horizon, dt=spec.dt, mode="history")
+    nodes = [nodes_at_step(spec, s) for s in steps]
     weights = [0.0] * len(steps)
     objective = 0.0 if cost is not None else None
     p_path = 0.5 ** horizon
     for bits in all_paths(horizon):
         surv = 1.0
         for i, s in enumerate(steps):
-            stop = surv * kernel.q[kernel_node(spec, bits[:s])]
+            stop = surv * kernel.q[i][nodes[i].index(kernel_node(spec, bits[:s]))]
             surv -= stop
             weights[i] += stop * p_path
             if cost is not None and stop != 0.0:

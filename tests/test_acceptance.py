@@ -188,8 +188,9 @@ def test_criterion_06_kernel_and_tree_objectives_coincide():
         via_tree = accumulate(tree, spec, cost).leaf_expectation()
         assert abs(direct - via_tree) <= 1e-12
         again = to_kernel(tree)
-        for node, v in kernel.q.items():
-            assert abs(again.q[node] - v) <= 1e-12
+        # Both kernels live on the same history lattice: positions line up.
+        for got, want in zip(again.q, kernel.q):
+            assert np.max(np.abs(got - want)) <= 1e-12
         checked += 1
     for _ in range(50):
         spec = LatticeSpec(depth=3, dt=1.0)

@@ -17,7 +17,6 @@ from dcstop import (
     NodeId,
     SimplexGrid,
     SizeGuardError,
-    StoppingKernel,
     accumulate,
     check_dpp,
     evaluate,
@@ -37,7 +36,7 @@ from dcstop import (
 
 import dcstop.dpp as dpp
 from dcstop.lattice import heap_row
-from conftest import all_paths, brute_kernel_stats, from_samples, grid_rows, random_measure
+from conftest import brute_kernel_stats, from_samples, grid_rows, kernel_from_dict, random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 IDENTITY = CostSpec(kind="terminal", name="identity")
@@ -501,7 +500,7 @@ def brute_pure_value(spec, cost, mu):
     for choice in itertools.product((0.0, 1.0), repeat=len(interior)):
         q = dict(zip(interior, choice))
         q.update(final)
-        kernel = StoppingKernel(spec, mu.atoms, q)
+        kernel = kernel_from_dict(spec, mu.atoms, q)
         weights, objective = brute_kernel_stats(kernel, spec, cost)
         if max(abs(a - b) for a, b in zip(weights, mu.weights)) <= 1e-12:
             best = max(best, objective)

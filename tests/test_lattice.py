@@ -6,6 +6,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from dcstop import (
@@ -28,6 +29,7 @@ from dcstop import (
     state,
     time_to_step,
 )
+from dcstop.lattice import child_positions, node_count
 
 
 def walk_stats(n: int) -> Counter:
@@ -70,6 +72,56 @@ class TestChildren:
         up, down = children(spec, NodeId(step=1, history=(1,)))
         assert up.history == (1, 1)
         assert down.history == (1, 0)
+
+
+class TestPositions:
+    @pytest.mark.parametrize("mode,augment", [
+        ("recombining", False), ("recombining", True), ("history", False),
+    ])
+    def test_child_map_matches_children(self, mode, augment):
+        for depth in range(1, 9):
+            spec = LatticeSpec(depth=depth, dt=1.0, mode=mode, augment_max=augment)
+            for s in range(depth):
+                nxt = nodes_at_step(spec, s + 1)
+                want = []
+                for node in nodes_at_step(spec, s):
+                    up, down = children(spec, node)
+                    want.append([nxt.index(down), nxt.index(up)])
+                child = child_positions(spec, s)
+                assert child.tolist() == want
+                # Every node one step on has one or two parents, never more.
+                parents = np.bincount(child.ravel())
+                assert len(parents) == len(nxt)
+                assert parents.min() >= 1 and parents.max() <= 2
+
+    @pytest.mark.parametrize("mode,augment", [
+        ("recombining", False), ("recombining", True), ("history", False),
+    ])
+    def test_node_count(self, mode, augment):
+        spec = LatticeSpec(depth=9, dt=1.0, mode=mode, augment_max=augment)
+        assert [node_count(spec, s) for s in range(10)] == \
+            [len(nodes_at_step(spec, s)) for s in range(10)]
+
+    def test_positions_follow_the_stated_convention(self):
+        s = 5
+        hist = LatticeSpec(depth=s, dt=1.0, mode="history")
+        assert [heap_code(n.history) for n in nodes_at_step(hist, s)] == list(range(2 ** s))
+        plain = LatticeSpec(depth=s, dt=1.0)
+        assert [(n.level + s) // 2 for n in nodes_at_step(plain, s)] == list(range(s + 1))
+        aug = LatticeSpec(depth=s, dt=1.0, augment_max=True)
+        pairs = [(n.level, n.max_level) for n in nodes_at_step(aug, s)]
+        assert pairs == sorted(pairs)
+        # Exactly the pairs some walk reaches.
+        assert set(pairs) == set(walk_stats(s))
+
+    def test_terminal_step_has_no_child_map(self):
+        spec = LatticeSpec(depth=2, dt=1.0)
+        with pytest.raises(NoChildrenError):
+            child_positions(spec, 2)
+
+
+def heap_code(bits) -> int:
+    return int("".join(map(str, bits)) or "0", 2)
 
 
 class TestNodeProb:
@@ -251,6 +303,17 @@ class TestJson:
             NodeId(step=3, history=(1, 0, 1)),
         ):
             assert node_from_json(node_to_json(node)) == node
+
+    @pytest.mark.parametrize("data", [
+        {"step": 1.7, "level": 1},
+        {"step": True, "level": 1},
+        {"step": 1, "level": True},
+        {"step": 2, "level": 0, "max_level": 1.0},
+        {"step": "1", "history": "U"},
+    ])
+    def test_node_integers_are_not_coerced(self, data):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            node_from_json(data)
 
     def test_history_encoding_uses_letters(self):
         doc = node_to_json(NodeId(step=2, history=(1, 0)))

@@ -16,7 +16,6 @@ from dcstop import (
     NodeId,
     SizeGuardError,
     SpliceError,
-    StoppingKernel,
     ValidationError,
     accumulate,
     evaluate,
@@ -37,12 +36,19 @@ from dcstop import (
     validate,
 )
 
-from dcstop.lattice import heap_history, heap_row, histories, node_of_history, state
+from dcstop.lattice import heap_history, heap_row, histories, state
 from dcstop.measures import is_right_shift_of, monotone_coupling
 from dcstop.mvm import MARTINGALE_TOL, SPLICE_TOL, MvmReport, MvmViolation
 from dcstop.rst import DEAD_MASS
 
-from conftest import random_measure, tree_dict, tree_from_dict
+from conftest import (
+    kernel_dict,
+    kernel_from_dict,
+    kernel_node,
+    random_measure,
+    tree_dict,
+    tree_from_dict,
+)
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 
@@ -57,7 +63,7 @@ def worked_tree() -> MvmTree:
         NodeId(step=2, level=0): 1.0,
         NodeId(step=2, level=-2): 1.0,
     }
-    return from_kernel(StoppingKernel(spec, (1.0, 2.0), q), spec)
+    return from_kernel(kernel_from_dict(spec, (1.0, 2.0), q), spec)
 
 
 def constant_tree(weights: tuple[float, ...], atoms=(1.0, 2.0), depth=2) -> MvmTree:
@@ -68,12 +74,13 @@ def reference_from_kernel(kernel, spec):
     """Per-leaf hazard products, then halving averages: the loop the level sweep replaced."""
     steps = kernel.steps()
     r = len(steps)
+    q = kernel_dict(kernel)
     vectors = {}
     for bits in histories(steps[-1]):
         vec = np.zeros(r)
         surv = 1.0
         for i, s in enumerate(steps):
-            qv = 1.0 if i == r - 1 else kernel.q[node_of_history(spec, bits[:s])]
+            qv = 1.0 if i == r - 1 else q[kernel_node(spec, bits[:s])]
             vec[i] = surv * qv
             surv *= 1.0 - qv
         vectors[bits] = vec
@@ -242,6 +249,14 @@ class TestFromKernel:
             tree = from_kernel(kernel, spec)
             report = validate(tree, mu=marginal_of(kernel, spec))
             assert report.ok, report.violation
+
+    def test_kernel_of_another_lattice_rejected(self):
+        # Positions mean different nodes on another lattice, so nothing is read.
+        spec = LatticeSpec(depth=3, dt=0.5, augment_max=True)
+        kernel = random_kernel(spec, (0.5, 1.5), np.random.default_rng(37))
+        for other in (LatticeSpec(depth=3, dt=0.5), LatticeSpec(depth=3, dt=0.5, mode="history")):
+            with pytest.raises(ValidationError, match="different lattice"):
+                from_kernel(kernel, other)
 
     def test_depth_guard(self):
         spec = LatticeSpec(depth=17, dt=1.0)
@@ -412,14 +427,14 @@ class TestTermination:
             for s in (1, 2, 3):
                 for node in [NodeId(step=s, level=l) for l in range(-s, s + 1, 2)]:
                     q[node] = 1.0 if s == 3 else float(rng.integers(0, 2))
-            tree = from_kernel(StoppingKernel(spec, (1.0, 2.0, 3.0), q), spec)
+            tree = from_kernel(kernel_from_dict(spec, (1.0, 2.0, 3.0), q), spec)
             assert termination(tree).terminating
 
     def test_terminating_trees_make_pure_kernels(self):
         kernel = to_kernel(worked_tree())
-        assert set(kernel.q.values()) <= {0.0, 1.0}
+        assert set(kernel_dict(kernel).values()) <= {0.0, 1.0}
         diffuse = to_kernel(constant_tree((0.5, 0.5)))
-        assert any(0.0 < v < 1.0 for v in diffuse.q.values())
+        assert any(0.0 < v < 1.0 for v in kernel_dict(diffuse).values())
 
 
 class TestKernelRoundTrip:
@@ -430,8 +445,9 @@ class TestKernelRoundTrip:
         again = to_kernel(from_kernel(kernel, spec))
         assert again.atom_times == kernel.atom_times
         assert again.spec == spec
-        for node, v in kernel.q.items():
-            assert again.q[node] == pytest.approx(v, abs=1e-12)
+        got = kernel_dict(again)
+        for node, v in kernel_dict(kernel).items():
+            assert got[node] == pytest.approx(v, abs=1e-12)
 
     def test_recombining_kernels_keep_their_law(self):
         rng = np.random.default_rng(36)

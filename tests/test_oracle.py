@@ -17,7 +17,6 @@ from dcstop import (
     LpProblem,
     NodeId,
     SizeGuardError,
-    StoppingKernel,
     ValidationError,
     build_lp,
     evaluate,
@@ -29,7 +28,7 @@ from dcstop import (
     solve,
     solve_lp,
 )
-from dcstop.lattice import atom_steps, histories, state
+from dcstop.lattice import atom_steps, histories, nodes_at_step, state
 from dcstop.oracle import ORACLE_DEPTH_LIMIT, LpSolution
 
 from conftest import random_measure
@@ -106,8 +105,7 @@ def reference_kernel_q(problem, x, var_keys):
                 q[node] = 0.0
             else:
                 q[node] = min(1.0, max(0.0, by_node[(i, bits)] / remaining))
-    hist = LatticeSpec(depth=steps[-1], dt=problem.spec.dt, mode="history")
-    return StoppingKernel(hist, problem.mu.atoms, q).q
+    return q
 
 
 class TestBuildLp:
@@ -168,10 +166,12 @@ class TestBuildLp:
                 x[rng.random(x.size) < 0.2] = 0.0
                 x[rng.random(x.size) < 0.1] = -0.0
                 solution = LpSolution("optimal", 0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
-                got = lp_solution_to_kernel(problem, solution).q
+                got = lp_solution_to_kernel(problem, solution)
                 want = reference_kernel_q(problem, x, var_keys)
-                assert [(k, repr(v)) for k, v in got.items()] == \
-                    [(k, repr(v)) for k, v in want.items()]
+                # Position by position, down to the sign of a zero.
+                for s, values in zip(problem.steps, got.q):
+                    nodes = nodes_at_step(got.spec, s)
+                    assert [repr(v) for v in values.tolist()] == [repr(want[n]) for n in nodes]
 
     def test_depth_guard(self):
         spec = LatticeSpec(depth=13, dt=1.0)
@@ -275,10 +275,10 @@ class TestKernelExtraction:
     def test_worked_problem_kernel(self):
         problem = worked_problem()
         kernel = lp_solution_to_kernel(problem, solve_lp(problem))
-        up = [n for n in kernel.q if n.step == 1 and n.history == (1,)][0]
-        down = [n for n in kernel.q if n.step == 1 and n.history == (0,)][0]
-        assert kernel.q[up] == pytest.approx(1.0, abs=1e-12)
-        assert kernel.q[down] == pytest.approx(0.0, abs=1e-12)
+        # At step 1 the down history has code 0, the up history code 1.
+        down, up = kernel.q[0]
+        assert up == pytest.approx(1.0, abs=1e-12)
+        assert down == pytest.approx(0.0, abs=1e-12)
 
 
 class TestOracleValue:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dcstop import (
     StoppingKernel,
     ValidationError,
     ceiling_project,
+    evaluate,
     feasible_kernel,
     kernel_from_json,
     kernel_to_json,
@@ -28,7 +31,11 @@ from dcstop import (
     w1_distance,
 )
 
-from conftest import brute_kernel_stats, random_measure
+from dcstop.lattice import atom_steps, children, nodes_at_step, root, state
+from dcstop.measures import ATOM_MERGE_TOL
+from dcstop.rst import DEAD_MASS, SIM_CHUNK
+
+from conftest import brute_kernel_stats, kernel_dict, kernel_from_dict, random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 IDENTITY = CostSpec(kind="terminal", name="identity")
@@ -45,7 +52,7 @@ def worked_kernel() -> tuple[LatticeSpec, StoppingKernel]:
         NodeId(step=2, level=0): 1.0,
         NodeId(step=2, level=-2): 1.0,
     }
-    return spec, StoppingKernel(spec, (1.0, 2.0), q)
+    return spec, kernel_from_dict(spec, (1.0, 2.0), q)
 
 
 class TestMarginal:
@@ -59,7 +66,7 @@ class TestMarginal:
         spec = LatticeSpec(depth=3, dt=0.5)
         q = {n: 1.0 for s in (1, 3) for n in
              [NodeId(step=s, level=l) for l in range(-s, s + 1, 2)]}
-        kernel = StoppingKernel(spec, (0.5, 1.5), q)
+        kernel = kernel_from_dict(spec, (0.5, 1.5), q)
         assert marginal_of(kernel, spec) == DiscreteMeasure((0.5,), (1.0,))
 
     def test_constant_hazard(self):
@@ -67,7 +74,7 @@ class TestMarginal:
         spec = LatticeSpec(depth=2, dt=1.0)
         q = {NodeId(step=1, level=1): 0.5, NodeId(step=1, level=-1): 0.5}
         q.update({NodeId(step=2, level=l): 1.0 for l in (-2, 0, 2)})
-        kernel = StoppingKernel(spec, (1.0, 2.0), q)
+        kernel = kernel_from_dict(spec, (1.0, 2.0), q)
         marg = marginal_of(kernel, spec)
         assert marg.weights == pytest.approx((0.5, 0.5), abs=1e-15)
 
@@ -131,50 +138,77 @@ class TestObjective:
 class TestValidation:
     def test_final_atom_must_stop(self):
         spec = LatticeSpec(depth=1, dt=1.0)
-        with pytest.raises(ValidationError):
-            StoppingKernel(spec, (1.0,), {
+        with pytest.raises(ValidationError, match="final atom must stop surely"):
+            kernel_from_dict(spec, (1.0,), {
                 NodeId(step=1, level=1): 0.9, NodeId(step=1, level=-1): 1.0,
             })
 
     def test_missing_node(self):
         spec = LatticeSpec(depth=1, dt=1.0)
-        with pytest.raises(ValidationError):
-            StoppingKernel(spec, (1.0,), {NodeId(step=1, level=1): 1.0})
+        with pytest.raises(ValidationError, match="step 1 has 2 nodes"):
+            StoppingKernel(spec, (1.0,), [[1.0]])
 
     def test_probability_out_of_range(self):
         spec, _ = worked_kernel()
         q = {NodeId(step=1, level=1): 1.2, NodeId(step=1, level=-1): 0.0}
         q.update({NodeId(step=2, level=l): 1.0 for l in (-2, 0, 2)})
-        with pytest.raises(ValidationError):
-            StoppingKernel(spec, (1.0, 2.0), q)
+        with pytest.raises(ValidationError, match=r"q = 1.2 at position 1 of step 1 must be a"):
+            kernel_from_dict(spec, (1.0, 2.0), q)
 
     def test_entry_off_the_atom_grid(self):
+        # An array per atom step: a second array has no atom to sit at.
         spec, _ = worked_kernel()
-        q = {NodeId(step=1, level=1): 1.0, NodeId(step=1, level=-1): 1.0,
-             NodeId(step=2, level=0): 0.5}
-        with pytest.raises(ValidationError):
-            StoppingKernel(spec, (1.0,), q)
+        with pytest.raises(ValidationError, match="2 stop arrays for 1 atoms"):
+            StoppingKernel(spec, (1.0,), [[1.0, 1.0], [0.5, 0.5, 0.5]])
 
     def test_atom_times_must_increase(self):
         spec, _ = worked_kernel()
         with pytest.raises(ValidationError):
-            StoppingKernel(spec, (2.0, 1.0), {})
+            StoppingKernel(spec, (2.0, 1.0), [])
+        with pytest.raises(ValidationError):
+            StoppingKernel(spec, (), [])
 
     def test_near_miss_probabilities_snap(self):
         spec = LatticeSpec(depth=2, dt=1.0)
         q = {NodeId(step=1, level=1): 1.0 + 1e-14,
              NodeId(step=1, level=-1): -1e-14}
         q.update({NodeId(step=2, level=l): 1.0 for l in (-2, 0, 2)})
-        kernel = StoppingKernel(spec, (1.0, 2.0), q)
-        assert kernel.q[NodeId(step=1, level=1)] == 1.0
-        assert kernel.q[NodeId(step=1, level=-1)] == 0.0
+        kernel = kernel_from_dict(spec, (1.0, 2.0), q)
+        assert kernel_dict(kernel)[NodeId(step=1, level=1)] == 1.0
+        assert kernel_dict(kernel)[NodeId(step=1, level=-1)] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        spec, kernel = worked_kernel()
+        with pytest.raises(ValidationError, match="at position 0 of step 1 must be a number"):
+            StoppingKernel(spec, (1.0, 2.0), [[bad, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(ValidationError, match="final atom must stop surely"):
+            StoppingKernel(spec, (1.0, 2.0), [[1.0, 0.0], [1.0, bad, 1.0]])
+
+    def test_arrays_only(self):
+        spec, kernel = worked_kernel()
+        with pytest.raises(ValidationError):
+            StoppingKernel(spec, (1.0, 2.0), kernel_dict(kernel))
+        with pytest.raises(ValidationError):
+            StoppingKernel(spec, (1.0, 2.0), [[1.0, 0.0], [[1.0, 1.0, 1.0]]])
+
+    def test_built_from_a_copy_and_read_only(self):
+        spec = LatticeSpec(depth=2, dt=1.0)
+        first = np.array([0.25, 0.5])
+        kernel = StoppingKernel(spec, (1.0, 2.0), [first, np.ones(3)])
+        first[0] = 0.75
+        assert kernel.q[0].tolist() == [0.25, 0.5]
+        with pytest.raises(ValueError):
+            kernel.q[0][0] = 0.75
+        with pytest.raises(AttributeError):
+            kernel.q = ()
 
 
 class TestPushRight:
     def test_point_mass_shifts_one_step(self):
         spec = LatticeSpec(depth=2, dt=1.0)
         q = {NodeId(step=1, level=1): 1.0, NodeId(step=1, level=-1): 1.0}
-        kernel = StoppingKernel(spec, (1.0,), q)
+        kernel = kernel_from_dict(spec, (1.0,), q)
         target = DiscreteMeasure((2.0,), (1.0,))
         coupling = monotone_coupling(marginal_of(kernel, spec), target)
         pushed, shift = push_right_with_shift(kernel, spec, coupling)
@@ -215,6 +249,17 @@ class TestPushRight:
         coupling = monotone_coupling(wrong, DiscreteMeasure((2.0,), (1.0,)))
         with pytest.raises(ValidationError):
             push_right(kernel, spec, coupling)
+
+    def test_atom_never_stopped_at(self):
+        # The marginal drops the middle atom; its stop mass is zero everywhere.
+        spec = LatticeSpec(depth=3, dt=1.0)
+        kernel = StoppingKernel(spec, (1.0, 2.0, 3.0), [[0.5, 0.5], [0.0] * 3, [1.0] * 4])
+        marg = marginal_of(kernel, spec)
+        assert marg.atoms == (1.0, 3.0)
+        target = DiscreteMeasure((3.0,), (1.0,))
+        pushed, shift = push_right_with_shift(kernel, spec, monotone_coupling(marg, target))
+        assert shift == pytest.approx(1.0, abs=1e-15)
+        assert marginal_of(pushed, spec) == target
 
     def test_shift_equals_transport_distance(self):
         rng = np.random.default_rng(21)
@@ -296,9 +341,9 @@ class TestGenerators:
         rng = np.random.default_rng(14)
         spec = LatticeSpec(depth=3, dt=1.0)
         kernel = random_kernel(spec, (1.0, 3.0), rng)
-        final = [kernel.q[n] for n in kernel.q if n.step == 3]
-        assert all(v == 1.0 for v in final)
-        assert all(0.0 <= v <= 1.0 for v in kernel.q.values())
+        assert [len(values) for values in kernel.q] == [2, 4]
+        assert kernel.q[-1].tolist() == [1.0] * 4
+        assert all(0.0 <= v <= 1.0 for values in kernel.q for v in values)
 
 
 class TestJson:
@@ -313,3 +358,321 @@ class TestJson:
         spec = LatticeSpec(depth=1, dt=1.0)
         with pytest.raises(ValidationError):
             kernel_from_json(spec, [{"node": {"step": 1, "level": 1}}])
+
+    def test_round_trip_on_every_lattice_mode(self):
+        rng = np.random.default_rng(16)
+        for mode, augment in LATTICE_MODES:
+            spec = LatticeSpec(depth=4, dt=0.5, mode=mode, augment_max=augment)
+            kernel = random_kernel(spec, (0.5, 1.5, 2.0), rng)
+            again = kernel_from_json(spec, json.loads(json.dumps(kernel_to_json(kernel))))
+            assert again == kernel
+            assert kernel_dict(again) == kernel_dict(kernel)
+
+    @pytest.mark.parametrize("field, value", [
+        ("step", 1.7), ("step", True), ("level", True), ("level", 1.0),
+    ])
+    def test_node_integers_are_not_coerced(self, field, value):
+        payload = worked_payload()
+        payload[0]["node"][field] = value
+        with pytest.raises(ValidationError, match="must be an integer"):
+            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
+
+    @pytest.mark.parametrize("value", ["0.5", None, True, float("nan")])
+    def test_q_must_be_a_finite_number(self, value):
+        payload = worked_payload()
+        payload[1]["q"] = value
+        with pytest.raises(ValidationError, match="q must be a finite number"):
+            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
+
+    def test_duplicate_entry_rejected(self):
+        payload = worked_payload()
+        payload.append(dict(payload[0], q=0.0))
+        with pytest.raises(ValidationError, match="duplicate kernel entry"):
+            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
+
+    def test_atom_time_must_match_the_node_step(self):
+        payload = worked_payload()
+        payload[0]["atom_time"] = 2.0
+        payload[2]["atom_time"] = 1.0
+        with pytest.raises(ValidationError, match="not a lattice node at the step of atom"):
+            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
+
+    def test_node_outside_the_lattice_rejected(self):
+        payload = worked_payload()
+        payload[0]["node"] = {"step": 1, "history": "U"}
+        with pytest.raises(ValidationError, match="not a lattice node at the step of atom"):
+            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
+
+    def test_missing_entry_rejected(self):
+        with pytest.raises(ValidationError, match="missing entry"):
+            kernel_from_json(LatticeSpec(depth=2, dt=1.0), worked_payload()[1:])
+
+
+def worked_payload() -> list[dict]:
+    """``worked_kernel`` in JSON form: two step-1 entries, then three step-2 entries."""
+    return kernel_to_json(worked_kernel()[1])
+
+
+# --- The dict walks the per-step arrays replaced, kept as references. -------
+
+LATTICE_MODES = [("recombining", False), ("recombining", True), ("history", False)]
+
+
+def reference_advance(spec, alive) -> dict:
+    nxt = {}
+    for node, mass in alive:
+        for child in children(spec, node):
+            nxt[child] = nxt.get(child, 0.0) + 0.5 * mass
+    return nxt
+
+
+def reference_forward_stops(kernel, spec):
+    q = kernel_dict(kernel)
+    steps = kernel.steps()
+    last = steps[-1]
+    alive = {root(spec): 1.0}
+    stops = []
+    for s in range(0, last + 1):
+        if s in steps:
+            stopped = {}
+            for node, mass in alive.items():
+                qv = q[node]
+                stopped[node] = mass * qv
+                alive[node] = mass * (1.0 - qv)
+            stops.append(stopped)
+        if s < last:
+            alive = reference_advance(
+                spec, ((node, mass) for node, mass in alive.items() if mass != 0.0))
+    return stops
+
+
+def reference_marginal(kernel, spec):
+    return DiscreteMeasure(kernel.atom_times,
+                           [sum(d.values()) for d in reference_forward_stops(kernel, spec)])
+
+
+def reference_objective(kernel, spec, cost):
+    total = 0.0
+    for stopped in reference_forward_stops(kernel, spec):
+        for node, mass in stopped.items():
+            if mass != 0.0:
+                total += mass * evaluate(cost, state(spec, node))
+    return total
+
+
+def reference_push_right(kernel, spec, coupling, source):
+    """The dict ``push_right_with_shift``: ``(stop probabilities by node, shift)``.
+
+    ``source`` is the kernel's marginal, which the dict walk summed in dict
+    order; ``marginal_of`` now sums it exactly rounded, so the two differ in
+    the last bit, and the split fractions divide by it.  The caller passes
+    the one it compares against.
+    """
+    q = kernel_dict(kernel)
+    assert len(source) == len(coupling.source)
+    target = coupling.target
+    src_steps = kernel.steps()
+    tgt_steps = atom_steps(spec, target.atoms)
+    fractions = []
+    for i, row in enumerate(coupling.rows):
+        wi = source.weights[i]
+        fractions.append([(j, m / wi) for j, m in row if m > 0.0])
+    last = tgt_steps[-1]
+    alive = {root(spec): 1.0}
+    earm = {root(spec): np.zeros(len(target))}
+    new_q = {}
+    shift = 0.0
+    for s in range(0, last + 1):
+        if s in src_steps:
+            i = src_steps.index(s)
+            for node, mass in alive.items():
+                qv = q[node]
+                delta = mass * qv
+                alive[node] = mass - delta
+                if delta != 0.0:
+                    marks = earm[node]
+                    for j, frac in fractions[i]:
+                        part = delta * frac
+                        marks[j] += part
+                        shift += part * abs(target.atoms[j] - source.atoms[i])
+        if s in tgt_steps:
+            j = tgt_steps.index(s)
+            final = j == len(tgt_steps) - 1
+            for node in list(earm):
+                marks = earm[node]
+                total_alive = alive[node] + sum(marks[jj] for jj in range(j, len(marks)))
+                stopping = marks[j]
+                marks[j] = 0.0
+                if final:
+                    new_q[node] = 1.0
+                elif total_alive <= DEAD_MASS:
+                    new_q[node] = 0.0
+                else:
+                    new_q[node] = min(1.0, stopping / total_alive)
+        if s < last:
+            alive = reference_advance(spec, alive.items())
+            earm = reference_advance(spec, earm.items())
+    return new_q, shift
+
+
+def reference_atom_lookups(kernel, spec, cost):
+    q = kernel_dict(kernel)
+    lookups = []
+    for s in kernel.steps():
+        if spec.mode == "history":
+            size = 1 << s
+        elif spec.augment_max:
+            size = (s + 1) * (s + 1)
+        else:
+            size = s + 1
+        q_arr = np.full(size, np.nan)
+        c_arr = np.full(size, np.nan)
+        for idx, node in enumerate(nodes_at_step(spec, s)):
+            if spec.mode != "history":
+                idx = (node.level + s) // 2
+                if spec.augment_max:
+                    idx = idx * (s + 1) + node.max_level
+            q_arr[idx] = q[node]
+            c_arr[idx] = evaluate(cost, state(spec, node))
+        lookups.append((s, q_arr, c_arr))
+    return lookups
+
+
+def reference_simulate(kernel, spec, cost, n_paths, seed):
+    """The simulation that tracked level, running maximum and history code per path."""
+    lookups = reference_atom_lookups(kernel, spec, cost)
+    last = lookups[-1][0]
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(kernel.atom_times), dtype=np.int64)
+    payoff_chunks = []
+    done = 0
+    while done < n_paths:
+        chunk = min(SIM_CHUNK, n_paths - done)
+        levels = np.zeros(chunk, dtype=np.int64)
+        maxes = np.zeros(chunk, dtype=np.int64)
+        codes = np.zeros(chunk, dtype=np.int64)
+        active = np.ones(chunk, dtype=bool)
+        payoff = np.zeros(chunk)
+        atom_idx = 0
+        for s in range(1, last + 1):
+            ups = rng.random(chunk) < 0.5
+            levels += np.where(ups, 1, -1)
+            np.maximum(maxes, levels, out=maxes)
+            if spec.mode == "history":
+                codes = (codes << 1) | ups.astype(np.int64)
+            step_s, q_arr, c_arr = lookups[atom_idx]
+            if s == step_s:
+                if spec.mode == "history":
+                    enc = codes
+                elif spec.augment_max:
+                    enc = (levels + s) // 2 * (s + 1) + maxes
+                else:
+                    enc = (levels + s) // 2
+                u = rng.random(chunk)
+                stop_now = active & (u < q_arr[enc])
+                payoff[stop_now] = c_arr[enc[stop_now]]
+                counts[atom_idx] += int(stop_now.sum())
+                active &= ~stop_now
+                atom_idx += 1
+                if atom_idx == len(lookups):
+                    break
+        payoff_chunks.append(payoff)
+        done += chunk
+    payoffs = np.concatenate(payoff_chunks)
+    mean = float(payoffs.mean())
+    stderr = float(payoffs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    kept = [(t, c) for t, c in zip(kernel.atom_times, counts) if c > 0]
+    marginal = DiscreteMeasure([t for t, _ in kept], [c / n_paths for _, c in kept])
+    return mean, stderr, marginal
+
+
+def reference_random_kernel(spec, atom_times, rng):
+    steps = atom_steps(spec, atom_times)
+    q = {}
+    for i, s in enumerate(steps):
+        for node in nodes_at_step(spec, s):
+            q[node] = 1.0 if i == len(steps) - 1 else float(rng.random())
+    return q
+
+
+def random_instances(mode, augment, seed):
+    """Random kernels with random coarser right-shift targets, depths 1 to 8."""
+    rng = np.random.default_rng(seed)
+    for depth in range(1, 9):
+        spec = LatticeSpec(depth=depth, dt=0.5, mode=mode, augment_max=augment)
+        times = [0.5 * s for s in range(1, depth + 1)]
+        for _ in range(3):
+            n_atoms = int(rng.integers(1, min(4, depth) + 1))
+            atoms = sorted(rng.choice(times, size=n_atoms, replace=False))
+            kernel_seed = int(rng.integers(1 << 30))
+            kernel = random_kernel(spec, atoms, np.random.default_rng(kernel_seed))
+            want = reference_random_kernel(spec, atoms, np.random.default_rng(kernel_seed))
+            yield spec, kernel, want, rng
+            # A pure rule has dead nodes, which the dict walk left out.
+            pure = StoppingKernel(spec, atoms, [np.round(v) for v in kernel.q])
+            yield spec, pure, None, rng
+
+
+def random_right_shift(marg, spec, rng):
+    """A later law: either the ceiling onto a coarser grid, or random moves to later times.
+
+    The random moves split each atom's mass over several later times, so the
+    monotone coupling splits it too and earmarks pile up at several atoms.
+    """
+    times = [spec.dt * s for s in range(1, spec.depth + 1)]
+    if rng.random() < 0.5:
+        grid = sorted({float(t) for t in rng.choice(times, size=2)} | {times[-1]})
+        return ceiling_project(marg, grid)
+    weights = dict.fromkeys(times, 0.0)
+    for a, w in zip(marg.atoms, marg.weights):
+        later = [t for t in times if t >= a - ATOM_MERGE_TOL]
+        for t, share in zip(later, rng.dirichlet(np.ones(len(later)))):
+            weights[t] += w * share
+    return DiscreteMeasure(list(weights), list(weights.values()))
+
+
+class TestAgainstTheDictWalks:
+    """The array sweeps reproduce the per-node dict walks they replaced."""
+
+    @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
+    def test_random_kernel_draws_the_same_stream(self, mode, augment):
+        for _, kernel, want, _ in random_instances(mode, augment, 41):
+            assert want is None or kernel_dict(kernel) == want
+
+    @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
+    def test_marginal_and_objective(self, mode, augment):
+        cost = CostSpec(kind="running_max", name="square") if mode == "history" or augment \
+            else SQUARE
+        for spec, kernel, _, _ in random_instances(mode, augment, 42):
+            got, want = marginal_of(kernel, spec), reference_marginal(kernel, spec)
+            assert got.atoms == want.atoms
+            assert got.weights == pytest.approx(want.weights, abs=1e-14, rel=0)
+            assert objective_value(kernel, spec, cost) == pytest.approx(
+                reference_objective(kernel, spec, cost), abs=1e-14, rel=0)
+
+    @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
+    def test_push_right(self, mode, augment):
+        shifted = 0
+        for spec, kernel, _, rng in random_instances(mode, augment, 43):
+            marg = marginal_of(kernel, spec)
+            target = random_right_shift(marg, spec, rng)
+            pushed, shift = push_right_with_shift(kernel, spec, monotone_coupling(marg, target))
+            assert marginal_of(pushed, spec).weights == pytest.approx(target.weights, abs=1e-12)
+            if len(marg) < len(kernel.atom_times):
+                continue  # the dict walk misread atoms the kernel never stops at
+            want_q, want_shift = reference_push_right(
+                kernel, spec, monotone_coupling(marg, target), marg)
+            assert kernel_dict(pushed) == want_q
+            assert shift == pytest.approx(want_shift, abs=1e-14, rel=0)
+            shifted += shift > ATOM_MERGE_TOL
+        assert 10 <= shifted < 48
+
+    @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
+    def test_simulate(self, mode, augment):
+        cost = CostSpec(kind="running_max", name="identity") if mode == "history" or augment \
+            else IDENTITY
+        for k, (spec, kernel, _, _) in enumerate(random_instances(mode, augment, 44)):
+            report = simulate(kernel, spec, cost, n_paths=2000, seed=k)
+            mean, stderr, marginal = reference_simulate(kernel, spec, cost, 2000, k)
+            assert (report.mean, report.stderr) == (mean, stderr)
+            assert report.empirical_marginal == marginal
