@@ -16,8 +16,12 @@ block per remaining-atom count ``k``:
 Value functions stay piecewise linear and concave throughout, so they are
 carried exactly: as a min of affine pieces (for evaluation) plus the vertex
 set of their hypograph (for the Minkowski construction behind ``pair_sup``).
-Simplex grids only enter when sampling the stored tables and estimating a
-resolution-based slack; the root value itself does not depend on the grid.
+Only vertex pairs whose summands share a supporting slope can be vertices of
+that Minkowski sum, so ``pair_sup`` drops, before the hull, every pair whose
+boxes of supporting slopes are disjoint: a necessary condition, which leaves
+the hull unchanged.  Simplex grids only enter when sampling the stored
+tables and estimating a resolution-based slack; the root value itself does
+not depend on the grid.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .cost import CostSpec, evaluate
-from .errors import ConfigError, SizeGuardError
+from .errors import ConfigError, NumericalError, SizeGuardError
 from .lattice import (
     LatticeSpec,
     NodeId,
@@ -179,9 +183,13 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper envelope of a (d+1)-dim point cloud (last axis is the value).
 
     Returns ``(affine, vert_ids)`` where ``affine`` rows are
-    ``(a, beta)`` with envelope ``min_a a . x + beta`` over the x-projection.
+    ``(a, beta)`` with envelope ``min_a a . x + beta`` over the x-projection,
+    and ``vert_ids`` are the ascending rows of the upper facets' vertices.
     A sentinel far below the cloud keeps the hull full-dimensional even when
-    the data is affine.
+    the data is affine; facets touching it are not upper facets.  qhull gives
+    every triangle of a merged facet the same hyperplane, bit for bit, so
+    repeated rows of ``affine`` are dropped (first occurrence kept, in order):
+    the minimum, and the lowest index attaining it, stay the same.
     """
     d = points.shape[1] - 1
     if d == 1:
@@ -199,23 +207,19 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sentinel = np.concatenate(
         [points[:, :-1].mean(axis=0), [points[:, -1].min() - 10.0 * (span + 1.0)]]
     )
-    hull = ConvexHull(np.vstack([points, sentinel]))
-    sid = points.shape[0]
-    eqs = hull.equations
-    upper = eqs[:, d] > UPPER_FACET_TOL
-    affine = []
-    vert_ids: set[int] = set()
-    for fi in np.flatnonzero(upper):
-        n = eqs[fi]
-        a = -n[:d] / n[d]
-        beta = -n[d + 1] / n[d]
-        simplex = hull.simplices[fi]
-        if sid in simplex:
-            continue
-        affine.append(np.concatenate([a, [beta]]))
-        vert_ids.update(int(i) for i in simplex)
-    order = sorted(vert_ids)
-    return np.array(affine), np.array(order)
+    try:
+        hull = ConvexHull(np.vstack([points, sentinel]))
+    except QhullError as exc:
+        raise NumericalError(
+            f"qhull failed on a cloud of {points.shape[0]} points for k = {d + 1}: "
+            f"{str(exc).strip().splitlines()[0]}"
+        ) from exc
+    eqs, simplices = hull.equations, hull.simplices
+    upper = (eqs[:, d] > UPPER_FACET_TOL) & (simplices != points.shape[0]).all(axis=1)
+    eqs = eqs[upper]
+    affine = np.column_stack([-eqs[:, :d] / eqs[:, d:d + 1], -eqs[:, d + 1] / eqs[:, d]])
+    _, first = np.unique(affine, axis=0, return_index=True)
+    return affine[np.sort(first)], np.unique(simplices[upper])
 
 
 def _pieces_from_affine(affine: np.ndarray, k: int, total: float) -> np.ndarray:
@@ -232,6 +236,34 @@ def _pieces_from_affine(affine: np.ndarray, k: int, total: float) -> np.ndarray:
     return g
 
 
+def _slope_boxes(f: ConcavePL) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex of ``f``, a box around every slope that supports its hypograph there.
+
+    Slopes live in the pair cloud's coordinates ``x = y[:k-1]``, where piece
+    ``g`` has slope ``g[:k-1] - g[k-1]``.  The slopes supporting ``f`` at a
+    vertex are the convex hull of its active pieces' slopes (``|g . y - v|
+    <= 1e-9 (1 + |v|)``) plus the simplex's normal cone there: a zero ``y_j``
+    (``j < k``) admits any larger slope in coordinate ``j``, a zero ``y_k``
+    any smaller slope in every coordinate.  So the box bounds the active
+    slopes and opens those sides; a vertex with no active piece gets every
+    slope.  ``f``'s vertices must span the whole simplex, as every function
+    the solver builds does.
+    """
+    k = f.k
+    y, v = f.verts[:, :k], f.verts[:, k]
+    active = np.abs(y @ f.pieces.T - v[:, None]) <= 1e-9 * (1.0 + np.abs(v))[:, None]
+    row, col = np.nonzero(active)
+    slopes = (f.pieces[:, : k - 1] - f.pieces[:, k - 1:])[col]
+    lo = np.full((len(v), k - 1), -np.inf)
+    hi = np.full((len(v), k - 1), np.inf)
+    rows, starts = np.unique(row, return_index=True)
+    lo[rows] = np.minimum.reduceat(slopes, starts, axis=0)
+    hi[rows] = np.maximum.reduceat(slopes, starts, axis=0)
+    hi[y[:, : k - 1] <= 0.0] = np.inf
+    lo[y[:, k - 1] <= 0.0] = -np.inf
+    return lo, hi
+
+
 def pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> ConcavePL:
     """Best mean-preserving split of a driver step.
 
@@ -239,6 +271,15 @@ def pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> Concave
     piecewise-linear ``Vu, Vd``: the hypograph of ``2 W(. / 2)`` is the
     Minkowski sum of the two hypographs, so its vertices are sums of vertex
     pairs and one upper hull finishes the job.
+
+    Only a few pairs are vertices.  A sum ``u + d`` is on the upper hull only
+    if one slope supports both summands at once, at ``u`` and at ``d``: their
+    normal cones meet (Fukuda, J. Symb. Comp. 2004).  For ``k > 2`` the cloud
+    keeps just the pairs whose slope boxes (``_slope_boxes``) overlap in every
+    coordinate, with a margin of ``1e-7 (1 + max |g|)``.  That is a necessary
+    condition, so no vertex of the hull is lost.  At ``k = 2`` clouds are
+    small and their hull is a sorted chain, so all pairs go in.
+    ``PAIR_CLOUD_LIMIT`` bounds the cloud before pruning.
     """
     if up.k != down.k:
         raise ConfigError("pair supremum needs matching dimensions")
@@ -257,17 +298,23 @@ def pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> Concave
         raise SizeGuardError(
             f"pair cloud of {nu * nd} points exceeds {PAIR_CLOUD_LIMIT}"
         )
-    yu = up.verts[:, :k]
-    yd = down.verts[:, :k]
-    sums = (up.verts[:, None, :] + down.verts[None, :, :]).reshape(-1, k + 1)
+    if k > 2:
+        lo_u, hi_u = _slope_boxes(up)
+        lo_d, hi_d = _slope_boxes(down)
+        margin = 1e-7 * (1.0 + max(np.abs(up.pieces).max(), np.abs(down.pieces).max()))
+        meet = ((lo_u[:, None] <= hi_d[None] + margin)
+                & (lo_d[None] <= hi_u[:, None] + margin)).all(axis=2)
+    else:
+        meet = np.ones((nu, nd), dtype=bool)
+    iu, idn = np.nonzero(meet)
+    sums = up.verts[iu] + down.verts[idn]
     cloud = np.column_stack([sums[:, : k - 1], sums[:, k]])
     affine, vert_ids = _hull_upper(cloud)
     pieces = _pieces_from_affine(affine, k, total=2.0)
     verts = np.column_stack([0.5 * sums[vert_ids, :k], 0.5 * sums[vert_ids, k]])
     prov = None
     if want_prov:
-        iu, idn = np.divmod(vert_ids, nd)
-        prov = np.column_stack([yu[iu], yd[idn]])
+        prov = np.column_stack([up.verts[iu[vert_ids], :k], down.verts[idn[vert_ids], :k]])
     return ConcavePL(k=k, pieces=pieces, verts=verts, prov=prov)
 
 

@@ -40,6 +40,10 @@ class SizeGuardError(DcstopError):
     """An exact computation was requested beyond its supported size."""
 
 
+class NumericalError(DcstopError):
+    """A numerical routine (the qhull hull, a least-squares solve) failed on the data."""
+
+
 def is_integer(value) -> bool:
     """True for an integer that is not a bool: ``true`` in a config is never a count."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .cost import CostSpec, evaluate
-from .errors import SizeGuardError, ValidationError
+from .errors import NumericalError, SizeGuardError, ValidationError
 from .lattice import LatticeSpec, NodeId, atom_steps, histories, state
 from .measures import DiscreteMeasure
 from .rst import StoppingKernel
@@ -213,7 +213,11 @@ def _solve_exact(problem: LpProblem):
     cols = [j for j in basis if j < problem.a.shape[1]]
     # Solve B^T y = c_B in the least-squares sense; with redundant rows the
     # basis matrix is rectangular but any consistent y certifies optimality.
-    y, *_ = np.linalg.lstsq(problem.a[:, cols].T, problem.c[cols], rcond=None)
+    try:
+        y, *_ = np.linalg.lstsq(problem.a[:, cols].T, problem.c[cols], rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"least-squares duals failed on a {len(cols)}-column basis: {exc}") from exc
     return status, value, x, y
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
+import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 from dcstop import (
     LatticeSpec,
@@ -280,6 +283,41 @@ class TestGuardsBeforeWork:
         assert main(["simulate", str(path)]) == 2
         assert capsys.readouterr().err == \
             "invalid input: simulation of 1000000000000 paths (limit 100000000)\n"
+
+
+class TestNumericalFailures:
+    """A failing numerical routine is a typed error with exit 2, not a traceback."""
+
+    def write(self, tmp_path, monkeypatch, config):
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    def test_qhull_error(self, tmp_path, monkeypatch, capsys):
+        def hull(*args, **kwargs):
+            raise QhullError("QH6154 Qhull precision error: initial simplex is flat\nmore")
+
+        monkeypatch.setattr("dcstop.dpp.ConvexHull", hull)
+        config = base_config()
+        config["lattice"]["depth"] = 3
+        config["measure"] = [{"t": 1.0, "w": 0.25}, {"t": 2.0, "w": 0.25}, {"t": 3.0, "w": 0.5}]
+        assert main(["solve", self.write(tmp_path, monkeypatch, config)]) == 2
+        assert re.fullmatch(
+            r"invalid input: qhull failed on a cloud of \d+ points for k = 3: "
+            r"QH6154 Qhull precision error: initial simplex is flat\n",
+            capsys.readouterr().err)
+
+    def test_least_squares_error(self, tmp_path, monkeypatch, capsys):
+        def lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        assert main(["oracle", self.write(tmp_path, monkeypatch, base_config()), "--exact"]) == 2
+        assert re.fullmatch(
+            r"invalid input: least-squares duals failed on a \d+-column basis: "
+            r"SVD did not converge in Linear Least Squares\n",
+            capsys.readouterr().err)
 
 
 class TestVerificationFailure:

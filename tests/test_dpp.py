@@ -7,6 +7,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcstop import (
     ConcavePL,
@@ -35,7 +37,9 @@ from dcstop import (
 )
 
 import dcstop.dpp as dpp
+from dcstop.dpp import _hull_upper, _pieces_from_affine
 from dcstop.lattice import heap_row
+from dcstop.measures import measure_from_json
 from conftest import brute_kernel_stats, from_samples, grid_rows, kernel_from_dict, random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
@@ -225,6 +229,89 @@ class TestPairSup:
         assert got.min() >= 0.5 - 1e-12
 
 
+def reference_pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> ConcavePL:
+    """``pair_sup`` before pruning: every vertex pair goes into the hull."""
+    k = up.k
+    nd = down.verts.shape[0]
+    sums = (up.verts[:, None, :] + down.verts[None, :, :]).reshape(-1, k + 1)
+    affine, vert_ids = _hull_upper(np.column_stack([sums[:, : k - 1], sums[:, k]]))
+    verts = np.column_stack([0.5 * sums[vert_ids, :k], 0.5 * sums[vert_ids, k]])
+    prov = None
+    if want_prov:
+        iu, idn = np.divmod(vert_ids, nd)
+        prov = np.column_stack([up.verts[iu, :k], down.verts[idn, :k]])
+    return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k, total=2.0), verts=verts,
+                     prov=prov)
+
+
+def random_concave(rng, k: int, kind: str, levels: bool) -> ConcavePL:
+    """A concave PL function on the ``k``-simplex whose vertices span it.
+
+    ``points``: the corners plus random points, about a third of their
+    coordinates zeroed, so many lie on faces.  ``grid``: a coarse simplex
+    grid, boundary included.  ``perspective``: an apex over a random
+    ``(k-1)``-function embedded at ``y1 = 0``.  ``levels`` draws the values
+    from three levels, which makes wide flat facets, as indicator costs do.
+    """
+    if k == 1:
+        return ConcavePL.constant(float(rng.normal()))
+    if kind == "perspective":
+        return perspective(float(rng.normal()), random_concave(rng, k - 1, "points", levels))
+    if kind == "grid":
+        pts = SimplexGrid(k, int(rng.integers(1, 5))).fractions
+    else:
+        pts = rng.dirichlet(np.ones(k), size=int(rng.integers(0, 12)))
+        pts[rng.random(pts.shape) < 0.3] = 0.0
+        pts = pts[pts.sum(axis=1) > 0]
+        pts = np.vstack([np.eye(k), pts / pts.sum(axis=1, keepdims=True)])
+    vals = rng.integers(0, 3, len(pts)).astype(float) if levels else rng.normal(size=len(pts))
+    affine, ids = _hull_upper(np.column_stack([pts[:, : k - 1], vals]))
+    return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k, total=1.0),
+                     verts=np.column_stack([pts[ids], vals[ids]]))
+
+
+def sorted_rows(a: np.ndarray) -> np.ndarray:
+    return a[np.lexsort(a.T[::-1])]
+
+
+class TestPrunedPairCloud:
+    KINDS = ("points", "grid", "perspective")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.sampled_from(KINDS),
+           st.sampled_from(KINDS), st.booleans())
+    def test_matches_the_all_pairs_hull(self, seed, k, kind_up, kind_down, levels):
+        rng = np.random.default_rng(seed)
+        up = random_concave(rng, k, kind_up, levels)
+        down = random_concave(rng, k, kind_down, levels)
+        got = pair_sup(up, down, want_prov=True)
+        ref = reference_pair_sup(up, down, want_prov=True)
+        assert got.verts.shape == ref.verts.shape
+        np.testing.assert_allclose(sorted_rows(got.verts), sorted_rows(ref.verts),
+                                   rtol=0, atol=1e-12)
+        grid = SimplexGrid(k, 12).fractions
+        np.testing.assert_allclose(got.evaluate_batch(grid), ref.evaluate_batch(grid),
+                                   rtol=0, atol=1e-12)
+        p, q = got.prov[:, :k], got.prov[:, k:]
+        np.testing.assert_allclose(0.5 * (p + q), got.verts[:, :k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(0.5 * (up.evaluate_batch(p) + down.evaluate_batch(q)),
+                                   got.verts[:, k], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_hull_pieces_are_distinct(self, k, levels):
+        # Flat clouds make qhull triangulate each merged facet into many
+        # triangles that share one hyperplane.
+        grid = SimplexGrid(k, 6)
+        vals = np.minimum(np.floor(levels * grid.fractions[:, 0]), levels - 1.0)
+        affine, _ = _hull_upper(np.column_stack([grid.fractions[:, : k - 1], vals]))
+        assert np.unique(affine, axis=0).shape == affine.shape
+        assert affine.shape[0] == levels
+        w = from_samples(grid, vals)
+        out = pair_sup(w, w)
+        assert np.unique(out.pieces, axis=0).shape == out.pieces.shape
+
+
 def exact_inner() -> ConcavePL:
     """``min(0.4 y1 + 1.1 y2, y1 + 0.2 y2)`` on the 2-simplex, kinked at ``y1 = 0.6``."""
     return ConcavePL(
@@ -291,6 +378,17 @@ class TestSolve:
             mu = random_measure(rng, (0.5, 0.75, 1.0))
             table = solve(spec, SQUARE, mu, resolution=resolution)
             assert table.root_value == pytest.approx(mu.mean(), abs=1e-12)
+
+    def test_depth_40_root_value(self):
+        # The benchmark's recombining depth-40 instance with atoms at 10, 20,
+        # 30 and 40 and its seed-1 weights; the value solved with the
+        # all-pairs cloud.
+        mu = measure_from_json([
+            {"t": 10.0, "w": 0.3266544690657706}, {"t": 20.0, "w": 0.21765980504932836},
+            {"t": 30.0, "w": 0.17245760322207904}, {"t": 40.0, "w": 0.28322812266282205},
+        ])
+        table = solve(LatticeSpec(depth=40, dt=1.0), ABS, mu, resolution=10)
+        assert table.root_value == pytest.approx(4.477089540248194, rel=0, abs=1e-12)
 
     def test_root_value_ignores_resolution(self):
         rng = np.random.default_rng(59)
