@@ -22,12 +22,21 @@ boxes of supporting slopes are disjoint: a necessary condition, which leaves
 the hull unchanged.  Simplex grids only enter when sampling the stored
 tables and estimating a resolution-based slack; the root value itself does
 not depend on the grid.
+
+A node's update reads only its children's functions one step later, so the
+updates of one step are independent.  ``solve`` runs a large step's updates
+on a thread pool (qhull releases the GIL) and stores them in node order once
+the step is done; every value is the one a serial pass computes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, combinations
 from math import comb
 from typing import Callable, Optional
@@ -58,6 +67,16 @@ PURE_DEPTH_LIMIT = 12
 PURE_TABLE_LIMIT = 500_000
 UPPER_FACET_TOL = 1e-12
 SLACK_FLOOR = 1e-9
+# Summed pair count (``nu * nd`` over a step's nodes) from which a step's
+# Bellman updates go to the thread pool; smaller steps cost less than the
+# hand-off.
+POOL_PAIR_CUTOFF = 20_000
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 class SimplexGrid:
@@ -251,7 +270,9 @@ def _slope_boxes(f: ConcavePL) -> tuple[np.ndarray, np.ndarray]:
     """
     k = f.k
     y, v = f.verts[:, :k], f.verts[:, k]
-    active = np.abs(y @ f.pieces.T - v[:, None]) <= 1e-9 * (1.0 + np.abs(v))[:, None]
+    gap = y @ f.pieces.T
+    gap -= v[:, None]
+    active = np.abs(gap, out=gap) <= 1e-9 * (1.0 + np.abs(v))[:, None]
     row, col = np.nonzero(active)
     slopes = (f.pieces[:, : k - 1] - f.pieces[:, k - 1:])[col]
     lo = np.full((len(v), k - 1), -np.inf)
@@ -298,23 +319,26 @@ def pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> Concave
         raise SizeGuardError(
             f"pair cloud of {nu * nd} points exceeds {PAIR_CLOUD_LIMIT}"
         )
+    meet = np.ones((nu, nd), dtype=bool)
     if k > 2:
         lo_u, hi_u = _slope_boxes(up)
         lo_d, hi_d = _slope_boxes(down)
         margin = 1e-7 * (1.0 + max(np.abs(up.pieces).max(), np.abs(down.pieces).max()))
-        meet = ((lo_u[:, None] <= hi_d[None] + margin)
-                & (lo_d[None] <= hi_u[:, None] + margin)).all(axis=2)
-    else:
-        meet = np.ones((nu, nd), dtype=bool)
+        for j in range(k - 1):
+            meet &= lo_u[:, j, None] <= hi_d[:, j] + margin
+            meet &= lo_d[:, j] <= hi_u[:, j, None] + margin
     iu, idn = np.nonzero(meet)
-    sums = up.verts[iu] + down.verts[idn]
-    cloud = np.column_stack([sums[:, : k - 1], sums[:, k]])
+    # The cloud drops the last simplex coordinate; it is added in place, so
+    # one cloud-sized temporary is alive at a time.
+    cloud = np.delete(up.verts, k - 1, axis=1)[iu]
+    cloud += np.delete(down.verts, k - 1, axis=1)[idn]
     affine, vert_ids = _hull_upper(cloud)
     pieces = _pieces_from_affine(affine, k, total=2.0)
-    verts = np.column_stack([0.5 * sums[vert_ids, :k], 0.5 * sums[vert_ids, k]])
+    iu, idn = iu[vert_ids], idn[vert_ids]
+    verts = 0.5 * (up.verts[iu] + down.verts[idn])
     prov = None
     if want_prov:
-        prov = np.column_stack([up.verts[iu[vert_ids], :k], down.verts[idn[vert_ids], :k]])
+        prov = np.column_stack([up.verts[iu, :k], down.verts[idn, :k]])
     return ConcavePL(k=k, pieces=pieces, verts=verts, prov=prov)
 
 
@@ -385,6 +409,24 @@ def _bellman(spec: LatticeSpec, cost: CostSpec, node: NodeId,
     return cont
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _malloc_trim() -> None:
+    """Give free heap memory back to the OS around pooled steps.
+
+    Each pool thread allocates from its own glibc arena and cannot reuse the
+    free memory another arena holds, so without a trim every arena keeps its
+    own high-water mark resident.  A no-op where libc has no ``malloc_trim``.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
           resolution: int, debug: bool = False) -> ValueTable:
     """Exact block backward induction for the constrained stopping value.
@@ -394,6 +436,19 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     representations.  ``debug`` re-derives every boundary table entry through
     the explicit renormalization quotient and insists the two routes agree to
     1e-12.
+
+    The Bellman updates of one step (``pair_sup``, then ``perspective`` at an
+    atom step) read only the functions of the step after it, so a step whose
+    summed pair count ``nu * nd`` (from its children's vertex counts, before
+    pruning) reaches ``POOL_PAIR_CUTOFF`` runs them on a thread pool.  Smaller
+    steps, and every step on a single CPU, run serially.  The pool has one
+    thread per CPU this process may use (``os.sched_getaffinity``, else
+    ``os.cpu_count()``), is built on the first such step and is closed when
+    ``solve`` returns.  Each update is deterministic and the results are
+    stored in node order after the step, so tables, digest and errors are
+    those of a serial pass, bit for bit: the first failing node in node
+    order raises.  Free heap memory is handed back (``_malloc_trim``) before
+    each pooled step and after the last, to hold peak RSS.
     """
     if not (isinstance(resolution, int) and resolution >= 1):
         raise ConfigError(f"resolution must be a positive int, got {resolution!r}")
@@ -408,12 +463,33 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     def rep(node: NodeId) -> ConcavePL:
         return reps[(node.step, node)]
 
-    for s in range(horizon, -1, -1):
-        for node in nodes_at_step(spec, s):
+    workers = _cpu_count()
+    pool = None
+    try:
+        for s in range(horizon, -1, -1):
+            nodes = nodes_at_step(spec, s)
             if s == horizon:
-                reps[(s, node)] = ConcavePL.constant(evaluate(cost, state(spec, node)))
+                values = [ConcavePL.constant(evaluate(cost, state(spec, node))) for node in nodes]
             else:
-                reps[(s, node)] = _bellman(spec, cost, node, rep, s in step_of_atom)
+                update = partial(_bellman, spec, cost, rep=rep, at_atom=s in step_of_atom)
+                pairs = nverts[child_positions(spec, s)].prod(axis=1).sum()
+                if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
+                    if pool is None:
+                        pool = ThreadPoolExecutor(workers)
+                    _malloc_trim()
+                    # Copied by this thread, so the stored functions live in
+                    # its malloc arena and not in the pool threads' arenas.
+                    values = [ConcavePL(v.k, v.pieces.copy(), v.verts.copy())
+                              for v in pool.map(update, nodes)]
+                else:
+                    values = list(map(update, nodes))
+            # Written once the step is done: every update reads step s + 1 only.
+            reps.update(((s, node), value) for node, value in zip(nodes, values))
+            nverts = np.array([value.verts.shape[0] for value in values])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+            _malloc_trim()
 
     root_value = reps[(0, root(spec))].evaluate(_mu_vector(mu))
 
@@ -450,12 +526,12 @@ def _check_scaling(spec, cost, rep, tables, grids):
             continue
         y = grids[k].fractions
         c = evaluate(cost, state(spec, node))
-        inner = _continuation(spec, node, rep)
+        inner = rep(node).pieces[:, 1:]  # perspective's copy of the continuation
         y1, rest = y[:, 0], 1.0 - y[:, 0]
         live = rest > 1e-14
         direct = np.full(len(y), c)
-        direct[live] = y1[live] * c + rest[live] * inner.evaluate_batch(
-            y[live, 1:] / rest[live, None])
+        direct[live] = y1[live] * c + rest[live] * np.min(
+            (y[live, 1:] / rest[live, None]) @ inner.T, axis=1)
         off = np.flatnonzero(np.abs(direct - vals) > 1e-12)
         if off.size:
             err = abs(direct[off[0]] - vals[off[0]])

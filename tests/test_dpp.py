@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 import numpy as np
@@ -508,6 +511,98 @@ class TestSolve:
         mu = DiscreteMeasure((1.0, 2.0, 3.0), (0.2, 0.3, 0.5))
         with pytest.raises(SizeGuardError):
             solve(LatticeSpec(depth=3, dt=1.0), ABS, mu, resolution=2000)
+
+
+class TestParallelSteps:
+    """``solve`` runs large steps on a thread pool; results must be the serial ones."""
+
+    @staticmethod
+    def pool_counter(monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(dpp, "ThreadPoolExecutor", counting)
+        return built
+
+    # Eight workers is more threads than cores; the short switch interval
+    # makes the threads interleave often.
+    @pytest.mark.parametrize("workers", [2, 8])
+    @pytest.mark.parametrize("spec, cost, atoms", [
+        (LatticeSpec(depth=24, dt=1.0), ABS, (6.0, 12.0, 18.0, 24.0)),
+        (LatticeSpec(depth=12, dt=1.0, augment_max=True), CostSpec(kind="running_max", name="identity"),
+         (4.0, 8.0, 12.0)),
+    ])
+    def test_pooled_steps_match_the_serial_pass(self, monkeypatch, spec, cost, atoms, workers):
+        mu = random_measure(np.random.default_rng(61), atoms)
+        monkeypatch.setattr(dpp, "_cpu_count", lambda: 1)
+        serial = solve(spec, cost, mu, resolution=10)
+        built = self.pool_counter(monkeypatch)
+        monkeypatch.setattr(dpp, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = solve(spec, cost, mu, resolution=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == [(workers,)]
+        assert list(pooled.reps) == list(serial.reps)
+        for key, f in serial.reps.items():
+            g = pooled.reps[key]
+            assert g.pieces.tobytes() == f.pieces.tobytes(), key
+            assert g.verts.tobytes() == f.verts.tobytes(), key
+        assert list(pooled.tables) == list(serial.tables)
+        for key, vals in serial.tables.items():
+            assert pooled.tables[key].tobytes() == vals.tobytes(), key
+        assert pooled.root_value == serial.root_value
+        assert pooled.slack == serial.slack
+        assert pooled.digest == serial.digest
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_lowest_failing_node_raises(self, monkeypatch, workers):
+        # Atoms at 3 and 6 under the identity cost: each node at step 5 sees
+        # constant children valued at their levels, so the up child's value
+        # names the node.  Position 1 fails late and position 3 early; the
+        # error must still be position 1's, as in the serial loop.
+        spec = LatticeSpec(depth=6, dt=1.0)
+        mu = DiscreteMeasure((3.0, 6.0), (0.5, 0.5))
+        original = dpp.pair_sup
+
+        def failing(up, down, want_prov=False):
+            if up.k == 1 and down.verts[0, 1] == -4.0:
+                time.sleep(0.05)
+                raise SizeGuardError("position 1")
+            if up.k == 1 and down.verts[0, 1] == 0.0:
+                raise SizeGuardError("position 3")
+            return original(up, down, want_prov=want_prov)
+
+        built = self.pool_counter(monkeypatch)
+        monkeypatch.setattr(dpp, "pair_sup", failing)
+        monkeypatch.setattr(dpp, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
+        with pytest.raises(SizeGuardError, match="^position 1$"):
+            solve(spec, IDENTITY, mu, resolution=4)
+        assert len(built) == (workers > 1)
+
+    @pytest.mark.parametrize("workers, cutoff", [(1, 0), (2, 10 ** 9)])
+    def test_no_pool_on_one_cpu_or_below_the_cutoff(self, monkeypatch, workers, cutoff):
+        built = self.pool_counter(monkeypatch)
+        monkeypatch.setattr(dpp, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", cutoff)
+        mu = random_measure(np.random.default_rng(62), (4.0, 8.0, 12.0))
+        solve(LatticeSpec(depth=12, dt=1.0), ABS, mu, resolution=4)
+        assert built == []
+
+    def test_pooled_steps_without_malloc_trim(self, monkeypatch):
+        monkeypatch.setattr(dpp, "_MALLOC_TRIM", None)
+        monkeypatch.setattr(dpp, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
+        mu = DiscreteMeasure((1.0, 2.0, 3.0), (0.2, 0.3, 0.5))
+        table = solve(LatticeSpec(depth=3, dt=1.0), SQUARE, mu, resolution=4)
+        assert table.root_value == pytest.approx(mu.mean(), abs=1e-12)
 
 
 class TestCheckDpp:
