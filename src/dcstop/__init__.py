@@ -51,7 +51,6 @@ from .lattice import (
     NodeId,
     PathState,
     atom_steps,
-    children,
     node_from_json,
     node_prob,
     node_to_json,

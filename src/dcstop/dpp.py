@@ -23,10 +23,15 @@ the hull unchanged.  Simplex grids only enter when sampling the stored
 tables and estimating a resolution-based slack; the root value itself does
 not depend on the grid.
 
+Every induction here works on node positions (see ``lattice.nodes_at_step``):
+``functions[s][p]`` belongs to the node at position ``p`` of step ``s``, and
+``lattice.child_positions`` gives its children's positions one step on.
+``NodeId`` only names nodes for the cost, ``theta`` and the table keys.
+
 A node's update reads only its children's functions one step later, so the
 updates of one step are independent.  ``solve`` runs a large step's updates
-on a thread pool (qhull releases the GIL) and stores them in node order once
-the step is done; every value is the one a serial pass computes.
+on a thread pool (qhull releases the GIL) and stores them in position order
+once the step is done; every value is the one a serial pass computes.
 """
 
 from __future__ import annotations
@@ -36,10 +41,9 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.optimize import nnls
@@ -52,15 +56,18 @@ from .lattice import (
     NodeId,
     atom_steps,
     child_positions,
-    children,
+    node_count,
     nodes_at_step,
-    root,
     state,
 )
 from .measures import DiscreteMeasure
 from .mvm import MvmTree
 
 GRID_SIZE_LIMIT = 1_000_000
+# Nodes up to the last atom.  Recombining depth 1000 (501,501 nodes, one atom)
+# solves in 3-4 s on a 2-core x86 host; max-augmented lattices pass the limit
+# at depth 227.
+LATTICE_NODE_LIMIT = 1_000_000
 PAIR_CLOUD_LIMIT = 4_000_000
 POLICY_DEPTH_LIMIT = 12
 PURE_DEPTH_LIMIT = 12
@@ -368,7 +375,8 @@ def perspective(stop_value: float, inner: ConcavePL) -> ConcavePL:
 class ValueTable:
     """Solver output: root value, exact value functions and their grid samples.
 
-    ``reps`` maps ``(step, node)`` to the exact concave value function there.
+    ``functions[s][p]`` is the exact concave value function of the node at
+    position ``p`` of step ``s``; ``reps`` reads them keyed by ``(step, node)``.
     ``tables`` maps ``(k, step, node)`` to that function sampled on the rows of
     ``SimplexGrid(k, resolution).points`` at the block's closing atom step: the
     pre-decision value of holding a renormalized ``k``-atom future law.  The
@@ -386,27 +394,42 @@ class ValueTable:
     tables: dict[tuple[int, int, NodeId], np.ndarray]
     slack: float
     digest: str
-    reps: dict[tuple[int, NodeId], ConcavePL] = field(repr=False)
+    functions: tuple[tuple[ConcavePL, ...], ...] = field(repr=False)
+
+    @property
+    def reps(self) -> dict[tuple[int, NodeId], ConcavePL]:
+        """``functions`` keyed by ``(step, node)``, built on each read."""
+        return {(s, node): f for s, fs in enumerate(self.functions)
+                for node, f in zip(nodes_at_step(self.spec, s), fs)}
 
 
 def _mu_vector(mu: DiscreteMeasure) -> np.ndarray:
     return np.asarray(mu.weights, dtype=float)
 
 
-def _continuation(spec: LatticeSpec, node: NodeId, rep: Callable[[NodeId], ConcavePL],
-                  want_prov: bool = False) -> ConcavePL:
-    """Value of holding on at ``node``: the pair supremum of its children's ``rep``."""
-    up, down = children(spec, node)
-    return pair_sup(rep(up), rep(down), want_prov=want_prov)
+def _bellman(up: ConcavePL, down: ConcavePL, stop_value: Optional[float]) -> ConcavePL:
+    """The children's pair supremum, then the atom decision if ``stop_value`` is given."""
+    cont = pair_sup(up, down)
+    return cont if stop_value is None else perspective(stop_value, cont)
 
 
-def _bellman(spec: LatticeSpec, cost: CostSpec, node: NodeId,
-             rep: Callable[[NodeId], ConcavePL], at_atom: bool) -> ConcavePL:
-    """One backward step: the continuation, then the atom decision at an atom step."""
-    cont = _continuation(spec, node, rep)
-    if at_atom:
-        return perspective(evaluate(cost, state(spec, node)), cont)
-    return cont
+def _stop_values(spec: LatticeSpec, cost: CostSpec, s: int, steps) -> Iterable[Optional[float]]:
+    """The cost of stopping at each position of step ``s``; None throughout off the atom steps."""
+    if s not in steps:
+        return repeat(None)
+    return [evaluate(cost, state(spec, node)) for node in nodes_at_step(spec, s)]
+
+
+def check_lattice_size(spec: LatticeSpec, horizon: int) -> None:
+    """Refuse more than ``LATTICE_NODE_LIMIT`` nodes up to ``horizon``; cheap at any depth."""
+    total = 0
+    for s in range(horizon + 1):
+        total += node_count(spec, s)
+        if total > LATTICE_NODE_LIMIT:
+            raise SizeGuardError(
+                f"lattice holds more than {LATTICE_NODE_LIMIT} nodes up to step {horizon}; "
+                "lower the depth or the last atom time"
+            )
 
 
 def _cpu_count() -> int:
@@ -445,34 +468,33 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     thread per CPU this process may use (``os.sched_getaffinity``, else
     ``os.cpu_count()``), is built on the first such step and is closed when
     ``solve`` returns.  Each update is deterministic and the results are
-    stored in node order after the step, so tables, digest and errors are
-    those of a serial pass, bit for bit: the first failing node in node
-    order raises.  Free heap memory is handed back (``_malloc_trim``) before
-    each pooled step and after the last, to hold peak RSS.
+    stored by node position (see the module docstring) after the step, so
+    tables, digest and errors are those of a serial pass, bit for bit: the
+    first failing position raises.  Free heap memory is handed back
+    (``_malloc_trim``) before each pooled step and after the last, to hold
+    peak RSS.
     """
     if not (isinstance(resolution, int) and resolution >= 1):
         raise ConfigError(f"resolution must be a positive int, got {resolution!r}")
     steps = atom_steps(spec, mu.atoms)
     r = len(steps)
     horizon = steps[-1]
-    step_of_atom = {s: i for i, s in enumerate(steps)}
+    check_lattice_size(spec, horizon)
     # Built first so that an oversized resolution fails before the induction.
     grids = {k: SimplexGrid(k, resolution) for k in range(1, r + 1)}
-    reps: dict[tuple[int, NodeId], ConcavePL] = {}
-
-    def rep(node: NodeId) -> ConcavePL:
-        return reps[(node.step, node)]
+    functions: list[tuple[ConcavePL, ...]] = [()] * (horizon + 1)
 
     workers = _cpu_count()
     pool = None
     try:
         for s in range(horizon, -1, -1):
-            nodes = nodes_at_step(spec, s)
+            stops = _stop_values(spec, cost, s, steps)
             if s == horizon:
-                values = [ConcavePL.constant(evaluate(cost, state(spec, node))) for node in nodes]
+                values = [ConcavePL.constant(v) for v in stops]
             else:
-                update = partial(_bellman, spec, cost, rep=rep, at_atom=s in step_of_atom)
-                pairs = nverts[child_positions(spec, s)].prod(axis=1).sum()
+                nxt, child = functions[s + 1], child_positions(spec, s)
+                ups, downs = [nxt[p] for p in child[:, 1]], [nxt[p] for p in child[:, 0]]
+                pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(ups, downs))
                 if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
                     if pool is None:
                         pool = ThreadPoolExecutor(workers)
@@ -480,31 +502,27 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
                     # Copied by this thread, so the stored functions live in
                     # its malloc arena and not in the pool threads' arenas.
                     values = [ConcavePL(v.k, v.pieces.copy(), v.verts.copy())
-                              for v in pool.map(update, nodes)]
+                              for v in pool.map(_bellman, ups, downs, stops)]
                 else:
-                    values = list(map(update, nodes))
+                    values = list(map(_bellman, ups, downs, stops))
             # Written once the step is done: every update reads step s + 1 only.
-            reps.update(((s, node), value) for node, value in zip(nodes, values))
-            nverts = np.array([value.verts.shape[0] for value in values])
+            functions[s] = tuple(values)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
             _malloc_trim()
 
-    root_value = reps[(0, root(spec))].evaluate(_mu_vector(mu))
+    root_value = functions[0][0].evaluate(_mu_vector(mu))
 
     tables: dict[tuple[int, int, NodeId], np.ndarray] = {}
     slack = SLACK_FLOOR
     for k in range(1, r + 1):
         s = steps[r - k]
         grid = grids[k]
-        for node in nodes_at_step(spec, s):
-            vals = reps[(s, node)].evaluate_batch(grid.fractions)
+        for node, f in zip(nodes_at_step(spec, s), functions[s]):
+            vals = f.evaluate_batch(grid.fractions)
             tables[(k, s, node)] = vals
             slack = max(slack, grid.max_adjacent_diff(vals))
-
-    if debug:
-        _check_scaling(spec, cost, rep, tables, grids)
 
     h = hashlib.sha256()
     for key in sorted(tables, key=lambda t: (t[0], t[1], repr(t[2]))):
@@ -512,33 +530,38 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
         h.update(np.round(tables[key], 12).tobytes())
     h.update(f"{root_value:.12e}".encode())
 
-    return ValueTable(
+    table = ValueTable(
         spec=spec, cost=cost, mu=mu, resolution=resolution,
         steps=tuple(steps), root_value=root_value, tables=tables,
-        slack=slack, digest=h.hexdigest(), reps=reps,
+        slack=slack, digest=h.hexdigest(), functions=tuple(functions),
     )
+    if debug:
+        _check_scaling(table, grids)
+    return table
 
 
-def _check_scaling(spec, cost, rep, tables, grids):
+def _check_scaling(table: ValueTable, grids: dict[int, SimplexGrid]) -> None:
     """Boundary entries must equal the explicit stop/renormalize quotient."""
-    for (k, s, node), vals in tables.items():
-        if k == 1:
-            continue
+    steps, r = table.steps, len(table.steps)
+    for k in range(2, r + 1):
+        s = steps[r - k]
         y = grids[k].fractions
-        c = evaluate(cost, state(spec, node))
-        inner = rep(node).pieces[:, 1:]  # perspective's copy of the continuation
         y1, rest = y[:, 0], 1.0 - y[:, 0]
         live = rest > 1e-14
-        direct = np.full(len(y), c)
-        direct[live] = y1[live] * c + rest[live] * np.min(
-            (y[live, 1:] / rest[live, None]) @ inner.T, axis=1)
-        off = np.flatnonzero(np.abs(direct - vals) > 1e-12)
-        if off.size:
-            err = abs(direct[off[0]] - vals[off[0]])
-            raise AssertionError(
-                f"renormalization identity off by {err:.3e} "
-                f"at block {k}, step {s}, node {node}"
-            )
+        for node, f in zip(nodes_at_step(table.spec, s), table.functions[s]):
+            vals = table.tables[(k, s, node)]
+            c = evaluate(table.cost, state(table.spec, node))
+            inner = f.pieces[:, 1:]  # perspective's copy of the continuation
+            direct = np.full(len(y), c)
+            direct[live] = y1[live] * c + rest[live] * np.min(
+                (y[live, 1:] / rest[live, None]) @ inner.T, axis=1)
+            off = np.flatnonzero(np.abs(direct - vals) > 1e-12)
+            if off.size:
+                err = abs(direct[off[0]] - vals[off[0]])
+                raise AssertionError(
+                    f"renormalization identity off by {err:.3e} "
+                    f"at block {k}, step {s}, node {node}"
+                )
 
 
 @dataclass(frozen=True)
@@ -556,20 +579,29 @@ def check_dpp(table: ValueTable, theta: Callable[[LatticeSpec, NodeId], bool]) -
     there (at an atom step this is the pre-decision boundary function).  The
     residual must sit within the table's slack; a frontier past the last atom
     degenerates into a full recomputation.
+
+    Like ``solve``, it works on node positions (see the module docstring).  A
+    forward pass from the root marks the positions it reaches before the
+    frontier; only those are recomputed, each once.
     """
-    spec = table.spec
+    spec, functions = table.spec, table.functions
     horizon = table.steps[-1]
-    memo: dict[NodeId, ConcavePL] = {}
+    expand, reached = [], np.ones(1, dtype=bool)
+    for s in range(horizon):
+        nodes, child = nodes_at_step(spec, s), child_positions(spec, s)
+        open_ = np.array([bool(r) and not theta(spec, node) for r, node in zip(reached, nodes)])
+        expand.append((open_, child))
+        reached = np.zeros(len(functions[s + 1]), dtype=bool)
+        reached[child[open_].ravel()] = True
 
-    def u(node: NodeId) -> ConcavePL:
-        if node not in memo:
-            if node.step == horizon or theta(spec, node):
-                memo[node] = table.reps[(node.step, node)]
-            else:
-                memo[node] = _bellman(spec, table.cost, node, u, node.step in table.steps)
-        return memo[node]
+    values = functions[horizon]
+    for s in range(horizon - 1, -1, -1):
+        open_, child = expand[s]
+        stops = _stop_values(spec, table.cost, s, table.steps)
+        values = [_bellman(values[up], values[down], stop) if o else f
+                  for o, (down, up), stop, f in zip(open_, child.tolist(), stops, functions[s])]
 
-    recomputed = u(root(spec)).evaluate(_mu_vector(table.mu))
+    recomputed = values[0].evaluate(_mu_vector(table.mu))
     residual = abs(recomputed - table.root_value)
     return DppReport(residual=residual, slack=table.slack, ok=residual <= table.slack)
 
@@ -635,19 +667,19 @@ def extract_policy(table: ValueTable) -> MvmTree:
     at = np.zeros(1, dtype=np.intp)
     for s in range(horizon):
         live = [j for j, step in enumerate(steps) if step > s]
-        nodes, splits = nodes_at_step(spec, s), {}
+        child, nxt, splits = child_positions(spec, s), table.functions[s + 1], {}
         for h, pos in enumerate(at.tolist(), start=2 ** s - 1):
             vec = vectors[h]
             vectors[2 * h + 1] = vectors[2 * h + 2] = vec
             mass = float(vec[live].sum())
             if mass > 1e-14:
                 if pos not in splits:
-                    splits[pos] = _continuation(
-                        spec, nodes[pos], lambda c: table.reps[(c.step, c)], want_prov=True)
+                    down, up = child[pos]
+                    splits[pos] = pair_sup(nxt[up], nxt[down], want_prov=True)
                 p, _ = _facet_split(splits[pos], vec[live] / mass)
                 vectors[2 * h + 2, live] = mass * p
                 vectors[2 * h + 1, live] = 2.0 * vec[live] - vectors[2 * h + 2, live]
-        at = child_positions(spec, s)[at].ravel()
+        at = child[at].ravel()
     return MvmTree(spec.dt, table.mu.atoms, vectors)
 
 
@@ -656,9 +688,10 @@ def strong_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> floa
 
     A pure rule sends each node's surviving mass to a single atom, so a
     subtree's contribution is summarized by the vector of leaf-mass units it
-    assigns to each atom.  The recursion merges children by convolving these
-    vectors, keeping the best value per vector.  Returns ``-inf`` when the
-    target law is not representable in units of ``2**-horizon``.
+    assigns to each atom.  A backward pass over node positions merges each
+    node's two children by convolving these vectors, keeping the best value
+    per vector.  Returns ``-inf`` when the target law is not representable in
+    units of ``2**-horizon``.
     """
     steps = atom_steps(spec, mu.atoms)
     r = len(steps)
@@ -673,33 +706,30 @@ def strong_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> floa
             return float("-inf")
         target.append(int(round(scaled)))
     step_of_atom = {s: i for i, s in enumerate(steps)}
-    memo: dict[tuple[int, NodeId], dict[tuple[int, ...], float]] = {}
-
-    def best(s: int, node: NodeId) -> dict[tuple[int, ...], float]:
-        key = (s, node)
-        if key in memo:
-            return memo[key]
-        out: dict[tuple[int, ...], float] = {}
+    # Position p of ``best`` holds, for the node at p of the current step, the
+    # best value per unit vector its subtree can assign.
+    best: list[dict[tuple[int, ...], float]] = []
+    for s in range(horizon, -1, -1):
+        nxt, best = best, []
+        child = child_positions(spec, s).tolist() if s < horizon else None
         i = step_of_atom.get(s)
-        if i is not None:
-            vec = [0] * r
-            vec[i] = 2 ** (horizon - s)
-            out[tuple(vec)] = evaluate(cost, state(spec, node)) * 2.0 ** (-s)
-        if s < horizon:
-            up, down = children(spec, node)
-            bu, bd = best(s + 1, up), best(s + 1, down)
-            for vu, valu in bu.items():
-                for vd, vald in bd.items():
-                    vec = tuple(a + b for a, b in zip(vu, vd))
-                    val = valu + vald
-                    if out.get(vec, float("-inf")) < val:
-                        out[vec] = val
-            if len(out) > PURE_TABLE_LIMIT:
-                raise SizeGuardError(
-                    f"pure-rule table grew past {PURE_TABLE_LIMIT} entries"
-                )
-        memo[key] = out
-        return out
-
-    table = best(0, root(spec))
-    return table.get(tuple(target), float("-inf"))
+        for p, node in enumerate(nodes_at_step(spec, s)):
+            out: dict[tuple[int, ...], float] = {}
+            if i is not None:
+                vec = [0] * r
+                vec[i] = 2 ** (horizon - s)
+                out[tuple(vec)] = evaluate(cost, state(spec, node)) * 2.0 ** (-s)
+            if child is not None:
+                down, up = child[p]
+                for vu, valu in nxt[up].items():
+                    for vd, vald in nxt[down].items():
+                        vec = tuple(a + b for a, b in zip(vu, vd))
+                        val = valu + vald
+                        if out.get(vec, float("-inf")) < val:
+                            out[vec] = val
+                if len(out) > PURE_TABLE_LIMIT:
+                    raise SizeGuardError(
+                        f"pure-rule table grew past {PURE_TABLE_LIMIT} entries"
+                    )
+            best.append(out)
+    return best[0].get(tuple(target), float("-inf"))

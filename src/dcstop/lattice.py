@@ -3,8 +3,8 @@
 The driver takes steps of ``+-sqrt(dt)`` with probability one half each.  Two
 indexings are supported: ``recombining`` nodes carry the walk level (optionally
 augmented with the running maximum level), ``history`` nodes carry the full
-bit string of moves.  Probabilities, children and per-node path state are
-derived from the node alone, so the two views agree on every functional of
+bit string of moves.  Probabilities and per-node path state are derived
+from the node alone, so the two views agree on every functional of
 ``(w, m)``.
 """
 
@@ -134,26 +134,6 @@ def history_max_level(bits: tuple[int, ...]) -> int:
     return m
 
 
-def children(spec: LatticeSpec, node: NodeId) -> tuple[NodeId, NodeId]:
-    """The up and down successors of ``node``, in that order."""
-    if node.step >= spec.depth:
-        raise NoChildrenError(f"node at step {node.step} is terminal at depth {spec.depth}")
-    s = node.step + 1
-    if node.history is not None:
-        return (
-            NodeId(step=s, history=node.history + (1,)),
-            NodeId(step=s, history=node.history + (0,)),
-        )
-    up_level = node.level + 1
-    down_level = node.level - 1
-    if node.max_level is None:
-        return NodeId(step=s, level=up_level), NodeId(step=s, level=down_level)
-    return (
-        NodeId(step=s, level=up_level, max_level=max(node.max_level, up_level)),
-        NodeId(step=s, level=down_level, max_level=node.max_level),
-    )
-
-
 def _paths_with_max_at_most(n: int, l: int, m: int) -> int:
     # Reflection at level m+1: walks from 0 to l in n steps touching m+1
     # biject with walks to 2(m+1) - l, so subtract those.
@@ -190,7 +170,8 @@ def nodes_at_step(spec: LatticeSpec, step: int) -> list[NodeId]:
     """All nodes of positive probability at ``step``, in position order.
 
     A node's *position* is its index in this list, and every per-step array
-    (kernel hazards, child maps, Monte Carlo states) is indexed by it.  A
+    (kernel hazards, child maps, Monte Carlo states, the solver's value
+    functions) is indexed by it.  A
     history node's position is its binary code (see ``histories``), a plain
     recombining node's is ``(level + step) // 2``, and a max-augmented node's
     is its rank in the order of ``(level, max_level)``.
@@ -215,7 +196,8 @@ def node_count(spec: LatticeSpec, step: int) -> int:
     """``len(nodes_at_step(spec, step))``, without building the nodes."""
     if spec.mode == "history":
         return 2 ** step
-    return len(_level_max(step)) if spec.augment_max else step + 1
+    # A max-augmented walk ending at level 2j - step can peak at min(j, step - j) + 1 levels.
+    return step + 1 + (step * step // 4 if spec.augment_max else 0)
 
 
 def child_positions(spec: LatticeSpec, step: int) -> np.ndarray:

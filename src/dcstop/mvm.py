@@ -46,6 +46,7 @@ from .lattice import (
     histories,
     history_from_str,
     history_to_str,
+    nodes_at_step,
     state,
 )
 from .measures import (
@@ -381,8 +382,7 @@ def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec, y0: float = 0.0)
         y[rows] = np.repeat(y[_descendants(0, s - 1)], 2)
         i = step_to_atom.get(s)
         if i is not None:
-            paid = [evaluate(cost, state(hist_spec, NodeId(step=s, history=bits)))
-                    for bits in histories(s)]
+            paid = [evaluate(cost, state(hist_spec, node)) for node in nodes_at_step(hist_spec, s)]
             y[rows] += np.array(paid) * mvm.vectors[rows, i]
     return Accumulator(y0=y0, y=y, depth=mvm.depth)
 

@@ -34,7 +34,7 @@ from scipy.optimize import linprog
 
 from .cost import CostSpec, evaluate
 from .errors import NumericalError, SizeGuardError, ValidationError
-from .lattice import LatticeSpec, NodeId, atom_steps, histories, state
+from .lattice import LatticeSpec, atom_steps, nodes_at_step, state
 from .measures import DiscreteMeasure
 from .rst import StoppingKernel
 
@@ -99,8 +99,7 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
         a[leaves.size + i, offsets[i]:offsets[i + 1]] = 1.0
         b[leaves.size + i] = mu.weights[i] * 2 ** s
         c[offsets[i]:offsets[i + 1]] = [
-            evaluate(cost, state(hist, NodeId(step=s, history=bits))) * 2.0 ** (-s)
-            for bits in histories(s)
+            evaluate(cost, state(hist, node)) * 2.0 ** (-s) for node in nodes_at_step(hist, s)
         ]
     return LpProblem(spec=spec, cost=cost, mu=mu, steps=steps, a=a, b=b, c=c)
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from .cost import CostSpec, modulus, with_constant_from_range
 from .errors import ConfigError
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, atom_steps
 from .measures import (
     DiscreteMeasure,
     ceiling_project,
@@ -56,13 +56,16 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     last grid, never to a continuum limit.  Each row's bound is
     ``modulus(W1 to that proxy) + both solver slacks``.
     """
-    from .dpp import solve
+    from .dpp import check_lattice_size, solve
 
     if not grids:
         raise ConfigError("need at least one grid to sweep")
     for a, b in zip(grids, grids[1:]):
         if not _nested(a, b):
             raise ConfigError("stability grids must be nested coarse-to-fine")
+    projected = [ceiling_project(mu, grid) for grid in grids]
+    # Before the modulus constant, which takes time quadratic in the depth.
+    check_lattice_size(spec, max(atom_steps(spec, m.atoms)[-1] for m in projected))
     cost_mod = cost
     if modulus(cost) is None:
         cost_mod = with_constant_from_range(cost, spec)
@@ -76,12 +79,11 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
             table = solve(spec, cost_mod, m, resolution)
             return table.root_value, table.slack
 
-    mu_fine = ceiling_project(mu, grids[-1])
+    mu_fine = projected[-1]
     v_fine, slack_fine = value_fn(mu_fine)
     rows = []
     all_within = True
-    for n, grid in enumerate(grids):
-        mu_n = ceiling_project(mu, grid)
+    for n, (grid, mu_n) in enumerate(zip(grids, projected)):
         w1_to_fine = w1_distance(mu_n, mu_fine)
         v_n, slack_n = value_fn(mu_n)
         bound = phi(w1_to_fine) + slack_fine + slack_n

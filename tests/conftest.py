@@ -16,6 +16,7 @@ from dcstop import (
     DiscreteMeasure,
     LatticeSpec,
     MvmTree,
+    NoChildrenError,
     NodeId,
     StoppingKernel,
     atom_steps,
@@ -30,6 +31,30 @@ from dcstop.lattice import heap_history
 
 def all_paths(n: int) -> list[tuple[int, ...]]:
     return list(itertools.product((0, 1), repeat=n))
+
+
+def children(spec: LatticeSpec, node: NodeId) -> tuple[NodeId, NodeId]:
+    """The up and down successors of ``node``, in that order, built from the node alone.
+
+    The reference for ``lattice.child_positions`` and for the node-keyed walks
+    the tests keep beside the package's position arrays.
+    """
+    if node.step >= spec.depth:
+        raise NoChildrenError(f"node at step {node.step} is terminal at depth {spec.depth}")
+    s = node.step + 1
+    if node.history is not None:
+        return (
+            NodeId(step=s, history=node.history + (1,)),
+            NodeId(step=s, history=node.history + (0,)),
+        )
+    up_level = node.level + 1
+    down_level = node.level - 1
+    if node.max_level is None:
+        return NodeId(step=s, level=up_level), NodeId(step=s, level=down_level)
+    return (
+        NodeId(step=s, level=up_level, max_level=max(node.max_level, up_level)),
+        NodeId(step=s, level=down_level, max_level=node.max_level),
+    )
 
 
 def kernel_node(spec: LatticeSpec, bits: tuple[int, ...]) -> NodeId:

@@ -270,6 +270,30 @@ class TestGuardsBeforeWork:
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == f"invalid input: {message}\n"
 
+    @pytest.mark.parametrize("command", ["solve", "stability"])
+    @pytest.mark.parametrize("lattice, atoms", [
+        ({"depth": 100000, "dt": 1.0}, [100000.0]),
+        ({"depth": 400, "dt": 1.0, "augment_max": True}, [200.0, 400.0]),
+    ])
+    def test_lattice_size_guard_fires_first(self, tmp_path, monkeypatch, capsys,
+                                            command, lattice, atoms):
+        def expensive_call(*args, **kwargs):
+            raise AssertionError("the expensive call ran before the lattice size guard")
+
+        monkeypatch.setattr("dcstop.dpp.SimplexGrid", expensive_call)
+        monkeypatch.setattr("dcstop.stability.with_constant_from_range", expensive_call)
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = base_config()
+        config["lattice"] = lattice
+        config["measure"] = [{"t": t, "w": 1.0 / len(atoms)} for t in atoms]
+        config["stability"] = {"grids": [atoms]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: lattice holds more than 1000000 nodes up to step {int(atoms[-1])}; "
+            "lower the depth or the last atom time\n")
+
     def test_path_guard_fires_first(self, tmp_path, monkeypatch, capsys):
         def build_lp(*args, **kwargs):
             raise AssertionError("the LP was built before the path guard")

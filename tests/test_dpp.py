@@ -31,6 +31,7 @@ from dcstop import (
     oracle_value,
     pair_sup,
     perspective,
+    root,
     solve,
     state,
     strong_value,
@@ -43,7 +44,14 @@ import dcstop.dpp as dpp
 from dcstop.dpp import _hull_upper, _pieces_from_affine
 from dcstop.lattice import heap_row
 from dcstop.measures import measure_from_json
-from conftest import brute_kernel_stats, from_samples, grid_rows, kernel_from_dict, random_measure
+from conftest import (
+    brute_kernel_stats,
+    children,
+    from_samples,
+    grid_rows,
+    kernel_from_dict,
+    random_measure,
+)
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 IDENTITY = CostSpec(kind="terminal", name="identity")
@@ -415,15 +423,11 @@ class TestSolve:
         mu = random_measure(rng, (0.5, 1.0, 1.5))
         table = solve(spec, ABS, mu, resolution=7)
         grids = {k: SimplexGrid(k, 7) for k in (1, 2, 3)}
-
-        def rep(node):
-            return table.reps[(node.step, node)]
-
-        dpp._check_scaling(spec, ABS, rep, table.tables, grids)
+        dpp._check_scaling(table, grids)
         key = next(key for key in table.tables if key[0] == 3)
         table.tables[key][5] += 1e-9
         with pytest.raises(AssertionError, match="renormalization identity off by"):
-            dpp._check_scaling(spec, ABS, rep, table.tables, grids)
+            dpp._check_scaling(table, grids)
 
     # Recorded before the grid layer was rebuilt on arrays; any change to the
     # order of the grid points, the sampled tables or the slack shows here.
@@ -512,6 +516,17 @@ class TestSolve:
         with pytest.raises(SizeGuardError):
             solve(LatticeSpec(depth=3, dt=1.0), ABS, mu, resolution=2000)
 
+    @pytest.mark.parametrize("last, refused", [(3.0, False), (4.0, True)])
+    def test_lattice_size_guard_counts_nodes_up_to_the_last_atom(self, monkeypatch, last, refused):
+        # Steps 0..3 of a recombining lattice hold 1 + 2 + 3 + 4 = 10 nodes.
+        monkeypatch.setattr(dpp, "LATTICE_NODE_LIMIT", 10)
+        mu = DiscreteMeasure((1.0, last), (0.5, 0.5))
+        if refused:
+            with pytest.raises(SizeGuardError, match="more than 10 nodes up to step 4"):
+                solve(LatticeSpec(depth=10, dt=1.0), ABS, mu, resolution=4)
+        else:
+            assert solve(LatticeSpec(depth=10, dt=1.0), ABS, mu, resolution=4).steps == (1, 3)
+
 
 class TestParallelSteps:
     """``solve`` runs large steps on a thread pool; results must be the serial ones."""
@@ -549,11 +564,11 @@ class TestParallelSteps:
         finally:
             sys.setswitchinterval(interval)
         assert built == [(workers,)]
-        assert list(pooled.reps) == list(serial.reps)
-        for key, f in serial.reps.items():
-            g = pooled.reps[key]
-            assert g.pieces.tobytes() == f.pieces.tobytes(), key
-            assert g.verts.tobytes() == f.verts.tobytes(), key
+        assert [len(fs) for fs in pooled.functions] == [len(fs) for fs in serial.functions]
+        for s, (fs, gs) in enumerate(zip(serial.functions, pooled.functions)):
+            for p, (f, g) in enumerate(zip(fs, gs)):
+                assert g.pieces.tobytes() == f.pieces.tobytes(), (s, p)
+                assert g.verts.tobytes() == f.verts.tobytes(), (s, p)
         assert list(pooled.tables) == list(serial.tables)
         for key, vals in serial.tables.items():
             assert pooled.tables[key].tobytes() == vals.tobytes(), key
@@ -605,20 +620,21 @@ class TestParallelSteps:
         assert table.root_value == pytest.approx(mu.mean(), abs=1e-12)
 
 
-class TestCheckDpp:
-    def thetas(self):
-        return {
-            "first_step": lambda spec, node: node.step >= 1,
-            "hit_or_cap": lambda spec, node: (
-                (node.level is not None and node.level >= 1) or node.step >= 2
-            ),
-            "past_horizon": lambda spec, node: node.step >= 99,
-        }
+THETAS = {
+    "first_step": lambda spec, node: node.step >= 1,
+    "hit_or_cap": lambda spec, node: (
+        (node.level is not None and node.level >= 1) or node.step >= 2
+    ),
+    "above_start": lambda spec, node: state(spec, node).w > 0.0,
+    "past_horizon": lambda spec, node: node.step >= 99,
+}
 
+
+class TestCheckDpp:
     def test_worked_instance_residuals(self):
         spec, cost, mu = worked_instance()
         table = solve(spec, cost, mu, resolution=4)
-        for theta in self.thetas().values():
+        for theta in THETAS.values():
             report = check_dpp(table, theta)
             assert report.ok
             assert report.slack == table.slack
@@ -626,7 +642,7 @@ class TestCheckDpp:
     def test_degenerate_frontier_recomputes_exactly(self):
         spec, cost, mu = worked_instance()
         table = solve(spec, cost, mu, resolution=4)
-        report = check_dpp(table, self.thetas()["past_horizon"])
+        report = check_dpp(table, THETAS["past_horizon"])
         assert report.residual <= 1e-12
 
     def test_random_instance_residuals(self):
@@ -634,8 +650,106 @@ class TestCheckDpp:
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = random_measure(rng, (0.5, 0.75, 1.0))
         table = solve(spec, ABS, mu, resolution=5)
-        for theta in self.thetas().values():
+        for theta in THETAS.values():
             assert check_dpp(table, theta).ok
+
+
+# --- The NodeId-keyed recursions the position loops replaced, kept as references.
+
+def reference_check_dpp(table, theta) -> float:
+    """``check_dpp``'s residual by memoised recursion from the root over ``children``."""
+    spec, horizon, reps = table.spec, table.steps[-1], table.reps
+    memo = {}
+
+    def u(node):
+        if node not in memo:
+            if node.step == horizon or theta(spec, node):
+                memo[node] = reps[(node.step, node)]
+            else:
+                up, down = children(spec, node)
+                cont = dpp.pair_sup(u(up), u(down))
+                if node.step in table.steps:
+                    cont = dpp.perspective(evaluate(table.cost, state(spec, node)), cont)
+                memo[node] = cont
+        return memo[node]
+
+    recomputed = u(root(spec)).evaluate(np.asarray(table.mu.weights, dtype=float))
+    return abs(recomputed - table.root_value)
+
+
+def reference_strong_value(spec, cost, mu) -> float:
+    """``strong_value`` by memoised recursion from the root over ``children``."""
+    steps = [round(t / spec.dt) for t in mu.atoms]
+    r, horizon = len(steps), steps[-1]
+    units = 2 ** horizon
+    target = []
+    for w in mu.weights:
+        scaled = w * units
+        if abs(scaled - round(scaled)) > 1e-9:
+            return float("-inf")
+        target.append(int(round(scaled)))
+    memo = {}
+
+    def best(node):
+        if node not in memo:
+            s, out = node.step, {}
+            if s in steps:
+                vec = [0] * r
+                vec[steps.index(s)] = 2 ** (horizon - s)
+                out[tuple(vec)] = evaluate(cost, state(spec, node)) * 2.0 ** (-s)
+            if s < horizon:
+                up, down = children(spec, node)
+                for vu, valu in best(up).items():
+                    for vd, vald in best(down).items():
+                        vec = tuple(a + b for a, b in zip(vu, vd))
+                        if out.get(vec, float("-inf")) < valu + vald:
+                            out[vec] = valu + vald
+            memo[node] = out
+        return memo[node]
+
+    return best(root(spec)).get(tuple(target), float("-inf"))
+
+
+REFERENCE_LATTICES = [
+    (LatticeSpec(depth=5, dt=1.0), ABS),
+    (LatticeSpec(depth=5, dt=1.0, augment_max=True), CostSpec(kind="running_max", name="identity")),
+    (LatticeSpec(depth=5, dt=1.0, mode="history"), INDICATOR),
+]
+
+
+class TestPositionLoopsMatchTheRecursions:
+    @pytest.mark.parametrize("spec, cost", REFERENCE_LATTICES)
+    @pytest.mark.parametrize("theta", list(THETAS), ids=list(THETAS))
+    def test_check_dpp_residual_and_pair_sup_calls(self, monkeypatch, spec, cost, theta):
+        mu = random_measure(np.random.default_rng(67), (2.0, 3.0, 5.0))
+        table = solve(spec, cost, mu, resolution=6)
+        calls = []
+        original = dpp.pair_sup
+
+        def counting(up, down, want_prov=False):
+            calls.append(1)
+            return original(up, down, want_prov=want_prov)
+
+        monkeypatch.setattr(dpp, "pair_sup", counting)
+        got = check_dpp(table, THETAS[theta]).residual
+        got_calls, calls[:] = len(calls), []
+        want = reference_check_dpp(table, THETAS[theta])
+        assert got == want
+        assert got_calls == len(calls) > 0
+
+    @pytest.mark.parametrize("spec, cost", REFERENCE_LATTICES)
+    @pytest.mark.parametrize("atoms, weights", [
+        ((2.0, 5.0), (0.25, 0.75)),
+        ((1.0, 3.0, 5.0), (0.5, 0.25, 0.25)),
+        ((1.0, 3.0, 5.0), (0.125, 0.25, 0.625)),  # no pure rule stops 1/8 at step 1
+        ((2.0, 5.0), (1 / 3, 2 / 3)),  # not in units of 2**-5
+    ])
+    def test_strong_value(self, spec, cost, atoms, weights):
+        mu = DiscreteMeasure(atoms, weights)
+        got = strong_value(spec, cost, mu)
+        assert got == reference_strong_value(spec, cost, mu)
+        if weights[0] in (0.125, 1 / 3):
+            assert got == float("-inf")
 
 
 class TestExtractPolicy:

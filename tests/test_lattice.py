@@ -17,7 +17,6 @@ from dcstop import (
     NoChildrenError,
     ValidationError,
     atom_steps,
-    children,
     node_from_json,
     node_prob,
     node_to_json,
@@ -30,6 +29,7 @@ from dcstop import (
     time_to_step,
 )
 from dcstop.lattice import child_positions, node_count
+from conftest import children
 
 
 def walk_stats(n: int) -> Counter:

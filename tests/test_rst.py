@@ -31,11 +31,11 @@ from dcstop import (
     w1_distance,
 )
 
-from dcstop.lattice import atom_steps, children, nodes_at_step, root, state
+from dcstop.lattice import atom_steps, nodes_at_step, root, state
 from dcstop.measures import ATOM_MERGE_TOL
 from dcstop.rst import DEAD_MASS, SIM_CHUNK
 
-from conftest import brute_kernel_stats, kernel_dict, kernel_from_dict, random_measure
+from conftest import brute_kernel_stats, children, kernel_dict, kernel_from_dict, random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 IDENTITY = CostSpec(kind="terminal", name="identity")
