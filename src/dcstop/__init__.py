@@ -16,11 +16,9 @@ __version__ = "0.1.0"
 from .cost import (
     CostSpec,
     cost_from_json,
-    cost_to_json,
     evaluate,
     holder2_constant_from_range,
     modulus,
-    modulus_metadata,
     with_constant_from_range,
 )
 from .dpp import (
@@ -39,7 +37,6 @@ from .errors import (
     ConfigError,
     CoverageError,
     DcstopError,
-    EmptyTailError,
     NoChildrenError,
     RightShiftError,
     SizeGuardError,
@@ -51,14 +48,10 @@ from .lattice import (
     NodeId,
     PathState,
     atom_steps,
-    node_from_json,
-    node_prob,
     node_to_json,
     nodes_at_step,
-    project_to_recombining,
     root,
     spec_from_json,
-    spec_to_json,
     state,
     time_to_step,
 )
@@ -70,7 +63,6 @@ from .measures import (
     measure_from_json,
     measure_to_json,
     monotone_coupling,
-    restrict_renormalize,
     w1_distance,
 )
 from .mvm import (
@@ -82,7 +74,6 @@ from .mvm import (
     accumulate,
     extract_continuation,
     from_kernel,
-    mvm_from_json,
     mvm_to_json,
     splice,
     termination,
@@ -101,13 +92,10 @@ from .rst import (
     SimReport,
     StoppingKernel,
     feasible_kernel,
-    kernel_from_json,
     kernel_to_json,
     marginal_of,
     objective_value,
-    push_right,
     push_right_with_shift,
-    random_kernel,
     simulate,
 )
 from .stability import (
@@ -118,7 +106,6 @@ from .stability import (
     concavity_check,
     convergence_sweep,
     push_right_identity_check,
-    report_to_json,
     rows_to_csv,
 )
 

@@ -147,13 +147,11 @@ def holder2_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> float:
         power = 1
     else:
         raise ConfigError("no modulus route for markov costs")
-    best = 0.0
-    for i, x in enumerate(values):
-        for y in values[i + 1:]:
-            ratio = abs(f(x) - f(y)) / (y - x) ** power
-            if ratio > best:
-                best = ratio
-    return best
+    # The grid is uniform and power >= 1, so adjacent points attain the
+    # largest ratio over all pairs: for points k steps apart, |f(x) - f(y)| is
+    # at most k times the largest adjacent difference, and (k * mesh) ** power
+    # at least k times mesh ** power.
+    return max(abs(f(x) - f(y)) / (y - x) ** power for x, y in zip(values, values[1:]))
 
 
 def with_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> CostSpec:
@@ -164,30 +162,6 @@ def with_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> CostSpec:
         params=dict(cost.params),
         holder2_constant=holder2_constant_from_range(cost, spec),
     )
-
-
-def modulus_metadata(cost: CostSpec, spec: Optional[LatticeSpec] = None) -> dict:
-    """Reportable facts about the modulus backing a stability claim.
-
-    ``uniform_continuity_verified`` is True only when a modulus constant is
-    actually available for the cost; markov costs have no verified route.
-    """
-    c = cost.holder2_constant
-    if c is None and spec is not None and cost.kind != "markov":
-        c = holder2_constant_from_range(cost, spec)
-    verified = c is not None and cost.kind in ("terminal", "running_max", "time")
-    return {
-        "holder2_constant": c,
-        "modulus_form": "linear" if verified else None,
-        "uniform_continuity_verified": verified,
-    }
-
-
-def cost_to_json(cost: CostSpec) -> dict:
-    out = {"kind": cost.kind, "name": cost.name, "params": dict(cost.params)}
-    if cost.holder2_constant is not None:
-        out["holder2_constant"] = cost.holder2_constant
-    return out
 
 
 def cost_from_json(data: dict) -> CostSpec:

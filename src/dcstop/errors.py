@@ -20,10 +20,6 @@ class CoverageError(DcstopError):
     """A time point falls outside the grid or lattice that must cover it."""
 
 
-class EmptyTailError(DcstopError):
-    """Conditioning a measure on a tail that carries no mass."""
-
-
 class NoChildrenError(DcstopError):
     """Asked for the children of a terminal lattice node."""
 

@@ -3,9 +3,8 @@
 The driver takes steps of ``+-sqrt(dt)`` with probability one half each.  Two
 indexings are supported: ``recombining`` nodes carry the walk level (optionally
 augmented with the running maximum level), ``history`` nodes carry the full
-bit string of moves.  Probabilities and per-node path state are derived
-from the node alone, so the two views agree on every functional of
-``(w, m)``.
+bit string of moves.  Per-node path state is derived from the node alone,
+so a history node and its recombining image carry the same ``(w, m, t)``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .errors import (
     NoChildrenError,
     ValidationError,
     finite_number,
-    is_integer,
 )
 
 MODES = ("recombining", "history")
@@ -134,38 +132,6 @@ def history_max_level(bits: tuple[int, ...]) -> int:
     return m
 
 
-def _paths_with_max_at_most(n: int, l: int, m: int) -> int:
-    # Reflection at level m+1: walks from 0 to l in n steps touching m+1
-    # biject with walks to 2(m+1) - l, so subtract those.
-    def comb_end(end: int) -> int:
-        num = n + end
-        if num % 2 != 0:
-            return 0
-        k = num // 2
-        if k < 0 or k > n:
-            return 0
-        return math.comb(n, k)
-
-    return comb_end(l) - comb_end(2 * (m + 1) - l)
-
-
-def paths_with_max(n: int, l: int, m: int) -> int:
-    """Number of n-step walks from 0 ending at level ``l`` with running max ``m``."""
-    if m < max(l, 0) or m > n:
-        return 0
-    return _paths_with_max_at_most(n, l, m) - _paths_with_max_at_most(n, l, m - 1)
-
-
-def node_prob(spec: LatticeSpec, node: NodeId) -> float:
-    """Probability of visiting ``node`` (aggregated over histories when recombining)."""
-    n = node.step
-    if node.history is not None:
-        return 0.5 ** n
-    if node.max_level is not None:
-        return paths_with_max(n, node.level, node.max_level) * 0.5 ** n
-    return math.comb(n, (n + node.level) // 2) * 0.5 ** n
-
-
 def nodes_at_step(spec: LatticeSpec, step: int) -> list[NodeId]:
     """All nodes of positive probability at ``step``, in position order.
 
@@ -254,12 +220,6 @@ def history_to_str(bits: tuple[int, ...]) -> str:
     return "".join("U" if b else "D" for b in bits)
 
 
-def history_from_str(text: str) -> tuple[int, ...]:
-    if not isinstance(text, str) or any(ch not in "UD" for ch in text):
-        raise ValidationError(f"history string must use U/D, got {text!r}")
-    return tuple(1 if ch == "U" else 0 for ch in text)
-
-
 def state(spec: LatticeSpec, node: NodeId) -> PathState:
     """Physical driver state at a node; ``m`` is None when the lattice does not track it."""
     h = spec.step_width
@@ -271,16 +231,6 @@ def state(spec: LatticeSpec, node: NodeId) -> PathState:
         )
     m = node.max_level * h if node.max_level is not None else None
     return PathState(w=node.level * h, m=m, t=node.step * spec.dt)
-
-
-def project_to_recombining(spec: LatticeSpec, node: NodeId) -> NodeId:
-    """Collapse a history node to its recombining image under ``spec``'s augmentation."""
-    if node.history is None:
-        return node
-    level = history_level(node.history)
-    if spec.augment_max:
-        return NodeId(step=node.step, level=level, max_level=history_max_level(node.history))
-    return NodeId(step=node.step, level=level)
 
 
 def time_to_step(spec: LatticeSpec, t: float) -> int:
@@ -309,15 +259,6 @@ def atom_steps(spec: LatticeSpec, atoms) -> list[int]:
     return steps
 
 
-def spec_to_json(spec: LatticeSpec) -> dict:
-    return {
-        "depth": spec.depth,
-        "dt": spec.dt,
-        "augment_max": spec.augment_max,
-        "mode": spec.mode,
-    }
-
-
 def spec_from_json(data: dict) -> LatticeSpec:
     if not isinstance(data, dict):
         raise ConfigError("lattice config must be an object")
@@ -341,13 +282,3 @@ def node_to_json(node: NodeId) -> dict:
     if node.max_level is not None:
         out["max_level"] = node.max_level
     return out
-
-
-def node_from_json(data: dict) -> NodeId:
-    ints = {key: data[key] for key in ("step", "level", "max_level") if key in data}
-    for key, value in ints.items():
-        if not is_integer(value):
-            raise ValidationError(f"node {key} must be an integer, got {value!r}")
-    if "history" in data:
-        return NodeId(step=data["step"], history=history_from_str(data["history"]))
-    return NodeId(step=data["step"], level=data["level"], max_level=ints.get("max_level"))

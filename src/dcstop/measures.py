@@ -3,8 +3,7 @@
 Measures here play the role of stopping-time laws.  The module provides the
 first-order transport geometry the rest of the package leans on: Wasserstein-1
 distance, the monotone (quantile) coupling that attains it, the rightward
-stochastic order, conditioning on a right tail, and ceiling projection onto a
-coarser time grid.
+stochastic order, and ceiling projection onto a coarser time grid.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 from bisect import bisect_left
 from typing import Sequence
 
-from .errors import CoverageError, EmptyTailError, ValidationError, finite_number
+from .errors import CoverageError, ValidationError, finite_number
 
 # Weights must reproduce a probability vector to this accuracy.
 WEIGHT_TOL = 1e-12
@@ -85,13 +84,6 @@ class DiscreteMeasure:
     def mean(self) -> float:
         return sum(t * w for t, w in zip(self.atoms, self.weights))
 
-    def mass_above(self, t: float) -> float:
-        """Mass of the open interval ``(t, oo)``."""
-        return sum(w for a, w in zip(self.atoms, self.weights) if a > t)
-
-    def cdf(self, t: float) -> float:
-        return sum(w for a, w in zip(self.atoms, self.weights) if a <= t)
-
 
 class MonotoneCoupling:
     """A coupling of two measures whose support is monotone in both indices.
@@ -154,15 +146,6 @@ class MonotoneCoupling:
             for j, m in row:
                 total += m * abs(x - self.target.atoms[j])
         return total
-
-    def moves_only_right(self, tol: float = WEIGHT_TOL) -> bool:
-        """True when every cell sends mass to an equal or later time."""
-        for i, row in enumerate(self.rows):
-            x = self.source.atoms[i]
-            for j, m in row:
-                if m > tol and self.target.atoms[j] < x - ATOM_MERGE_TOL:
-                    return False
-        return True
 
 
 def w1_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
@@ -233,20 +216,6 @@ def is_right_shift_of(target: DiscreteMeasure, source: DiscreteMeasure,
         if ct > cs + tol:
             return False
     return True
-
-
-def restrict_renormalize(xi: DiscreteMeasure, t: float) -> DiscreteMeasure:
-    """Condition ``xi`` on the open tail ``(t, oo)``."""
-    atoms = []
-    weights = []
-    for a, w in zip(xi.atoms, xi.weights):
-        if a > t:
-            atoms.append(a)
-            weights.append(w)
-    mass = sum(weights)
-    if not atoms or mass <= WEIGHT_TOL:
-        raise EmptyTailError(f"no mass strictly after t={t}")
-    return DiscreteMeasure(atoms, [w / mass for w in weights])
 
 
 def ceiling_project(mu: DiscreteMeasure, grid: Sequence[float]) -> DiscreteMeasure:

@@ -29,14 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .cost import CostSpec, evaluate
-from .errors import (
-    ConfigError,
-    SizeGuardError,
-    SpliceError,
-    ValidationError,
-    finite_number,
-    is_integer,
-)
+from .errors import SizeGuardError, SpliceError, ValidationError, is_integer
 from .lattice import (
     LatticeSpec,
     NodeId,
@@ -44,7 +37,6 @@ from .lattice import (
     heap_history,
     heap_row,
     histories,
-    history_from_str,
     history_to_str,
     nodes_at_step,
     state,
@@ -395,33 +387,3 @@ def mvm_to_json(mvm: MvmTree) -> dict:
         "atom_times": list(mvm.atom_times),
         "nodes": dict(zip(keys, mvm.vectors.tolist())),
     }
-
-
-def mvm_from_json(data: dict) -> MvmTree:
-    """Tree from its JSON form, where nodes are keyed by ``U``/``D`` history strings.
-
-    Every history up to the last atom must appear, and nothing else; any
-    malformed payload raises ``ValidationError``.
-    """
-    try:
-        dt = finite_number(data["dt"], "dt")
-        atom_times = [finite_number(t, "atom time") for t in data["atom_times"]]
-        start_step = data.get("start_step", 0)
-        nodes = data["nodes"].items()
-    except (AttributeError, ConfigError, KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed tree payload: {exc}") from exc
-    rows = {}
-    for key, vec in nodes:
-        # JSON numbers only: no strings, no booleans.
-        if not (isinstance(vec, list) and len(vec) == len(atom_times)
-                and all(type(w) in (int, float) for w in vec)):
-            raise ValidationError(
-                f"vector at {key!r} must be a list of {len(atom_times)} numbers, got {vec!r}"
-            )
-        rows[heap_row(history_from_str(key))] = vec
-    size = max(rows, default=-1) + 1
-    if len(rows) < size:
-        raise ValidationError(
-            f"{size - len(rows)} of the {size} histories up to the deepest node key are missing"
-        )
-    return MvmTree(dt, atom_times, [rows[h] for h in range(size)], start_step=start_step)

@@ -255,9 +255,8 @@ def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
     )
 
 
-def oracle_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
-                 exact: bool = False) -> float:
-    solution = solve_lp(build_lp(spec, cost, mu), exact=exact)
+def oracle_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> float:
+    solution = solve_lp(build_lp(spec, cost, mu))
     if solution.status != "optimal":
         raise ValidationError(f"stopping polytope is {solution.status}")
     return solution.value

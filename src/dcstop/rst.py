@@ -21,23 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostSpec, evaluate
-from .errors import ConfigError, RightShiftError, SizeGuardError, ValidationError, finite_number
+from .errors import RightShiftError, SizeGuardError, ValidationError
 from .lattice import (
     LatticeSpec,
     atom_steps,
     child_positions,
     node_count,
-    node_from_json,
     node_to_json,
     nodes_at_step,
     state,
-    time_to_step,
 )
 from .measures import (
     ATOM_MERGE_TOL,
     DiscreteMeasure,
     MonotoneCoupling,
-    measure_to_json,
 )
 
 Q_SNAP_TOL = 1e-12
@@ -158,23 +155,17 @@ def objective_value(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec) -
     return math.fsum(terms)
 
 
-def push_right(kernel: StoppingKernel, spec: LatticeSpec,
-               coupling: MonotoneCoupling) -> StoppingKernel:
+def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
+                          coupling: MonotoneCoupling) -> tuple[StoppingKernel, float]:
     """Re-route every stop decision rightward along ``coupling``.
 
     The coupling's source must be the kernel's marginal; its target becomes
     the new marginal.  Each unit of mass stopped at a source atom continues
     and stops at its coupled target time, split across the future subtree
     proportionally to path probability, so the realized expected shift equals
-    the coupling cost exactly.
+    the coupling cost exactly.  Returns the new kernel and that shift,
+    ``E|tau' - tau|``.
     """
-    new_kernel, _ = push_right_with_shift(kernel, spec, coupling)
-    return new_kernel
-
-
-def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
-                          coupling: MonotoneCoupling) -> tuple[StoppingKernel, float]:
-    """``push_right`` plus the realized expected shift ``E|tau' - tau|``."""
     check_same_lattice(kernel, spec)
     source = marginal_of(kernel, spec)
     if len(source) != len(coupling.source) or any(
@@ -239,15 +230,6 @@ class SimReport:
     mean: float
     stderr: float
 
-    def to_json(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "empirical_marginal": measure_to_json(self.empirical_marginal),
-            "mean": self.mean,
-            "stderr": self.stderr,
-        }
-
 
 def check_sim_paths(n_paths: int) -> None:
     """Refuse a Monte Carlo run past ``SIM_PATH_LIMIT`` paths before any draw."""
@@ -305,13 +287,6 @@ def simulate(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec,
     )
 
 
-def random_kernel(spec: LatticeSpec, atom_times, rng: np.random.Generator) -> StoppingKernel:
-    """Uniformly random stop probabilities; the final atom still stops surely."""
-    steps = atom_steps(spec, atom_times)
-    q = [rng.random(node_count(spec, s)) for s in steps[:-1]]
-    return StoppingKernel(spec, atom_times, q + [np.ones(node_count(spec, steps[-1]))])
-
-
 def feasible_kernel(spec: LatticeSpec, mu: DiscreteMeasure,
                     rng: np.random.Generator) -> StoppingKernel:
     """Random kernel whose marginal is exactly ``mu`` (water-filling repair).
@@ -367,32 +342,3 @@ def kernel_to_json(kernel: StoppingKernel) -> list[dict]:
         for node, qv in zip(nodes_at_step(kernel.spec, s), kernel.q[i].tolist()):
             out.append({"node": node_to_json(node), "atom_time": kernel.atom_times[i], "q": qv})
     return out
-
-
-def kernel_from_json(spec: LatticeSpec, data) -> StoppingKernel:
-    """Kernel from its JSON form: one ``{"node", "atom_time", "q"}`` entry per node.
-
-    Each node of each atom step must appear exactly once, with its step's
-    atom time.  An atom time off the lattice's grid raises ``CoverageError``,
-    any other malformed payload ``ValidationError``.
-    """
-    try:
-        entries = [(node_from_json(item["node"]), finite_number(item["atom_time"], "atom time"),
-                    finite_number(item["q"], "q")) for item in data]
-    except (ConfigError, KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed kernel payload: {exc}") from exc
-    times = sorted({t for _, t, _ in entries})
-    steps = atom_steps(spec, times)
-    # The one place a node is looked up by key: its position at its step.
-    position = {node: p for s in steps for p, node in enumerate(nodes_at_step(spec, s))}
-    q = {s: np.full(node_count(spec, s), np.nan) for s in steps}
-    for node, t, value in entries:
-        if node not in position or node.step != time_to_step(spec, t):
-            raise ValidationError(f"{node} is not a lattice node at the step of atom time {t}")
-        if not math.isnan(q[node.step][position[node]]):
-            raise ValidationError(f"duplicate kernel entry for {node}")
-        q[node.step][position[node]] = value
-    missing = [node for node, p in position.items() if math.isnan(q[node.step][p])]
-    if missing:
-        raise ValidationError(f"kernel missing entry for {missing[0]}")
-    return StoppingKernel(spec, times, [q[s] for s in steps])

@@ -14,7 +14,6 @@ Three families of checks live here:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -64,7 +63,7 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
         if not _nested(a, b):
             raise ConfigError("stability grids must be nested coarse-to-fine")
     projected = [ceiling_project(mu, grid) for grid in grids]
-    # Before the modulus constant, which takes time quadratic in the depth.
+    # Before the modulus constant, which takes time linear in the depth.
     check_lattice_size(spec, max(atom_steps(spec, m.atoms)[-1] for m in projected))
     cost_mod = cost
     if modulus(cost) is None:
@@ -197,10 +196,3 @@ def rows_to_csv(rows: Sequence[dict], path: str) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def report_to_json(report: StabilityReport, path: str) -> None:
-    payload = {"all_within": report.all_within, "rows": list(report.rows)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -1,32 +1,39 @@
-"""Shared brute-force references for the test suite.
+"""Shared brute-force references and helpers for the test suite.
 
-Everything here recomputes quantities by direct enumeration, one driver path
-at a time, deliberately avoiding the package's mass-sweep internals so each
-comparison crosses two independent code paths.
+The references recompute quantities by direct enumeration or in closed form,
+one driver path or node at a time, deliberately avoiding the package's
+mass-sweep internals so each comparison crosses two independent code paths.
+The JSON readers at the end read back what the package and the CLI write.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from dcstop import (
     ConcavePL,
+    ConfigError,
     DiscreteMeasure,
     LatticeSpec,
     MvmTree,
     NoChildrenError,
     NodeId,
     StoppingKernel,
+    ValidationError,
     atom_steps,
     evaluate,
     nodes_at_step,
-    project_to_recombining,
     state,
+    time_to_step,
 )
+from dcstop.cost import _scalar_fn
 from dcstop.dpp import _hull_upper, _pieces_from_affine
-from dcstop.lattice import heap_history
+from dcstop.errors import finite_number, is_integer
+from dcstop.lattice import heap_history, heap_row, history_level, history_max_level, node_count
+from dcstop.measures import ATOM_MERGE_TOL, WEIGHT_TOL
 
 
 def all_paths(n: int) -> list[tuple[int, ...]]:
@@ -57,6 +64,51 @@ def children(spec: LatticeSpec, node: NodeId) -> tuple[NodeId, NodeId]:
     )
 
 
+def _paths_with_max_at_most(n: int, l: int, m: int) -> int:
+    # Reflection at level m+1: walks from 0 to l in n steps touching m+1
+    # biject with walks to 2(m+1) - l, so subtract those.
+    def comb_end(end: int) -> int:
+        num = n + end
+        if num % 2 != 0:
+            return 0
+        k = num // 2
+        if k < 0 or k > n:
+            return 0
+        return math.comb(n, k)
+
+    return comb_end(l) - comb_end(2 * (m + 1) - l)
+
+
+def paths_with_max(n: int, l: int, m: int) -> int:
+    """Number of n-step walks from 0 ending at level ``l`` with running max ``m``."""
+    if m < max(l, 0) or m > n:
+        return 0
+    return _paths_with_max_at_most(n, l, m) - _paths_with_max_at_most(n, l, m - 1)
+
+
+def node_prob(spec: LatticeSpec, node: NodeId) -> float:
+    """Probability of visiting ``node`` (aggregated over histories when recombining), in closed form.
+
+    The reference for the masses the forward sweep ``rst._advance`` carries.
+    """
+    n = node.step
+    if node.history is not None:
+        return 0.5 ** n
+    if node.max_level is not None:
+        return paths_with_max(n, node.level, node.max_level) * 0.5 ** n
+    return math.comb(n, (n + node.level) // 2) * 0.5 ** n
+
+
+def project_to_recombining(spec: LatticeSpec, node: NodeId) -> NodeId:
+    """Collapse a history node to its recombining image under ``spec``'s augmentation."""
+    if node.history is None:
+        return node
+    level = history_level(node.history)
+    if spec.augment_max:
+        return NodeId(step=node.step, level=level, max_level=history_max_level(node.history))
+    return NodeId(step=node.step, level=level)
+
+
 def kernel_node(spec: LatticeSpec, bits: tuple[int, ...]) -> NodeId:
     """The node a kernel keyed on ``spec`` uses for the path prefix ``bits``."""
     node = NodeId(step=len(bits), history=bits)
@@ -75,6 +127,13 @@ def kernel_dict(kernel: StoppingKernel) -> dict[NodeId, float]:
     """A kernel's stop probabilities keyed by node."""
     return {node: float(v) for s, values in zip(kernel.steps(), kernel.q)
             for node, v in zip(nodes_at_step(kernel.spec, s), values)}
+
+
+def random_kernel(spec: LatticeSpec, atom_times, rng: np.random.Generator) -> StoppingKernel:
+    """Uniformly random stop probabilities; the final atom still stops surely."""
+    steps = atom_steps(spec, atom_times)
+    q = [rng.random(node_count(spec, s)) for s in steps[:-1]]
+    return StoppingKernel(spec, atom_times, q + [np.ones(node_count(spec, steps[-1]))])
 
 
 def brute_kernel_stats(kernel, spec, cost=None):
@@ -137,3 +196,111 @@ def tree_from_dict(dt, atom_times, vectors, start_step=0) -> MvmTree:
 def tree_dict(tree: MvmTree) -> dict[tuple[int, ...], np.ndarray]:
     """A law tree's vectors keyed by history bit tuples."""
     return {heap_history(h): vec for h, vec in enumerate(tree.vectors)}
+
+
+def moves_only_right(coupling, tol: float = WEIGHT_TOL) -> bool:
+    """True when every cell of the coupling sends mass to an equal or later time."""
+    for i, row in enumerate(coupling.rows):
+        x = coupling.source.atoms[i]
+        for j, m in row:
+            if m > tol and coupling.target.atoms[j] < x - ATOM_MERGE_TOL:
+                return False
+    return True
+
+
+def all_pairs_holder2_constant(cost, spec: LatticeSpec) -> float:
+    """``cost.holder2_constant_from_range`` by its definition: the largest ratio over all pairs."""
+    h = spec.step_width
+    f = _scalar_fn(cost.name, cost.params)
+    if cost.kind == "terminal":
+        values = [l * h for l in range(-spec.depth, spec.depth + 1)]
+        power = 2
+    elif cost.kind == "running_max":
+        values = [l * h for l in range(0, spec.depth + 1)]
+        power = 2
+    else:
+        values = [s * spec.dt for s in range(0, spec.depth + 1)]
+        power = 1
+    best = 0.0
+    for i, x in enumerate(values):
+        for y in values[i + 1:]:
+            ratio = abs(f(x) - f(y)) / (y - x) ** power
+            if ratio > best:
+                best = ratio
+    return best
+
+
+# --- JSON readers: they read back what the package and the CLI write. -------
+
+def history_from_str(text: str) -> tuple[int, ...]:
+    if not isinstance(text, str) or any(ch not in "UD" for ch in text):
+        raise ValidationError(f"history string must use U/D, got {text!r}")
+    return tuple(1 if ch == "U" else 0 for ch in text)
+
+
+def node_from_json(data: dict) -> NodeId:
+    ints = {key: data[key] for key in ("step", "level", "max_level") if key in data}
+    for key, value in ints.items():
+        if not is_integer(value):
+            raise ValidationError(f"node {key} must be an integer, got {value!r}")
+    if "history" in data:
+        return NodeId(step=data["step"], history=history_from_str(data["history"]))
+    return NodeId(step=data["step"], level=data["level"], max_level=ints.get("max_level"))
+
+
+def kernel_from_json(spec: LatticeSpec, data) -> StoppingKernel:
+    """Kernel from its JSON form: one ``{"node", "atom_time", "q"}`` entry per node.
+
+    Each node of each atom step must appear exactly once, with its step's
+    atom time.  An atom time off the lattice's grid raises ``CoverageError``,
+    any other malformed payload ``ValidationError``.
+    """
+    try:
+        entries = [(node_from_json(item["node"]), finite_number(item["atom_time"], "atom time"),
+                    finite_number(item["q"], "q")) for item in data]
+    except (ConfigError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed kernel payload: {exc}") from exc
+    times = sorted({t for _, t, _ in entries})
+    steps = atom_steps(spec, times)
+    position = {node: p for s in steps for p, node in enumerate(nodes_at_step(spec, s))}
+    q = {s: np.full(node_count(spec, s), np.nan) for s in steps}
+    for node, t, value in entries:
+        if node not in position or node.step != time_to_step(spec, t):
+            raise ValidationError(f"{node} is not a lattice node at the step of atom time {t}")
+        if not math.isnan(q[node.step][position[node]]):
+            raise ValidationError(f"duplicate kernel entry for {node}")
+        q[node.step][position[node]] = value
+    missing = [node for node, p in position.items() if math.isnan(q[node.step][p])]
+    if missing:
+        raise ValidationError(f"kernel missing entry for {missing[0]}")
+    return StoppingKernel(spec, times, [q[s] for s in steps])
+
+
+def mvm_from_json(data: dict) -> MvmTree:
+    """Tree from its JSON form, where nodes are keyed by ``U``/``D`` history strings.
+
+    Every history up to the last atom must appear, and nothing else; any
+    malformed payload raises ``ValidationError``.
+    """
+    try:
+        dt = finite_number(data["dt"], "dt")
+        atom_times = [finite_number(t, "atom time") for t in data["atom_times"]]
+        start_step = data.get("start_step", 0)
+        nodes = data["nodes"].items()
+    except (AttributeError, ConfigError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed tree payload: {exc}") from exc
+    rows = {}
+    for key, vec in nodes:
+        # JSON numbers only: no strings, no booleans.
+        if not (isinstance(vec, list) and len(vec) == len(atom_times)
+                and all(type(w) in (int, float) for w in vec)):
+            raise ValidationError(
+                f"vector at {key!r} must be a list of {len(atom_times)} numbers, got {vec!r}"
+            )
+        rows[heap_row(history_from_str(key))] = vec
+    size = max(rows, default=-1) + 1
+    if len(rows) < size:
+        raise ValidationError(
+            f"{size - len(rows)} of the {size} histories up to the deepest node key are missing"
+        )
+    return MvmTree(dt, atom_times, [rows[h] for h in range(size)], start_step=start_step)

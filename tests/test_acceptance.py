@@ -31,7 +31,6 @@ from dcstop import (
     objective_value,
     oracle_value,
     push_right_with_shift,
-    random_kernel,
     simulate,
     solve,
     solve_lp,
@@ -39,7 +38,7 @@ from dcstop import (
     w1_distance,
 )
 
-from conftest import random_measure
+from conftest import random_kernel, random_measure
 
 IDENTITY = CostSpec(kind="terminal", name="identity")
 SQUARE = CostSpec(kind="terminal", name="square")

@@ -3,20 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import QhullError
 
-from dcstop import (
-    LatticeSpec,
-    kernel_from_json,
-    mvm_from_json,
-    objective_value,
-    validate,
-)
+import dcstop
+from dcstop import LatticeSpec, objective_value, validate
 from dcstop.cli import main
+
+from conftest import kernel_from_json, mvm_from_json
 
 
 def base_config() -> dict:
@@ -152,6 +153,28 @@ class TestStability:
         assert payload["levels"] == 2
         table = (out / "table.csv").read_text().strip().splitlines()
         assert len(table) == 3  # header plus one line per grid
+
+    def test_deep_lattice_with_early_atoms_finishes(self, tmp_path):
+        # The modulus constant scans every reachable level of the depth-20000
+        # lattice although the atoms sit at steps 5 and 10; an all-pairs scan
+        # of its 40001 levels outlasted a 10 s timeout.
+        config = {
+            "lattice": {"depth": 20000, "dt": 1.0},
+            "cost": {"kind": "terminal", "name": "abs"},
+            "measure": [{"t": 5.0, "w": 0.5}, {"t": 10.0, "w": 0.5}],
+            "solver": {"resolution": 20},
+            "stability": {"grids": [[10.0], [5.0, 10.0]]},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        src = str(Path(dcstop.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from dcstop.cli import main; sys.exit(main())",
+             "stability", str(path)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src, "DCSTOP_OUT": str(tmp_path)},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert read_result(tmp_path)["all_within"] is True
 
 
 class TestValidate:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,16 +15,15 @@ from dcstop import (
     LatticeSpec,
     PathState,
     cost_from_json,
-    cost_to_json,
     evaluate,
     holder2_constant_from_range,
     modulus,
-    modulus_metadata,
-    node_prob,
     nodes_at_step,
     state,
     with_constant_from_range,
 )
+
+from conftest import all_pairs_holder2_constant
 
 
 def st_at(w: float, m: float | None = None, t: float = 1.0) -> PathState:
@@ -130,6 +130,21 @@ class TestModulus:
         assert got == pytest.approx(brute, abs=1e-12)
         assert got == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["terminal", "running_max", "time"])
+    @pytest.mark.parametrize("name, params", [
+        ("identity", {}), ("square", {}), ("abs", {}), ("positive_part", {}),
+        ("indicator", {"threshold": 1.0}), ("indicator", {"threshold": -0.3}),
+        ("polynomial", {"coeffs": [0.5, -1.0, 0.25]}),
+        ("polynomial", {"coeffs": [0.1, 0.3, -0.7, 0.2, 0.05]}),
+    ])
+    def test_range_constant_equals_the_all_pairs_maximum(self, kind, name, params):
+        # Adjacent levels are scanned; the reference scans every pair.
+        cost = CostSpec(kind=kind, name=name, params=params)
+        for depth, dt in [(1, 1.0), (2, 0.5), (5, 0.1), (8, 0.25), (13, 0.3), (40, 1.0 / 7),
+                          (150, 0.01)]:
+            spec = LatticeSpec(depth=depth, dt=dt)
+            assert holder2_constant_from_range(cost, spec) == all_pairs_holder2_constant(cost, spec)
+
     def test_with_constant_from_range(self):
         spec = LatticeSpec(depth=2, dt=1.0)
         cost = with_constant_from_range(CostSpec(kind="terminal", name="square"), spec)
@@ -143,14 +158,6 @@ class TestModulus:
         got = holder2_constant_from_range(cost, spec)
         assert got == pytest.approx(3.5, abs=1e-12)
 
-    def test_metadata_flags(self):
-        spec = LatticeSpec(depth=2, dt=1.0)
-        meta = modulus_metadata(CostSpec(kind="terminal", name="square"), spec)
-        assert meta["uniform_continuity_verified"]
-        assert meta["modulus_form"] == "linear"
-        meta = modulus_metadata(CostSpec(kind="markov", name="abs"))
-        assert not meta["uniform_continuity_verified"]
-        assert meta["holder2_constant"] is None
 
 
 class TestValidation:
@@ -187,7 +194,7 @@ class TestJson:
             kind="terminal", name="indicator",
             params={"threshold": 1.0}, holder2_constant=2.0,
         )
-        again = cost_from_json(cost_to_json(cost))
+        again = cost_from_json(asdict(cost))
         assert again.kind == cost.kind
         assert again.name == cost.name
         assert dict(again.params) == dict(cost.params)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,19 +18,16 @@ from dcstop import (
     NoChildrenError,
     ValidationError,
     atom_steps,
-    node_from_json,
-    node_prob,
     node_to_json,
     nodes_at_step,
-    project_to_recombining,
     root,
     spec_from_json,
-    spec_to_json,
     state,
     time_to_step,
 )
 from dcstop.lattice import child_positions, node_count
-from conftest import children
+from dcstop.rst import _advance
+from conftest import children, node_from_json, node_prob, project_to_recombining
 
 
 def walk_stats(n: int) -> Counter:
@@ -157,6 +155,17 @@ class TestNodeProb:
         for s in range(spec.depth + 1):
             total = sum(node_prob(spec, node) for node in nodes_at_step(spec, s))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode, augment", [
+        ("recombining", False), ("recombining", True), ("history", False),
+    ])
+    def test_forward_sweep_carries_the_node_probabilities(self, mode, augment):
+        spec = LatticeSpec(depth=9, dt=0.5, augment_max=augment, mode=mode)
+        mass = np.ones(1)
+        for s in range(1, spec.depth + 1):
+            mass = _advance(child_positions(spec, s - 1), mass)
+            want = [node_prob(spec, node) for node in nodes_at_step(spec, s)]
+            assert mass.tolist() == want
 
     def test_fair_coin_moments(self):
         spec = LatticeSpec(depth=8, dt=0.25)
@@ -294,7 +303,7 @@ class TestTimeGrid:
 class TestJson:
     def test_spec_round_trip(self):
         spec = LatticeSpec(depth=3, dt=0.5, augment_max=True, mode="recombining")
-        assert spec_from_json(spec_to_json(spec)) == spec
+        assert spec_from_json(asdict(spec)) == spec
 
     def test_node_round_trips(self):
         for node in (

@@ -13,7 +13,6 @@ from scipy.stats import wasserstein_distance
 from dcstop import (
     CoverageError,
     DiscreteMeasure,
-    EmptyTailError,
     MonotoneCoupling,
     ValidationError,
     ceiling_project,
@@ -21,9 +20,10 @@ from dcstop import (
     measure_from_json,
     measure_to_json,
     monotone_coupling,
-    restrict_renormalize,
     w1_distance,
 )
+
+from conftest import moves_only_right
 
 # Random measures for property tests: up to 5 atoms on a coarse positive grid
 # so exact ties between atom times are common (the hard case for sweeps).
@@ -133,26 +133,7 @@ class TestRightShiftOrder:
     def test_equivalent_to_rightward_coupling(self, a, b):
         # The order holds exactly when the quantile coupling never moves
         # mass to an earlier time, in both directions.
-        assert is_right_shift_of(b, a) == monotone_coupling(a, b).moves_only_right()
-
-
-class TestRestriction:
-    def test_drops_past_atoms(self):
-        a = DiscreteMeasure([1.0, 3.0], [0.5, 0.5])
-        assert restrict_renormalize(a, 2.0) == delta(3.0)
-
-    def test_no_past_atoms_is_identity(self):
-        a = DiscreteMeasure([1.0, 3.0], [0.5, 0.5])
-        assert restrict_renormalize(a, 0.0) == a
-
-    def test_empty_tail(self):
-        with pytest.raises(EmptyTailError):
-            restrict_renormalize(delta(1.0), 2.0)
-
-    def test_renormalizes(self):
-        a = DiscreteMeasure([1.0, 2.0, 3.0], [0.5, 0.25, 0.25])
-        out = restrict_renormalize(a, 1.0)
-        assert out == DiscreteMeasure([2.0, 3.0], [0.5, 0.5])
+        assert is_right_shift_of(b, a) == moves_only_right(monotone_coupling(a, b))
 
 
 class TestCeilingProject:
@@ -223,11 +204,9 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             mu.atoms = (2.0,)
 
-    def test_mean_and_cdf(self):
+    def test_mean(self):
         mu = DiscreteMeasure([1.0, 3.0], [0.25, 0.75])
         assert mu.mean() == pytest.approx(2.5, abs=1e-15)
-        assert mu.cdf(1.0) == 0.25
-        assert mu.mass_above(1.0) == 0.75
 
 
 class TestJson:

@@ -24,11 +24,9 @@ from dcstop import (
     feasible_kernel,
     from_kernel,
     marginal_of,
-    mvm_from_json,
     mvm_to_json,
     objective_value,
     oracle_value,
-    random_kernel,
     solve,
     splice,
     termination,
@@ -45,6 +43,8 @@ from conftest import (
     kernel_dict,
     kernel_from_dict,
     kernel_node,
+    mvm_from_json,
+    random_kernel,
     random_measure,
     tree_dict,
     tree_from_dict,

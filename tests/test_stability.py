@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from dcstop import (
     marginal_of,
     oracle_value,
     push_right_identity_check,
-    report_to_json,
     rows_to_csv,
     solve,
     w1_distance,
@@ -225,17 +223,6 @@ class TestReportOutput:
         assert len(rows) == len(report.rows)
         assert set(rows[0]) == set(report.rows[0])
         assert float(rows[0]["value_gap"]) == report.rows[0]["value_gap"]
-
-    def test_json_report(self, tmp_path):
-        spec = LatticeSpec(depth=4, dt=0.25)
-        mu = DiscreteMeasure((1.0,), (1.0,))
-        report = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS, 5)
-        path = tmp_path / "sweep.json"
-        report_to_json(report, str(path))
-        with open(path) as fh:
-            payload = json.load(fh)
-        assert payload["all_within"] is True
-        assert len(payload["rows"]) == 3
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
