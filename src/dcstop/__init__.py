@@ -13,14 +13,7 @@ from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-from .cost import (
-    CostSpec,
-    cost_from_json,
-    evaluate,
-    holder2_constant_from_range,
-    modulus,
-    with_constant_from_range,
-)
+from .cost import CostSpec, cost_from_json, evaluate, holder2_constant_from_range, modulus
 from .dpp import (
     ConcavePL,
     DppReport,

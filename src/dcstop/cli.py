@@ -7,9 +7,9 @@ as JSON (plus CSV for sweeps) into the current directory, or into
 seed: keys are sorted and every file embeds the config digest and package
 version.
 
-Exit codes: 0 on success, 2 for configuration or validation problems (the
-message points at the offending config section), 3 when a verification
-residual exceeds its tolerance.
+Exit codes: 0 on success, 2 for configuration or validation problems, a key
+that its section does not take included (the message points at the offending
+config section), 3 when a verification residual exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -35,6 +35,18 @@ from .stability import convergence_sweep, rows_to_csv
 MAX_ATOMS = 4
 # Relative bound on how far the solver, oracle and policy values may differ.
 AGREE_TOL = 1e-9
+# The keys each config section takes ("measure" per entry; cost params are
+# free-form).  Any other key is refused, so a misspelling cannot fall back to
+# a default.
+SECTION_KEYS = {
+    "config": ("lattice", "cost", "measure", "solver", "seed", "simulate", "stability"),
+    "lattice": ("depth", "dt", "augment_max", "mode"),
+    "cost": ("kind", "name", "params"),
+    "measure": ("t", "w"),
+    "solver": ("resolution",),
+    "simulate": ("paths",),
+    "stability": ("grids",),
+}
 
 
 class _Failure(Exception):
@@ -51,7 +63,24 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
+    _refuse_unknown_keys("config", raw)
+    for key in ("lattice", "cost", "solver", "simulate", "stability"):
+        _refuse_unknown_keys(key, raw.get(key))
+    entries = raw.get("measure")
+    for item in entries if isinstance(entries, list) else ():
+        _refuse_unknown_keys("measure", item)
     return raw
+
+
+def _refuse_unknown_keys(where: str, obj) -> None:
+    """Refuse any key that section ``where`` does not take.
+
+    A section that is not an object is left to the command that reads it.
+    """
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in SECTION_KEYS[where]:
+                raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 def _section(config: dict, key: str):
@@ -78,17 +107,14 @@ def _parse_instance(config: dict):
     return spec, cost, mu
 
 
-def _solver_options(config: dict) -> dict:
+def _resolution(config: dict) -> int:
     solver = config.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver: must be an object")
     resolution = solver.get("resolution", 40)
     if not is_integer(resolution) or resolution < 1:
         raise ConfigError("solver: resolution must be a positive integer")
-    debug = solver.get("debug", False)
-    if not isinstance(debug, bool):
-        raise ConfigError("solver: debug must be a boolean")
-    return {"resolution": resolution, "debug": debug}
+    return resolution
 
 
 def _seed(config: dict) -> int:
@@ -137,10 +163,10 @@ def _agree_bound(table) -> float:
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
-    opts = _solver_options(config)
+    resolution = _resolution(config)
     from .dpp import solve
 
-    table = solve(spec, cost, mu, opts["resolution"], debug=opts["debug"])
+    table = solve(spec, cost, mu, resolution)
     payload = {
         "value": table.root_value,
         "slack": table.slack,
@@ -156,11 +182,11 @@ def cmd_solve(args) -> int:
 def cmd_policy(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
-    opts = _solver_options(config)
+    resolution = _resolution(config)
     from .dpp import check_policy_depth, extract_policy, solve
 
     check_policy_depth(atom_steps(spec, mu.atoms)[-1])
-    table = solve(spec, cost, mu, opts["resolution"], debug=opts["debug"])
+    table = solve(spec, cost, mu, resolution)
     tree = extract_policy(table)
     report = validate(tree, mu)
     if not report.ok:
@@ -206,12 +232,12 @@ def cmd_oracle(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
-    opts = _solver_options(config)
+    resolution = _resolution(config)
     from .dpp import solve
     from .oracle import oracle_value
 
     check_oracle_depth(atom_steps(spec, mu.atoms)[-1])
-    table = solve(spec, cost, mu, opts["resolution"], debug=opts["debug"])
+    table = solve(spec, cost, mu, resolution)
     reference = oracle_value(spec, cost, mu)
     difference = abs(table.root_value - reference)
     tolerance = _agree_bound(table)
@@ -268,7 +294,7 @@ def cmd_simulate(args) -> int:
 def cmd_stability(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
-    opts = _solver_options(config)
+    resolution = _resolution(config)
     stab = _section(config, "stability")
     if not isinstance(stab, dict) or "grids" not in stab:
         raise ConfigError("stability: needs a grids list")
@@ -276,7 +302,7 @@ def cmd_stability(args) -> int:
     if not isinstance(grids, list) or not all(isinstance(g, list) for g in grids):
         raise ConfigError("stability: grids must be a list of time lists")
     grids = [[finite_number(t, "stability: grid time") for t in g] for g in grids]
-    report = convergence_sweep(spec, cost, mu, grids, opts["resolution"])
+    report = convergence_sweep(spec, cost, mu, grids, resolution)
     rows_to_csv(report.rows, os.path.join(_out_dir(), "table.csv"))
     payload = {"all_within": report.all_within, "levels": len(report.rows)}
     _emit("result.json", payload, config)
@@ -289,7 +315,7 @@ def cmd_stability(args) -> int:
 def cmd_validate(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
-    _solver_options(config)
+    _resolution(config)
     steps = atom_steps(spec, mu.atoms)
     check_tree_depth(steps[-1])
     from .rst import feasible_kernel

@@ -7,14 +7,15 @@ are polynomial coefficient lists only.
 
 For stability bounds the module also produces a modulus of continuity in the
 expected stopping-time shift: ``phi(x) = C*x`` for terminal costs that are
-2-Hoelder with constant ``C`` on the reachable range, ``4*C*x`` for running-max
-costs (Doob), and the stored linear modulus for time costs.
+2-Hoelder with constant ``C`` on the lattice's reachable range, ``4*C*x`` for
+running-max costs (Doob), and ``C*x`` for time costs Lipschitz with constant
+``C``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from .errors import ConfigError, finite_number
 from .lattice import LatticeSpec, PathState
@@ -30,7 +31,6 @@ class CostSpec:
     kind: str
     name: str
     params: Mapping = field(default_factory=dict)
-    holder2_constant: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -55,9 +55,6 @@ class CostSpec:
             for row in coeffs:
                 for c in row:
                     finite_number(c, "polynomial2 coefficient")
-        hc = self.holder2_constant
-        if hc is not None and finite_number(hc, "holder2_constant") < 0:
-            raise ConfigError(f"holder2_constant must be nonnegative, got {hc!r}")
 
 
 def _scalar_fn(name: str, params: Mapping) -> Callable[[float], float]:
@@ -106,25 +103,17 @@ def evaluate(cost: CostSpec, st: PathState) -> float:
     return _scalar_fn(cost.name, cost.params)(st.w)
 
 
-def modulus(cost: CostSpec) -> Optional[Callable[[float], float]]:
+def modulus(cost: CostSpec, spec: LatticeSpec) -> Callable[[float], float]:
     """Modulus ``phi`` bounding ``|E c(tau) - E c(rho)|`` by ``phi(E|tau - rho|)``.
 
-    Requires ``holder2_constant`` to be set (use
-    ``holder2_constant_from_range`` to derive one from a lattice).  For time
-    costs the stored constant is read as a plain Lipschitz constant in time.
-    Returns None when no modulus route exists for the cost kind.
+    The constant is ``holder2_constant_from_range`` on ``spec``, which raises
+    ``ConfigError`` for markov costs: they have no modulus route.
     """
-    c = cost.holder2_constant
-    if c is None:
-        return None
-    if cost.kind == "terminal":
-        return lambda x: c * x
+    c = holder2_constant_from_range(cost, spec)
     if cost.kind == "running_max":
         # Doob's L2 inequality turns the terminal constant into 4c.
         return lambda x: 4.0 * c * x
-    if cost.kind == "time":
-        return lambda x: c * x
-    return None
+    return lambda x: c * x
 
 
 def holder2_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> float:
@@ -154,16 +143,6 @@ def holder2_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> float:
     return max(abs(f(x) - f(y)) / (y - x) ** power for x, y in zip(values, values[1:]))
 
 
-def with_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> CostSpec:
-    """Copy of ``cost`` with ``holder2_constant`` filled in from the lattice range."""
-    return CostSpec(
-        kind=cost.kind,
-        name=cost.name,
-        params=dict(cost.params),
-        holder2_constant=holder2_constant_from_range(cost, spec),
-    )
-
-
 def cost_from_json(data: dict) -> CostSpec:
     if not isinstance(data, dict):
         raise ConfigError("cost config must be an object")
@@ -172,10 +151,4 @@ def cost_from_json(data: dict) -> CostSpec:
         name = data["name"]
     except KeyError as exc:
         raise ConfigError(f"cost config missing field {exc}") from exc
-    hc = data.get("holder2_constant")
-    return CostSpec(
-        kind=str(kind),
-        name=str(name),
-        params=dict(data.get("params", {})),
-        holder2_constant=finite_number(hc, "holder2_constant") if hc is not None else None,
-    )
+    return CostSpec(kind=str(kind), name=str(name), params=dict(data.get("params", {})))

@@ -248,14 +248,14 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return affine[np.sort(first)], np.unique(simplices[upper])
 
 
-def _pieces_from_affine(affine: np.ndarray, k: int, total: float) -> np.ndarray:
-    """Full-barycentric pieces for an envelope fit over ``x = y[:k-1] * total``.
+def _pieces_from_affine(affine: np.ndarray, k: int) -> np.ndarray:
+    """Full-barycentric pieces for an envelope fit over a pair cloud ``x = 2 y[:k-1]``.
 
-    The cloud lives on ``sum(coords) == total``; the returned pieces evaluate
+    The cloud lives on ``sum(coords) == 2``; the returned pieces evaluate
     the function on the unit simplex directly.
     """
     a = affine[:, :-1]
-    beta = affine[:, -1] / total
+    beta = affine[:, -1] / 2.0
     g = np.zeros((affine.shape[0], k))
     g[:, : k - 1] = a
     g += beta[:, None]
@@ -340,7 +340,7 @@ def pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> Concave
     cloud = np.delete(up.verts, k - 1, axis=1)[iu]
     cloud += np.delete(down.verts, k - 1, axis=1)[idn]
     affine, vert_ids = _hull_upper(cloud)
-    pieces = _pieces_from_affine(affine, k, total=2.0)
+    pieces = _pieces_from_affine(affine, k)
     iu, idn = iu[vert_ids], idn[vert_ids]
     verts = 0.5 * (up.verts[iu] + down.verts[idn])
     prov = None
@@ -451,14 +451,12 @@ def _malloc_trim() -> None:
 
 
 def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
-          resolution: int, debug: bool = False) -> ValueTable:
+          resolution: int) -> ValueTable:
     """Exact block backward induction for the constrained stopping value.
 
     ``resolution`` only controls the sampled tables and the reported slack;
     the root value is computed from the exact piecewise-linear
-    representations.  ``debug`` re-derives every boundary table entry through
-    the explicit renormalization quotient and insists the two routes agree to
-    1e-12.
+    representations.
 
     The Bellman updates of one step (``pair_sup``, then ``perspective`` at an
     atom step) read only the functions of the step after it, so a step whose
@@ -530,38 +528,11 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
         h.update(np.round(tables[key], 12).tobytes())
     h.update(f"{root_value:.12e}".encode())
 
-    table = ValueTable(
+    return ValueTable(
         spec=spec, cost=cost, mu=mu, resolution=resolution,
         steps=tuple(steps), root_value=root_value, tables=tables,
         slack=slack, digest=h.hexdigest(), functions=tuple(functions),
     )
-    if debug:
-        _check_scaling(table, grids)
-    return table
-
-
-def _check_scaling(table: ValueTable, grids: dict[int, SimplexGrid]) -> None:
-    """Boundary entries must equal the explicit stop/renormalize quotient."""
-    steps, r = table.steps, len(table.steps)
-    for k in range(2, r + 1):
-        s = steps[r - k]
-        y = grids[k].fractions
-        y1, rest = y[:, 0], 1.0 - y[:, 0]
-        live = rest > 1e-14
-        for node, f in zip(nodes_at_step(table.spec, s), table.functions[s]):
-            vals = table.tables[(k, s, node)]
-            c = evaluate(table.cost, state(table.spec, node))
-            inner = f.pieces[:, 1:]  # perspective's copy of the continuation
-            direct = np.full(len(y), c)
-            direct[live] = y1[live] * c + rest[live] * np.min(
-                (y[live, 1:] / rest[live, None]) @ inner.T, axis=1)
-            off = np.flatnonzero(np.abs(direct - vals) > 1e-12)
-            if off.size:
-                err = abs(direct[off[0]] - vals[off[0]])
-                raise AssertionError(
-                    f"renormalization identity off by {err:.3e} "
-                    f"at block {k}, step {s}, node {node}"
-                )
 
 
 @dataclass(frozen=True)

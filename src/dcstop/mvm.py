@@ -132,8 +132,7 @@ class MvmReport:
     violation: Optional[MvmViolation] = None
 
 
-def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
-             tol: float = MARTINGALE_TOL) -> MvmReport:
+def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> MvmReport:
     """Check root law, martingale, adaptedness and normalization, in that order.
 
     Returns the first violation found as ``(node, property, residual)``.
@@ -153,7 +152,7 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
         if lookup:
             return MvmReport(False, MvmViolation(_node(0), "root", 1.0))
         res = float(np.max(np.abs(mvm.root_vector() - target)))
-        if res > tol:
+        if res > MARTINGALE_TOL:
             return MvmReport(False, MvmViolation(_node(0), "root", res))
     vec = mvm.vectors
     inner, down, up = vec[: len(vec) // 2], vec[1::2], vec[2::2]
@@ -162,14 +161,14 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None,
     drift_up = np.max(np.where(frozen, np.abs(inner - up), 0.0), axis=1)
     drift_down = np.max(np.where(frozen, np.abs(inner - down), 0.0), axis=1)
     low = vec.min(axis=1)
-    # Per property, one residual per row, exceeding ``tol`` exactly where the row offends.
+    # Per property, one residual per row, above ``MARTINGALE_TOL`` exactly where the row offends.
     residuals = (
         ("martingale", np.max(np.abs(inner - 0.5 * (up + down)), axis=1)),
-        ("adapted", np.where(drift_up > tol, drift_up, drift_down)),
-        ("normalized", np.where(low < -tol, -low, np.abs(vec.sum(axis=1) - 1.0))),
+        ("adapted", np.where(drift_up > MARTINGALE_TOL, drift_up, drift_down)),
+        ("normalized", np.where(low < -MARTINGALE_TOL, -low, np.abs(vec.sum(axis=1) - 1.0))),
     )
     for prop, res in residuals:
-        bad = np.flatnonzero(res > tol)
+        bad = np.flatnonzero(res > MARTINGALE_TOL)
         if bad.size:
             return MvmReport(False, MvmViolation(_node(bad[0]), prop, float(res[bad[0]])))
     return MvmReport(True, None)
@@ -247,7 +246,7 @@ class TerminationReport:
     first_diffuse: Optional[NodeId]
 
 
-def termination(mvm: MvmTree, tol: float = MARTINGALE_TOL) -> TerminationReport:
+def termination(mvm: MvmTree) -> TerminationReport:
     """A tree terminates when every leaf law is a point mass.
 
     For a terminating adapted tree the per-path stopping time is the atom
@@ -256,7 +255,7 @@ def termination(mvm: MvmTree, tol: float = MARTINGALE_TOL) -> TerminationReport:
     """
     first_leaf = len(mvm.vectors) // 2
     leaves = mvm.vectors[first_leaf:]
-    diffuse = np.flatnonzero(leaves.max(axis=1) < 1.0 - tol)
+    diffuse = np.flatnonzero(leaves.max(axis=1) < 1.0 - MARTINGALE_TOL)
     if diffuse.size:
         return TerminationReport(False, None, _node(first_leaf + diffuse[0]))
     return TerminationReport(True, np.array(mvm.atom_times)[np.argmax(leaves, axis=1)], None)
@@ -344,9 +343,8 @@ def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
 
 @dataclass(frozen=True)
 class Accumulator:
-    """Running payoff ``Y`` per node, in heap order: ``y0`` plus cost paid at each freeze."""
+    """Running payoff ``Y`` per node, in heap order: the cost paid at each freeze so far."""
 
-    y0: float
     y: np.ndarray
     depth: int
 
@@ -354,12 +352,12 @@ class Accumulator:
         return math.fsum(self.y[len(self.y) // 2:]) / 2 ** self.depth
 
 
-def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec, y0: float = 0.0) -> Accumulator:
+def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec) -> Accumulator:
     """Integrate the cost against each path's freezing masses.
 
     ``spec`` supplies the step width consistency check; states are derived
     from the tree's own histories.  The expectation of ``Y`` over leaves is
-    ``y0`` plus the kernel objective of the tree.
+    the kernel objective of the tree.
     """
     if mvm.start_step != 0:
         raise ValidationError("accumulate needs a full tree (start_step == 0)")
@@ -368,7 +366,7 @@ def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec, y0: float = 0.0)
     hist_spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
     step_to_atom = {r: i for i, r in enumerate(mvm.rel_steps)}
     y = np.empty(len(mvm.vectors))
-    y[0] = y0
+    y[0] = 0.0
     for s in range(1, mvm.depth + 1):
         rows = _descendants(0, s)
         y[rows] = np.repeat(y[_descendants(0, s - 1)], 2)
@@ -376,7 +374,7 @@ def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec, y0: float = 0.0)
         if i is not None:
             paid = [evaluate(cost, state(hist_spec, node)) for node in nodes_at_step(hist_spec, s)]
             y[rows] += np.array(paid) * mvm.vectors[rows, i]
-    return Accumulator(y0=y0, y=y, depth=mvm.depth)
+    return Accumulator(y=y, depth=mvm.depth)
 
 
 def mvm_to_json(mvm: MvmTree) -> dict:

@@ -17,7 +17,7 @@ import csv
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .cost import CostSpec, modulus, with_constant_from_range
+from .cost import CostSpec, modulus
 from .errors import ConfigError
 from .lattice import LatticeSpec, atom_steps
 from .measures import (
@@ -65,17 +65,10 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     projected = [ceiling_project(mu, grid) for grid in grids]
     # Before the modulus constant, which takes time linear in the depth.
     check_lattice_size(spec, max(atom_steps(spec, m.atoms)[-1] for m in projected))
-    cost_mod = cost
-    if modulus(cost) is None:
-        cost_mod = with_constant_from_range(cost, spec)
-    phi = modulus(cost_mod)
-    if phi is None:
-        raise ConfigError(
-            f"no continuity modulus available for cost kind {cost.kind!r}"
-        )
+    phi = modulus(cost, spec)
     if value_fn is None:
         def value_fn(m: DiscreteMeasure):
-            table = solve(spec, cost_mod, m, resolution)
+            table = solve(spec, cost, m, resolution)
             return table.root_value, table.slack
 
     mu_fine = projected[-1]
@@ -118,8 +111,7 @@ def blend_measures(mu1: DiscreteMeasure, mu2: DiscreteMeasure, lam: float) -> Di
 def concavity_check(spec: LatticeSpec, cost: CostSpec,
                     mu1: DiscreteMeasure, mu2: DiscreteMeasure,
                     lambdas: Sequence[float],
-                    value_fn: Optional[Callable[[DiscreteMeasure], float]] = None,
-                    tol: float = BLEND_TOL) -> ConcavityReport:
+                    value_fn: Optional[Callable] = None) -> ConcavityReport:
     """Blending target laws can only help: value(blend) >= blend of values.
 
     Defaults to the LP oracle for the values so the probe stays independent
@@ -141,7 +133,7 @@ def concavity_check(spec: LatticeSpec, cost: CostSpec,
         lhs = value_fn(blend_measures(mu1, mu2, lam))
         rhs = lam * v1 + (1.0 - lam) * v2
         margin = lhs - rhs
-        ok = margin >= -tol
+        ok = margin >= -BLEND_TOL
         all_ok = all_ok and ok
         rows.append({
             "lam": lam,
@@ -160,8 +152,7 @@ class ShiftReport:
 
 
 def push_right_identity_check(kernel: StoppingKernel, spec: LatticeSpec,
-                              targets: Sequence[DiscreteMeasure],
-                              tol: float = SHIFT_TOL) -> ShiftReport:
+                              targets: Sequence[DiscreteMeasure]) -> ShiftReport:
     """Pushing outward must cost exactly the transport distance.
 
     The kernel's marginal is coupled monotonically to each target; the
@@ -176,7 +167,7 @@ def push_right_identity_check(kernel: StoppingKernel, spec: LatticeSpec,
         moved, shift = push_right_with_shift(kernel, spec, coupling)
         w1 = w1_distance(source, target)
         err = w1_distance(marginal_of(moved, spec), target)
-        ok = abs(shift - w1) <= tol and err <= 1e-9
+        ok = abs(shift - w1) <= SHIFT_TOL and err <= 1e-9
         all_ok = all_ok and ok
         rows.append({
             "shift": shift,

@@ -3,7 +3,9 @@
 The references recompute quantities by direct enumeration or in closed form,
 one driver path or node at a time, deliberately avoiding the package's
 mass-sweep internals so each comparison crosses two independent code paths.
-The JSON readers at the end read back what the package and the CLI write.
+``check_scaling`` re-derives a solved table's boundary entries through the
+explicit stop/renormalize quotient.  The JSON readers at the end read back
+what the package and the CLI write.
 """
 
 from __future__ import annotations
@@ -15,23 +17,21 @@ import numpy as np
 
 from dcstop import (
     ConcavePL,
-    ConfigError,
     DiscreteMeasure,
     LatticeSpec,
     MvmTree,
     NoChildrenError,
     NodeId,
+    SimplexGrid,
     StoppingKernel,
-    ValidationError,
+    ValueTable,
     atom_steps,
     evaluate,
     nodes_at_step,
     state,
-    time_to_step,
 )
 from dcstop.cost import _scalar_fn
-from dcstop.dpp import _hull_upper, _pieces_from_affine
-from dcstop.errors import finite_number, is_integer
+from dcstop.dpp import _hull_upper
 from dcstop.lattice import heap_history, heap_row, history_level, history_max_level, node_count
 from dcstop.measures import ATOM_MERGE_TOL, WEIGHT_TOL
 
@@ -177,9 +177,40 @@ def from_samples(grid, values) -> ConcavePL:
         return ConcavePL.constant(float(vals[0]))
     cloud = np.column_stack([grid.fractions[:, : grid.k - 1], vals])
     affine, vert_ids = _hull_upper(cloud)
-    pieces = _pieces_from_affine(affine, grid.k, total=1.0)
     verts = np.column_stack([grid.fractions[vert_ids], vals[vert_ids]])
-    return ConcavePL(k=grid.k, pieces=pieces, verts=verts)
+    return ConcavePL(k=grid.k, pieces=unit_simplex_pieces(affine, grid.k), verts=verts)
+
+
+def unit_simplex_pieces(affine: np.ndarray, k: int) -> np.ndarray:
+    """Full-barycentric pieces for an envelope fit over ``x = y[:k-1]`` on the unit simplex."""
+    g = np.zeros((affine.shape[0], k))
+    g[:, : k - 1] = affine[:, :-1]
+    g += affine[:, -1:]
+    return g
+
+
+def check_scaling(table: ValueTable) -> None:
+    """Boundary entries must equal the explicit stop/renormalize quotient to 1e-12."""
+    steps, r = table.steps, len(table.steps)
+    for k in range(2, r + 1):
+        s = steps[r - k]
+        y = SimplexGrid(k, table.resolution).fractions
+        y1, rest = y[:, 0], 1.0 - y[:, 0]
+        live = rest > 1e-14
+        for node, f in zip(nodes_at_step(table.spec, s), table.functions[s]):
+            vals = table.tables[(k, s, node)]
+            c = evaluate(table.cost, state(table.spec, node))
+            inner = f.pieces[:, 1:]  # perspective's copy of the continuation
+            direct = np.full(len(y), c)
+            direct[live] = y1[live] * c + rest[live] * np.min(
+                (y[live, 1:] / rest[live, None]) @ inner.T, axis=1)
+            off = np.flatnonzero(np.abs(direct - vals) > 1e-12)
+            if off.size:
+                err = abs(direct[off[0]] - vals[off[0]])
+                raise AssertionError(
+                    f"renormalization identity off by {err:.3e} "
+                    f"at block {k}, step {s}, node {node}"
+                )
 
 
 def grid_rows(grid) -> dict[tuple[int, ...], int]:
@@ -233,74 +264,23 @@ def all_pairs_holder2_constant(cost, spec: LatticeSpec) -> float:
 # --- JSON readers: they read back what the package and the CLI write. -------
 
 def history_from_str(text: str) -> tuple[int, ...]:
-    if not isinstance(text, str) or any(ch not in "UD" for ch in text):
-        raise ValidationError(f"history string must use U/D, got {text!r}")
     return tuple(1 if ch == "U" else 0 for ch in text)
 
 
 def node_from_json(data: dict) -> NodeId:
-    ints = {key: data[key] for key in ("step", "level", "max_level") if key in data}
-    for key, value in ints.items():
-        if not is_integer(value):
-            raise ValidationError(f"node {key} must be an integer, got {value!r}")
     if "history" in data:
         return NodeId(step=data["step"], history=history_from_str(data["history"]))
-    return NodeId(step=data["step"], level=data["level"], max_level=ints.get("max_level"))
+    return NodeId(step=data["step"], level=data["level"], max_level=data.get("max_level"))
 
 
 def kernel_from_json(spec: LatticeSpec, data) -> StoppingKernel:
-    """Kernel from its JSON form: one ``{"node", "atom_time", "q"}`` entry per node.
-
-    Each node of each atom step must appear exactly once, with its step's
-    atom time.  An atom time off the lattice's grid raises ``CoverageError``,
-    any other malformed payload ``ValidationError``.
-    """
-    try:
-        entries = [(node_from_json(item["node"]), finite_number(item["atom_time"], "atom time"),
-                    finite_number(item["q"], "q")) for item in data]
-    except (ConfigError, KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed kernel payload: {exc}") from exc
-    times = sorted({t for _, t, _ in entries})
-    steps = atom_steps(spec, times)
-    position = {node: p for s in steps for p, node in enumerate(nodes_at_step(spec, s))}
-    q = {s: np.full(node_count(spec, s), np.nan) for s in steps}
-    for node, t, value in entries:
-        if node not in position or node.step != time_to_step(spec, t):
-            raise ValidationError(f"{node} is not a lattice node at the step of atom time {t}")
-        if not math.isnan(q[node.step][position[node]]):
-            raise ValidationError(f"duplicate kernel entry for {node}")
-        q[node.step][position[node]] = value
-    missing = [node for node, p in position.items() if math.isnan(q[node.step][p])]
-    if missing:
-        raise ValidationError(f"kernel missing entry for {missing[0]}")
-    return StoppingKernel(spec, times, [q[s] for s in steps])
+    """Kernel from its JSON form: one ``{"node", "atom_time", "q"}`` entry per node."""
+    times = sorted({item["atom_time"] for item in data})
+    return kernel_from_dict(spec, times, {node_from_json(item["node"]): item["q"] for item in data})
 
 
 def mvm_from_json(data: dict) -> MvmTree:
-    """Tree from its JSON form, where nodes are keyed by ``U``/``D`` history strings.
-
-    Every history up to the last atom must appear, and nothing else; any
-    malformed payload raises ``ValidationError``.
-    """
-    try:
-        dt = finite_number(data["dt"], "dt")
-        atom_times = [finite_number(t, "atom time") for t in data["atom_times"]]
-        start_step = data.get("start_step", 0)
-        nodes = data["nodes"].items()
-    except (AttributeError, ConfigError, KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed tree payload: {exc}") from exc
-    rows = {}
-    for key, vec in nodes:
-        # JSON numbers only: no strings, no booleans.
-        if not (isinstance(vec, list) and len(vec) == len(atom_times)
-                and all(type(w) in (int, float) for w in vec)):
-            raise ValidationError(
-                f"vector at {key!r} must be a list of {len(atom_times)} numbers, got {vec!r}"
-            )
-        rows[heap_row(history_from_str(key))] = vec
-    size = max(rows, default=-1) + 1
-    if len(rows) < size:
-        raise ValidationError(
-            f"{size - len(rows)} of the {size} histories up to the deepest node key are missing"
-        )
-    return MvmTree(dt, atom_times, [rows[h] for h in range(size)], start_step=start_step)
+    """Tree from its JSON form, where nodes are keyed by ``U``/``D`` history strings."""
+    rows = {heap_row(history_from_str(key)): vec for key, vec in data["nodes"].items()}
+    return MvmTree(data["dt"], data["atom_times"], [rows[h] for h in range(len(rows))],
+                   start_step=data["start_step"])

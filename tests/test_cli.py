@@ -25,7 +25,7 @@ def base_config() -> dict:
         "lattice": {"depth": 2, "dt": 1.0, "mode": "recombining", "augment_max": False},
         "cost": {"kind": "terminal", "name": "indicator", "params": {"threshold": 1.0}},
         "measure": [{"t": 1.0, "w": 0.5}, {"t": 2.0, "w": 0.5}],
-        "solver": {"resolution": 20, "debug": True},
+        "solver": {"resolution": 20},
         "seed": 7,
         "simulate": {"paths": 20000},
         "stability": {"grids": [[2.0], [1.0, 2.0]]},
@@ -254,6 +254,33 @@ class TestConfigErrors:
         assert main(["solve", str(path)]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    # One misspelled key per section, and two keys that are not settings.
+    @pytest.mark.parametrize("section, key, value", [
+        ("config", "sede", 7),
+        ("lattice", "augmentmax", True),
+        ("cost", "parms", {"threshold": 1.0}),
+        ("cost", "holder2_constant", 1e9),
+        ("measure", "weight", 0.5),
+        ("solver", "resolutoin", 200),
+        ("solver", "debug", True),
+        ("simulate", "path", 10),
+        ("stability", "grid", [[2.0]]),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "oracle", "stability"])
+    def test_unknown_key_exits_2(self, tmp_path, monkeypatch, capsys, command, section, key,
+                                 value):
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = base_config()
+        if section == "config":
+            config[key] = value
+        elif section == "measure":
+            config["measure"][-1][key] = value
+        else:
+            config[section][key] = value
+        assert main([command, self.write(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {section}: unknown key {key!r}\n"
+        assert not (tmp_path / "result.json").exists()
+
     @pytest.mark.parametrize("command, sections, message", [
         ("simulate", {"seed": -1}, "seed: must be a non-negative integer"),
         ("validate", {"seed": -1}, "seed: must be a non-negative integer"),
@@ -304,7 +331,7 @@ class TestGuardsBeforeWork:
             raise AssertionError("the expensive call ran before the lattice size guard")
 
         monkeypatch.setattr("dcstop.dpp.SimplexGrid", expensive_call)
-        monkeypatch.setattr("dcstop.stability.with_constant_from_range", expensive_call)
+        monkeypatch.setattr("dcstop.stability.modulus", expensive_call)
         monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
         config = base_config()
         config["lattice"] = lattice
@@ -369,14 +396,13 @@ class TestNumericalFailures:
 
 class TestVerificationFailure:
     def test_zero_modulus_constant_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
-        # Claiming a zero continuity constant shrinks every bound to the
-        # solver slacks; the half-step projection gap is far larger, so the
-        # sweep must report failure, not paper over it.
+        # A zero continuity constant shrinks every bound to the solver
+        # slacks; the half-step projection gap is far larger, so the sweep
+        # must report failure, not paper over it.
+        monkeypatch.setattr("dcstop.cost.holder2_constant_from_range", lambda cost, spec: 0.0)
         monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
-        config = base_config()
-        config["cost"]["holder2_constant"] = 0.0
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(base_config()))
         assert main(["stability", str(path)]) == 3
         assert "verification failed" in capsys.readouterr().err
         with open(tmp_path / "result.json") as fh:

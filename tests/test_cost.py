@@ -20,7 +20,6 @@ from dcstop import (
     modulus,
     nodes_at_step,
     state,
-    with_constant_from_range,
 )
 
 from conftest import all_pairs_holder2_constant
@@ -95,25 +94,38 @@ class TestEvaluate:
 
 
 class TestModulus:
-    def test_absent_without_constant(self):
-        assert modulus(CostSpec(kind="terminal", name="square")) is None
-
-    def test_terminal_linear_in_constant(self):
-        cost = CostSpec(kind="terminal", name="square", holder2_constant=2.5)
-        phi = modulus(cost)
-        assert phi(0.4) == pytest.approx(1.0, abs=1e-15)
+    def test_terminal_linear_in_the_range_constant(self):
+        # square on levels -2..2 at unit steps: the constant is 3.
+        phi = modulus(CostSpec(kind="terminal", name="square"), LatticeSpec(depth=2, dt=1.0))
+        assert phi(0.4) == pytest.approx(1.2, abs=1e-15)
 
     def test_running_max_quadruples(self):
-        cost = CostSpec(kind="running_max", name="square", holder2_constant=1.0)
-        assert modulus(cost)(1.0) == pytest.approx(4.0, abs=1e-15)
+        spec = LatticeSpec(depth=3, dt=1.0, augment_max=True)
+        cost = CostSpec(kind="running_max", name="square")
+        c = holder2_constant_from_range(cost, spec)
+        assert modulus(cost, spec)(1.0) == pytest.approx(4.0 * c, abs=1e-15)
 
     def test_time_cost_lipschitz(self):
-        cost = CostSpec(kind="time", name="identity", holder2_constant=1.0)
-        assert modulus(cost)(0.5) == 0.5
+        phi = modulus(CostSpec(kind="time", name="identity"), LatticeSpec(depth=4, dt=0.5))
+        assert phi(0.5) == 0.5
+
+    @pytest.mark.parametrize("kind", ["terminal", "running_max", "time"])
+    @pytest.mark.parametrize("name, params", [
+        ("square", {}), ("abs", {}), ("indicator", {"threshold": 1.0}),
+        ("polynomial", {"coeffs": [0.5, -1.0, 0.25]}),
+    ])
+    def test_matches_a_constant_filled_in_from_the_range(self, kind, name, params):
+        # Linear in the lattice's range constant, times 4 for running max (Doob).
+        cost = CostSpec(kind=kind, name=name, params=params)
+        for spec in (LatticeSpec(depth=2, dt=1.0), LatticeSpec(depth=7, dt=0.3, augment_max=True)):
+            c = holder2_constant_from_range(cost, spec)
+            phi = modulus(cost, spec)
+            for x in (0.0, 0.25, 1.0, 3.7):
+                assert phi(x) == (4.0 * c * x if kind == "running_max" else c * x)
 
     def test_markov_has_no_route(self):
-        cost = CostSpec(kind="markov", name="abs", holder2_constant=1.0)
-        assert modulus(cost) is None
+        with pytest.raises(ConfigError, match="no modulus route for markov costs"):
+            modulus(CostSpec(kind="markov", name="abs"), LatticeSpec(depth=2, dt=1.0))
 
     def test_range_constant_matches_brute_force(self):
         # Independent recomputation: scan all reachable position pairs for
@@ -144,12 +156,6 @@ class TestModulus:
                           (150, 0.01)]:
             spec = LatticeSpec(depth=depth, dt=dt)
             assert holder2_constant_from_range(cost, spec) == all_pairs_holder2_constant(cost, spec)
-
-    def test_with_constant_from_range(self):
-        spec = LatticeSpec(depth=2, dt=1.0)
-        cost = with_constant_from_range(CostSpec(kind="terminal", name="square"), spec)
-        assert cost.holder2_constant == pytest.approx(3.0, abs=1e-12)
-        assert modulus(cost) is not None
 
     def test_time_range_constant_is_lipschitz(self):
         spec = LatticeSpec(depth=4, dt=0.5)
@@ -183,22 +189,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             CostSpec(kind="terminal", name="polynomial2", params={"coeffs": [[1.0]]})
 
-    def test_negative_constant(self):
-        with pytest.raises(ConfigError):
-            CostSpec(kind="terminal", name="square", holder2_constant=-1.0)
-
 
 class TestJson:
     def test_round_trip(self):
-        cost = CostSpec(
-            kind="terminal", name="indicator",
-            params={"threshold": 1.0}, holder2_constant=2.0,
-        )
+        cost = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
         again = cost_from_json(asdict(cost))
         assert again.kind == cost.kind
         assert again.name == cost.name
         assert dict(again.params) == dict(cost.params)
-        assert again.holder2_constant == cost.holder2_constant
 
     def test_missing_fields(self):
         with pytest.raises(ConfigError):

@@ -46,11 +46,13 @@ from dcstop.lattice import heap_row
 from dcstop.measures import measure_from_json
 from conftest import (
     brute_kernel_stats,
+    check_scaling,
     children,
     from_samples,
     grid_rows,
     kernel_from_dict,
     random_measure,
+    unit_simplex_pieces,
 )
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
@@ -251,7 +253,7 @@ def reference_pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) 
     if want_prov:
         iu, idn = np.divmod(vert_ids, nd)
         prov = np.column_stack([up.verts[iu, :k], down.verts[idn, :k]])
-    return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k, total=2.0), verts=verts,
+    return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k), verts=verts,
                      prov=prov)
 
 
@@ -277,7 +279,7 @@ def random_concave(rng, k: int, kind: str, levels: bool) -> ConcavePL:
         pts = np.vstack([np.eye(k), pts / pts.sum(axis=1, keepdims=True)])
     vals = rng.integers(0, 3, len(pts)).astype(float) if levels else rng.normal(size=len(pts))
     affine, ids = _hull_upper(np.column_stack([pts[:, : k - 1], vals]))
-    return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k, total=1.0),
+    return ConcavePL(k=k, pieces=unit_simplex_pieces(affine, k),
                      verts=np.column_stack([pts[ids], vals[ids]]))
 
 
@@ -410,24 +412,24 @@ class TestSolve:
         assert fine.root_value == pytest.approx(coarse.root_value, abs=1e-15)
         assert fine.root_value >= coarse.root_value - 1e-12
 
-    def test_debug_mode_validates_renormalization(self):
-        rng = np.random.default_rng(60)
-        spec = LatticeSpec(depth=3, dt=0.5)
-        mu = random_measure(rng, (0.5, 1.0, 1.5))
-        table = solve(spec, ABS, mu, resolution=7, debug=True)
-        assert table.root_value >= 0.0
-
-    def test_debug_check_catches_a_corrupted_table_entry(self):
+    def test_renormalization_identity_holds(self):
         rng = np.random.default_rng(60)
         spec = LatticeSpec(depth=3, dt=0.5)
         mu = random_measure(rng, (0.5, 1.0, 1.5))
         table = solve(spec, ABS, mu, resolution=7)
-        grids = {k: SimplexGrid(k, 7) for k in (1, 2, 3)}
-        dpp._check_scaling(table, grids)
+        check_scaling(table)
+        assert table.root_value >= 0.0
+
+    def test_scaling_check_catches_a_corrupted_table_entry(self):
+        rng = np.random.default_rng(60)
+        spec = LatticeSpec(depth=3, dt=0.5)
+        mu = random_measure(rng, (0.5, 1.0, 1.5))
+        table = solve(spec, ABS, mu, resolution=7)
+        check_scaling(table)
         key = next(key for key in table.tables if key[0] == 3)
         table.tables[key][5] += 1e-9
         with pytest.raises(AssertionError, match="renormalization identity off by"):
-            dpp._check_scaling(table, grids)
+            check_scaling(table)
 
     # Recorded before the grid layer was rebuilt on arrays; any change to the
     # order of the grid points, the sampled tables or the slack shows here.
@@ -768,7 +770,7 @@ class TestExtractPolicy:
             mu = random_measure(rng, (0.25, 0.75, 1.0))
             table = solve(spec, cost, mu, resolution=25)
             tree = extract_policy(table)
-            assert validate(tree, mu=mu, tol=1e-9).ok
+            assert validate(tree, mu=mu).ok
             got = accumulate(tree, spec, cost).leaf_expectation()
             assert got >= table.root_value - table.slack
             assert got <= oracle_value(spec, cost, mu) + 1e-9

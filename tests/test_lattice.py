@@ -313,19 +313,6 @@ class TestJson:
         ):
             assert node_from_json(node_to_json(node)) == node
 
-    @pytest.mark.parametrize("data", [
-        {"step": 1.7, "level": 1},
-        {"step": True, "level": 1},
-        {"step": 1, "level": True},
-        {"step": 2, "level": 0, "max_level": 1.0},
-        {"step": "1", "history": "U"},
-    ])
-    def test_node_integers_are_not_coerced(self, data):
-        with pytest.raises(ValidationError, match="must be an integer"):
-            node_from_json(data)
-
     def test_history_encoding_uses_letters(self):
         doc = node_to_json(NodeId(step=2, history=(1, 0)))
         assert doc["history"] == "UD"
-        with pytest.raises(ValidationError):
-            node_from_json({"step": 2, "history": "UX"})

@@ -325,14 +325,16 @@ def corrupted_tree(rng):
 
 
 class TestValidate:
-    def test_reports_match_the_dict_walk_on_corrupted_trees(self):
+    def test_reports_match_the_dict_walk_on_corrupted_trees(self, monkeypatch):
         rng = np.random.default_rng(70)
         seen = set()
         for _ in range(300):
             tree, mu = corrupted_tree(rng)
+            # Other tolerances put other corruptions on either side of the bound.
             for tol in (MARTINGALE_TOL, 1e-9, 1e-5):
+                monkeypatch.setattr("dcstop.mvm.MARTINGALE_TOL", tol)
                 want = reference_validate(tree, mu, tol)
-                assert validate(tree, mu, tol) == want
+                assert validate(tree, mu) == want
                 seen.add(want.violation.prop if want.violation else "ok")
         assert seen == {"ok", "root", "martingale", "adapted", "normalized"}
 
@@ -605,10 +607,10 @@ class TestAccumulate:
         rng = np.random.default_rng(50 + spec.depth)
         tree = from_kernel(random_kernel(spec, (1.0, 3.0, float(spec.depth)), rng), spec)
         cost = CostSpec(kind="terminal", name="abs")
-        acc = accumulate(tree, spec, cost, y0=0.3)
+        acc = accumulate(tree, spec, cost)
         hist = LatticeSpec(depth=tree.depth, dt=tree.dt, mode="history")
         vectors = tree_dict(tree)
-        want = {(): 0.3}
+        want = {(): 0.0}
         for bits in sorted(vectors, key=len):
             if bits:
                 want[bits] = want[bits[:-1]]
@@ -637,7 +639,7 @@ class TestAccumulate:
         spec = LatticeSpec(depth=3, dt=1.0)
         kernel = random_kernel(spec, (2.0, 3.0), rng)
         acc = accumulate(from_kernel(kernel, spec), spec,
-                         CostSpec(kind="terminal", name="square"), y0=0.0)
+                         CostSpec(kind="terminal", name="square"))
         # Steps 0 and 1 are the first three heap rows.
         assert acc.y[:3].tolist() == [0.0, 0.0, 0.0]
 
@@ -649,13 +651,13 @@ class TestAccumulate:
                          CostSpec(kind="terminal", name="identity"))
         assert acc.leaf_expectation() == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_kernel_objective_with_offset(self):
+    def test_matches_kernel_objective(self):
         rng = np.random.default_rng(42)
         spec = LatticeSpec(depth=3, dt=0.5)
         kernel = random_kernel(spec, (0.5, 1.0, 1.5), rng)
         cost = CostSpec(kind="terminal", name="abs")
-        acc = accumulate(from_kernel(kernel, spec), spec, cost, y0=0.7)
-        expect = 0.7 + objective_value(kernel, spec, cost)
+        acc = accumulate(from_kernel(kernel, spec), spec, cost)
+        expect = objective_value(kernel, spec, cost)
         assert acc.leaf_expectation() == pytest.approx(expect, abs=1e-12)
 
 
@@ -664,18 +666,6 @@ def payload(tree: MvmTree) -> dict:
 
 
 class TestConstruction:
-    def test_missing_vector(self):
-        data = payload(constant_tree((0.5, 0.5)))
-        del data["nodes"]["UD"]
-        with pytest.raises(ValidationError, match="1 of the 7 histories up to the deepest"):
-            mvm_from_json(data)
-
-    def test_wrong_vector_length(self):
-        data = payload(constant_tree((0.5, 0.5)))
-        data["nodes"]["U"] = [1.0]
-        with pytest.raises(ValidationError, match="must be a list of 2 numbers"):
-            mvm_from_json(data)
-
     def test_array_of_the_wrong_shape(self):
         tree = constant_tree((0.5, 0.5))
         for shape in ((6, 2), (7, 1), (7, 2, 1), (14,)):
@@ -683,26 +673,10 @@ class TestConstruction:
                 MvmTree(1.0, tree.atom_times, np.full(shape, 0.5))
 
     def test_vectors_beyond_last_atom(self):
-        data = payload(constant_tree((0.5, 0.5)))
-        data["nodes"]["UUU"] = [0.5, 0.5]
-        with pytest.raises(ValidationError, match="7 of the 15 histories"):
-            mvm_from_json(data)
-        # A whole extra step: no gap, but one step more than the atoms reach.
+        # A whole extra step: one step more than the atoms reach.
         data = payload(constant_tree((0.5, 0.5), atoms=(1.0, 3.0), depth=3))
         data["atom_times"] = [1.0, 2.0]
         with pytest.raises(ValidationError, match=r"shape \(15, 2\), expected \(7, 2\)"):
-            mvm_from_json(data)
-
-    def test_non_history_key_with_the_right_count(self):
-        # Three keys, as in a complete depth-1 tree, but "X" is no history.
-        with pytest.raises(ValidationError, match="U/D"):
-            mvm_from_json({"dt": 1.0, "atom_times": [1.0],
-                           "nodes": {"": [1.0], "U": [1.0], "X": [1.0]}})
-
-    def test_extra_key_beside_a_complete_tree(self):
-        data = payload(constant_tree((0.5, 0.5)))
-        data["nodes"]["X"] = [0.5, 0.5]
-        with pytest.raises(ValidationError, match="U/D"):
             mvm_from_json(data)
 
     def test_off_grid_atom_time(self):
@@ -766,31 +740,3 @@ class TestJson:
         again = mvm_from_json(payload(tree))
         assert (again.dt, again.atom_times, again.depth) == (tree.dt, tree.atom_times, 12)
         assert np.array_equal(again.vectors, tree.vectors)
-
-    def test_bad_keys(self):
-        with pytest.raises(ValidationError):
-            mvm_from_json({"dt": 1.0, "atom_times": [1.0],
-                           "nodes": {"X": [1.0]}})
-        with pytest.raises(ValidationError):
-            mvm_from_json({"dt": 1.0})
-        with pytest.raises(ValidationError, match="U/D"):
-            mvm_from_json({"dt": 1.0, "atom_times": [1.0], "nodes": {0: [1.0]}})
-
-    @pytest.mark.parametrize("field,value", [
-        ("nan_weights", float("nan")),
-        ("start_step", 2.7),
-        ("start_step", "a"),
-        ("dt", "abc"),
-        ("weight", "x"),
-    ])
-    def test_malformed_payload_is_a_validation_error(self, field, value):
-        data = {"dt": 1.0, "atom_times": [3.0], "start_step": 2,
-                "nodes": {"": [1.0], "U": [1.0], "D": [1.0]}}
-        if field == "nan_weights":
-            data["nodes"] = {key: [value] for key in data["nodes"]}
-        elif field == "weight":
-            data["nodes"]["U"] = [value]
-        else:
-            data[field] = value
-        with pytest.raises(ValidationError):
-            mvm_from_json(data)

@@ -351,11 +351,6 @@ class TestJson:
         again = kernel_from_json(spec, kernel_to_json(kernel))
         assert again == kernel
 
-    def test_bad_payload(self):
-        spec = LatticeSpec(depth=1, dt=1.0)
-        with pytest.raises(ValidationError):
-            kernel_from_json(spec, [{"node": {"step": 1, "level": 1}}])
-
     def test_round_trip_on_every_lattice_mode(self):
         rng = np.random.default_rng(16)
         for mode, augment in LATTICE_MODES:
@@ -364,50 +359,6 @@ class TestJson:
             again = kernel_from_json(spec, json.loads(json.dumps(kernel_to_json(kernel))))
             assert again == kernel
             assert kernel_dict(again) == kernel_dict(kernel)
-
-    @pytest.mark.parametrize("field, value", [
-        ("step", 1.7), ("step", True), ("level", True), ("level", 1.0),
-    ])
-    def test_node_integers_are_not_coerced(self, field, value):
-        payload = worked_payload()
-        payload[0]["node"][field] = value
-        with pytest.raises(ValidationError, match="must be an integer"):
-            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
-
-    @pytest.mark.parametrize("value", ["0.5", None, True, float("nan")])
-    def test_q_must_be_a_finite_number(self, value):
-        payload = worked_payload()
-        payload[1]["q"] = value
-        with pytest.raises(ValidationError, match="q must be a finite number"):
-            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
-
-    def test_duplicate_entry_rejected(self):
-        payload = worked_payload()
-        payload.append(dict(payload[0], q=0.0))
-        with pytest.raises(ValidationError, match="duplicate kernel entry"):
-            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
-
-    def test_atom_time_must_match_the_node_step(self):
-        payload = worked_payload()
-        payload[0]["atom_time"] = 2.0
-        payload[2]["atom_time"] = 1.0
-        with pytest.raises(ValidationError, match="not a lattice node at the step of atom"):
-            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
-
-    def test_node_outside_the_lattice_rejected(self):
-        payload = worked_payload()
-        payload[0]["node"] = {"step": 1, "history": "U"}
-        with pytest.raises(ValidationError, match="not a lattice node at the step of atom"):
-            kernel_from_json(LatticeSpec(depth=2, dt=1.0), payload)
-
-    def test_missing_entry_rejected(self):
-        with pytest.raises(ValidationError, match="missing entry"):
-            kernel_from_json(LatticeSpec(depth=2, dt=1.0), worked_payload()[1:])
-
-
-def worked_payload() -> list[dict]:
-    """``worked_kernel`` in JSON form: two step-1 entries, then three step-2 entries."""
-    return kernel_to_json(worked_kernel()[1])
 
 
 # --- The dict walks the per-step arrays replaced, kept as references. -------
@@ -583,15 +534,6 @@ def reference_simulate(kernel, spec, cost, n_paths, seed):
     return mean, stderr, marginal
 
 
-def reference_random_kernel(spec, atom_times, rng):
-    steps = atom_steps(spec, atom_times)
-    q = {}
-    for i, s in enumerate(steps):
-        for node in nodes_at_step(spec, s):
-            q[node] = 1.0 if i == len(steps) - 1 else float(rng.random())
-    return q
-
-
 def random_instances(mode, augment, seed):
     """Random kernels with random coarser right-shift targets, depths 1 to 8."""
     rng = np.random.default_rng(seed)
@@ -603,11 +545,10 @@ def random_instances(mode, augment, seed):
             atoms = sorted(rng.choice(times, size=n_atoms, replace=False))
             kernel_seed = int(rng.integers(1 << 30))
             kernel = random_kernel(spec, atoms, np.random.default_rng(kernel_seed))
-            want = reference_random_kernel(spec, atoms, np.random.default_rng(kernel_seed))
-            yield spec, kernel, want, rng
-            # A pure rule has dead nodes, which the dict walk left out.
+            yield spec, kernel, rng
+            # A pure rule has dead nodes, which the dict walks left out.
             pure = StoppingKernel(spec, atoms, [np.round(v) for v in kernel.q])
-            yield spec, pure, None, rng
+            yield spec, pure, rng
 
 
 def random_right_shift(marg, spec, rng):
@@ -632,15 +573,10 @@ class TestAgainstTheDictWalks:
     """The array sweeps reproduce the per-node dict walks they replaced."""
 
     @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
-    def test_random_kernel_draws_the_same_stream(self, mode, augment):
-        for _, kernel, want, _ in random_instances(mode, augment, 41):
-            assert want is None or kernel_dict(kernel) == want
-
-    @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
     def test_marginal_and_objective(self, mode, augment):
         cost = CostSpec(kind="running_max", name="square") if mode == "history" or augment \
             else SQUARE
-        for spec, kernel, _, _ in random_instances(mode, augment, 42):
+        for spec, kernel, _ in random_instances(mode, augment, 42):
             got, want = marginal_of(kernel, spec), reference_marginal(kernel, spec)
             assert got.atoms == want.atoms
             assert got.weights == pytest.approx(want.weights, abs=1e-14, rel=0)
@@ -650,7 +586,7 @@ class TestAgainstTheDictWalks:
     @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
     def test_push_right(self, mode, augment):
         shifted = 0
-        for spec, kernel, _, rng in random_instances(mode, augment, 43):
+        for spec, kernel, rng in random_instances(mode, augment, 43):
             marg = marginal_of(kernel, spec)
             target = random_right_shift(marg, spec, rng)
             pushed, shift = push_right_with_shift(kernel, spec, monotone_coupling(marg, target))
@@ -668,7 +604,7 @@ class TestAgainstTheDictWalks:
     def test_simulate(self, mode, augment):
         cost = CostSpec(kind="running_max", name="identity") if mode == "history" or augment \
             else IDENTITY
-        for k, (spec, kernel, _, _) in enumerate(random_instances(mode, augment, 44)):
+        for k, (spec, kernel, _) in enumerate(random_instances(mode, augment, 44)):
             report = simulate(kernel, spec, cost, n_paths=2000, seed=k)
             mean, stderr, marginal = reference_simulate(kernel, spec, cost, 2000, k)
             assert (report.mean, report.stderr) == (mean, stderr)
