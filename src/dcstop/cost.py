@@ -24,6 +24,8 @@ KINDS = ("terminal", "running_max", "time", "markov")
 SCALAR_NAMES = ("identity", "square", "abs", "positive_part", "indicator", "polynomial")
 # markov costs may additionally use a bivariate polynomial in (w, t).
 MARKOV_NAMES = SCALAR_NAMES + ("polynomial2",)
+# The params each named form reads; any other key is refused, not dropped.
+PARAMS = {"indicator": ("threshold",), "polynomial": ("coeffs",), "polynomial2": ("coeffs",)}
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,9 @@ class CostSpec:
         allowed = MARKOV_NAMES if self.kind == "markov" else SCALAR_NAMES
         if self.name not in allowed:
             raise ConfigError(f"cost name {self.name!r} not in {allowed} for kind {self.kind!r}")
+        for key in self.params:
+            if key not in PARAMS.get(self.name, ()):
+                raise ConfigError(f"{self.name} cost reads no params[{key!r}]")
         if self.name == "indicator":
             if "threshold" not in self.params:
                 raise ConfigError("indicator cost needs params['threshold']")

@@ -17,14 +17,15 @@ rows in atom order.  Leaf ``c`` meets atom ``i`` at its prefix ``c >> (horizon
 
 The float route solves the LP with HiGHS through ``scipy.optimize.linprog``
 (the dual revised simplex of Huangfu & Hall, Math. Prog. Comp. 2018), which
-shares no code with the block solver.  ``exact=True`` runs a dense two-phase
-Bland simplex over rationals instead.  Either way dcstop recomputes the
-optimality certificate itself from the primal ``x`` and the duals: reduced-
-cost violation, complementary slackness and duality gap.
+shares no code with the block solver.  ``exact=True`` runs a two-phase Bland
+simplex on integer rows instead, with exact duals from its last tableau.
+Either way dcstop recomputes the certificate from ``x`` and the duals, in
+the route's arithmetic: reduced-cost violation, slackness and duality gap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .cost import CostSpec, evaluate
-from .errors import NumericalError, SizeGuardError, ValidationError
+from .errors import SizeGuardError, ValidationError
 from .lattice import LatticeSpec, atom_steps, nodes_at_step, state
 from .measures import DiscreteMeasure
 from .rst import StoppingKernel
@@ -73,9 +74,7 @@ class LpSolution:
 def check_oracle_depth(horizon: int) -> None:
     """Refuse a history tree past ``ORACLE_DEPTH_LIMIT`` before building anything."""
     if horizon > ORACLE_DEPTH_LIMIT:
-        raise SizeGuardError(
-            f"oracle tree has 2^{horizon} paths (limit 2^{ORACLE_DEPTH_LIMIT})"
-        )
+        raise SizeGuardError(f"oracle tree has 2^{horizon} paths (limit 2^{ORACLE_DEPTH_LIMIT})")
 
 
 def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProblem:
@@ -104,94 +103,101 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
     return LpProblem(spec=spec, cost=cost, mu=mu, steps=steps, a=a, b=b, c=c)
 
 
-def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Two-phase dense simplex over ``Fraction`` object arrays, Bland's rule throughout.
+def _integers(values) -> tuple[list[int], int]:
+    """Numerators over the least common denominator of floats or ``Fraction``s."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
 
-    Every comparison is exact, and Bland's rule cannot cycle, so the routine
-    terminates.  Returns the status, value, ``x`` and the final basis.
+
+def _simplex(a, b, c):
+    """Two-phase Bland simplex, which cannot cycle, exact on rows of Python ints.
+
+    ``a``, ``b``, ``c`` hold floats or ``Fraction``s.  Each tableau row is
+    integers over its own positive denominator.  A pivot rewrites only the rows
+    with an entry ``f != 0`` in the entering column, as ``R_i p - f R_r`` over
+    ``d_i p`` with the gcd divided out (Bareiss, Math. Comp. 1968); the ratio
+    test cross-multiplies.  The artificial columns stay through phase 2, barred
+    from entering, and the objective row under them is the exact dual ``y``
+    (Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007).  Returns the
+    status, value, ``x``, ``y`` (``None`` unless optimal) and final basis.
     """
-    m, n = a.shape
-    flip = np.where(b < 0, -1, 1)
-    a = a * flip[:, None]
-    b = b * flip
-    zero = b[0] * 0
-    # Phase 1 tableau: original columns, artificial identity, rhs, and a
-    # bottom objective row minimizing the artificial total.
-    t = np.full((m + 1, n + m + 1), zero, dtype=a.dtype)
-    t[:m, :n] = a
-    t[range(m), range(n, n + m)] = zero + 1
-    t[:m, -1] = b
+    m, n = len(b), len(c)
+    flip = [-1 if v < 0 else 1 for v in b]
+    # Row i is [a_i | e_i | b_i] over its denominator, negated first where b_i < 0.
+    rows = [_integers([s * v for v in row] + [int(k == i) for k in range(m)] + [s * r])
+            for i, (s, row, r) in enumerate(zip(flip, np.asarray(a).tolist(), b))]
+    t, den = [ints for ints, _ in rows], [d for _, d in rows]
     basis = list(range(n, n + m))
-    t[m, :n] = -a.sum(axis=0)
-    t[m, -1] = -b.sum()
 
-    def pivot(row: int, col: int) -> None:
-        t[row] /= t[row, col]
+    def eliminate(i: int, r: int, col: int) -> None:
+        # Row r reads one in col: its numerator there is its denominator.
+        p, f = t[r][col], t[i][col]
+        row = [u * p - f * v for u, v in zip(t[i], t[r])]
+        g = math.gcd(den[i] * p, *row)
+        t[i], den[i] = [u // g for u in row], den[i] * p // g
+
+    def pivot(r: int, col: int) -> None:
+        g = math.gcd(*t[r]) if t[r][col] > 0 else -math.gcd(*t[r])
+        t[r], den[r] = [v // g for v in t[r]], t[r][col] // g
         for i in range(m + 1):
-            if i != row and t[i, col] != 0:
-                t[i] -= t[i, col] * t[row]
+            if i != r and t[i][col]:
+                eliminate(i, r, col)
+        basis[r] = col
+
+    def price(cost: list[int], d: int) -> None:
+        # The objective row minimizing cost / d, reduced against the basis.
+        # Phase 1 minimizes the artificial total, phase 2 minimizes -c.
+        t[m:], den[m:] = [cost], [d]
+        for i, j in enumerate(basis):
+            if t[m][j]:
+                eliminate(m, i, j)
 
     def run(active: int) -> None:
-        while True:
-            entering = np.flatnonzero(t[m, :active] < 0)
-            if not entering.size:
-                return
-            enter = int(entering[0])
-            leave, best, best_var = -1, np.inf, -1
+        while (enter := next((j for j in range(active) if t[m][j] < 0), None)) is not None:
+            leave = -1
             for i in range(m):
-                if t[i, enter] > 0:
-                    ratio = t[i, -1] / t[i, enter]
-                    if ratio < best or (ratio == best and basis[i] < best_var):
-                        leave, best, best_var = i, ratio, basis[i]
+                v = t[i][enter]
+                # Smallest ratio rhs / v, ties to the smallest basic variable.
+                if v > 0 and (leave < 0 or (t[i][-1] * t[leave][enter], basis[i])
+                              < (t[leave][-1] * v, basis[leave])):
+                    leave = i
             if leave < 0:
                 raise ValidationError("LP is unbounded")
             pivot(leave, enter)
-            basis[leave] = enter
 
+    price([0] * n + [1] * m + [0], 1)
     run(n + m)
     # Any artificial mass left means no feasible point.
-    if t[m, -1] < 0:
-        return "infeasible", zero, np.full(n, zero, dtype=a.dtype), tuple(basis)
+    if t[m][-1] < 0:
+        return "infeasible", Fraction(0), [Fraction(0)] * n, None, tuple(basis)
     # Drive leftover artificials out of the basis; a row with no real pivot
     # candidate is redundant and harmless, its artificial stays at zero.
     for i in range(m):
-        if basis[i] >= n:
-            candidates = np.flatnonzero(t[i, :n] != 0)
-            if candidates.size:
-                pivot(i, int(candidates[0]))
-                basis[i] = int(candidates[0])
-    t[:, n:n + m] = zero
-    t[m, :] = zero
-    t[m, :n] = -c
-    for i in range(m):
-        if basis[i] < n and t[m, basis[i]] != 0:
-            t[m] -= t[m, basis[i]] * t[i]
+        col = next((j for j in range(n) if t[i][j]), None) if basis[i] >= n else None
+        if col is not None:
+            pivot(i, col)
+    price(*_integers([-v for v in np.asarray(c).tolist()] + [0] * (m + 1)))
     run(n)
-    x = np.full(n, zero, dtype=a.dtype)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = t[i, -1]
-    return "optimal", c @ x, x, tuple(basis)
+    x = {j: Fraction(t[i][-1], den[i]) for i, j in enumerate(basis)}
+    x = [x.get(j, Fraction(0)) for j in range(n)]
+    y = [s * Fraction(v, den[m]) for s, v in zip(flip, t[m][n:n + m])]
+    return "optimal", Fraction(t[m][-1], den[m]), x, y, tuple(basis)
 
 
-def _certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _certificate(a, b, c, x, y) -> tuple:
     """Reduced-cost violation, complementary slackness and duality gap of ``(x, y)``."""
-    a, b, c = problem.a, problem.b, problem.c
     rc = c - y @ a
-    rc_violation = float(max(0.0, rc.max(initial=0.0)))
-    slackness = float(np.max(np.abs(x * rc), initial=0.0))
-    gap = float(abs(c @ x - y @ b))
-    return rc_violation, slackness, gap
+    return max(0, rc.max(initial=0)), np.max(np.abs(x * rc), initial=0), abs(c @ x - y @ b)
 
 
 def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
     """Make marginal rows exactly consistent with unit total mass.
 
-    Float-normalized weights can encode a total mass one ulp away from one,
-    which over the rationals makes the polytope empty even though the
-    intended problem is fine.  A defect below float precision is folded into
-    the last marginal row; anything larger is left alone so genuinely
-    inconsistent data still surfaces as infeasible.
+    Float-normalized weights can put the total mass one ulp off one, which
+    empties the rational polytope of a fine problem.  A defect below float
+    precision goes into the last marginal row; a larger one stays, so
+    inconsistent data still comes out infeasible.
     """
     steps = problem.steps
     marginals = b_vec[len(b_vec) - len(steps):]
@@ -201,58 +207,52 @@ def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
 
 
 def _solve_exact(problem: LpProblem):
-    """Status, value, ``x`` and duals (``None`` unless optimal) by the rational simplex."""
+    """Status, value, ``x``, duals and certificate by the integer-row simplex, all rational.
+
+    With ``a = A/da`` over a common denominator, and so on, the certificate of
+    ``X`` and ``Y`` on ``db dc A``, ``da dc dx B`` and ``da db dy C`` is ``k = da
+    db dc dy`` times the true one, and ``dx k`` times where it multiplies ``x``.
+    """
     # Fraction(float) is exact, so the rationals encode the float data.
-    a, b, c = (np.frompyfunc(Fraction, 1, 1)(v) for v in (problem.a, problem.b, problem.c))
+    b = [Fraction(v) for v in problem.b]
     _absorb_rounding_defect(problem, b)
-    status, value, x, basis = _simplex(a, b, c)
-    x = x.astype(float)
+    status, value, x, y, _ = _simplex(problem.a, b, problem.c)
     if status != "optimal":
-        return status, value, x, None
-    cols = [j for j in basis if j < problem.a.shape[1]]
-    # Solve B^T y = c_B in the least-squares sense; with redundant rows the
-    # basis matrix is rectangular but any consistent y certifies optimality.
-    try:
-        y, *_ = np.linalg.lstsq(problem.a[:, cols].T, problem.c[cols], rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"least-squares duals failed on a {len(cols)}-column basis: {exc}") from exc
-    return status, value, x, y
+        return status, value, x, None, None
+    (a_, da), (b_, db), (c_, dc), (x_, dx), (y_, dy) = (
+        (np.array(v, dtype=object), d)
+        for v, d in map(_integers, (problem.a.ravel().tolist(), b, problem.c.tolist(), x, y)))
+    k = da * db * dc * dy
+    residuals = _certificate(a_.reshape(problem.a.shape) * (db * dc), b_ * (da * dc * dx),
+                             c_ * (da * db * dy), x_, y_)
+    return status, value, x, y, [Fraction(r, s) for r, s in zip(residuals, (k, dx * k, dx * k))]
 
 
 def _solve_highs(problem: LpProblem):
-    """Status, value, ``x`` and duals (``None`` unless optimal) by HiGHS."""
+    """Status, value, ``x``, duals and certificate by HiGHS, all float."""
     res = linprog(-problem.c, A_eq=problem.a, b_eq=problem.b, bounds=(0, None), method="highs")
     if res.status == 2:
-        return "infeasible", np.nan, np.zeros(problem.a.shape[1]), None
-    if res.status == 3:
-        raise ValidationError("LP is unbounded")
+        return "infeasible", np.nan, np.zeros(problem.a.shape[1]), None, None
     if res.status != 0:
-        raise ValidationError(f"LP solver failed: {res.message}")
-    return "optimal", problem.c @ res.x, res.x, -res.eqlin.marginals
+        raise ValidationError("LP is unbounded" if res.status == 3
+                              else f"LP solver failed: {res.message}")
+    y = -res.eqlin.marginals
+    residuals = _certificate(problem.a, problem.b, problem.c, res.x, y)
+    return "optimal", problem.c @ res.x, res.x, y, residuals
 
 
 def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
     """Optimize the stopping polytope and certify the result through duals.
 
-    The float route is HiGHS; ``exact`` switches to the rational Bland
-    simplex, whose solution is then rounded to floats.  Either way the
-    certificate is recomputed here from ``x`` and the duals.
+    The float route is HiGHS; ``exact`` switches to the integer-row Bland
+    simplex and a rational certificate.  ``x``, value, duals and residuals
+    are rounded to floats last.
     """
-    status, value, x, y = (_solve_exact if exact else _solve_highs)(problem)
+    status, value, x, y, residuals = (_solve_exact if exact else _solve_highs)(problem)
     if status != "optimal":
-        return LpSolution(
-            status=status, value=float("nan"), x=x,
-            duals=np.zeros(problem.a.shape[0]),
-            reduced_cost_violation=float("nan"),
-            slackness_violation=float("nan"), duality_gap=float("nan"),
-        )
-    rc_violation, slackness, gap = _certificate(problem, x, y)
-    return LpSolution(
-        status=status, value=float(value), x=x, duals=y,
-        reduced_cost_violation=rc_violation,
-        slackness_violation=slackness, duality_gap=gap,
-    )
+        value, y, residuals = np.nan, np.zeros(problem.a.shape[0]), (np.nan,) * 3
+    return LpSolution(status, float(value), np.asarray(x, dtype=float),
+                      np.asarray(y, dtype=float), *map(float, residuals))
 
 
 def oracle_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> float:
@@ -271,8 +271,7 @@ def lp_solution_to_kernel(problem: LpProblem, solution: LpSolution) -> StoppingK
     steps = problem.steps
     hist = LatticeSpec(depth=steps[-1], dt=problem.spec.dt, mode="history")
     offsets = list(accumulate((2 ** s for s in steps), initial=0))
-    x = np.asarray(solution.x, dtype=float)
-    q = []
+    x, q = solution.x, []
     for i, s in enumerate(steps[:-1]):
         codes = np.arange(2 ** s)
         # Mass the earlier atoms stopped on each path, added in atom order.

@@ -4,7 +4,8 @@ The references recompute quantities by direct enumeration or in closed form,
 one driver path or node at a time, deliberately avoiding the package's
 mass-sweep internals so each comparison crosses two independent code paths.
 ``check_scaling`` re-derives a solved table's boundary entries through the
-explicit stop/renormalize quotient.  The JSON readers at the end read back
+explicit stop/renormalize quotient.  ``reference_simplex`` is the dense
+``Fraction`` tableau the exact LP route used to pivot.  The JSON readers at the end read back
 what the package and the CLI write.
 """
 
@@ -24,6 +25,7 @@ from dcstop import (
     NodeId,
     SimplexGrid,
     StoppingKernel,
+    ValidationError,
     ValueTable,
     atom_steps,
     evaluate,
@@ -259,6 +261,78 @@ def all_pairs_holder2_constant(cost, spec: LatticeSpec) -> float:
             if ratio > best:
                 best = ratio
     return best
+
+
+def reference_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """The dense ``Fraction`` tableau the integer-row ``oracle._simplex`` replaced.
+
+    Two-phase, Bland's rule throughout, over ``Fraction`` object arrays.
+
+    Every comparison is exact, and Bland's rule cannot cycle, so the routine
+    terminates.  Returns the status, value, ``x`` and the final basis.
+    """
+    m, n = a.shape
+    flip = np.where(b < 0, -1, 1)
+    a = a * flip[:, None]
+    b = b * flip
+    zero = b[0] * 0
+    # Phase 1 tableau: original columns, artificial identity, rhs, and a
+    # bottom objective row minimizing the artificial total.
+    t = np.full((m + 1, n + m + 1), zero, dtype=a.dtype)
+    t[:m, :n] = a
+    t[range(m), range(n, n + m)] = zero + 1
+    t[:m, -1] = b
+    basis = list(range(n, n + m))
+    t[m, :n] = -a.sum(axis=0)
+    t[m, -1] = -b.sum()
+
+    def pivot(row: int, col: int) -> None:
+        t[row] /= t[row, col]
+        for i in range(m + 1):
+            if i != row and t[i, col] != 0:
+                t[i] -= t[i, col] * t[row]
+
+    def run(active: int) -> None:
+        while True:
+            entering = np.flatnonzero(t[m, :active] < 0)
+            if not entering.size:
+                return
+            enter = int(entering[0])
+            leave, best, best_var = -1, np.inf, -1
+            for i in range(m):
+                if t[i, enter] > 0:
+                    ratio = t[i, -1] / t[i, enter]
+                    if ratio < best or (ratio == best and basis[i] < best_var):
+                        leave, best, best_var = i, ratio, basis[i]
+            if leave < 0:
+                raise ValidationError("LP is unbounded")
+            pivot(leave, enter)
+            basis[leave] = enter
+
+    run(n + m)
+    # Any artificial mass left means no feasible point.
+    if t[m, -1] < 0:
+        return "infeasible", zero, np.full(n, zero, dtype=a.dtype), tuple(basis)
+    # Drive leftover artificials out of the basis; a row with no real pivot
+    # candidate is redundant and harmless, its artificial stays at zero.
+    for i in range(m):
+        if basis[i] >= n:
+            candidates = np.flatnonzero(t[i, :n] != 0)
+            if candidates.size:
+                pivot(i, int(candidates[0]))
+                basis[i] = int(candidates[0])
+    t[:, n:n + m] = zero
+    t[m, :] = zero
+    t[m, :n] = -c
+    for i in range(m):
+        if basis[i] < n and t[m, basis[i]] != 0:
+            t[m] -= t[m, basis[i]] * t[i]
+    run(n)
+    x = np.full(n, zero, dtype=a.dtype)
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = t[i, -1]
+    return "optimal", c @ x, x, tuple(basis)
 
 
 # --- JSON readers: they read back what the package and the CLI write. -------

@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from scipy.spatial import QhullError
 
@@ -104,6 +103,10 @@ class TestOracle:
         payload = read_result(out)
         assert payload["value"] == 0.5
         assert payload["exact"] is True
+        # The rational duals certify the rational optimum with no residual.
+        text = (out / "result.json").read_text()
+        for key in ("duality_gap", "reduced_cost_violation", "slackness_violation"):
+            assert f'"{key}": 0.0' in text
 
 
 class TestCompare:
@@ -281,6 +284,18 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"invalid input: {section}: unknown key {key!r}\n"
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "oracle", "stability"])
+    def test_unread_cost_parameter_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        # positive_part reads no threshold; it used to solve max(w, 0) and exit 0.
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = base_config()
+        config["cost"] = {"kind": "terminal", "name": "positive_part",
+                          "params": {"threshold": 1.0}}
+        assert main([command, self.write(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: cost: positive_part cost reads no params['threshold']\n")
+        assert not (tmp_path / "result.json").exists()
+
     @pytest.mark.parametrize("command, sections, message", [
         ("simulate", {"seed": -1}, "seed: must be a non-negative integer"),
         ("validate", {"seed": -1}, "seed: must be a non-negative integer"),
@@ -380,17 +395,6 @@ class TestNumericalFailures:
         assert re.fullmatch(
             r"invalid input: qhull failed on a cloud of \d+ points for k = 3: "
             r"QH6154 Qhull precision error: initial simplex is flat\n",
-            capsys.readouterr().err)
-
-    def test_least_squares_error(self, tmp_path, monkeypatch, capsys):
-        def lstsq(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-        assert main(["oracle", self.write(tmp_path, monkeypatch, base_config()), "--exact"]) == 2
-        assert re.fullmatch(
-            r"invalid input: least-squares duals failed on a \d+-column basis: "
-            r"SVD did not converge in Linear Least Squares\n",
             capsys.readouterr().err)
 
 

@@ -185,6 +185,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             CostSpec(kind="terminal", name="polynomial", params={"coeffs": ["x"]})
 
+    @pytest.mark.parametrize("kind, name, params", [
+        ("terminal", "identity", {"threshold": 1.0}),
+        ("terminal", "square", {"coeffs": [1.0]}),
+        ("running_max", "abs", {"scale": 2.0}),
+        ("terminal", "positive_part", {"threshold": 1.0}),
+        ("terminal", "indicator", {"threshold": 1.0, "coeffs": [1.0]}),
+        ("time", "polynomial", {"coeffs": [1.0], "threshold": 0.0}),
+        ("markov", "polynomial2", {"coeffs": [[1.0]], "degree": 1}),
+    ])
+    def test_a_param_the_form_does_not_read_is_refused(self, kind, name, params):
+        with pytest.raises(ConfigError, match=f"{name} cost reads no params"):
+            CostSpec(kind=kind, name=name, params=params)
+
     def test_bivariate_only_for_markov(self):
         with pytest.raises(ConfigError):
             CostSpec(kind="terminal", name="polynomial2", params={"coeffs": [[1.0]]})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,9 +30,10 @@ from dcstop import (
     solve_lp,
 )
 from dcstop.lattice import atom_steps, histories, nodes_at_step, state
+from dcstop import oracle
 from dcstop.oracle import ORACLE_DEPTH_LIMIT, LpSolution
 
-from conftest import random_measure
+from conftest import random_measure, reference_simplex
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 IDENTITY = CostSpec(kind="terminal", name="identity")
@@ -254,6 +256,109 @@ class TestSolveLp:
             assert solution.reduced_cost_violation <= 1e-9
             assert solution.slackness_violation <= 1e-9
             assert solution.duality_gap <= 1e-9
+
+
+def simplex_outcome(simplex, a, b, c):
+    """Status, value, ``x`` and final basis, or the message of the unbounded error."""
+    try:
+        status, value, x, *_, basis = simplex(a, b, c)
+    except ValidationError as exc:
+        return str(exc)
+    return status, value, list(x), basis
+
+
+# Dyadic numbers with small numerators, exact as floats.
+dyadics = st.builds(lambda k, e: k / 2 ** e, st.integers(-4, 4), st.integers(0, 3))
+
+
+class TestIntegerRowSimplex:
+    """The integer-row tableau pivots exactly as the ``Fraction`` one did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_fraction_tableau(self, data):
+        m = data.draw(st.integers(1, 4), label="rows")
+        n = data.draw(st.integers(1, 5), label="columns")
+        a = [[data.draw(dyadics) for _ in range(n)] for _ in range(m)]
+        c = [data.draw(dyadics) for _ in range(n)]
+        if data.draw(st.booleans(), label="feasible by construction"):
+            x0 = [abs(data.draw(dyadics)) for _ in range(n)]
+            b = [sum(u * v for u, v in zip(row, x0)) for row in a]
+        else:
+            b = [data.draw(dyadics) for _ in range(m)]
+        # Redundant rows: the difference of two rows, or a row twice.
+        for _ in range(data.draw(st.integers(0, 2), label="redundant rows")):
+            i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, len(a) - 1))
+            a.append([u - v for u, v in zip(a[i], a[j])] if i != j else list(a[i]))
+            b.append(b[i] - b[j] if i != j else b[i])
+        a, b, c = (np.array(v, dtype=float) for v in (a, b, c))
+        rational = np.frompyfunc(Fraction, 1, 1)
+        want = simplex_outcome(reference_simplex, rational(a), rational(b), rational(c))
+        got = simplex_outcome(oracle._simplex, a, [Fraction(v) for v in b], c)
+        assert got == want
+        if got[0] == "optimal":
+            # The duals off the tableau are exact: feasible, and no gap.
+            y = oracle._simplex(a, [Fraction(v) for v in b], c)[3]
+            assert all(sum(yi * Fraction(aij) for yi, aij in zip(y, col)) >= Fraction(cj)
+                       for col, cj in zip(a.T, c))
+            assert sum(yi * Fraction(bi) for yi, bi in zip(y, b)) == got[1]
+
+    @pytest.mark.parametrize("a, b, c, status", [
+        # x0 + x1 = -1 with x >= 0: the negated row leaves artificial mass.
+        ([[1.0, 1.0]], [-1.0], [1.0, 0.0], "infeasible"),
+        # -x0 + x1 = 0 lets x0 grow without bound.
+        ([[-1.0, 1.0]], [0.0], [1.0, 0.0], "LP is unbounded"),
+        # The second row repeats the first: its artificial stays basic at zero.
+        ([[1.0, 0.5, 0.0], [1.0, 0.5, 0.0]], [1.0, 1.0], [0.25, 1.0, 0.0], "optimal"),
+        # Three negated rows, one redundant: one artificial leaves through a
+        # negative pivot, another stays basic.
+        ([[0.0, -0.5], [-0.5, -1.0], [-1.0, -1.0]], [-0.5, -1.0, -1.0], [0.5, 1.0], "optimal"),
+        ([[0.5, -1.0, 2.0], [1.0, 1.0, 0.0]], [-0.5, 2.0], [1.0, 0.0, -0.25], "optimal"),
+    ])
+    def test_handmade_cases(self, a, b, c, status):
+        a, b, c = (np.array(v, dtype=float) for v in (a, b, c))
+        rational = np.frompyfunc(Fraction, 1, 1)
+        want = simplex_outcome(reference_simplex, rational(a), rational(b), rational(c))
+        got = simplex_outcome(oracle._simplex, a, [Fraction(v) for v in b], c)
+        assert got == want
+        assert (got if isinstance(got, str) else got[0]) == status
+
+
+class TestExactCertificate:
+    def problems(self):
+        rng = np.random.default_rng(76)
+        yield worked_problem()
+        for cost in (INDICATOR, ABS, CostSpec(kind="running_max", name="identity")):
+            spec = LatticeSpec(depth=4, dt=1.0, augment_max=True)
+            yield build_lp(spec, cost, random_measure(rng, (1.0, 3.0, 4.0)))
+
+    def test_reads_exactly_zero(self):
+        for problem in self.problems():
+            solution = solve_lp(problem, exact=True)
+            assert solution.status == "optimal"
+            assert (solution.reduced_cost_violation, solution.slackness_violation,
+                    solution.duality_gap) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_nudged_dual_is_caught(self, monkeypatch, sign):
+        # y_i + d leaves y.b off c.x by exactly d * b_i, and every b_i here is
+        # non-zero, so the nudge cannot hide in the gap.
+        nudge = sign * Fraction(1, 2 ** 40)
+        simplex = oracle._simplex
+        for problem in self.problems():
+            b = [Fraction(v) for v in problem.b]
+            oracle._absorb_rounding_defect(problem, b)
+            for i in range(problem.a.shape[0]):
+                def nudged(*args, i=i):
+                    status, value, x, y, basis = simplex(*args)
+                    y = list(y)
+                    y[i] += nudge
+                    return status, value, x, y, basis
+
+                monkeypatch.setattr(oracle, "_simplex", nudged)
+                solution = solve_lp(problem, exact=True)
+                assert solution.duality_gap == float(abs(nudge) * b[i])
+                assert solution.duality_gap > 0.0
 
 
 class TestKernelExtraction:
