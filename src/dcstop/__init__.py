@@ -45,7 +45,6 @@ from .lattice import (
     nodes_at_step,
     root,
     spec_from_json,
-    state,
     time_to_step,
 )
 from .measures import (

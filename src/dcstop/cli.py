@@ -207,13 +207,19 @@ def cmd_policy(args) -> int:
     return 0
 
 
+def _solve_polytope(spec, cost, mu, exact: bool):
+    """The history-tree LP and its solution; a polytope with no optimum is bad input."""
+    problem = build_lp(spec, cost, mu)
+    solution = solve_lp(problem, exact=exact)
+    if solution.status != "optimal":
+        raise ConfigError(f"measure: stopping polytope is {solution.status}")
+    return problem, solution
+
+
 def cmd_oracle(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
-    problem = build_lp(spec, cost, mu)
-    solution = solve_lp(problem, exact=args.exact)
-    if solution.status != "optimal":
-        raise ConfigError(f"measure: stopping polytope is {solution.status}")
+    problem, solution = _solve_polytope(spec, cost, mu, exact=args.exact)
     payload = {
         "value": solution.value,
         "status": solution.status,
@@ -266,11 +272,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate: paths must be a positive integer")
     check_sim_paths(n_paths)
     seed = _seed(config)
-    problem = build_lp(spec, cost, mu)
-    solution = solve_lp(problem)
-    if solution.status != "optimal":
-        raise ConfigError(f"measure: stopping polytope is {solution.status}")
-    kernel = lp_solution_to_kernel(problem, solution)
+    kernel = lp_solution_to_kernel(*_solve_polytope(spec, cost, mu, exact=False))
     hist = kernel.spec
     expected = objective_value(kernel, hist, cost)
     report = simulate(kernel, hist, cost, n_paths, seed)
@@ -285,7 +287,7 @@ def cmd_simulate(args) -> int:
         "empirical_marginal": measure_to_json(report.empirical_marginal),
     }
     _emit("result.json", payload, config)
-    _echo({k: v for k, v in payload.items() if k != "empirical_marginal"})
+    _echo(payload)
     if report.stderr > 0 and deviation > 6.0 * report.stderr:
         raise _Failure(f"simulated mean off by {deviation / report.stderr:.1f} stderr")
     return 0
@@ -334,7 +336,7 @@ def cmd_validate(args) -> int:
         "witness_marginal": measure_to_json(marg),
     }
     _emit("result.json", payload, config)
-    _echo({"ok": True})
+    _echo(payload)
     return 0
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import ConfigError, finite_number
 from .lattice import LatticeSpec, PathState
 
@@ -62,21 +64,22 @@ class CostSpec:
                     finite_number(c, "polynomial2 coefficient")
 
 
-def _scalar_fn(name: str, params: Mapping) -> Callable[[float], float]:
+def _scalar_fn(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarray]:
+    """The named form, elementwise on an array, with the floats of one-value arithmetic."""
     if name == "identity":
         return lambda x: x
     if name == "square":
         return lambda x: x * x
     if name == "abs":
-        return abs
+        return np.abs
     if name == "positive_part":
-        return lambda x: x if x > 0.0 else 0.0
+        return lambda x: np.where(x > 0.0, x, 0.0)
     if name == "indicator":
         k = float(params["threshold"])
-        return lambda x: 1.0 if x >= k else 0.0
+        return lambda x: np.where(x >= k, 1.0, 0.0)
     if name == "polynomial":
         coeffs = [float(c) for c in params["coeffs"]]
-        def poly(x: float) -> float:
+        def poly(x: np.ndarray) -> np.ndarray:
             acc = 0.0
             for c in reversed(coeffs):
                 acc = acc * x + c
@@ -85,27 +88,26 @@ def _scalar_fn(name: str, params: Mapping) -> Callable[[float], float]:
     raise ConfigError(f"unknown scalar cost name {name!r}")
 
 
-def evaluate(cost: CostSpec, st: PathState) -> float:
-    """Value of the cost when stopping in state ``st``."""
-    if cost.kind == "terminal":
-        return _scalar_fn(cost.name, cost.params)(st.w)
-    if cost.kind == "running_max":
-        if st.m is None:
-            raise ConfigError(
-                "running_max cost on a lattice that does not track the maximum; "
-                "set augment_max=True"
-            )
-        return _scalar_fn(cost.name, cost.params)(st.m)
-    if cost.kind == "time":
-        return _scalar_fn(cost.name, cost.params)(st.t)
-    # markov: bivariate polynomial or a scalar form read off the position.
+def _polynomial2(coeffs, w: float, t: float) -> float:
+    acc = 0.0
+    for i, row in enumerate(coeffs):
+        for j, c in enumerate(row):
+            acc += float(c) * w ** i * t ** j
+    return acc
+
+
+def evaluate(cost: CostSpec, st: PathState) -> np.ndarray:
+    """Cost of stopping at each node of a step, from its ``lattice.states_at_step``."""
+    if cost.kind == "running_max" and st.m is None:
+        raise ConfigError("running_max cost on a lattice that does not track the maximum; "
+                          "set augment_max=True")
     if cost.name == "polynomial2":
-        acc = 0.0
-        for i, row in enumerate(cost.params["coeffs"]):
-            for j, c in enumerate(row):
-                acc += float(c) * st.w ** i * st.t ** j
-        return acc
-    return _scalar_fn(cost.name, cost.params)(st.w)
+        # Node by node: numpy's power rounds unlike the C pow that ``**`` calls.
+        return np.array([_polynomial2(cost.params["coeffs"], w, t)
+                         for w, t in zip(st.w.tolist(), st.t.tolist())])
+    # markov scalar forms read the position, like terminal ones.
+    x = {"terminal": st.w, "running_max": st.m, "time": st.t, "markov": st.w}[cost.kind]
+    return _scalar_fn(cost.name, cost.params)(x)
 
 
 def modulus(cost: CostSpec, spec: LatticeSpec) -> Callable[[float], float]:
@@ -129,7 +131,6 @@ def holder2_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> float:
     stability bounds need; it is not a statement about the continuum limit.
     """
     h = spec.step_width
-    f = _scalar_fn(cost.name, cost.params) if cost.name != "polynomial2" else None
     if cost.kind == "terminal":
         values = [l * h for l in range(-spec.depth, spec.depth + 1)]
         power = 2
@@ -141,11 +142,13 @@ def holder2_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> float:
         power = 1
     else:
         raise ConfigError("no modulus route for markov costs")
+    f = _scalar_fn(cost.name, cost.params)(np.array(values)).tolist()
     # The grid is uniform and power >= 1, so adjacent points attain the
     # largest ratio over all pairs: for points k steps apart, |f(x) - f(y)| is
     # at most k times the largest adjacent difference, and (k * mesh) ** power
-    # at least k times mesh ** power.
-    return max(abs(f(x) - f(y)) / (y - x) ** power for x, y in zip(values, values[1:]))
+    # at least k times mesh ** power.  The power stays Python's, see ``evaluate``.
+    return max(abs(fx - fy) / (y - x) ** power
+               for x, y, fx, fy in zip(values, values[1:], f, f[1:]))
 
 
 def cost_from_json(data: dict) -> CostSpec:

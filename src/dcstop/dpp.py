@@ -25,8 +25,9 @@ not depend on the grid.
 
 Every induction here works on node positions (see ``lattice.nodes_at_step``):
 ``functions[s][p]`` belongs to the node at position ``p`` of step ``s``, and
-``lattice.child_positions`` gives its children's positions one step on.
-``NodeId`` only names nodes for the cost, ``theta`` and the table keys.
+``lattice.child_positions`` gives its children's positions one step on, and
+``lattice.states_at_step`` the states a step's stop costs are read at.
+``NodeId`` only names nodes for ``theta`` and the table keys.
 
 A node's update reads only its children's functions one step later, so the
 updates of one step are independent.  ``solve`` runs a large step's updates
@@ -58,7 +59,7 @@ from .lattice import (
     child_positions,
     node_count,
     nodes_at_step,
-    state,
+    states_at_step,
 )
 from .measures import DiscreteMeasure
 from .mvm import MvmTree
@@ -417,7 +418,7 @@ def _stop_values(spec: LatticeSpec, cost: CostSpec, s: int, steps) -> Iterable[O
     """The cost of stopping at each position of step ``s``; None throughout off the atom steps."""
     if s not in steps:
         return repeat(None)
-    return [evaluate(cost, state(spec, node)) for node in nodes_at_step(spec, s)]
+    return evaluate(cost, states_at_step(spec, s)).tolist()
 
 
 def check_lattice_size(spec: LatticeSpec, horizon: int) -> None:
@@ -601,7 +602,8 @@ def _facet_split(w: ConcavePL, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam, rnorm = nnls(a, b)
     total = lam.sum()
     if rnorm > 1e-8 or total <= 0.0:
-        return y.copy(), y.copy()
+        raise NumericalError(f"no facet vertices split {y.tolist()}: least-squares "
+                             f"residual {rnorm:.3e}, weight {total:.3e}")
     lam /= total
     prov = w.prov[ids]
     p = lam @ prov[:, :k]
@@ -684,12 +686,14 @@ def strong_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> floa
         nxt, best = best, []
         child = child_positions(spec, s).tolist() if s < horizon else None
         i = step_of_atom.get(s)
-        for p, node in enumerate(nodes_at_step(spec, s)):
+        if i is not None:
+            stops = (evaluate(cost, states_at_step(spec, s)) * 2.0 ** (-s)).tolist()
+        for p in range(node_count(spec, s)):
             out: dict[tuple[int, ...], float] = {}
             if i is not None:
                 vec = [0] * r
                 vec[i] = 2 ** (horizon - s)
-                out[tuple(vec)] = evaluate(cost, state(spec, node)) * 2.0 ** (-s)
+                out[tuple(vec)] = stops[p]
             if child is not None:
                 down, up = child[p]
                 for vu, valu in nxt[up].items():

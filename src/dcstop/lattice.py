@@ -3,8 +3,9 @@
 The driver takes steps of ``+-sqrt(dt)`` with probability one half each.  Two
 indexings are supported: ``recombining`` nodes carry the walk level (optionally
 augmented with the running maximum level), ``history`` nodes carry the full
-bit string of moves.  Per-node path state is derived from the node alone,
-so a history node and its recombining image carry the same ``(w, m, t)``.
+bit string of moves.  ``states_at_step`` gives the path state of a whole step
+at once, as arrays over its positions, read off the node coordinates alone, so
+a history node and its recombining image carry the same ``(w, m, t)``.
 """
 
 from __future__ import annotations
@@ -103,11 +104,11 @@ class NodeId:
 
 @dataclass(frozen=True)
 class PathState:
-    """Driver state at a node: position ``w``, running max ``m``, time ``t``."""
+    """Driver state over a step's positions: position ``w``, running max ``m``, time ``t``."""
 
-    w: float
-    m: Optional[float]
-    t: float
+    w: np.ndarray
+    m: Optional[np.ndarray]
+    t: np.ndarray
 
 
 def root(spec: LatticeSpec) -> NodeId:
@@ -116,20 +117,6 @@ def root(spec: LatticeSpec) -> NodeId:
     if spec.augment_max:
         return NodeId(step=0, level=0, max_level=0)
     return NodeId(step=0, level=0)
-
-
-def history_level(bits: tuple[int, ...]) -> int:
-    return 2 * sum(bits) - len(bits)
-
-
-def history_max_level(bits: tuple[int, ...]) -> int:
-    m = 0
-    lvl = 0
-    for b in bits:
-        lvl += 1 if b else -1
-        if lvl > m:
-            m = lvl
-    return m
 
 
 def nodes_at_step(spec: LatticeSpec, step: int) -> list[NodeId]:
@@ -220,17 +207,25 @@ def history_to_str(bits: tuple[int, ...]) -> str:
     return "".join("U" if b else "D" for b in bits)
 
 
-def state(spec: LatticeSpec, node: NodeId) -> PathState:
-    """Physical driver state at a node; ``m`` is None when the lattice does not track it."""
+def states_at_step(spec: LatticeSpec, step: int) -> PathState:
+    """Driver state at every node of ``step``, as arrays in position order.
+
+    ``t`` is broadcast, and ``m`` is None unless the lattice tracks the maximum.
+    """
+    if step < 0 or step > spec.depth:
+        raise CoverageError(f"step {step} outside lattice of depth {spec.depth}")
+    if spec.mode == "history":
+        level = top = np.zeros(1, dtype=np.int64)
+        for _ in range(step):  # history c moves to 2c (down) and 2c + 1 (up)
+            level = (level[:, None] + [-1, 1]).ravel()
+            top = np.maximum(np.repeat(top, 2), level)
+    elif spec.augment_max:
+        level, top = np.array(_level_max(step)).T
+    else:
+        level, top = np.arange(-step, step + 1, 2), None
     h = spec.step_width
-    if node.history is not None:
-        return PathState(
-            w=history_level(node.history) * h,
-            m=history_max_level(node.history) * h,
-            t=node.step * spec.dt,
-        )
-    m = node.max_level * h if node.max_level is not None else None
-    return PathState(w=node.level * h, m=m, t=node.step * spec.dt)
+    return PathState(level * h, None if top is None else top * h,
+                     np.broadcast_to(step * spec.dt, level.shape))
 
 
 def time_to_step(spec: LatticeSpec, t: float) -> int:

@@ -38,15 +38,14 @@ from .lattice import (
     heap_row,
     histories,
     history_to_str,
-    nodes_at_step,
-    state,
+    states_at_step,
 )
 from .measures import (
     DiscreteMeasure,
     is_right_shift_of,
     monotone_coupling,
 )
-from .rst import DEAD_MASS, StoppingKernel, check_same_lattice
+from .rst import DEAD_MASS, StoppingKernel, _forward_stops, check_same_lattice, kernel_from_laws
 
 MARTINGALE_TOL = 1e-12
 SPLICE_TOL = 1e-9
@@ -194,21 +193,20 @@ def from_kernel(kernel: StoppingKernel, spec: LatticeSpec) -> MvmTree:
     steps = kernel.steps()
     last = steps[-1]
     check_tree_depth(last)
-    r = len(kernel.atom_times)
-    # One row per history of the current step, in code order: its node's
-    # position, the stop mass each atom has taken so far, and the mass alive.
+    # The kernel on histories: each history reads the hazard of its node.
+    hist = LatticeSpec(depth=last, dt=spec.dt, mode="history")
     pos = np.zeros(1, dtype=np.intp)
-    stopped = np.zeros((1, r))
-    alive = np.ones(1)
+    q = []
     for s in range(1, last + 1):
         pos = child_positions(spec, s - 1)[pos].ravel()
-        stopped, alive = np.repeat(stopped, 2, axis=0), np.repeat(alive, 2)
         if s in steps:
-            i = steps.index(s)
-            qv = kernel.q[i][pos]
-            stopped[:, i] = alive * qv
-            alive = alive * (1.0 - qv)
-    vectors = np.empty((2 ** (last + 1) - 1, r))
+            q.append(kernel.q[steps.index(s)][pos])
+    # A history at step s carries mass 2**-s, so scaling by 2**s gives each
+    # path's own stop masses, exactly unless a mass is subnormal.
+    stops = _forward_stops(StoppingKernel(hist, kernel.atom_times, q), hist)
+    stopped = np.column_stack([np.repeat(stop * 2.0 ** s, 2 ** (last - s))
+                               for s, stop in zip(steps, stops)])
+    vectors = np.empty((2 ** (last + 1) - 1, len(steps)))
     vectors[_descendants(0, last)] = stopped
     for s in range(last - 1, -1, -1):
         stopped = 0.5 * (stopped[1::2] + stopped[0::2])
@@ -217,24 +215,12 @@ def from_kernel(kernel: StoppingKernel, spec: LatticeSpec) -> MvmTree:
 
 
 def to_kernel(mvm: MvmTree) -> StoppingKernel:
-    """Hazard-form kernel read off the tree's frozen coordinates.
-
-    At a node sitting at atom ``i``, the stop probability is the newly frozen
-    weight divided by the not-yet-stopped mass; unreachable branches (0/0)
-    get ``q = 0`` except at the final atom, which always stops.
-    """
+    """Hazard-form kernel of the tree, whose rows at each atom step are the laws there."""
     if mvm.start_step != 0:
         raise ValidationError("only full trees (start_step == 0) convert to kernels")
     spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
-    q = []
-    for i, s in enumerate(mvm.rel_steps[:-1]):
-        level = mvm.vectors[_descendants(0, s)]
-        remaining = 1.0 - level[:, :i].sum(axis=1)
-        dead = remaining <= DEAD_MASS
-        ratio = level[:, i] / np.where(dead, 1.0, remaining)
-        q.append(np.where(dead, 0.0, np.clip(ratio, 0.0, 1.0)))
-    q.append(np.ones(2 ** mvm.depth))
-    return StoppingKernel(spec, mvm.atom_times, q)
+    laws = [mvm.vectors[_descendants(0, s)] for s in mvm.rel_steps]
+    return kernel_from_laws(spec, mvm.atom_times, laws)
 
 
 @dataclass(frozen=True)
@@ -372,8 +358,7 @@ def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec) -> Accumulator:
         y[rows] = np.repeat(y[_descendants(0, s - 1)], 2)
         i = step_to_atom.get(s)
         if i is not None:
-            paid = [evaluate(cost, state(hist_spec, node)) for node in nodes_at_step(hist_spec, s)]
-            y[rows] += np.array(paid) * mvm.vectors[rows, i]
+            y[rows] += evaluate(cost, states_at_step(hist_spec, s)) * mvm.vectors[rows, i]
     return Accumulator(y=y, depth=mvm.depth)
 
 

@@ -35,9 +35,9 @@ from scipy.optimize import linprog
 
 from .cost import CostSpec, evaluate
 from .errors import SizeGuardError, ValidationError
-from .lattice import LatticeSpec, atom_steps, nodes_at_step, state
+from .lattice import LatticeSpec, atom_steps, states_at_step
 from .measures import DiscreteMeasure
-from .rst import StoppingKernel
+from .rst import StoppingKernel, kernel_from_laws
 
 ORACLE_DEPTH_LIMIT = 12
 
@@ -97,9 +97,7 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
         a[leaves, offsets[i] + (leaves >> (horizon - s))] = 1.0
         a[leaves.size + i, offsets[i]:offsets[i + 1]] = 1.0
         b[leaves.size + i] = mu.weights[i] * 2 ** s
-        c[offsets[i]:offsets[i + 1]] = [
-            evaluate(cost, state(hist, node)) * 2.0 ** (-s) for node in nodes_at_step(hist, s)
-        ]
+        c[offsets[i]:offsets[i + 1]] = evaluate(cost, states_at_step(hist, s)) * 2.0 ** (-s)
     return LpProblem(spec=spec, cost=cost, mu=mu, steps=steps, a=a, b=b, c=c)
 
 
@@ -263,23 +261,15 @@ def oracle_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> floa
 
 
 def lp_solution_to_kernel(problem: LpProblem, solution: LpSolution) -> StoppingKernel:
-    """Convert conditional stop masses back to hazard form.
+    """Convert conditional stop masses back to hazard form (``rst.kernel_from_laws``).
 
-    The hazard at a node is its stop mass over the mass still alive there;
-    dead branches default to zero, the final atom always stops.
+    The law at history ``c`` of atom ``i``'s step gathers, for each atom
+    ``j <= i``, the variable of ``c``'s prefix in atom ``j``'s block.
     """
     steps = problem.steps
     hist = LatticeSpec(depth=steps[-1], dt=problem.spec.dt, mode="history")
     offsets = list(accumulate((2 ** s for s in steps), initial=0))
-    x, q = solution.x, []
-    for i, s in enumerate(steps[:-1]):
-        codes = np.arange(2 ** s)
-        # Mass the earlier atoms stopped on each path, added in atom order.
-        remaining = 1.0 - sum(x[offsets[j] + (codes >> (s - steps[j]))] for j in range(i))
-        dead = remaining <= 1e-12
-        ratio = x[offsets[i]:offsets[i + 1]] / np.where(dead, 1.0, remaining)
-        # min(1, max(0, ratio)), where a ratio of -0.0 reads as 0.0.
-        ratio = np.where(ratio > 0.0, ratio, 0.0)
-        q.append(np.where(dead, 0.0, np.where(ratio < 1.0, ratio, 1.0)))
-    q.append(np.ones(2 ** steps[-1]))
-    return StoppingKernel(hist, problem.mu.atoms, q)
+    laws = [np.column_stack([solution.x[offsets[j] + (np.arange(2 ** s) >> (s - steps[j]))]
+                             for j in range(i + 1)])
+            for i, s in enumerate(steps)]
+    return kernel_from_laws(hist, problem.mu.atoms, laws)

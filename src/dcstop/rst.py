@@ -29,7 +29,7 @@ from .lattice import (
     node_count,
     node_to_json,
     nodes_at_step,
-    state,
+    states_at_step,
 )
 from .measures import (
     ATOM_MERGE_TOL,
@@ -119,6 +119,24 @@ def _advance(child: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return np.bincount(child.ravel(), np.repeat(0.5 * mass, 2))
 
 
+def kernel_from_laws(spec: LatticeSpec, atom_times, laws) -> StoppingKernel:
+    """Hazard-form kernel from the conditional stopping laws at each atom step.
+
+    Row ``p`` of ``laws[i]`` holds, for the node at position ``p`` of atom
+    ``i``'s step, the mass each atom ``j <= i`` takes given the path there
+    (later columns are not read).  The hazard is atom ``i``'s mass over the
+    mass still alive, 0 where at most ``DEAD_MASS`` is alive, clamped into
+    ``[0, 1]`` with ``-0.0`` read as 0.0; the final atom always stops.
+    """
+    q = []
+    for i, law in enumerate(laws[:-1]):
+        remaining = 1.0 - law[:, :i].sum(axis=1)
+        dead = remaining <= DEAD_MASS
+        ratio = law[:, i] / np.where(dead, 1.0, remaining)
+        q.append(np.where(dead, 0.0, np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)))
+    return StoppingKernel(spec, atom_times, q + [np.ones(len(laws[-1]))])
+
+
 def _forward_stops(kernel: StoppingKernel, spec: LatticeSpec) -> list[np.ndarray]:
     """Sweep the lattice forward, splitting alive mass at every atom step.
 
@@ -150,8 +168,8 @@ def objective_value(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec) -
     check_same_lattice(kernel, spec)
     terms = []
     for s, stop in zip(kernel.steps(), _forward_stops(kernel, spec)):
-        nodes = nodes_at_step(spec, s)
-        terms += [stop[p] * evaluate(cost, state(spec, nodes[p])) for p in np.flatnonzero(stop)]
+        live = np.flatnonzero(stop)
+        terms += (stop[live] * evaluate(cost, states_at_step(spec, s))[live]).tolist()
     return math.fsum(terms)
 
 
@@ -252,8 +270,7 @@ def simulate(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec,
     check_sim_paths(n_paths)
     steps = kernel.steps()
     flat_children = [child_positions(spec, s).ravel() for s in range(steps[-1])]
-    costs = [np.array([evaluate(cost, state(spec, node)) for node in nodes_at_step(spec, s)])
-             for s in steps]
+    costs = [evaluate(cost, states_at_step(spec, s)) for s in steps]
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(steps), dtype=np.int64)
     payoff_chunks = []

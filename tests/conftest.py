@@ -3,43 +3,121 @@
 The references recompute quantities by direct enumeration or in closed form,
 one driver path or node at a time, deliberately avoiding the package's
 mass-sweep internals so each comparison crosses two independent code paths.
+``state`` and ``stop_cost`` price a stop one node at a time, the reference for
+``lattice.states_at_step`` and ``cost.evaluate`` on whole steps.
 ``check_scaling`` re-derives a solved table's boundary entries through the
 explicit stop/renormalize quotient.  ``reference_simplex`` is the dense
-``Fraction`` tableau the exact LP route used to pivot.  The JSON readers at the end read back
-what the package and the CLI write.
+``Fraction`` tableau the exact LP route used to pivot.  The two hazard
+references are the per-route conversions that ``rst.kernel_from_laws``
+replaced.  The JSON readers at the end read back what the package and the CLI
+write.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Callable
 
 import numpy as np
 
 from dcstop import (
     ConcavePL,
+    ConfigError,
     DiscreteMeasure,
     LatticeSpec,
     MvmTree,
     NoChildrenError,
     NodeId,
+    PathState,
     SimplexGrid,
     StoppingKernel,
     ValidationError,
     ValueTable,
     atom_steps,
-    evaluate,
     nodes_at_step,
-    state,
 )
-from dcstop.cost import _scalar_fn
 from dcstop.dpp import _hull_upper
-from dcstop.lattice import heap_history, heap_row, history_level, history_max_level, node_count
+from dcstop.lattice import heap_history, heap_row, node_count
 from dcstop.measures import ATOM_MERGE_TOL, WEIGHT_TOL
 
 
 def all_paths(n: int) -> list[tuple[int, ...]]:
     return list(itertools.product((0, 1), repeat=n))
+
+
+def history_level(bits: tuple[int, ...]) -> int:
+    return 2 * sum(bits) - len(bits)
+
+
+def history_max_level(bits: tuple[int, ...]) -> int:
+    m = 0
+    lvl = 0
+    for b in bits:
+        lvl += 1 if b else -1
+        if lvl > m:
+            m = lvl
+    return m
+
+
+def state(spec: LatticeSpec, node: NodeId) -> PathState:
+    """Driver state at one node, as floats; ``m`` is None when the lattice does not track it."""
+    h = spec.step_width
+    if node.history is not None:
+        return PathState(
+            w=history_level(node.history) * h,
+            m=history_max_level(node.history) * h,
+            t=node.step * spec.dt,
+        )
+    m = node.max_level * h if node.max_level is not None else None
+    return PathState(w=node.level * h, m=m, t=node.step * spec.dt)
+
+
+def scalar_form(name: str, params) -> Callable[[float], float]:
+    """A cost's named form on one float."""
+    if name == "identity":
+        return lambda x: x
+    if name == "square":
+        return lambda x: x * x
+    if name == "abs":
+        return abs
+    if name == "positive_part":
+        return lambda x: x if x > 0.0 else 0.0
+    if name == "indicator":
+        k = float(params["threshold"])
+        return lambda x: 1.0 if x >= k else 0.0
+    coeffs = [float(c) for c in params["coeffs"]]
+
+    def poly(x: float) -> float:
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+    return poly
+
+
+def reference_cost(cost, st: PathState) -> float:
+    """The cost of stopping in one state, on floats."""
+    if cost.kind == "terminal":
+        return scalar_form(cost.name, cost.params)(st.w)
+    if cost.kind == "running_max":
+        if st.m is None:
+            raise ConfigError("running_max cost on a lattice that does not track the maximum")
+        return scalar_form(cost.name, cost.params)(st.m)
+    if cost.kind == "time":
+        return scalar_form(cost.name, cost.params)(st.t)
+    if cost.name == "polynomial2":
+        acc = 0.0
+        for i, row in enumerate(cost.params["coeffs"]):
+            for j, c in enumerate(row):
+                acc += float(c) * st.w ** i * st.t ** j
+        return acc
+    return scalar_form(cost.name, cost.params)(st.w)
+
+
+def stop_cost(cost, spec: LatticeSpec, node: NodeId) -> float:
+    """The cost of stopping at ``node``, priced from the node alone."""
+    return reference_cost(cost, state(spec, node))
 
 
 def children(spec: LatticeSpec, node: NodeId) -> tuple[NodeId, NodeId]:
@@ -160,8 +238,7 @@ def brute_kernel_stats(kernel, spec, cost=None):
             surv -= stop
             weights[i] += stop * p_path
             if cost is not None and stop != 0.0:
-                st = state(hist, NodeId(step=s, history=bits[:s]))
-                objective += stop * p_path * evaluate(cost, st)
+                objective += stop * p_path * stop_cost(cost, hist, NodeId(step=s, history=bits[:s]))
     return weights, objective
 
 
@@ -201,7 +278,7 @@ def check_scaling(table: ValueTable) -> None:
         live = rest > 1e-14
         for node, f in zip(nodes_at_step(table.spec, s), table.functions[s]):
             vals = table.tables[(k, s, node)]
-            c = evaluate(table.cost, state(table.spec, node))
+            c = stop_cost(table.cost, table.spec, node)
             inner = f.pieces[:, 1:]  # perspective's copy of the continuation
             direct = np.full(len(y), c)
             direct[live] = y1[live] * c + rest[live] * np.min(
@@ -244,7 +321,7 @@ def moves_only_right(coupling, tol: float = WEIGHT_TOL) -> bool:
 def all_pairs_holder2_constant(cost, spec: LatticeSpec) -> float:
     """``cost.holder2_constant_from_range`` by its definition: the largest ratio over all pairs."""
     h = spec.step_width
-    f = _scalar_fn(cost.name, cost.params)
+    f = scalar_form(cost.name, cost.params)
     if cost.kind == "terminal":
         values = [l * h for l in range(-spec.depth, spec.depth + 1)]
         power = 2
@@ -333,6 +410,38 @@ def reference_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
         if basis[i] < n:
             x[basis[i]] = t[i, -1]
     return "optimal", c @ x, x, tuple(basis)
+
+
+def reference_tree_to_kernel(mvm: MvmTree) -> StoppingKernel:
+    """The law-tree route's own hazard rule: dead below 1e-15, ``np.clip`` keeps ``-0.0``."""
+    spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
+    q = []
+    for i, s in enumerate(mvm.rel_steps[:-1]):
+        level = mvm.vectors[2 ** s - 1:2 ** (s + 1) - 1]
+        remaining = 1.0 - level[:, :i].sum(axis=1)
+        dead = remaining <= 1e-15
+        ratio = level[:, i] / np.where(dead, 1.0, remaining)
+        q.append(np.where(dead, 0.0, np.clip(ratio, 0.0, 1.0)))
+    q.append(np.ones(2 ** mvm.depth))
+    return StoppingKernel(spec, mvm.atom_times, q)
+
+
+def reference_lp_to_kernel(problem, solution) -> StoppingKernel:
+    """The LP route's own hazard rule: dead below 1e-12, a clamp that writes 0.0 for ``-0.0``."""
+    steps = problem.steps
+    hist = LatticeSpec(depth=steps[-1], dt=problem.spec.dt, mode="history")
+    offsets = list(itertools.accumulate((2 ** s for s in steps), initial=0))
+    x, q = solution.x, []
+    for i, s in enumerate(steps[:-1]):
+        codes = np.arange(2 ** s)
+        # Mass the earlier atoms stopped on each path, added in atom order.
+        remaining = 1.0 - sum(x[offsets[j] + (codes >> (s - steps[j]))] for j in range(i))
+        dead = remaining <= 1e-12
+        ratio = x[offsets[i]:offsets[i + 1]] / np.where(dead, 1.0, remaining)
+        ratio = np.where(ratio > 0.0, ratio, 0.0)
+        q.append(np.where(dead, 0.0, np.where(ratio < 1.0, ratio, 1.0)))
+    q.append(np.ones(2 ** steps[-1]))
+    return StoppingKernel(hist, problem.mu.atoms, q)
 
 
 # --- JSON readers: they read back what the package and the CLI write. -------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.spatial import QhullError
 
@@ -310,6 +311,17 @@ class TestConfigErrors:
         path = self.write(tmp_path, {**base_config(), **sections})
         assert main([command, path]) == 2
         assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
+class TestNumericalFailures:
+    def test_a_failed_facet_split_exits_2(self, workspace, monkeypatch, capsys):
+        config_path, out = workspace
+        monkeypatch.setattr("dcstop.dpp.nnls", lambda a, b: (np.zeros(a.shape[1]), 1.0))
+        assert main(["policy", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: no facet vertices split [")
+        assert "least-squares residual 1.000e+00, weight 0.000e+00" in err
+        assert not (out / "policy.json").exists()
 
 
 class TestGuardsBeforeWork:

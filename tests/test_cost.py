@@ -19,29 +19,42 @@ from dcstop import (
     holder2_constant_from_range,
     modulus,
     nodes_at_step,
-    state,
 )
+from dcstop.cost import KINDS, MARKOV_NAMES, SCALAR_NAMES
+from dcstop.lattice import states_at_step
 
-from conftest import all_pairs_holder2_constant
+from conftest import all_pairs_holder2_constant, scalar_form, stop_cost
 
 
-def st_at(w: float, m: float | None = None, t: float = 1.0) -> PathState:
-    return PathState(w=w, m=m, t=t)
+def at(cost: CostSpec, w: float, m: float | None = None, t: float = 1.0) -> float:
+    """The cost at one state, as a step of one position."""
+    st = PathState(w=np.array([w]), m=None if m is None else np.array([m]), t=np.array([t]))
+    (value,) = evaluate(cost, st)
+    return value
+
+
+def every_cost() -> list[CostSpec]:
+    """Every kind with every name it takes."""
+    params = {"indicator": {"threshold": math.sqrt(0.5)},
+              "polynomial": {"coeffs": [0.5, -1.0, 0.25, 0.1]},
+              "polynomial2": {"coeffs": [[0.0, 0.5, 0.1], [1.0, -0.25], [0.5, 0.0, 0.3], [0.2]]}}
+    return [CostSpec(kind=kind, name=name, params=params.get(name, {}))
+            for kind in KINDS for name in (MARKOV_NAMES if kind == "markov" else SCALAR_NAMES)]
 
 
 class TestEvaluate:
     def test_terminal_identity(self):
         cost = CostSpec(kind="terminal", name="identity")
-        assert evaluate(cost, st_at(1.5)) == 1.5
+        assert at(cost, 1.5) == 1.5
 
     def test_running_max_identity(self):
         cost = CostSpec(kind="running_max", name="identity")
-        assert evaluate(cost, st_at(0.0, m=2.0)) == 2.0
+        assert at(cost, 0.0, m=2.0) == 2.0
 
     def test_indicator_below_threshold(self):
         cost = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
-        assert evaluate(cost, st_at(0.0)) == 0.0
-        assert evaluate(cost, st_at(1.0)) == 1.0
+        assert at(cost, 0.0) == 0.0
+        assert at(cost, 1.0) == 1.0
 
     def test_scalar_forms(self):
         cases = [
@@ -52,28 +65,28 @@ class TestEvaluate:
             (CostSpec(kind="time", name="identity"), 0.0, 1.0),
         ]
         for cost, w, expected in cases:
-            assert evaluate(cost, st_at(w)) == expected
+            assert at(cost, w) == expected
 
     def test_polynomial_matches_numpy(self):
         coeffs = [1.0, -2.0, 0.5, 3.0]
         cost = CostSpec(kind="terminal", name="polynomial", params={"coeffs": coeffs})
         for w in np.linspace(-2.0, 2.0, 17):
             ref = float(np.polynomial.polynomial.polyval(w, coeffs))
-            assert evaluate(cost, st_at(float(w))) == pytest.approx(ref, abs=1e-12)
+            assert at(cost, float(w)) == pytest.approx(ref, abs=1e-12)
 
     def test_bivariate_polynomial(self):
         coeffs = [[0.0, 1.0], [2.0, 0.0]]  # t + 2w
         cost = CostSpec(kind="markov", name="polynomial2", params={"coeffs": coeffs})
-        assert evaluate(cost, st_at(1.5, t=0.5)) == pytest.approx(3.5, abs=1e-15)
+        assert at(cost, 1.5, t=0.5) == pytest.approx(3.5, abs=1e-15)
 
     def test_markov_scalar_reads_position(self):
         cost = CostSpec(kind="markov", name="abs")
-        assert evaluate(cost, st_at(-2.0, t=9.0)) == 2.0
+        assert at(cost, -2.0, t=9.0) == 2.0
 
     def test_running_max_needs_tracked_max(self):
         cost = CostSpec(kind="running_max", name="identity")
         with pytest.raises(ConfigError):
-            evaluate(cost, st_at(1.0, m=None))
+            at(cost, 1.0, m=None)
 
     def test_depends_only_on_state(self):
         # Any two histories landing in the same (w, m, t) must price equally.
@@ -83,14 +96,34 @@ class TestEvaluate:
             CostSpec(kind="running_max", name="abs"),
             CostSpec(kind="markov", name="polynomial2", params={"coeffs": [[0, 1], [1, 0]]}),
         ]
+        st = states_at_step(spec, 6)
         groups = defaultdict(list)
-        for node in nodes_at_step(spec, 6):
-            st = state(spec, node)
-            groups[(st.w, st.m, st.t)].append(st)
+        for p, key in enumerate(zip(st.w.tolist(), st.m.tolist(), st.t.tolist())):
+            groups[key].append(p)
+        assert len(groups) < 2 ** 6
         for cost in costs:
-            for states in groups.values():
-                vals = {evaluate(cost, st) for st in states}
-                assert len(vals) == 1
+            values = evaluate(cost, st)
+            for positions in groups.values():
+                assert len(set(values[positions].tolist())) == 1
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(depth=8, dt=0.5, mode="history"),
+        LatticeSpec(depth=12, dt=0.5, augment_max=True),
+        LatticeSpec(depth=24, dt=0.5),
+    ], ids=["history", "max-augmented", "recombining"])
+    def test_whole_steps_price_like_one_node_at_a_time(self, spec):
+        # Bit for bit: numpy's power would differ from ``**`` here, on w**3 and t**2.
+        for cost in every_cost():
+            for s in range(spec.depth + 1):
+                nodes = nodes_at_step(spec, s)
+                if cost.kind == "running_max" and spec.mode != "history" and not spec.augment_max:
+                    with pytest.raises(ConfigError):
+                        evaluate(cost, states_at_step(spec, s))
+                    continue
+                got = evaluate(cost, states_at_step(spec, s))
+                want = np.array([stop_cost(cost, spec, node) for node in nodes])
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (cost, s)
 
 
 class TestModulus:
@@ -122,6 +155,25 @@ class TestModulus:
             phi = modulus(cost, spec)
             for x in (0.0, 0.25, 1.0, 3.7):
                 assert phi(x) == (4.0 * c * x if kind == "running_max" else c * x)
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(depth=7, dt=0.3), LatticeSpec(depth=40, dt=0.37, augment_max=True),
+    ])
+    def test_range_constant_is_the_adjacent_ratio_on_floats(self, spec):
+        # The named forms run on arrays now; the constant must not move by a bit.
+        h = spec.step_width
+        ranges = {"terminal": ([l * h for l in range(-spec.depth, spec.depth + 1)], 2),
+                  "running_max": ([l * h for l in range(spec.depth + 1)], 2),
+                  "time": ([s * spec.dt for s in range(spec.depth + 1)], 1)}
+        for cost in every_cost():
+            if cost.kind == "markov":
+                continue
+            values, power = ranges[cost.kind]
+            f = scalar_form(cost.name, cost.params)
+            want = max(abs(f(x) - f(y)) / (y - x) ** power for x, y in zip(values, values[1:]))
+            got = holder2_constant_from_range(cost, spec)
+            assert type(got) is float
+            assert got == want, cost
 
     def test_markov_has_no_route(self):
         with pytest.raises(ConfigError, match="no modulus route for markov costs"):

@@ -24,7 +24,6 @@ from dcstop import (
     SizeGuardError,
     accumulate,
     check_dpp,
-    evaluate,
     extract_policy,
     marginal_of,
     nodes_at_step,
@@ -33,7 +32,6 @@ from dcstop import (
     perspective,
     root,
     solve,
-    state,
     strong_value,
     termination,
     to_kernel,
@@ -42,6 +40,7 @@ from dcstop import (
 
 import dcstop.dpp as dpp
 from dcstop.dpp import _hull_upper, _pieces_from_affine
+from dcstop.errors import NumericalError
 from dcstop.lattice import heap_row
 from dcstop.measures import measure_from_json
 from conftest import (
@@ -52,6 +51,8 @@ from conftest import (
     grid_rows,
     kernel_from_dict,
     random_measure,
+    state,
+    stop_cost,
     unit_simplex_pieces,
 )
 
@@ -454,7 +455,7 @@ class TestSolve:
         for node in nodes_at_step(spec, 2):
             vals = table.tables[(1, 2, node)]
             assert vals.shape == (1,)
-            assert vals[0] == evaluate(cost, state(spec, node))
+            assert vals[0] == stop_cost(cost, spec, node)
 
     def test_tables_are_midpoint_concave(self):
         rng = np.random.default_rng(61)
@@ -671,7 +672,7 @@ def reference_check_dpp(table, theta) -> float:
                 up, down = children(spec, node)
                 cont = dpp.pair_sup(u(up), u(down))
                 if node.step in table.steps:
-                    cont = dpp.perspective(evaluate(table.cost, state(spec, node)), cont)
+                    cont = dpp.perspective(stop_cost(table.cost, spec, node), cont)
                 memo[node] = cont
         return memo[node]
 
@@ -698,7 +699,7 @@ def reference_strong_value(spec, cost, mu) -> float:
             if s in steps:
                 vec = [0] * r
                 vec[steps.index(s)] = 2 ** (horizon - s)
-                out[tuple(vec)] = evaluate(cost, state(spec, node)) * 2.0 ** (-s)
+                out[tuple(vec)] = stop_cost(cost, spec, node) * 2.0 ** (-s)
             if s < horizon:
                 up, down = children(spec, node)
                 for vu, valu in best(up).items():
@@ -797,6 +798,15 @@ class TestExtractPolicy:
         mu = DiscreteMeasure((1.0, 13.0), (0.5, 0.5))
         table = solve(spec, IDENTITY, mu, resolution=2)
         with pytest.raises(SizeGuardError):
+            extract_policy(table)
+
+    @pytest.mark.parametrize("residual, weights", [(1e-6, [0.5, 0.5]), (0.0, [0.0, 0.0])])
+    def test_a_failed_facet_split_raises(self, monkeypatch, residual, weights):
+        # A least-squares residual past 1e-8, or no weight, is a numerical
+        # failure, not an unsplit node.
+        table = solve(*worked_instance(), resolution=5)
+        monkeypatch.setattr(dpp, "nnls", lambda a, b: (np.array(weights), residual))
+        with pytest.raises(NumericalError, match="least-squares residual"):
             extract_policy(table)
 
 

@@ -22,12 +22,11 @@ from dcstop import (
     nodes_at_step,
     root,
     spec_from_json,
-    state,
     time_to_step,
 )
-from dcstop.lattice import child_positions, node_count
+from dcstop.lattice import child_positions, node_count, states_at_step
 from dcstop.rst import _advance
-from conftest import children, node_from_json, node_prob, project_to_recombining
+from conftest import children, node_from_json, node_prob, project_to_recombining, state
 
 
 def walk_stats(n: int) -> Counter:
@@ -210,15 +209,39 @@ class TestModesAgree:
 class TestState:
     def test_position_and_time(self):
         spec = LatticeSpec(depth=4, dt=0.25)
-        st = state(spec, NodeId(step=3, level=-1))
-        assert st.w == pytest.approx(-math.sqrt(0.25), abs=1e-15)
-        assert st.t == 0.75
+        st = states_at_step(spec, 3)
+        # Position 1 of step 3 is level -1.
+        assert st.w[1] == pytest.approx(-math.sqrt(0.25), abs=1e-15)
+        assert st.t.tolist() == [0.75] * 4
         assert st.m is None
 
     def test_history_state_tracks_max(self):
         spec = LatticeSpec(depth=4, dt=1.0, mode="history")
-        st = state(spec, NodeId(step=4, history=(1, 1, 0, 0)))
-        assert (st.w, st.m) == (0.0, 2.0)
+        st = states_at_step(spec, 4)
+        up_up_down_down = 0b1100
+        assert (st.w[up_up_down_down], st.m[up_up_down_down]) == (0.0, 2.0)
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(depth=10, dt=0.3, mode="history"),
+        LatticeSpec(depth=14, dt=0.3, augment_max=True),
+        LatticeSpec(depth=30, dt=0.3),
+    ], ids=["history", "max-augmented", "recombining"])
+    def test_matches_the_node_by_node_state(self, spec):
+        for s in range(spec.depth + 1):
+            st = states_at_step(spec, s)
+            want = [state(spec, node) for node in nodes_at_step(spec, s)]
+            for field in ("w", "m", "t"):
+                got, ref = getattr(st, field), [getattr(x, field) for x in want]
+                if ref[0] is None:
+                    assert got is None
+                else:
+                    assert got.dtype == np.float64
+                    assert np.ascontiguousarray(got).tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize("step", [-1, 4])
+    def test_steps_outside_the_lattice(self, step):
+        with pytest.raises(CoverageError):
+            states_at_step(LatticeSpec(depth=3, dt=1.0, mode="history"), step)
 
 
 class TestValidation:

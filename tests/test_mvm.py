@@ -16,9 +16,9 @@ from dcstop import (
     NodeId,
     SizeGuardError,
     SpliceError,
+    StoppingKernel,
     ValidationError,
     accumulate,
-    evaluate,
     extract_continuation,
     extract_policy,
     feasible_kernel,
@@ -34,7 +34,8 @@ from dcstop import (
     validate,
 )
 
-from dcstop.lattice import heap_history, heap_row, histories, state
+from dcstop.lattice import atom_steps, child_positions, heap_history, heap_row, histories
+from dcstop.lattice import node_count
 from dcstop.measures import is_right_shift_of, monotone_coupling
 from dcstop.mvm import MARTINGALE_TOL, SPLICE_TOL, MvmReport, MvmViolation
 from dcstop.rst import DEAD_MASS
@@ -46,6 +47,8 @@ from conftest import (
     mvm_from_json,
     random_kernel,
     random_measure,
+    reference_tree_to_kernel,
+    stop_cost,
     tree_dict,
     tree_from_dict,
 )
@@ -88,6 +91,41 @@ def reference_from_kernel(kernel, spec):
         for bits in histories(s):
             vectors[bits] = 0.5 * (vectors[bits + (1,)] + vectors[bits + (0,)])
     return vectors
+
+
+def reference_forward_loop(kernel, spec) -> np.ndarray:
+    """Heap-ordered vectors by the forward loop over histories that ``from_kernel`` ran
+    before it read the lattice's forward stop sweep: one path's own masses per row."""
+    steps = kernel.steps()
+    last = steps[-1]
+    r = len(kernel.atom_times)
+    pos = np.zeros(1, dtype=np.intp)
+    stopped = np.zeros((1, r))
+    alive = np.ones(1)
+    for s in range(1, last + 1):
+        pos = child_positions(spec, s - 1)[pos].ravel()
+        stopped, alive = np.repeat(stopped, 2, axis=0), np.repeat(alive, 2)
+        if s in steps:
+            i = steps.index(s)
+            qv = kernel.q[i][pos]
+            stopped[:, i] = alive * qv
+            alive = alive * (1.0 - qv)
+    vectors = np.empty((2 ** (last + 1) - 1, r))
+    vectors[2 ** last - 1:] = stopped
+    for s in range(last - 1, -1, -1):
+        stopped = 0.5 * (stopped[1::2] + stopped[0::2])
+        vectors[2 ** s - 1:2 ** (s + 1) - 1] = stopped
+    return vectors
+
+
+def mixed_kernel(spec, atoms, rng) -> StoppingKernel:
+    """Stop probabilities of exactly 0, exactly 1 and in between, so some branches die."""
+    steps = atom_steps(spec, atoms)
+    q = []
+    for s in steps[:-1]:
+        u = rng.random(node_count(spec, s))
+        q.append(np.where(u < 0.3, 0.0, np.where(u < 0.5, 1.0, rng.random(u.size))))
+    return StoppingKernel(spec, atoms, q + [np.ones(node_count(spec, steps[-1]))])
 
 
 def _bits_node(bits) -> NodeId:
@@ -213,6 +251,14 @@ class TestFromKernel:
             got = tree_dict(tree)
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[b], want[b]) for b in want)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["recombining", "max", "history"])
+    def test_matches_the_forward_loop_bit_for_bit(self, spec):
+        rng = np.random.default_rng(100 + spec.depth)
+        for atoms in ((float(spec.depth),), (1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
+            for kernel in (random_kernel(spec, atoms, rng), mixed_kernel(spec, atoms, rng)):
+                got = from_kernel(kernel, spec).vectors
+                assert got.tobytes() == reference_forward_loop(kernel, spec).tobytes()
 
     def test_worked_tree_vectors(self):
         tree = worked_tree()
@@ -463,6 +509,26 @@ class TestKernelRoundTrip:
         assert objective_value(again, hist, cost) == pytest.approx(
             objective_value(kernel, spec, cost), abs=1e-12)
 
+    def test_hazards_match_the_tree_route_they_replaced(self):
+        # Byte for byte, on trees from kernels with dead branches, witnesses
+        # and solved policies.
+        rng = np.random.default_rng(38)
+        trees = []
+        for spec in KERNEL_SPECS:
+            for atoms in ((1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
+                trees += [from_kernel(make(spec, atoms, rng), spec)
+                          for make in (random_kernel, mixed_kernel)]
+                mu = random_measure(rng, atoms)
+                trees.append(from_kernel(feasible_kernel(spec, mu, rng), spec))
+        for cost in (INDICATOR, CostSpec(kind="terminal", name="abs")):
+            spec = LatticeSpec(depth=5, dt=1.0, augment_max=True)
+            table = solve(spec, cost, random_measure(rng, (1.0, 3.0, 5.0)), resolution=10)
+            trees.append(extract_policy(table))
+        for tree in trees:
+            got, want = to_kernel(tree), reference_tree_to_kernel(tree)
+            assert got.spec == want.spec and got.atom_times == want.atom_times
+            assert [q.tobytes() for q in got.q] == [q.tobytes() for q in want.q]
+
     def test_partial_trees_do_not_convert(self):
         base = from_kernel(
             feasible_kernel(LatticeSpec(depth=2, dt=1.0),
@@ -617,7 +683,7 @@ class TestAccumulate:
                 if len(bits) in tree.rel_steps:
                     i = tree.rel_steps.index(len(bits))
                     node = NodeId(step=len(bits), history=bits)
-                    want[bits] += evaluate(cost, state(hist, node)) * float(vectors[bits][i])
+                    want[bits] += stop_cost(cost, hist, node) * float(vectors[bits][i])
         assert acc.y.tolist() == [want[heap_history(h)] for h in range(len(acc.y))]
         leaves = [want[b] for b in histories(tree.depth)]
         assert acc.leaf_expectation() == math.fsum(leaves) / 2 ** tree.depth

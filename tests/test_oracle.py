@@ -20,7 +20,6 @@ from dcstop import (
     SizeGuardError,
     ValidationError,
     build_lp,
-    evaluate,
     feasible_kernel,
     lp_solution_to_kernel,
     marginal_of,
@@ -29,11 +28,12 @@ from dcstop import (
     solve,
     solve_lp,
 )
-from dcstop.lattice import atom_steps, histories, nodes_at_step, state
+from dcstop.lattice import atom_steps, histories, nodes_at_step
 from dcstop import oracle
 from dcstop.oracle import ORACLE_DEPTH_LIMIT, LpSolution
+from dcstop.rst import DEAD_MASS
 
-from conftest import random_measure, reference_simplex
+from conftest import random_measure, reference_lp_to_kernel, reference_simplex, stop_cost
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 IDENTITY = CostSpec(kind="terminal", name="identity")
@@ -86,7 +86,7 @@ def reference_build_lp(spec, cost, mu):
         b[n_leaves + i] = mu.weights[i] * 2 ** s
     for j, (i, bits) in enumerate(var_keys):
         node = NodeId(step=steps[i], history=bits)
-        c[j] = evaluate(cost, state(hist, node)) * 2.0 ** (-steps[i])
+        c[j] = stop_cost(cost, hist, node) * 2.0 ** (-steps[i])
     return a, b, c, var_keys
 
 
@@ -103,7 +103,7 @@ def reference_kernel_q(problem, x, var_keys):
             node = NodeId(step=s, history=bits)
             if final:
                 q[node] = 1.0
-            elif remaining <= 1e-12:
+            elif remaining <= DEAD_MASS:
                 q[node] = 0.0
             else:
                 q[node] = min(1.0, max(0.0, by_node[(i, bits)] / remaining))
@@ -376,6 +376,22 @@ class TestKernelExtraction:
             assert marg.weights == pytest.approx(mu.weights, abs=1e-10)
             got = objective_value(kernel, hist, cost)
             assert got == pytest.approx(solution.value, abs=1e-10)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_hazards_match_the_lp_route_they_replaced(self, exact):
+        # Byte for byte, on solved polytopes of every lattice kind.
+        rng = np.random.default_rng(74)
+        specs = (LatticeSpec(depth=4, dt=1.0), LatticeSpec(depth=4, dt=1.0, augment_max=True),
+                 LatticeSpec(depth=4, dt=1.0, mode="history"))
+        for spec in specs:
+            for cost in (INDICATOR, ABS, IDENTITY):
+                for atoms in ((1.0, 2.0, 4.0), (2.0, 3.0, 4.0), (1.0, 4.0)):
+                    problem = build_lp(spec, cost, random_measure(rng, atoms))
+                    solution = solve_lp(problem, exact=exact)
+                    got = lp_solution_to_kernel(problem, solution)
+                    want = reference_lp_to_kernel(problem, solution)
+                    assert got.spec == want.spec and got.atom_times == want.atom_times
+                    assert [q.tobytes() for q in got.q] == [q.tobytes() for q in want.q]
 
     def test_worked_problem_kernel(self):
         problem = worked_problem()

@@ -21,7 +21,7 @@ def test_star_import_binds_no_module_and_no_future_flag():
 REMOVED = (
     "EmptyTailError", "cost_to_json", "kernel_from_json", "modulus_metadata", "mvm_from_json",
     "node_from_json", "node_prob", "project_to_recombining", "push_right", "random_kernel",
-    "report_to_json", "restrict_renormalize", "spec_to_json",
+    "report_to_json", "restrict_renormalize", "spec_to_json", "state",
 )
 # The objects that check the paper's argument step by step.
 VERIFICATION = (

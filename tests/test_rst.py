@@ -16,21 +16,24 @@ from dcstop import (
     SizeGuardError,
     StoppingKernel,
     ValidationError,
+    build_lp,
     ceiling_project,
-    evaluate,
     feasible_kernel,
+    from_kernel,
     kernel_to_json,
     marginal_of,
     monotone_coupling,
     objective_value,
     push_right_with_shift,
     simulate,
+    to_kernel,
     w1_distance,
 )
 
-from dcstop.lattice import atom_steps, nodes_at_step, root, state
+from dcstop.lattice import atom_steps, nodes_at_step, root
 from dcstop.measures import ATOM_MERGE_TOL
-from dcstop.rst import DEAD_MASS, SIM_CHUNK
+from dcstop.oracle import LpSolution, lp_solution_to_kernel
+from dcstop.rst import DEAD_MASS, SIM_CHUNK, kernel_from_laws
 
 from conftest import (
     brute_kernel_stats,
@@ -40,6 +43,9 @@ from conftest import (
     kernel_from_json,
     random_kernel,
     random_measure,
+    reference_lp_to_kernel,
+    reference_tree_to_kernel,
+    stop_cost,
 )
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
@@ -138,6 +144,40 @@ class TestObjective:
             kernel = random_kernel(spec, (0.5, 1.0), rng)
             _, brute = brute_kernel_stats(kernel, spec, cost)
             assert objective_value(kernel, spec, cost) == pytest.approx(brute, abs=1e-13)
+
+
+class TestKernelFromLaws:
+    def test_one_dead_mass_threshold_for_trees_and_lp_solutions(self):
+        # Atom 1 stops all but about 5e-14 of every path, between the law
+        # trees' old 1e-15 and the LP route's old 1e-12.  The one rule keeps
+        # DEAD_MASS = 1e-15, so both routes read the hazard at atom 2 there.
+        hist = LatticeSpec(depth=3, dt=1.0, mode="history")
+        kernel = StoppingKernel(hist, (1.0, 2.0, 3.0),
+                                [np.full(2, 1.0 - 5e-14), np.full(4, 0.5), np.ones(8)])
+        tree = from_kernel(kernel, hist)
+        laws = [tree.vectors[2 ** s - 1:2 ** (s + 1) - 1] for s in (1, 2, 3)]
+        remaining = 1.0 - laws[1][:, 0]
+        assert DEAD_MASS == 1e-15
+        assert np.all((remaining > 1e-15) & (remaining < 1e-12))
+        want = kernel_from_laws(hist, tree.atom_times, laws)
+        assert want.q[1] == pytest.approx(np.full(4, 0.5), rel=1e-9)
+        assert want.q[1].tobytes() == to_kernel(tree).q[1].tobytes()
+        assert want.q[1].tobytes() == reference_tree_to_kernel(tree).q[1].tobytes()
+        # The same laws as LP variables: one block per atom, columns by history code.
+        problem = build_lp(hist, IDENTITY, DiscreteMeasure((1.0, 2.0, 3.0), (0.5, 0.25, 0.25)))
+        x = np.concatenate([law[:, i] for i, law in enumerate(laws)])
+        solution = LpSolution("optimal", 0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
+        assert lp_solution_to_kernel(problem, solution).q[1].tobytes() == want.q[1].tobytes()
+        assert np.array_equal(reference_lp_to_kernel(problem, solution).q[1], np.zeros(4))
+
+    def test_clamps_into_the_unit_interval_and_writes_no_negative_zero(self):
+        hist = LatticeSpec(depth=2, dt=1.0, mode="history")
+        law = np.array([[-0.0, 0.0], [-0.25, 0.0]])
+        last = np.zeros((4, 2))
+        q = kernel_from_laws(hist, (1.0, 2.0), [law, last]).q[0]
+        assert [repr(v) for v in q.tolist()] == ["0.0", "0.0"]
+        q = kernel_from_laws(hist, (1.0, 2.0), [np.array([[1.5], [0.5]]), last]).q[0]
+        assert q.tolist() == [1.0, 0.5]
 
 
 class TestValidation:
@@ -404,7 +444,7 @@ def reference_objective(kernel, spec, cost):
     for stopped in reference_forward_stops(kernel, spec):
         for node, mass in stopped.items():
             if mass != 0.0:
-                total += mass * evaluate(cost, state(spec, node))
+                total += mass * stop_cost(cost, spec, node)
     return total
 
 
@@ -481,7 +521,7 @@ def reference_atom_lookups(kernel, spec, cost):
                 if spec.augment_max:
                     idx = idx * (s + 1) + node.max_level
             q_arr[idx] = q[node]
-            c_arr[idx] = evaluate(cost, state(spec, node))
+            c_arr[idx] = stop_cost(cost, spec, node)
         lookups.append((s, q_arr, c_arr))
     return lookups
 
