@@ -15,13 +15,22 @@ block per remaining-atom count ``k``:
 
 Value functions stay piecewise linear and concave throughout, so they are
 carried exactly: as a min of affine pieces (for evaluation) plus the vertex
-set of their hypograph (for the Minkowski construction behind ``pair_sup``).
-Only vertex pairs whose summands share a supporting slope can be vertices of
-that Minkowski sum, so ``pair_sup`` drops, before the hull, every pair whose
-boxes of supporting slopes are disjoint: a necessary condition, which leaves
-the hull unchanged.  Simplex grids only enter when sampling the stored
-tables and estimating a resolution-based slack; the root value itself does
-not depend on the grid.
+set of their hypograph (for the Minkowski construction behind ``pair_sup``),
+each vertex with the rows of the two input vertices it is the midpoint of.
+``pair_sup`` drops, before the hull, pairs that cannot be vertices of that
+Minkowski sum, by two necessary conditions that leave the hull unchanged:
+
+* a vertex of a Minkowski sum splits uniquely into vertices of its summands.
+  Where a node's up child and down child were both built from one grandchild
+  function ``B`` (always on a recombining lattice), their sum is
+  ``(A + B + B + C) / 2``, and a vertex of it takes the same vertex of ``B``
+  twice.  So only pairs that agree on their ``B`` row go in, a discrete test
+  with no tolerance;
+* the summands of a vertex share a supporting slope, so pairs whose boxes of
+  supporting slopes are disjoint go out.
+
+Simplex grids only enter when sampling the stored tables and estimating a
+resolution-based slack; the root value itself does not depend on the grid.
 
 Every induction here works on node positions (see ``lattice.nodes_at_step``):
 ``functions[s][p]`` belongs to the node at position ``p`` of step ``s``, and
@@ -30,9 +39,11 @@ Every induction here works on node positions (see ``lattice.nodes_at_step``):
 ``NodeId`` only names nodes for ``theta`` and the table keys.
 
 A node's update reads only its children's functions one step later, so the
-updates of one step are independent.  ``solve`` runs a large step's updates
-on a thread pool (qhull releases the GIL) and stores them in position order
-once the step is done; every value is the one a serial pass computes.
+updates of one step are independent.  Nodes whose children hold the same two
+functions and whose stop values are equal share one update and one stored
+function.  ``solve`` runs a large step's updates on a thread pool (qhull
+releases the GIL) and stores them in position order once the step is done;
+every value is the one a serial pass computes.
 """
 
 from __future__ import annotations
@@ -42,9 +53,9 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import nnls
@@ -177,14 +188,16 @@ class ConcavePL:
 
     ``pieces`` holds rows ``g`` with value ``min_g g . y`` in full barycentric
     coordinates.  ``verts`` holds the hypograph's extreme points as
-    ``(y, value)`` rows of width ``k + 1``.  ``prov`` optionally records, per
-    vertex, the up/down source points that produced it in a pair supremum.
+    ``(y, value)`` rows of width ``k + 1``.  ``src`` holds, per vertex of a
+    pair supremum, the rows of the up and down inputs' ``verts`` whose
+    midpoint it is; a perspective keeps its inner function's rows and puts
+    ``-1`` on its apex.  It is None for a function built otherwise.
     """
 
     k: int
     pieces: np.ndarray
     verts: np.ndarray
-    prov: Optional[np.ndarray] = None
+    src: Optional[np.ndarray] = None
 
     @staticmethod
     def constant(value: float) -> ConcavePL:
@@ -293,61 +306,96 @@ def _slope_boxes(f: ConcavePL) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> ConcavePL:
+def _shared_pairs(ku: np.ndarray, kd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, row-major, with ``ku[i] == kd[j]`` or either key -1.
+
+    An equi-join on integer keys of at least -1: each ``i`` meets the run of
+    ``j`` with its key in the stably sorted ``kd``, so the work grows with the
+    pairs kept, not with ``len(ku) * len(kd)``.
+    """
+    nd = kd.size
+    order = np.argsort(kd, kind="stable")
+    keys = kd[order]
+    lo, hi = np.searchsorted(keys, [ku, ku + 1])
+    neg = ku < 0
+    hi[neg] = nd
+    run = hi - lo
+    start = np.cumsum(run) - run
+    flat = (np.repeat(np.arange(ku.size) * nd, run)
+            + order[np.arange(run.sum()) - np.repeat(start - lo, run)])
+    # The other rows meet the -1 rows of ``kd`` too, which breaks the order.
+    apex = order[: np.searchsorted(keys, 0)]
+    if apex.size:
+        flat = np.sort(np.concatenate([flat, (np.flatnonzero(~neg)[:, None] * nd + apex).ravel()]))
+    return np.divmod(flat, nd)
+
+
+def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
     """Best mean-preserving split of a driver step.
 
     ``W(y) = sup {(Vu(p) + Vd(q)) / 2 : (p + q) / 2 = y}`` for concave
     piecewise-linear ``Vu, Vd``: the hypograph of ``2 W(. / 2)`` is the
     Minkowski sum of the two hypographs, so its vertices are sums of vertex
-    pairs and one upper hull finishes the job.
+    pairs and one upper hull finishes the job.  Each output vertex records
+    its pair's rows in ``src``.
 
-    Only a few pairs are vertices.  A sum ``u + d`` is on the upper hull only
-    if one slope supports both summands at once, at ``u`` and at ``d``: their
-    normal cones meet (Fukuda, J. Symb. Comp. 2004).  For ``k > 2`` the cloud
-    keeps just the pairs whose slope boxes (``_slope_boxes``) overlap in every
-    coordinate, with a margin of ``1e-7 (1 + max |g|)``.  That is a necessary
-    condition, so no vertex of the hull is lost.  At ``k = 2`` clouds are
-    small and their hull is a sorted chain, so all pairs go in.
-    ``PAIR_CLOUD_LIMIT`` bounds the cloud before pruning.
+    Only a few pairs are vertices, and two necessary conditions drop most of
+    the others before the hull, so no vertex of the hull is lost:
+
+    * ``shared`` says that ``up``'s down input and ``down``'s up input were
+      one function ``B``, so a pair is ``(a + b) / 2 + (b' + c) / 2`` with
+      ``b, b'`` vertices of ``hyp B`` (under a perspective, on its base).  A
+      vertex of a Minkowski sum splits uniquely into points of the summands,
+      and for ``b != b'`` the midpoint ``m = (b + b') / 2``, also in ``hyp B``,
+      splits the same sum a second way, as ``(a + m) / 2 + (m + c) / 2``; so
+      it is no vertex.  The cloud keeps the pairs with ``up.src[:, 1] ==
+      down.src[:, 0]`` (joined on that row, exact, no tolerance), and every
+      pair with a perspective's apex, which is no such sum.
+    * A sum ``u + d`` is on the upper hull only if one slope supports both
+      summands at once: their normal cones meet (Fukuda, J. Symb. Comp.
+      2004).  For ``k > 2`` the cloud keeps just the pairs whose slope boxes
+      (``_slope_boxes``) overlap in every coordinate, with a margin of
+      ``1e-7 (1 + max |g|)``.  At ``k = 2`` clouds are small and their hull
+      is a sorted chain, so this test is skipped.
+
+    The kept pairs stay in row-major order.  ``PAIR_CLOUD_LIMIT`` bounds the
+    cloud before pruning, ``nu * nd``.
     """
     if up.k != down.k:
         raise ConfigError("pair supremum needs matching dimensions")
     k = up.k
     if k == 1:
         w = 0.5 * (up.verts[0, 1] + down.verts[0, 1])
-        out = ConcavePL.constant(w)
-        if want_prov:
-            out = ConcavePL(
-                k=1, pieces=out.pieces, verts=out.verts,
-                prov=np.array([[1.0, 1.0]]),
-            )
-        return out
+        return ConcavePL(k=1, pieces=np.array([[w]]), verts=np.array([[1.0, w]]),
+                         src=np.zeros((1, 2), dtype=np.intp))
     nu, nd = up.verts.shape[0], down.verts.shape[0]
     if nu * nd > PAIR_CLOUD_LIMIT:
         raise SizeGuardError(
             f"pair cloud of {nu * nd} points exceeds {PAIR_CLOUD_LIMIT}"
         )
-    meet = np.ones((nu, nd), dtype=bool)
+    # Candidate pairs, as two index arrays that broadcast against each other.
+    if shared:
+        iu, idn = _shared_pairs(up.src[:, 1], down.src[:, 0])
+    else:
+        iu, idn = np.arange(nu)[:, None], np.arange(nd)
+    meet = np.ones(np.broadcast_shapes(iu.shape, idn.shape), dtype=bool)
     if k > 2:
         lo_u, hi_u = _slope_boxes(up)
         lo_d, hi_d = _slope_boxes(down)
         margin = 1e-7 * (1.0 + max(np.abs(up.pieces).max(), np.abs(down.pieces).max()))
         for j in range(k - 1):
-            meet &= lo_u[:, j, None] <= hi_d[:, j] + margin
-            meet &= lo_d[:, j] <= hi_u[:, j, None] + margin
-    iu, idn = np.nonzero(meet)
+            meet &= lo_u[iu, j] <= hi_d[idn, j] + margin
+            meet &= lo_d[idn, j] <= hi_u[iu, j] + margin
+    iu, idn = np.broadcast_to(iu, meet.shape)[meet], np.broadcast_to(idn, meet.shape)[meet]
     # The cloud drops the last simplex coordinate; it is added in place, so
     # one cloud-sized temporary is alive at a time.
     cloud = np.delete(up.verts, k - 1, axis=1)[iu]
     cloud += np.delete(down.verts, k - 1, axis=1)[idn]
     affine, vert_ids = _hull_upper(cloud)
-    pieces = _pieces_from_affine(affine, k)
     iu, idn = iu[vert_ids], idn[vert_ids]
-    verts = 0.5 * (up.verts[iu] + down.verts[idn])
-    prov = None
-    if want_prov:
-        prov = np.column_stack([up.verts[iu, :k], down.verts[idn, :k]])
-    return ConcavePL(k=k, pieces=pieces, verts=verts, prov=prov)
+    return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k),
+                     verts=0.5 * (up.verts[iu] + down.verts[idn]),
+                     src=np.column_stack([iu, idn]))
 
 
 def perspective(stop_value: float, inner: ConcavePL) -> ConcavePL:
@@ -369,7 +417,15 @@ def perspective(stop_value: float, inner: ConcavePL) -> ConcavePL:
     apex = np.zeros((1, k + 1))
     apex[0, 0] = 1.0
     apex[0, k] = stop_value
-    return ConcavePL(k=k, pieces=pieces, verts=np.vstack([apex, base]))
+    src = None if inner.src is None else np.vstack([[-1, -1], inner.src])
+    return ConcavePL(k=k, pieces=pieces, verts=np.vstack([apex, base]), src=src)
+
+
+def _continuation(f: ConcavePL, atom: bool) -> ConcavePL:
+    """The pair supremum inside a stored function: ``f``, or its perspective's inner part."""
+    if not atom:
+        return f
+    return ConcavePL(k=f.k - 1, pieces=f.pieces[:, 1:], verts=f.verts[1:, 1:], src=f.src[1:])
 
 
 @dataclass(frozen=True)
@@ -408,17 +464,31 @@ def _mu_vector(mu: DiscreteMeasure) -> np.ndarray:
     return np.asarray(mu.weights, dtype=float)
 
 
-def _bellman(up: ConcavePL, down: ConcavePL, stop_value: Optional[float]) -> ConcavePL:
+def _bellman(up: ConcavePL, down: ConcavePL, stop_value: Optional[float],
+             shared: bool = False) -> ConcavePL:
     """The children's pair supremum, then the atom decision if ``stop_value`` is given."""
-    cont = pair_sup(up, down)
+    cont = pair_sup(up, down, shared)
     return cont if stop_value is None else perspective(stop_value, cont)
 
 
-def _stop_values(spec: LatticeSpec, cost: CostSpec, s: int, steps) -> Iterable[Optional[float]]:
+def _stop_values(spec: LatticeSpec, cost: CostSpec, s: int, steps) -> list[Optional[float]]:
     """The cost of stopping at each position of step ``s``; None throughout off the atom steps."""
     if s not in steps:
-        return repeat(None)
+        return [None] * node_count(spec, s)
     return evaluate(cost, states_at_step(spec, s)).tolist()
+
+
+def _shares_grandchild(spec: LatticeSpec, s: int, functions) -> list[bool]:
+    """Per position of step ``s``, whether its children share a grandchild function.
+
+    That is ``pair_sup``'s ``shared``: the up child's down child and the down
+    child's up child hold one stored function.
+    """
+    if s + 2 >= len(functions):
+        return [False] * node_count(spec, s)
+    below, grand = child_positions(spec, s + 1), functions[s + 2]
+    return [grand[below[up, 0]] is grand[below[down, 1]]
+            for down, up in child_positions(spec, s).tolist()]
 
 
 def check_lattice_size(spec: LatticeSpec, horizon: int) -> None:
@@ -460,11 +530,20 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     representations.
 
     The Bellman updates of one step (``pair_sup``, then ``perspective`` at an
-    atom step) read only the functions of the step after it, so a step whose
-    summed pair count ``nu * nd`` (from its children's vertex counts, before
-    pruning) reaches ``POOL_PAIR_CUTOFF`` runs them on a thread pool.  Smaller
-    steps, and every step on a single CPU, run serially.  The pool has one
-    thread per CPU this process may use (``os.sched_getaffinity``, else
+    atom step) read only the functions of the step after it.  Positions whose
+    inputs (the up child's function, the down child's function, the bits of
+    the stop value) are the same share one update: the horizon holds one
+    constant per distinct stop value, and each later step one function per
+    distinct input.  Children that share a grandchild function pass
+    ``shared`` to ``pair_sup``; a function's rows in ``src`` refer to the
+    inputs of the one update that built it, which every position holding it
+    has as children.
+
+    A step whose summed pair count ``nu * nd`` over its distinct updates
+    (from the children's vertex counts, before pruning) reaches
+    ``POOL_PAIR_CUTOFF`` runs them on a thread pool.  Smaller steps, and
+    every step on a single CPU, run serially.  The pool has one thread per
+    CPU this process may use (``os.sched_getaffinity``, else
     ``os.cpu_count()``), is built on the first such step and is closed when
     ``solve`` returns.  Each update is deterministic and the results are
     stored by node position (see the module docstring) after the step, so
@@ -488,24 +567,35 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     try:
         for s in range(horizon, -1, -1):
             stops = _stop_values(spec, cost, s, steps)
-            if s == horizon:
-                values = [ConcavePL.constant(v) for v in stops]
-            else:
+            # Stop values are keyed by their bits, so that 0.0 and -0.0 stay apart.
+            keys = [None if v is None else v.hex() for v in stops]
+            if s < horizon:
                 nxt, child = functions[s + 1], child_positions(spec, s)
                 ups, downs = [nxt[p] for p in child[:, 1]], [nxt[p] for p in child[:, 0]]
-                pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(ups, downs))
+                keys = list(zip(map(id, ups), map(id, downs), keys))
+            # Position of the first node with each distinct input, in position order.
+            first: dict = {}
+            for p, key in enumerate(keys):
+                first.setdefault(key, p)
+            if s == horizon:
+                made = [ConcavePL.constant(stops[p]) for p in first.values()]
+            else:
+                shared = _shares_grandchild(spec, s, functions)
+                args = [[col[p] for p in first.values()] for col in (ups, downs, stops, shared)]
+                pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(*args[:2]))
                 if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
                     if pool is None:
                         pool = ThreadPoolExecutor(workers)
                     _malloc_trim()
                     # Copied by this thread, so the stored functions live in
                     # its malloc arena and not in the pool threads' arenas.
-                    values = [ConcavePL(v.k, v.pieces.copy(), v.verts.copy())
-                              for v in pool.map(_bellman, ups, downs, stops)]
+                    made = [ConcavePL(v.k, v.pieces.copy(), v.verts.copy(), v.src.copy())
+                            for v in pool.map(_bellman, *args)]
                 else:
-                    values = list(map(_bellman, ups, downs, stops))
+                    made = list(map(_bellman, *args))
+            made = dict(zip(first, made))
             # Written once the step is done: every update reads step s + 1 only.
-            functions[s] = tuple(values)
+            functions[s] = tuple(made[key] for key in keys)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -518,10 +608,12 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     for k in range(1, r + 1):
         s = steps[r - k]
         grid = grids[k]
+        sampled: dict[int, np.ndarray] = {}
         for node, f in zip(nodes_at_step(spec, s), functions[s]):
-            vals = f.evaluate_batch(grid.fractions)
-            tables[(k, s, node)] = vals
-            slack = max(slack, grid.max_adjacent_diff(vals))
+            if id(f) not in sampled:
+                sampled[id(f)] = f.evaluate_batch(grid.fractions)
+                slack = max(slack, grid.max_adjacent_diff(sampled[id(f)]))
+            tables[(k, s, node)] = sampled[id(f)]
 
     h = hashlib.sha256()
     for key in sorted(tables, key=lambda t: (t[0], t[1], repr(t[2]))):
@@ -554,7 +646,9 @@ def check_dpp(table: ValueTable, theta: Callable[[LatticeSpec, NodeId], bool]) -
 
     Like ``solve``, it works on node positions (see the module docstring).  A
     forward pass from the root marks the positions it reaches before the
-    frontier; only those are recomputed, each once.
+    frontier; only those are recomputed, each once, and without the
+    shared-grandchild filter, so the check also crosses ``pair_sup``'s
+    pruning.
     """
     spec, functions = table.spec, table.functions
     horizon = table.steps[-1]
@@ -578,19 +672,20 @@ def check_dpp(table: ValueTable, theta: Callable[[LatticeSpec, NodeId], bool]) -
     return DppReport(residual=residual, slack=table.slack, ok=residual <= table.slack)
 
 
-def _facet_split(w: ConcavePL, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recover an optimal up/down split at ``y`` from pair-sup provenance.
+def _facet_split(w: ConcavePL, up: ConcavePL, y: np.ndarray) -> np.ndarray:
+    """The up child's point of an optimal split at ``y``, from ``w = pair_sup(up, down)``.
 
     The doubled point ``2y`` lies in some face of the Minkowski hull; writing
     it as a convex combination of that face's vertices and pulling the
-    combination back through each vertex's source pair yields split points
-    achieving the supremum exactly.  The face may be a merged polygon, so the
+    combination back through each vertex's up row (``w.src[:, 0]``) yields
+    the up split point; the down one is ``2y`` minus it.  Together they
+    achieve the supremum exactly.  The face may be a merged polygon, so the
     combination is found by nonnegative least squares.  Ties between pieces
     pick the lowest index.
     """
     k = w.k
     if k == 1:
-        return np.array([1.0]), np.array([1.0])
+        return np.array([1.0])
     target = 2.0 * y
     vals = w.verts[:, k]
     # Active vertices: those lying on the minimizing piece's hyperplane.
@@ -605,10 +700,7 @@ def _facet_split(w: ConcavePL, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"no facet vertices split {y.tolist()}: least-squares "
                              f"residual {rnorm:.3e}, weight {total:.3e}")
     lam /= total
-    prov = w.prov[ids]
-    p = lam @ prov[:, :k]
-    q = lam @ prov[:, k:]
-    return p, q
+    return lam @ up.verts[w.src[ids, 0], :k]
 
 
 def check_policy_depth(horizon: int) -> None:
@@ -625,8 +717,9 @@ def extract_policy(table: ValueTable) -> MvmTree:
     Each history node carries the stop masses of the atoms already passed,
     which stay frozen, plus the (unnormalized) law of the atoms still ahead,
     which each driver step splits through the optimal pair-sup facet.  The
-    result is a valid adapted martingale tree whose objective matches the
-    root value.
+    pair supremum is the one ``solve`` stored (``_continuation``), read with
+    its ``src`` rows.  The result is a valid adapted martingale tree whose
+    objective matches the root value.
     """
     spec = table.spec
     steps = table.steps
@@ -640,16 +733,14 @@ def extract_policy(table: ValueTable) -> MvmTree:
     at = np.zeros(1, dtype=np.intp)
     for s in range(horizon):
         live = [j for j, step in enumerate(steps) if step > s]
-        child, nxt, splits = child_positions(spec, s), table.functions[s + 1], {}
+        child, here, nxt = child_positions(spec, s), table.functions[s], table.functions[s + 1]
         for h, pos in enumerate(at.tolist(), start=2 ** s - 1):
             vec = vectors[h]
             vectors[2 * h + 1] = vectors[2 * h + 2] = vec
             mass = float(vec[live].sum())
             if mass > 1e-14:
-                if pos not in splits:
-                    down, up = child[pos]
-                    splits[pos] = pair_sup(nxt[up], nxt[down], want_prov=True)
-                p, _ = _facet_split(splits[pos], vec[live] / mass)
+                cont = _continuation(here[pos], s in steps)
+                p = _facet_split(cont, nxt[child[pos, 1]], vec[live] / mass)
                 vectors[2 * h + 2, live] = mass * p
                 vectors[2 * h + 1, live] = 2.0 * vec[live] - vectors[2 * h + 2, live]
         at = child[at].ravel()

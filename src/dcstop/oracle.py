@@ -183,9 +183,12 @@ def _simplex(a, b, c):
     return "optimal", Fraction(t[m][-1], den[m]), x, y, tuple(basis)
 
 
-def _certificate(a, b, c, x, y) -> tuple:
-    """Reduced-cost violation, complementary slackness and duality gap of ``(x, y)``."""
-    rc = c - y @ a
+def _certificate(ya, b, c, x, y) -> tuple:
+    """Reduced-cost violation, complementary slackness and duality gap of ``(x, y)``.
+
+    ``ya`` is ``y A``, summed by the caller.
+    """
+    rc = c - ya
     return max(0, rc.max(initial=0)), np.max(np.abs(x * rc), initial=0), abs(c @ x - y @ b)
 
 
@@ -207,9 +210,10 @@ def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
 def _solve_exact(problem: LpProblem):
     """Status, value, ``x``, duals and certificate by the integer-row simplex, all rational.
 
-    With ``a = A/da`` over a common denominator, and so on, the certificate of
-    ``X`` and ``Y`` on ``db dc A``, ``da dc dx B`` and ``da db dy C`` is ``k = da
-    db dc dy`` times the true one, and ``dx k`` times where it multiplies ``x``.
+    With ``a = A/da`` over a common denominator of its nonzeros, and so on,
+    the certificate of ``X`` and ``Y`` on ``db dc A``, ``da dc dx B`` and ``da
+    db dy C`` is ``k = da db dc dy`` times the true one, and ``dx k`` times
+    where it multiplies ``x``.  ``Y A`` sums over the nonzeros of ``A`` only.
     """
     # Fraction(float) is exact, so the rationals encode the float data.
     b = [Fraction(v) for v in problem.b]
@@ -217,12 +221,14 @@ def _solve_exact(problem: LpProblem):
     status, value, x, y, _ = _simplex(problem.a, b, problem.c)
     if status != "optimal":
         return status, value, x, None, None
+    rows, cols = np.nonzero(problem.a)
     (a_, da), (b_, db), (c_, dc), (x_, dx), (y_, dy) = (
         (np.array(v, dtype=object), d)
-        for v, d in map(_integers, (problem.a.ravel().tolist(), b, problem.c.tolist(), x, y)))
+        for v, d in map(_integers, (problem.a[rows, cols].tolist(), b, problem.c.tolist(), x, y)))
+    ya = np.zeros(problem.a.shape[1], dtype=object)
+    np.add.at(ya, cols, y_[rows] * a_)
     k = da * db * dc * dy
-    residuals = _certificate(a_.reshape(problem.a.shape) * (db * dc), b_ * (da * dc * dx),
-                             c_ * (da * db * dy), x_, y_)
+    residuals = _certificate(ya * (db * dc), b_ * (da * dc * dx), c_ * (da * db * dy), x_, y_)
     return status, value, x, y, [Fraction(r, s) for r, s in zip(residuals, (k, dx * k, dx * k))]
 
 
@@ -235,7 +241,7 @@ def _solve_highs(problem: LpProblem):
         raise ValidationError("LP is unbounded" if res.status == 3
                               else f"LP solver failed: {res.message}")
     y = -res.eqlin.marginals
-    residuals = _certificate(problem.a, problem.b, problem.c, res.x, y)
+    residuals = _certificate(y @ problem.a, problem.b, problem.c, res.x, y)
     return "optimal", problem.c @ res.x, res.x, y, residuals
 
 

@@ -119,18 +119,20 @@ def _advance(child: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return np.bincount(child.ravel(), np.repeat(0.5 * mass, 2))
 
 
-def kernel_from_laws(spec: LatticeSpec, atom_times, laws) -> StoppingKernel:
-    """Hazard-form kernel from the conditional stopping laws at each atom step.
+def kernel_from_laws(spec: LatticeSpec, atom_times, laws, alive=None) -> StoppingKernel:
+    """Hazard-form kernel from the stopping laws at each atom step.
 
     Row ``p`` of ``laws[i]`` holds, for the node at position ``p`` of atom
     ``i``'s step, the mass each atom ``j <= i`` takes given the path there
     (later columns are not read).  The hazard is atom ``i``'s mass over the
     mass still alive, 0 where at most ``DEAD_MASS`` is alive, clamped into
-    ``[0, 1]`` with ``-0.0`` read as 0.0; the final atom always stops.
+    ``[0, 1]`` with ``-0.0`` read as 0.0; the final atom always stops.  The
+    mass still alive is ``1 - sum_{j < i} laws[i][:, j]``, or ``alive[i]``
+    when given, for laws of another scale.
     """
     q = []
     for i, law in enumerate(laws[:-1]):
-        remaining = 1.0 - law[:, :i].sum(axis=1)
+        remaining = 1.0 - law[:, :i].sum(axis=1) if alive is None else alive[i]
         dead = remaining <= DEAD_MASS
         ratio = law[:, i] / np.where(dead, 1.0, remaining)
         q.append(np.where(dead, 0.0, np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)))
@@ -211,10 +213,11 @@ def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
 
     last = tgt_steps[-1]
     # alive[p]: mass still run by the old kernel; earm[p, j]: mass headed to
-    # stop at target atom j.
+    # stop at target atom j.  At each target step, earm is the (unconditional)
+    # law and alive plus the mass headed later is the mass still alive.
     alive = np.ones(1)
     earm = np.zeros((1, len(target)))
-    new_q = []
+    laws, alive_at = [], []
     shift = 0.0
     for s in range(0, last + 1):
         if s in src_steps:
@@ -227,17 +230,14 @@ def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
                 shift += math.fsum(part) * abs(target.atoms[j] - kernel.atom_times[i])
         if s in tgt_steps:
             j = tgt_steps.index(s)
-            total_alive = alive + earm[:, j:].sum(axis=1)
-            live = total_alive > DEAD_MASS
-            qv = np.zeros(len(alive))
-            qv[live] = np.minimum(1.0, earm[live, j] / total_alive[live])
+            alive_at.append(alive + earm[:, j:].sum(axis=1))
+            laws.append(earm.copy())
             earm[:, j] = 0.0
-            new_q.append(qv if j < len(tgt_steps) - 1 else np.ones(len(alive)))
         if s < last:
             child = child_positions(spec, s)
             alive = _advance(child, alive)
             earm = _advance(child, earm)
-    return StoppingKernel(spec, target.atoms, new_q), shift
+    return kernel_from_laws(spec, target.atoms, laws, alive_at), shift
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ mass-sweep internals so each comparison crosses two independent code paths.
 ``state`` and ``stop_cost`` price a stop one node at a time, the reference for
 ``lattice.states_at_step`` and ``cost.evaluate`` on whole steps.
 ``check_scaling`` re-derives a solved table's boundary entries through the
-explicit stop/renormalize quotient.  ``reference_simplex`` is the dense
+explicit stop/renormalize quotient.  ``reference_pair_sup`` hulls every vertex
+pair, and ``reference_solve`` runs it at every node with nothing pruned or
+shared.  ``reference_simplex`` is the dense
 ``Fraction`` tableau the exact LP route used to pivot.  The two hazard
 references are the per-route conversions that ``rst.kernel_from_laws``
 replaced.  The JSON readers at the end read back what the package and the CLI
@@ -36,8 +38,10 @@ from dcstop import (
     ValueTable,
     atom_steps,
     nodes_at_step,
+    perspective,
+    root,
 )
-from dcstop.dpp import _hull_upper
+from dcstop.dpp import _hull_upper, _pieces_from_affine
 from dcstop.lattice import heap_history, heap_row, node_count
 from dcstop.measures import ATOM_MERGE_TOL, WEIGHT_TOL
 
@@ -290,6 +294,46 @@ def check_scaling(table: ValueTable) -> None:
                     f"renormalization identity off by {err:.3e} "
                     f"at block {k}, step {s}, node {node}"
                 )
+
+
+def reference_pair_sup(up: ConcavePL, down: ConcavePL) -> ConcavePL:
+    """``pair_sup`` before pruning: every vertex pair goes into the hull."""
+    k = up.k
+    if k == 1:
+        return ConcavePL.constant(0.5 * (up.verts[0, 1] + down.verts[0, 1]))
+    sums = (up.verts[:, None, :] + down.verts[None, :, :]).reshape(-1, k + 1)
+    affine, vert_ids = _hull_upper(np.column_stack([sums[:, : k - 1], sums[:, k]]))
+    return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k), verts=0.5 * sums[vert_ids])
+
+
+def reference_solve(spec: LatticeSpec, cost, mu: DiscreteMeasure, resolution: int):
+    """``solve``'s root function and tables by memoised recursion over ``children``.
+
+    Every node gets its own update through ``reference_pair_sup``: no pair is
+    pruned and no update is shared.  Returns ``(root function, tables)``.
+    """
+    steps = atom_steps(spec, mu.atoms)
+    r, horizon, memo = len(steps), steps[-1], {}
+
+    def value(node: NodeId) -> ConcavePL:
+        if node not in memo:
+            if node.step == horizon:
+                memo[node] = ConcavePL.constant(stop_cost(cost, spec, node))
+            else:
+                up, down = children(spec, node)
+                f = reference_pair_sup(value(up), value(down))
+                if node.step in steps:
+                    f = perspective(stop_cost(cost, spec, node), f)
+                memo[node] = f
+        return memo[node]
+
+    root_fn = value(root(spec))
+    tables = {}
+    for k in range(1, r + 1):
+        grid = SimplexGrid(k, resolution).fractions
+        for node in nodes_at_step(spec, steps[r - k]):
+            tables[(k, steps[r - k], node)] = value(node).evaluate_batch(grid)
+    return root_fn, tables
 
 
 def grid_rows(grid) -> dict[tuple[int, ...], int]:

@@ -39,7 +39,7 @@ from dcstop import (
 )
 
 import dcstop.dpp as dpp
-from dcstop.dpp import _hull_upper, _pieces_from_affine
+from dcstop.dpp import _hull_upper
 from dcstop.errors import NumericalError
 from dcstop.lattice import heap_row
 from dcstop.measures import measure_from_json
@@ -51,6 +51,8 @@ from conftest import (
     grid_rows,
     kernel_from_dict,
     random_measure,
+    reference_pair_sup,
+    reference_solve,
     state,
     stop_cost,
     unit_simplex_pieces,
@@ -243,21 +245,6 @@ class TestPairSup:
         assert got.min() >= 0.5 - 1e-12
 
 
-def reference_pair_sup(up: ConcavePL, down: ConcavePL, want_prov: bool = False) -> ConcavePL:
-    """``pair_sup`` before pruning: every vertex pair goes into the hull."""
-    k = up.k
-    nd = down.verts.shape[0]
-    sums = (up.verts[:, None, :] + down.verts[None, :, :]).reshape(-1, k + 1)
-    affine, vert_ids = _hull_upper(np.column_stack([sums[:, : k - 1], sums[:, k]]))
-    verts = np.column_stack([0.5 * sums[vert_ids, :k], 0.5 * sums[vert_ids, k]])
-    prov = None
-    if want_prov:
-        iu, idn = np.divmod(vert_ids, nd)
-        prov = np.column_stack([up.verts[iu, :k], down.verts[idn, :k]])
-    return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k), verts=verts,
-                     prov=prov)
-
-
 def random_concave(rng, k: int, kind: str, levels: bool) -> ConcavePL:
     """A concave PL function on the ``k``-simplex whose vertices span it.
 
@@ -288,6 +275,28 @@ def sorted_rows(a: np.ndarray) -> np.ndarray:
     return a[np.lexsort(a.T[::-1])]
 
 
+def assert_same_hull(got: ConcavePL, ref: ConcavePL) -> None:
+    """One hypograph: vertex rows and grid values agree to ``1e-12 (1 + max |v|)``.
+
+    qhull rounds a facet's hyperplane differently in two clouds of one hull,
+    by up to about 1e-12 relative to the values, whether or not a pair was
+    pruned (seen on nested pair suprema).  A point on a flat face, such as
+    ``a + b + b' + c`` with a linear ``b``, may pass as a vertex on one side
+    only; such a row must lie on the other side's envelope, to the 1e-9 that
+    ``_slope_boxes`` allows for a vertex on a piece.
+    """
+    k = got.k
+    tol = 1e-12 * (1.0 + np.abs(ref.verts[:, k]).max())
+    for a, b in ((got, ref), (ref, got)):
+        gap = np.abs(a.verts[:, None, :] - b.verts[None, :, :]).max(axis=2).min(axis=1)
+        extra = a.verts[gap > tol]
+        np.testing.assert_allclose(b.evaluate_batch(extra[:, :k]), extra[:, k],
+                                   rtol=0, atol=1e-9)
+    grid = SimplexGrid(k, 12).fractions
+    np.testing.assert_allclose(got.evaluate_batch(grid), ref.evaluate_batch(grid),
+                               rtol=0, atol=tol)
+
+
 class TestPrunedPairCloud:
     KINDS = ("points", "grid", "perspective")
 
@@ -298,15 +307,15 @@ class TestPrunedPairCloud:
         rng = np.random.default_rng(seed)
         up = random_concave(rng, k, kind_up, levels)
         down = random_concave(rng, k, kind_down, levels)
-        got = pair_sup(up, down, want_prov=True)
-        ref = reference_pair_sup(up, down, want_prov=True)
+        got = pair_sup(up, down)
+        ref = reference_pair_sup(up, down)
         assert got.verts.shape == ref.verts.shape
         np.testing.assert_allclose(sorted_rows(got.verts), sorted_rows(ref.verts),
                                    rtol=0, atol=1e-12)
         grid = SimplexGrid(k, 12).fractions
         np.testing.assert_allclose(got.evaluate_batch(grid), ref.evaluate_batch(grid),
                                    rtol=0, atol=1e-12)
-        p, q = got.prov[:, :k], got.prov[:, k:]
+        p, q = up.verts[got.src[:, 0], :k], down.verts[got.src[:, 1], :k]
         np.testing.assert_allclose(0.5 * (p + q), got.verts[:, :k], rtol=0, atol=1e-12)
         np.testing.assert_allclose(0.5 * (up.evaluate_batch(p) + down.evaluate_batch(q)),
                                    got.verts[:, k], rtol=0, atol=1e-12)
@@ -324,6 +333,70 @@ class TestPrunedPairCloud:
         w = from_samples(grid, vals)
         out = pair_sup(w, w)
         assert np.unique(out.pieces, axis=0).shape == out.pieces.shape
+
+    @staticmethod
+    def cloud_rows(monkeypatch, up, down, shared):
+        """``pair_sup(up, down, shared)`` and the row count of the cloud its hull saw."""
+        rows = []
+
+        def spy(cloud):
+            rows.append(cloud.shape[0])
+            return _hull_upper(cloud)
+
+        monkeypatch.setattr(dpp, "_hull_upper", spy)
+        out = pair_sup(up, down, shared)
+        monkeypatch.undo()
+        return out, rows[0]
+
+    def shared_inputs(self, rng, k, kinds, levels, atom):
+        """``pair_sup(A, B)`` and ``pair_sup(B, C)``, both under a perspective if ``atom``."""
+        a, b, c = (random_concave(rng, k, kind, levels) for kind in kinds)
+        up, down = pair_sup(a, b), pair_sup(b, c)
+        if atom:
+            up, down = perspective(float(rng.normal()), up), perspective(float(rng.normal()), down)
+        return up, down
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4),
+           st.tuples(*[st.sampled_from(KINDS)] * 3), st.booleans(), st.booleans())
+    def test_shared_grandchild_filter_matches_the_all_pairs_hull(self, seed, k, kinds, levels,
+                                                                 atom):
+        up, down = self.shared_inputs(np.random.default_rng(seed), k, kinds, levels, atom)
+        assert_same_hull(pair_sup(up, down, shared=True), reference_pair_sup(up, down))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("atom", [False, True])
+    def test_shared_grandchild_filter_drops_pairs(self, monkeypatch, k, atom):
+        rng = np.random.default_rng(80 + k)
+        for kinds in itertools.product(("points", "grid"), repeat=3):
+            up, down = self.shared_inputs(rng, k, kinds, False, atom)
+            got, kept = self.cloud_rows(monkeypatch, up, down, True)
+            plain, all_kept = self.cloud_rows(monkeypatch, up, down, False)
+            assert kept < all_kept
+            assert_same_hull(got, plain)
+
+
+class TestSolveMatchesTheAllPairsReference:
+    COSTS = (ABS, CostSpec(kind="terminal", name="positive_part"), INDICATOR,
+             CostSpec(kind="running_max", name="identity"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(2, 4),
+           st.booleans(), st.sampled_from(range(4)))
+    def test_tables_and_root_vertex_count(self, seed, depth, atoms, augment, cost):
+        rng = np.random.default_rng(seed)
+        cost = self.COSTS[cost]
+        spec = LatticeSpec(depth=depth, dt=1.0,
+                           augment_max=augment or cost.kind == "running_max")
+        steps = np.sort(rng.choice(np.arange(1, depth + 1), min(atoms, depth), replace=False))
+        mu = random_measure(rng, tuple(float(s) for s in steps))
+        table = solve(spec, cost, mu, resolution=6)
+        root_fn, tables = reference_solve(spec, cost, mu, resolution=6)
+        assert table.tables.keys() == tables.keys()
+        for key, vals in tables.items():
+            np.testing.assert_allclose(table.tables[key], vals, rtol=0, atol=1e-12)
+        assert table.functions[0][0].verts.shape == root_fn.verts.shape
+        assert table.root_value == pytest.approx(root_fn.evaluate(mu.weights), abs=1e-12)
 
 
 def exact_inner() -> ConcavePL:
@@ -589,13 +662,13 @@ class TestParallelSteps:
         mu = DiscreteMeasure((3.0, 6.0), (0.5, 0.5))
         original = dpp.pair_sup
 
-        def failing(up, down, want_prov=False):
+        def failing(up, down, *args):
             if up.k == 1 and down.verts[0, 1] == -4.0:
                 time.sleep(0.05)
                 raise SizeGuardError("position 1")
             if up.k == 1 and down.verts[0, 1] == 0.0:
                 raise SizeGuardError("position 3")
-            return original(up, down, want_prov=want_prov)
+            return original(up, down, *args)
 
         built = self.pool_counter(monkeypatch)
         monkeypatch.setattr(dpp, "pair_sup", failing)
@@ -729,9 +802,9 @@ class TestPositionLoopsMatchTheRecursions:
         calls = []
         original = dpp.pair_sup
 
-        def counting(up, down, want_prov=False):
+        def counting(up, down, *args):
             calls.append(1)
-            return original(up, down, want_prov=want_prov)
+            return original(up, down, *args)
 
         monkeypatch.setattr(dpp, "pair_sup", counting)
         got = check_dpp(table, THETAS[theta]).residual
