@@ -33,8 +33,6 @@ from .rst import check_sim_paths, kernel_to_json, marginal_of, objective_value, 
 from .stability import convergence_sweep, rows_to_csv
 
 MAX_ATOMS = 4
-# Relative bound on how far the solver, oracle and policy values may differ.
-AGREE_TOL = 1e-9
 # The keys each config section takes ("measure" per entry; cost params are
 # free-form).  Any other key is refused, so a misspelling cannot fall back to
 # a default.
@@ -155,11 +153,6 @@ def _echo(payload: dict) -> None:
             print(f"{key}: {value}")
 
 
-def _agree_bound(table) -> float:
-    """``AGREE_TOL`` relative to the solved value, and never above the table slack."""
-    return min(table.slack, AGREE_TOL * max(1.0, abs(table.root_value)))
-
-
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
@@ -183,7 +176,7 @@ def cmd_policy(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
     resolution = _resolution(config)
-    from .dpp import check_policy_depth, extract_policy, solve
+    from .dpp import AGREE_TOL, check_policy_depth, extract_policy, solve
 
     check_policy_depth(atom_steps(spec, mu.atoms)[-1])
     table = solve(spec, cost, mu, resolution)
@@ -194,7 +187,7 @@ def cmd_policy(args) -> int:
         raise _Failure(f"policy tree violates {v.prop} at {v.node} (residual {v.residual:.3e})")
     acc = accumulate(tree, spec, cost)
     residual = abs(acc.leaf_expectation() - table.root_value)
-    if residual > _agree_bound(table):
+    if residual > AGREE_TOL:
         raise _Failure(f"policy objective off the solved value by {residual:.3e}")
     payload = {
         "value": table.root_value,
@@ -239,24 +232,23 @@ def cmd_compare(args) -> int:
     config = _load_config(args.config)
     spec, cost, mu = _parse_instance(config)
     resolution = _resolution(config)
-    from .dpp import solve
+    from .dpp import AGREE_TOL, solve
     from .oracle import oracle_value
 
     check_oracle_depth(atom_steps(spec, mu.atoms)[-1])
     table = solve(spec, cost, mu, resolution)
     reference = oracle_value(spec, cost, mu)
     difference = abs(table.root_value - reference)
-    tolerance = _agree_bound(table)
     payload = {
         "solver_value": table.root_value,
         "oracle_value": reference,
         "difference": difference,
-        "tolerance": tolerance,
-        "agree": difference <= tolerance,
+        "tolerance": AGREE_TOL,
+        "agree": difference <= AGREE_TOL,
     }
     _emit("result.json", payload, config)
     _echo(payload)
-    if difference > tolerance:
+    if difference > AGREE_TOL:
         raise _Failure(f"solver and oracle disagree by {difference:.3e}")
     return 0
 
@@ -356,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--exact", action="store_true",
                            help="pivot in exact rational arithmetic")
         p.set_defaults(func=fn)
-        return p
 
     add("solve", cmd_solve, "run the block solver, write root value and tables digest")
     add("policy", cmd_policy, "solve and emit an explicit optimal law tree")
@@ -368,15 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: in-process callers run ``main`` many times.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except _Failure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 3
-    except AssertionError as exc:
+    except (_Failure, AssertionError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
     except DcstopError as exc:

@@ -29,8 +29,8 @@ Minkowski sum, by two necessary conditions that leave the hull unchanged:
 * the summands of a vertex share a supporting slope, so pairs whose boxes of
   supporting slopes are disjoint go out.
 
-Simplex grids only enter when sampling the stored tables and estimating a
-resolution-based slack; the root value itself does not depend on the grid.
+Simplex grids only enter when a solved table's ``tables``, ``slack`` or
+``digest`` is read; the root value and every agreement check never build one.
 
 Every induction here works on node positions (see ``lattice.nodes_at_step``):
 ``functions[s][p]`` belongs to the node at position ``p`` of step ``s``, and
@@ -53,6 +53,7 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Callable, Optional
@@ -86,6 +87,8 @@ PURE_DEPTH_LIMIT = 12
 PURE_TABLE_LIMIT = 500_000
 UPPER_FACET_TOL = 1e-12
 SLACK_FLOOR = 1e-9
+# Absolute bound on how far two routes to one value may differ.
+AGREE_TOL = 1e-9
 # Summed pair count (``nu * nd`` over a step's nodes) from which a step's
 # Bellman updates go to the thread pool; smaller steps cost less than the
 # hand-off.
@@ -98,27 +101,33 @@ except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
 
 
+def _grid_size(k: int, resolution: int) -> int:
+    """Point count of ``SimplexGrid(k, resolution)``, refusing one past ``GRID_SIZE_LIMIT``."""
+    if not (isinstance(k, int) and k >= 1):
+        raise ConfigError(f"dimension must be a positive int, got {k!r}")
+    if not (isinstance(resolution, int) and resolution >= 1):
+        raise ConfigError(f"resolution must be a positive int, got {resolution!r}")
+    n = comb(resolution + k - 1, k - 1)
+    if n > GRID_SIZE_LIMIT:
+        raise SizeGuardError(
+            f"simplex grid would hold {n} points (limit {GRID_SIZE_LIMIT}); "
+            "lower the resolution"
+        )
+    return n
+
+
 class SimplexGrid:
     """All length-``k`` compositions of ``resolution``, in descending lexicographic order.
 
     Grid points are integer vectors summing to the resolution; ``fractions``
-    divides them through.  The solver samples its tables on these points and
-    reads the table slack off neighbouring points.
+    divides them through.  ``ValueTable`` samples its tables on these points
+    and reads the table slack off neighbouring points.
     """
 
     __slots__ = ("k", "resolution", "points", "fractions")
 
     def __init__(self, k: int, resolution: int):
-        if not (isinstance(k, int) and k >= 1):
-            raise ConfigError(f"dimension must be a positive int, got {k!r}")
-        if not (isinstance(resolution, int) and resolution >= 1):
-            raise ConfigError(f"resolution must be a positive int, got {resolution!r}")
-        n = comb(resolution + k - 1, k - 1)
-        if n > GRID_SIZE_LIMIT:
-            raise SizeGuardError(
-                f"simplex grid would hold {n} points (limit {GRID_SIZE_LIMIT}); "
-                "lower the resolution"
-            )
+        n = _grid_size(k, resolution)
         # Stars and bars: bar positions in ascending lexicographic order give the
         # compositions in ascending order, so the reversed rows descend.
         bars = np.fromiter(
@@ -439,7 +448,8 @@ class ValueTable:
     pre-decision value of holding a renormalized ``k``-atom future law.  The
     tables feed ``digest`` and ``slack``, the largest value difference between
     adjacent grid points across all tables (at least ``SLACK_FLOOR``), a
-    Lipschitz-times-mesh bound on anything one grid step can move.
+    Lipschitz-times-mesh bound on anything one grid step can move; all three
+    are computed together on first read.
     """
 
     spec: LatticeSpec
@@ -448,9 +458,6 @@ class ValueTable:
     resolution: int
     steps: tuple[int, ...]
     root_value: float
-    tables: dict[tuple[int, int, NodeId], np.ndarray]
-    slack: float
-    digest: str
     functions: tuple[tuple[ConcavePL, ...], ...] = field(repr=False)
 
     @property
@@ -458,6 +465,32 @@ class ValueTable:
         """``functions`` keyed by ``(step, node)``, built on each read."""
         return {(s, node): f for s, fs in enumerate(self.functions)
                 for node, f in zip(nodes_at_step(self.spec, s), fs)}
+
+    tables = property(lambda self: self._sampled[0])
+    slack = property(lambda self: self._sampled[1])
+    digest = property(lambda self: self._sampled[2])
+
+    @cached_property
+    def _sampled(self) -> tuple[dict[tuple[int, int, NodeId], np.ndarray], float, str]:
+        """``tables``, ``slack`` and ``digest``; each stored function is sampled once."""
+        steps, r = self.steps, len(self.steps)
+        tables: dict[tuple[int, int, NodeId], np.ndarray] = {}
+        slack = SLACK_FLOOR
+        for k in range(1, r + 1):
+            s = steps[r - k]
+            grid = SimplexGrid(k, self.resolution)
+            sampled: dict[int, np.ndarray] = {}
+            for node, f in zip(nodes_at_step(self.spec, s), self.functions[s]):
+                if id(f) not in sampled:
+                    sampled[id(f)] = f.evaluate_batch(grid.fractions)
+                    slack = max(slack, grid.max_adjacent_diff(sampled[id(f)]))
+                tables[(k, s, node)] = sampled[id(f)]
+        h = hashlib.sha256()
+        for key in sorted(tables, key=lambda t: (t[0], t[1], repr(t[2]))):
+            h.update(repr(key).encode())
+            h.update(np.round(tables[key], 12).tobytes())
+        h.update(f"{self.root_value:.12e}".encode())
+        return tables, slack, h.hexdigest()
 
 
 def _mu_vector(mu: DiscreteMeasure) -> np.ndarray:
@@ -525,9 +558,9 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
           resolution: int) -> ValueTable:
     """Exact block backward induction for the constrained stopping value.
 
-    ``resolution`` only controls the sampled tables and the reported slack;
-    the root value is computed from the exact piecewise-linear
-    representations.
+    ``resolution`` only controls the sampled tables, slack and digest; the
+    root value is computed from the exact piecewise-linear representations.
+    A grid past ``GRID_SIZE_LIMIT`` is refused before the induction.
 
     The Bellman updates of one step (``pair_sup``, then ``perspective`` at an
     atom step) read only the functions of the step after it.  Positions whose
@@ -547,19 +580,16 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     ``os.cpu_count()``), is built on the first such step and is closed when
     ``solve`` returns.  Each update is deterministic and the results are
     stored by node position (see the module docstring) after the step, so
-    tables, digest and errors are those of a serial pass, bit for bit: the
-    first failing position raises.  Free heap memory is handed back
+    functions, tables, digest and errors are those of a serial pass, bit for
+    bit: the first failing position raises.  Free heap memory is handed back
     (``_malloc_trim``) before each pooled step and after the last, to hold
     peak RSS.
     """
-    if not (isinstance(resolution, int) and resolution >= 1):
-        raise ConfigError(f"resolution must be a positive int, got {resolution!r}")
     steps = atom_steps(spec, mu.atoms)
-    r = len(steps)
     horizon = steps[-1]
     check_lattice_size(spec, horizon)
-    # Built first so that an oversized resolution fails before the induction.
-    grids = {k: SimplexGrid(k, resolution) for k in range(1, r + 1)}
+    for k in range(1, len(steps) + 1):
+        _grid_size(k, resolution)
     functions: list[tuple[ConcavePL, ...]] = [()] * (horizon + 1)
 
     workers = _cpu_count()
@@ -601,37 +631,15 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
             pool.shutdown(cancel_futures=True)
             _malloc_trim()
 
-    root_value = functions[0][0].evaluate(_mu_vector(mu))
-
-    tables: dict[tuple[int, int, NodeId], np.ndarray] = {}
-    slack = SLACK_FLOOR
-    for k in range(1, r + 1):
-        s = steps[r - k]
-        grid = grids[k]
-        sampled: dict[int, np.ndarray] = {}
-        for node, f in zip(nodes_at_step(spec, s), functions[s]):
-            if id(f) not in sampled:
-                sampled[id(f)] = f.evaluate_batch(grid.fractions)
-                slack = max(slack, grid.max_adjacent_diff(sampled[id(f)]))
-            tables[(k, s, node)] = sampled[id(f)]
-
-    h = hashlib.sha256()
-    for key in sorted(tables, key=lambda t: (t[0], t[1], repr(t[2]))):
-        h.update(repr(key).encode())
-        h.update(np.round(tables[key], 12).tobytes())
-    h.update(f"{root_value:.12e}".encode())
-
     return ValueTable(
-        spec=spec, cost=cost, mu=mu, resolution=resolution,
-        steps=tuple(steps), root_value=root_value, tables=tables,
-        slack=slack, digest=h.hexdigest(), functions=tuple(functions),
+        spec=spec, cost=cost, mu=mu, resolution=resolution, steps=tuple(steps),
+        root_value=functions[0][0].evaluate(_mu_vector(mu)), functions=tuple(functions),
     )
 
 
 @dataclass(frozen=True)
 class DppReport:
     residual: float
-    slack: float
     ok: bool
 
 
@@ -641,7 +649,7 @@ def check_dpp(table: ValueTable, theta: Callable[[LatticeSpec, NodeId], bool]) -
     The root value is recomputed by backward induction that terminates early
     wherever ``theta`` fires, substituting the solver's stored value function
     there (at an atom step this is the pre-decision boundary function).  The
-    residual must sit within the table's slack; a frontier past the last atom
+    residual must sit within ``AGREE_TOL``; a frontier past the last atom
     degenerates into a full recomputation.
 
     Like ``solve``, it works on node positions (see the module docstring).  A
@@ -669,7 +677,7 @@ def check_dpp(table: ValueTable, theta: Callable[[LatticeSpec, NodeId], bool]) -
 
     recomputed = values[0].evaluate(_mu_vector(table.mu))
     residual = abs(recomputed - table.root_value)
-    return DppReport(residual=residual, slack=table.slack, ok=residual <= table.slack)
+    return DppReport(residual=residual, ok=residual <= AGREE_TOL)
 
 
 def _facet_split(w: ConcavePL, up: ConcavePL, y: np.ndarray) -> np.ndarray:

@@ -161,7 +161,7 @@ def test_criterion_04_dpp_identity_on_stopping_frontiers(c3_results):
         for theta in (first_step, hit_or_cap):
             report = check_dpp(inst.table, theta)
             assert report.ok, (inst.cost.name, inst.mu.atoms, report.residual)
-    announce(4, "frontier recomputation within slack everywhere")
+    announce(4, "frontier recomputation within AGREE_TOL everywhere")
 
 
 def test_criterion_05_renormalization_identity():

@@ -32,6 +32,18 @@ def base_config() -> dict:
     }
 
 
+# The Quick start config of README.md.
+README_CONFIG = {
+    "lattice": {"depth": 2, "dt": 1.0},
+    "cost": {"kind": "terminal", "name": "indicator", "params": {"threshold": 1.0}},
+    "measure": [{"t": 1.0, "w": 0.5}, {"t": 2.0, "w": 0.5}],
+    "solver": {"resolution": 40},
+    "seed": 7,
+    "simulate": {"paths": 100000},
+    "stability": {"grids": [[2.0], [1.0, 2.0]]},
+}
+
+
 @pytest.fixture
 def workspace(tmp_path, monkeypatch):
     out = tmp_path / "out"
@@ -118,10 +130,11 @@ class TestCompare:
         assert payload["agree"] is True
         assert payload["difference"] <= payload["tolerance"]
 
+    # The bound is the flat AGREE_TOL, whatever the value (0.5, then 1.5) or
+    # the sampled tables (varying, then constant).
     @pytest.mark.parametrize("changes,tolerance", [
         ({}, 1e-9),
-        ({"cost": {"kind": "terminal", "name": "square"}}, 1.5e-9),
-        # Value 1.5 again, but constant tables: the slack, 1e-9, caps the bound.
+        ({"cost": {"kind": "terminal", "name": "square"}}, 1e-9),
         ({"cost": {"kind": "terminal", "name": "abs"},
           "lattice": {"depth": 4, "dt": 1.0, "augment_max": True},
           "measure": [{"t": 3.0, "w": 0.5}, {"t": 4.0, "w": 0.5}]}, 1e-9),
@@ -371,6 +384,32 @@ class TestGuardsBeforeWork:
             f"invalid input: lattice holds more than 1000000 nodes up to step {int(atoms[-1])}; "
             "lower the depth or the last atom time\n")
 
+    @pytest.mark.parametrize("command", ["solve", "compare", "policy", "stability"])
+    def test_grid_size_guard_fires_first(self, tmp_path, monkeypatch, capsys, command):
+        def pair_sup(*args, **kwargs):
+            raise AssertionError("the induction ran before the grid size guard")
+
+        monkeypatch.setattr("dcstop.dpp.pair_sup", pair_sup)
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**README_CONFIG, "solver": {"resolution": 10 ** 6}}))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: simplex grid would hold 1000001 points (limit 1000000); "
+            "lower the resolution\n")
+        assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "policy", "stability"])
+    def test_gates_build_no_grid(self, tmp_path, monkeypatch, command):
+        def grid(*args, **kwargs):
+            raise AssertionError("a simplex grid was built")
+
+        monkeypatch.setattr("dcstop.dpp.SimplexGrid", grid)
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(README_CONFIG))
+        assert main([command, str(path)]) == 0
+
     def test_path_guard_fires_first(self, tmp_path, monkeypatch, capsys):
         def build_lp(*args, **kwargs):
             raise AssertionError("the LP was built before the path guard")
@@ -412,9 +451,9 @@ class TestNumericalFailures:
 
 class TestVerificationFailure:
     def test_zero_modulus_constant_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
-        # A zero continuity constant shrinks every bound to the solver
-        # slacks; the half-step projection gap is far larger, so the sweep
-        # must report failure, not paper over it.
+        # A zero continuity constant shrinks every bound to 2 AGREE_TOL; the
+        # half-step projection gap is far larger, so the sweep must report
+        # failure, not paper over it.
         monkeypatch.setattr("dcstop.cost.holder2_constant_from_range", lambda cost, spec: 0.0)
         monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
         path = tmp_path / "config.json"
@@ -431,6 +470,15 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "dcstop" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, workspace, monkeypatch):
+        def build_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr("dcstop.cli.build_parser", build_parser)
+        config_path, out = workspace
+        assert main(["solve", str(config_path)]) == 0
+        assert read_result(out)["value"] == pytest.approx(0.5, abs=1e-9)
 
     def test_subcommand_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -39,7 +39,7 @@ from dcstop import (
 )
 
 import dcstop.dpp as dpp
-from dcstop.dpp import _hull_upper
+from dcstop.dpp import AGREE_TOL, _hull_upper
 from dcstop.errors import NumericalError
 from dcstop.lattice import heap_row
 from dcstop.measures import measure_from_json
@@ -711,9 +711,17 @@ class TestCheckDpp:
         spec, cost, mu = worked_instance()
         table = solve(spec, cost, mu, resolution=4)
         for theta in THETAS.values():
-            report = check_dpp(table, theta)
-            assert report.ok
-            assert report.slack == table.slack
+            assert check_dpp(table, theta).ok
+
+    def test_builds_no_grid(self, monkeypatch):
+        def grid(*args, **kwargs):
+            raise AssertionError("a simplex grid was built")
+
+        monkeypatch.setattr(dpp, "SimplexGrid", grid)
+        spec, cost, mu = worked_instance()
+        table = solve(spec, cost, mu, resolution=40)
+        for theta in THETAS.values():
+            assert check_dpp(table, theta).ok
 
     def test_degenerate_frontier_recomputes_exactly(self):
         spec, cost, mu = worked_instance()
@@ -846,7 +854,7 @@ class TestExtractPolicy:
             tree = extract_policy(table)
             assert validate(tree, mu=mu).ok
             got = accumulate(tree, spec, cost).leaf_expectation()
-            assert got >= table.root_value - table.slack
+            assert got >= table.root_value - AGREE_TOL
             assert got <= oracle_value(spec, cost, mu) + 1e-9
 
     def test_deterministic(self):

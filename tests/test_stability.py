@@ -75,7 +75,7 @@ class TestConvergenceSweep:
         mu = random_measure(rng, (0.3, 0.6))
 
         def lp_route(m):
-            return oracle_value(spec, INDICATOR, m), 1e-9
+            return oracle_value(spec, INDICATOR, m)
 
         via_lp = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS, 10,
                                    value_fn=lp_route)
