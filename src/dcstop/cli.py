@@ -1,11 +1,12 @@
 """Command-line front end: solve, verify and simulate from a JSON config.
 
-One config file describes an instance (lattice, cost, target law, solver
-options); each subcommand reads it, runs one pipeline and writes its results
-as JSON (plus CSV for sweeps) into the current directory, or into
+One config file describes an instance (lattice, cost, target law) and its
+settings.  ``main`` is the one pipeline of every subcommand: it loads the
+config, parses the instance, checks every ``SETTINGS`` row whichever command
+runs, runs the command and writes its payload as ``result.json`` (after
+``policy.json`` or ``table.csv``) into the current directory, or into
 ``$DCSTOP_OUT`` when set.  Outputs are deterministic for a fixed config and
-seed: keys are sorted and every file embeds the config digest and package
-version.
+seed: keys are sorted and every file embeds the config digest and version.
 
 Exit codes: 0 on success, 2 for configuration or validation problems, a key
 that its section does not take included (the message points at the offending
@@ -19,6 +20,8 @@ import hashlib
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,50 +84,58 @@ def _refuse_unknown_keys(where: str, obj) -> None:
                 raise ConfigError(f"{where}: unknown key {key!r}")
 
 
-def _section(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"{key}: missing")
-    return config[key]
-
-
 def _parse_instance(config: dict):
-    try:
-        spec = spec_from_json(_section(config, "lattice"))
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"lattice: {exc}") from exc
-    try:
-        cost = cost_from_json(_section(config, "cost"))
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cost: {exc}") from exc
-    try:
-        mu = measure_from_json(_section(config, "measure"))
-    except (DcstopError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"measure: {exc}") from exc
+    """The lattice, cost and target law; an error names the section it is in."""
+    parsed = []
+    for key, parse in (("lattice", spec_from_json), ("cost", cost_from_json),
+                       ("measure", measure_from_json)):
+        if key not in config:
+            raise ConfigError(f"{key}: missing")
+        try:
+            parsed.append(parse(config[key]))
+        except (KeyError, TypeError, ValueError) as exc:  # DcstopError included
+            raise ConfigError(f"{key}: {exc}") from exc
+    spec, cost, mu = parsed
     if len(mu.atoms) > MAX_ATOMS:
         raise ConfigError(f"measure: more than {MAX_ATOMS} atoms unsupported")
     return spec, cost, mu
 
 
-def _resolution(config: dict) -> int:
-    solver = config.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError("solver: must be an object")
-    resolution = solver.get("resolution", 40)
-    if not is_integer(resolution) or resolution < 1:
-        raise ConfigError("solver: resolution must be a positive integer")
-    return resolution
+def _count(least: int):
+    return lambda value: value if is_integer(value) and value >= least else None
 
 
-def _seed(config: dict) -> int:
-    seed = config.get("seed", 0)
-    if not is_integer(seed) or seed < 0:
-        raise ConfigError("seed: must be a non-negative integer")
-    return seed
+def _time_lists(grids):
+    if not isinstance(grids, list) or not all(isinstance(g, list) for g in grids):
+        return None
+    return [[finite_number(t, "stability: grid time") for t in g] for g in grids]
 
 
-def _config_digest(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+# Every setting a command reads: (section or None for the top level, key,
+# default, check, message).  ``check`` maps a given value to its checked form,
+# or to None for a bad one.  ``main`` checks every row for every command.
+SETTINGS = (
+    ("solver", "resolution", 40, _count(1), "solver: resolution must be a positive integer"),
+    ("simulate", "paths", 100_000, _count(1), "simulate: paths must be a positive integer"),
+    (None, "seed", 0, _count(0), "seed: must be a non-negative integer"),
+    ("stability", "grids", None, _time_lists, "stability: grids must be a list of time lists"),
+)
+
+
+def _settings(config: dict) -> SimpleNamespace:
+    """The checked value of every ``SETTINGS`` row, by key."""
+    values = {}
+    for section, key, default, check, message in SETTINGS:
+        where = config if section is None else config.get(section, {})
+        if not isinstance(where, dict):
+            raise ConfigError(f"{section}: must be an object")
+        if key not in where:
+            values[key] = default
+        elif (value := check(where[key])) is not None:
+            values[key] = value
+        else:
+            raise ConfigError(message)
+    return SimpleNamespace(**values)
 
 
 def _out_dir() -> str:
@@ -133,15 +144,14 @@ def _out_dir() -> str:
     return out
 
 
-def _emit(name: str, payload: dict, config: dict) -> str:
+def _emit(name: str, payload: dict, config: dict) -> None:
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     payload = dict(payload)
-    payload["config_digest"] = _config_digest(config)
+    payload["config_digest"] = hashlib.sha256(canon.encode()).hexdigest()
     payload["version"] = __version__
-    path = os.path.join(_out_dir(), name)
-    with open(path, "w") as fh:
+    with open(os.path.join(_out_dir(), name), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return path
 
 
 def _echo(payload: dict) -> None:
@@ -153,33 +163,31 @@ def _echo(payload: dict) -> None:
             print(f"{key}: {value}")
 
 
-def cmd_solve(args) -> int:
-    config = _load_config(args.config)
-    spec, cost, mu = _parse_instance(config)
-    resolution = _resolution(config)
+class _Outcome(NamedTuple):
+    """What a command hands back to ``main``, which writes and reports it."""
+    payload: dict         # written as result.json and echoed
+    failure: str = ""     # a verification failure, raised once result.json is written
+    files: tuple = ()     # (name, document) pairs written before result.json
+
+
+def cmd_solve(args, spec, cost, mu, settings) -> _Outcome:
     from .dpp import solve
 
-    table = solve(spec, cost, mu, resolution)
-    payload = {
+    table = solve(spec, cost, mu, settings.resolution)
+    return _Outcome({
         "value": table.root_value,
         "slack": table.slack,
         "resolution": table.resolution,
         "atom_steps": list(table.steps),
         "table_digest": table.digest,
-    }
-    _emit("result.json", payload, config)
-    _echo(payload)
-    return 0
+    })
 
 
-def cmd_policy(args) -> int:
-    config = _load_config(args.config)
-    spec, cost, mu = _parse_instance(config)
-    resolution = _resolution(config)
+def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
     from .dpp import AGREE_TOL, check_policy_depth, extract_policy, solve
 
     check_policy_depth(atom_steps(spec, mu.atoms)[-1])
-    table = solve(spec, cost, mu, resolution)
+    table = solve(spec, cost, mu, settings.resolution)
     tree = extract_policy(table)
     report = validate(tree, mu)
     if not report.ok:
@@ -189,15 +197,11 @@ def cmd_policy(args) -> int:
     residual = abs(acc.leaf_expectation() - table.root_value)
     if residual > AGREE_TOL:
         raise _Failure(f"policy objective off the solved value by {residual:.3e}")
-    payload = {
+    return _Outcome({
         "value": table.root_value,
         "policy_objective": acc.leaf_expectation(),
         "residual": residual,
-    }
-    _emit("policy.json", mvm_to_json(tree), config)
-    _emit("result.json", payload, config)
-    _echo(payload)
-    return 0
+    }, files=(("policy.json", mvm_to_json(tree)),))
 
 
 def _solve_polytope(spec, cost, mu, exact: bool):
@@ -209,11 +213,9 @@ def _solve_polytope(spec, cost, mu, exact: bool):
     return problem, solution
 
 
-def cmd_oracle(args) -> int:
-    config = _load_config(args.config)
-    spec, cost, mu = _parse_instance(config)
+def cmd_oracle(args, spec, cost, mu, settings) -> _Outcome:
     problem, solution = _solve_polytope(spec, cost, mu, exact=args.exact)
-    payload = {
+    return _Outcome({
         "value": solution.value,
         "status": solution.status,
         "kernel": kernel_to_json(lp_solution_to_kernel(problem, solution)),
@@ -222,52 +224,32 @@ def cmd_oracle(args) -> int:
         "slackness_violation": solution.slackness_violation,
         "variables": problem.a.shape[1],
         "exact": bool(args.exact),
-    }
-    _emit("result.json", payload, config)
-    _echo(payload)
-    return 0
+    })
 
 
-def cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    spec, cost, mu = _parse_instance(config)
-    resolution = _resolution(config)
+def cmd_compare(args, spec, cost, mu, settings) -> _Outcome:
     from .dpp import AGREE_TOL, solve
-    from .oracle import oracle_value
 
     check_oracle_depth(atom_steps(spec, mu.atoms)[-1])
-    table = solve(spec, cost, mu, resolution)
-    reference = oracle_value(spec, cost, mu)
+    table = solve(spec, cost, mu, settings.resolution)
+    reference = _solve_polytope(spec, cost, mu, exact=False)[1].value
     difference = abs(table.root_value - reference)
+    agree = difference <= AGREE_TOL
     payload = {
         "solver_value": table.root_value,
         "oracle_value": reference,
         "difference": difference,
         "tolerance": AGREE_TOL,
-        "agree": difference <= AGREE_TOL,
+        "agree": agree,
     }
-    _emit("result.json", payload, config)
-    _echo(payload)
-    if difference > AGREE_TOL:
-        raise _Failure(f"solver and oracle disagree by {difference:.3e}")
-    return 0
+    return _Outcome(payload, "" if agree else f"solver and oracle disagree by {difference:.3e}")
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    spec, cost, mu = _parse_instance(config)
-    sim = config.get("simulate", {})
-    if not isinstance(sim, dict):
-        raise ConfigError("simulate: must be an object")
-    n_paths = sim.get("paths", 100_000)
-    if not is_integer(n_paths) or n_paths < 1:
-        raise ConfigError("simulate: paths must be a positive integer")
-    check_sim_paths(n_paths)
-    seed = _seed(config)
+def cmd_simulate(args, spec, cost, mu, settings) -> _Outcome:
+    check_sim_paths(settings.paths)
     kernel = lp_solution_to_kernel(*_solve_polytope(spec, cost, mu, exact=False))
-    hist = kernel.spec
-    expected = objective_value(kernel, hist, cost)
-    report = simulate(kernel, hist, cost, n_paths, seed)
+    expected = objective_value(kernel, kernel.spec, cost)
+    report = simulate(kernel, kernel.spec, cost, settings.paths, settings.seed)
     deviation = abs(report.mean - expected)
     payload = {
         "expected": expected,
@@ -278,58 +260,37 @@ def cmd_simulate(args) -> int:
         "seed": report.seed,
         "empirical_marginal": measure_to_json(report.empirical_marginal),
     }
-    _emit("result.json", payload, config)
-    _echo(payload)
     if report.stderr > 0 and deviation > 6.0 * report.stderr:
-        raise _Failure(f"simulated mean off by {deviation / report.stderr:.1f} stderr")
-    return 0
+        return _Outcome(payload, f"simulated mean off by {deviation / report.stderr:.1f} stderr")
+    return _Outcome(payload)
 
 
-def cmd_stability(args) -> int:
-    config = _load_config(args.config)
-    spec, cost, mu = _parse_instance(config)
-    resolution = _resolution(config)
-    stab = _section(config, "stability")
-    if not isinstance(stab, dict) or "grids" not in stab:
+def cmd_stability(args, spec, cost, mu, settings) -> _Outcome:
+    if settings.grids is None:
         raise ConfigError("stability: needs a grids list")
-    grids = stab["grids"]
-    if not isinstance(grids, list) or not all(isinstance(g, list) for g in grids):
-        raise ConfigError("stability: grids must be a list of time lists")
-    grids = [[finite_number(t, "stability: grid time") for t in g] for g in grids]
-    report = convergence_sweep(spec, cost, mu, grids, resolution)
+    report = convergence_sweep(spec, cost, mu, settings.grids, settings.resolution)
     rows_to_csv(report.rows, os.path.join(_out_dir(), "table.csv"))
-    payload = {"all_within": report.all_within, "levels": len(report.rows)}
-    _emit("result.json", payload, config)
-    _echo(payload)
-    if not report.all_within:
-        raise _Failure("a convergence row exceeded its modulus bound")
-    return 0
+    return _Outcome({"all_within": report.all_within, "levels": len(report.rows)},
+                    "" if report.all_within else "a convergence row exceeded its modulus bound")
 
 
-def cmd_validate(args) -> int:
-    config = _load_config(args.config)
-    spec, cost, mu = _parse_instance(config)
-    _resolution(config)
+def cmd_validate(args, spec, cost, mu, settings) -> _Outcome:
     steps = atom_steps(spec, mu.atoms)
     check_tree_depth(steps[-1])
     from .rst import feasible_kernel
 
-    kernel = feasible_kernel(spec, mu, np.random.default_rng(_seed(config)))
+    kernel = feasible_kernel(spec, mu, np.random.default_rng(settings.seed))
     tree = from_kernel(kernel, spec)
     report = validate(tree, mu)
     if not report.ok:
         v = report.violation
         raise _Failure(f"witness tree violates {v.prop} (residual {v.residual:.3e})")
     round_trip = to_kernel(tree)
-    marg = marginal_of(round_trip, round_trip.spec)
-    payload = {
+    return _Outcome({
         "ok": True,
         "atom_steps": list(steps),
-        "witness_marginal": measure_to_json(marg),
-    }
-    _emit("result.json", payload, config)
-    _echo(payload)
-    return 0
+        "witness_marginal": measure_to_json(marginal_of(round_trip, round_trip.spec)),
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,7 +327,16 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args.config)
+        spec, cost, mu = _parse_instance(config)
+        outcome = args.func(args, spec, cost, mu, _settings(config))
+        for name, document in outcome.files:
+            _emit(name, document, config)
+        _emit("result.json", outcome.payload, config)
+        _echo(outcome.payload)
+        if outcome.failure:
+            raise _Failure(outcome.failure)
+        return 0
     except (_Failure, AssertionError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3

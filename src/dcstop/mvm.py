@@ -31,6 +31,7 @@ import numpy as np
 from .cost import CostSpec, evaluate
 from .errors import SizeGuardError, SpliceError, ValidationError, is_integer
 from .lattice import (
+    TIME_SNAP_TOL,
     LatticeSpec,
     NodeId,
     child_positions,
@@ -41,6 +42,7 @@ from .lattice import (
     states_at_step,
 )
 from .measures import (
+    ATOM_MERGE_TOL,
     DiscreteMeasure,
     is_right_shift_of,
     monotone_coupling,
@@ -85,7 +87,7 @@ class MvmTree:
         rel_steps = []
         for t in times:
             s = round(t / dt)
-            if abs(s * dt - t) > 1e-9:
+            if abs(s * dt - t) > TIME_SNAP_TOL:
                 raise ValidationError(f"atom time {t} is not on the step grid with dt={dt}")
             r = s - start_step
             if r < 0 or (start_step == 0 and r < 1):
@@ -145,7 +147,7 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> MvmReport:
         lookup = {t: w for t, w in zip(mu.atoms, mu.weights)}
         for i, t in enumerate(mvm.atom_times):
             for a, w in list(lookup.items()):
-                if abs(a - t) <= 1e-9:
+                if abs(a - t) <= ATOM_MERGE_TOL:
                     target[i] = w
                     del lookup[a]
         if lookup:
@@ -294,7 +296,7 @@ def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
         )
     if abs(continuation.dt - base.dt) > 1e-15:
         raise SpliceError("continuation uses a different step width")
-    if continuation.atom_times[0] <= abs_step * base.dt + 1e-9:
+    if continuation.atom_times[0] <= abs_step * base.dt + ATOM_MERGE_TOL:
         raise SpliceError("continuation atoms must lie strictly after the splice time")
     node_future = DiscreteMeasure([base.atom_times[i] for i in keep], [y[i] / mass for i in keep])
     zeta = continuation.root_measure()
@@ -307,7 +309,7 @@ def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
     transfer = np.zeros((len(continuation.atom_times), len(base.atom_times)))
     for k, row_k in enumerate(coupling.rows):
         j = next(j for j, t in enumerate(continuation.atom_times)
-                 if abs(t - zeta.atoms[k]) <= 1e-9)
+                 if abs(t - zeta.atoms[k]) <= ATOM_MERGE_TOL)
         for cell, m in row_k:
             transfer[j, keep[cell]] += m / zeta.weights[k]
     past_part = np.array([y[i] if i not in future else 0.0 for i in range(len(y))])

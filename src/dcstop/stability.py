@@ -21,6 +21,7 @@ from .cost import CostSpec, modulus
 from .errors import ConfigError
 from .lattice import LatticeSpec, atom_steps
 from .measures import (
+    ATOM_MERGE_TOL,
     DiscreteMeasure,
     ceiling_project,
     monotone_coupling,
@@ -40,7 +41,7 @@ class StabilityReport:
 
 def _nested(coarse: Sequence[float], fine: Sequence[float]) -> bool:
     fine_set = sorted(fine)
-    return all(any(abs(t - u) <= 1e-9 for u in fine_set) for t in coarse)
+    return all(any(abs(t - u) <= ATOM_MERGE_TOL for u in fine_set) for t in coarse)
 
 
 def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,

@@ -44,6 +44,9 @@ README_CONFIG = {
 }
 
 
+COMMANDS = ("solve", "policy", "oracle", "compare", "simulate", "stability", "validate")
+
+
 @pytest.fixture
 def workspace(tmp_path, monkeypatch):
     out = tmp_path / "out"
@@ -325,16 +328,23 @@ class TestConfigErrors:
         assert main([command, path]) == 2
         assert capsys.readouterr().err == f"invalid input: {message}\n"
 
-
-class TestNumericalFailures:
-    def test_a_failed_facet_split_exits_2(self, workspace, monkeypatch, capsys):
+    # Each setting is checked whichever command runs, also one that never reads it.
+    @pytest.mark.parametrize("sections, message", [
+        ({"seed": -1}, "seed: must be a non-negative integer"),
+        ({"solver": 5}, "solver: must be an object"),
+        ({"solver": {"resolution": 0}}, "solver: resolution must be a positive integer"),
+        ({"simulate": {"paths": 0}}, "simulate: paths must be a positive integer"),
+        ({"stability": {"grids": [["a"]]}},
+         "stability: grid time must be a finite number, got 'a'"),
+    ], ids=["seed", "solver", "resolution", "paths", "grids"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_checks_every_setting(self, workspace, capsys, command, sections,
+                                                message):
         config_path, out = workspace
-        monkeypatch.setattr("dcstop.dpp.nnls", lambda a, b: (np.zeros(a.shape[1]), 1.0))
-        assert main(["policy", str(config_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid input: no facet vertices split [")
-        assert "least-squares residual 1.000e+00, weight 0.000e+00" in err
-        assert not (out / "policy.json").exists()
+        config_path.write_text(json.dumps({**base_config(), **sections}))
+        assert main([command, str(config_path)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+        assert not (out / "result.json").exists()
 
 
 class TestGuardsBeforeWork:
@@ -447,6 +457,15 @@ class TestNumericalFailures:
             r"invalid input: qhull failed on a cloud of \d+ points for k = 3: "
             r"QH6154 Qhull precision error: initial simplex is flat\n",
             capsys.readouterr().err)
+
+    def test_a_failed_facet_split_exits_2(self, workspace, monkeypatch, capsys):
+        config_path, out = workspace
+        monkeypatch.setattr("dcstop.dpp.nnls", lambda a, b: (np.zeros(a.shape[1]), 1.0))
+        assert main(["policy", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: no facet vertices split [")
+        assert "least-squares residual 1.000e+00, weight 0.000e+00" in err
+        assert not (out / "policy.json").exists()
 
 
 class TestVerificationFailure:
