@@ -31,22 +31,20 @@ from .errors import ConfigError, DcstopError, finite_number, is_integer
 from .lattice import atom_steps, spec_from_json
 from .measures import measure_from_json, measure_to_json
 from .mvm import accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel, validate
-from .oracle import build_lp, check_oracle_depth, lp_solution_to_kernel, solve_lp
+from .oracle import (build_lp, check_exact_depth, check_oracle_depth, lp_solution_to_kernel,
+                     solve_lp)
 from .rst import check_sim_paths, kernel_to_json, marginal_of, objective_value, simulate
 from .stability import convergence_sweep, rows_to_csv
 
 MAX_ATOMS = 4
-# The keys each config section takes ("measure" per entry; cost params are
-# free-form).  Any other key is refused, so a misspelling cannot fall back to
-# a default.
+# The keys each instance section takes ("measure" per entry; cost params are
+# free-form).  ``_load_config`` adds the settings sections and the top
+# level's keys from ``SETTINGS``.  Any other key is refused, so a misspelling
+# cannot fall back to a default.
 SECTION_KEYS = {
-    "config": ("lattice", "cost", "measure", "solver", "seed", "simulate", "stability"),
     "lattice": ("depth", "dt", "augment_max", "mode"),
     "cost": ("kind", "name", "params"),
     "measure": ("t", "w"),
-    "solver": ("resolution",),
-    "simulate": ("paths",),
-    "stability": ("grids",),
 }
 
 
@@ -64,23 +62,30 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
-    _refuse_unknown_keys("config", raw)
-    for key in ("lattice", "cost", "solver", "simulate", "stability"):
-        _refuse_unknown_keys(key, raw.get(key))
+    keys = {where: list(taken) for where, taken in SECTION_KEYS.items()}
+    top = list(SECTION_KEYS)
+    for section, key, *_ in SETTINGS:
+        top.append(key if section is None else section)
+        if section is not None:
+            keys.setdefault(section, []).append(key)
+    _refuse_unknown_keys("config", raw, top)
+    for where, taken in keys.items():
+        if where != "measure":
+            _refuse_unknown_keys(where, raw.get(where), taken)
     entries = raw.get("measure")
     for item in entries if isinstance(entries, list) else ():
-        _refuse_unknown_keys("measure", item)
+        _refuse_unknown_keys("measure", item, keys["measure"])
     return raw
 
 
-def _refuse_unknown_keys(where: str, obj) -> None:
-    """Refuse any key that section ``where`` does not take.
+def _refuse_unknown_keys(where: str, obj, taken) -> None:
+    """Refuse any key of section ``where`` that is not in ``taken``.
 
     A section that is not an object is left to the command that reads it.
     """
     if isinstance(obj, dict):
         for key in obj:
-            if key not in SECTION_KEYS[where]:
+            if key not in taken:
                 raise ConfigError(f"{where}: unknown key {key!r}")
 
 
@@ -179,7 +184,6 @@ def cmd_solve(args, spec, cost, mu, settings) -> _Outcome:
         "slack": table.slack,
         "resolution": table.resolution,
         "atom_steps": list(table.steps),
-        "table_digest": table.digest,
     })
 
 
@@ -214,6 +218,8 @@ def _solve_polytope(spec, cost, mu, exact: bool):
 
 
 def cmd_oracle(args, spec, cost, mu, settings) -> _Outcome:
+    if args.exact:
+        check_exact_depth(atom_steps(spec, mu.atoms)[-1])
     problem, solution = _solve_polytope(spec, cost, mu, exact=args.exact)
     return _Outcome({
         "value": solution.value,
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="pivot in exact rational arithmetic")
         p.set_defaults(func=fn)
 
-    add("solve", cmd_solve, "run the block solver, write root value and tables digest")
+    add("solve", cmd_solve, "run the block solver, write root value and grid slack")
     add("policy", cmd_policy, "solve and emit an explicit optimal law tree")
     add("oracle", cmd_oracle, "solve the instance by linear programming", exact_flag=True)
     add("compare", cmd_compare, "run both routes and require agreement")

@@ -29,14 +29,14 @@ Minkowski sum, by two necessary conditions that leave the hull unchanged:
 * the summands of a vertex share a supporting slope, so pairs whose boxes of
   supporting slopes are disjoint go out.
 
-Simplex grids only enter when a solved table's ``tables``, ``slack`` or
-``digest`` is read; the root value and every agreement check never build one.
+Simplex grids only enter when a solved table's ``slack`` is read; the root
+value and every agreement check never build one.
 
 Every induction here works on node positions (see ``lattice.nodes_at_step``):
 ``functions[s][p]`` belongs to the node at position ``p`` of step ``s``, and
 ``lattice.child_positions`` gives its children's positions one step on, and
 ``lattice.states_at_step`` the states a step's stop costs are read at.
-``NodeId`` only names nodes for ``theta`` and the table keys.
+``NodeId`` only names nodes for ``theta`` and the keys of ``reps``.
 
 A node's update reads only its children's functions one step later, so the
 updates of one step are independent.  Nodes whose children hold the same two
@@ -49,7 +49,6 @@ every value is the one a serial pass computes.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -120,8 +119,8 @@ class SimplexGrid:
     """All length-``k`` compositions of ``resolution``, in descending lexicographic order.
 
     Grid points are integer vectors summing to the resolution; ``fractions``
-    divides them through.  ``ValueTable`` samples its tables on these points
-    and reads the table slack off neighbouring points.
+    divides them through.  ``ValueTable.slack`` samples the stored functions
+    on these points and reads the slack off neighbouring points.
     """
 
     __slots__ = ("k", "resolution", "points", "fractions")
@@ -439,17 +438,15 @@ def _continuation(f: ConcavePL, atom: bool) -> ConcavePL:
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Solver output: root value, exact value functions and their grid samples.
+    """Solver output: root value, exact value functions and the grid slack.
 
     ``functions[s][p]`` is the exact concave value function of the node at
     position ``p`` of step ``s``; ``reps`` reads them keyed by ``(step, node)``.
-    ``tables`` maps ``(k, step, node)`` to that function sampled on the rows of
-    ``SimplexGrid(k, resolution).points`` at the block's closing atom step: the
-    pre-decision value of holding a renormalized ``k``-atom future law.  The
-    tables feed ``digest`` and ``slack``, the largest value difference between
-    adjacent grid points across all tables (at least ``SLACK_FLOOR``), a
-    Lipschitz-times-mesh bound on anything one grid step can move; all three
-    are computed together on first read.
+    ``slack`` samples each block's functions on ``SimplexGrid(k, resolution)``
+    at the block's closing atom step and returns the largest value difference
+    between adjacent grid points (at least ``SLACK_FLOOR``), a
+    Lipschitz-times-mesh bound on anything one grid step can move; it is
+    computed on first read.
     """
 
     spec: LatticeSpec
@@ -466,31 +463,15 @@ class ValueTable:
         return {(s, node): f for s, fs in enumerate(self.functions)
                 for node, f in zip(nodes_at_step(self.spec, s), fs)}
 
-    tables = property(lambda self: self._sampled[0])
-    slack = property(lambda self: self._sampled[1])
-    digest = property(lambda self: self._sampled[2])
-
     @cached_property
-    def _sampled(self) -> tuple[dict[tuple[int, int, NodeId], np.ndarray], float, str]:
-        """``tables``, ``slack`` and ``digest``; each stored function is sampled once."""
-        steps, r = self.steps, len(self.steps)
-        tables: dict[tuple[int, int, NodeId], np.ndarray] = {}
-        slack = SLACK_FLOOR
+    def slack(self) -> float:
+        """The grid slack; each distinct stored function is sampled once."""
+        r, slack = len(self.steps), SLACK_FLOOR
         for k in range(1, r + 1):
-            s = steps[r - k]
             grid = SimplexGrid(k, self.resolution)
-            sampled: dict[int, np.ndarray] = {}
-            for node, f in zip(nodes_at_step(self.spec, s), self.functions[s]):
-                if id(f) not in sampled:
-                    sampled[id(f)] = f.evaluate_batch(grid.fractions)
-                    slack = max(slack, grid.max_adjacent_diff(sampled[id(f)]))
-                tables[(k, s, node)] = sampled[id(f)]
-        h = hashlib.sha256()
-        for key in sorted(tables, key=lambda t: (t[0], t[1], repr(t[2]))):
-            h.update(repr(key).encode())
-            h.update(np.round(tables[key], 12).tobytes())
-        h.update(f"{self.root_value:.12e}".encode())
-        return tables, slack, h.hexdigest()
+            for f in {id(g): g for g in self.functions[self.steps[r - k]]}.values():
+                slack = max(slack, grid.max_adjacent_diff(f.evaluate_batch(grid.fractions)))
+        return slack
 
 
 def _mu_vector(mu: DiscreteMeasure) -> np.ndarray:
@@ -558,9 +539,9 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
           resolution: int) -> ValueTable:
     """Exact block backward induction for the constrained stopping value.
 
-    ``resolution`` only controls the sampled tables, slack and digest; the
-    root value is computed from the exact piecewise-linear representations.
-    A grid past ``GRID_SIZE_LIMIT`` is refused before the induction.
+    ``resolution`` only sets the grid that ``slack`` samples; the root value
+    is computed from the exact piecewise-linear representations.  A grid
+    past ``GRID_SIZE_LIMIT`` is refused before the induction.
 
     The Bellman updates of one step (``pair_sup``, then ``perspective`` at an
     atom step) read only the functions of the step after it.  Positions whose
@@ -580,8 +561,8 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     ``os.cpu_count()``), is built on the first such step and is closed when
     ``solve`` returns.  Each update is deterministic and the results are
     stored by node position (see the module docstring) after the step, so
-    functions, tables, digest and errors are those of a serial pass, bit for
-    bit: the first failing position raises.  Free heap memory is handed back
+    functions, slack and errors are those of a serial pass, bit for bit:
+    the first failing position raises.  Free heap memory is handed back
     (``_malloc_trim``) before each pooled step and after the last, to hold
     peak RSS.
     """
@@ -720,7 +701,7 @@ def check_policy_depth(horizon: int) -> None:
 
 
 def extract_policy(table: ValueTable) -> MvmTree:
-    """Forward sweep turning the solved tables into an explicit law tree.
+    """Forward sweep turning the solved value functions into an explicit law tree.
 
     Each history node carries the stop masses of the atoms already passed,
     which stay frozen, plus the (unnormalized) law of the atoms still ahead,

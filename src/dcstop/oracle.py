@@ -40,6 +40,10 @@ from .measures import DiscreteMeasure
 from .rst import StoppingKernel, kernel_from_laws
 
 ORACLE_DEPTH_LIMIT = 12
+# The exact route's integer tableau grows faster than HiGHS's: on
+# max-augmented ``abs`` instances (2-core x86 host) depth 11 took 13-40 s and
+# 345-370 MB, depth 12 with atoms at 6 and 12 took 47 s and 1.1 GB.
+EXACT_DEPTH_LIMIT = 11
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,6 @@ class LpProblem:
     """
 
     spec: LatticeSpec
-    cost: CostSpec
     mu: DiscreteMeasure
     steps: tuple[int, ...]
     a: np.ndarray
@@ -77,6 +80,13 @@ def check_oracle_depth(horizon: int) -> None:
         raise SizeGuardError(f"oracle tree has 2^{horizon} paths (limit 2^{ORACLE_DEPTH_LIMIT})")
 
 
+def check_exact_depth(horizon: int) -> None:
+    """Refuse a history tree past ``EXACT_DEPTH_LIMIT`` for the exact route."""
+    if horizon > EXACT_DEPTH_LIMIT:
+        raise SizeGuardError(
+            f"exact oracle tree has 2^{horizon} paths (limit 2^{EXACT_DEPTH_LIMIT})")
+
+
 def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProblem:
     """Assemble the history-tree stopping polytope for a target law.
 
@@ -98,7 +108,7 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
         a[leaves.size + i, offsets[i]:offsets[i + 1]] = 1.0
         b[leaves.size + i] = mu.weights[i] * 2 ** s
         c[offsets[i]:offsets[i + 1]] = evaluate(cost, states_at_step(hist, s)) * 2.0 ** (-s)
-    return LpProblem(spec=spec, cost=cost, mu=mu, steps=steps, a=a, b=b, c=c)
+    return LpProblem(spec=spec, mu=mu, steps=steps, a=a, b=b, c=c)
 
 
 def _integers(values) -> tuple[list[int], int]:
@@ -249,9 +259,11 @@ def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
     """Optimize the stopping polytope and certify the result through duals.
 
     The float route is HiGHS; ``exact`` switches to the integer-row Bland
-    simplex and a rational certificate.  ``x``, value, duals and residuals
-    are rounded to floats last.
+    simplex and a rational certificate, refused past ``EXACT_DEPTH_LIMIT``.
+    ``x``, value, duals and residuals are rounded to floats last.
     """
+    if exact:
+        check_exact_depth(problem.steps[-1])
     status, value, x, y, residuals = (_solve_exact if exact else _solve_highs)(problem)
     if status != "optimal":
         value, y, residuals = np.nan, np.zeros(problem.a.shape[0]), (np.nan,) * 3

@@ -45,8 +45,7 @@ def _nested(coarse: Sequence[float], fine: Sequence[float]) -> bool:
 
 
 def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
-                      grids: Sequence[Sequence[float]], resolution: int,
-                      value_fn: Optional[Callable] = None) -> StabilityReport:
+                      grids: Sequence[Sequence[float]], resolution: int) -> StabilityReport:
     """Value gaps along nested grid projections versus the modulus bound.
 
     ``grids`` must be nested coarse-to-fine and every grid must cover the
@@ -54,8 +53,8 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     of the target and all comparisons happen on one lattice.  The reference
     value belongs to the finest computable proxy, the projection onto the
     last grid, never to a continuum limit.  Each row's bound is
-    ``modulus(W1 to that proxy) + 2 AGREE_TOL``; ``value_fn`` maps a law to a
-    float, by default through the block solver.
+    ``modulus(W1 to that proxy) + 2 AGREE_TOL``; values come from the block
+    solver.
     """
     from .dpp import AGREE_TOL, check_lattice_size, solve
 
@@ -68,17 +67,13 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     # Before the modulus constant, which takes time linear in the depth.
     check_lattice_size(spec, max(atom_steps(spec, m.atoms)[-1] for m in projected))
     phi = modulus(cost, spec)
-    if value_fn is None:
-        def value_fn(m: DiscreteMeasure) -> float:
-            return solve(spec, cost, m, resolution).root_value
-
     mu_fine = projected[-1]
-    v_fine = value_fn(mu_fine)
+    v_fine = solve(spec, cost, mu_fine, resolution).root_value
     rows = []
     all_within = True
     for n, (grid, mu_n) in enumerate(zip(grids, projected)):
         w1_to_fine = w1_distance(mu_n, mu_fine)
-        v_n = value_fn(mu_n)
+        v_n = solve(spec, cost, mu_n, resolution).root_value
         bound = phi(w1_to_fine) + 2.0 * AGREE_TOL
         value_gap = abs(v_n - v_fine)
         within = value_gap <= bound + 1e-12

@@ -5,14 +5,14 @@ one driver path or node at a time, deliberately avoiding the package's
 mass-sweep internals so each comparison crosses two independent code paths.
 ``state`` and ``stop_cost`` price a stop one node at a time, the reference for
 ``lattice.states_at_step`` and ``cost.evaluate`` on whole steps.
-``check_scaling`` re-derives a solved table's boundary entries through the
-explicit stop/renormalize quotient.  ``reference_pair_sup`` hulls every vertex
-pair, and ``reference_solve`` runs it at every node with nothing pruned or
-shared.  ``reference_simplex`` is the dense
-``Fraction`` tableau the exact LP route used to pivot.  The two hazard
-references are the per-route conversions that ``rst.kernel_from_laws``
-replaced.  The JSON readers at the end read back what the package and the CLI
-write.
+``block_samples`` samples stored functions on a simplex grid, and
+``check_scaling`` re-derives a solved table's atom-step functions there
+through the explicit stop/renormalize quotient.  ``reference_pair_sup`` hulls
+every vertex pair, and ``reference_solve`` runs it at every node with nothing
+pruned or shared.  ``reference_simplex`` is the dense ``Fraction`` tableau the
+exact LP route used to pivot.  The two hazard references are the per-route
+conversions that ``rst.kernel_from_laws`` replaced.  The JSON readers at the
+end read back what the package and the CLI write.
 """
 
 from __future__ import annotations
@@ -272,8 +272,27 @@ def unit_simplex_pieces(affine: np.ndarray, k: int) -> np.ndarray:
     return g
 
 
+def block_samples(spec: LatticeSpec, steps, functions, resolution: int) -> dict:
+    """Each block's functions sampled on ``SimplexGrid(k, resolution)``.
+
+    Keyed ``(k, step, node)``, at the block's closing atom step; ``functions[s]``
+    lists step ``s``'s functions in position order, as ``ValueTable.functions``.
+    """
+    r, samples = len(steps), {}
+    for k in range(1, r + 1):
+        s = steps[r - k]
+        grid = SimplexGrid(k, resolution).fractions
+        for node, f in zip(nodes_at_step(spec, s), functions[s]):
+            samples[(k, s, node)] = f.evaluate_batch(grid)
+    return samples
+
+
 def check_scaling(table: ValueTable) -> None:
-    """Boundary entries must equal the explicit stop/renormalize quotient to 1e-12."""
+    """Stored functions must equal the explicit stop/renormalize quotient to 1e-12.
+
+    Each atom-step function is sampled on its own ``SimplexGrid(k,
+    table.resolution)`` and compared with its perspective's inner pieces.
+    """
     steps, r = table.steps, len(table.steps)
     for k in range(2, r + 1):
         s = steps[r - k]
@@ -281,7 +300,7 @@ def check_scaling(table: ValueTable) -> None:
         y1, rest = y[:, 0], 1.0 - y[:, 0]
         live = rest > 1e-14
         for node, f in zip(nodes_at_step(table.spec, s), table.functions[s]):
-            vals = table.tables[(k, s, node)]
+            vals = f.evaluate_batch(y)
             c = stop_cost(table.cost, table.spec, node)
             inner = f.pieces[:, 1:]  # perspective's copy of the continuation
             direct = np.full(len(y), c)
@@ -306,14 +325,16 @@ def reference_pair_sup(up: ConcavePL, down: ConcavePL) -> ConcavePL:
     return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k), verts=0.5 * sums[vert_ids])
 
 
-def reference_solve(spec: LatticeSpec, cost, mu: DiscreteMeasure, resolution: int):
-    """``solve``'s root function and tables by memoised recursion over ``children``.
+def reference_solve(spec: LatticeSpec, cost, mu: DiscreteMeasure):
+    """``solve``'s root function and atom-step functions by memoised recursion over ``children``.
 
     Every node gets its own update through ``reference_pair_sup``: no pair is
-    pruned and no update is shared.  Returns ``(root function, tables)``.
+    pruned and no update is shared.  Returns ``(root function, functions)``,
+    where ``functions[s]`` lists the functions of atom step ``s`` in position
+    order.
     """
     steps = atom_steps(spec, mu.atoms)
-    r, horizon, memo = len(steps), steps[-1], {}
+    horizon, memo = steps[-1], {}
 
     def value(node: NodeId) -> ConcavePL:
         if node not in memo:
@@ -328,12 +349,7 @@ def reference_solve(spec: LatticeSpec, cost, mu: DiscreteMeasure, resolution: in
         return memo[node]
 
     root_fn = value(root(spec))
-    tables = {}
-    for k in range(1, r + 1):
-        grid = SimplexGrid(k, resolution).fractions
-        for node in nodes_at_step(spec, steps[r - k]):
-            tables[(k, steps[r - k], node)] = value(node).evaluate_batch(grid)
-    return root_fn, tables
+    return root_fn, {s: [value(node) for node in nodes_at_step(spec, s)] for s in steps}
 
 
 def grid_rows(grid) -> dict[tuple[int, ...], int]:

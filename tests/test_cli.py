@@ -15,6 +15,7 @@ from scipy.spatial import QhullError
 
 import dcstop
 from dcstop import LatticeSpec, objective_value, validate
+from dcstop import cli
 from dcstop.cli import main
 
 from conftest import kernel_from_json, mvm_from_json
@@ -70,7 +71,7 @@ class TestSolve:
         assert payload["resolution"] == 20
         assert payload["atom_steps"] == [1, 2]
         assert payload["slack"] >= 1e-9
-        assert len(payload["table_digest"]) == 64
+        assert "table_digest" not in payload
         assert "config_digest" in payload
         assert "version" in payload
 
@@ -301,6 +302,17 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"invalid input: {section}: unknown key {key!r}\n"
         assert not (tmp_path / "result.json").exists()
 
+    # The keys a config takes are read off SETTINGS, so one new row is all a
+    # new setting needs, in a section that exists or in a new one.
+    @pytest.mark.parametrize("section", ["simulate", "batch"])
+    def test_a_new_settings_row_takes_its_key(self, tmp_path, monkeypatch, section):
+        row = (section, "chunk", 1, cli._count(1), f"{section}: chunk must be a positive integer")
+        monkeypatch.setattr(cli, "SETTINGS", cli.SETTINGS + (row,))
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = base_config()
+        config.setdefault(section, {})["chunk"] = 4
+        assert main(["solve", self.write(tmp_path, config)]) == 0
+
     @pytest.mark.parametrize("command", ["solve", "oracle", "stability"])
     def test_unread_cost_parameter_exits_2(self, tmp_path, monkeypatch, capsys, command):
         # positive_part reads no threshold; it used to solve max(w, 0) and exit 0.
@@ -354,6 +366,9 @@ class TestGuardsBeforeWork:
          "policy extraction walks 2^13 histories (limit 2^12)"),
         ("validate", 17, "dcstop.rst.feasible_kernel",
          "law tree from a kernel walks 2^17 histories (limit 2^16)"),
+        # The float oracle takes depth 12; the exact route would need about 1.1 GB.
+        ("oracle --exact", 12, "dcstop.cli.build_lp",
+         "exact oracle tree has 2^12 paths (limit 2^11)"),
     ])
     def test_depth_guard_fires_first(self, tmp_path, monkeypatch, capsys,
                                      command, depth, expensive, message):
@@ -367,8 +382,9 @@ class TestGuardsBeforeWork:
         config["measure"] = [{"t": 1.0, "w": 0.5}, {"t": float(depth), "w": 0.5}]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        assert main([command, str(path)]) == 2
+        assert main([*command.split(), str(path)]) == 2
         assert capsys.readouterr().err == f"invalid input: {message}\n"
+        assert not (tmp_path / "result.json").exists()
 
     @pytest.mark.parametrize("command", ["solve", "stability"])
     @pytest.mark.parametrize("lattice, atoms", [

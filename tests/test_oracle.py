@@ -30,7 +30,7 @@ from dcstop import (
 )
 from dcstop.lattice import atom_steps, histories, nodes_at_step
 from dcstop import oracle
-from dcstop.oracle import ORACLE_DEPTH_LIMIT, LpSolution
+from dcstop.oracle import EXACT_DEPTH_LIMIT, ORACLE_DEPTH_LIMIT, LpSolution
 from dcstop.rst import DEAD_MASS
 
 from conftest import random_measure, reference_lp_to_kernel, reference_simplex, stop_cost
@@ -51,7 +51,7 @@ def tiny_problem(a, b, c):
     spec = LatticeSpec(depth=1, dt=1.0)
     mu = DiscreteMeasure((1.0,), (1.0,))
     return LpProblem(
-        spec=spec, cost=IDENTITY, mu=mu, steps=(1,),
+        spec=spec, mu=mu, steps=(1,),
         a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float),
         c=np.asarray(c, dtype=float),
     )
@@ -183,6 +183,17 @@ class TestBuildLp:
 
 
 class TestSolveLp:
+    def test_exact_route_refuses_past_its_depth_limit(self, monkeypatch):
+        def simplex(*args):
+            raise AssertionError("pivoted before the exact depth guard")
+
+        monkeypatch.setattr(oracle, "_simplex", simplex)
+        problem = replace(tiny_problem([[1.0]], [1.0], [1.0]),
+                          steps=(EXACT_DEPTH_LIMIT + 1,))
+        with pytest.raises(SizeGuardError, match=r"exact oracle tree has 2\^12 paths"):
+            solve_lp(problem, exact=True)
+        assert solve_lp(problem).status == "optimal"
+
     def test_worked_problem_value_and_argmax(self):
         problem = worked_problem()
         solution = solve_lp(problem)
