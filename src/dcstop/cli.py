@@ -197,7 +197,7 @@ def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
     if not report.ok:
         v = report.violation
         raise _Failure(f"policy tree violates {v.prop} at {v.node} (residual {v.residual:.3e})")
-    acc = accumulate(tree, spec, cost)
+    acc = accumulate(tree, cost)
     residual = abs(acc.leaf_expectation() - table.root_value)
     if residual > AGREE_TOL:
         raise _Failure(f"policy objective off the solved value by {residual:.3e}")
@@ -254,8 +254,8 @@ def cmd_compare(args, spec, cost, mu, settings) -> _Outcome:
 def cmd_simulate(args, spec, cost, mu, settings) -> _Outcome:
     check_sim_paths(settings.paths)
     kernel = lp_solution_to_kernel(*_solve_polytope(spec, cost, mu, exact=False))
-    expected = objective_value(kernel, kernel.spec, cost)
-    report = simulate(kernel, kernel.spec, cost, settings.paths, settings.seed)
+    expected = objective_value(kernel, cost)
+    report = simulate(kernel, cost, settings.paths, settings.seed)
     deviation = abs(report.mean - expected)
     payload = {
         "expected": expected,
@@ -286,7 +286,7 @@ def cmd_validate(args, spec, cost, mu, settings) -> _Outcome:
     from .rst import feasible_kernel
 
     kernel = feasible_kernel(spec, mu, np.random.default_rng(settings.seed))
-    tree = from_kernel(kernel, spec)
+    tree = from_kernel(kernel)
     report = validate(tree, mu)
     if not report.ok:
         v = report.violation
@@ -295,7 +295,7 @@ def cmd_validate(args, spec, cost, mu, settings) -> _Outcome:
     return _Outcome({
         "ok": True,
         "atom_steps": list(steps),
-        "witness_marginal": measure_to_json(marginal_of(round_trip, round_trip.spec)),
+        "witness_marginal": measure_to_json(marginal_of(round_trip)),
     })
 
 

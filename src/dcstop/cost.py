@@ -159,4 +159,7 @@ def cost_from_json(data: dict) -> CostSpec:
         name = data["name"]
     except KeyError as exc:
         raise ConfigError(f"cost config missing field {exc}") from exc
-    return CostSpec(kind=str(kind), name=str(name), params=dict(data.get("params", {})))
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params must be an object")
+    return CostSpec(kind=str(kind), name=str(name), params=dict(params))

@@ -492,19 +492,6 @@ def _stop_values(spec: LatticeSpec, cost: CostSpec, s: int, steps) -> list[Optio
     return evaluate(cost, states_at_step(spec, s)).tolist()
 
 
-def _shares_grandchild(spec: LatticeSpec, s: int, functions) -> list[bool]:
-    """Per position of step ``s``, whether its children share a grandchild function.
-
-    That is ``pair_sup``'s ``shared``: the up child's down child and the down
-    child's up child hold one stored function.
-    """
-    if s + 2 >= len(functions):
-        return [False] * node_count(spec, s)
-    below, grand = child_positions(spec, s + 1), functions[s + 2]
-    return [grand[below[up, 0]] is grand[below[down, 1]]
-            for down, up in child_positions(spec, s).tolist()]
-
-
 def check_lattice_size(spec: LatticeSpec, horizon: int) -> None:
     """Refuse more than ``LATTICE_NODE_LIMIT`` nodes up to ``horizon``; cheap at any depth."""
     total = 0
@@ -548,10 +535,11 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     inputs (the up child's function, the down child's function, the bits of
     the stop value) are the same share one update: the horizon holds one
     constant per distinct stop value, and each later step one function per
-    distinct input.  Children that share a grandchild function pass
-    ``shared`` to ``pair_sup``; a function's rows in ``src`` refer to the
-    inputs of the one update that built it, which every position holding it
-    has as children.
+    distinct input.  So every position that holds a stored function has the
+    two child functions of the one update that built it, and a function's
+    rows in ``src`` refer to that update's inputs.  ``solve`` keeps those
+    inputs for the step just stored, and an update whose up child's down
+    input is its down child's up input passes ``shared`` to ``pair_sup``.
 
     A step whose summed pair count ``nu * nd`` over its distinct updates
     (from the children's vertex counts, before pruning) reaches
@@ -572,6 +560,9 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     for k in range(1, len(steps) + 1):
         _grid_size(k, resolution)
     functions: list[tuple[ConcavePL, ...]] = [()] * (horizon + 1)
+    # id of each function stored at step s + 1 -> the (up, down) inputs of its
+    # update; empty for the horizon's constants.
+    inputs: dict = {}
 
     workers = _cpu_count()
     pool = None
@@ -591,8 +582,9 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
             if s == horizon:
                 made = [ConcavePL.constant(stops[p]) for p in first.values()]
             else:
-                shared = _shares_grandchild(spec, s, functions)
-                args = [[col[p] for p in first.values()] for col in (ups, downs, stops, shared)]
+                args = [[col[p] for p in first.values()] for col in (ups, downs, stops)]
+                args.append([bool(inputs) and inputs[id(u)][1] is inputs[id(d)][0]
+                             for u, d in zip(*args[:2])])
                 pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(*args[:2]))
                 if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
                     if pool is None:
@@ -604,6 +596,7 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
                             for v in pool.map(_bellman, *args)]
                 else:
                     made = list(map(_bellman, *args))
+                inputs = {id(f): (u, d) for f, u, d in zip(made, *args[:2])}
             made = dict(zip(first, made))
             # Written once the step is done: every update reads step s + 1 only.
             functions[s] = tuple(made[key] for key in keys)

@@ -47,7 +47,7 @@ from .measures import (
     is_right_shift_of,
     monotone_coupling,
 )
-from .rst import DEAD_MASS, StoppingKernel, _forward_stops, check_same_lattice, kernel_from_laws
+from .rst import DEAD_MASS, StoppingKernel, _forward_stops, kernel_from_laws
 
 MARTINGALE_TOL = 1e-12
 SPLICE_TOL = 1e-9
@@ -183,16 +183,15 @@ def check_tree_depth(horizon: int) -> None:
         )
 
 
-def from_kernel(kernel: StoppingKernel, spec: LatticeSpec) -> MvmTree:
+def from_kernel(kernel: StoppingKernel) -> MvmTree:
     """Tree of conditional laws of a kernel's stopping time.
 
     Leaf vectors are the per-path stopping laws (hazard products along the
     path); interior vectors are backward halving averages, so the martingale
     and freezing properties hold by construction and the root equals the
-    kernel marginal.
+    kernel marginal.  The tree's step width is the kernel lattice's.
     """
-    check_same_lattice(kernel, spec)
-    steps = kernel.steps()
+    spec, steps = kernel.spec, kernel.steps()
     last = steps[-1]
     check_tree_depth(last)
     # The kernel on histories: each history reads the hazard of its node.
@@ -205,7 +204,7 @@ def from_kernel(kernel: StoppingKernel, spec: LatticeSpec) -> MvmTree:
             q.append(kernel.q[steps.index(s)][pos])
     # A history at step s carries mass 2**-s, so scaling by 2**s gives each
     # path's own stop masses, exactly unless a mass is subnormal.
-    stops = _forward_stops(StoppingKernel(hist, kernel.atom_times, q), hist)
+    stops = _forward_stops(StoppingKernel(hist, kernel.atom_times, q))
     stopped = np.column_stack([np.repeat(stop * 2.0 ** s, 2 ** (last - s))
                                for s, stop in zip(steps, stops)])
     vectors = np.empty((2 ** (last + 1) - 1, len(steps)))
@@ -340,17 +339,15 @@ class Accumulator:
         return math.fsum(self.y[len(self.y) // 2:]) / 2 ** self.depth
 
 
-def accumulate(mvm: MvmTree, spec: LatticeSpec, cost: CostSpec) -> Accumulator:
+def accumulate(mvm: MvmTree, cost: CostSpec) -> Accumulator:
     """Integrate the cost against each path's freezing masses.
 
-    ``spec`` supplies the step width consistency check; states are derived
-    from the tree's own histories.  The expectation of ``Y`` over leaves is
-    the kernel objective of the tree.
+    States are derived from the tree's own histories, its ``dt`` and its
+    depth.  The expectation of ``Y`` over leaves is the kernel objective of
+    the tree.
     """
     if mvm.start_step != 0:
         raise ValidationError("accumulate needs a full tree (start_step == 0)")
-    if abs(spec.dt - mvm.dt) > 1e-15:
-        raise ValidationError("lattice step width differs from the tree's")
     hist_spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
     step_to_atom = {r: i for i, r in enumerate(mvm.rel_steps)}
     y = np.empty(len(mvm.vectors))

@@ -50,7 +50,8 @@ class StoppingKernel:
     """Hazard-form stopping rule over a fixed atom set on a fixed lattice.
 
     ``q[i]`` (read-only) holds the stop probability at every node of atom
-    ``i``'s step, indexed by the node's position there.
+    ``i``'s step, indexed by the node's position there on ``spec``.  The
+    kernel carries its lattice, so its readers take the kernel alone.
     """
 
     __slots__ = ("spec", "atom_times", "q")
@@ -101,12 +102,6 @@ class StoppingKernel:
         return atom_steps(self.spec, self.atom_times)
 
 
-def check_same_lattice(kernel: StoppingKernel, spec: LatticeSpec):
-    """Refuse a kernel built for another lattice, where its positions name other nodes."""
-    if kernel.spec != spec:
-        raise ValidationError("kernel was built for a different lattice")
-
-
 def _advance(child: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """Mass one driver step on: each position sends half its mass to each child.
 
@@ -139,8 +134,8 @@ def kernel_from_laws(spec: LatticeSpec, atom_times, laws, alive=None) -> Stoppin
     return StoppingKernel(spec, atom_times, q + [np.ones(len(laws[-1]))])
 
 
-def _forward_stops(kernel: StoppingKernel, spec: LatticeSpec) -> list[np.ndarray]:
-    """Sweep the lattice forward, splitting alive mass at every atom step.
+def _forward_stops(kernel: StoppingKernel) -> list[np.ndarray]:
+    """Sweep the kernel's lattice forward, splitting alive mass at every atom step.
 
     ``stops[i][p]`` is the mass (path-probability weighted, unconditional)
     stopping at atom i at the node of position ``p``.
@@ -154,28 +149,26 @@ def _forward_stops(kernel: StoppingKernel, spec: LatticeSpec) -> list[np.ndarray
             stops.append(alive * qv)
             alive = alive * (1.0 - qv)
         if s < steps[-1]:
-            alive = _advance(child_positions(spec, s), alive)
+            alive = _advance(child_positions(kernel.spec, s), alive)
     return stops
 
 
-def marginal_of(kernel: StoppingKernel, spec: LatticeSpec) -> DiscreteMeasure:
-    """Law of the stopping time induced by the kernel."""
-    check_same_lattice(kernel, spec)
-    weights = [math.fsum(stop) for stop in _forward_stops(kernel, spec)]
+def marginal_of(kernel: StoppingKernel) -> DiscreteMeasure:
+    """Law of the stopping time induced by the kernel on its lattice."""
+    weights = [math.fsum(stop) for stop in _forward_stops(kernel)]
     return DiscreteMeasure(kernel.atom_times, weights)
 
 
-def objective_value(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec) -> float:
+def objective_value(kernel: StoppingKernel, cost: CostSpec) -> float:
     """Expected cost at the stop, exactly (forward sweep, no sampling)."""
-    check_same_lattice(kernel, spec)
     terms = []
-    for s, stop in zip(kernel.steps(), _forward_stops(kernel, spec)):
+    for s, stop in zip(kernel.steps(), _forward_stops(kernel)):
         live = np.flatnonzero(stop)
-        terms += (stop[live] * evaluate(cost, states_at_step(spec, s))[live]).tolist()
+        terms += (stop[live] * evaluate(cost, states_at_step(kernel.spec, s))[live]).tolist()
     return math.fsum(terms)
 
 
-def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
+def push_right_with_shift(kernel: StoppingKernel,
                           coupling: MonotoneCoupling) -> tuple[StoppingKernel, float]:
     """Re-route every stop decision rightward along ``coupling``.
 
@@ -184,10 +177,10 @@ def push_right_with_shift(kernel: StoppingKernel, spec: LatticeSpec,
     and stops at its coupled target time, split across the future subtree
     proportionally to path probability, so the realized expected shift equals
     the coupling cost exactly.  Returns the new kernel and that shift,
-    ``E|tau' - tau|``.
+    ``E|tau' - tau|``; the new kernel lives on the kernel's lattice.
     """
-    check_same_lattice(kernel, spec)
-    source = marginal_of(kernel, spec)
+    spec = kernel.spec
+    source = marginal_of(kernel)
     if len(source) != len(coupling.source) or any(
         abs(a - b) > ATOM_MERGE_TOL or abs(u - v) > 1e-9
         for a, b, u, v in zip(
@@ -255,8 +248,7 @@ def check_sim_paths(n_paths: int) -> None:
         raise SizeGuardError(f"simulation of {n_paths} paths (limit {SIM_PATH_LIMIT})")
 
 
-def simulate(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec,
-             n_paths: int, seed: int) -> SimReport:
+def simulate(kernel: StoppingKernel, cost: CostSpec, n_paths: int, seed: int) -> SimReport:
     """Monte Carlo estimate of the kernel objective.
 
     Each path carries its node position, moved on through the step's child
@@ -266,9 +258,8 @@ def simulate(kernel: StoppingKernel, spec: LatticeSpec, cost: CostSpec,
     stream and therefore the result is a pure function of ``seed`` and
     ``n_paths``.
     """
-    check_same_lattice(kernel, spec)
     check_sim_paths(n_paths)
-    steps = kernel.steps()
+    spec, steps = kernel.spec, kernel.steps()
     flat_children = [child_positions(spec, s).ravel() for s in range(steps[-1])]
     costs = [evaluate(cost, states_at_step(spec, s)) for s in steps]
     rng = np.random.default_rng(seed)

@@ -40,8 +40,7 @@ class StabilityReport:
 
 
 def _nested(coarse: Sequence[float], fine: Sequence[float]) -> bool:
-    fine_set = sorted(fine)
-    return all(any(abs(t - u) <= ATOM_MERGE_TOL for u in fine_set) for t in coarse)
+    return all(any(abs(t - u) <= ATOM_MERGE_TOL for u in fine) for t in coarse)
 
 
 def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
@@ -54,7 +53,7 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     value belongs to the finest computable proxy, the projection onto the
     last grid, never to a continuum limit.  Each row's bound is
     ``modulus(W1 to that proxy) + 2 AGREE_TOL``; values come from the block
-    solver.
+    solver, which solves each distinct projected law once, the finest first.
     """
     from .dpp import AGREE_TOL, check_lattice_size, solve
 
@@ -68,12 +67,14 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     check_lattice_size(spec, max(atom_steps(spec, m.atoms)[-1] for m in projected))
     phi = modulus(cost, spec)
     mu_fine = projected[-1]
-    v_fine = solve(spec, cost, mu_fine, resolution).root_value
+    values = {m: solve(spec, cost, m, resolution).root_value
+              for m in dict.fromkeys([mu_fine, *projected])}
+    v_fine = values[mu_fine]
     rows = []
     all_within = True
     for n, (grid, mu_n) in enumerate(zip(grids, projected)):
         w1_to_fine = w1_distance(mu_n, mu_fine)
-        v_n = solve(spec, cost, mu_n, resolution).root_value
+        v_n = values[mu_n]
         bound = phi(w1_to_fine) + 2.0 * AGREE_TOL
         value_gap = abs(v_n - v_fine)
         within = value_gap <= bound + 1e-12
@@ -147,22 +148,22 @@ class ShiftReport:
     all_ok: bool
 
 
-def push_right_identity_check(kernel: StoppingKernel, spec: LatticeSpec,
+def push_right_identity_check(kernel: StoppingKernel,
                               targets: Sequence[DiscreteMeasure]) -> ShiftReport:
     """Pushing outward must cost exactly the transport distance.
 
-    The kernel's marginal is coupled monotonically to each target; the
-    rewired kernel must realize that coupling's cost as its mean time shift
-    and land on the target exactly.
+    The kernel's marginal, on the kernel's own lattice, is coupled
+    monotonically to each target; the rewired kernel must realize that
+    coupling's cost as its mean time shift and land on the target exactly.
     """
-    source = marginal_of(kernel, spec)
+    source = marginal_of(kernel)
     rows = []
     all_ok = True
     for target in targets:
         coupling = monotone_coupling(source, target)
-        moved, shift = push_right_with_shift(kernel, spec, coupling)
+        moved, shift = push_right_with_shift(kernel, coupling)
         w1 = w1_distance(source, target)
-        err = w1_distance(marginal_of(moved, spec), target)
+        err = w1_distance(marginal_of(moved), target)
         ok = abs(shift - w1) <= SHIFT_TOL and err <= 1e-9
         all_ok = all_ok and ok
         rows.append({

@@ -180,9 +180,9 @@ def test_criterion_06_kernel_and_tree_objectives_coincide():
     for _ in range(50):
         spec = LatticeSpec(depth=4, dt=0.5, mode="history")
         kernel = random_kernel(spec, (0.5, 1.0, 2.0), rng)
-        tree = from_kernel(kernel, spec)
-        direct = objective_value(kernel, spec, cost)
-        via_tree = accumulate(tree, spec, cost).leaf_expectation()
+        tree = from_kernel(kernel)
+        direct = objective_value(kernel, cost)
+        via_tree = accumulate(tree, cost).leaf_expectation()
         assert abs(direct - via_tree) <= 1e-12
         again = to_kernel(tree)
         # Both kernels live on the same history lattice: positions line up.
@@ -192,12 +192,12 @@ def test_criterion_06_kernel_and_tree_objectives_coincide():
     for _ in range(50):
         spec = LatticeSpec(depth=3, dt=1.0)
         kernel = random_kernel(spec, (1.0, 3.0), rng)
-        tree = from_kernel(kernel, spec)
-        direct = objective_value(kernel, spec, cost)
-        via_tree = accumulate(tree, spec, cost).leaf_expectation()
+        tree = from_kernel(kernel)
+        direct = objective_value(kernel, cost)
+        via_tree = accumulate(tree, cost).leaf_expectation()
         assert abs(direct - via_tree) <= 1e-12
         again = to_kernel(tree)
-        assert abs(objective_value(again, again.spec, cost) - direct) <= 1e-12
+        assert abs(objective_value(again, cost) - direct) <= 1e-12
         checked += 1
     assert checked == 100
     announce(6, "100 kernels agree with their law trees")
@@ -210,12 +210,12 @@ def test_criterion_07_time_shift_equals_transport_cost():
     for _ in range(50):
         atoms = sorted(rng.choice(times, size=int(rng.integers(2, 4)), replace=False))
         kernel = feasible_kernel(spec, random_measure(rng, atoms), rng)
-        marg = marginal_of(kernel, spec)
+        marg = marginal_of(kernel)
         later = [t for t in times if t >= atoms[-1]]
         grid = sorted(set(rng.choice(later, size=min(2, len(later)), replace=False))
                       | {times[-1]})
         target = ceiling_project(marg, grid)
-        _, shift = push_right_with_shift(kernel, spec, monotone_coupling(marg, target))
+        _, shift = push_right_with_shift(kernel, monotone_coupling(marg, target))
         assert abs(shift - w1_distance(marg, target)) <= 1e-12
     announce(7, "50 rightward pushes realize their coupling cost")
 
@@ -251,9 +251,8 @@ def test_criterion_09_refinement_gaps_respect_the_modulus():
 def test_criterion_10_simulation_confirms_every_sweep_instance(c3_results):
     for i, inst in enumerate(c3_results):
         kernel = lp_solution_to_kernel(inst.lp_problem, inst.lp_solution)
-        hist = kernel.spec
-        expected = objective_value(kernel, hist, inst.cost)
-        report = simulate(kernel, hist, inst.cost, n_paths=1_000_000, seed=2000 + i)
+        expected = objective_value(kernel, inst.cost)
+        report = simulate(kernel, inst.cost, n_paths=1_000_000, seed=2000 + i)
         deviation = abs(report.mean - expected)
         assert deviation <= 4.0 * report.stderr + 1e-12, (
             inst.cost.name, inst.mu.atoms, deviation, report.stderr)

@@ -112,7 +112,7 @@ class TestOracle:
         kernel = kernel_from_json(hist, payload["kernel"])
         from dcstop import CostSpec
         cost = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
-        assert objective_value(kernel, hist, cost) == pytest.approx(0.5, abs=1e-9)
+        assert objective_value(kernel, cost) == pytest.approx(0.5, abs=1e-9)
 
     def test_exact_pivoting(self, workspace):
         config_path, out = workspace
@@ -174,6 +174,23 @@ class TestStability:
         assert payload["levels"] == 2
         table = (out / "table.csv").read_text().strip().splitlines()
         assert len(table) == 3  # header plus one line per grid
+
+    def test_each_distinct_law_is_solved_once(self, tmp_path, monkeypatch):
+        # The README grids project onto two laws, the finer of which is also
+        # the reference value.
+        solved, solve = [], dcstop.dpp.solve
+
+        def counting(spec, cost, mu, resolution):
+            solved.append(mu)
+            return solve(spec, cost, mu, resolution)
+
+        monkeypatch.setattr("dcstop.dpp.solve", counting)
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(README_CONFIG))
+        assert main(["stability", str(path)]) == 0
+        assert len(solved) == len(set(solved)) == 2
+        assert read_result(tmp_path)["levels"] == 2
 
     def test_deep_lattice_with_early_atoms_finishes(self, tmp_path):
         # The modulus constant scans every reachable level of the depth-20000
@@ -323,6 +340,17 @@ class TestConfigErrors:
         assert main([command, self.write(tmp_path, config)]) == 2
         assert capsys.readouterr().err == (
             "invalid input: cost: positive_part cost reads no params['threshold']\n")
+        assert not (tmp_path / "result.json").exists()
+
+    # dict() would read a list of pairs, such as [["threshold", 1.0]], as the
+    # object {"threshold": 1.0}; every value that is not an object is refused.
+    @pytest.mark.parametrize("params", [[], [["threshold", 1.0]], None, "ab", 5])
+    def test_non_object_cost_params_exit_2(self, tmp_path, monkeypatch, capsys, params):
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = base_config()
+        config["cost"]["params"] = params
+        assert main(["solve", self.write(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == "invalid input: cost: params must be an object\n"
         assert not (tmp_path / "result.json").exists()
 
     @pytest.mark.parametrize("command, sections, message", [

@@ -42,7 +42,7 @@ from dcstop import (
 import dcstop.dpp as dpp
 from dcstop.dpp import AGREE_TOL, _hull_upper
 from dcstop.errors import NumericalError
-from dcstop.lattice import heap_row
+from dcstop.lattice import child_positions, heap_row
 from dcstop.measures import measure_from_json
 from conftest import (
     block_samples,
@@ -603,6 +603,48 @@ class TestSolve:
             assert solve(LatticeSpec(depth=10, dt=1.0), ABS, mu, resolution=4).steps == (1, 3)
 
 
+class TestSharedGrandchildFlag:
+    """``solve`` passes ``shared`` to ``pair_sup`` exactly where the children share a grandchild."""
+
+    # Away from the horizon, children on a recombining lattice always share a
+    # grandchild function.  On a max-augmented lattice they do under a
+    # terminal cost, whose stored functions do not depend on the maximum, and
+    # only sometimes under a running-max cost.
+    @pytest.mark.parametrize("spec, cost, atoms, inner", [
+        (LatticeSpec(depth=10, dt=1.0), ABS, (3.0, 6.0, 8.0, 10.0), {True}),
+        (LatticeSpec(depth=10, dt=1.0, augment_max=True), CostSpec(kind="running_max", name="identity"),
+         (3.0, 7.0, 10.0), {True, False}),
+        (LatticeSpec(depth=9, dt=1.0, augment_max=True), INDICATOR, (2.0, 5.0, 9.0), {True}),
+    ], ids=["recombining-abs", "max-running_max", "max-indicator"])
+    def test_flags_match_the_definition(self, monkeypatch, spec, cost, atoms, inner):
+        calls = []
+
+        def recording(up, down, shared=False):
+            calls.append((up, down, shared))
+            return pair_sup(up, down, shared)
+
+        monkeypatch.setattr(dpp, "pair_sup", recording)
+        table = solve(spec, cost, random_measure(np.random.default_rng(62), atoms), resolution=4)
+        functions, horizon = table.functions, table.steps[-1]
+        # Per (up child, down child) functions: is the up child's down child
+        # the down child's up child, one stored function?
+        want = {}
+        for s in range(horizon):
+            below = child_positions(spec, s + 1) if s + 1 < horizon else None
+            for down, up in child_positions(spec, s).tolist():
+                key = (id(functions[s + 1][up]), id(functions[s + 1][down]))
+                flag = below is not None and (
+                    functions[s + 2][below[up, 0]] is functions[s + 2][below[down, 1]])
+                assert want.setdefault(key, flag) == flag
+        assert {(id(up), id(down)) for up, down, _ in calls} == want.keys()
+        for up, down, shared in calls:
+            assert shared is want[(id(up), id(down))]
+        # Next to the horizon every flag is False.
+        last = {id(f) for f in functions[horizon]}
+        assert {shared for up, _, shared in calls if id(up) in last} == {False}
+        assert {shared for up, _, shared in calls if id(up) not in last} == inner
+
+
 class TestParallelSteps:
     """``solve`` runs large steps on a thread pool; results must be the serial ones."""
 
@@ -848,7 +890,7 @@ class TestExtractPolicy:
             table = solve(spec, cost, mu, resolution=25)
             tree = extract_policy(table)
             assert validate(tree, mu=mu).ok
-            got = accumulate(tree, spec, cost).leaf_expectation()
+            got = accumulate(tree, cost).leaf_expectation()
             assert got >= table.root_value - AGREE_TOL
             assert got <= oracle_value(spec, cost, mu) + 1e-9
 
@@ -865,7 +907,7 @@ class TestExtractPolicy:
         mu = random_measure(rng, (0.5, 1.0, 1.5))
         tree = extract_policy(solve(spec, INDICATOR, mu, resolution=20))
         kernel = to_kernel(tree)
-        marg = marginal_of(kernel, kernel.spec)
+        marg = marginal_of(kernel)
         assert marg.atoms == mu.atoms
         assert marg.weights == pytest.approx(mu.weights, abs=1e-9)
 

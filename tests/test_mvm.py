@@ -66,7 +66,7 @@ def worked_tree() -> MvmTree:
         NodeId(step=2, level=0): 1.0,
         NodeId(step=2, level=-2): 1.0,
     }
-    return from_kernel(kernel_from_dict(spec, (1.0, 2.0), q), spec)
+    return from_kernel(kernel_from_dict(spec, (1.0, 2.0), q))
 
 
 def constant_tree(weights: tuple[float, ...], atoms=(1.0, 2.0), depth=2) -> MvmTree:
@@ -246,7 +246,7 @@ class TestFromKernel:
         rng = np.random.default_rng(spec.depth)
         for atoms in ((float(spec.depth),), (1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
             kernel = random_kernel(spec, atoms, rng)
-            tree = from_kernel(kernel, spec)
+            tree = from_kernel(kernel)
             want = reference_from_kernel(kernel, spec)
             got = tree_dict(tree)
             assert got.keys() == want.keys()
@@ -257,7 +257,7 @@ class TestFromKernel:
         rng = np.random.default_rng(100 + spec.depth)
         for atoms in ((float(spec.depth),), (1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
             for kernel in (random_kernel(spec, atoms, rng), mixed_kernel(spec, atoms, rng)):
-                got = from_kernel(kernel, spec).vectors
+                got = from_kernel(kernel).vectors
                 assert got.tobytes() == reference_forward_loop(kernel, spec).tobytes()
 
     def test_worked_tree_vectors(self):
@@ -274,15 +274,15 @@ class TestFromKernel:
         rng = np.random.default_rng(31)
         spec = LatticeSpec(depth=3, dt=0.5)
         kernel = random_kernel(spec, (0.5, 1.0, 1.5), rng)
-        tree = from_kernel(kernel, spec)
-        marg = marginal_of(kernel, spec)
+        tree = from_kernel(kernel)
+        marg = marginal_of(kernel)
         assert tree.root_measure().atoms == marg.atoms
         assert tree.root_vector() == pytest.approx(marg.weights, abs=1e-14)
 
     def test_leaf_average_reproduces_root(self):
         rng = np.random.default_rng(32)
         spec = LatticeSpec(depth=3, dt=0.5)
-        tree = from_kernel(random_kernel(spec, (0.5, 1.5), rng), spec)
+        tree = from_kernel(random_kernel(spec, (0.5, 1.5), rng))
         leaves = tree.vectors[heap_row((0,) * tree.depth):]
         assert len(leaves) == 2 ** tree.depth
         assert leaves.sum(axis=0) / 2 ** tree.depth == pytest.approx(tree.root_vector(), abs=1e-14)
@@ -292,23 +292,15 @@ class TestFromKernel:
         for mode in ("recombining", "history"):
             spec = LatticeSpec(depth=4, dt=0.25, mode=mode)
             kernel = random_kernel(spec, (0.25, 0.5, 1.0), rng)
-            tree = from_kernel(kernel, spec)
-            report = validate(tree, mu=marginal_of(kernel, spec))
+            tree = from_kernel(kernel)
+            report = validate(tree, mu=marginal_of(kernel))
             assert report.ok, report.violation
-
-    def test_kernel_of_another_lattice_rejected(self):
-        # Positions mean different nodes on another lattice, so nothing is read.
-        spec = LatticeSpec(depth=3, dt=0.5, augment_max=True)
-        kernel = random_kernel(spec, (0.5, 1.5), np.random.default_rng(37))
-        for other in (LatticeSpec(depth=3, dt=0.5), LatticeSpec(depth=3, dt=0.5, mode="history")):
-            with pytest.raises(ValidationError, match="different lattice"):
-                from_kernel(kernel, other)
 
     def test_depth_guard(self):
         spec = LatticeSpec(depth=17, dt=1.0)
         kernel = random_kernel(spec, (1.0, 17.0), np.random.default_rng(34))
         with pytest.raises(SizeGuardError, match=r"2\^17 histories \(limit 2\^16\)"):
-            from_kernel(kernel, spec)
+            from_kernel(kernel)
 
 
 def _shifted(vectors: np.ndarray, row: int, d: np.ndarray) -> None:
@@ -333,7 +325,7 @@ def corrupted_tree(rng):
     spec = LatticeSpec(depth=depth, dt=1.0)
     steps = sorted(rng.choice(np.arange(1, depth + 1), size=min(3, depth), replace=False))
     kernel = random_kernel(spec, tuple(float(s) for s in steps), rng)
-    tree = from_kernel(kernel, spec)
+    tree = from_kernel(kernel)
     vectors = np.array(tree.vectors)
     r = len(tree.atom_times)
     for _ in range(int(rng.integers(1, 5))):
@@ -475,7 +467,7 @@ class TestTermination:
             for s in (1, 2, 3):
                 for node in [NodeId(step=s, level=l) for l in range(-s, s + 1, 2)]:
                     q[node] = 1.0 if s == 3 else float(rng.integers(0, 2))
-            tree = from_kernel(kernel_from_dict(spec, (1.0, 2.0, 3.0), q), spec)
+            tree = from_kernel(kernel_from_dict(spec, (1.0, 2.0, 3.0), q))
             assert termination(tree).terminating
 
     def test_terminating_trees_make_pure_kernels(self):
@@ -490,7 +482,7 @@ class TestKernelRoundTrip:
         rng = np.random.default_rng(35)
         spec = LatticeSpec(depth=3, dt=0.5, mode="history")
         kernel = random_kernel(spec, (0.5, 1.0, 1.5), rng)
-        again = to_kernel(from_kernel(kernel, spec))
+        again = to_kernel(from_kernel(kernel))
         assert again.atom_times == kernel.atom_times
         assert again.spec == spec
         got = kernel_dict(again)
@@ -501,13 +493,12 @@ class TestKernelRoundTrip:
         rng = np.random.default_rng(36)
         spec = LatticeSpec(depth=3, dt=0.5)
         kernel = random_kernel(spec, (0.5, 1.5), rng)
-        again = to_kernel(from_kernel(kernel, spec))
-        hist = again.spec
+        again = to_kernel(from_kernel(kernel))
         cost = CostSpec(kind="terminal", name="square")
-        assert marginal_of(again, hist).weights == pytest.approx(
-            marginal_of(kernel, spec).weights, abs=1e-12)
-        assert objective_value(again, hist, cost) == pytest.approx(
-            objective_value(kernel, spec, cost), abs=1e-12)
+        assert marginal_of(again).weights == pytest.approx(
+            marginal_of(kernel).weights, abs=1e-12)
+        assert objective_value(again, cost) == pytest.approx(
+            objective_value(kernel, cost), abs=1e-12)
 
     def test_hazards_match_the_tree_route_they_replaced(self):
         # Byte for byte, on trees from kernels with dead branches, witnesses
@@ -516,10 +507,10 @@ class TestKernelRoundTrip:
         trees = []
         for spec in KERNEL_SPECS:
             for atoms in ((1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
-                trees += [from_kernel(make(spec, atoms, rng), spec)
+                trees += [from_kernel(make(spec, atoms, rng))
                           for make in (random_kernel, mixed_kernel)]
                 mu = random_measure(rng, atoms)
-                trees.append(from_kernel(feasible_kernel(spec, mu, rng), spec))
+                trees.append(from_kernel(feasible_kernel(spec, mu, rng)))
         for cost in (INDICATOR, CostSpec(kind="terminal", name="abs")):
             spec = LatticeSpec(depth=5, dt=1.0, augment_max=True)
             table = solve(spec, cost, random_measure(rng, (1.0, 3.0, 5.0)), resolution=10)
@@ -533,8 +524,7 @@ class TestKernelRoundTrip:
         base = from_kernel(
             feasible_kernel(LatticeSpec(depth=2, dt=1.0),
                             DiscreteMeasure((1.0, 2.0), (0.5, 0.5)),
-                            np.random.default_rng(0)),
-            LatticeSpec(depth=2, dt=1.0))
+                            np.random.default_rng(0)))
         cont = extract_continuation(base, (0,))
         with pytest.raises(ValidationError):
             to_kernel(cont)
@@ -553,7 +543,7 @@ class TestSplice:
         spec = LatticeSpec(depth=3, dt=1.0)
         mu = random_measure(rng, (1.0, 2.0, 3.0))
         kernel = feasible_kernel(spec, mu, rng)
-        return spec, mu, from_kernel(kernel, spec)
+        return spec, mu, from_kernel(kernel)
 
     def test_surgery_matches_the_dict_walk(self):
         rng = np.random.default_rng(71)
@@ -562,7 +552,7 @@ class TestSplice:
             depth = int(rng.integers(2, 7))
             spec = LatticeSpec(depth=depth, dt=0.5, augment_max=bool(rng.integers(0, 2)))
             steps = sorted(rng.choice(np.arange(1, depth + 1), size=min(3, depth), replace=False))
-            base = from_kernel(random_kernel(spec, tuple(0.5 * s for s in steps), rng), spec)
+            base = from_kernel(random_kernel(spec, tuple(0.5 * s for s in steps), rng))
             bits = tuple(int(b) for b in rng.integers(0, 2, size=int(rng.integers(0, base.depth))))
             try:
                 want = reference_extract_continuation(base, bits)
@@ -631,11 +621,11 @@ class TestSplice:
         # objective cannot drop, and it can never beat the exact optimum for
         # the same root law.
         spec, mu, base = self.make_base(seed=39)
-        before = accumulate(base, spec, INDICATOR).leaf_expectation()
+        before = accumulate(base, INDICATOR).leaf_expectation()
         tree = base
         for bits in ((1,), (0,)):
             tree = self._splice_best(tree, bits, spec)
-        after = accumulate(tree, spec, INDICATOR).leaf_expectation()
+        after = accumulate(tree, INDICATOR).leaf_expectation()
         assert after >= before - 1e-12
         assert after <= oracle_value(spec, INDICATOR, mu) + 1e-9
 
@@ -661,7 +651,7 @@ class TestSplice:
             cand = tree_from_dict(tree.dt, incumbent.atom_times, vecs,
                                   start_step=incumbent.start_step)
             spliced = splice(tree, bits, cand)
-            val = accumulate(spliced, spec, INDICATOR).leaf_expectation()
+            val = accumulate(spliced, INDICATOR).leaf_expectation()
             if val > best_val:
                 best, best_val = spliced, val
         return best
@@ -671,9 +661,9 @@ class TestAccumulate:
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["recombining", "max", "history"])
     def test_matches_the_parent_first_loop(self, spec):
         rng = np.random.default_rng(50 + spec.depth)
-        tree = from_kernel(random_kernel(spec, (1.0, 3.0, float(spec.depth)), rng), spec)
+        tree = from_kernel(random_kernel(spec, (1.0, 3.0, float(spec.depth)), rng))
         cost = CostSpec(kind="terminal", name="abs")
-        acc = accumulate(tree, spec, cost)
+        acc = accumulate(tree, cost)
         hist = LatticeSpec(depth=tree.depth, dt=tree.dt, mode="history")
         vectors = tree_dict(tree)
         want = {(): 0.0}
@@ -692,8 +682,7 @@ class TestAccumulate:
 
     def test_worked_tree_leaf_values(self):
         tree = worked_tree()
-        spec = LatticeSpec(depth=2, dt=1.0)
-        acc = accumulate(tree, spec, INDICATOR)
+        acc = accumulate(tree, INDICATOR)
         assert acc.y[heap_row((1, 1))] == pytest.approx(1.0, abs=1e-15)
         assert acc.y[heap_row((1, 0))] == pytest.approx(1.0, abs=1e-15)
         assert acc.y[heap_row((0, 1))] == pytest.approx(0.0, abs=1e-15)
@@ -704,7 +693,7 @@ class TestAccumulate:
         rng = np.random.default_rng(40)
         spec = LatticeSpec(depth=3, dt=1.0)
         kernel = random_kernel(spec, (2.0, 3.0), rng)
-        acc = accumulate(from_kernel(kernel, spec), spec,
+        acc = accumulate(from_kernel(kernel),
                          CostSpec(kind="terminal", name="square"))
         # Steps 0 and 1 are the first three heap rows.
         assert acc.y[:3].tolist() == [0.0, 0.0, 0.0]
@@ -713,7 +702,7 @@ class TestAccumulate:
         rng = np.random.default_rng(41)
         spec = LatticeSpec(depth=4, dt=0.25)
         kernel = random_kernel(spec, (0.5, 0.75, 1.0), rng)
-        acc = accumulate(from_kernel(kernel, spec), spec,
+        acc = accumulate(from_kernel(kernel),
                          CostSpec(kind="terminal", name="identity"))
         assert acc.leaf_expectation() == pytest.approx(0.0, abs=1e-12)
 
@@ -722,8 +711,8 @@ class TestAccumulate:
         spec = LatticeSpec(depth=3, dt=0.5)
         kernel = random_kernel(spec, (0.5, 1.0, 1.5), rng)
         cost = CostSpec(kind="terminal", name="abs")
-        acc = accumulate(from_kernel(kernel, spec), spec, cost)
-        expect = objective_value(kernel, spec, cost)
+        acc = accumulate(from_kernel(kernel), cost)
+        expect = objective_value(kernel, cost)
         assert acc.leaf_expectation() == pytest.approx(expect, abs=1e-12)
 
 
@@ -783,7 +772,7 @@ class TestJson:
     def test_round_trip(self):
         rng = np.random.default_rng(43)
         spec = LatticeSpec(depth=3, dt=0.5)
-        tree = from_kernel(random_kernel(spec, (0.5, 1.5), rng), spec)
+        tree = from_kernel(random_kernel(spec, (0.5, 1.5), rng))
         again = mvm_from_json(mvm_to_json(tree))
         assert again.atom_times == tree.atom_times
         assert again.start_step == tree.start_step
@@ -792,7 +781,7 @@ class TestJson:
     def test_continuation_round_trip(self):
         rng = np.random.default_rng(44)
         spec = LatticeSpec(depth=4, dt=1.0)
-        base = from_kernel(random_kernel(spec, (1.0, 3.0, 4.0), rng), spec)
+        base = from_kernel(random_kernel(spec, (1.0, 3.0, 4.0), rng))
         cont = extract_continuation(base, (1,))
         again = mvm_from_json(payload(cont))
         assert (again.start_step, again.atom_times) == (1, cont.atom_times)

@@ -381,11 +381,10 @@ class TestKernelExtraction:
             problem = build_lp(spec, cost, mu)
             solution = solve_lp(problem)
             kernel = lp_solution_to_kernel(problem, solution)
-            hist = kernel.spec
-            marg = marginal_of(kernel, hist)
+            marg = marginal_of(kernel)
             assert marg.atoms == mu.atoms
             assert marg.weights == pytest.approx(mu.weights, abs=1e-10)
-            got = objective_value(kernel, hist, cost)
+            got = objective_value(kernel, cost)
             assert got == pytest.approx(solution.value, abs=1e-10)
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -421,7 +420,7 @@ class TestOracleValue:
         bound = oracle_value(spec, INDICATOR, mu)
         for _ in range(100):
             kernel = feasible_kernel(spec, mu, rng)
-            assert objective_value(kernel, spec, INDICATOR) <= bound + 1e-9
+            assert objective_value(kernel, INDICATOR) <= bound + 1e-9
 
     def test_martingale_identities(self):
         rng = np.random.default_rng(74)
@@ -483,8 +482,8 @@ class TestOracleValue:
         assert max(solution.reduced_cost_violation, solution.slackness_violation,
                    solution.duality_gap) <= 1e-9
         kernel = lp_solution_to_kernel(problem, solution)
-        assert objective_value(kernel, kernel.spec, ABS) == pytest.approx(solution.value, abs=1e-10)
-        marg = marginal_of(kernel, kernel.spec)
+        assert objective_value(kernel, ABS) == pytest.approx(solution.value, abs=1e-10)
+        marg = marginal_of(kernel)
         assert marg.atoms == mu.atoms
         assert marg.weights == pytest.approx(mu.weights, abs=1e-10)
 

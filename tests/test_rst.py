@@ -68,8 +68,8 @@ def worked_kernel() -> tuple[LatticeSpec, StoppingKernel]:
 
 class TestMarginal:
     def test_worked_rule_splits_half_half(self):
-        spec, kernel = worked_kernel()
-        marg = marginal_of(kernel, spec)
+        _, kernel = worked_kernel()
+        marg = marginal_of(kernel)
         assert marg.atoms == (1.0, 2.0)
         assert marg.weights == pytest.approx((0.5, 0.5), abs=1e-15)
 
@@ -78,7 +78,7 @@ class TestMarginal:
         q = {n: 1.0 for s in (1, 3) for n in
              [NodeId(step=s, level=l) for l in range(-s, s + 1, 2)]}
         kernel = kernel_from_dict(spec, (0.5, 1.5), q)
-        assert marginal_of(kernel, spec) == DiscreteMeasure((0.5,), (1.0,))
+        assert marginal_of(kernel) == DiscreteMeasure((0.5,), (1.0,))
 
     def test_constant_hazard(self):
         # q = 1/2 at the first atom leaves exactly half for the second.
@@ -86,7 +86,7 @@ class TestMarginal:
         q = {NodeId(step=1, level=1): 0.5, NodeId(step=1, level=-1): 0.5}
         q.update({NodeId(step=2, level=l): 1.0 for l in (-2, 0, 2)})
         kernel = kernel_from_dict(spec, (1.0, 2.0), q)
-        marg = marginal_of(kernel, spec)
+        marg = marginal_of(kernel)
         assert marg.weights == pytest.approx((0.5, 0.5), abs=1e-15)
 
     @pytest.mark.parametrize("mode,augment", [
@@ -98,20 +98,23 @@ class TestMarginal:
         for _ in range(5):
             kernel = random_kernel(spec, (0.25, 0.75, 1.0), rng)
             weights, _ = brute_kernel_stats(kernel, spec)
-            marg = marginal_of(kernel, spec)
+            marg = marginal_of(kernel)
             assert marg.weights == pytest.approx(weights, abs=1e-14)
 
     def test_wrong_lattice_rejected(self):
-        spec, kernel = worked_kernel()
-        other = LatticeSpec(depth=2, dt=0.5)
-        with pytest.raises(ValidationError):
-            marginal_of(kernel, other)
+        # A kernel carries its lattice: its stop arrays are refused on one
+        # whose positions name other nodes.
+        _, kernel = worked_kernel()
+        for other in (LatticeSpec(depth=2, dt=1.0, mode="history"),
+                      LatticeSpec(depth=2, dt=1.0, augment_max=True)):
+            with pytest.raises(ValidationError, match=r"step 2 has 4 nodes, got q of shape \(3,\)"):
+                StoppingKernel(other, kernel.atom_times, kernel.q)
 
 
 class TestObjective:
     def test_worked_rule_half(self):
-        spec, kernel = worked_kernel()
-        assert objective_value(kernel, spec, INDICATOR) == pytest.approx(0.5, abs=1e-15)
+        _, kernel = worked_kernel()
+        assert objective_value(kernel, INDICATOR) == pytest.approx(0.5, abs=1e-15)
 
     def test_identity_cost_zero_mean(self):
         # The driver is a martingale, so the stopped position averages zero
@@ -120,7 +123,7 @@ class TestObjective:
         spec = LatticeSpec(depth=5, dt=0.2)
         for _ in range(5):
             kernel = random_kernel(spec, (0.2, 0.6, 1.0), rng)
-            assert objective_value(kernel, spec, IDENTITY) == pytest.approx(0.0, abs=1e-12)
+            assert objective_value(kernel, IDENTITY) == pytest.approx(0.0, abs=1e-12)
 
     def test_square_cost_recovers_mean_time(self):
         # The squared driver minus elapsed time is a martingale, so the
@@ -129,8 +132,8 @@ class TestObjective:
         spec = LatticeSpec(depth=5, dt=0.2)
         for _ in range(5):
             kernel = random_kernel(spec, (0.4, 0.8, 1.0), rng)
-            marg = marginal_of(kernel, spec)
-            got = objective_value(kernel, spec, SQUARE)
+            marg = marginal_of(kernel)
+            got = objective_value(kernel, SQUARE)
             assert got == pytest.approx(marg.mean(), abs=1e-12)
 
     @pytest.mark.parametrize("mode,augment", [
@@ -143,7 +146,7 @@ class TestObjective:
         for _ in range(5):
             kernel = random_kernel(spec, (0.5, 1.0), rng)
             _, brute = brute_kernel_stats(kernel, spec, cost)
-            assert objective_value(kernel, spec, cost) == pytest.approx(brute, abs=1e-13)
+            assert objective_value(kernel, cost) == pytest.approx(brute, abs=1e-13)
 
 
 class TestKernelFromLaws:
@@ -154,7 +157,7 @@ class TestKernelFromLaws:
         hist = LatticeSpec(depth=3, dt=1.0, mode="history")
         kernel = StoppingKernel(hist, (1.0, 2.0, 3.0),
                                 [np.full(2, 1.0 - 5e-14), np.full(4, 0.5), np.ones(8)])
-        tree = from_kernel(kernel, hist)
+        tree = from_kernel(kernel)
         laws = [tree.vectors[2 ** s - 1:2 ** (s + 1) - 1] for s in (1, 2, 3)]
         remaining = 1.0 - laws[1][:, 0]
         assert DEAD_MASS == 1e-15
@@ -255,15 +258,15 @@ class TestPushRight:
         q = {NodeId(step=1, level=1): 1.0, NodeId(step=1, level=-1): 1.0}
         kernel = kernel_from_dict(spec, (1.0,), q)
         target = DiscreteMeasure((2.0,), (1.0,))
-        coupling = monotone_coupling(marginal_of(kernel, spec), target)
-        pushed, shift = push_right_with_shift(kernel, spec, coupling)
+        coupling = monotone_coupling(marginal_of(kernel), target)
+        pushed, shift = push_right_with_shift(kernel, coupling)
         assert shift == pytest.approx(1.0, abs=1e-15)
-        assert marginal_of(pushed, spec) == target
+        assert marginal_of(pushed) == target
 
     def test_identity_coupling_is_a_no_op(self):
-        spec, kernel = worked_kernel()
-        marg = marginal_of(kernel, spec)
-        pushed, _ = push_right_with_shift(kernel, spec, monotone_coupling(marg, marg))
+        _, kernel = worked_kernel()
+        marg = marginal_of(kernel)
+        pushed, _ = push_right_with_shift(kernel, monotone_coupling(marg, marg))
         assert pushed == kernel
 
     def test_two_atom_shift(self):
@@ -273,9 +276,9 @@ class TestPushRight:
         kernel = feasible_kernel(spec, source, rng)
         target = DiscreteMeasure((2.0, 3.0), (0.5, 0.5))
         coupling = monotone_coupling(source, target)
-        pushed, shift = push_right_with_shift(kernel, spec, coupling)
+        pushed, shift = push_right_with_shift(kernel, coupling)
         assert shift == pytest.approx(1.0, abs=1e-12)
-        got = marginal_of(pushed, spec)
+        got = marginal_of(pushed)
         assert got.atoms == (2.0, 3.0)
         assert got.weights == pytest.approx((0.5, 0.5), abs=1e-12)
 
@@ -286,25 +289,25 @@ class TestPushRight:
         kernel = feasible_kernel(spec, source, rng)
         coupling = monotone_coupling(source, DiscreteMeasure((1.0,), (1.0,)))
         with pytest.raises(RightShiftError):
-            push_right_with_shift(kernel, spec, coupling)
+            push_right_with_shift(kernel, coupling)
 
     def test_source_mismatch_rejected(self):
-        spec, kernel = worked_kernel()
+        _, kernel = worked_kernel()
         wrong = DiscreteMeasure((1.0, 2.0), (0.25, 0.75))
         coupling = monotone_coupling(wrong, DiscreteMeasure((2.0,), (1.0,)))
         with pytest.raises(ValidationError):
-            push_right_with_shift(kernel, spec, coupling)
+            push_right_with_shift(kernel, coupling)
 
     def test_atom_never_stopped_at(self):
         # The marginal drops the middle atom; its stop mass is zero everywhere.
         spec = LatticeSpec(depth=3, dt=1.0)
         kernel = StoppingKernel(spec, (1.0, 2.0, 3.0), [[0.5, 0.5], [0.0] * 3, [1.0] * 4])
-        marg = marginal_of(kernel, spec)
+        marg = marginal_of(kernel)
         assert marg.atoms == (1.0, 3.0)
         target = DiscreteMeasure((3.0,), (1.0,))
-        pushed, shift = push_right_with_shift(kernel, spec, monotone_coupling(marg, target))
+        pushed, shift = push_right_with_shift(kernel, monotone_coupling(marg, target))
         assert shift == pytest.approx(1.0, abs=1e-15)
-        assert marginal_of(pushed, spec) == target
+        assert marginal_of(pushed) == target
 
     def test_shift_equals_transport_distance(self):
         rng = np.random.default_rng(21)
@@ -314,26 +317,26 @@ class TestPushRight:
             atoms = sorted(rng.choice(times, size=3, replace=False))
             source = random_measure(rng, atoms)
             kernel = feasible_kernel(spec, source, rng)
-            marg = marginal_of(kernel, spec)
+            marg = marginal_of(kernel)
             hi = [t for t in times if t >= atoms[-1]]
             grid = sorted(set(rng.choice(hi, size=1, replace=False)) | {2.5})
             target = ceiling_project(marg, grid)
-            _, shift = push_right_with_shift(kernel, spec, monotone_coupling(marg, target))
+            _, shift = push_right_with_shift(kernel, monotone_coupling(marg, target))
             assert shift == pytest.approx(w1_distance(marg, target), abs=1e-12)
 
 
 class TestSimulate:
     def test_seed_makes_runs_identical(self):
-        spec, kernel = worked_kernel()
-        a = simulate(kernel, spec, INDICATOR, n_paths=40_000, seed=123)
-        b = simulate(kernel, spec, INDICATOR, n_paths=40_000, seed=123)
+        _, kernel = worked_kernel()
+        a = simulate(kernel, INDICATOR, n_paths=40_000, seed=123)
+        b = simulate(kernel, INDICATOR, n_paths=40_000, seed=123)
         assert a.mean == b.mean
         assert a.stderr == b.stderr
         assert a.empirical_marginal == b.empirical_marginal
 
     def test_worked_rule_estimates_half(self):
-        spec, kernel = worked_kernel()
-        report = simulate(kernel, spec, INDICATOR, n_paths=100_000, seed=2024)
+        _, kernel = worked_kernel()
+        report = simulate(kernel, INDICATOR, n_paths=100_000, seed=2024)
         assert abs(report.mean - 0.5) <= 3.0 * report.stderr
 
     def test_empirical_marginal_tracks_law(self):
@@ -342,7 +345,7 @@ class TestSimulate:
         mu = DiscreteMeasure((0.25, 0.75, 1.0), (0.3, 0.5, 0.2))
         kernel = feasible_kernel(spec, mu, rng)
         n = 200_000
-        report = simulate(kernel, spec, SQUARE, n_paths=n, seed=77)
+        report = simulate(kernel, SQUARE, n_paths=n, seed=77)
         for atom, p in zip(mu.atoms, mu.weights):
             emp = dict(zip(report.empirical_marginal.atoms,
                            report.empirical_marginal.weights))[atom]
@@ -354,14 +357,14 @@ class TestSimulate:
         spec = LatticeSpec(depth=4, dt=0.25, augment_max=True)
         cost = CostSpec(kind="running_max", name="identity")
         kernel = random_kernel(spec, (0.5, 1.0), rng)
-        exact = objective_value(kernel, spec, cost)
-        report = simulate(kernel, spec, cost, n_paths=100_000, seed=42)
+        exact = objective_value(kernel, cost)
+        report = simulate(kernel, cost, n_paths=100_000, seed=42)
         assert abs(report.mean - exact) <= 4.0 * report.stderr
 
     def test_path_guard(self):
-        spec, kernel = worked_kernel()
+        _, kernel = worked_kernel()
         with pytest.raises(SizeGuardError, match="limit 100000000"):
-            simulate(kernel, spec, INDICATOR, n_paths=10 ** 8 + 1, seed=1)
+            simulate(kernel, INDICATOR, n_paths=10 ** 8 + 1, seed=1)
 
 
 class TestGenerators:
@@ -371,7 +374,7 @@ class TestGenerators:
         for _ in range(10):
             mu = random_measure(rng, (0.2, 0.6, 1.0))
             kernel = feasible_kernel(spec, mu, rng)
-            marg = marginal_of(kernel, spec)
+            marg = marginal_of(kernel)
             assert marg.weights == pytest.approx(mu.weights, abs=1e-12)
 
     def test_random_kernel_is_valid(self):
@@ -617,20 +620,20 @@ class TestAgainstTheDictWalks:
         cost = CostSpec(kind="running_max", name="square") if mode == "history" or augment \
             else SQUARE
         for spec, kernel, _ in random_instances(mode, augment, 42):
-            got, want = marginal_of(kernel, spec), reference_marginal(kernel, spec)
+            got, want = marginal_of(kernel), reference_marginal(kernel, spec)
             assert got.atoms == want.atoms
             assert got.weights == pytest.approx(want.weights, abs=1e-14, rel=0)
-            assert objective_value(kernel, spec, cost) == pytest.approx(
+            assert objective_value(kernel, cost) == pytest.approx(
                 reference_objective(kernel, spec, cost), abs=1e-14, rel=0)
 
     @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
     def test_push_right(self, mode, augment):
         shifted = 0
         for spec, kernel, rng in random_instances(mode, augment, 43):
-            marg = marginal_of(kernel, spec)
+            marg = marginal_of(kernel)
             target = random_right_shift(marg, spec, rng)
-            pushed, shift = push_right_with_shift(kernel, spec, monotone_coupling(marg, target))
-            assert marginal_of(pushed, spec).weights == pytest.approx(target.weights, abs=1e-12)
+            pushed, shift = push_right_with_shift(kernel, monotone_coupling(marg, target))
+            assert marginal_of(pushed).weights == pytest.approx(target.weights, abs=1e-12)
             if len(marg) < len(kernel.atom_times):
                 continue  # the dict walk misread atoms the kernel never stops at
             want_q, want_shift = reference_push_right(
@@ -645,7 +648,7 @@ class TestAgainstTheDictWalks:
         cost = CostSpec(kind="running_max", name="identity") if mode == "history" or augment \
             else IDENTITY
         for k, (spec, kernel, _) in enumerate(random_instances(mode, augment, 44)):
-            report = simulate(kernel, spec, cost, n_paths=2000, seed=k)
+            report = simulate(kernel, cost, n_paths=2000, seed=k)
             mean, stderr, marginal = reference_simulate(kernel, spec, cost, 2000, k)
             assert (report.mean, report.stderr) == (mean, stderr)
             assert report.empirical_marginal == marginal

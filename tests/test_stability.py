@@ -190,13 +190,13 @@ class TestShiftIdentity:
         spec = LatticeSpec(depth=4, dt=0.5)
         mu = random_measure(rng, (0.5, 1.0, 1.5))
         kernel = feasible_kernel(spec, mu, rng)
-        marg = marginal_of(kernel, spec)
+        marg = marginal_of(kernel)
         targets = [
             marg,
             ceiling_project(marg, [1.0, 2.0]),
             ceiling_project(marg, [2.0]),
         ]
-        report = push_right_identity_check(kernel, spec, targets)
+        report = push_right_identity_check(kernel, targets)
         assert report.all_ok
         first = report.rows[0]
         assert first["shift"] == pytest.approx(0.0, abs=1e-12)
