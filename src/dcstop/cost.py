@@ -51,14 +51,16 @@ class CostSpec:
             finite_number(self.params["threshold"], "indicator threshold")
         if self.name == "polynomial":
             coeffs = self.params.get("coeffs")
-            if not coeffs:
+            if not coeffs or not isinstance(coeffs, (list, tuple)):
                 raise ConfigError("polynomial cost needs params['coeffs'] as a number list")
             for c in coeffs:
                 finite_number(c, "polynomial coefficient")
         if self.name == "polynomial2":
             coeffs = self.params.get("coeffs")
-            if not coeffs or not all(hasattr(row, "__len__") for row in coeffs):
-                raise ConfigError("polynomial2 cost needs params['coeffs'] as a coefficient matrix")
+            # A string or an object has a length too, but its items are characters or keys.
+            if (not coeffs or not isinstance(coeffs, (list, tuple))
+                    or not all(isinstance(row, (list, tuple)) for row in coeffs)):
+                raise ConfigError("polynomial2 cost needs params['coeffs'] as a list of number lists")
             for row in coeffs:
                 for c in row:
                     finite_number(c, "polynomial2 coefficient")

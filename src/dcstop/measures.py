@@ -245,11 +245,11 @@ def measure_to_json(mu: DiscreteMeasure) -> list[dict[str, float]]:
 
 def measure_from_json(data: Sequence[dict]) -> DiscreteMeasure:
     """Read ``[{"t": ..., "w": ...}, ...]``, renormalizing small ingest error."""
-    try:
-        atoms = [finite_number(item["t"], "atom time") for item in data]
-        weights = [finite_number(item["w"], "weight") for item in data]
-    except (TypeError, KeyError) as exc:
-        raise ValidationError(f"measure entries must be objects with 't' and 'w': {exc}") from exc
+    if not isinstance(data, (list, tuple)) or not all(
+            isinstance(item, dict) and "t" in item and "w" in item for item in data):
+        raise ValidationError("must be a list of objects with 't' and 'w'")
+    atoms = [finite_number(item["t"], "atom time") for item in data]
+    weights = [finite_number(item["w"], "weight") for item in data]
     total = sum(weights)
     if abs(total - 1.0) > INGEST_TOL:
         raise ValidationError(f"ingested weights sum to {total!r}, beyond tolerance {INGEST_TOL}")

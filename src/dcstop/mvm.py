@@ -220,7 +220,7 @@ def to_kernel(mvm: MvmTree) -> StoppingKernel:
     if mvm.start_step != 0:
         raise ValidationError("only full trees (start_step == 0) convert to kernels")
     spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
-    laws = [mvm.vectors[_descendants(0, s)] for s in mvm.rel_steps]
+    laws = [mvm.vectors[_descendants(0, s)] for s in mvm.rel_steps[:-1]]
     return kernel_from_laws(spec, mvm.atom_times, laws)
 
 

@@ -1,19 +1,25 @@
 """Linear-programming cross-check for the constrained stopping value.
 
 Randomized stopping schemes on the history tree are captured exactly by one
-variable per (atom, node-at-that-atom's-step) pair: the conditional
-probability of stopping there given the path so far.  Feasibility is a row
-per leaf path (conditional masses sum to one) plus a row per atom (weighted
+variable per (atom, history) pair: the conditional probability of stopping
+at that atom given the path so far.  The last atom stops surely, so
+once the last decision step ``d = steps[-2]`` (0 with one atom) has passed
+nothing is left to decide: the last atom's variable is indexed by the path's
+step-``d`` prefix, not by its leaf.  Feasibility is a row per step-``d``
+prefix (the masses on its path sum to one) plus a row per atom (weighted
 masses hit the target law).  The optimum over this polytope is the same value
 the block solver computes, reached by entirely different means, which is what
 makes the comparison worth running.
 
 Every history is addressed by its binary code (see ``lattice.histories``).
-Atom ``i`` at step ``s_i`` owns a block of ``2**s_i`` columns, one per code,
-and the blocks follow the atom order.  The first ``2**horizon`` rows are the
-path rows in leaf-code order; the last ``len(steps)`` rows are the marginal
-rows in atom order.  Leaf ``c`` meets atom ``i`` at its prefix ``c >> (horizon
-- s_i)``.
+Atom ``i`` owns a block of ``2**t_i`` columns, one per code at its block
+step ``t_i``: its own step ``s_i`` for the earlier atoms, ``d`` for the last.
+The blocks follow the atom order.  The first ``2**d`` rows are the path rows
+in prefix-code order; the last ``len(steps)`` rows are the marginal rows in
+atom order.  Prefix ``p`` meets atom ``i`` at ``p >> (d - t_i)``.  Merging
+the leaves under one prefix loses nothing: a leaf's path row fixes its
+last-atom mass at one minus the earlier masses on its path, which depend on
+the leaf only through its step-``d`` prefix.
 
 The float route solves the LP with HiGHS through ``scipy.optimize.linprog``
 (the dual revised simplex of Huangfu & Hall, Math. Prog. Comp. 2018), which
@@ -40,9 +46,11 @@ from .measures import DiscreteMeasure
 from .rst import StoppingKernel, kernel_from_laws
 
 ORACLE_DEPTH_LIMIT = 12
-# The exact route's integer tableau grows faster than HiGHS's: on
-# max-augmented ``abs`` instances (2-core x86 host) depth 11 took 13-40 s and
-# 345-370 MB, depth 12 with atoms at 6 and 12 took 47 s and 1.1 GB.
+# The exact route's integer tableau grows faster than HiGHS's, and the LP
+# grows with the last decision step d: on max-augmented ``abs`` instances
+# (2-core x86 host, peak RSS of the whole process) depth 11 took 0.4 s and
+# 80 MB at d = 7 (atoms at 4, 7, 11) and 33 s and 201 MB at d = 10 (atoms at
+# 5, 10, 11); depth 12 with atoms at 6 and 12 took under 0.1 s and 78 MB.
 EXACT_DEPTH_LIMIT = 11
 
 
@@ -50,9 +58,10 @@ EXACT_DEPTH_LIMIT = 11
 class LpProblem:
     """Equality-form problem: maximize ``c . x`` over ``A x = b, x >= 0``.
 
-    Columns come in one block per atom, ``2**steps[i]`` wide and indexed by
-    history code; rows are the leaf paths in code order, then one marginal
-    row per atom (see the module docstring).
+    Columns come in one block per atom, indexed by history code at the
+    atom's block step (``_block_steps``); rows are the step-``d`` prefixes in
+    code order, then one marginal row per atom (see the module docstring).
+    ``steps`` are the atom steps, the last of them the tree's horizon.
     """
 
     spec: LatticeSpec
@@ -87,27 +96,42 @@ def check_exact_depth(horizon: int) -> None:
             f"exact oracle tree has 2^{horizon} paths (limit 2^{EXACT_DEPTH_LIMIT})")
 
 
+def _block_steps(steps: tuple[int, ...]) -> tuple[int, ...]:
+    """The step whose codes index each atom's column block.
+
+    An earlier atom's own step; for the last atom the last decision step
+    ``steps[-2]``, or 0 with one atom.
+    """
+    return steps[:-1] + (steps[-2] if len(steps) > 1 else 0,)
+
+
 def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProblem:
     """Assemble the history-tree stopping polytope for a target law.
 
-    Marginal rows are scaled by ``2**step`` so every coefficient is a small
-    integer; the objective keeps the true path weights.
+    Marginal rows are scaled by the block width ``2**t_i`` so every
+    coefficient is a small integer.  The objective keeps the true path
+    weights: block ``i``'s coefficient at code ``p`` is ``2**-s_i`` times the
+    ``math.fsum`` of the stop costs of the step-``s_i`` histories under ``p``,
+    one history for an earlier atom and ``2**(s_i - d)`` leaves for the last.
     """
     steps = tuple(atom_steps(spec, mu.atoms))
     horizon = steps[-1]
     check_oracle_depth(horizon)
     hist = LatticeSpec(depth=horizon, dt=spec.dt, mode="history")
+    blocks = _block_steps(steps)
+    d = blocks[-1]
     # First column of each atom's block, then the column count.
-    offsets = list(accumulate((2 ** s for s in steps), initial=0))
-    leaves = np.arange(2 ** horizon)
-    a = np.zeros((leaves.size + len(steps), offsets[-1]))
+    offsets = list(accumulate((2 ** t for t in blocks), initial=0))
+    prefixes = np.arange(2 ** d)
+    a = np.zeros((prefixes.size + len(steps), offsets[-1]))
     b = np.ones(a.shape[0])
     c = np.zeros(a.shape[1])
-    for i, s in enumerate(steps):
-        a[leaves, offsets[i] + (leaves >> (horizon - s))] = 1.0
-        a[leaves.size + i, offsets[i]:offsets[i + 1]] = 1.0
-        b[leaves.size + i] = mu.weights[i] * 2 ** s
-        c[offsets[i]:offsets[i + 1]] = evaluate(cost, states_at_step(hist, s)) * 2.0 ** (-s)
+    for i, (s, t) in enumerate(zip(steps, blocks)):
+        a[prefixes, offsets[i] + (prefixes >> (d - t))] = 1.0
+        a[prefixes.size + i, offsets[i]:offsets[i + 1]] = 1.0
+        b[prefixes.size + i] = mu.weights[i] * 2 ** t
+        costs = evaluate(cost, states_at_step(hist, s)).reshape(2 ** t, -1)
+        c[offsets[i]:offsets[i + 1]] = [math.fsum(row) * 2.0 ** (-s) for row in costs.tolist()]
     return LpProblem(spec=spec, mu=mu, steps=steps, a=a, b=b, c=c)
 
 
@@ -210,11 +234,11 @@ def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
     precision goes into the last marginal row; a larger one stays, so
     inconsistent data still comes out infeasible.
     """
-    steps = problem.steps
-    marginals = b_vec[len(b_vec) - len(steps):]
-    defect = 1 - sum(w / 2 ** s for w, s in zip(marginals, steps))
+    blocks = _block_steps(problem.steps)
+    marginals = b_vec[len(b_vec) - len(blocks):]
+    defect = 1 - sum(w / 2 ** t for w, t in zip(marginals, blocks))
     if defect != 0 and abs(defect) < Fraction(1, 10 ** 9):
-        b_vec[-1] += defect * 2 ** steps[-1]
+        b_vec[-1] += defect * 2 ** blocks[-1]
 
 
 def _solve_exact(problem: LpProblem):
@@ -281,13 +305,14 @@ def oracle_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> floa
 def lp_solution_to_kernel(problem: LpProblem, solution: LpSolution) -> StoppingKernel:
     """Convert conditional stop masses back to hazard form (``rst.kernel_from_laws``).
 
-    The law at history ``c`` of atom ``i``'s step gathers, for each atom
-    ``j <= i``, the variable of ``c``'s prefix in atom ``j``'s block.
+    The law at history ``c`` of an earlier atom ``i``'s step gathers, for
+    each atom ``j <= i``, the variable of ``c``'s prefix in atom ``j``'s
+    block.  The last atom's block is not read: it stops every leaf surely.
     """
     steps = problem.steps
     hist = LatticeSpec(depth=steps[-1], dt=problem.spec.dt, mode="history")
-    offsets = list(accumulate((2 ** s for s in steps), initial=0))
+    offsets = list(accumulate((2 ** t for t in _block_steps(steps)), initial=0))
     laws = [np.column_stack([solution.x[offsets[j] + (np.arange(2 ** s) >> (s - steps[j]))]
                              for j in range(i + 1)])
-            for i, s in enumerate(steps)]
+            for i, s in enumerate(steps[:-1])]
     return kernel_from_laws(hist, problem.mu.atoms, laws)

@@ -115,23 +115,25 @@ def _advance(child: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 
 def kernel_from_laws(spec: LatticeSpec, atom_times, laws, alive=None) -> StoppingKernel:
-    """Hazard-form kernel from the stopping laws at each atom step.
+    """Hazard-form kernel from the stopping laws at each earlier atom step.
 
     Row ``p`` of ``laws[i]`` holds, for the node at position ``p`` of atom
     ``i``'s step, the mass each atom ``j <= i`` takes given the path there
     (later columns are not read).  The hazard is atom ``i``'s mass over the
     mass still alive, 0 where at most ``DEAD_MASS`` is alive, clamped into
-    ``[0, 1]`` with ``-0.0`` read as 0.0; the final atom always stops.  The
-    mass still alive is ``1 - sum_{j < i} laws[i][:, j]``, or ``alive[i]``
-    when given, for laws of another scale.
+    ``[0, 1]`` with ``-0.0`` read as 0.0.  The final atom always stops, on
+    every node of its step on ``spec``, so a law given for it is not read.
+    The mass still alive is ``1 - sum_{j < i} laws[i][:, j]``, or
+    ``alive[i]`` when given, for laws of another scale.
     """
+    steps = atom_steps(spec, atom_times)
     q = []
-    for i, law in enumerate(laws[:-1]):
+    for i, law in enumerate(laws[:len(steps) - 1]):
         remaining = 1.0 - law[:, :i].sum(axis=1) if alive is None else alive[i]
         dead = remaining <= DEAD_MASS
         ratio = law[:, i] / np.where(dead, 1.0, remaining)
         q.append(np.where(dead, 0.0, np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)))
-    return StoppingKernel(spec, atom_times, q + [np.ones(len(laws[-1]))])
+    return StoppingKernel(spec, atom_times, q + [np.ones(node_count(spec, steps[-1]))])
 
 
 def _forward_stops(kernel: StoppingKernel) -> list[np.ndarray]:

@@ -220,7 +220,7 @@ def random_kernel(spec: LatticeSpec, atom_times, rng: np.random.Generator) -> St
     return StoppingKernel(spec, atom_times, q + [np.ones(node_count(spec, steps[-1]))])
 
 
-def brute_kernel_stats(kernel, spec, cost=None):
+def brute_kernel_stats(kernel, cost=None):
     """Stopping-law weights and expected cost by per-path enumeration.
 
     Walks every driver path separately, multiplying hazards along the way;
@@ -228,6 +228,7 @@ def brute_kernel_stats(kernel, spec, cost=None):
     ``nodes_at_step``.  Returns ``(weights, objective)``; the objective is
     None when no cost is given.
     """
+    spec = kernel.spec
     steps = atom_steps(spec, kernel.atom_times)
     horizon = steps[-1]
     hist = LatticeSpec(depth=horizon, dt=spec.dt, mode="history")

@@ -107,7 +107,7 @@ class TestOracle:
         assert payload["value"] == pytest.approx(0.5, abs=1e-9)
         assert payload["exact"] is False
         assert payload["duality_gap"] <= 1e-9
-        assert payload["variables"] == 6
+        assert payload["variables"] == 4
         hist = LatticeSpec(depth=2, dt=1.0, mode="history")
         kernel = kernel_from_json(hist, payload["kernel"])
         from dcstop import CostSpec
@@ -291,6 +291,34 @@ class TestConfigErrors:
         path.write_text(json.dumps(config).replace('"@"', token))
         assert main(["solve", str(path)]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    # Containers of the wrong shape: lists for objects, objects for lists,
+    # strings whose characters would be read as items.
+    MEASURE_SHAPE = "measure: must be a list of objects with 't' and 'w'"
+    POLYNOMIAL2_SHAPE = "cost: polynomial2 cost needs params['coeffs'] as a list of number lists"
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("measure", [[1.0, 0.5], [2.0, 0.5]], MEASURE_SHAPE),
+        ("measure", {"t": 1.0, "w": 1.0}, MEASURE_SHAPE),
+        ("measure", [{"t": 1.0, "w": 0.5}, "tw"], MEASURE_SHAPE),
+        ("measure", [{"t": 2.0}], MEASURE_SHAPE),
+        ("measure", "tw", MEASURE_SHAPE),
+        ("cost", {"kind": "markov", "name": "polynomial2", "params": {"coeffs": [{"10": 1.0}]}},
+         POLYNOMIAL2_SHAPE),
+        ("cost", {"kind": "markov", "name": "polynomial2", "params": {"coeffs": [[0.5], "12"]}},
+         POLYNOMIAL2_SHAPE),
+        ("cost", {"kind": "markov", "name": "polynomial2", "params": {"coeffs": {"0": [1.0]}}},
+         POLYNOMIAL2_SHAPE),
+        ("cost", {"kind": "terminal", "name": "polynomial", "params": {"coeffs": "12"}},
+         "cost: polynomial cost needs params['coeffs'] as a number list"),
+    ])
+    def test_malformed_containers_exit_2(self, tmp_path, monkeypatch, capsys, section, value,
+                                         message):
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = {**base_config(), section: value}
+        assert main(["solve", self.write(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+        assert not (tmp_path / "result.json").exists()
 
     # One misspelled key per section, and two keys that are not settings.
     @pytest.mark.parametrize("section, key, value", [

@@ -938,7 +938,7 @@ def brute_pure_value(spec, cost, mu):
         q = dict(zip(interior, choice))
         q.update(final)
         kernel = kernel_from_dict(spec, mu.atoms, q)
-        weights, objective = brute_kernel_stats(kernel, spec, cost)
+        weights, objective = brute_kernel_stats(kernel, cost)
         if max(abs(a - b) for a, b in zip(weights, mu.weights)) <= 1e-12:
             best = max(best, objective)
     return best

@@ -73,8 +73,9 @@ def constant_tree(weights: tuple[float, ...], atoms=(1.0, 2.0), depth=2) -> MvmT
     return MvmTree(1.0, atoms, np.tile(weights, (2 ** (depth + 1) - 1, 1)))
 
 
-def reference_from_kernel(kernel, spec):
+def reference_from_kernel(kernel):
     """Per-leaf hazard products, then halving averages: the loop the level sweep replaced."""
+    spec = kernel.spec
     steps = kernel.steps()
     r = len(steps)
     q = kernel_dict(kernel)
@@ -93,9 +94,10 @@ def reference_from_kernel(kernel, spec):
     return vectors
 
 
-def reference_forward_loop(kernel, spec) -> np.ndarray:
+def reference_forward_loop(kernel) -> np.ndarray:
     """Heap-ordered vectors by the forward loop over histories that ``from_kernel`` ran
     before it read the lattice's forward stop sweep: one path's own masses per row."""
+    spec = kernel.spec
     steps = kernel.steps()
     last = steps[-1]
     r = len(kernel.atom_times)
@@ -247,7 +249,7 @@ class TestFromKernel:
         for atoms in ((float(spec.depth),), (1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
             kernel = random_kernel(spec, atoms, rng)
             tree = from_kernel(kernel)
-            want = reference_from_kernel(kernel, spec)
+            want = reference_from_kernel(kernel)
             got = tree_dict(tree)
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[b], want[b]) for b in want)
@@ -258,7 +260,7 @@ class TestFromKernel:
         for atoms in ((float(spec.depth),), (1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
             for kernel in (random_kernel(spec, atoms, rng), mixed_kernel(spec, atoms, rng)):
                 got = from_kernel(kernel).vectors
-                assert got.tobytes() == reference_forward_loop(kernel, spec).tobytes()
+                assert got.tobytes() == reference_forward_loop(kernel).tobytes()
 
     def test_worked_tree_vectors(self):
         tree = worked_tree()

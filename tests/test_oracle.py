@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -58,12 +59,20 @@ def tiny_problem(a, b, c):
 
 
 def column(steps, i, code):
-    """Column of the history with ``code`` in atom ``i``'s block."""
+    """Column of the history with ``code`` in atom ``i``'s block.
+
+    For the last atom ``code`` is the step-``steps[-2]`` prefix.
+    """
     return sum(2 ** s for s in steps[:i]) + code
 
 
 def reference_build_lp(spec, cost, mu):
-    """The tuple-keyed assembly the index arithmetic replaced: ``(a, b, c)``."""
+    """The full leaf-row LP, tuple-keyed: ``(a, b, c, var_keys)``.
+
+    One path row and one last-atom column per leaf, the marginal rows scaled
+    by ``2**step``.  ``build_lp`` merges the leaves under each step-``d``
+    prefix (``merged_reference``).
+    """
     steps = tuple(atom_steps(spec, mu.atoms))
     horizon = steps[-1]
     hist = LatticeSpec(depth=horizon, dt=spec.dt, mode="history")
@@ -90,6 +99,40 @@ def reference_build_lp(spec, cost, mu):
     return a, b, c, var_keys
 
 
+def merged_reference(spec, cost, mu):
+    """The reference LP with each last-atom leaf class merged into its step-``d`` prefix.
+
+    Leaf rows under one prefix agree on the earlier atoms' columns: one row
+    stands for them all, with the merged column of its prefix.  The merged
+    column's coefficient is the ``math.fsum`` of its leaves' coefficients.
+    """
+    a, b, c, var_keys = reference_build_lp(spec, cost, mu)
+    steps = tuple(atom_steps(spec, mu.atoms))
+    horizon, d = steps[-1], (0, *steps)[-2]
+    early, n_leaves, fan = sum(2 ** s for s in steps[:-1]), 2 ** steps[-1], 2 ** (horizon - d)
+    firsts = a[:n_leaves:fan, :early]
+    assert np.array_equal(a[:n_leaves, :early], np.repeat(firsts, fan, axis=0))
+    marginals = np.hstack([a[n_leaves:, :early], np.zeros((len(steps), 2 ** d))])
+    marginals[-1, early:] = 1.0
+    merged_a = np.vstack([np.hstack([firsts, np.eye(2 ** d)]), marginals])
+    merged_b = np.concatenate([np.ones(2 ** d), b[n_leaves:-1], [b[-1] / fan]])
+    merged_c = np.concatenate([c[:early], [math.fsum(leaf) for leaf in c[early:].reshape(-1, fan)]])
+    return merged_a, merged_b, merged_c, var_keys
+
+
+def reference_exact_value(spec, cost, mu) -> Fraction:
+    """Exact optimum of the full leaf-row LP, its rounding defect absorbed at ``2**horizon``."""
+    a, b, c, _ = reference_build_lp(spec, cost, mu)
+    steps = atom_steps(spec, mu.atoms)
+    b = [Fraction(v) for v in b]
+    defect = 1 - sum(w / 2 ** s for w, s in zip(b[len(b) - len(steps):], steps))
+    if defect != 0 and abs(defect) < Fraction(1, 10 ** 9):
+        b[-1] += defect * 2 ** steps[-1]
+    status, value, *_ = oracle._simplex(a, b, c)
+    assert status == "optimal"
+    return value
+
+
 def reference_kernel_q(problem, x, var_keys):
     """The tuple-keyed hazard read-off the shifted codes replaced."""
     steps = problem.steps
@@ -114,37 +157,41 @@ class TestBuildLp:
     def test_worked_problem_dimensions(self):
         problem = worked_problem()
         assert problem.steps == (1, 2)
-        assert problem.a.shape == (6, 6)
-        # One block per atom, 2**step columns wide: codes 0-1, then 0-3.
+        assert problem.a.shape == (4, 4)
+        # Two path rows, one per step-1 prefix, then two marginal rows.  The
+        # first block has 2**1 columns; the last block is indexed by the
+        # step-1 prefix too, codes 0-1.
         assert column(problem.steps, 1, 0) == 2
-        assert column(problem.steps, 1, 3) == problem.a.shape[1] - 1
+        assert column(problem.steps, 1, 1) == problem.a.shape[1] - 1
 
     def test_row_structure(self):
         problem = worked_problem()
         assert set(np.unique(problem.a)) <= {0.0, 1.0}
-        paths = range(4)
+        paths = range(2)
         assert all(problem.a[i].sum() == 2 for i in paths)
         assert all(problem.b[i] == 1.0 for i in paths)
-        # Leaf row c holds its prefix c >> 1 in the first block and itself in the second.
-        for leaf in paths:
-            assert problem.a[leaf, column(problem.steps, 0, leaf >> 1)] == 1.0
-            assert problem.a[leaf, column(problem.steps, 1, leaf)] == 1.0
-        marginals = [4, 5]
-        # Marginal rows are scaled by the path count at their step.
+        # Prefix row p holds p in both blocks: the first atom's step is d = 1.
+        for prefix in paths:
+            assert problem.a[prefix, column(problem.steps, 0, prefix)] == 1.0
+            assert problem.a[prefix, column(problem.steps, 1, prefix)] == 1.0
+        marginals = [2, 3]
+        # Marginal rows are scaled by their block's width, 2**1 for both.
         assert problem.a[marginals[0]].sum() == 2
         assert problem.a[marginals[0], :2].sum() == 2
         assert problem.b[marginals[0]] == pytest.approx(1.0)
-        assert problem.a[marginals[1]].sum() == 4
-        assert problem.a[marginals[1], 2:].sum() == 4
-        assert problem.b[marginals[1]] == pytest.approx(2.0)
+        assert problem.a[marginals[1]].sum() == 2
+        assert problem.a[marginals[1], 2:].sum() == 2
+        assert problem.b[marginals[1]] == pytest.approx(1.0)
 
     def test_objective_uses_true_path_weights(self):
         problem = worked_problem()
         coeff = problem.c
         assert coeff[column(problem.steps, 0, 0b1)] == pytest.approx(0.5)
         assert coeff[column(problem.steps, 0, 0b0)] == pytest.approx(0.0)
-        assert coeff[column(problem.steps, 1, 0b11)] == pytest.approx(0.25)
-        assert coeff[column(problem.steps, 1, 0b01)] == pytest.approx(0.0)
+        # The last block sums its prefix's leaves at 2**-2 each: 0b11 pays
+        # one, 0b10, 0b01 and 0b00 pay nothing.
+        assert coeff[column(problem.steps, 1, 0b1)] == pytest.approx(0.25)
+        assert coeff[column(problem.steps, 1, 0b0)] == pytest.approx(0.0)
 
     @pytest.mark.parametrize("augment", [False, True])
     @pytest.mark.parametrize("depth", range(1, 9))
@@ -158,7 +205,7 @@ class TestBuildLp:
             mu = random_measure(rng, [0.5 * s for s in sorted(set(steps))])
             for cost in costs:
                 problem = build_lp(spec, cost, mu)
-                a, b, c, var_keys = reference_build_lp(spec, cost, mu)
+                a, b, c, var_keys = merged_reference(spec, cost, mu)
                 assert np.array_equal(problem.a, a)
                 assert np.array_equal(problem.b, b)
                 assert np.array_equal(problem.c, c)
@@ -169,11 +216,36 @@ class TestBuildLp:
                 x[rng.random(x.size) < 0.1] = -0.0
                 solution = LpSolution("optimal", 0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
                 got = lp_solution_to_kernel(problem, solution)
-                want = reference_kernel_q(problem, x, var_keys)
+                # The reference reads one last-atom variable per leaf: each
+                # leaf takes its prefix's.
+                early = sum(2 ** s for s in problem.steps[:-1])
+                fan = 2 ** (problem.steps[-1] - (0, *problem.steps)[-2])
+                want = reference_kernel_q(
+                    problem, np.concatenate([x[:early], np.repeat(x[early:], fan)]), var_keys)
                 # Position by position, down to the sign of a zero.
                 for s, values in zip(problem.steps, got.q):
                     nodes = nodes_at_step(got.spec, s)
                     assert [repr(v) for v in values.tolist()] == [repr(want[n]) for n in nodes]
+
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_same_optimum_as_the_leaf_row_lp(self, depth, augment):
+        # dt = 0.25 keeps every stop cost dyadic, so each prefix's leaf-cost
+        # sum is a float and both LPs hold the same rational data.
+        rng = np.random.default_rng(90 + depth + 10 * augment)
+        spec = LatticeSpec(depth=depth, dt=0.25, augment_max=augment)
+        costs = [ABS, CostSpec(kind="running_max", name="identity") if augment else INDICATOR]
+        for n_atoms in range(1, min(4, depth) + 1):
+            steps = sorted(rng.choice(np.arange(1, depth + 1), n_atoms, replace=False))
+            steps[-1] = depth
+            mu = random_measure(rng, [0.25 * s for s in sorted(set(steps))])
+            # The costs take turns: the full LP's exact solve is the slow part.
+            cost = costs[n_atoms % 2]
+            problem = build_lp(spec, cost, mu)
+            want = reference_exact_value(spec, cost, mu)
+            # The exact route's value before its rounding to a float.
+            assert oracle._solve_exact(problem)[1] == want
+            assert abs(solve_lp(problem).value - float(want)) <= 1e-12
 
     def test_depth_guard(self):
         spec = LatticeSpec(depth=13, dt=1.0)
@@ -218,7 +290,8 @@ class TestSolveLp:
         solution = solve_lp(problem)
         assert solution.status == "optimal"
         assert solution.value == pytest.approx(0.25, abs=1e-12)
-        assert solution.x == pytest.approx(np.ones(4), abs=1e-12)
+        # One atom: no decision step, one column for the root prefix.
+        assert solution.x == pytest.approx([1.0], abs=1e-12)
 
     def test_handmade_budget_problem(self):
         solution = solve_lp(tiny_problem([[1.0, 1.0]], [1.0], [1.0, 1.0]))
@@ -493,5 +566,5 @@ class TestOracleValue:
         mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
         problem = build_lp(spec, INDICATOR, mu)
         squeezed = replace(problem, b=problem.b.copy())
-        squeezed.b[4] = 3.0
+        squeezed.b[len(squeezed.b) - len(problem.steps)] = 3.0
         assert solve_lp(squeezed).status == "infeasible"

@@ -97,7 +97,7 @@ class TestMarginal:
         spec = LatticeSpec(depth=4, dt=0.25, mode=mode, augment_max=augment)
         for _ in range(5):
             kernel = random_kernel(spec, (0.25, 0.75, 1.0), rng)
-            weights, _ = brute_kernel_stats(kernel, spec)
+            weights, _ = brute_kernel_stats(kernel)
             marg = marginal_of(kernel)
             assert marg.weights == pytest.approx(weights, abs=1e-14)
 
@@ -145,7 +145,7 @@ class TestObjective:
         cost = CostSpec(kind="running_max", name="square")
         for _ in range(5):
             kernel = random_kernel(spec, (0.5, 1.0), rng)
-            _, brute = brute_kernel_stats(kernel, spec, cost)
+            _, brute = brute_kernel_stats(kernel, cost)
             assert objective_value(kernel, cost) == pytest.approx(brute, abs=1e-13)
 
 
@@ -166,9 +166,11 @@ class TestKernelFromLaws:
         assert want.q[1] == pytest.approx(np.full(4, 0.5), rel=1e-9)
         assert want.q[1].tobytes() == to_kernel(tree).q[1].tobytes()
         assert want.q[1].tobytes() == reference_tree_to_kernel(tree).q[1].tobytes()
-        # The same laws as LP variables: one block per atom, columns by history code.
+        # The same laws as LP variables: one block per earlier atom, columns by
+        # history code, then the last atom's block by step-2 prefix.
         problem = build_lp(hist, IDENTITY, DiscreteMeasure((1.0, 2.0, 3.0), (0.5, 0.25, 0.25)))
-        x = np.concatenate([law[:, i] for i, law in enumerate(laws)])
+        x = np.concatenate([law[:, i] for i, law in enumerate(laws[:-1])] + [np.zeros(4)])
+        assert x.size == problem.a.shape[1]
         solution = LpSolution("optimal", 0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
         assert lp_solution_to_kernel(problem, solution).q[1].tobytes() == want.q[1].tobytes()
         assert np.array_equal(reference_lp_to_kernel(problem, solution).q[1], np.zeros(4))
@@ -417,7 +419,8 @@ def reference_advance(spec, alive) -> dict:
     return nxt
 
 
-def reference_forward_stops(kernel, spec):
+def reference_forward_stops(kernel):
+    spec = kernel.spec
     q = kernel_dict(kernel)
     steps = kernel.steps()
     last = steps[-1]
@@ -437,21 +440,22 @@ def reference_forward_stops(kernel, spec):
     return stops
 
 
-def reference_marginal(kernel, spec):
+def reference_marginal(kernel):
     return DiscreteMeasure(kernel.atom_times,
-                           [sum(d.values()) for d in reference_forward_stops(kernel, spec)])
+                           [sum(d.values()) for d in reference_forward_stops(kernel)])
 
 
-def reference_objective(kernel, spec, cost):
+def reference_objective(kernel, cost):
+    spec = kernel.spec
     total = 0.0
-    for stopped in reference_forward_stops(kernel, spec):
+    for stopped in reference_forward_stops(kernel):
         for node, mass in stopped.items():
             if mass != 0.0:
                 total += mass * stop_cost(cost, spec, node)
     return total
 
 
-def reference_push_right(kernel, spec, coupling, source):
+def reference_push_right(kernel, coupling, source):
     """The dict ``push_right_with_shift``: ``(stop probabilities by node, shift)``.
 
     ``source`` is the kernel's marginal, which the dict walk summed in dict
@@ -459,6 +463,7 @@ def reference_push_right(kernel, spec, coupling, source):
     the last bit, and the split fractions divide by it.  The caller passes
     the one it compares against.
     """
+    spec = kernel.spec
     q = kernel_dict(kernel)
     assert len(source) == len(coupling.source)
     target = coupling.target
@@ -506,7 +511,8 @@ def reference_push_right(kernel, spec, coupling, source):
     return new_q, shift
 
 
-def reference_atom_lookups(kernel, spec, cost):
+def reference_atom_lookups(kernel, cost):
+    spec = kernel.spec
     q = kernel_dict(kernel)
     lookups = []
     for s in kernel.steps():
@@ -529,9 +535,10 @@ def reference_atom_lookups(kernel, spec, cost):
     return lookups
 
 
-def reference_simulate(kernel, spec, cost, n_paths, seed):
+def reference_simulate(kernel, cost, n_paths, seed):
     """The simulation that tracked level, running maximum and history code per path."""
-    lookups = reference_atom_lookups(kernel, spec, cost)
+    spec = kernel.spec
+    lookups = reference_atom_lookups(kernel, cost)
     last = lookups[-1][0]
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(kernel.atom_times), dtype=np.int64)
@@ -620,11 +627,11 @@ class TestAgainstTheDictWalks:
         cost = CostSpec(kind="running_max", name="square") if mode == "history" or augment \
             else SQUARE
         for spec, kernel, _ in random_instances(mode, augment, 42):
-            got, want = marginal_of(kernel), reference_marginal(kernel, spec)
+            got, want = marginal_of(kernel), reference_marginal(kernel)
             assert got.atoms == want.atoms
             assert got.weights == pytest.approx(want.weights, abs=1e-14, rel=0)
             assert objective_value(kernel, cost) == pytest.approx(
-                reference_objective(kernel, spec, cost), abs=1e-14, rel=0)
+                reference_objective(kernel, cost), abs=1e-14, rel=0)
 
     @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
     def test_push_right(self, mode, augment):
@@ -637,7 +644,7 @@ class TestAgainstTheDictWalks:
             if len(marg) < len(kernel.atom_times):
                 continue  # the dict walk misread atoms the kernel never stops at
             want_q, want_shift = reference_push_right(
-                kernel, spec, monotone_coupling(marg, target), marg)
+                kernel, monotone_coupling(marg, target), marg)
             assert kernel_dict(pushed) == want_q
             assert shift == pytest.approx(want_shift, abs=1e-14, rel=0)
             shifted += shift > ATOM_MERGE_TOL
@@ -649,6 +656,6 @@ class TestAgainstTheDictWalks:
             else IDENTITY
         for k, (spec, kernel, _) in enumerate(random_instances(mode, augment, 44)):
             report = simulate(kernel, cost, n_paths=2000, seed=k)
-            mean, stderr, marginal = reference_simulate(kernel, spec, cost, 2000, k)
+            mean, stderr, marginal = reference_simulate(kernel, cost, 2000, k)
             assert (report.mean, report.stderr) == (mean, stderr)
             assert report.empirical_marginal == marginal
