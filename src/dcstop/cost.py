@@ -98,18 +98,34 @@ def _polynomial2(coeffs, w: float, t: float) -> float:
     return acc
 
 
+def cost_overflow(what: str) -> ConfigError:
+    """The error for ``what`` of a cost that left the floats: an infinity or a NaN."""
+    return ConfigError(f"cost: {what} is not a finite float")
+
+
 def evaluate(cost: CostSpec, st: PathState) -> np.ndarray:
-    """Cost of stopping at each node of a step, from its ``lattice.states_at_step``."""
+    """Cost of stopping at each node of a step, from its ``lattice.states_at_step``.
+
+    A cost that is not a finite float at some node is refused (``cost_overflow``).
+    """
     if cost.kind == "running_max" and st.m is None:
         raise ConfigError("running_max cost on a lattice that does not track the maximum; "
                           "set augment_max=True")
-    if cost.name == "polynomial2":
-        # Node by node: numpy's power rounds unlike the C pow that ``**`` calls.
-        return np.array([_polynomial2(cost.params["coeffs"], w, t)
-                         for w, t in zip(st.w.tolist(), st.t.tolist())])
     # markov scalar forms read the position, like terminal ones.
     x = {"terminal": st.w, "running_max": st.m, "time": st.t, "markov": st.w}[cost.kind]
-    return _scalar_fn(cost.name, cost.params)(x)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cost.name == "polynomial2":
+                # Node by node: numpy's power rounds unlike the C pow that ``**`` calls.
+                values = np.array([_polynomial2(cost.params["coeffs"], w, t)
+                                   for w, t in zip(st.w.tolist(), st.t.tolist())])
+            else:
+                values = _scalar_fn(cost.name, cost.params)(x)
+    except OverflowError as exc:  # ``**`` on Python floats raises where numpy gives inf
+        raise cost_overflow("a stop cost") from exc
+    if not np.isfinite(values).all():
+        raise cost_overflow("a stop cost")
+    return values
 
 
 def modulus(cost: CostSpec, spec: LatticeSpec) -> Callable[[float], float]:
@@ -144,13 +160,17 @@ def holder2_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> float:
         power = 1
     else:
         raise ConfigError("no modulus route for markov costs")
-    f = _scalar_fn(cost.name, cost.params)(np.array(values)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _scalar_fn(cost.name, cost.params)(np.array(values)).tolist()
     # The grid is uniform and power >= 1, so adjacent points attain the
     # largest ratio over all pairs: for points k steps apart, |f(x) - f(y)| is
     # at most k times the largest adjacent difference, and (k * mesh) ** power
     # at least k times mesh ** power.  The power stays Python's, see ``evaluate``.
-    return max(abs(fx - fy) / (y - x) ** power
-               for x, y, fx, fy in zip(values, values[1:], f, f[1:]))
+    c = max(abs(fx - fy) / (y - x) ** power
+            for x, y, fx, fy in zip(values, values[1:], f, f[1:]))
+    if not np.isfinite([c] + f).all():  # ``max`` skips a NaN difference, so f too
+        raise cost_overflow("the continuity constant")
+    return c
 
 
 def cost_from_json(data: dict) -> CostSpec:

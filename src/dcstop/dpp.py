@@ -54,14 +54,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
-from math import comb
+from math import comb, isfinite
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull, QhullError
 
-from .cost import CostSpec, evaluate
+from .cost import CostSpec, cost_overflow, evaluate
 from .errors import ConfigError, NumericalError, SizeGuardError
 from .lattice import (
     LatticeSpec,
@@ -264,6 +264,9 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
     eqs, simplices = hull.equations, hull.simplices
     upper = (eqs[:, d] > UPPER_FACET_TOL) & (simplices != points.shape[0]).all(axis=1)
+    if not upper.any():
+        raise NumericalError(f"qhull found no upper facet on a cloud of {points.shape[0]} "
+                             f"points for k = {d + 1}")
     eqs = eqs[upper]
     affine = np.column_stack([-eqs[:, :d] / eqs[:, d:d + 1], -eqs[:, d + 1] / eqs[:, d]])
     _, first = np.unique(affine, axis=0, return_index=True)
@@ -367,10 +370,15 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
       is a sorted chain, so this test is skipped.
 
     The kept pairs stay in row-major order.  ``PAIR_CLOUD_LIMIT`` bounds the
-    cloud before pruning, ``nu * nd``.
+    cloud before pruning, ``nu * nd``.  Inputs whose largest or smallest
+    values sum past the floats are refused before any pair is summed.
     """
     if up.k != down.k:
         raise ConfigError("pair supremum needs matching dimensions")
+    # Python floats, whose overflowing sum is inf without a warning.
+    vu, vd = up.verts[:, -1].tolist(), down.verts[:, -1].tolist()
+    if not (isfinite(max(vu) + max(vd)) and isfinite(min(vu) + min(vd))):
+        raise cost_overflow("a sum of stop costs")
     k = up.k
     if k == 1:
         w = 0.5 * (up.verts[0, 1] + down.verts[0, 1])

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import pairwise
 from typing import Sequence
 
 from .errors import CoverageError, ValidationError, finite_number
@@ -85,58 +87,19 @@ class DiscreteMeasure:
         return sum(t * w for t, w in zip(self.atoms, self.weights))
 
 
+@dataclass(frozen=True)
 class MonotoneCoupling:
-    """A coupling of two measures whose support is monotone in both indices.
+    """The quantile coupling of ``source`` and ``target``, as ``monotone_coupling`` builds it.
 
-    ``rows[i]`` lists ``(target_index, mass)`` cells for source atom ``i``.
-    Row sums must reproduce the source weights and column sums the target
-    weights, both within ``WEIGHT_TOL``; cells must be traversable in
-    jointly nondecreasing index order (no crossing pairs).
+    ``rows[i]`` lists ``(target_index, mass)`` cells for source atom ``i`` in
+    increasing target index.  Row sums reproduce the source weights and
+    column sums the target weights, both within ``WEIGHT_TOL``, and no two
+    cells cross: the support is monotone in both indices.
     """
 
-    __slots__ = ("source", "target", "rows")
-
-    def __init__(
-        self,
-        source: DiscreteMeasure,
-        target: DiscreteMeasure,
-        rows: Sequence[Sequence[tuple[int, float]]],
-    ):
-        if len(rows) != len(source):
-            raise ValidationError("need one row per source atom")
-        clean_rows = []
-        col_sums = [0.0] * len(target)
-        prev_max = -1
-        for i, row in enumerate(rows):
-            cells = sorted((int(j), float(m)) for j, m in row)
-            row_sum = 0.0
-            for j, m in cells:
-                if not 0 <= j < len(target):
-                    raise ValidationError(f"row {i} refers to missing target atom {j}")
-                if m < -WEIGHT_TOL:
-                    raise ValidationError(f"negative coupling mass at cell ({i}, {j})")
-                row_sum += m
-                col_sums[j] += m
-            if cells:
-                if cells[0][0] < prev_max:
-                    raise ValidationError(f"coupling support crosses between rows {i - 1} and {i}")
-                prev_max = cells[-1][0]
-            if abs(row_sum - source.weights[i]) > WEIGHT_TOL:
-                raise ValidationError(
-                    f"row {i} mass {row_sum!r} does not match source weight {source.weights[i]!r}"
-                )
-            clean_rows.append(tuple(cells))
-        for j, s in enumerate(col_sums):
-            if abs(s - target.weights[j]) > WEIGHT_TOL:
-                raise ValidationError(
-                    f"column {j} mass {s!r} does not match target weight {target.weights[j]!r}"
-                )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "rows", tuple(clean_rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonotoneCoupling is immutable")
+    source: DiscreteMeasure
+    target: DiscreteMeasure
+    rows: tuple[tuple[tuple[int, float], ...], ...]
 
     def cost(self) -> float:
         """Transport cost ``sum m * |t_source - t_target|`` of the coupling."""
@@ -148,20 +111,25 @@ class MonotoneCoupling:
         return total
 
 
-def w1_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    """Wasserstein-1 distance, computed as the area between the CDFs."""
-    points = sorted(set(a.atoms) | set(b.atoms))
-    total = 0.0
-    ca = cb = 0.0
+def _cdf_walk(a: DiscreteMeasure, b: DiscreteMeasure):
+    """``(t, F_a(t), F_b(t))`` at every atom ``t`` of either measure, in time order."""
+    fa = fb = 0.0
     ia = ib = 0
-    for left, right in zip(points, points[1:]):
-        while ia < len(a) and a.atoms[ia] <= left:
-            ca += a.weights[ia]
+    for t in sorted(set(a.atoms) | set(b.atoms)):
+        while ia < len(a) and a.atoms[ia] <= t:
+            fa += a.weights[ia]
             ia += 1
-        while ib < len(b) and b.atoms[ib] <= left:
-            cb += b.weights[ib]
+        while ib < len(b) and b.atoms[ib] <= t:
+            fb += b.weights[ib]
             ib += 1
-        total += abs(ca - cb) * (right - left)
+        yield t, fa, fb
+
+
+def w1_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
+    """Wasserstein-1 distance: the area between the CDFs, ``sum |F_a - F_b| dt``."""
+    total = 0.0
+    for (left, fa, fb), (right, _, _) in pairwise(_cdf_walk(a, b)):
+        total += abs(fa - fb) * (right - left)
     return total
 
 
@@ -192,7 +160,7 @@ def monotone_coupling(source: DiscreteMeasure, target: DiscreteMeasure) -> Monot
                 left_j = target.weights[j]
         if i >= len(source) or j >= len(target):
             break
-    return MonotoneCoupling(source, target, rows)
+    return MonotoneCoupling(source, target, tuple(map(tuple, rows)))
 
 
 def is_right_shift_of(target: DiscreteMeasure, source: DiscreteMeasure,
@@ -200,22 +168,9 @@ def is_right_shift_of(target: DiscreteMeasure, source: DiscreteMeasure,
     """True when ``target`` is reachable from ``source`` by moving mass right.
 
     Equivalent to first-order stochastic dominance: the target CDF never
-    exceeds the source CDF.  Checked at every merged breakpoint with
-    tolerance ``tol`` on cumulative weights.
+    exceeds the source CDF by more than ``tol`` at any atom of either.
     """
-    points = sorted(set(source.atoms) | set(target.atoms))
-    cs = ct = 0.0
-    i = j = 0
-    for p in points:
-        while i < len(source) and source.atoms[i] <= p:
-            cs += source.weights[i]
-            i += 1
-        while j < len(target) and target.atoms[j] <= p:
-            ct += target.weights[j]
-            j += 1
-        if ct > cs + tol:
-            return False
-    return True
+    return all(ft <= fs + tol for _, fs, ft in _cdf_walk(source, target))
 
 
 def ceiling_project(mu: DiscreteMeasure, grid: Sequence[float]) -> DiscreteMeasure:

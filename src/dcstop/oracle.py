@@ -39,7 +39,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.optimize import linprog
 
-from .cost import CostSpec, evaluate
+from .cost import CostSpec, cost_overflow, evaluate
 from .errors import SizeGuardError, ValidationError
 from .lattice import LatticeSpec, atom_steps, states_at_step
 from .measures import DiscreteMeasure
@@ -113,6 +113,7 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
     weights: block ``i``'s coefficient at code ``p`` is ``2**-s_i`` times the
     ``math.fsum`` of the stop costs of the step-``s_i`` histories under ``p``,
     one history for an earlier atom and ``2**(s_i - d)`` leaves for the last.
+    A sum past the floats is refused with ``cost.cost_overflow``.
     """
     steps = tuple(atom_steps(spec, mu.atoms))
     horizon = steps[-1]
@@ -131,7 +132,11 @@ def build_lp(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> LpProble
         a[prefixes.size + i, offsets[i]:offsets[i + 1]] = 1.0
         b[prefixes.size + i] = mu.weights[i] * 2 ** t
         costs = evaluate(cost, states_at_step(hist, s)).reshape(2 ** t, -1)
-        c[offsets[i]:offsets[i + 1]] = [math.fsum(row) * 2.0 ** (-s) for row in costs.tolist()]
+        try:
+            c[offsets[i]:offsets[i + 1]] = [math.fsum(row) * 2.0 ** (-s)
+                                            for row in costs.tolist()]
+        except OverflowError as exc:
+            raise cost_overflow("a sum of stop costs") from exc
     return LpProblem(spec=spec, mu=mu, steps=steps, a=a, b=b, c=c)
 
 

@@ -31,11 +31,7 @@ from .lattice import (
     nodes_at_step,
     states_at_step,
 )
-from .measures import (
-    ATOM_MERGE_TOL,
-    DiscreteMeasure,
-    MonotoneCoupling,
-)
+from .measures import ATOM_MERGE_TOL, DiscreteMeasure, monotone_coupling
 
 Q_SNAP_TOL = 1e-12
 # Mass smaller than this is treated as never reaching a node (0/0 -> 0 rule).
@@ -171,26 +167,20 @@ def objective_value(kernel: StoppingKernel, cost: CostSpec) -> float:
 
 
 def push_right_with_shift(kernel: StoppingKernel,
-                          coupling: MonotoneCoupling) -> tuple[StoppingKernel, float]:
-    """Re-route every stop decision rightward along ``coupling``.
+                          target: DiscreteMeasure) -> tuple[StoppingKernel, float]:
+    """Re-route every stop decision rightward, onto the stopping-time law ``target``.
 
-    The coupling's source must be the kernel's marginal; its target becomes
-    the new marginal.  Each unit of mass stopped at a source atom continues
-    and stops at its coupled target time, split across the future subtree
-    proportionally to path probability, so the realized expected shift equals
-    the coupling cost exactly.  Returns the new kernel and that shift,
-    ``E|tau' - tau|``; the new kernel lives on the kernel's lattice.
+    Mass moves along the monotone coupling of the kernel's marginal with
+    ``target``, which becomes the new marginal; ``RightShiftError`` when that
+    coupling moves mass left.  Each unit of mass stopped at a source atom
+    continues and stops at its coupled target time, split across the future
+    subtree proportionally to path probability, so the realized expected
+    shift equals the coupling cost exactly.  Returns the new kernel and that
+    shift, ``E|tau' - tau|``; the new kernel lives on the kernel's lattice.
     """
     spec = kernel.spec
     source = marginal_of(kernel)
-    if len(source) != len(coupling.source) or any(
-        abs(a - b) > ATOM_MERGE_TOL or abs(u - v) > 1e-9
-        for a, b, u, v in zip(
-            source.atoms, coupling.source.atoms, source.weights, coupling.source.weights
-        )
-    ):
-        raise ValidationError("coupling source does not match the kernel marginal")
-    target = coupling.target
+    coupling = monotone_coupling(source, target)
     src_steps = kernel.steps()
     tgt_steps = atom_steps(spec, target.atoms)
     for i, row in enumerate(coupling.rows):

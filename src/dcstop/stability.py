@@ -20,13 +20,7 @@ from typing import Callable, Optional, Sequence
 from .cost import CostSpec, modulus
 from .errors import ConfigError
 from .lattice import LatticeSpec, atom_steps
-from .measures import (
-    ATOM_MERGE_TOL,
-    DiscreteMeasure,
-    ceiling_project,
-    monotone_coupling,
-    w1_distance,
-)
+from .measures import ATOM_MERGE_TOL, DiscreteMeasure, ceiling_project, w1_distance
 from .rst import StoppingKernel, marginal_of, push_right_with_shift
 
 BLEND_TOL = 1e-9
@@ -160,8 +154,7 @@ def push_right_identity_check(kernel: StoppingKernel,
     rows = []
     all_ok = True
     for target in targets:
-        coupling = monotone_coupling(source, target)
-        moved, shift = push_right_with_shift(kernel, coupling)
+        moved, shift = push_right_with_shift(kernel, target)
         w1 = w1_distance(source, target)
         err = w1_distance(marginal_of(moved), target)
         ok = abs(shift - w1) <= SHIFT_TOL and err <= 1e-9

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -530,6 +531,18 @@ class TestNumericalFailures:
             r"QH6154 Qhull precision error: initial simplex is flat\n",
             capsys.readouterr().err)
 
+    def test_a_hull_with_no_upper_facet_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Every facet faces down, as qhull can report for a cloud whose values
+        # dwarf its width.
+        monkeypatch.setattr("dcstop.dpp.ConvexHull", lambda points: SimpleNamespace(
+            equations=np.array([[0.0, 0.0, -1.0, 0.0]]), simplices=np.array([[0, 1, 2]])))
+        config = base_config()
+        config["lattice"]["depth"] = 3
+        config["measure"] = [{"t": 1.0, "w": 0.25}, {"t": 2.0, "w": 0.25}, {"t": 3.0, "w": 0.5}]
+        assert main(["solve", self.write(tmp_path, monkeypatch, config)]) == 2
+        assert re.fullmatch(r"invalid input: qhull found no upper facet on a cloud of \d+ "
+                            r"points for k = 3\n", capsys.readouterr().err)
+
     def test_a_failed_facet_split_exits_2(self, workspace, monkeypatch, capsys):
         config_path, out = workspace
         monkeypatch.setattr("dcstop.dpp.nnls", lambda a, b: (np.zeros(a.shape[1]), 1.0))
@@ -540,7 +553,57 @@ class TestNumericalFailures:
         assert not (out / "policy.json").exists()
 
 
+STOP, SUMS, CONSTANT = (f"cost: {what} is not a finite float" for what in (
+    "a stop cost", "a sum of stop costs", "the continuity constant"))
+# name: ((form, coeffs), depth, refusal by the commands that price a stop, by
+# stability).  Stop costs past the floats (big, and mk through the polynomial2
+# branch), finite stop costs whose sums are not (huge), and a continuity
+# constant past the floats on levels no atom reaches (far, which solve prices).
+OVERFLOW_COSTS = {
+    "big": (("polynomial", [0, 0, 1e308]), 4, STOP, CONSTANT),
+    "mk": (("polynomial2", [[0], [0], [1e308]]), 4, STOP, "no modulus route for markov costs"),
+    "huge": (("polynomial", [1e308, 1e307]), 4, SUMS, SUMS),
+    "far": (("polynomial", [0, 0, 1e306]), 200, None, CONSTANT),
+}
+
+
+class TestCostsPastTheFloats:
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_COSTS))
+    @pytest.mark.parametrize("argv", [[c] for c in COMMANDS] + [["oracle", "--exact"]],
+                             ids=" ".join)
+    def test_refused_with_exit_2(self, workspace, capsys, name, argv):
+        config_path, out = workspace
+        (form, coeffs), depth, refusal, modulus_refusal = OVERFLOW_COSTS[name]
+        config_path.write_text(json.dumps({
+            **base_config(), "lattice": {"depth": depth, "dt": 1.0},
+            "cost": {"kind": "markov" if form == "polynomial2" else "terminal", "name": form,
+                     "params": {"coeffs": coeffs}},
+            "measure": [{"t": 2.0, "w": 0.5}, {"t": 4.0, "w": 0.5}],
+            "stability": {"grids": [[4.0], [2.0, 4.0]]}}))
+        code = main([argv[0], str(config_path), *argv[1:]])
+        refusal = modulus_refusal if argv[0] == "stability" else refusal
+        if argv[0] == "validate":  # the feasibility witness prices no stop
+            assert code == 0
+        elif refusal:
+            assert (code, capsys.readouterr().err) == (2, f"invalid input: {refusal}\n")
+        elif argv[0] == "solve":
+            assert (code, read_result(out)["value"]) == (0, 3e306)
+        else:  # the float LP may refuse costs this large, but not crash
+            assert code in (0, 2)
+        for path in out.glob("*"):
+            assert not re.search("nan|inf", path.read_text(), re.IGNORECASE)
+
+
 class TestVerificationFailure:
+    def test_an_internal_assertion_is_no_failed_verification(self, workspace, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("internal")
+
+        monkeypatch.setattr("dcstop.dpp.solve", solve)
+        config_path, _ = workspace
+        with pytest.raises(AssertionError, match="internal"):
+            main(["solve", str(config_path)])
+
     def test_zero_modulus_constant_fails_the_sweep(self, tmp_path, monkeypatch, capsys):
         # A zero continuity constant shrinks every bound to 2 AGREE_TOL; the
         # half-step projection gap is far larger, so the sweep must report

@@ -13,7 +13,6 @@ from scipy.stats import wasserstein_distance
 from dcstop import (
     CoverageError,
     DiscreteMeasure,
-    MonotoneCoupling,
     ValidationError,
     ceiling_project,
     is_right_shift_of,
@@ -22,6 +21,7 @@ from dcstop import (
     monotone_coupling,
     w1_distance,
 )
+from dcstop.measures import WEIGHT_TOL
 
 from conftest import moves_only_right
 
@@ -104,16 +104,28 @@ class TestMonotoneCoupling:
             w1_distance(a, b), abs=1e-12
         )
 
-    def test_crossing_support_rejected(self):
-        a = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
-        b = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
-        with pytest.raises(ValidationError):
-            MonotoneCoupling(a, b, [[(1, 0.5)], [(0, 0.5)]])
-
-    def test_marginal_mismatch_rejected(self):
-        a = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
-        with pytest.raises(ValidationError):
-            MonotoneCoupling(a, delta(2.0), [[(0, 0.4)], [(0, 0.5)]])
+    @settings(max_examples=300, deadline=None)
+    @given(measures, measures)
+    def test_rows_are_a_monotone_coupling(self, a, b):
+        # What a coupling must be: the rows reproduce both marginals, every
+        # cell names a target atom, and the support never crosses.
+        c = monotone_coupling(a, b)
+        assert (c.source, c.target) == (a, b)
+        assert len(c.rows) == len(a)
+        cols = [0.0] * len(b)
+        last = -1
+        for i, row in enumerate(c.rows):
+            targets = [j for j, _ in row]
+            assert targets == sorted(set(targets))
+            assert all(0 <= j < len(b) and m > 0.0 for j, m in row)
+            assert abs(sum(m for _, m in row) - a.weights[i]) <= WEIGHT_TOL
+            if row:
+                assert targets[0] >= last
+                last = targets[-1]
+            for j, m in row:
+                cols[j] += m
+        for j, col in enumerate(cols):
+            assert abs(col - b.weights[j]) <= WEIGHT_TOL
 
 
 class TestRightShiftOrder:

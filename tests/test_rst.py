@@ -260,15 +260,13 @@ class TestPushRight:
         q = {NodeId(step=1, level=1): 1.0, NodeId(step=1, level=-1): 1.0}
         kernel = kernel_from_dict(spec, (1.0,), q)
         target = DiscreteMeasure((2.0,), (1.0,))
-        coupling = monotone_coupling(marginal_of(kernel), target)
-        pushed, shift = push_right_with_shift(kernel, coupling)
+        pushed, shift = push_right_with_shift(kernel, target)
         assert shift == pytest.approx(1.0, abs=1e-15)
         assert marginal_of(pushed) == target
 
     def test_identity_coupling_is_a_no_op(self):
         _, kernel = worked_kernel()
-        marg = marginal_of(kernel)
-        pushed, _ = push_right_with_shift(kernel, monotone_coupling(marg, marg))
+        pushed, _ = push_right_with_shift(kernel, marginal_of(kernel))
         assert pushed == kernel
 
     def test_two_atom_shift(self):
@@ -277,8 +275,7 @@ class TestPushRight:
         source = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
         kernel = feasible_kernel(spec, source, rng)
         target = DiscreteMeasure((2.0, 3.0), (0.5, 0.5))
-        coupling = monotone_coupling(source, target)
-        pushed, shift = push_right_with_shift(kernel, coupling)
+        pushed, shift = push_right_with_shift(kernel, target)
         assert shift == pytest.approx(1.0, abs=1e-12)
         got = marginal_of(pushed)
         assert got.atoms == (2.0, 3.0)
@@ -289,16 +286,8 @@ class TestPushRight:
         rng = np.random.default_rng(6)
         source = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
         kernel = feasible_kernel(spec, source, rng)
-        coupling = monotone_coupling(source, DiscreteMeasure((1.0,), (1.0,)))
         with pytest.raises(RightShiftError):
-            push_right_with_shift(kernel, coupling)
-
-    def test_source_mismatch_rejected(self):
-        _, kernel = worked_kernel()
-        wrong = DiscreteMeasure((1.0, 2.0), (0.25, 0.75))
-        coupling = monotone_coupling(wrong, DiscreteMeasure((2.0,), (1.0,)))
-        with pytest.raises(ValidationError):
-            push_right_with_shift(kernel, coupling)
+            push_right_with_shift(kernel, DiscreteMeasure((1.0,), (1.0,)))
 
     def test_atom_never_stopped_at(self):
         # The marginal drops the middle atom; its stop mass is zero everywhere.
@@ -307,7 +296,7 @@ class TestPushRight:
         marg = marginal_of(kernel)
         assert marg.atoms == (1.0, 3.0)
         target = DiscreteMeasure((3.0,), (1.0,))
-        pushed, shift = push_right_with_shift(kernel, monotone_coupling(marg, target))
+        pushed, shift = push_right_with_shift(kernel, target)
         assert shift == pytest.approx(1.0, abs=1e-15)
         assert marginal_of(pushed) == target
 
@@ -323,7 +312,7 @@ class TestPushRight:
             hi = [t for t in times if t >= atoms[-1]]
             grid = sorted(set(rng.choice(hi, size=1, replace=False)) | {2.5})
             target = ceiling_project(marg, grid)
-            _, shift = push_right_with_shift(kernel, monotone_coupling(marg, target))
+            _, shift = push_right_with_shift(kernel, target)
             assert shift == pytest.approx(w1_distance(marg, target), abs=1e-12)
 
 
@@ -639,7 +628,7 @@ class TestAgainstTheDictWalks:
         for spec, kernel, rng in random_instances(mode, augment, 43):
             marg = marginal_of(kernel)
             target = random_right_shift(marg, spec, rng)
-            pushed, shift = push_right_with_shift(kernel, monotone_coupling(marg, target))
+            pushed, shift = push_right_with_shift(kernel, target)
             assert marginal_of(pushed).weights == pytest.approx(target.weights, abs=1e-12)
             if len(marg) < len(kernel.atom_times):
                 continue  # the dict walk misread atoms the kernel never stops at
