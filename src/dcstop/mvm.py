@@ -336,7 +336,9 @@ class Accumulator:
     depth: int
 
     def leaf_expectation(self) -> float:
-        return math.fsum(self.y[len(self.y) // 2:]) / 2 ** self.depth
+        # Each leaf is weighted before the sum, so finite payoffs cannot
+        # overflow it; a power of two scales exactly.
+        return math.fsum(self.y[len(self.y) // 2:] * 2.0 ** -self.depth)
 
 
 def accumulate(mvm: MvmTree, cost: CostSpec) -> Accumulator:

@@ -10,7 +10,8 @@ decision can only read the node, that is, the path so far.
 The module computes exact marginals and objective values by a forward sweep
 over per-step arrays, re-routes stop mass rightward along a monotone coupling
 (the push-right construction used by the stability bounds), and simulates
-kernels with a seeded vectorized Monte Carlo that tracks one position per path.
+kernels by a seeded Monte Carlo over node counts, which splits each node's
+path count binomially at every step.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .measures import ATOM_MERGE_TOL, DiscreteMeasure, monotone_coupling
 Q_SNAP_TOL = 1e-12
 # Mass smaller than this is treated as never reaching a node (0/0 -> 0 rule).
 DEAD_MASS = 1e-15
-# Fixed Monte Carlo chunk so results depend on the seed only.
-SIM_CHUNK = 1 << 17
-# Every path's payoff is kept until the end, 8 bytes each: 800 MB at the limit.
+# The most paths one Monte Carlo run takes.  The count sampler's cost does not
+# grow with it; the cap keeps every node count exact in the float64 scatter
+# (far below 2**53) and is the limit the CLI refuses past with exit code 2.
 SIM_PATH_LIMIT = 10 ** 8
 
 
@@ -240,47 +241,52 @@ def check_sim_paths(n_paths: int) -> None:
         raise SizeGuardError(f"simulation of {n_paths} paths (limit {SIM_PATH_LIMIT})")
 
 
-def simulate(kernel: StoppingKernel, cost: CostSpec, n_paths: int, seed: int) -> SimReport:
-    """Monte Carlo estimate of the kernel objective.
+def _sample_stops(kernel: StoppingKernel, n_paths: int,
+                  rng: np.random.Generator) -> list[np.ndarray]:
+    """Sampled ``_forward_stops``: ``stops[i][p]`` paths stop at atom ``i``, position ``p``.
 
-    Each path carries its node position, moved on through the step's child
-    map; ``kernel.q[i]`` and the stop costs at atom ``i`` are read at it.  One
-    uniform is drawn per path per step for the move and one per path per atom
-    step for the stop (whether or not the path is still alive), so the draw
-    stream and therefore the result is a pure function of ``seed`` and
-    ``n_paths``.
+    All paths start at the root.  At atom step ``i`` ``Binomial(alive, q[i])``
+    of a node's paths stop; then ``Binomial(alive, 1/2)`` move up, the rest down.
+    """
+    steps = kernel.steps()
+    alive = np.array([n_paths], dtype=np.int64)
+    stops = []
+    for s in range(steps[-1] + 1):
+        if s in steps:
+            stops.append(rng.binomial(alive, kernel.q[steps.index(s)]))
+            alive = alive - stops[-1]
+        if s < steps[-1]:
+            up = rng.binomial(alive, 0.5)
+            moves = np.column_stack([alive - up, up]).ravel()
+            alive = np.bincount(child_positions(kernel.spec, s).ravel(), moves).astype(np.int64)
+    return stops
+
+
+def simulate(kernel: StoppingKernel, cost: CostSpec, n_paths: int, seed: int) -> SimReport:
+    """Monte Carlo estimate of the kernel objective from ``n_paths`` paths.
+
+    The rule reads only the node, so the paths at a node are exchangeable
+    and only their count is kept (``_sample_stops``): no array grows with
+    ``n_paths``.  The draws come from ``default_rng(seed)`` in a fixed order,
+    so the report is a pure function of the kernel, the cost, ``n_paths`` and
+    ``seed``.  Deviations from the mean are scaled by a power of two, so that
+    costs near the float limit overflow neither moment.
     """
     check_sim_paths(n_paths)
-    spec, steps = kernel.spec, kernel.steps()
-    flat_children = [child_positions(spec, s).ravel() for s in range(steps[-1])]
-    costs = [evaluate(cost, states_at_step(spec, s)) for s in steps]
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(len(steps), dtype=np.int64)
-    payoff_chunks = []
-    done = 0
-    while done < n_paths:
-        chunk = min(SIM_CHUNK, n_paths - done)
-        pos = np.zeros(chunk, dtype=np.intp)
-        active = np.ones(chunk, dtype=bool)
-        payoff = np.zeros(chunk)
-        i = 0
-        for s in range(1, steps[-1] + 1):
-            ups = rng.random(chunk) < 0.5
-            pos = flat_children[s - 1][2 * pos + ups]  # child[pos, up], raveled
-            if s == steps[i]:
-                u = rng.random(chunk)
-                stop_now = active & (u < kernel.q[i][pos])
-                payoff[stop_now] = costs[i][pos[stop_now]]
-                counts[i] += int(stop_now.sum())
-                active &= ~stop_now
-                i += 1
-        payoff_chunks.append(payoff)
-        done += chunk
-    payoffs = np.concatenate(payoff_chunks)
-    mean = float(payoffs.mean())
-    stderr = float(payoffs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    kept = [(t, c) for t, c in zip(kernel.atom_times, counts) if c > 0]
-    marginal = DiscreteMeasure([t for t, _ in kept], [c / n_paths for _, c in kept])
+    stops = _sample_stops(kernel, n_paths, np.random.default_rng(seed))
+    costs = [evaluate(cost, states_at_step(kernel.spec, s)) for s in kernel.steps()]
+    count, value = np.concatenate(stops), np.concatenate(costs)
+    live = count > 0
+    count, value = count[live], value[live]
+    mean = math.fsum(count / n_paths * value)
+    stderr = 0.0
+    if n_paths > 1:
+        dev = value - mean
+        scale = math.ldexp(1.0, math.frexp(float(np.abs(dev).max()))[1])
+        var = math.fsum(count * (dev / scale) ** 2) / (n_paths - 1)
+        stderr = scale * math.sqrt(var / n_paths)
+    kept = [(t, int(stop.sum())) for t, stop in zip(kernel.atom_times, stops)]
+    marginal = DiscreteMeasure([t for t, c in kept if c], [c / n_paths for _, c in kept if c])
     return SimReport(
         n_paths=n_paths, seed=seed, empirical_marginal=marginal,
         mean=mean, stderr=stderr,

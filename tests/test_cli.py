@@ -98,6 +98,17 @@ class TestPolicy:
         report = validate(tree, mu=DiscreteMeasure((1.0, 2.0), (0.5, 0.5)))
         assert report.ok
 
+    def test_finite_costs_whose_leaf_sum_passes_the_floats(self, workspace):
+        # 2^10 leaves of cost 1e306 sum past the floats; their mean does not.
+        config_path, out = workspace
+        config_path.write_text(json.dumps({
+            **base_config(), "lattice": {"depth": 10, "dt": 1.0},
+            "cost": {"kind": "terminal", "name": "polynomial", "params": {"coeffs": [1e306]}},
+            "measure": [{"t": 5.0, "w": 0.5}, {"t": 10.0, "w": 0.5}]}))
+        assert main(["policy", str(config_path)]) == 0
+        payload = read_result(out)
+        assert (payload["value"], payload["policy_objective"]) == (1e306, 1e306)
+
 
 class TestOracle:
     def test_float_pivoting(self, workspace):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from dcstop import (
     CostSpec,
@@ -33,7 +37,13 @@ from dcstop import (
 from dcstop.lattice import atom_steps, nodes_at_step, root
 from dcstop.measures import ATOM_MERGE_TOL
 from dcstop.oracle import LpSolution, lp_solution_to_kernel
-from dcstop.rst import DEAD_MASS, SIM_CHUNK, kernel_from_laws
+from dcstop.rst import (
+    DEAD_MASS,
+    SIM_PATH_LIMIT,
+    _forward_stops,
+    _sample_stops,
+    kernel_from_laws,
+)
 
 from conftest import (
     brute_kernel_stats,
@@ -524,6 +534,10 @@ def reference_atom_lookups(kernel, cost):
     return lookups
 
 
+# Paths the per-path reference moves at a time.
+REFERENCE_CHUNK = 1 << 17
+
+
 def reference_simulate(kernel, cost, n_paths, seed):
     """The simulation that tracked level, running maximum and history code per path."""
     spec = kernel.spec
@@ -534,7 +548,7 @@ def reference_simulate(kernel, cost, n_paths, seed):
     payoff_chunks = []
     done = 0
     while done < n_paths:
-        chunk = min(SIM_CHUNK, n_paths - done)
+        chunk = min(REFERENCE_CHUNK, n_paths - done)
         levels = np.zeros(chunk, dtype=np.int64)
         maxes = np.zeros(chunk, dtype=np.int64)
         codes = np.zeros(chunk, dtype=np.int64)
@@ -641,10 +655,83 @@ class TestAgainstTheDictWalks:
 
     @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
     def test_simulate(self, mode, augment):
+        # The count sampler draws another stream than the per-path walk, so
+        # the two agree in law: means, stderrs and stop-date frequencies
+        # within five standard errors of their difference.
         cost = CostSpec(kind="running_max", name="identity") if mode == "history" or augment \
             else IDENTITY
+        n = 20_000
         for k, (spec, kernel, _) in enumerate(random_instances(mode, augment, 44)):
-            report = simulate(kernel, cost, n_paths=2000, seed=k)
-            mean, stderr, marginal = reference_simulate(kernel, cost, 2000, k)
-            assert (report.mean, report.stderr) == (mean, stderr)
-            assert report.empirical_marginal == marginal
+            report = simulate(kernel, cost, n_paths=n, seed=k)
+            mean, stderr, marginal = reference_simulate(kernel, cost, n, k)
+            assert abs(report.mean - mean) <= 5.0 * math.hypot(report.stderr, stderr) + 1e-12
+            assert report.stderr == pytest.approx(stderr, rel=0.1, abs=1e-12)
+            got = dict(zip(report.empirical_marginal.atoms, report.empirical_marginal.weights))
+            want = dict(zip(marginal.atoms, marginal.weights))
+            for t in kernel.atom_times:
+                p = 0.5 * (got.get(t, 0.0) + want.get(t, 0.0))
+                band = 5.0 * math.sqrt(2.0 * p * (1.0 - p) / n)
+                assert abs(got.get(t, 0.0) - want.get(t, 0.0)) <= band + 1e-12, (k, t)
+
+
+class TestCountSampler:
+    """Node counts split binomially sample the kernel's law, at any path count."""
+
+    @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
+    def test_stop_counts_fit_the_forward_masses(self, mode, augment):
+        # Pearson's test of the per-node stop counts against n times the
+        # exact stop masses, cells of expected count below 5 pooled into one.
+        n = 20_000
+        for k, (_, kernel, _) in enumerate(random_instances(mode, augment, 45)):
+            counts = np.concatenate(_sample_stops(kernel, n, np.random.default_rng(k)))
+            expected = n * np.concatenate(_forward_stops(kernel))
+            assert counts.dtype == np.int64 and counts.sum() == n
+            assert not counts[expected == 0.0].any()
+            small = expected < 5.0
+            obs = np.append(counts[~small], counts[small].sum())
+            exp = np.append(expected[~small], expected[small].sum())
+            obs, exp = obs[exp > 0.0], exp[exp > 0.0]
+            if obs.size < 2:
+                assert obs.tolist() == [n]
+                continue
+            stat = float(((obs - exp) ** 2 / exp).sum())
+            assert chi2.sf(stat, obs.size - 1) > 1e-4, (k, stat, obs.size)
+
+    @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
+    def test_calibrated_over_seeds(self, mode, augment):
+        spec = LatticeSpec(depth=8, dt=0.5, mode=mode, augment_max=augment)
+        cost = CostSpec(kind="running_max", name="identity") if mode == "history" or augment \
+            else IDENTITY
+        kernel = random_kernel(spec, (1.0, 2.5, 4.0), np.random.default_rng(46))
+        exact = objective_value(kernel, cost)
+        z = []
+        for seed in range(200):
+            report = simulate(kernel, cost, n_paths=10_000, seed=seed)
+            z.append((report.mean - exact) / report.stderr)
+        assert abs(np.mean(z)) <= 0.3
+        assert 0.8 <= np.std(z, ddof=1) <= 1.2
+
+    def test_the_path_limit_allocates_nothing_per_path(self):
+        spec = LatticeSpec(depth=10, dt=1.0, mode="history")
+        kernel = random_kernel(spec, (3.0, 6.0, 10.0), np.random.default_rng(47))
+        # Stop costs up to 1e306, whose squared deviations pass the floats.
+        huge = CostSpec(kind="running_max", name="polynomial", params={"coeffs": [0.0, 1e305]})
+        unit = CostSpec(kind="running_max", name="polynomial", params={"coeffs": [0.0, 1.0]})
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = simulate(kernel, huge, n_paths=SIM_PATH_LIMIT, seed=3)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 5.0
+        assert peak < 10 ** 6  # under one byte per hundred paths
+        counts = _sample_stops(kernel, SIM_PATH_LIMIT, np.random.default_rng(3))
+        assert sum(int(c.sum()) for c in counts) == SIM_PATH_LIMIT
+        assert math.isfinite(report.mean) and 0.0 < report.stderr < math.inf
+        assert abs(report.mean - objective_value(kernel, huge)) <= 4.0 * report.stderr
+        small = simulate(kernel, unit, n_paths=SIM_PATH_LIMIT, seed=3)
+        assert report.empirical_marginal == small.empirical_marginal
+        assert report.mean == pytest.approx(1e305 * small.mean, rel=1e-14)
+        assert report.stderr == pytest.approx(1e305 * small.stderr, rel=1e-14)
