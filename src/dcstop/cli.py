@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -33,7 +34,8 @@ from .measures import measure_from_json, measure_to_json
 from .mvm import accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel, validate
 from .oracle import (build_lp, check_exact_depth, check_oracle_depth, lp_solution_to_kernel,
                      solve_lp)
-from .rst import check_sim_paths, kernel_to_json, marginal_of, objective_value, simulate
+from .rst import (check_sim_paths, feasible_kernel, kernel_to_json, marginal_of, objective_value,
+                  simulate)
 from .stability import convergence_sweep, rows_to_csv
 
 MAX_ATOMS = 4
@@ -219,7 +221,7 @@ def _solve_polytope(spec, cost, mu, exact: bool):
 
 def cmd_oracle(args, spec, cost, mu, settings) -> _Outcome:
     if args.exact:
-        check_exact_depth(atom_steps(spec, mu.atoms)[-1])
+        check_exact_depth(atom_steps(spec, mu.atoms))
     problem, solution = _solve_polytope(spec, cost, mu, exact=args.exact)
     return _Outcome({
         "value": solution.value,
@@ -283,8 +285,6 @@ def cmd_stability(args, spec, cost, mu, settings) -> _Outcome:
 def cmd_validate(args, spec, cost, mu, settings) -> _Outcome:
     steps = atom_steps(spec, mu.atoms)
     check_tree_depth(steps[-1])
-    from .rst import feasible_kernel
-
     kernel = feasible_kernel(spec, mu, np.random.default_rng(settings.seed))
     tree = from_kernel(kernel)
     report = validate(tree, mu)
@@ -332,6 +332,8 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    # A command that exits 2 writes nothing, so no earlier result may stay.
+    Path(os.environ.get("DCSTOP_OUT", "."), "result.json").unlink(missing_ok=True)
     try:
         config = _load_config(args.config)
         spec, cost, mu = _parse_instance(config)

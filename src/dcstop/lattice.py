@@ -28,7 +28,8 @@ from .errors import (
 MODES = ("recombining", "history")
 # Full history enumeration beyond this depth is refused outright.
 MAX_HISTORY_DEPTH = 20
-# Times must sit on the step grid to within this absolute slack.
+# Times must sit on the step grid to within this absolute slack.  ``grid_step``
+# and ``distinct_steps`` are the one rule by which every layer maps times to steps.
 TIME_SNAP_TOL = 1e-9
 
 
@@ -228,13 +229,23 @@ def states_at_step(spec: LatticeSpec, step: int) -> PathState:
                      np.broadcast_to(step * spec.dt, level.shape))
 
 
+def grid_step(dt: float, t: float) -> Optional[int]:
+    """The step within ``TIME_SNAP_TOL`` of time ``t`` on the grid of width ``dt``, or None."""
+    s = round(t / dt) if math.isfinite(t / dt) else None
+    return s if s is not None and abs(s * dt - t) <= TIME_SNAP_TOL else None
+
+
+def distinct_steps(steps: list[int], error=CoverageError) -> list[int]:
+    """``steps``, or ``error`` when two atom times snap onto one step (see ``grid_step``)."""
+    if len(set(steps)) != len(steps):
+        raise error("atom times collide on the step grid")
+    return steps
+
+
 def time_to_step(spec: LatticeSpec, t: float) -> int:
     """Map a time onto the step grid, refusing off-grid times."""
-    ratio = t / spec.dt
-    if not math.isfinite(ratio):
-        raise CoverageError(f"time {t} is not on the step grid with dt={spec.dt}")
-    s = round(ratio)
-    if abs(s * spec.dt - t) > TIME_SNAP_TOL:
+    s = grid_step(spec.dt, t)
+    if s is None:
         raise CoverageError(f"time {t} is not on the step grid with dt={spec.dt}")
     if s < 0 or s > spec.depth:
         raise CoverageError(f"time {t} maps to step {s}, outside depth {spec.depth}")
@@ -249,9 +260,7 @@ def atom_steps(spec: LatticeSpec, atoms) -> list[int]:
         if s < 1:
             raise CoverageError(f"atom time {t} must lie at or after the first step")
         steps.append(s)
-    if len(set(steps)) != len(steps):
-        raise CoverageError("atom times collide on the step grid")
-    return steps
+    return distinct_steps(steps)
 
 
 def spec_from_json(data: dict) -> LatticeSpec:

@@ -17,7 +17,9 @@ the tree (the Mayer-form accumulator).
 A tree is one array with a row per history, in heap order (see
 ``lattice.histories``), so checks and surgery work on whole steps of rows.  A
 tree may start at a positive step (``start_step > 0``); such subtrees act as
-continuations for splicing and carry atom times in absolute units.
+continuations for splicing and carry atom times in absolute units.  Readers
+compare the atoms' steps (``rel_steps``, from the tree's start), not times,
+and ``from_kernel`` and ``accumulate`` walk from atom to atom.
 """
 
 from __future__ import annotations
@@ -31,22 +33,18 @@ import numpy as np
 from .cost import CostSpec, evaluate
 from .errors import SizeGuardError, SpliceError, ValidationError, is_integer
 from .lattice import (
-    TIME_SNAP_TOL,
     LatticeSpec,
     NodeId,
     child_positions,
+    distinct_steps,
+    grid_step,
     heap_history,
     heap_row,
     histories,
     history_to_str,
     states_at_step,
 )
-from .measures import (
-    ATOM_MERGE_TOL,
-    DiscreteMeasure,
-    is_right_shift_of,
-    monotone_coupling,
-)
+from .measures import DiscreteMeasure, is_right_shift_of, monotone_coupling
 from .rst import DEAD_MASS, StoppingKernel, _forward_stops, kernel_from_laws
 
 MARTINGALE_TOL = 1e-12
@@ -86,14 +84,13 @@ class MvmTree:
             raise ValidationError("atom times must be finite, nonempty and strictly increasing")
         rel_steps = []
         for t in times:
-            s = round(t / dt)
-            if abs(s * dt - t) > TIME_SNAP_TOL:
+            s = grid_step(dt, t)
+            if s is None:
                 raise ValidationError(f"atom time {t} is not on the step grid with dt={dt}")
-            r = s - start_step
-            if r < 0 or (start_step == 0 and r < 1):
+            if s < max(start_step, 1):
                 raise ValidationError(f"atom time {t} lies before the tree start")
-            rel_steps.append(r)
-        depth = rel_steps[-1]
+            rel_steps.append(s - start_step)
+        depth = distinct_steps(rel_steps, ValidationError)[-1]
         arr = np.array(vectors, dtype=float)
         shape = (2 ** (depth + 1) - 1, len(times))
         if arr.shape != shape:
@@ -140,19 +137,17 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> MvmReport:
     Within a property the reported node is the first offender in heap order:
     the shallowest, and among those the one with the lowest code.  An
     adaptedness residual is the up child's when that one offends, else the
-    down child's.
+    down child's.  ``mu``'s atoms meet the tree's by step; one off the grid
+    or on no tree atom's step is a root violation of residual 1.0.
     """
     if mu is not None:
-        target = np.zeros(len(mvm.atom_times))
-        lookup = {t: w for t, w in zip(mu.atoms, mu.weights)}
-        for i, t in enumerate(mvm.atom_times):
-            for a, w in list(lookup.items()):
-                if abs(a - t) <= ATOM_MERGE_TOL:
-                    target[i] = w
-                    del lookup[a]
-        if lookup:
-            return MvmReport(False, MvmViolation(_node(0), "root", 1.0))
-        res = float(np.max(np.abs(mvm.root_vector() - target)))
+        atom_at = {mvm.start_step + r: i for i, r in enumerate(mvm.rel_steps)}
+        at = [atom_at.get(grid_step(mvm.dt, a)) for a in mu.atoms]
+        res = 1.0
+        if None not in at:
+            target = np.zeros(len(mvm.atom_times))
+            target[at] = mu.weights
+            res = float(np.max(np.abs(mvm.root_vector() - target)))
         if res > MARTINGALE_TOL:
             return MvmReport(False, MvmViolation(_node(0), "root", res))
     vec = mvm.vectors
@@ -191,17 +186,16 @@ def from_kernel(kernel: StoppingKernel) -> MvmTree:
     and freezing properties hold by construction and the root equals the
     kernel marginal.  The tree's step width is the kernel lattice's.
     """
-    spec, steps = kernel.spec, kernel.steps()
-    last = steps[-1]
+    spec, steps, last = kernel.spec, kernel.steps, kernel.steps[-1]
     check_tree_depth(last)
     # The kernel on histories: each history reads the hazard of its node.
     hist = LatticeSpec(depth=last, dt=spec.dt, mode="history")
     pos = np.zeros(1, dtype=np.intp)
     q = []
-    for s in range(1, last + 1):
-        pos = child_positions(spec, s - 1)[pos].ravel()
-        if s in steps:
-            q.append(kernel.q[steps.index(s)][pos])
+    for start, s, qv in zip((0,) + steps, steps, kernel.q):
+        for r in range(start, s):
+            pos = child_positions(spec, r)[pos].ravel()
+        q.append(qv[pos])
     # A history at step s carries mass 2**-s, so scaling by 2**s gives each
     # path's own stop masses, exactly unless a mass is subnormal.
     stops = _forward_stops(StoppingKernel(hist, kernel.atom_times, q))
@@ -268,13 +262,12 @@ def extract_continuation(base: MvmTree, bits) -> MvmTree:
     """
     bits = tuple(bits)
     row, _, _, mass, keep = _future_law(base, bits)
-    abs_step = base.start_step + len(bits)
-    times = [base.atom_times[i] for i in keep]
     # The subtree may extend past the continuation's own last atom; those
     # fully frozen tails are dropped and rebuilt on splice.
-    last_rel = round(times[-1] / base.dt) - abs_step
+    last_rel = base.rel_steps[keep[-1]] - len(bits)
     subtree = np.concatenate([base.vectors[_descendants(row, s)] for s in range(last_rel + 1)])
-    return MvmTree(base.dt, times, subtree[:, keep] / mass, start_step=abs_step)
+    return MvmTree(base.dt, [base.atom_times[i] for i in keep], subtree[:, keep] / mass,
+                   start_step=base.start_step + len(bits))
 
 
 def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
@@ -295,10 +288,12 @@ def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
         )
     if abs(continuation.dt - base.dt) > 1e-15:
         raise SpliceError("continuation uses a different step width")
-    if continuation.atom_times[0] <= abs_step * base.dt + ATOM_MERGE_TOL:
+    if continuation.rel_steps[0] == 0:
         raise SpliceError("continuation atoms must lie strictly after the splice time")
     node_future = DiscreteMeasure([base.atom_times[i] for i in keep], [y[i] / mass for i in keep])
     zeta = continuation.root_measure()
+    # Continuation atom live[k] is zeta's atom k.
+    live = np.flatnonzero(continuation.root_vector() > 0.0)
     if not is_right_shift_of(node_future, zeta, tol=SPLICE_TOL):
         raise SpliceError(
             "continuation root law is not coupled-compatible with the node's future law"
@@ -306,11 +301,9 @@ def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
     coupling = monotone_coupling(zeta, node_future)
     # Row-stochastic transfer matrix from continuation atoms to base atoms.
     transfer = np.zeros((len(continuation.atom_times), len(base.atom_times)))
-    for k, row_k in enumerate(coupling.rows):
-        j = next(j for j, t in enumerate(continuation.atom_times)
-                 if abs(t - zeta.atoms[k]) <= ATOM_MERGE_TOL)
+    for j, w, row_k in zip(live, zeta.weights, coupling.rows):
         for cell, m in row_k:
-            transfer[j, keep[cell]] += m / zeta.weights[k]
+            transfer[j, keep[cell]] += m / w
     past_part = np.array([y[i] if i not in future else 0.0 for i in range(len(y))])
     # One vector-matrix product per node: a matrix product may sum in another
     # order and so differ from a single node's law in the last bit.
@@ -351,15 +344,13 @@ def accumulate(mvm: MvmTree, cost: CostSpec) -> Accumulator:
     if mvm.start_step != 0:
         raise ValidationError("accumulate needs a full tree (start_step == 0)")
     hist_spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
-    step_to_atom = {r: i for i, r in enumerate(mvm.rel_steps)}
-    y = np.empty(len(mvm.vectors))
-    y[0] = 0.0
-    for s in range(1, mvm.depth + 1):
+    # The cost paid at each atom's step, then each node adds its parent's.
+    y = np.zeros(len(mvm.vectors))
+    for i, s in enumerate(mvm.rel_steps):
         rows = _descendants(0, s)
-        y[rows] = np.repeat(y[_descendants(0, s - 1)], 2)
-        i = step_to_atom.get(s)
-        if i is not None:
-            y[rows] += evaluate(cost, states_at_step(hist_spec, s)) * mvm.vectors[rows, i]
+        y[rows] = evaluate(cost, states_at_step(hist_spec, s)) * mvm.vectors[rows, i]
+    for s in range(1, mvm.depth + 1):
+        y[_descendants(0, s)] += np.repeat(y[_descendants(0, s - 1)], 2)
     return Accumulator(y=y, depth=mvm.depth)
 
 

@@ -46,12 +46,14 @@ from .measures import DiscreteMeasure
 from .rst import StoppingKernel, kernel_from_laws
 
 ORACLE_DEPTH_LIMIT = 12
-# The exact route's integer tableau grows faster than HiGHS's, and the LP
-# grows with the last decision step d: on max-augmented ``abs`` instances
-# (2-core x86 host, peak RSS of the whole process) depth 11 took 0.4 s and
-# 80 MB at d = 7 (atoms at 4, 7, 11) and 33 s and 201 MB at d = 10 (atoms at
-# 5, 10, 11); depth 12 with atoms at 6 and 12 took under 0.1 s and 78 MB.
-EXACT_DEPTH_LIMIT = 11
+# The exact route's integer tableau grows faster than HiGHS's, and with the
+# last decision step d, not the horizon: on max-augmented ``abs`` instances
+# (2-core x86 host) the LP is 259 x 528 at d = 8 (1.5 s), 516 x 1096 at d = 9
+# (4.3 s, 111 MB peak RSS), and d = 10 (atoms at 5, 10, 11) took 33 s and 201 MB.
+EXACT_DEPTH_LIMIT = 10
+# HiGHS reads a cost of 1e20 or more as infinite, so from this bound on the
+# costs go to it scaled by a power of two, and the duals come back unscaled.
+HIGHS_COST_LIMIT = 2.0 ** 66
 
 
 @dataclass(frozen=True)
@@ -89,11 +91,11 @@ def check_oracle_depth(horizon: int) -> None:
         raise SizeGuardError(f"oracle tree has 2^{horizon} paths (limit 2^{ORACLE_DEPTH_LIMIT})")
 
 
-def check_exact_depth(horizon: int) -> None:
-    """Refuse a history tree past ``EXACT_DEPTH_LIMIT`` for the exact route."""
-    if horizon > EXACT_DEPTH_LIMIT:
+def check_exact_depth(steps) -> None:
+    """Refuse the exact route when the last decision step passes ``EXACT_DEPTH_LIMIT``."""
+    if (d := _block_steps(tuple(steps))[-1]) > EXACT_DEPTH_LIMIT:
         raise SizeGuardError(
-            f"exact oracle tree has 2^{horizon} paths (limit 2^{EXACT_DEPTH_LIMIT})")
+            f"exact oracle LP branches to its last decision step {d} (limit {EXACT_DEPTH_LIMIT})")
 
 
 def _block_steps(steps: tuple[int, ...]) -> tuple[int, ...]:
@@ -273,13 +275,16 @@ def _solve_exact(problem: LpProblem):
 
 def _solve_highs(problem: LpProblem):
     """Status, value, ``x``, duals and certificate by HiGHS, all float."""
-    res = linprog(-problem.c, A_eq=problem.a, b_eq=problem.b, bounds=(0, None), method="highs")
+    top = float(np.abs(problem.c).max(initial=0.0))
+    scale = 1.0 if top < HIGHS_COST_LIMIT else math.ldexp(1.0, -math.frexp(top)[1])
+    res = linprog(-scale * problem.c, A_eq=problem.a, b_eq=problem.b, bounds=(0, None),
+                  method="highs")
     if res.status == 2:
         return "infeasible", np.nan, np.zeros(problem.a.shape[1]), None, None
     if res.status != 0:
         raise ValidationError("LP is unbounded" if res.status == 3
                               else f"LP solver failed: {res.message}")
-    y = -res.eqlin.marginals
+    y = -res.eqlin.marginals / scale
     residuals = _certificate(y @ problem.a, problem.b, problem.c, res.x, y)
     return "optimal", problem.c @ res.x, res.x, y, residuals
 
@@ -288,11 +293,11 @@ def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
     """Optimize the stopping polytope and certify the result through duals.
 
     The float route is HiGHS; ``exact`` switches to the integer-row Bland
-    simplex and a rational certificate, refused past ``EXACT_DEPTH_LIMIT``.
+    simplex and a rational certificate, refused by ``check_exact_depth``.
     ``x``, value, duals and residuals are rounded to floats last.
     """
     if exact:
-        check_exact_depth(problem.steps[-1])
+        check_exact_depth(problem.steps)
     status, value, x, y, residuals = (_solve_exact if exact else _solve_highs)(problem)
     if status != "optimal":
         value, y, residuals = np.nan, np.zeros(problem.a.shape[0]), (np.nan,) * 3

@@ -10,8 +10,9 @@ decision can only read the node, that is, the path so far.
 The module computes exact marginals and objective values by a forward sweep
 over per-step arrays, re-routes stop mass rightward along a monotone coupling
 (the push-right construction used by the stability bounds), and simulates
-kernels by a seeded Monte Carlo over node counts, which splits each node's
-path count binomially at every step.
+kernels by a seeded Monte Carlo over node counts.  A kernel stores its atom
+steps, and the sweeps walk from atom to atom: they carry the mass (or the
+path counts, split binomially) on to the next atom's step and split it there.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .lattice import (
     nodes_at_step,
     states_at_step,
 )
-from .measures import ATOM_MERGE_TOL, DiscreteMeasure, monotone_coupling
+from .measures import DiscreteMeasure, monotone_coupling
 
 Q_SNAP_TOL = 1e-12
 # Mass smaller than this is treated as never reaching a node (0/0 -> 0 rule).
@@ -47,11 +48,12 @@ class StoppingKernel:
     """Hazard-form stopping rule over a fixed atom set on a fixed lattice.
 
     ``q[i]`` (read-only) holds the stop probability at every node of atom
-    ``i``'s step, indexed by the node's position there on ``spec``.  The
-    kernel carries its lattice, so its readers take the kernel alone.
+    ``i``'s step ``steps[i]``, indexed by the node's position there on
+    ``spec``.  The kernel carries its lattice and its atom steps, so its
+    readers take the kernel alone.
     """
 
-    __slots__ = ("spec", "atom_times", "q")
+    __slots__ = ("spec", "atom_times", "steps", "q")
 
     def __init__(self, spec: LatticeSpec, atom_times, q):
         times = tuple(float(t) for t in atom_times)
@@ -81,6 +83,7 @@ class StoppingKernel:
             clean.append(arr)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "atom_times", times)
+        object.__setattr__(self, "steps", tuple(steps))
         object.__setattr__(self, "q", tuple(clean))
 
     def __setattr__(self, name, value):
@@ -94,9 +97,6 @@ class StoppingKernel:
             and self.atom_times == other.atom_times
             and all(np.array_equal(a, b) for a, b in zip(self.q, other.q))
         )
-
-    def steps(self) -> list[int]:
-        return atom_steps(self.spec, self.atom_times)
 
 
 def _advance(child: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -134,21 +134,18 @@ def kernel_from_laws(spec: LatticeSpec, atom_times, laws, alive=None) -> Stoppin
 
 
 def _forward_stops(kernel: StoppingKernel) -> list[np.ndarray]:
-    """Sweep the kernel's lattice forward, splitting alive mass at every atom step.
+    """Sweep the kernel's lattice forward from atom to atom, splitting alive mass at each.
 
     ``stops[i][p]`` is the mass (path-probability weighted, unconditional)
     stopping at atom i at the node of position ``p``.
     """
-    steps = kernel.steps()
     alive = np.ones(1)
     stops = []
-    for s in range(steps[-1] + 1):
-        if s in steps:
-            qv = kernel.q[steps.index(s)]
-            stops.append(alive * qv)
-            alive = alive * (1.0 - qv)
-        if s < steps[-1]:
-            alive = _advance(child_positions(kernel.spec, s), alive)
+    for start, s, qv in zip((0,) + kernel.steps, kernel.steps, kernel.q):
+        for r in range(start, s):
+            alive = _advance(child_positions(kernel.spec, r), alive)
+        stops.append(alive * qv)
+        alive = alive * (1.0 - qv)
     return stops
 
 
@@ -161,7 +158,7 @@ def marginal_of(kernel: StoppingKernel) -> DiscreteMeasure:
 def objective_value(kernel: StoppingKernel, cost: CostSpec) -> float:
     """Expected cost at the stop, exactly (forward sweep, no sampling)."""
     terms = []
-    for s, stop in zip(kernel.steps(), _forward_stops(kernel)):
+    for s, stop in zip(kernel.steps, _forward_stops(kernel)):
         live = np.flatnonzero(stop)
         terms += (stop[live] * evaluate(cost, states_at_step(kernel.spec, s))[live]).tolist()
     return math.fsum(terms)
@@ -182,20 +179,17 @@ def push_right_with_shift(kernel: StoppingKernel,
     spec = kernel.spec
     source = marginal_of(kernel)
     coupling = monotone_coupling(source, target)
-    src_steps = kernel.steps()
     tgt_steps = atom_steps(spec, target.atoms)
-    for i, row in enumerate(coupling.rows):
-        for j, m in row:
-            if m > 0.0 and target.atoms[j] < source.atoms[i] - ATOM_MERGE_TOL:
-                raise RightShiftError(
-                    f"coupling moves mass left: {source.atoms[i]} -> {target.atoms[j]}"
-                )
     # Per kernel atom: fractions of its stop mass going to each target atom;
     # none for an atom where the kernel never stops, which the marginal drops.
-    weight = dict(zip(source.atoms, source.weights))
-    rows = dict(zip(source.atoms, coupling.rows))
-    fractions = [[(j, m / weight[t]) for j, m in rows.get(t, ()) if m > 0.0]
-                 for t in kernel.atom_times]
+    rows = dict(zip(source.atoms, zip(source.weights, coupling.rows)))
+    fractions = []
+    for t, s in zip(kernel.atom_times, kernel.steps):
+        weight, row = rows.get(t, (1.0, ()))
+        fractions.append([(j, m / weight) for j, m in row if m > 0.0])
+        for j, _ in fractions[-1]:
+            if tgt_steps[j] < s:
+                raise RightShiftError(f"coupling moves mass left: {t} -> {target.atoms[j]}")
 
     last = tgt_steps[-1]
     # alive[p]: mass still run by the old kernel; earm[p, j]: mass headed to
@@ -206,8 +200,8 @@ def push_right_with_shift(kernel: StoppingKernel,
     laws, alive_at = [], []
     shift = 0.0
     for s in range(0, last + 1):
-        if s in src_steps:
-            i = src_steps.index(s)
+        if s in kernel.steps:
+            i = kernel.steps.index(s)
             delta = alive * kernel.q[i]
             alive = alive - delta
             for j, frac in fractions[i]:
@@ -245,20 +239,18 @@ def _sample_stops(kernel: StoppingKernel, n_paths: int,
                   rng: np.random.Generator) -> list[np.ndarray]:
     """Sampled ``_forward_stops``: ``stops[i][p]`` paths stop at atom ``i``, position ``p``.
 
-    All paths start at the root.  At atom step ``i`` ``Binomial(alive, q[i])``
-    of a node's paths stop; then ``Binomial(alive, 1/2)`` move up, the rest down.
+    Paths start at the root and walk from atom to atom: per step ``Binomial(alive, 1/2)``
+    of a node's paths move up, the rest down; at atom ``i``'s ``Binomial(alive, q[i])`` stop.
     """
-    steps = kernel.steps()
     alive = np.array([n_paths], dtype=np.int64)
     stops = []
-    for s in range(steps[-1] + 1):
-        if s in steps:
-            stops.append(rng.binomial(alive, kernel.q[steps.index(s)]))
-            alive = alive - stops[-1]
-        if s < steps[-1]:
+    for start, s, qv in zip((0,) + kernel.steps, kernel.steps, kernel.q):
+        for r in range(start, s):
             up = rng.binomial(alive, 0.5)
             moves = np.column_stack([alive - up, up]).ravel()
-            alive = np.bincount(child_positions(kernel.spec, s).ravel(), moves).astype(np.int64)
+            alive = np.bincount(child_positions(kernel.spec, r).ravel(), moves).astype(np.int64)
+        stops.append(rng.binomial(alive, qv))
+        alive = alive - stops[-1]
     return stops
 
 
@@ -274,7 +266,7 @@ def simulate(kernel: StoppingKernel, cost: CostSpec, n_paths: int, seed: int) ->
     """
     check_sim_paths(n_paths)
     stops = _sample_stops(kernel, n_paths, np.random.default_rng(seed))
-    costs = [evaluate(cost, states_at_step(kernel.spec, s)) for s in kernel.steps()]
+    costs = [evaluate(cost, states_at_step(kernel.spec, s)) for s in kernel.steps]
     count, value = np.concatenate(stops), np.concatenate(costs)
     live = count > 0
     count, value = count[live], value[live]
@@ -285,8 +277,7 @@ def simulate(kernel: StoppingKernel, cost: CostSpec, n_paths: int, seed: int) ->
         scale = math.ldexp(1.0, math.frexp(float(np.abs(dev).max()))[1])
         var = math.fsum(count * (dev / scale) ** 2) / (n_paths - 1)
         stderr = scale * math.sqrt(var / n_paths)
-    kept = [(t, int(stop.sum())) for t, stop in zip(kernel.atom_times, stops)]
-    marginal = DiscreteMeasure([t for t, c in kept if c], [c / n_paths for _, c in kept if c])
+    marginal = DiscreteMeasure(kernel.atom_times, [int(stop.sum()) / n_paths for stop in stops])
     return SimReport(
         n_paths=n_paths, seed=seed, empirical_marginal=marginal,
         mean=mean, stderr=stderr,
@@ -297,22 +288,22 @@ def feasible_kernel(spec: LatticeSpec, mu: DiscreteMeasure,
                     rng: np.random.Generator) -> StoppingKernel:
     """Random kernel whose marginal is exactly ``mu`` (water-filling repair).
 
-    At each atom a random profile, drawn in position order, is scaled,
+    The alive mass walks from atom to atom.  At each atom but the last, which
+    stops surely, a random profile, drawn in position order, is scaled,
     capping at one, until the stopped mass hits the required weight; the
     scaling equation is piecewise linear in the factor and solved exactly.
     """
     steps = atom_steps(spec, mu.atoms)
     alive = np.ones(1)
     q = []
-    for s in range(steps[-1]):
-        if s in steps:
-            profile = 0.1 + 0.9 * rng.random(len(alive))
-            lam = _solve_waterfill(list(zip(alive.tolist(), profile.tolist())),
-                                   mu.weights[steps.index(s)])
-            q.append(np.minimum(1.0, lam * profile))
-            alive = alive * (1.0 - q[-1])
-        alive = _advance(child_positions(spec, s), alive)
-    q.append(np.ones(len(alive)))
+    for start, s, weight in zip([0] + steps, steps[:-1], mu.weights):
+        for r in range(start, s):
+            alive = _advance(child_positions(spec, r), alive)
+        profile = 0.1 + 0.9 * rng.random(len(alive))
+        lam = _solve_waterfill(list(zip(alive.tolist(), profile.tolist())), weight)
+        q.append(np.minimum(1.0, lam * profile))
+        alive = alive * (1.0 - q[-1])
+    q.append(np.ones(node_count(spec, steps[-1])))
     return StoppingKernel(spec, mu.atoms, q)
 
 
@@ -344,7 +335,7 @@ def _solve_waterfill(pairs: list[tuple[float, float]], target: float) -> float:
 
 def kernel_to_json(kernel: StoppingKernel) -> list[dict]:
     out = []
-    for i, s in enumerate(kernel.steps()):
-        for node, qv in zip(nodes_at_step(kernel.spec, s), kernel.q[i].tolist()):
-            out.append({"node": node_to_json(node), "atom_time": kernel.atom_times[i], "q": qv})
+    for t, s, q in zip(kernel.atom_times, kernel.steps, kernel.q):
+        for node, qv in zip(nodes_at_step(kernel.spec, s), q.tolist()):
+            out.append({"node": node_to_json(node), "atom_time": t, "q": qv})
     return out

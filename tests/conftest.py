@@ -209,7 +209,7 @@ def kernel_from_dict(spec: LatticeSpec, atom_times, q: dict[NodeId, float]) -> S
 
 def kernel_dict(kernel: StoppingKernel) -> dict[NodeId, float]:
     """A kernel's stop probabilities keyed by node."""
-    return {node: float(v) for s, values in zip(kernel.steps(), kernel.q)
+    return {node: float(v) for s, values in zip(kernel.steps, kernel.q)
             for node, v in zip(nodes_at_step(kernel.spec, s), values)}
 
 

@@ -164,6 +164,22 @@ class TestCompare:
         assert payload["difference"] <= payload["tolerance"]
 
 
+class TestLargeConstantCosts:
+    # HiGHS reads a cost of 1e20 or more as infinite; the float LP scales them.
+    @pytest.mark.parametrize("constant", [1e25, 1e306])
+    @pytest.mark.parametrize("command", ["compare", "oracle", "simulate"])
+    def test_the_float_oracle_prices_them(self, workspace, command, constant):
+        config_path, out = workspace
+        config_path.write_text(json.dumps({
+            **base_config(), "lattice": {"depth": 10, "dt": 1.0},
+            "cost": {"kind": "terminal", "name": "polynomial", "params": {"coeffs": [constant]}},
+            "measure": [{"t": 5.0, "w": 0.5}, {"t": 10.0, "w": 0.5}]}))
+        assert main([command, str(config_path)]) == 0
+        payload = read_result(out)
+        value = {"compare": "oracle_value", "oracle": "value", "simulate": "expected"}[command]
+        assert payload[value] == constant
+
+
 class TestSimulate:
     def test_seeded_run(self, workspace):
         config_path, out = workspace
@@ -175,6 +191,14 @@ class TestSimulate:
         first = (out / "result.json").read_bytes()
         assert main(["simulate", str(config_path)]) == 0
         assert (out / "result.json").read_bytes() == first
+
+    def test_a_refused_run_leaves_no_earlier_result(self, workspace):
+        config_path, out = workspace
+        assert main(["policy", str(config_path)]) == 0
+        assert (out / "result.json").exists()
+        config_path.write_text(json.dumps({**base_config(), "simulate": {"paths": 10 ** 12}}))
+        assert main(["simulate", str(config_path)]) == 2
+        assert not (out / "result.json").exists()
 
 
 class TestStability:
@@ -432,11 +456,12 @@ class TestGuardsBeforeWork:
         ("compare", 13, "dcstop.dpp.solve", "oracle tree has 2^13 paths (limit 2^12)"),
         ("policy", 13, "dcstop.dpp.solve",
          "policy extraction walks 2^13 histories (limit 2^12)"),
-        ("validate", 17, "dcstop.rst.feasible_kernel",
+        ("validate", 17, "dcstop.cli.feasible_kernel",
          "law tree from a kernel walks 2^17 histories (limit 2^16)"),
-        # The float oracle takes depth 12; the exact route would need about 1.1 GB.
+        # The float oracle takes depth 12; the exact route stops at the last
+        # decision step, 11 here.
         ("oracle --exact", 12, "dcstop.cli.build_lp",
-         "exact oracle tree has 2^12 paths (limit 2^11)"),
+         "exact oracle LP branches to its last decision step 11 (limit 10)"),
     ])
     def test_depth_guard_fires_first(self, tmp_path, monkeypatch, capsys,
                                      command, depth, expensive, message):
@@ -447,7 +472,7 @@ class TestGuardsBeforeWork:
         monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
         config = base_config()
         config["lattice"]["depth"] = depth
-        config["measure"] = [{"t": 1.0, "w": 0.5}, {"t": float(depth), "w": 0.5}]
+        config["measure"] = [{"t": depth - 1.0, "w": 0.5}, {"t": float(depth), "w": 0.5}]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main([*command.split(), str(path)]) == 2

@@ -76,7 +76,7 @@ def constant_tree(weights: tuple[float, ...], atoms=(1.0, 2.0), depth=2) -> MvmT
 def reference_from_kernel(kernel):
     """Per-leaf hazard products, then halving averages: the loop the level sweep replaced."""
     spec = kernel.spec
-    steps = kernel.steps()
+    steps = kernel.steps
     r = len(steps)
     q = kernel_dict(kernel)
     vectors = {}
@@ -98,7 +98,7 @@ def reference_forward_loop(kernel) -> np.ndarray:
     """Heap-ordered vectors by the forward loop over histories that ``from_kernel`` ran
     before it read the lattice's forward stop sweep: one path's own masses per row."""
     spec = kernel.spec
-    steps = kernel.steps()
+    steps = kernel.steps
     last = steps[-1]
     r = len(kernel.atom_times)
     pos = np.zeros(1, dtype=np.intp)
@@ -739,6 +739,11 @@ class TestConstruction:
     def test_off_grid_atom_time(self):
         with pytest.raises(ValidationError):
             MvmTree(1.0, (1.5,), np.ones((3, 1)))
+
+    def test_atoms_colliding_on_one_step(self):
+        # Both snap onto step 1, where to_kernel could not tell them apart.
+        with pytest.raises(ValidationError, match="collide"):
+            MvmTree(1.0, [1.0, 1.0 + 5e-10], np.full((3, 2), 0.5))
 
     def test_atom_before_start(self):
         with pytest.raises(ValidationError):

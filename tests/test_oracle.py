@@ -261,10 +261,50 @@ class TestSolveLp:
 
         monkeypatch.setattr(oracle, "_simplex", simplex)
         problem = replace(tiny_problem([[1.0]], [1.0], [1.0]),
-                          steps=(EXACT_DEPTH_LIMIT + 1,))
-        with pytest.raises(SizeGuardError, match=r"exact oracle tree has 2\^12 paths"):
+                          steps=(EXACT_DEPTH_LIMIT + 1, EXACT_DEPTH_LIMIT + 2))
+        with pytest.raises(SizeGuardError, match="last decision step 11 \\(limit 10\\)"):
             solve_lp(problem, exact=True)
         assert solve_lp(problem).status == "optimal"
+
+    @pytest.mark.parametrize("steps, refused", [
+        ((12,), False), ((5, 10, 11), False), ((10, 12), False), ((4, 8, 12), False),
+        ((11, 12), True), ((4, 11, 12), True),
+    ])
+    def test_exact_guard_reads_the_last_decision_step(self, steps, refused):
+        if refused:
+            with pytest.raises(SizeGuardError, match=f"last decision step {steps[-2]} "):
+                oracle.check_exact_depth(steps)
+        else:
+            oracle.check_exact_depth(steps)
+
+    def test_exact_route_at_horizon_12(self):
+        spec = LatticeSpec(depth=12, dt=1.0, augment_max=True)
+        problem = build_lp(spec, ABS, DiscreteMeasure((6.0, 12.0), (0.4, 0.6)))
+        exact = solve_lp(problem, exact=True)
+        assert exact.status == "optimal"
+        assert abs(exact.value - solve_lp(problem).value) <= 1e-9
+
+    @pytest.mark.parametrize("cost", [2.0 ** 66 * (1 - 2.0 ** -53), 2.0 ** 66, 1e20, 1e306])
+    def test_costs_past_highs_bound_go_to_it_scaled(self, monkeypatch, cost):
+        seen = []
+        real = oracle.linprog
+        monkeypatch.setattr(oracle, "linprog", lambda c, **kw: seen.append(c) or real(c, **kw))
+        solution = solve_lp(tiny_problem([[1.0]], [1.0], [cost]))
+        assert (solution.status, solution.value) == ("optimal", cost)
+        assert solution.duals[0] == pytest.approx(cost, rel=1e-12)
+        if cost < oracle.HIGHS_COST_LIMIT:
+            assert seen[0][0] == -cost
+        else:
+            assert 0.5 <= -seen[0][0] < 1.0
+
+    @pytest.mark.parametrize("constant", [1e25, 1e306])
+    def test_large_constant_costs_price_like_solve(self, constant):
+        spec = LatticeSpec(depth=10, dt=1.0)
+        mu = DiscreteMeasure((5.0, 10.0), (0.5, 0.5))
+        cost = CostSpec(kind="terminal", name="polynomial", params={"coeffs": [constant]})
+        solution = solve_lp(build_lp(spec, cost, mu))
+        assert solution.status == "optimal"
+        assert solution.value == solve(spec, cost, mu, resolution=2).root_value == constant
 
     def test_worked_problem_value_and_argmax(self):
         problem = worked_problem()

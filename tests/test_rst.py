@@ -34,7 +34,7 @@ from dcstop import (
     w1_distance,
 )
 
-from dcstop.lattice import atom_steps, nodes_at_step, root
+from dcstop.lattice import atom_steps, node_count, nodes_at_step, root
 from dcstop.measures import ATOM_MERGE_TOL
 from dcstop.oracle import LpSolution, lp_solution_to_kernel
 from dcstop.rst import (
@@ -362,6 +362,18 @@ class TestSimulate:
         report = simulate(kernel, cost, n_paths=100_000, seed=42)
         assert abs(report.mean - exact) <= 4.0 * report.stderr
 
+    def test_golden_run(self):
+        # Pins the draw order: the step draws up to an atom, then its stop
+        # draw.  A sweep that reorders its draws changes these numbers.
+        spec = LatticeSpec(depth=5, dt=0.5, augment_max=True)
+        q = [np.linspace(0.1, 0.7, node_count(spec, s)) for s in (2, 3)]
+        kernel = StoppingKernel(spec, (1.0, 1.5, 2.5), q + [np.ones(node_count(spec, 5))])
+        cost = CostSpec(kind="running_max", name="identity")
+        report = simulate(kernel, cost, n_paths=10_000, seed=2026)
+        assert (report.mean, report.stderr) == (0.6912675892879689, 0.006682018926768599)
+        assert report.empirical_marginal == DiscreteMeasure((1.0, 1.5, 2.5),
+                                                            (0.3976, 0.1964, 0.406))
+
     def test_path_guard(self):
         _, kernel = worked_kernel()
         with pytest.raises(SizeGuardError, match="limit 100000000"):
@@ -421,7 +433,7 @@ def reference_advance(spec, alive) -> dict:
 def reference_forward_stops(kernel):
     spec = kernel.spec
     q = kernel_dict(kernel)
-    steps = kernel.steps()
+    steps = kernel.steps
     last = steps[-1]
     alive = {root(spec): 1.0}
     stops = []
@@ -466,7 +478,7 @@ def reference_push_right(kernel, coupling, source):
     q = kernel_dict(kernel)
     assert len(source) == len(coupling.source)
     target = coupling.target
-    src_steps = kernel.steps()
+    src_steps = kernel.steps
     tgt_steps = atom_steps(spec, target.atoms)
     fractions = []
     for i, row in enumerate(coupling.rows):
@@ -514,7 +526,7 @@ def reference_atom_lookups(kernel, cost):
     spec = kernel.spec
     q = kernel_dict(kernel)
     lookups = []
-    for s in kernel.steps():
+    for s in kernel.steps:
         if spec.mode == "history":
             size = 1 << s
         elif spec.augment_max:
