@@ -1,8 +1,9 @@
 """Command-line front end: solve, verify and simulate from a JSON config.
 
 One config file describes an instance (lattice, cost, target law) and its
-settings.  ``main`` is the one pipeline of every subcommand: it loads the
-config, parses the instance, checks every ``SETTINGS`` row whichever command
+settings.  ``main`` is the one pipeline of every subcommand: it removes
+every ``OUTPUT_FILES`` entry an earlier command left, loads the config,
+parses the instance, checks every ``SETTINGS`` row whichever command
 runs, runs the command and writes its payload as ``result.json`` (after
 ``policy.json`` or ``table.csv``) into the current directory, or into
 ``$DCSTOP_OUT`` when set.  Outputs are deterministic for a fixed config and
@@ -39,6 +40,8 @@ from .rst import (check_sim_paths, feasible_kernel, kernel_to_json, marginal_of,
 from .stability import convergence_sweep, rows_to_csv
 
 MAX_ATOMS = 4
+# Every file a command writes into the output directory.
+OUTPUT_FILES = ("result.json", "policy.json", "table.csv")
 # The keys each instance section takes ("measure" per entry; cost params are
 # free-form).  ``_load_config`` adds the settings sections and the top
 # level's keys from ``SETTINGS``.  Any other key is refused, so a misspelling
@@ -157,8 +160,7 @@ def _emit(name: str, payload: dict, config: dict) -> None:
     payload["config_digest"] = hashlib.sha256(canon.encode()).hexdigest()
     payload["version"] = __version__
     with open(os.path.join(_out_dir(), name), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _echo(payload: dict) -> None:
@@ -332,8 +334,9 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    # A command that exits 2 writes nothing, so no earlier result may stay.
-    Path(os.environ.get("DCSTOP_OUT", "."), "result.json").unlink(missing_ok=True)
+    # A command that exits 2 writes nothing, so no earlier output may stay.
+    for name in OUTPUT_FILES:
+        Path(os.environ.get("DCSTOP_OUT", "."), name).unlink(missing_ok=True)
     try:
         config = _load_config(args.config)
         spec, cost, mu = _parse_instance(config)

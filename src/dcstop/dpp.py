@@ -710,29 +710,48 @@ def extract_policy(table: ValueTable) -> MvmTree:
     pair supremum is the one ``solve`` stored (``_continuation``), read with
     its ``src`` rows.  The result is a valid adapted martingale tree whose
     objective matches the root value.
+
+    The split at a history depends only on its state: its node position and
+    the normalized law of the atoms still ahead.  Each step is one sweep over
+    the step's rows, and ``_facet_split`` runs once per distinct key
+    ``(position, bytes of the normalized law)``, in order of first row; a
+    history whose live mass is 1e-14 or less is not split.  Rows with one key
+    hand ``_facet_split`` the same bits, and every other operation is the
+    elementwise arithmetic of a per-history loop, so the tree is bit for bit
+    the one that loop builds, down to the first ``NumericalError``.
     """
     spec = table.spec
     steps = table.steps
     horizon = steps[-1]
     check_policy_depth(horizon)
     # One row per history in heap order: row h has its children at rows
-    # 2h + 1 (down) and 2h + 2 (up).  ``at`` holds each row's node position,
-    # so the histories that reach one node share its split.
+    # 2h + 1 (down) and 2h + 2 (up).  ``at`` holds each row's node position.
     vectors = np.empty((2 ** (horizon + 1) - 1, len(steps)))
     vectors[0] = _mu_vector(table.mu)
     at = np.zeros(1, dtype=np.intp)
     for s in range(horizon):
-        live = [j for j, step in enumerate(steps) if step > s]
+        # The atoms still ahead are the columns from ``first`` on.
+        first = sum(step <= s for step in steps)
         child, here, nxt = child_positions(spec, s), table.functions[s], table.functions[s + 1]
-        for h, pos in enumerate(at.tolist(), start=2 ** s - 1):
-            vec = vectors[h]
-            vectors[2 * h + 1] = vectors[2 * h + 2] = vec
-            mass = float(vec[live].sum())
-            if mass > 1e-14:
-                cont = _continuation(here[pos], s in steps)
-                p = _facet_split(cont, nxt[child[pos, 1]], vec[live] / mass)
-                vectors[2 * h + 2, live] = mass * p
-                vectors[2 * h + 1, live] = 2.0 * vec[live] - vectors[2 * h + 2, live]
+        rows = vectors[2 ** s - 1: 2 ** (s + 1) - 1]
+        kids = vectors[2 ** (s + 1) - 1: 2 ** (s + 2) - 1].reshape(-1, 2, len(steps))
+        kids[:] = rows[:, None]
+        ahead = rows[:, first:]
+        mass = ahead.sum(axis=1)
+        split = np.flatnonzero(mass > 1e-14)
+        law = ahead[split] / mass[split, None]
+        keys, conts, points, which = {}, {}, [], []
+        for pos, y in zip(at[split].tolist(), law):
+            key = (pos, y.tobytes())
+            if key not in keys:
+                if pos not in conts:
+                    conts[pos] = _continuation(here[pos], s in steps)
+                keys[key] = len(points)
+                points.append(_facet_split(conts[pos], nxt[child[pos, 1]], y.copy()))
+            which.append(keys[key])
+        up = mass[split, None] * np.reshape(points, (len(points), len(steps) - first))[which]
+        kids[split, 1, first:] = up
+        kids[split, 0, first:] = 2.0 * ahead[split] - up
         at = child[at].ravel()
     return MvmTree(spec.dt, table.mu.atoms, vectors)
 

@@ -109,6 +109,16 @@ class TestPolicy:
         payload = read_result(out)
         assert (payload["value"], payload["policy_objective"]) == (1e306, 1e306)
 
+    @pytest.mark.parametrize("command, written", [("policy", "policy.json"),
+                                                  ("stability", "table.csv")])
+    def test_a_refused_run_leaves_no_earlier_output(self, workspace, command, written):
+        config_path, out = workspace
+        assert main([command, str(config_path)]) == 0
+        assert (out / written).exists()
+        config_path.write_text(json.dumps({**base_config(), "solver": {"resolution": 10 ** 6}}))
+        assert main([command, str(config_path)]) == 2
+        assert sorted(os.listdir(out)) == []
+
 
 class TestOracle:
     def test_float_pivoting(self, workspace):

@@ -873,7 +873,100 @@ class TestPositionLoopsMatchTheRecursions:
             assert got == float("-inf")
 
 
+def reference_extract_policy(table, states=None):
+    """``extract_policy`` as a loop over histories, one facet split per history.
+
+    ``states``, when given, gathers ``(step, position, law bytes)`` of each
+    split in call order.
+    """
+    spec, steps = table.spec, table.steps
+    horizon = steps[-1]
+    vectors = np.empty((2 ** (horizon + 1) - 1, len(steps)))
+    vectors[0] = table.mu.weights
+    at = np.zeros(1, dtype=np.intp)
+    for s in range(horizon):
+        live = [j for j, step in enumerate(steps) if step > s]
+        child, here, nxt = child_positions(spec, s), table.functions[s], table.functions[s + 1]
+        for h, pos in enumerate(at.tolist(), start=2 ** s - 1):
+            vec = vectors[h]
+            vectors[2 * h + 1] = vectors[2 * h + 2] = vec
+            mass = float(vec[live].sum())
+            if mass > 1e-14:
+                y = vec[live] / mass
+                if states is not None:
+                    states.append((s, pos, y.tobytes()))
+                cont = dpp._continuation(here[pos], s in steps)
+                p = dpp._facet_split(cont, nxt[child[pos, 1]], y)
+                vectors[2 * h + 2, live] = mass * p
+                vectors[2 * h + 1, live] = 2.0 * vec[live] - vectors[2 * h + 2, live]
+        at = child[at].ravel()
+    return vectors
+
+
+POLICY_COSTS = (ABS, INDICATOR, CostSpec(kind="running_max", name="identity"), IDENTITY, SQUARE)
+
+
+def policy_instance(depth, mode):
+    """A seeded instance at ``depth``: 1-4 atoms, the last at ``depth``, sometimes a zero weight."""
+    rng = np.random.default_rng(100 * depth + len(mode))
+    spec = LatticeSpec(depth=depth, dt=1.0, augment_max=mode == "max",
+                       mode="history" if mode == "history" else "recombining")
+    cost = POLICY_COSTS[(depth + len(mode)) % len(POLICY_COSTS)]
+    if mode == "recombining" and cost.kind == "running_max":
+        cost = SQUARE
+    k = int(rng.integers(1, min(4, depth) + 1))
+    steps = sorted(rng.choice(np.arange(1, depth), size=k - 1, replace=False).tolist()) + [depth]
+    weights = rng.dirichlet(np.ones(k))
+    if k > 1 and depth % 3 == 0:
+        weights[rng.integers(0, k - 1)] = 0.0
+    return spec, cost, DiscreteMeasure(steps, weights / weights.sum())
+
+
 class TestExtractPolicy:
+    @pytest.mark.parametrize("mode", ["recombining", "max", "history"])
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_matches_the_per_history_loop_bit_for_bit(self, depth, mode):
+        spec, cost, mu = policy_instance(depth, mode)
+        table = solve(spec, cost, mu, resolution=5)
+        assert extract_policy(table).vectors.tobytes() == reference_extract_policy(table).tobytes()
+
+    def test_a_failed_split_raises_where_the_loop_does(self, monkeypatch):
+        table = solve(*policy_instance(9, "max"), resolution=5)
+        states = []
+        reference_extract_policy(table, states)
+        # Fail at every law first split halfway through the loop or later, so
+        # the first failure also tells the order of the splits.
+        half = len(states) // 2
+        bad = ({(2.0 * np.frombuffer(y)).tobytes() for _, _, y in states[half:]}
+               - {(2.0 * np.frombuffer(y)).tobytes() for _, _, y in states[:half]})
+        original = dpp.nnls
+
+        def failing(a, b):
+            lam, rnorm = original(a, b)
+            return (lam, 1.0) if b[:-1].tobytes() in bad else (lam, rnorm)
+
+        monkeypatch.setattr(dpp, "nnls", failing)
+        with pytest.raises(NumericalError) as want:
+            reference_extract_policy(table)
+        with pytest.raises(NumericalError) as got:
+            extract_policy(table)
+        assert str(got.value) == str(want.value)
+
+    def test_one_facet_split_per_state(self, monkeypatch):
+        table = solve(*policy_instance(10, "max"), resolution=5)
+        states = []
+        reference_extract_policy(table, states)
+        calls = []
+        original = dpp._facet_split
+
+        def counting(w, up, y):
+            calls.append(1)
+            return original(w, up, y)
+
+        monkeypatch.setattr(dpp, "_facet_split", counting)
+        extract_policy(table)
+        assert len(calls) == len(set(states)) < len(states)
+
     def test_worked_instance_structure(self):
         spec, cost, mu = worked_instance()
         tree = extract_policy(solve(spec, cost, mu, resolution=3))

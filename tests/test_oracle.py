@@ -297,6 +297,18 @@ class TestSolveLp:
         else:
             assert 0.5 <= -seen[0][0] < 1.0
 
+    @pytest.mark.parametrize("e", [3e18, 1e19, 4e19])
+    def test_costs_where_unscaled_highs_fails_price_like_exact(self, e):
+        # Handed to HiGHS unscaled, these objectives end in HiGHS Status 4.
+        spec = LatticeSpec(depth=6, dt=1.0, augment_max=True)
+        mu = DiscreteMeasure((2.0, 4.0, 6.0), (0.3, 0.3, 0.4))
+        cost = CostSpec(kind="terminal", name="polynomial", params={"coeffs": [0.0, 1.0, e]})
+        problem = build_lp(spec, cost, mu)
+        assert np.abs(problem.c).max() >= oracle.HIGHS_COST_LIMIT
+        got, want = solve_lp(problem), solve_lp(problem, exact=True)
+        assert got.status == want.status == "optimal"
+        assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+
     @pytest.mark.parametrize("constant", [1e25, 1e306])
     def test_large_constant_costs_price_like_solve(self, constant):
         spec = LatticeSpec(depth=10, dt=1.0)
