@@ -192,9 +192,9 @@ def cmd_solve(args, spec, cost, mu, settings) -> _Outcome:
 
 
 def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
-    from .dpp import AGREE_TOL, check_policy_depth, extract_policy, solve
+    from .dpp import AGREE_TOL, extract_policy, solve
 
-    check_policy_depth(atom_steps(spec, mu.atoms)[-1])
+    check_tree_depth(atom_steps(spec, mu.atoms)[-1])
     table = solve(spec, cost, mu, settings.resolution)
     tree = extract_policy(table)
     report = validate(tree, mu)

@@ -62,7 +62,7 @@ from scipy.optimize import nnls
 from scipy.spatial import ConvexHull, QhullError
 
 from .cost import CostSpec, cost_overflow, evaluate
-from .errors import ConfigError, NumericalError, SizeGuardError
+from .errors import ConfigError, NumericalError, SizeGuardError, unit_scale
 from .lattice import (
     LatticeSpec,
     NodeId,
@@ -73,7 +73,7 @@ from .lattice import (
     states_at_step,
 )
 from .measures import DiscreteMeasure
-from .mvm import MvmTree
+from .mvm import MvmTree, check_tree_depth
 
 GRID_SIZE_LIMIT = 1_000_000
 # Nodes up to the last atom.  Recombining depth 1000 (501,501 nodes, one atom)
@@ -81,7 +81,12 @@ GRID_SIZE_LIMIT = 1_000_000
 # at depth 227.
 LATTICE_NODE_LIMIT = 1_000_000
 PAIR_CLOUD_LIMIT = 4_000_000
-POLICY_DEPTH_LIMIT = 12
+# qhull fails (QH6154, or no upper facet) on a cloud whose values dwarf its
+# width in [0, 2]: on a max-augmented depth-6 ``polynomial [0, 1, 1e12]``
+# instance the first failing cloud spanned 2^42.9 in value, where 2^39.5
+# still passed.  From the bound of ``oracle.HIGHS_COST_LIMIT`` on, the value
+# column goes to qhull scaled by a power of two into [0.5, 1).
+HULL_SPAN_LIMIT = 2.0 ** 32
 PURE_DEPTH_LIMIT = 12
 PURE_TABLE_LIMIT = 500_000
 UPPER_FACET_TOL = 1e-12
@@ -237,7 +242,9 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the data is affine; facets touching it are not upper facets.  qhull gives
     every triangle of a merged facet the same hyperplane, bit for bit, so
     repeated rows of ``affine`` are dropped (first occurrence kept, in order):
-    the minimum, and the lowest index attaining it, stay the same.
+    the minimum, and the lowest index attaining it, stay the same.  A value
+    span of ``HULL_SPAN_LIMIT`` or more goes to qhull scaled by a power of
+    two, and ``affine`` comes back unscaled.
     """
     d = points.shape[1] - 1
     if d == 1:
@@ -252,6 +259,10 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             affine.append((0.0, float(points[chain[0], 1])))
         return np.array(affine), np.array(chain)
     span = float(points[:, -1].max() - points[:, -1].min())
+    scale = unit_scale(span, HULL_SPAN_LIMIT)
+    if scale != 1.0:
+        points = np.column_stack([points[:, :-1], scale * points[:, -1]])
+        span *= scale
     sentinel = np.concatenate(
         [points[:, :-1].mean(axis=0), [points[:, -1].min() - 10.0 * (span + 1.0)]]
     )
@@ -269,6 +280,7 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                              f"points for k = {d + 1}")
     eqs = eqs[upper]
     affine = np.column_stack([-eqs[:, :d] / eqs[:, d:d + 1], -eqs[:, d + 1] / eqs[:, d]])
+    affine /= scale
     _, first = np.unique(affine, axis=0, return_index=True)
     return affine[np.sort(first)], np.unique(simplices[upper])
 
@@ -693,14 +705,6 @@ def _facet_split(w: ConcavePL, up: ConcavePL, y: np.ndarray) -> np.ndarray:
     return lam @ up.verts[w.src[ids, 0], :k]
 
 
-def check_policy_depth(horizon: int) -> None:
-    """Refuse a policy tree past ``POLICY_DEPTH_LIMIT``; cheap enough to run before ``solve``."""
-    if horizon > POLICY_DEPTH_LIMIT:
-        raise SizeGuardError(
-            f"policy extraction walks 2^{horizon} histories (limit 2^{POLICY_DEPTH_LIMIT})"
-        )
-
-
 def extract_policy(table: ValueTable) -> MvmTree:
     """Forward sweep turning the solved value functions into an explicit law tree.
 
@@ -723,7 +727,7 @@ def extract_policy(table: ValueTable) -> MvmTree:
     spec = table.spec
     steps = table.steps
     horizon = steps[-1]
-    check_policy_depth(horizon)
+    check_tree_depth(horizon)
     # One row per history in heap order: row h has its children at rows
     # 2h + 1 (down) and 2h + 2 (up).  ``at`` holds each row's node position.
     vectors = np.empty((2 ** (horizon + 1) - 1, len(steps)))

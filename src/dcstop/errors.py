@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the number checks every reader shares."""
+"""Exception types shared across the package, and the number helpers every reader shares."""
 
+import math
 import numbers
 import sys
 
@@ -55,3 +56,11 @@ def finite_number(value, what: str) -> float:
     if not (real and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def unit_scale(top: float, limit: float) -> float:
+    """1.0 for ``top`` below ``limit``, else the power of two that takes ``top`` into [0.5, 1).
+
+    A power of two scales every float exactly, short of the subnormals.
+    """
+    return 1.0 if top < limit else math.ldexp(1.0, -math.frexp(top)[1])

@@ -51,6 +51,9 @@ class LatticeSpec:
             raise ConfigError(f"augment_max must be a boolean, got {self.augment_max!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "history" and self.augment_max:
+            raise ConfigError("augment_max applies to recombining lattices only: "
+                              "a history node already carries its running maximum")
         if self.mode == "history" and self.depth > MAX_HISTORY_DEPTH:
             raise ConfigError(
                 f"history mode supports depth <= {MAX_HISTORY_DEPTH}, got {self.depth}"

@@ -45,13 +45,16 @@ from .lattice import (
     states_at_step,
 )
 from .measures import DiscreteMeasure, is_right_shift_of, monotone_coupling
-from .rst import DEAD_MASS, StoppingKernel, _forward_stops, kernel_from_laws
+from .rst import DEAD_MASS, StoppingKernel, kernel_from_laws
 
 MARTINGALE_TOL = 1e-12
 SPLICE_TOL = 1e-9
 # A tree holds 2^(depth + 1) - 1 rows, and its memory and time double with
-# each step: past the imports, ``dcstop validate`` on four atoms takes 0.05 s
-# and 12 MB at depth 16 on a 2-core x86 machine, and 1 s and 180 MB at depth 20.
+# each step.  ``dcstop validate`` and ``dcstop policy`` both build one.  On
+# four atoms at depth 16 on a 2-core x86 machine, past the imports, validate
+# takes 0.06 s at 90 MB peak RSS, and policy 1.5 s at 210 MB, mostly writing
+# a 15 MB policy.json (``extract_policy`` takes 0.15 s).  validate took 1 s
+# and 180 MB at depth 20.
 TREE_DEPTH_LIMIT = 16
 
 
@@ -171,10 +174,10 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> MvmReport:
 
 
 def check_tree_depth(horizon: int) -> None:
-    """Refuse a law tree past ``TREE_DEPTH_LIMIT`` before any kernel is built or walked."""
+    """Refuse a law tree past ``TREE_DEPTH_LIMIT`` before anything is solved, built or walked."""
     if horizon > TREE_DEPTH_LIMIT:
         raise SizeGuardError(
-            f"law tree from a kernel walks 2^{horizon} histories (limit 2^{TREE_DEPTH_LIMIT})"
+            f"law tree walks 2^{horizon} histories (limit 2^{TREE_DEPTH_LIMIT})"
         )
 
 
@@ -188,18 +191,17 @@ def from_kernel(kernel: StoppingKernel) -> MvmTree:
     """
     spec, steps, last = kernel.spec, kernel.steps, kernel.steps[-1]
     check_tree_depth(last)
-    # The kernel on histories: each history reads the hazard of its node.
-    hist = LatticeSpec(depth=last, dt=spec.dt, mode="history")
-    pos = np.zeros(1, dtype=np.intp)
-    q = []
+    # Each history carries its node's position and its own survival from
+    # atom to atom, and stops with the hazard read at that position.
+    pos, alive, stops = np.zeros(1, dtype=np.intp), np.ones(1), []
     for start, s, qv in zip((0,) + steps, steps, kernel.q):
         for r in range(start, s):
             pos = child_positions(spec, r)[pos].ravel()
-        q.append(qv[pos])
-    # A history at step s carries mass 2**-s, so scaling by 2**s gives each
-    # path's own stop masses, exactly unless a mass is subnormal.
-    stops = _forward_stops(StoppingKernel(hist, kernel.atom_times, q))
-    stopped = np.column_stack([np.repeat(stop * 2.0 ** s, 2 ** (last - s))
+        q = qv[pos]
+        alive = np.repeat(alive, 2 ** (s - start))
+        stops.append(alive * q)
+        alive = alive * (1.0 - q)
+    stopped = np.column_stack([np.repeat(stop, 2 ** (last - s))
                                for s, stop in zip(steps, stops)])
     vectors = np.empty((2 ** (last + 1) - 1, len(steps)))
     vectors[_descendants(0, last)] = stopped

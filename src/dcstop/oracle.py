@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .cost import CostSpec, cost_overflow, evaluate
-from .errors import SizeGuardError, ValidationError
+from .errors import SizeGuardError, ValidationError, unit_scale
 from .lattice import LatticeSpec, atom_steps, states_at_step
 from .measures import DiscreteMeasure
 from .rst import StoppingKernel, kernel_from_laws
@@ -283,7 +283,7 @@ def _solve_exact(problem: LpProblem):
 def _solve_highs(problem: LpProblem):
     """Status, value, ``x``, duals and certificate by HiGHS, all float."""
     top = float(np.abs(problem.c).max(initial=0.0))
-    scale = 1.0 if top < HIGHS_COST_LIMIT else math.ldexp(1.0, -math.frexp(top)[1])
+    scale = unit_scale(top, HIGHS_COST_LIMIT)
     res = linprog(-scale * problem.c, A_eq=problem.a, b_eq=problem.b, bounds=(0, None),
                   method="highs")
     if res.status == 2:

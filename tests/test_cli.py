@@ -208,7 +208,7 @@ class TestSimulate:
         assert (out / "result.json").exists()
         config_path.write_text(json.dumps({**base_config(), "simulate": {"paths": 10 ** 12}}))
         assert main(["simulate", str(config_path)]) == 2
-        assert not (out / "result.json").exists()
+        assert sorted(os.listdir(out)) == []
 
 
 class TestStability:
@@ -268,6 +268,121 @@ class TestValidate:
         payload = read_result(out)
         assert payload["ok"] is True
         assert payload["atom_steps"] == [1, 2]
+
+
+# Instances at the edge of what the commands take, each in full.
+EDGE_CONFIGS = {
+    # The exact oracle on a 35-row, 68-column LP.
+    "exact7": {
+        "lattice": {"depth": 7, "dt": 1.0, "augment_max": True},
+        "cost": {"kind": "terminal", "name": "indicator", "params": {"threshold": 1.0}},
+        "measure": [{"t": 2.0, "w": 0.3}, {"t": 5.0, "w": 0.3}, {"t": 7.0, "w": 0.4}],
+    },
+    # Costs read at the step's time, which every node of a step shares: a
+    # time-kind square and a markov polynomial in (w, t), at dt = 0.5.
+    "time": {
+        "lattice": {"depth": 6, "dt": 0.5, "augment_max": True},
+        "cost": {"kind": "time", "name": "square"},
+        "measure": [{"t": 1.0, "w": 0.25}, {"t": 2.0, "w": 0.35}, {"t": 3.0, "w": 0.4}],
+        "solver": {"resolution": 20},
+        "seed": 7,
+        "simulate": {"paths": 100000},
+    },
+    "markov": {
+        "lattice": {"depth": 6, "dt": 0.5},
+        "cost": {"kind": "markov", "name": "polynomial2",
+                 "params": {"coeffs": [[0.0, 0.5], [1.0, -0.25], [0.5]]}},
+        "measure": [{"t": 1.0, "w": 0.25}, {"t": 2.0, "w": 0.35}, {"t": 3.0, "w": 0.4}],
+        "solver": {"resolution": 20},
+        "seed": 7,
+        "simulate": {"paths": 100000},
+    },
+    # The largest history tree the float oracle takes (ORACLE_DEPTH_LIMIT).
+    "deep": {
+        "lattice": {"depth": 12, "dt": 1.0, "augment_max": True},
+        "cost": {"kind": "terminal", "name": "abs"},
+        "measure": [{"t": 6.0, "w": 0.4}, {"t": 12.0, "w": 0.6}],
+        "solver": {"resolution": 20},
+        "seed": 7,
+        "simulate": {"paths": 100000},
+    },
+    # deep's horizon on the recombining lattice.
+    "flat12": {
+        "lattice": {"depth": 12, "dt": 1.0},
+        "cost": {"kind": "terminal", "name": "abs"},
+        "measure": [{"t": 6.0, "w": 0.4}, {"t": 12.0, "w": 0.6}],
+        "solver": {"resolution": 20},
+    },
+    # The deepest law tree (TREE_DEPTH_LIMIT), on four atoms.
+    "tree": {
+        "lattice": {"depth": 16, "dt": 1.0, "augment_max": True},
+        "cost": {"kind": "terminal", "name": "abs"},
+        "measure": [{"t": 4.0, "w": 0.1}, {"t": 8.0, "w": 0.4},
+                    {"t": 12.0, "w": 0.2}, {"t": 16.0, "w": 0.3}],
+        "solver": {"resolution": 10},
+        "seed": 7,
+    },
+}
+
+
+class TestEdgeInstances:
+    def run(self, workspace, name, *argv):
+        config_path, out = workspace
+        config_path.write_text(json.dumps(EDGE_CONFIGS[name]))
+        assert main([argv[0], str(config_path), *argv[1:]]) == 0
+        return read_result(out)
+
+    @pytest.mark.parametrize("name, argv", [
+        *((name, command) for name in ("time", "markov")
+          for command in ("compare", "policy", "simulate", "oracle --exact")),
+        *(("deep", command) for command in ("compare", "simulate", "policy", "validate")),
+        ("flat12", "policy"),
+        ("tree", "validate"),
+        ("tree", "policy"),
+    ])
+    def test_exits_0(self, workspace, name, argv):
+        self.run(workspace, name, *argv.split())
+
+    @pytest.mark.parametrize("name", ["exact7", "deep"])
+    def test_exact_oracle_certifies_the_float_value(self, workspace, name):
+        # The exact route is bounded by the last decision step (6 on deep),
+        # not by the horizon.  Its rational certificate reads exactly zero.
+        flt = self.run(workspace, name, "oracle")
+        exact = self.run(workspace, name, "oracle", "--exact")
+        for key in ("duality_gap", "reduced_cost_violation", "slackness_violation"):
+            assert (type(exact[key]), exact[key]) == (float, 0.0)
+        assert abs(exact["value"] - flt["value"]) <= 1e-9
+
+    def test_the_history_lp_branches_to_the_last_decision_step(self, workspace):
+        # deep's last decision step is 6: two blocks of 2^6 columns, not one
+        # of 2^6 and one of 2^12.
+        assert self.run(workspace, "deep", "oracle")["variables"] == 128
+
+
+class TestLargeValueScales:
+    # polynomial [0, 1, 10^e] prices every rule at 10^e E[tau] = 4.2e{e}.
+    # Both commands exited 2 when qhull failed on these clouds.  The flat
+    # AGREE_TOL is below one ulp of such values, so the gate may fail (exit
+    # 3), by a few ulps.
+    @pytest.mark.parametrize("e", [12, 13, 15, 18, 30, 100, 300])
+    @pytest.mark.parametrize("command", ["compare", "policy"])
+    def test_no_refusal(self, workspace, capsys, command, e):
+        config_path, out = workspace
+        config_path.write_text(json.dumps({
+            **base_config(), "lattice": {"depth": 6, "dt": 1.0, "augment_max": True},
+            "cost": {"kind": "terminal", "name": "polynomial",
+                     "params": {"coeffs": [0.0, 1.0, float(f"1e{e}")]}},
+            "measure": [{"t": 2.0, "w": 0.3}, {"t": 4.0, "w": 0.3}, {"t": 6.0, "w": 0.4}]}))
+        code = main([command, str(config_path)])
+        err = capsys.readouterr().err
+        ulps = 4 * np.spacing(4.2 * 10.0 ** e)
+        if command == "compare":
+            assert code in (0, 3), err
+            assert read_result(out)["difference"] <= ulps
+        else:
+            off = re.fullmatch(r"verification failed: policy objective off the solved value "
+                               r"by (\S+)\n", err)
+            assert (code, err) == (0, "") or (code == 3 and off and float(off[1]) <= ulps), err
 
 
 class TestConfigErrors:
@@ -427,6 +542,17 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "invalid input: cost: params must be an object\n"
         assert not (tmp_path / "result.json").exists()
 
+    def test_a_history_lattice_with_augment_max_exits_2(self, workspace, capsys):
+        config_path, out = workspace
+        config_path.write_text(json.dumps({
+            **base_config(), "lattice": {"depth": 2, "dt": 1.0, "augment_max": True,
+                                         "mode": "history"}}))
+        assert main(["solve", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: lattice: augment_max applies to recombining lattices only: "
+            "a history node already carries its running maximum\n")
+        assert not (out / "result.json").exists()
+
     @pytest.mark.parametrize("command, sections, message", [
         ("simulate", {"seed": -1}, "seed: must be a non-negative integer"),
         ("validate", {"seed": -1}, "seed: must be a non-negative integer"),
@@ -464,10 +590,9 @@ class TestConfigErrors:
 class TestGuardsBeforeWork:
     @pytest.mark.parametrize("command, depth, expensive, message", [
         ("compare", 13, "dcstop.dpp.solve", "oracle tree has 2^13 paths (limit 2^12)"),
-        ("policy", 13, "dcstop.dpp.solve",
-         "policy extraction walks 2^13 histories (limit 2^12)"),
+        ("policy", 17, "dcstop.dpp.solve", "law tree walks 2^17 histories (limit 2^16)"),
         ("validate", 17, "dcstop.cli.feasible_kernel",
-         "law tree from a kernel walks 2^17 histories (limit 2^16)"),
+         "law tree walks 2^17 histories (limit 2^16)"),
         # The float oracle takes depth 12; the exact route stops at the last
         # decision step, 11 here.
         ("oracle --exact", 12, "dcstop.cli.build_lp",

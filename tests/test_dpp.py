@@ -24,6 +24,7 @@ from dcstop import (
     SimplexGrid,
     SizeGuardError,
     accumulate,
+    build_lp,
     check_dpp,
     extract_policy,
     marginal_of,
@@ -33,6 +34,7 @@ from dcstop import (
     perspective,
     root,
     solve,
+    solve_lp,
     strong_value,
     termination,
     to_kernel,
@@ -336,6 +338,21 @@ class TestPrunedPairCloud:
         out = pair_sup(w, w)
         assert np.unique(out.pieces, axis=0).shape == out.pieces.shape
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_a_wide_value_span_is_one_hull_scaled(self, k):
+        # Values spanning [0.5, 1) go to qhull as they are; the same cloud
+        # times 2^40 goes scaled back to them, so its pieces are the first
+        # cloud's times 2^40, bit for bit, and its vertices the same rows.
+        grid = SimplexGrid(k, 6)
+        x = grid.fractions[:, : k - 1]
+        vals = -((x - 0.3) ** 2).sum(axis=1)
+        vals = 0.75 * (vals - vals.min()) / np.ptp(vals)
+        assert 0.5 <= np.ptp(vals) < 1.0
+        affine, ids = _hull_upper(np.column_stack([x, vals]))
+        big_affine, big_ids = _hull_upper(np.column_stack([x, vals * 2.0 ** 40]))
+        assert big_ids.tobytes() == ids.tobytes()
+        assert big_affine.tobytes() == (affine * 2.0 ** 40).tobytes()
+
     @staticmethod
     def cloud_rows(monkeypatch, up, down, shared):
         """``pair_sup(up, down, shared)`` and the row count of the cloud its hull saw."""
@@ -480,6 +497,19 @@ class TestSolve:
         ])
         table = solve(LatticeSpec(depth=40, dt=1.0), ABS, mu, resolution=10)
         assert table.root_value == pytest.approx(4.477089540248194, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("e", [12, 13, 15, 18, 30, 100, 300])
+    def test_the_value_scale_does_not_matter(self, e):
+        # polynomial [0, 1, 10^e] prices every rule at 10^e E[tau] = 4.2e{e}.
+        # On the raw clouds qhull failed from e = 12 on (QH6154, or no upper
+        # facet); scaled by a power of two they are one hull.
+        spec = LatticeSpec(depth=6, dt=1.0, augment_max=True)
+        mu = DiscreteMeasure((2.0, 4.0, 6.0), (0.3, 0.3, 0.4))
+        cost = CostSpec(kind="terminal", name="polynomial",
+                        params={"coeffs": [0.0, 1.0, float(f"1e{e}")]})
+        exact = solve_lp(build_lp(spec, cost, mu), exact=True).value
+        value = solve(spec, cost, mu, resolution=20).root_value
+        assert abs(value - exact) <= 2 * np.spacing(exact)
 
     def test_root_value_ignores_resolution(self):
         rng = np.random.default_rng(59)
@@ -1005,10 +1035,10 @@ class TestExtractPolicy:
         assert marg.weights == pytest.approx(mu.weights, abs=1e-9)
 
     def test_depth_guard(self):
-        spec = LatticeSpec(depth=13, dt=1.0)
-        mu = DiscreteMeasure((1.0, 13.0), (0.5, 0.5))
+        spec = LatticeSpec(depth=17, dt=1.0)
+        mu = DiscreteMeasure((1.0, 17.0), (0.5, 0.5))
         table = solve(spec, IDENTITY, mu, resolution=2)
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError, match=r"2\^17 histories \(limit 2\^16\)"):
             extract_policy(table)
 
     @pytest.mark.parametrize("residual, weights", [(1e-6, [0.5, 0.5]), (0.0, [0.0, 0.0])])

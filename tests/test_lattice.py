@@ -147,9 +147,10 @@ class TestNodeProb:
         for key, count in brute.items():
             assert seen[key] == pytest.approx(count, abs=1e-9)
 
-    @pytest.mark.parametrize("mode", ["recombining", "history"])
-    @pytest.mark.parametrize("augment", [False, True])
-    def test_probabilities_sum_to_one(self, mode, augment):
+    @pytest.mark.parametrize("augment, mode", [
+        (False, "history"), (False, "recombining"), (True, "recombining"),
+    ])
+    def test_probabilities_sum_to_one(self, augment, mode):
         spec = LatticeSpec(depth=6, dt=0.5, augment_max=augment, mode=mode)
         for s in range(spec.depth + 1):
             total = sum(node_prob(spec, node) for node in nodes_at_step(spec, s))
@@ -282,6 +283,14 @@ class TestValidation:
             LatticeSpec(depth=2, dt=math.inf)
         with pytest.raises(ConfigError):
             LatticeSpec(depth=True, dt=1.0)
+
+    def test_a_history_lattice_refuses_augment_max(self):
+        # A history node's state already holds its running maximum; the flag
+        # used to be accepted and ignored, so two equal kernels compared unequal.
+        with pytest.raises(ConfigError, match="augment_max applies to recombining lattices only"):
+            LatticeSpec(depth=3, dt=1.0, augment_max=True, mode="history")
+        with pytest.raises(ConfigError, match="augment_max"):
+            spec_from_json({"depth": 3, "dt": 1.0, "augment_max": True, "mode": "history"})
 
     def test_nodes_at_step_range(self):
         spec = LatticeSpec(depth=2, dt=1.0)

@@ -38,7 +38,7 @@ from dcstop.lattice import atom_steps, child_positions, heap_history, heap_row, 
 from dcstop.lattice import node_count
 from dcstop.measures import is_right_shift_of, monotone_coupling
 from dcstop.mvm import MARTINGALE_TOL, SPLICE_TOL, MvmReport, MvmViolation
-from dcstop.rst import DEAD_MASS
+from dcstop.rst import DEAD_MASS, _forward_stops
 
 from conftest import (
     kernel_dict,
@@ -113,6 +113,29 @@ def reference_forward_loop(kernel) -> np.ndarray:
             stopped[:, i] = alive * qv
             alive = alive * (1.0 - qv)
     vectors = np.empty((2 ** (last + 1) - 1, r))
+    vectors[2 ** last - 1:] = stopped
+    for s in range(last - 1, -1, -1):
+        stopped = 0.5 * (stopped[1::2] + stopped[0::2])
+        vectors[2 ** s - 1:2 ** (s + 1) - 1] = stopped
+    return vectors
+
+
+def reference_history_kernel(kernel) -> np.ndarray:
+    """Heap-ordered vectors by the route ``from_kernel`` took before it carried each
+    path's own survival: the kernel lifted onto the history lattice, that lattice's
+    forward stop sweep, and each step-``s`` mass scaled back by ``2**s``."""
+    spec, steps, last = kernel.spec, kernel.steps, kernel.steps[-1]
+    hist = LatticeSpec(depth=last, dt=spec.dt, mode="history")
+    pos = np.zeros(1, dtype=np.intp)
+    q = []
+    for start, s, qv in zip((0,) + steps, steps, kernel.q):
+        for r in range(start, s):
+            pos = child_positions(spec, r)[pos].ravel()
+        q.append(qv[pos])
+    stops = _forward_stops(StoppingKernel(hist, kernel.atom_times, q))
+    stopped = np.column_stack([np.repeat(stop * 2.0 ** s, 2 ** (last - s))
+                               for s, stop in zip(steps, stops)])
+    vectors = np.empty((2 ** (last + 1) - 1, len(steps)))
     vectors[2 ** last - 1:] = stopped
     for s in range(last - 1, -1, -1):
         stopped = 0.5 * (stopped[1::2] + stopped[0::2])
@@ -262,6 +285,30 @@ class TestFromKernel:
                 got = from_kernel(kernel).vectors
                 assert got.tobytes() == reference_forward_loop(kernel).tobytes()
 
+    def test_matches_the_history_kernel_route_bit_for_bit(self):
+        # Random witnesses on the three lattices, depth 2-13, one to four atoms.
+        rng = np.random.default_rng(39)
+        for n in range(60):
+            depth = int(rng.integers(2, 14))
+            spec = LatticeSpec(depth=depth, dt=0.5, augment_max=n % 3 == 1,
+                               mode="history" if n % 3 == 2 else "recombining")
+            steps = rng.choice(np.arange(1, depth + 1), int(rng.integers(1, min(4, depth) + 1)),
+                               replace=False)
+            mu = random_measure(rng, [0.5 * s for s in sorted(steps)])
+            kernel = feasible_kernel(spec, mu, rng)
+            assert from_kernel(kernel).vectors.tobytes() == \
+                reference_history_kernel(kernel).tobytes()
+
+    def test_a_subnormal_history_mass_keeps_the_path_mass(self):
+        # Each path stops with 1e-305 at step 10; that path's history mass,
+        # 2^-10 as much, is subnormal, so scaling it back lost bits.
+        spec = LatticeSpec(depth=12, dt=1.0)
+        kernel = StoppingKernel(spec, (10.0, 12.0), [np.full(node_count(spec, 10), 1e-305),
+                                                     np.ones(node_count(spec, 12))])
+        vectors = from_kernel(kernel).vectors
+        assert (vectors[:, 0] == 1e-305).all()
+        assert (vectors[:, 1] == 1.0).all()
+
     def test_worked_tree_vectors(self):
         tree = worked_tree()
         vectors = tree_dict(tree)
@@ -301,7 +348,8 @@ class TestFromKernel:
     def test_depth_guard(self):
         spec = LatticeSpec(depth=17, dt=1.0)
         kernel = random_kernel(spec, (1.0, 17.0), np.random.default_rng(34))
-        with pytest.raises(SizeGuardError, match=r"2\^17 histories \(limit 2\^16\)"):
+        with pytest.raises(SizeGuardError,
+                           match=r"^law tree walks 2\^17 histories \(limit 2\^16\)$"):
             from_kernel(kernel)
 
 
