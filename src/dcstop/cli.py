@@ -10,8 +10,9 @@ runs, runs the command and writes its payload as ``result.json`` (after
 seed: keys are sorted and every file embeds the config digest and version.
 
 Exit codes: 0 on success, 2 for configuration or validation problems, a key
-that its section does not take included (the message points at the offending
-config section), 3 when a verification residual exceeds its tolerance.
+that its section does not take and a ``$DCSTOP_OUT`` that cannot be a
+directory included (the message points at the offending config section), 3
+when a verification residual exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .cost import cost_from_json
-from .errors import ConfigError, DcstopError, finite_number, is_integer
+from .errors import ConfigError, DcstopError, finite_number, is_integer, refuse_unknown_keys
 from .lattice import atom_steps, spec_from_json
 from .measures import measure_from_json, measure_to_json
 from .mvm import accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel, validate
@@ -42,15 +43,10 @@ from .stability import convergence_sweep, rows_to_csv
 MAX_ATOMS = 4
 # Every file a command writes into the output directory.
 OUTPUT_FILES = ("result.json", "policy.json", "table.csv")
-# The keys each instance section takes ("measure" per entry; cost params are
-# free-form).  ``_load_config`` adds the settings sections and the top
-# level's keys from ``SETTINGS``.  Any other key is refused, so a misspelling
-# cannot fall back to a default.
-SECTION_KEYS = {
-    "lattice": ("depth", "dt", "augment_max", "mode"),
-    "cost": ("kind", "name", "params"),
-    "measure": ("t", "w"),
-}
+# The instance sections, each read by its parser, which refuses a key it does
+# not read.  The top level's other keys and the settings sections' keys come
+# from ``SETTINGS``.
+PARSERS = {"lattice": spec_from_json, "cost": cost_from_json, "measure": measure_from_json}
 
 
 class _Failure(Exception):
@@ -58,6 +54,7 @@ class _Failure(Exception):
 
 
 def _load_config(path: str) -> dict:
+    """The config, its top-level and settings keys checked against ``SETTINGS``."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -67,38 +64,21 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
-    keys = {where: list(taken) for where, taken in SECTION_KEYS.items()}
-    top = list(SECTION_KEYS)
+    top, sections = list(PARSERS), {}
     for section, key, *_ in SETTINGS:
         top.append(key if section is None else section)
         if section is not None:
-            keys.setdefault(section, []).append(key)
-    _refuse_unknown_keys("config", raw, top)
-    for where, taken in keys.items():
-        if where != "measure":
-            _refuse_unknown_keys(where, raw.get(where), taken)
-    entries = raw.get("measure")
-    for item in entries if isinstance(entries, list) else ():
-        _refuse_unknown_keys("measure", item, keys["measure"])
+            sections.setdefault(section, []).append(key)
+    refuse_unknown_keys(raw, top, "config")
+    for section, taken in sections.items():
+        refuse_unknown_keys(raw.get(section), taken, section)
     return raw
-
-
-def _refuse_unknown_keys(where: str, obj, taken) -> None:
-    """Refuse any key of section ``where`` that is not in ``taken``.
-
-    A section that is not an object is left to the command that reads it.
-    """
-    if isinstance(obj, dict):
-        for key in obj:
-            if key not in taken:
-                raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 def _parse_instance(config: dict):
     """The lattice, cost and target law; an error names the section it is in."""
     parsed = []
-    for key, parse in (("lattice", spec_from_json), ("cost", cost_from_json),
-                       ("measure", measure_from_json)):
+    for key, parse in PARSERS.items():
         if key not in config:
             raise ConfigError(f"{key}: missing")
         try:
@@ -149,17 +129,28 @@ def _settings(config: dict) -> SimpleNamespace:
 
 
 def _out_dir() -> str:
+    """The output directory, ``$DCSTOP_OUT`` or the current one, made when missing.
+
+    Every ``OUTPUT_FILES`` entry an earlier command left is removed: a command
+    that exits 2 writes nothing, so no earlier output may stay.  A path that
+    cannot be that directory is bad input.
+    """
     out = os.environ.get("DCSTOP_OUT", ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name in OUTPUT_FILES:
+            Path(out, name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"DCSTOP_OUT: {out} is not a usable directory ({exc.strerror})") from exc
     return out
 
 
-def _emit(name: str, payload: dict, config: dict) -> None:
+def _emit(out: str, name: str, payload: dict, config: dict) -> None:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     payload = dict(payload)
     payload["config_digest"] = hashlib.sha256(canon.encode()).hexdigest()
     payload["version"] = __version__
-    with open(os.path.join(_out_dir(), name), "w") as fh:
+    with open(os.path.join(out, name), "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -180,6 +171,9 @@ class _Outcome(NamedTuple):
 
 
 def cmd_solve(args, spec, cost, mu, settings) -> _Outcome:
+    # Here and in cmd_policy and cmd_compare, ``dpp`` names are looked up at
+    # each call, not bound when ``cli`` is imported: ``perfbench/tracing.py``
+    # replaces ``dpp.solve`` and ``dpp.extract_policy`` on the module.
     from .dpp import solve
 
     table = solve(spec, cost, mu, settings.resolution)
@@ -212,22 +206,14 @@ def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
     }, files=(("policy.json", mvm_to_json(tree)),))
 
 
-def _solve_polytope(spec, cost, mu, exact: bool):
-    """The history-tree LP and its solution; a polytope with no optimum is bad input."""
-    problem = build_lp(spec, cost, mu)
-    solution = solve_lp(problem, exact=exact)
-    if solution.status != "optimal":
-        raise ConfigError(f"measure: stopping polytope is {solution.status}")
-    return problem, solution
-
-
 def cmd_oracle(args, spec, cost, mu, settings) -> _Outcome:
     if args.exact:
         check_exact_depth(atom_steps(spec, mu.atoms))
-    problem, solution = _solve_polytope(spec, cost, mu, exact=args.exact)
+    problem = build_lp(spec, cost, mu)
+    solution = solve_lp(problem, exact=args.exact)
     return _Outcome({
         "value": solution.value,
-        "status": solution.status,
+        "status": "optimal",
         "kernel": kernel_to_json(lp_solution_to_kernel(problem, solution)),
         "duality_gap": solution.duality_gap,
         "reduced_cost_violation": solution.reduced_cost_violation,
@@ -242,7 +228,7 @@ def cmd_compare(args, spec, cost, mu, settings) -> _Outcome:
 
     check_oracle_depth(atom_steps(spec, mu.atoms)[-1])
     table = solve(spec, cost, mu, settings.resolution)
-    reference = _solve_polytope(spec, cost, mu, exact=False)[1].value
+    reference = solve_lp(build_lp(spec, cost, mu)).value
     difference = abs(table.root_value - reference)
     agree = difference <= AGREE_TOL
     payload = {
@@ -257,7 +243,8 @@ def cmd_compare(args, spec, cost, mu, settings) -> _Outcome:
 
 def cmd_simulate(args, spec, cost, mu, settings) -> _Outcome:
     check_sim_paths(settings.paths)
-    kernel = lp_solution_to_kernel(*_solve_polytope(spec, cost, mu, exact=False))
+    problem = build_lp(spec, cost, mu)
+    kernel = lp_solution_to_kernel(problem, solve_lp(problem))
     expected = objective_value(kernel, cost)
     report = simulate(kernel, cost, settings.paths, settings.seed)
     deviation = abs(report.mean - expected)
@@ -279,7 +266,7 @@ def cmd_stability(args, spec, cost, mu, settings) -> _Outcome:
     if settings.grids is None:
         raise ConfigError("stability: needs a grids list")
     report = convergence_sweep(spec, cost, mu, settings.grids, settings.resolution)
-    rows_to_csv(report.rows, os.path.join(_out_dir(), "table.csv"))
+    rows_to_csv(report.rows, os.path.join(args.out, "table.csv"))
     return _Outcome({"all_within": report.all_within, "levels": len(report.rows)},
                     "" if report.all_within else "a convergence row exceeded its modulus bound")
 
@@ -334,16 +321,14 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    # A command that exits 2 writes nothing, so no earlier output may stay.
-    for name in OUTPUT_FILES:
-        Path(os.environ.get("DCSTOP_OUT", "."), name).unlink(missing_ok=True)
     try:
+        args.out = _out_dir()
         config = _load_config(args.config)
         spec, cost, mu = _parse_instance(config)
         outcome = args.func(args, spec, cost, mu, _settings(config))
         for name, document in outcome.files:
-            _emit(name, document, config)
-        _emit("result.json", outcome.payload, config)
+            _emit(args.out, name, document, config)
+        _emit(args.out, "result.json", outcome.payload, config)
         _echo(outcome.payload)
         if outcome.failure:
             raise _Failure(outcome.failure)

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, finite_number
+from .errors import ConfigError, finite_number, refuse_unknown_keys
 from .lattice import LatticeSpec, PathState
 
 KINDS = ("terminal", "running_max", "time", "markov")
@@ -176,6 +176,7 @@ def holder2_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> float:
 def cost_from_json(data: dict) -> CostSpec:
     if not isinstance(data, dict):
         raise ConfigError("cost config must be an object")
+    refuse_unknown_keys(data, ("kind", "name", "params"))
     try:
         kind = data["kind"]
         name = data["name"]

@@ -58,6 +58,18 @@ def finite_number(value, what: str) -> float:
     return float(value)
 
 
+def refuse_unknown_keys(obj, taken, where: str = "") -> None:
+    """``ConfigError`` for a key of ``obj`` not in ``taken``: a typo never falls back to a default.
+
+    ``where``, when given, names the section in the message; a parser leaves
+    that to its caller.  An ``obj`` that is not an object is left to its reader.
+    """
+    prefix = f"{where}: " if where else ""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in taken:
+            raise ConfigError(f"{prefix}unknown key {key!r}")
+
+
 def unit_scale(top: float, limit: float) -> float:
     """1.0 for ``top`` below ``limit``, else the power of two that takes ``top`` into [0.5, 1).
 

@@ -23,6 +23,7 @@ from .errors import (
     NoChildrenError,
     ValidationError,
     finite_number,
+    refuse_unknown_keys,
 )
 
 MODES = ("recombining", "history")
@@ -269,6 +270,7 @@ def atom_steps(spec: LatticeSpec, atoms) -> list[int]:
 def spec_from_json(data: dict) -> LatticeSpec:
     if not isinstance(data, dict):
         raise ConfigError("lattice config must be an object")
+    refuse_unknown_keys(data, ("depth", "dt", "augment_max", "mode"))
     try:
         depth = data["depth"]
         dt = data["dt"]

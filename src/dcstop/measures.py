@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Sequence
 
-from .errors import CoverageError, ValidationError, finite_number
+from .errors import CoverageError, ValidationError, finite_number, refuse_unknown_keys
 
 # Weights must reproduce a probability vector to this accuracy.
 WEIGHT_TOL = 1e-12
@@ -200,6 +200,8 @@ def measure_to_json(mu: DiscreteMeasure) -> list[dict[str, float]]:
 
 def measure_from_json(data: Sequence[dict]) -> DiscreteMeasure:
     """Read ``[{"t": ..., "w": ...}, ...]``, renormalizing small ingest error."""
+    for item in data if isinstance(data, (list, tuple)) else ():
+        refuse_unknown_keys(item, ("t", "w"))
     if not isinstance(data, (list, tuple)) or not all(
             isinstance(item, dict) and "t" in item and "w" in item for item in data):
         raise ValidationError("must be a list of objects with 't' and 'w'")

@@ -83,7 +83,6 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str
     value: float
     x: np.ndarray
     duals: np.ndarray
@@ -166,7 +165,8 @@ def _simplex(a, b, c):
     test cross-multiplies.  The artificial columns stay through phase 2, barred
     from entering, and the objective row under them is the exact dual ``y``
     (Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007).  Returns the
-    status, value, ``x``, ``y`` (``None`` unless optimal) and final basis.
+    optimal value, ``x``, ``y`` and final basis; an LP without an optimum
+    raises ``ValidationError``.
     """
     m, n = len(b), len(c)
     flip = [-1 if v < 0 else 1 for v in b]
@@ -216,7 +216,7 @@ def _simplex(a, b, c):
     run(n + m)
     # Any artificial mass left means no feasible point.
     if t[m][-1] < 0:
-        return "infeasible", Fraction(0), [Fraction(0)] * n, None, tuple(basis)
+        raise ValidationError("LP is infeasible")
     # Drive leftover artificials out of the basis; a row with no real pivot
     # candidate is redundant and harmless, its artificial stays at zero.
     for i in range(m):
@@ -228,7 +228,7 @@ def _simplex(a, b, c):
     x = {j: Fraction(t[i][-1], den[i]) for i, j in enumerate(basis)}
     x = [x.get(j, Fraction(0)) for j in range(n)]
     y = [s * Fraction(v, den[m]) for s, v in zip(flip, t[m][n:n + m])]
-    return "optimal", Fraction(t[m][-1], den[m]), x, y, tuple(basis)
+    return Fraction(t[m][-1], den[m]), x, y, tuple(basis)
 
 
 def _certificate(ya, b, c, x, y) -> tuple:
@@ -256,7 +256,7 @@ def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
 
 
 def _solve_exact(problem: LpProblem):
-    """Status, value, ``x``, duals and certificate by the integer-row simplex, all rational.
+    """Value, ``x``, duals and certificate by the integer-row simplex, all rational.
 
     With ``a = A/da`` over a common denominator of its nonzeros, and so on,
     the certificate of ``X`` and ``Y`` on ``db dc A``, ``da dc dx B`` and ``da
@@ -266,9 +266,7 @@ def _solve_exact(problem: LpProblem):
     # Fraction(float) is exact, so the rationals encode the float data.
     b = [Fraction(v) for v in problem.b]
     _absorb_rounding_defect(problem, b)
-    status, value, x, y, _ = _simplex(problem.a, b, problem.c)
-    if status != "optimal":
-        return status, value, x, None, None
+    value, x, y, _ = _simplex(problem.a, b, problem.c)
     rows, cols = np.nonzero(problem.a)
     (a_, da), (b_, db), (c_, dc), (x_, dx), (y_, dy) = (
         (np.array(v, dtype=object), d)
@@ -277,23 +275,21 @@ def _solve_exact(problem: LpProblem):
     np.add.at(ya, cols, y_[rows] * a_)
     k = da * db * dc * dy
     residuals = _certificate(ya * (db * dc), b_ * (da * dc * dx), c_ * (da * db * dy), x_, y_)
-    return status, value, x, y, [Fraction(r, s) for r, s in zip(residuals, (k, dx * k, dx * k))]
+    return value, x, y, [Fraction(r, s) for r, s in zip(residuals, (k, dx * k, dx * k))]
 
 
 def _solve_highs(problem: LpProblem):
-    """Status, value, ``x``, duals and certificate by HiGHS, all float."""
+    """Value, ``x``, duals and certificate by HiGHS, all float."""
     top = float(np.abs(problem.c).max(initial=0.0))
     scale = unit_scale(top, HIGHS_COST_LIMIT)
     res = linprog(-scale * problem.c, A_eq=problem.a, b_eq=problem.b, bounds=(0, None),
                   method="highs")
-    if res.status == 2:
-        return "infeasible", np.nan, np.zeros(problem.a.shape[1]), None, None
     if res.status != 0:
-        raise ValidationError("LP is unbounded" if res.status == 3
-                              else f"LP solver failed: {res.message}")
+        raise ValidationError({2: "LP is infeasible", 3: "LP is unbounded"}.get(
+            res.status, f"LP solver failed: {res.message}"))
     y = -res.eqlin.marginals / scale
     residuals = _certificate(y @ problem.a, problem.b, problem.c, res.x, y)
-    return "optimal", problem.c @ res.x, res.x, y, residuals
+    return problem.c @ res.x, res.x, y, residuals
 
 
 def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
@@ -301,22 +297,18 @@ def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
 
     The float route is HiGHS; ``exact`` switches to the integer-row Bland
     simplex and a rational certificate, refused by ``check_exact_depth``.
-    ``x``, value, duals and residuals are rounded to floats last.
+    ``x``, value, duals and residuals are rounded to floats last.  Either
+    route raises ``ValidationError`` for a polytope without an optimum.
     """
     if exact:
         check_exact_depth(problem.steps)
-    status, value, x, y, residuals = (_solve_exact if exact else _solve_highs)(problem)
-    if status != "optimal":
-        value, y, residuals = np.nan, np.zeros(problem.a.shape[0]), (np.nan,) * 3
-    return LpSolution(status, float(value), np.asarray(x, dtype=float),
+    value, x, y, residuals = (_solve_exact if exact else _solve_highs)(problem)
+    return LpSolution(float(value), np.asarray(x, dtype=float),
                       np.asarray(y, dtype=float), *map(float, residuals))
 
 
 def oracle_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> float:
-    solution = solve_lp(build_lp(spec, cost, mu))
-    if solution.status != "optimal":
-        raise ValidationError(f"stopping polytope is {solution.status}")
-    return solution.value
+    return solve_lp(build_lp(spec, cost, mu)).value
 
 
 def lp_solution_to_kernel(problem: LpProblem, solution: LpSolution) -> StoppingKernel:

@@ -14,7 +14,7 @@ Three families of checks live here:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .cost import CostSpec, modulus
@@ -46,7 +46,8 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     of the target and all comparisons happen on one lattice.  The reference
     value belongs to the finest computable proxy, the projection onto the
     last grid, never to a continuum limit.  Each row's bound is
-    ``modulus(W1 to that proxy) + 2 AGREE_TOL``; values come from the block
+    ``modulus(W1 to that proxy) + 2 AGREE_TOL``, the modulus taken over the
+    states reachable by the latest projected horizon; values come from the block
     solver, which solves each distinct projected law once, the finest first.
     """
     from .dpp import AGREE_TOL, check_lattice_size, solve
@@ -57,9 +58,11 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
         if not _nested(a, b):
             raise ConfigError("stability grids must be nested coarse-to-fine")
     projected = [ceiling_project(mu, grid) for grid in grids]
-    # Before the modulus constant, which takes time linear in the depth.
-    check_lattice_size(spec, max(atom_steps(spec, m.atoms)[-1] for m in projected))
-    phi = modulus(cost, spec)
+    horizon = max(atom_steps(spec, m.atoms)[-1] for m in projected)
+    # Before the modulus constant, which takes time linear in the horizon: no
+    # solve stops past it, so neither do the states the constant ranges over.
+    check_lattice_size(spec, horizon)
+    phi = modulus(cost, replace(spec, depth=horizon))
     mu_fine = projected[-1]
     values = {m: solve(spec, cost, m, resolution).root_value
               for m in dict.fromkeys([mu_fine, *projected])}

@@ -407,7 +407,8 @@ def reference_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     Two-phase, Bland's rule throughout, over ``Fraction`` object arrays.
 
     Every comparison is exact, and Bland's rule cannot cycle, so the routine
-    terminates.  Returns the status, value, ``x`` and the final basis.
+    terminates.  Returns the value, ``x`` and the final basis; an LP without
+    an optimum raises ``ValidationError``.
     """
     m, n = a.shape
     flip = np.where(b < 0, -1, 1)
@@ -450,7 +451,7 @@ def reference_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     run(n + m)
     # Any artificial mass left means no feasible point.
     if t[m, -1] < 0:
-        return "infeasible", zero, np.full(n, zero, dtype=a.dtype), tuple(basis)
+        raise ValidationError("LP is infeasible")
     # Drive leftover artificials out of the basis; a row with no real pivot
     # candidate is redundant and harmless, its artificial stays at zero.
     for i in range(m):
@@ -470,7 +471,7 @@ def reference_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = t[i, -1]
-    return "optimal", c @ x, x, tuple(basis)
+    return c @ x, x, tuple(basis)
 
 
 def reference_tree_to_kernel(mvm: MvmTree) -> StoppingKernel:

@@ -239,9 +239,9 @@ class TestStability:
         assert read_result(tmp_path)["levels"] == 2
 
     def test_deep_lattice_with_early_atoms_finishes(self, tmp_path):
-        # The modulus constant scans every reachable level of the depth-20000
-        # lattice although the atoms sit at steps 5 and 10; an all-pairs scan
-        # of its 40001 levels outlasted a 10 s timeout.
+        # The depth-20000 lattice reaches far past the atoms at steps 5 and 10;
+        # the modulus constant scans the levels up to the horizon only (an
+        # all-pairs scan of all 40001 levels once outlasted a 10 s timeout).
         config = {
             "lattice": {"depth": 20000, "dt": 1.0},
             "cost": {"kind": "terminal", "name": "abs"},
@@ -395,6 +395,20 @@ class TestConfigErrors:
         monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
         assert "config" in capsys.readouterr().err
+
+    # The output path names a file, or lies beneath one.
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_an_output_path_that_is_no_directory_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                         below):
+        blocker = tmp_path / "out"
+        blocker.write_text("a file")
+        monkeypatch.setenv("DCSTOP_OUT", str(blocker / below))
+        assert main(["solve", self.write(tmp_path, base_config())]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: DCSTOP_OUT: {blocker / below} is not a usable "
+                              "directory (")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "out"]
+        assert blocker.read_text() == "a file"
 
     def test_unparsable_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
@@ -728,13 +742,14 @@ STOP, SUMS, CONSTANT = (f"cost: {what} is not a finite float" for what in (
     "a stop cost", "a sum of stop costs", "the continuity constant"))
 # name: ((form, coeffs), depth, refusal by the commands that price a stop, by
 # stability).  Stop costs past the floats (big, and mk through the polynomial2
-# branch), finite stop costs whose sums are not (huge), and a continuity
-# constant past the floats on levels no atom reaches (far, which solve prices).
+# branch), finite stop costs whose sums are not (huge), and a cost whose
+# continuity constant passes the floats only on levels no atom reaches (far:
+# solve prices it, and stability's constant ranges up to the horizon only).
 OVERFLOW_COSTS = {
     "big": (("polynomial", [0, 0, 1e308]), 4, STOP, CONSTANT),
     "mk": (("polynomial2", [[0], [0], [1e308]]), 4, STOP, "no modulus route for markov costs"),
     "huge": (("polynomial", [1e308, 1e307]), 4, SUMS, SUMS),
-    "far": (("polynomial", [0, 0, 1e306]), 200, None, CONSTANT),
+    "far": (("polynomial", [0, 0, 1e306]), 200, None, None),
 }
 
 
@@ -759,6 +774,8 @@ class TestCostsPastTheFloats:
             assert (code, capsys.readouterr().err) == (2, f"invalid input: {refusal}\n")
         elif argv[0] == "solve":
             assert (code, read_result(out)["value"]) == (0, 3e306)
+        elif argv[0] == "stability":
+            assert (code, read_result(out)["all_within"]) == (0, True)
         else:  # the float LP may refuse costs this large, but not crash
             assert code in (0, 2)
         for path in out.glob("*"):

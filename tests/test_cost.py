@@ -268,3 +268,8 @@ class TestJson:
             cost_from_json({"kind": "terminal"})
         with pytest.raises(ConfigError):
             cost_from_json("terminal")
+
+    def test_an_unknown_key_is_refused(self):
+        # Dropped, the misspelled key would go unnoticed.
+        with pytest.raises(ConfigError, match="^unknown key 'param'$"):
+            cost_from_json({"kind": "terminal", "name": "abs", "param": {}})

@@ -337,6 +337,11 @@ class TestJson:
         spec = LatticeSpec(depth=3, dt=0.5, augment_max=True, mode="recombining")
         assert spec_from_json(asdict(spec)) == spec
 
+    def test_an_unknown_key_is_refused(self):
+        # Dropped, the misspelled flag would leave a plain recombining lattice.
+        with pytest.raises(ConfigError, match="^unknown key 'augment_mx'$"):
+            spec_from_json({"depth": 3, "dt": 1.0, "augment_mx": True})
+
     def test_node_round_trips(self):
         for node in (
             NodeId(step=2, level=0),

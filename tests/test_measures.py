@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
 from dcstop import (
+    ConfigError,
     CoverageError,
     DiscreteMeasure,
     ValidationError,
@@ -237,4 +238,9 @@ class TestJson:
 
     def test_malformed_entries_rejected(self):
         with pytest.raises(ValidationError):
-            measure_from_json([{"time": 1.0, "w": 1.0}])
+            measure_from_json([{"w": 1.0}])
+
+    def test_an_unknown_key_is_refused(self):
+        # A misspelled "t" is named, not reported as a missing one.
+        with pytest.raises(ConfigError, match="^unknown key 'time'$"):
+            measure_from_json([{"t": 1.0, "w": 0.5}, {"time": 2.0, "w": 0.5}])

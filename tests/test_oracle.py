@@ -128,9 +128,7 @@ def reference_exact_value(spec, cost, mu) -> Fraction:
     defect = 1 - sum(w / 2 ** s for w, s in zip(b[len(b) - len(steps):], steps))
     if defect != 0 and abs(defect) < Fraction(1, 10 ** 9):
         b[-1] += defect * 2 ** steps[-1]
-    status, value, *_ = oracle._simplex(a, b, c)
-    assert status == "optimal"
-    return value
+    return oracle._simplex(a, b, c)[0]
 
 
 def reference_kernel_q(problem, x, var_keys):
@@ -214,7 +212,7 @@ class TestBuildLp:
                 x = rng.uniform(0.0, 0.7, a.shape[1])
                 x[rng.random(x.size) < 0.2] = 0.0
                 x[rng.random(x.size) < 0.1] = -0.0
-                solution = LpSolution("optimal", 0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
+                solution = LpSolution(0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
                 got = lp_solution_to_kernel(problem, solution)
                 # The reference reads one last-atom variable per leaf: each
                 # leaf takes its prefix's.
@@ -244,7 +242,7 @@ class TestBuildLp:
             problem = build_lp(spec, cost, mu)
             want = reference_exact_value(spec, cost, mu)
             # The exact route's value before its rounding to a float.
-            assert oracle._solve_exact(problem)[1] == want
+            assert oracle._solve_exact(problem)[0] == want
             assert abs(solve_lp(problem).value - float(want)) <= 1e-12
 
     def test_depth_guard(self):
@@ -264,7 +262,7 @@ class TestSolveLp:
                           steps=(EXACT_DEPTH_LIMIT + 1, EXACT_DEPTH_LIMIT + 2))
         with pytest.raises(SizeGuardError, match="last decision step 11 \\(limit 10\\)"):
             solve_lp(problem, exact=True)
-        assert solve_lp(problem).status == "optimal"
+        solve_lp(problem)  # the float route takes any depth it is given
 
     @pytest.mark.parametrize("steps, refused", [
         ((12,), False), ((5, 10, 11), False), ((10, 12), False), ((4, 8, 12), False),
@@ -281,7 +279,6 @@ class TestSolveLp:
         spec = LatticeSpec(depth=12, dt=1.0, augment_max=True)
         problem = build_lp(spec, ABS, DiscreteMeasure((6.0, 12.0), (0.4, 0.6)))
         exact = solve_lp(problem, exact=True)
-        assert exact.status == "optimal"
         assert abs(exact.value - solve_lp(problem).value) <= 1e-9
 
     @pytest.mark.parametrize("cost", [2.0 ** 66 * (1 - 2.0 ** -53), 2.0 ** 66, 1e20, 1e306])
@@ -290,7 +287,7 @@ class TestSolveLp:
         real = oracle.linprog
         monkeypatch.setattr(oracle, "linprog", lambda c, **kw: seen.append(c) or real(c, **kw))
         solution = solve_lp(tiny_problem([[1.0]], [1.0], [cost]))
-        assert (solution.status, solution.value) == ("optimal", cost)
+        assert solution.value == cost
         assert solution.duals[0] == pytest.approx(cost, rel=1e-12)
         if cost < oracle.HIGHS_COST_LIMIT:
             assert seen[0][0] == -cost
@@ -306,7 +303,6 @@ class TestSolveLp:
         problem = build_lp(spec, cost, mu)
         assert np.abs(problem.c).max() >= oracle.HIGHS_COST_LIMIT
         got, want = solve_lp(problem), solve_lp(problem, exact=True)
-        assert got.status == want.status == "optimal"
         assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
 
     @pytest.mark.parametrize("constant", [1e25, 1e306])
@@ -315,13 +311,11 @@ class TestSolveLp:
         mu = DiscreteMeasure((5.0, 10.0), (0.5, 0.5))
         cost = CostSpec(kind="terminal", name="polynomial", params={"coeffs": [constant]})
         solution = solve_lp(build_lp(spec, cost, mu))
-        assert solution.status == "optimal"
         assert solution.value == solve(spec, cost, mu, resolution=2).root_value == constant
 
     def test_worked_problem_value_and_argmax(self):
         problem = worked_problem()
         solution = solve_lp(problem)
-        assert solution.status == "optimal"
         assert solution.value == pytest.approx(0.5, abs=1e-12)
         x = solution.x
         assert x[column(problem.steps, 0, 0b1)] == pytest.approx(1.0, abs=1e-12)
@@ -340,14 +334,12 @@ class TestSolveLp:
         mu = DiscreteMeasure((2.0,), (1.0,))
         problem = build_lp(spec, INDICATOR, mu)
         solution = solve_lp(problem)
-        assert solution.status == "optimal"
         assert solution.value == pytest.approx(0.25, abs=1e-12)
         # One atom: no decision step, one column for the root prefix.
         assert solution.x == pytest.approx([1.0], abs=1e-12)
 
     def test_handmade_budget_problem(self):
         solution = solve_lp(tiny_problem([[1.0, 1.0]], [1.0], [1.0, 1.0]))
-        assert solution.status == "optimal"
         assert solution.value == pytest.approx(1.0, abs=1e-12)
 
     def test_handmade_corner_preference(self):
@@ -356,9 +348,9 @@ class TestSolveLp:
         assert solution.x == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_infeasible_system(self):
-        solution = solve_lp(tiny_problem([[1.0]], [-1.0], [0.0]))
-        assert solution.status == "infeasible"
-        assert np.isnan(solution.value)
+        for exact in (False, True):
+            with pytest.raises(ValidationError, match="^LP is infeasible$"):
+                solve_lp(tiny_problem([[1.0]], [-1.0], [0.0]), exact=exact)
 
     def test_unbounded_system(self):
         with pytest.raises(ValidationError):
@@ -395,12 +387,12 @@ class TestSolveLp:
 
 
 def simplex_outcome(simplex, a, b, c):
-    """Status, value, ``x`` and final basis, or the message of the unbounded error."""
+    """Value, ``x`` and final basis, or the message of the infeasible or unbounded error."""
     try:
-        status, value, x, *_, basis = simplex(a, b, c)
+        value, x, *_, basis = simplex(a, b, c)
     except ValidationError as exc:
         return str(exc)
-    return status, value, list(x), basis
+    return value, list(x), basis
 
 
 # Dyadic numbers with small numerators, exact as floats.
@@ -432,12 +424,12 @@ class TestIntegerRowSimplex:
         want = simplex_outcome(reference_simplex, rational(a), rational(b), rational(c))
         got = simplex_outcome(oracle._simplex, a, [Fraction(v) for v in b], c)
         assert got == want
-        if got[0] == "optimal":
+        if not isinstance(got, str):
             # The duals off the tableau are exact: feasible, and no gap.
-            y = oracle._simplex(a, [Fraction(v) for v in b], c)[3]
+            y = oracle._simplex(a, [Fraction(v) for v in b], c)[2]
             assert all(sum(yi * Fraction(aij) for yi, aij in zip(y, col)) >= Fraction(cj)
                        for col, cj in zip(a.T, c))
-            assert sum(yi * Fraction(bi) for yi, bi in zip(y, b)) == got[1]
+            assert sum(yi * Fraction(bi) for yi, bi in zip(y, b)) == got[0]
 
     @pytest.mark.parametrize("a, b, c, status", [
         # x0 + x1 = -1 with x >= 0: the negated row leaves artificial mass.
@@ -457,7 +449,7 @@ class TestIntegerRowSimplex:
         want = simplex_outcome(reference_simplex, rational(a), rational(b), rational(c))
         got = simplex_outcome(oracle._simplex, a, [Fraction(v) for v in b], c)
         assert got == want
-        assert (got if isinstance(got, str) else got[0]) == status
+        assert (got if isinstance(got, str) else "optimal").endswith(status)
 
 
 class TestExactCertificate:
@@ -471,7 +463,6 @@ class TestExactCertificate:
     def test_reads_exactly_zero(self):
         for problem in self.problems():
             solution = solve_lp(problem, exact=True)
-            assert solution.status == "optimal"
             assert (solution.reduced_cost_violation, solution.slackness_violation,
                     solution.duality_gap) == (0.0, 0.0, 0.0)
 
@@ -486,10 +477,10 @@ class TestExactCertificate:
             oracle._absorb_rounding_defect(problem, b)
             for i in range(problem.a.shape[0]):
                 def nudged(*args, i=i):
-                    status, value, x, y, basis = simplex(*args)
+                    value, x, y, basis = simplex(*args)
                     y = list(y)
                     y[i] += nudge
-                    return status, value, x, y, basis
+                    return value, x, y, basis
 
                 monkeypatch.setattr(oracle, "_simplex", nudged)
                 solution = solve_lp(problem, exact=True)
@@ -602,7 +593,6 @@ class TestOracleValue:
         mu = DiscreteMeasure([float(s) for s in steps], weights)
         problem = build_lp(spec, ABS, mu)
         solution = solve_lp(problem)
-        assert solution.status == "optimal"
         assert abs(solve(spec, ABS, mu, resolution=2).root_value - solution.value) <= 1e-9
         assert max(solution.reduced_cost_violation, solution.slackness_violation,
                    solution.duality_gap) <= 1e-9
@@ -619,4 +609,5 @@ class TestOracleValue:
         problem = build_lp(spec, INDICATOR, mu)
         squeezed = replace(problem, b=problem.b.copy())
         squeezed.b[len(squeezed.b) - len(problem.steps)] = 3.0
-        assert solve_lp(squeezed).status == "infeasible"
+        with pytest.raises(ValidationError, match="^LP is infeasible$"):
+            solve_lp(squeezed)

@@ -1,8 +1,12 @@
-"""The package namespace: what ``from dcstop import *`` binds."""
+"""The package namespace: what ``from dcstop import *`` binds, and what each module imports."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import dcstop
 
@@ -33,3 +37,38 @@ VERIFICATION = (
 def test_public_surface_keeps_the_verification_objects_and_drops_test_only_names():
     assert [name for name in REMOVED if hasattr(dcstop, name)] == []
     assert set(VERIFICATION) <= set(dcstop.__all__)
+
+
+# ``__init__.py`` imports to re-export, so it reads none of its names.
+SOURCE_MODULES = sorted(p for p in Path(dcstop.__file__).parent.glob("*.py")
+                        if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Each name an import binds, at any depth, that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda p: p.name)
+def test_no_import_goes_unused(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path, sys\n"
+        "from .errors import ConfigError as Refused, DcstopError\n"
+        "def f() -> DcstopError:\n"
+        "    from .dpp import solve\n"
+        "    return sys.argv\n"
+    )
+    assert unused_imports(source) == ["os", "os", "Refused", "solve"]

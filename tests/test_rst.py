@@ -181,7 +181,7 @@ class TestKernelFromLaws:
         problem = build_lp(hist, IDENTITY, DiscreteMeasure((1.0, 2.0, 3.0), (0.5, 0.25, 0.25)))
         x = np.concatenate([law[:, i] for i, law in enumerate(laws[:-1])] + [np.zeros(4)])
         assert x.size == problem.a.shape[1]
-        solution = LpSolution("optimal", 0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
+        solution = LpSolution(0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
         assert lp_solution_to_kernel(problem, solution).q[1].tobytes() == want.q[1].tobytes()
         assert np.array_equal(reference_lp_to_kernel(problem, solution).q[1], np.zeros(4))
 

@@ -58,6 +58,15 @@ class TestConvergenceSweep:
             assert row["w1_gap"] == pytest.approx(w1_distance(mu, mu_n), abs=1e-12)
         assert report.rows[-1]["value"] == pytest.approx(fine.mean(), abs=1e-12)
 
+    def test_the_modulus_ranges_up_to_the_horizon(self):
+        # No stop reaches past step 2, so neither do the constant's states:
+        # over all 10,000 levels, row 0's bound read 9999.500000002.
+        spec = LatticeSpec(depth=10_000, dt=1.0)
+        mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
+        report = convergence_sweep(spec, SQUARE, mu, ([2.0], [1.0, 2.0]), resolution=4)
+        assert report.all_within
+        assert report.rows[0]["bound"] == pytest.approx(1.500000002, abs=1e-12)
+
     def test_indicator_cost_refinement(self):
         rng = np.random.default_rng(81)
         spec = LatticeSpec(depth=4, dt=0.25)
