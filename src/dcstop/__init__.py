@@ -91,9 +91,7 @@ from .rst import (
     simulate,
 )
 from .stability import (
-    ConcavityReport,
-    ShiftReport,
-    StabilityReport,
+    CheckReport,
     blend_measures,
     concavity_check,
     convergence_sweep,

@@ -6,13 +6,14 @@ every ``OUTPUT_FILES`` entry an earlier command left, loads the config,
 parses the instance, checks every ``SETTINGS`` row whichever command
 runs, runs the command and writes its payload as ``result.json`` (after
 ``policy.json`` or ``table.csv``) into the current directory, or into
-``$DCSTOP_OUT`` when set.  Outputs are deterministic for a fixed config and
-seed: keys are sorted and every file embeds the config digest and version.
+``$DCSTOP_OUT`` when set, and only then reports a verification failure.
+Outputs are deterministic for a fixed config and seed: keys are sorted and
+every file embeds the config digest and version.
 
 Exit codes: 0 on success, 2 for configuration or validation problems, a key
 that its section does not take and a ``$DCSTOP_OUT`` that cannot be a
 directory included (the message points at the offending config section), 3
-when a verification residual exceeds its tolerance.
+when a verification residual exceeds its tolerance (the outputs are written).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from . import __version__
 from .cost import cost_from_json
 from .errors import ConfigError, DcstopError, finite_number, is_integer, refuse_unknown_keys
-from .lattice import atom_steps, spec_from_json
+from .lattice import atom_steps, node_to_json, spec_from_json
 from .measures import measure_from_json, measure_to_json
 from .mvm import accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel, validate
 from .oracle import (build_lp, check_exact_depth, check_oracle_depth, lp_solution_to_kernel,
@@ -47,10 +48,6 @@ OUTPUT_FILES = ("result.json", "policy.json", "table.csv")
 # not read.  The top level's other keys and the settings sections' keys come
 # from ``SETTINGS``.
 PARSERS = {"lattice": spec_from_json, "cost": cost_from_json, "measure": measure_from_json}
-
-
-class _Failure(Exception):
-    """Verification failed; carries the residual for the error message."""
 
 
 def _load_config(path: str) -> dict:
@@ -166,7 +163,7 @@ def _echo(payload: dict) -> None:
 class _Outcome(NamedTuple):
     """What a command hands back to ``main``, which writes and reports it."""
     payload: dict         # written as result.json and echoed
-    failure: str = ""     # a verification failure, raised once result.json is written
+    failure: str = ""     # a verification failure, reported once every file is written
     files: tuple = ()     # (name, document) pairs written before result.json
 
 
@@ -192,18 +189,20 @@ def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
     table = solve(spec, cost, mu, settings.resolution)
     tree = extract_policy(table)
     report = validate(tree, mu)
-    if not report.ok:
-        v = report.violation
-        raise _Failure(f"policy tree violates {v.prop} at {v.node} (residual {v.residual:.3e})")
     acc = accumulate(tree, cost)
     residual = abs(acc.leaf_expectation() - table.root_value)
-    if residual > AGREE_TOL:
-        raise _Failure(f"policy objective off the solved value by {residual:.3e}")
+    failure = ""
+    if not report.ok:
+        v = report.violation
+        failure = (f"policy tree violates {v.prop} at {json.dumps(node_to_json(v.node))} "
+                   f"(residual {v.residual:.3e})")
+    elif residual > AGREE_TOL:
+        failure = f"policy objective off the solved value by {residual:.3e}"
     return _Outcome({
         "value": table.root_value,
         "policy_objective": acc.leaf_expectation(),
         "residual": residual,
-    }, files=(("policy.json", mvm_to_json(tree)),))
+    }, failure, files=(("policy.json", mvm_to_json(tree)),))
 
 
 def cmd_oracle(args, spec, cost, mu, settings) -> _Outcome:
@@ -267,8 +266,8 @@ def cmd_stability(args, spec, cost, mu, settings) -> _Outcome:
         raise ConfigError("stability: needs a grids list")
     report = convergence_sweep(spec, cost, mu, settings.grids, settings.resolution)
     rows_to_csv(report.rows, os.path.join(args.out, "table.csv"))
-    return _Outcome({"all_within": report.all_within, "levels": len(report.rows)},
-                    "" if report.all_within else "a convergence row exceeded its modulus bound")
+    return _Outcome({"all_within": report.ok, "levels": len(report.rows)},
+                    "" if report.ok else "a convergence row exceeded its modulus bound")
 
 
 def cmd_validate(args, spec, cost, mu, settings) -> _Outcome:
@@ -277,15 +276,12 @@ def cmd_validate(args, spec, cost, mu, settings) -> _Outcome:
     kernel = feasible_kernel(spec, mu, np.random.default_rng(settings.seed))
     tree = from_kernel(kernel)
     report = validate(tree, mu)
-    if not report.ok:
-        v = report.violation
-        raise _Failure(f"witness tree violates {v.prop} (residual {v.residual:.3e})")
-    round_trip = to_kernel(tree)
+    v = report.violation
     return _Outcome({
-        "ok": True,
+        "ok": report.ok,
         "atom_steps": list(steps),
-        "witness_marginal": measure_to_json(marginal_of(round_trip)),
-    })
+        "witness_marginal": measure_to_json(marginal_of(to_kernel(tree))),
+    }, "" if report.ok else f"witness tree violates {v.prop} (residual {v.residual:.3e})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,19 +322,17 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         spec, cost, mu = _parse_instance(config)
         outcome = args.func(args, spec, cost, mu, _settings(config))
-        for name, document in outcome.files:
-            _emit(args.out, name, document, config)
-        _emit(args.out, "result.json", outcome.payload, config)
-        _echo(outcome.payload)
-        if outcome.failure:
-            raise _Failure(outcome.failure)
-        return 0
-    except _Failure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 3
     except DcstopError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    for name, document in outcome.files:
+        _emit(args.out, name, document, config)
+    _emit(args.out, "result.json", outcome.payload, config)
+    _echo(outcome.payload)
+    if outcome.failure:
+        print(f"verification failed: {outcome.failure}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

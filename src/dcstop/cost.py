@@ -175,13 +175,13 @@ def holder2_constant_from_range(cost: CostSpec, spec: LatticeSpec) -> float:
 
 def cost_from_json(data: dict) -> CostSpec:
     if not isinstance(data, dict):
-        raise ConfigError("cost config must be an object")
+        raise ConfigError("must be an object")
     refuse_unknown_keys(data, ("kind", "name", "params"))
     try:
         kind = data["kind"]
         name = data["name"]
     except KeyError as exc:
-        raise ConfigError(f"cost config missing field {exc}") from exc
+        raise ConfigError(f"missing field {exc}") from exc
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")

@@ -269,13 +269,13 @@ def atom_steps(spec: LatticeSpec, atoms) -> list[int]:
 
 def spec_from_json(data: dict) -> LatticeSpec:
     if not isinstance(data, dict):
-        raise ConfigError("lattice config must be an object")
+        raise ConfigError("must be an object")
     refuse_unknown_keys(data, ("depth", "dt", "augment_max", "mode"))
     try:
         depth = data["depth"]
         dt = data["dt"]
     except KeyError as exc:
-        raise ConfigError(f"lattice config missing field {exc}") from exc
+        raise ConfigError(f"missing field {exc}") from exc
     return LatticeSpec(
         depth=depth,
         dt=finite_number(dt, "dt"),

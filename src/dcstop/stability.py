@@ -28,9 +28,11 @@ SHIFT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class StabilityReport:
+class CheckReport:
+    """A check's rows, and ``ok`` when every row passed."""
+
     rows: tuple[dict, ...]
-    all_within: bool
+    ok: bool
 
 
 def _nested(coarse: Sequence[float], fine: Sequence[float]) -> bool:
@@ -38,7 +40,7 @@ def _nested(coarse: Sequence[float], fine: Sequence[float]) -> bool:
 
 
 def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
-                      grids: Sequence[Sequence[float]], resolution: int) -> StabilityReport:
+                      grids: Sequence[Sequence[float]], resolution: int) -> CheckReport:
     """Value gaps along nested grid projections versus the modulus bound.
 
     ``grids`` must be nested coarse-to-fine and every grid must cover the
@@ -68,14 +70,11 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
               for m in dict.fromkeys([mu_fine, *projected])}
     v_fine = values[mu_fine]
     rows = []
-    all_within = True
     for n, (grid, mu_n) in enumerate(zip(grids, projected)):
         w1_to_fine = w1_distance(mu_n, mu_fine)
         v_n = values[mu_n]
         bound = phi(w1_to_fine) + 2.0 * AGREE_TOL
         value_gap = abs(v_n - v_fine)
-        within = value_gap <= bound + 1e-12
-        all_within = all_within and within
         rows.append({
             "n": n,
             "grid_size": len(grid),
@@ -85,15 +84,9 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
             "value_fine": v_fine,
             "value_gap": value_gap,
             "bound": bound,
-            "within": within,
+            "within": value_gap <= bound,
         })
-    return StabilityReport(rows=tuple(rows), all_within=all_within)
-
-
-@dataclass(frozen=True)
-class ConcavityReport:
-    rows: tuple[dict, ...]
-    all_ok: bool
+    return CheckReport(tuple(rows), all(row["within"] for row in rows))
 
 
 def blend_measures(mu1: DiscreteMeasure, mu2: DiscreteMeasure, lam: float) -> DiscreteMeasure:
@@ -105,7 +98,7 @@ def blend_measures(mu1: DiscreteMeasure, mu2: DiscreteMeasure, lam: float) -> Di
 def concavity_check(spec: LatticeSpec, cost: CostSpec,
                     mu1: DiscreteMeasure, mu2: DiscreteMeasure,
                     lambdas: Sequence[float],
-                    value_fn: Optional[Callable] = None) -> ConcavityReport:
+                    value_fn: Optional[Callable] = None) -> CheckReport:
     """Blending target laws can only help: value(blend) >= blend of values.
 
     Defaults to the LP oracle for the values so the probe stays independent
@@ -120,33 +113,24 @@ def concavity_check(spec: LatticeSpec, cost: CostSpec,
     v1 = value_fn(mu1)
     v2 = value_fn(mu2)
     rows = []
-    all_ok = True
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError(f"blend weight must sit in [0, 1], got {lam}")
         lhs = value_fn(blend_measures(mu1, mu2, lam))
         rhs = lam * v1 + (1.0 - lam) * v2
         margin = lhs - rhs
-        ok = margin >= -BLEND_TOL
-        all_ok = all_ok and ok
         rows.append({
             "lam": lam,
             "blend_value": lhs,
             "mixed_values": rhs,
             "margin": margin,
-            "ok": ok,
+            "ok": margin >= -BLEND_TOL,
         })
-    return ConcavityReport(rows=tuple(rows), all_ok=all_ok)
-
-
-@dataclass(frozen=True)
-class ShiftReport:
-    rows: tuple[dict, ...]
-    all_ok: bool
+    return CheckReport(tuple(rows), all(row["ok"] for row in rows))
 
 
 def push_right_identity_check(kernel: StoppingKernel,
-                              targets: Sequence[DiscreteMeasure]) -> ShiftReport:
+                              targets: Sequence[DiscreteMeasure]) -> CheckReport:
     """Pushing outward must cost exactly the transport distance.
 
     The kernel's marginal, on the kernel's own lattice, is coupled
@@ -155,20 +139,17 @@ def push_right_identity_check(kernel: StoppingKernel,
     """
     source = marginal_of(kernel)
     rows = []
-    all_ok = True
     for target in targets:
         moved, shift = push_right_with_shift(kernel, target)
         w1 = w1_distance(source, target)
         err = w1_distance(marginal_of(moved), target)
-        ok = abs(shift - w1) <= SHIFT_TOL and err <= 1e-9
-        all_ok = all_ok and ok
         rows.append({
             "shift": shift,
             "w1": w1,
             "marginal_error": err,
-            "ok": ok,
+            "ok": abs(shift - w1) <= SHIFT_TOL and err <= 1e-9,
         })
-    return ShiftReport(rows=tuple(rows), all_ok=all_ok)
+    return CheckReport(tuple(rows), all(row["ok"] for row in rows))
 
 
 def rows_to_csv(rows: Sequence[dict], path: str) -> None:

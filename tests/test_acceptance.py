@@ -229,7 +229,7 @@ def test_criterion_08_value_is_concave_in_the_target_law():
                                                     replace=False)))
         lam = float(rng.choice(lam_choices))
         report = concavity_check(spec, cost, mu1, mu2, (lam,))
-        assert report.all_ok, report.rows
+        assert report.ok, report.rows
     announce(8, "50 random blends never fall below mixed values")
 
 
@@ -240,7 +240,7 @@ def test_criterion_09_refinement_gaps_respect_the_modulus():
     for cost in (SQUARE, CostSpec(kind="running_max", name="square")):
         mu = random_measure(rng, (0.3, 0.6, 0.9))
         report = convergence_sweep(spec, cost, mu, grids, resolution=30)
-        assert report.all_within, report.rows
+        assert report.ok, report.rows
         gaps = [row["value_gap"] for row in report.rows]
         assert all(a >= b - 1e-9 for a, b in zip(gaps, gaps[1:])), gaps
     announce(9, "dyadic refinement gaps bounded by the modulus")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 from scipy.spatial import QhullError
 
 import dcstop
-from dcstop import LatticeSpec, objective_value, validate
+from dcstop import LatticeSpec, MvmReport, MvmViolation, NodeId, objective_value, validate
 from dcstop import cli
 from dcstop.cli import main
 
@@ -486,6 +487,11 @@ class TestConfigErrors:
          POLYNOMIAL2_SHAPE),
         ("cost", {"kind": "terminal", "name": "polynomial", "params": {"coeffs": "12"}},
          "cost: polynomial cost needs params['coeffs'] as a number list"),
+        # Each message names its section once.
+        ("lattice", {"depth": 2}, "lattice: missing field 'dt'"),
+        ("lattice", [2, 1.0], "lattice: must be an object"),
+        ("cost", {"kind": "terminal"}, "cost: missing field 'name'"),
+        ("cost", "indicator", "cost: must be an object"),
     ])
     def test_malformed_containers_exit_2(self, tmp_path, monkeypatch, capsys, section, value,
                                          message):
@@ -493,7 +499,7 @@ class TestConfigErrors:
         config = {**base_config(), section: value}
         assert main(["solve", self.write(tmp_path, config)]) == 2
         assert capsys.readouterr().err == f"invalid input: {message}\n"
-        assert not (tmp_path / "result.json").exists()
+        assert os.listdir(tmp_path) == ["bad.json"]
 
     # One misspelled key per section, and two keys that are not settings.
     @pytest.mark.parametrize("section, key, value", [
@@ -521,6 +527,13 @@ class TestConfigErrors:
         assert main([command, self.write(tmp_path, config)]) == 2
         assert capsys.readouterr().err == f"invalid input: {section}: unknown key {key!r}\n"
         assert not (tmp_path / "result.json").exists()
+
+    def test_a_config_that_is_no_object_exits_2(self, workspace, capsys):
+        config_path, out = workspace
+        config_path.write_text(json.dumps([base_config()]))
+        assert main(["solve", str(config_path)]) == 2
+        assert capsys.readouterr().err == "invalid input: config: top level must be an object\n"
+        assert os.listdir(out) == []
 
     # The keys a config takes are read off SETTINGS, so one new row is all a
     # new setting needs, in a section that exists or in a new one.
@@ -574,6 +587,11 @@ class TestConfigErrors:
          "stability: grid time must be a finite number, got 'a'"),
         ("stability", {"stability": {"grids": [[2.0], [True, 2.0]]}},
          "stability: grid time must be a finite number, got True"),
+        ("stability", {"stability": {}}, "stability: needs a grids list"),
+        ("stability", {"stability": {"grids": [[2.0], 2.0]}},
+         "stability: grids must be a list of time lists"),
+        ("stability", {"stability": {"grids": 2.0}},
+         "stability: grids must be a list of time lists"),
     ])
     def test_holes_of_the_running_command_exit_2(self, tmp_path, monkeypatch, capsys,
                                                  command, sections, message):
@@ -581,6 +599,7 @@ class TestConfigErrors:
         path = self.write(tmp_path, {**base_config(), **sections})
         assert main([command, path]) == 2
         assert capsys.readouterr().err == f"invalid input: {message}\n"
+        assert os.listdir(tmp_path) == ["bad.json"]
 
     # Each setting is checked whichever command runs, also one that never reads it.
     @pytest.mark.parametrize("sections, message", [
@@ -804,6 +823,41 @@ class TestVerificationFailure:
         assert "verification failed" in capsys.readouterr().err
         with open(tmp_path / "result.json") as fh:
             assert json.load(fh)["all_within"] is False
+
+    # A failed tree check writes what the command computed, then exits 3.
+    @pytest.mark.parametrize("command, message, files, payload", [
+        ("policy", 'policy tree violates martingale at {"step": 1, "history": "U"} '
+         "(residual 1.000e-03)", ["policy.json", "result.json"],
+         {"value": pytest.approx(0.5, abs=1e-9)}),
+        ("validate", "witness tree violates martingale (residual 1.000e-03)", ["result.json"],
+         {"ok": False, "atom_steps": [1, 2]}),
+    ], ids=["policy", "validate"])
+    def test_a_failed_tree_check_writes_its_outputs_first(self, workspace, monkeypatch, capsys,
+                                                          command, message, files, payload):
+        violation = MvmViolation(NodeId(step=1, history=(1,)), "martingale", 1e-3)
+        monkeypatch.setattr(cli, "validate", lambda tree, mu: MvmReport(False, violation))
+        config_path, out = workspace
+        assert main([command, str(config_path)]) == 3
+        assert capsys.readouterr().err == f"verification failed: {message}\n"
+        assert sorted(os.listdir(out)) == files
+        result = read_result(out)
+        assert {key: result[key] for key in payload} == payload
+
+    def test_a_simulated_mean_past_six_stderr_fails(self, workspace, monkeypatch, capsys):
+        simulate = cli.simulate
+
+        def biased(kernel, cost, n_paths, seed):
+            report = simulate(kernel, cost, n_paths, seed)
+            return dataclasses.replace(
+                report, mean=objective_value(kernel, cost) + 7.0 * report.stderr)
+
+        monkeypatch.setattr(cli, "simulate", biased)
+        config_path, out = workspace
+        assert main(["simulate", str(config_path)]) == 3
+        assert capsys.readouterr().err == "verification failed: simulated mean off by 7.0 stderr\n"
+        assert os.listdir(out) == ["result.json"]
+        result = read_result(out)
+        assert result["deviation"] == pytest.approx(7.0 * result["stderr"], rel=1e-9)
 
 
 class TestParser:

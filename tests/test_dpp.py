@@ -394,6 +394,23 @@ class TestPrunedPairCloud:
             assert kept < all_kept
             assert_same_hull(got, plain)
 
+    def test_the_cloud_guard_fires_before_any_pair_work(self, monkeypatch):
+        grid = SimplexGrid(3, 2)
+        w = from_samples(grid, np.random.default_rng(7).normal(size=grid.size))
+        n = w.verts.shape[0] ** 2
+
+        def pair_work(*args):
+            raise AssertionError("pair work ran")
+
+        monkeypatch.setattr(dpp, "_slope_boxes", pair_work)
+        monkeypatch.setattr(dpp, "_hull_upper", pair_work)
+        monkeypatch.setattr(dpp, "PAIR_CLOUD_LIMIT", n - 1)
+        with pytest.raises(SizeGuardError, match=rf"^pair cloud of {n} points exceeds {n - 1}$"):
+            pair_sup(w, w)
+        monkeypatch.setattr(dpp, "PAIR_CLOUD_LIMIT", n)
+        with pytest.raises(AssertionError, match="pair work ran"):
+            pair_sup(w, w)
+
 
 class TestSolveMatchesTheAllPairsReference:
     COSTS = (ABS, CostSpec(kind="terminal", name="positive_part"), INDICATOR,
@@ -1114,3 +1131,13 @@ class TestStrongValue:
         mu = DiscreteMeasure((1.0, 13.0), (0.5, 0.5))
         with pytest.raises(SizeGuardError):
             strong_value(spec, IDENTITY, mu)
+
+    # The worked instance has horizon 2, and its step-1 tables hold two entries.
+    @pytest.mark.parametrize("limit, message", [
+        ("PURE_DEPTH_LIMIT", "pure-rule search limited to horizon 1"),
+        ("PURE_TABLE_LIMIT", "pure-rule table grew past 1 entries"),
+    ])
+    def test_guards_name_their_limit(self, monkeypatch, limit, message):
+        monkeypatch.setattr(dpp, limit, 1)
+        with pytest.raises(SizeGuardError, match=f"^{message}$"):
+            strong_value(*worked_instance())

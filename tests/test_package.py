@@ -1,4 +1,8 @@
-"""The package namespace: what ``from dcstop import *`` binds, and what each module imports."""
+"""The package namespace and its sources.
+
+What ``from dcstop import *`` binds, what each module imports, and that a test
+matches every size-guard message.
+"""
 
 from __future__ import annotations
 
@@ -72,3 +76,45 @@ def test_an_unused_import_is_found():
         "    return sys.argv\n"
     )
     assert unused_imports(source) == ["os", "os", "Refused", "solve"]
+
+
+# Every test module but this one, whose self-test holds made-up messages.
+TEST_TEXT = "\n".join(p.read_text() for p in sorted(Path(__file__).resolve().parent.glob("*.py"))
+                      if p != Path(__file__).resolve())
+
+
+def size_guard_heads(source: str) -> list[str]:
+    """The literal head of each ``raise SizeGuardError(...)`` message: its text before any field.
+
+    A message that is no string, or opens with a field, has the empty head.
+    """
+    heads = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "SizeGuardError"):
+            continue
+        message = call.args[0] if call.args else None
+        first = message.values[0] if isinstance(message, ast.JoinedStr) else message
+        heads.append(first.value if isinstance(first, ast.Constant)
+                     and isinstance(first.value, str) else "")
+    return heads
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda p: p.name)
+def test_every_size_guard_message_is_matched_by_a_test(path):
+    assert [head for head in size_guard_heads(path.read_text())
+            if not head or head not in TEST_TEXT] == []
+
+
+def test_size_guard_heads_are_read():
+    source = (
+        "def f(n):\n"
+        "    if n > 1:\n"
+        "        raise SizeGuardError(f'widget count {n} (limit 1)')\n"
+        "    raise SizeGuardError('no widgets at all')\n"
+        "    raise SizeGuardError(f'{n} widgets')\n"
+        "    raise SizeGuardError(message)\n"
+        "    raise ConfigError('not a size guard')\n"
+    )
+    assert sorted(size_guard_heads(source)) == ["", "", "no widgets at all", "widget count "]

@@ -26,6 +26,9 @@ from dcstop import (
     w1_distance,
 )
 
+import dcstop.stability as stability
+from dcstop.dpp import AGREE_TOL
+
 from conftest import random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
@@ -39,7 +42,7 @@ class TestConvergenceSweep:
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = DiscreteMeasure((1.0,), (1.0,))
         report = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS, resolution=10)
-        assert report.all_within
+        assert report.ok
         for row in report.rows:
             assert row["value_gap"] == pytest.approx(0.0, abs=1e-12)
             assert row["w1_to_fine"] == pytest.approx(0.0, abs=1e-12)
@@ -49,7 +52,7 @@ class TestConvergenceSweep:
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = random_measure(rng, (0.3, 0.6, 0.9))
         report = convergence_sweep(spec, SQUARE, mu, DYADIC_GRIDS, resolution=8)
-        assert report.all_within
+        assert report.ok
         fine = ceiling_project(mu, DYADIC_GRIDS[-1])
         for n, row in enumerate(report.rows):
             mu_n = ceiling_project(mu, DYADIC_GRIDS[n])
@@ -64,15 +67,31 @@ class TestConvergenceSweep:
         spec = LatticeSpec(depth=10_000, dt=1.0)
         mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
         report = convergence_sweep(spec, SQUARE, mu, ([2.0], [1.0, 2.0]), resolution=4)
-        assert report.all_within
+        assert report.ok
         assert report.rows[0]["bound"] == pytest.approx(1.500000002, abs=1e-12)
+
+    def test_a_row_passes_within_its_bound_and_no_further(self, monkeypatch):
+        # A constant modulus puts row 0's bound 5e-13 below its gap of 1/2.
+        # The bound already carries 2 AGREE_TOL for the two solves, and no
+        # further slack is granted.
+        spec = LatticeSpec(depth=2, dt=1.0)
+        mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
+        grids = ([2.0], [1.0, 2.0])
+        gap = convergence_sweep(spec, SQUARE, mu, grids, 4).rows[0]["value_gap"]
+        monkeypatch.setattr(stability, "modulus",
+                            lambda cost, spec: lambda w: gap - 2.0 * AGREE_TOL - 5e-13)
+        report = convergence_sweep(spec, SQUARE, mu, grids, 4)
+        row = report.rows[0]
+        assert (row["value_gap"], gap) == (0.5, 0.5)
+        assert 0.0 < row["value_gap"] - row["bound"] < 1e-12
+        assert (row["within"], report.rows[1]["within"], report.ok) == (False, True, False)
 
     def test_indicator_cost_refinement(self):
         rng = np.random.default_rng(81)
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = random_measure(rng, (0.3, 0.55, 0.8))
         report = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS, resolution=40)
-        assert report.all_within
+        assert report.ok
         gaps = [row["value_gap"] for row in report.rows]
         slack = 2e-2
         assert all(a >= b - slack for a, b in zip(gaps, gaps[1:]))
@@ -115,7 +134,7 @@ class TestConcavity:
         mu1 = DiscreteMeasure((0.5, 1.0), (0.5, 0.5))
         mu2 = DiscreteMeasure((1.0, 1.5), (0.25, 0.75))
         report = concavity_check(spec, SQUARE, mu1, mu2, (0.0, 0.25, 0.5, 1.0))
-        assert report.all_ok
+        assert report.ok
         for row in report.rows:
             assert row["margin"] == pytest.approx(0.0, abs=1e-9)
 
@@ -133,7 +152,7 @@ class TestConcavity:
         mu1 = DiscreteMeasure((1.0,), (1.0,))
         mu2 = DiscreteMeasure((2.0,), (1.0,))
         report = concavity_check(spec, INDICATOR, mu1, mu2, (0.5,))
-        assert report.all_ok
+        assert report.ok
         row = report.rows[0]
         assert row["blend_value"] == pytest.approx(0.5, abs=1e-9)
         assert row["mixed_values"] == pytest.approx(0.375, abs=1e-9)
@@ -147,7 +166,7 @@ class TestConcavity:
             mu1 = random_measure(rng, (1.0, 2.0, 3.0))
             mu2 = random_measure(rng, (1.0, 3.0))
             report = concavity_check(spec, INDICATOR, mu1, mu2, lambdas)
-            assert report.all_ok
+            assert report.ok
             assert report.rows[0]["margin"] == pytest.approx(0.0, abs=1e-9)
             assert report.rows[-1]["margin"] == pytest.approx(0.0, abs=1e-9)
 
@@ -206,7 +225,7 @@ class TestShiftIdentity:
             ceiling_project(marg, [2.0]),
         ]
         report = push_right_identity_check(kernel, targets)
-        assert report.all_ok
+        assert report.ok
         first = report.rows[0]
         assert first["shift"] == pytest.approx(0.0, abs=1e-12)
         assert first["w1"] == pytest.approx(0.0, abs=1e-12)
