@@ -189,8 +189,8 @@ def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
     table = solve(spec, cost, mu, settings.resolution)
     tree = extract_policy(table)
     report = validate(tree, mu)
-    acc = accumulate(tree, cost)
-    residual = abs(acc.leaf_expectation() - table.root_value)
+    objective = accumulate(tree, cost).leaf_expectation()
+    residual = abs(objective - table.root_value)
     failure = ""
     if not report.ok:
         v = report.violation
@@ -200,7 +200,7 @@ def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
         failure = f"policy objective off the solved value by {residual:.3e}"
     return _Outcome({
         "value": table.root_value,
-        "policy_objective": acc.leaf_expectation(),
+        "policy_objective": objective,
         "residual": residual,
     }, failure, files=(("policy.json", mvm_to_json(tree)),))
 

@@ -286,12 +286,15 @@ def simulate(kernel: StoppingKernel, cost: CostSpec, n_paths: int, seed: int) ->
 
 def feasible_kernel(spec: LatticeSpec, mu: DiscreteMeasure,
                     rng: np.random.Generator) -> StoppingKernel:
-    """Random kernel whose marginal is exactly ``mu`` (water-filling repair).
+    """Random kernel whose marginal is ``mu``, each hazard array in closed form.
 
-    The alive mass walks from atom to atom.  At each atom but the last, which
-    stops surely, a random profile, drawn in position order, is scaled,
-    capping at one, until the stopped mass hits the required weight; the
-    scaling equation is piecewise linear in the factor and solved exactly.
+    The alive mass ``a`` walks from atom to atom.  At each atom but the last,
+    which stops surely, a random profile ``u``, drawn in position order, sets
+    the hazards ``q = w / A * (1 + e * (u / m - 1))`` for the atom's weight
+    ``w``, with ``A = sum(a)`` and ``m = a @ u / A``.  Since ``a @ (u / m) = A``,
+    the atom stops ``a @ q = w`` for any ``e``; ``e`` is the largest in
+    ``[0, 1]`` that keeps ``q <= 1`` at the profile's peak.  An atom whose
+    weight takes all the alive mass stops it everywhere.
     """
     steps = atom_steps(spec, mu.atoms)
     alive = np.ones(1)
@@ -299,38 +302,19 @@ def feasible_kernel(spec: LatticeSpec, mu: DiscreteMeasure,
     for start, s, weight in zip([0] + steps, steps[:-1], mu.weights):
         for r in range(start, s):
             alive = _advance(child_positions(spec, r), alive)
-        profile = 0.1 + 0.9 * rng.random(len(alive))
-        lam = _solve_waterfill(list(zip(alive.tolist(), profile.tolist())), weight)
-        q.append(np.minimum(1.0, lam * profile))
+        u = 0.1 + 0.9 * rng.random(len(alive))
+        total = alive.sum()
+        if weight >= total:
+            q.append(np.ones(len(alive)))
+        else:
+            m = alive @ u / total
+            # The peak hazard is (weight + e * rise) / total; keep it at most 1.
+            room, rise = total - weight, weight * (u.max() / m - 1.0)
+            e = 1.0 if room >= rise else room / rise
+            q.append(weight / total * (1.0 + e * (u / m - 1.0)))
         alive = alive * (1.0 - q[-1])
     q.append(np.ones(node_count(spec, steps[-1])))
     return StoppingKernel(spec, mu.atoms, q)
-
-
-def _solve_waterfill(pairs: list[tuple[float, float]], target: float) -> float:
-    """Smallest ``lam`` with ``sum_k a_k * min(1, lam * p_k) = target``."""
-    total = sum(a for a, _ in pairs)
-    if target > total + 1e-12:
-        raise ValidationError(f"cannot stop mass {target}, only {total} alive")
-    if target <= 0.0:
-        return 0.0
-    # Walk the cap points 1/p in order; between them the stopped mass is
-    # linear in lam with the not-yet-capped slope.
-    items = sorted((1.0 / p, a, p) for a, p in pairs if p > 0.0)
-    slope = sum(a * p for _, a, p in items)
-    lo = 0.0
-    g_lo = 0.0
-    for bp, a, p in items:
-        if slope > 0.0:
-            lam = lo + (target - g_lo) / slope
-            if lam <= bp:
-                return lam
-        g_lo += slope * (bp - lo)
-        lo = bp
-        slope -= a * p
-    if slope > 0.0:
-        return lo + (target - g_lo) / slope
-    return lo
 
 
 def kernel_to_json(kernel: StoppingKernel) -> list[dict]:

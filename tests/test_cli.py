@@ -270,6 +270,16 @@ class TestValidate:
         assert payload["ok"] is True
         assert payload["atom_steps"] == [1, 2]
 
+    def test_rerun_is_byte_identical(self, workspace):
+        config_path, out = workspace
+        config_path.write_text(json.dumps({
+            **base_config(), "lattice": {"depth": 6, "dt": 1.0, "augment_max": True},
+            "measure": [{"t": 2.0, "w": 0.3}, {"t": 4.0, "w": 0.3}, {"t": 6.0, "w": 0.4}]}))
+        assert main(["validate", str(config_path)]) == 0
+        first = (out / "result.json").read_bytes()
+        assert main(["validate", str(config_path)]) == 0
+        assert (out / "result.json").read_bytes() == first
+
 
 # Instances at the edge of what the commands take, each in full.
 EDGE_CONFIGS = {
@@ -799,6 +809,18 @@ class TestCostsPastTheFloats:
             assert code in (0, 2)
         for path in out.glob("*"):
             assert not re.search("nan|inf", path.read_text(), re.IGNORECASE)
+
+    def test_a_power_that_overflows_exits_2(self, workspace, capsys):
+        # ``**`` on Python floats raises where numpy would give inf.
+        config_path, out = workspace
+        config_path.write_text(json.dumps({
+            "lattice": {"depth": 1, "dt": 1e250},
+            "cost": {"kind": "markov", "name": "polynomial2",
+                     "params": {"coeffs": [[0], [0], [0], [1]]}},
+            "measure": [{"t": 1e250, "w": 1.0}]}))
+        assert main(["solve", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {STOP}\n"
+        assert not (out / "result.json").exists()
 
 
 class TestVerificationFailure:

@@ -241,6 +241,12 @@ class TestPairSup:
         again = pair_sup(w, w).evaluate_batch(grid.fractions)
         assert again == pytest.approx(concave, abs=1e-12)
 
+    def test_mismatched_dimensions(self):
+        grids = SimplexGrid(2, 2), SimplexGrid(3, 2)
+        w2, w3 = (from_samples(grid, np.zeros(grid.size)) for grid in grids)
+        with pytest.raises(ConfigError, match="matching dimensions"):
+            pair_sup(w2, w3)
+
     def test_one_step_sup_concavifies_inputs_first(self):
         grid = SimplexGrid(2, 4)
         convex = np.abs(grid.fractions[:, 0] - 0.5)

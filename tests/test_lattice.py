@@ -264,6 +264,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             NodeId(step=2, history=(1,))
 
+    def test_negative_step(self):
+        with pytest.raises(ValidationError, match="step must be nonnegative"):
+            NodeId(step=-1, history=())
+
+    def test_a_history_node_stores_no_max_level(self):
+        with pytest.raises(ValidationError, match="derive max_level"):
+            NodeId(step=1, history=(1,), max_level=1)
+
+    def test_history_bits_are_0_or_1(self):
+        with pytest.raises(ValidationError, match="0 or 1"):
+            NodeId(step=2, history=(0, 2))
+
     def test_exactly_one_indexing(self):
         with pytest.raises(ValidationError):
             NodeId(step=1, level=1, history=(1,))

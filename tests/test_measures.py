@@ -198,6 +198,18 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
 
+    def test_one_weight_per_atom(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            DiscreteMeasure([1.0, 2.0], [1.0])
+
+    def test_no_atoms(self):
+        with pytest.raises(ValidationError, match="at least one atom"):
+            DiscreteMeasure([], [])
+
+    def test_all_weights_zero(self):
+        with pytest.raises(ValidationError, match="all weights are zero"):
+            DiscreteMeasure([1.0, 2.0], [0.0, 0.0])
+
     def test_near_duplicate_atoms_merge(self):
         mu = DiscreteMeasure([1.0, 1.0 + 1e-12, 2.0], [0.25, 0.25, 0.5])
         assert mu.atoms == (1.0, 2.0)
@@ -220,6 +232,15 @@ class TestConstruction:
     def test_mean(self):
         mu = DiscreteMeasure([1.0, 3.0], [0.25, 0.75])
         assert mu.mean() == pytest.approx(2.5, abs=1e-15)
+
+    def test_a_measure_equals_no_other_type(self):
+        mu = delta(1.0)
+        assert mu.__eq__((1.0,)) is NotImplemented
+        assert mu != (1.0,)
+
+    def test_repr(self):
+        mu = DiscreteMeasure([1.0, 2.5], [0.25, 0.75])
+        assert repr(mu) == "DiscreteMeasure(0.25*d(1), 0.75*d(2.5))"
 
 
 class TestJson:

@@ -654,6 +654,22 @@ class TestSplice:
         with pytest.raises(SpliceError):
             splice(tree, (0,), cont)
 
+    def test_another_step_width_rejected(self):
+        cont = MvmTree(0.5, (2.0,), np.ones((15, 1)), start_step=1)
+        with pytest.raises(SpliceError, match="different step width"):
+            splice(worked_tree(), (0,), cont)
+
+    def test_an_atom_at_the_splice_time_rejected(self):
+        cont = MvmTree(1.0, (1.0,), [[1.0]], start_step=1)
+        with pytest.raises(SpliceError, match="strictly after the splice time"):
+            splice(worked_tree(), (0,), cont)
+
+    def test_a_later_root_law_rejected(self):
+        # The down node stops at 2; a continuation stopping at 3 moves mass left.
+        cont = MvmTree(1.0, (3.0,), np.ones((7, 1)), start_step=1)
+        with pytest.raises(SpliceError, match="not coupled-compatible"):
+            splice(worked_tree(), (0,), cont)
+
     def test_reweighted_continuation_keeps_root_and_validity(self):
         spec, mu, base = self.make_base(seed=38)
         bits = (0,)
@@ -730,6 +746,11 @@ class TestAccumulate:
         assert acc.leaf_expectation() == pytest.approx(sum(leaves) / 2 ** tree.depth,
                                                        rel=1e-14, abs=1e-15)
 
+    def test_a_continuation_does_not_accumulate(self):
+        cont = extract_continuation(worked_tree(), (0,))
+        with pytest.raises(ValidationError, match="full tree"):
+            accumulate(cont, INDICATOR)
+
     def test_worked_tree_leaf_values(self):
         tree = worked_tree()
         acc = accumulate(tree, INDICATOR)
@@ -796,6 +817,15 @@ class TestConstruction:
     def test_atom_before_start(self):
         with pytest.raises(ValidationError):
             MvmTree(1.0, (1.0,), [[1.0]], start_step=2)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
+    def test_dt_positive_and_finite(self, dt):
+        with pytest.raises(ValidationError, match="dt must be positive and finite"):
+            MvmTree(dt, (1.0,), np.ones((3, 1)))
+
+    def test_atom_times_increase(self):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            MvmTree(1.0, (2.0, 1.0), np.full((7, 2), 0.5))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights(self, value):

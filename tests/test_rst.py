@@ -252,6 +252,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             StoppingKernel(spec, (1.0, 2.0), [[1.0, 0.0], [[1.0, 1.0, 1.0]]])
 
+    def test_a_kernel_equals_no_other_type(self):
+        _, kernel = worked_kernel()
+        assert kernel.__eq__(kernel.q) is NotImplemented
+        assert kernel != kernel.q
+
     def test_built_from_a_copy_and_read_only(self):
         spec = LatticeSpec(depth=2, dt=1.0)
         first = np.array([0.25, 0.5])
@@ -389,6 +394,32 @@ class TestGenerators:
             kernel = feasible_kernel(spec, mu, rng)
             marg = marginal_of(kernel)
             assert marg.weights == pytest.approx(mu.weights, abs=1e-12)
+
+    @pytest.mark.parametrize("depth", [4, 8, 12])
+    @pytest.mark.parametrize("mode, augment", [
+        ("recombining", False), ("recombining", True), ("history", False)])
+    def test_feasible_kernel_hits_the_law_to_1e_15(self, mode, augment, depth):
+        spec = LatticeSpec(depth=depth, dt=1.0, mode=mode, augment_max=augment)
+        atoms = (depth / 4, depth / 2, 3 * depth / 4, float(depth))
+        for weights in ([1e-9, 1e-9, 1 - 3e-9, 1e-9], [0.1, 0.85, 0.04999, 1e-5],
+                        [0.25] * 4, [0.7, 0.2999999, 1e-7]):
+            mu = DiscreteMeasure(atoms[-len(weights):], weights)
+            for seed in range(20):
+                kernel = feasible_kernel(spec, mu, np.random.default_rng(seed))
+                assert kernel == feasible_kernel(spec, mu, np.random.default_rng(seed))
+                assert all(((q >= 0.0) & (q <= 1.0)).all() for q in kernel.q)
+                got = marginal_of(kernel)
+                assert got.atoms == mu.atoms
+                assert np.abs(np.subtract(got.weights, mu.weights)).max() <= 1e-15
+
+    def test_an_atom_that_takes_all_the_alive_mass_stops_it_everywhere(self):
+        # Within WEIGHT_TOL of one, the first two weights already take all the
+        # mass; the third atom then finds none alive.
+        spec = LatticeSpec(depth=4, dt=1.0)
+        mu = DiscreteMeasure((1.0, 2.0, 3.0, 4.0), (0.25, 0.75 + 2e-13, 2e-13, 1e-13))
+        kernel = feasible_kernel(spec, mu, np.random.default_rng(0))
+        assert [q.tolist() for q in kernel.q[1:3]] == [[1.0] * 3, [1.0] * 4]
+        assert marginal_of(kernel).weights == pytest.approx((0.25, 0.75), abs=1e-15)
 
     def test_random_kernel_is_valid(self):
         rng = np.random.default_rng(14)
