@@ -24,8 +24,9 @@ Minkowski sum, by two necessary conditions that leave the hull unchanged:
   Where a node's up child and down child were both built from one grandchild
   function ``B`` (always on a recombining lattice), their sum is
   ``(A + B + B + C) / 2``, and a vertex of it takes the same vertex of ``B``
-  twice.  So only pairs that agree on their ``B`` row go in, a discrete test
-  with no tolerance;
+  twice.  So only pairs that name the same ``B`` row in ``src`` go in, by
+  an exact equality mask with no tolerance, together with every pair on a
+  perspective's apex row;
 * the summands of a vertex share a supporting slope, so pairs whose boxes of
   supporting slopes are disjoint go out.
 
@@ -329,30 +330,6 @@ def _slope_boxes(f: ConcavePL) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _shared_pairs(ku: np.ndarray, kd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(i, j)``, row-major, with ``ku[i] == kd[j]`` or either key -1.
-
-    An equi-join on integer keys of at least -1: each ``i`` meets the run of
-    ``j`` with its key in the stably sorted ``kd``, so the work grows with the
-    pairs kept, not with ``len(ku) * len(kd)``.
-    """
-    nd = kd.size
-    order = np.argsort(kd, kind="stable")
-    keys = kd[order]
-    lo, hi = np.searchsorted(keys, [ku, ku + 1])
-    neg = ku < 0
-    hi[neg] = nd
-    run = hi - lo
-    start = np.cumsum(run) - run
-    flat = (np.repeat(np.arange(ku.size) * nd, run)
-            + order[np.arange(run.sum()) - np.repeat(start - lo, run)])
-    # The other rows meet the -1 rows of ``kd`` too, which breaks the order.
-    apex = order[: np.searchsorted(keys, 0)]
-    if apex.size:
-        flat = np.sort(np.concatenate([flat, (np.flatnonzero(~neg)[:, None] * nd + apex).ravel()]))
-    return np.divmod(flat, nd)
-
-
 def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
     """Best mean-preserving split of a driver step.
 
@@ -371,9 +348,9 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
       vertex of a Minkowski sum splits uniquely into points of the summands,
       and for ``b != b'`` the midpoint ``m = (b + b') / 2``, also in ``hyp B``,
       splits the same sum a second way, as ``(a + m) / 2 + (m + c) / 2``; so
-      it is no vertex.  The cloud keeps the pairs with ``up.src[:, 1] ==
-      down.src[:, 0]`` (joined on that row, exact, no tolerance), and every
-      pair with a perspective's apex, which is no such sum.
+      it is no vertex.  An exact equality mask, with no tolerance, keeps the
+      pairs with ``up.src[:, 1] == down.src[:, 0]``, and every pair on a
+      perspective's apex row (``src`` row ``-1``), which is no such sum.
     * A sum ``u + d`` is on the upper hull only if one slope supports both
       summands at once: their normal cones meet (Fukuda, J. Symb. Comp.
       2004).  For ``k > 2`` the cloud keeps just the pairs whose slope boxes
@@ -381,9 +358,11 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
       ``1e-7 (1 + max |g|)``.  At ``k = 2`` clouds are small and their hull
       is a sorted chain, so this test is skipped.
 
-    The kept pairs stay in row-major order.  ``PAIR_CLOUD_LIMIT`` bounds the
-    cloud before pruning, ``nu * nd``.  Inputs whose largest or smallest
-    values sum past the floats are refused before any pair is summed.
+    The kept pairs stay in row-major order.  ``PAIR_CLOUD_LIMIT`` bounds
+    ``nu * nd`` before any pair work, so every array built here, the shared
+    call's ``nu x nd`` mask included, holds at most that many pairs.  Inputs
+    whose largest or smallest values sum past the floats are refused before
+    any pair is summed.
     """
     if up.k != down.k:
         raise ConfigError("pair supremum needs matching dimensions")
@@ -403,7 +382,9 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
         )
     # Candidate pairs, as two index arrays that broadcast against each other.
     if shared:
-        iu, idn = _shared_pairs(up.src[:, 1], down.src[:, 0])
+        # Flat indices, row-major; a 2-D ``np.nonzero`` takes several times as long.
+        ku, kd = up.src[:, 1, None], down.src[:, 0]
+        iu, idn = np.divmod(np.flatnonzero((ku == kd) | (ku < 0) | (kd < 0)), nd)
     else:
         iu, idn = np.arange(nu)[:, None], np.arange(nd)
     meet = np.ones(np.broadcast_shapes(iu.shape, idn.shape), dtype=bool)

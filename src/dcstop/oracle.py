@@ -258,24 +258,18 @@ def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
 def _solve_exact(problem: LpProblem):
     """Value, ``x``, duals and certificate by the integer-row simplex, all rational.
 
-    With ``a = A/da`` over a common denominator of its nonzeros, and so on,
-    the certificate of ``X`` and ``Y`` on ``db dc A``, ``da dc dx B`` and ``da
-    db dy C`` is ``k = da db dc dy`` times the true one, and ``dx k`` times
-    where it multiplies ``x``.  ``Y A`` sums over the nonzeros of ``A`` only.
+    The certificate sums in ``Fraction``s; ``Y A`` over the nonzeros of ``A`` only.
     """
     # Fraction(float) is exact, so the rationals encode the float data.
     b = [Fraction(v) for v in problem.b]
     _absorb_rounding_defect(problem, b)
     value, x, y, _ = _simplex(problem.a, b, problem.c)
     rows, cols = np.nonzero(problem.a)
-    (a_, da), (b_, db), (c_, dc), (x_, dx), (y_, dy) = (
-        (np.array(v, dtype=object), d)
-        for v, d in map(_integers, (problem.a[rows, cols].tolist(), b, problem.c.tolist(), x, y)))
+    b_, c_, x_, y_ = (np.array(v, dtype=object)
+                      for v in (b, [Fraction(v) for v in problem.c.tolist()], x, y))
     ya = np.zeros(problem.a.shape[1], dtype=object)
-    np.add.at(ya, cols, y_[rows] * a_)
-    k = da * db * dc * dy
-    residuals = _certificate(ya * (db * dc), b_ * (da * dc * dx), c_ * (da * db * dy), x_, y_)
-    return value, x, y, [Fraction(r, s) for r, s in zip(residuals, (k, dx * k, dx * k))]
+    np.add.at(ya, cols, y_[rows] * [Fraction(v) for v in problem.a[rows, cols].tolist()])
+    return value, x, y, _certificate(ya, b_, c_, x_, y_)
 
 
 def _solve_highs(problem: LpProblem):

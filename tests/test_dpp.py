@@ -361,17 +361,42 @@ class TestPrunedPairCloud:
 
     @staticmethod
     def cloud_rows(monkeypatch, up, down, shared):
-        """``pair_sup(up, down, shared)`` and the row count of the cloud its hull saw."""
-        rows = []
+        """``pair_sup(up, down, shared)`` and the cloud its hull saw."""
+        clouds = []
 
         def spy(cloud):
-            rows.append(cloud.shape[0])
+            clouds.append(cloud.copy())
             return _hull_upper(cloud)
 
         monkeypatch.setattr(dpp, "_hull_upper", spy)
         out = pair_sup(up, down, shared)
         monkeypatch.undo()
-        return out, rows[0]
+        return out, clouds[0]
+
+    @staticmethod
+    def expected_cloud(up, down, shared):
+        """The cloud ``pair_sup(up, down, shared)`` should build, one pair at a time.
+
+        Pairs go in row-major order; a shared call keeps ``(i, j)`` when the
+        ``src`` keys agree or either is an apex's ``-1``, and for ``k > 2``
+        the two slope boxes must overlap by ``pair_sup``'s margin.
+        """
+        k = up.k
+        if k > 2:
+            lo_u, hi_u = dpp._slope_boxes(up)
+            lo_d, hi_d = dpp._slope_boxes(down)
+            margin = 1e-7 * (1.0 + max(np.abs(up.pieces).max(), np.abs(down.pieces).max()))
+        rows = []
+        for i in range(up.verts.shape[0]):
+            for j in range(down.verts.shape[0]):
+                ku, kd = (up.src[i, 1], down.src[j, 0]) if shared else (-1, -1)
+                if not (ku == kd or ku < 0 or kd < 0):
+                    continue
+                if k > 2 and not ((lo_u[i] <= hi_d[j] + margin)
+                                  & (lo_d[j] <= hi_u[i] + margin)).all():
+                    continue
+                rows.append(np.delete(up.verts[i], k - 1) + np.delete(down.verts[j], k - 1))
+        return np.array(rows)
 
     def shared_inputs(self, rng, k, kinds, levels, atom):
         """``pair_sup(A, B)`` and ``pair_sup(B, C)``, both under a perspective if ``atom``."""
@@ -397,8 +422,24 @@ class TestPrunedPairCloud:
             up, down = self.shared_inputs(rng, k, kinds, False, atom)
             got, kept = self.cloud_rows(monkeypatch, up, down, True)
             plain, all_kept = self.cloud_rows(monkeypatch, up, down, False)
-            assert kept < all_kept
+            assert len(kept) < len(all_kept)
             assert_same_hull(got, plain)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("atom", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_the_hull_gets_the_kept_pairs_in_row_major_order(self, monkeypatch, k, atom,
+                                                             shared):
+        # The cloud's rows and their order fix qhull's output bit for bit.
+        # Under a perspective both sides have an apex, so apex x apex pairs
+        # are among them.
+        rng = np.random.default_rng(90 + k)
+        for kinds in itertools.product(self.KINDS, repeat=3):
+            up, down = self.shared_inputs(rng, k - atom, kinds, False, atom)
+            _, cloud = self.cloud_rows(monkeypatch, up, down, shared)
+            expected = self.expected_cloud(up, down, shared)
+            assert cloud.shape == expected.shape
+            assert cloud.tobytes() == expected.tobytes()
 
     def test_the_cloud_guard_fires_before_any_pair_work(self, monkeypatch):
         grid = SimplexGrid(3, 2)

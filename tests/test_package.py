@@ -1,7 +1,7 @@
 """The package namespace and its sources.
 
-What ``from dcstop import *`` binds, what each module imports, and that a test
-matches every size-guard message.
+What ``from dcstop import *`` binds, that each module reads what it imports and
+its own private names, and that a test matches every size-guard message.
 """
 
 from __future__ import annotations
@@ -76,6 +76,46 @@ def test_an_unused_import_is_found():
         "    return sys.argv\n"
     )
     assert unused_imports(source) == ["os", "os", "Refused", "solve"]
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Each module-level function, class or assigned name with one leading ``_`` never read."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda p: p.name)
+def test_no_private_name_goes_unused(path):
+    assert unused_private_names(path.read_text()) == []
+
+
+def test_an_unused_private_name_is_found():
+    source = (
+        "__version__ = '1'\n"
+        "_LIMIT: int = 3\n"
+        "_SPARE, _read = 1, 2\n"
+        "def _helper():\n"
+        "    return _read\n"
+        "def _orphan(_x):\n"
+        "    _local = _LIMIT\n"
+        "class _Gone:\n"
+        "    _helper = None\n"
+        "def public():\n"
+        "    global _SPARE\n"
+        "    _SPARE = _helper()\n"
+    )
+    assert unused_private_names(source) == ["_SPARE", "_orphan", "_Gone"]
 
 
 # Every test module but this one, whose self-test holds made-up messages.
