@@ -42,9 +42,13 @@ Every induction here works on node positions (see ``lattice.nodes_at_step``):
 A node's update reads only its children's functions one step later, so the
 updates of one step are independent.  Nodes whose children hold the same two
 functions and whose stop values are equal share one update and one stored
-function.  ``solve`` runs a large step's updates on a thread pool (qhull
-releases the GIL) and stores them in position order once the step is done;
-every value is the one a serial pass computes.
+function.  ``solve`` runs a large step's updates on a thread pool and stores
+them in position order once the step is done; every value is the one a
+serial pass computes.  Only qhull's own run, inside ``_hull_upper``,
+releases the GIL.  The rest of an update holds it: the pair mask and box
+gathers, the slope boxes, the ``k = 2`` chain and the dedupe of hull rows
+are small-array numpy and Python calls, so the pool speeds up only the qhull
+share of a step.
 """
 
 from __future__ import annotations
@@ -177,11 +181,11 @@ class SimplexGrid:
         return worst
 
 
-def _upper_hull_2d(xs: np.ndarray, vs: np.ndarray) -> list[int]:
+def _upper_hull_2d(xs: list[float], vs: list[float]) -> list[int]:
     """Indices of the upper concave chain of ``(x, v)`` points, x ascending."""
     best: dict[float, int] = {}
-    for i in np.lexsort((vs, xs)):
-        best[float(xs[i])] = int(i)
+    for i in np.lexsort((vs, xs)).tolist():
+        best[xs[i]] = i
     cand = [best[x] for x in sorted(best)]
     chain: list[int] = []
     for i in cand:
@@ -232,6 +236,11 @@ class ConcavePL:
         vals = self.pieces @ np.asarray(y, dtype=float)
         return int(np.argmin(vals))
 
+    @cached_property
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_slope_boxes(self)``, computed on first read and kept."""
+        return _slope_boxes(self)
+
 
 def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper envelope of a (d+1)-dim point cloud (last axis is the value).
@@ -249,15 +258,15 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     d = points.shape[1] - 1
     if d == 1:
-        chain = _upper_hull_2d(points[:, 0], points[:, 1])
+        # Python floats round each operation as numpy's float64 does.
+        xs, vs = points[:, 0].tolist(), points[:, 1].tolist()
+        chain = _upper_hull_2d(xs, vs)
         affine = []
         for a, b in zip(chain, chain[1:]):
-            xa, va = points[a]
-            xb, vb = points[b]
-            slope = (vb - va) / (xb - xa)
-            affine.append((slope, va - slope * xa))
+            slope = (vs[b] - vs[a]) / (xs[b] - xs[a])
+            affine.append((slope, vs[a] - slope * xs[a]))
         if not affine:
-            affine.append((0.0, float(points[chain[0], 1])))
+            affine.append((0.0, vs[chain[0]]))
         return np.array(affine), np.array(chain)
     span = float(points[:, -1].max() - points[:, -1].min())
     scale = unit_scale(span, HULL_SPAN_LIMIT)
@@ -280,10 +289,18 @@ def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"qhull found no upper facet on a cloud of {points.shape[0]} "
                              f"points for k = {d + 1}")
     eqs = eqs[upper]
-    affine = np.column_stack([-eqs[:, :d] / eqs[:, d:d + 1], -eqs[:, d + 1] / eqs[:, d]])
+    affine = -eqs[:, [*range(d), d + 1]] / eqs[:, d:d + 1]
     affine /= scale
-    _, first = np.unique(affine, axis=0, return_index=True)
-    return affine[np.sort(first)], np.unique(simplices[upper])
+    # Each row is keyed by its bytes, with -0.0 read as 0.0 as a float
+    # comparison reads it, so the rows kept are those of ``np.unique(affine,
+    # axis=0)``; that call takes several times as long.
+    keys = np.ascontiguousarray(affine + 0.0).view(f"V{affine.itemsize * affine.shape[1]}")
+    first: dict = {}
+    for i, key in enumerate(keys.ravel().tolist()):
+        first.setdefault(key, i)
+    on_upper = np.zeros(points.shape[0] + 1, dtype=bool)
+    on_upper[simplices[upper]] = True
+    return affine[list(first.values())], np.flatnonzero(on_upper)
 
 
 def _pieces_from_affine(affine: np.ndarray, k: int) -> np.ndarray:
@@ -354,9 +371,12 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
     * A sum ``u + d`` is on the upper hull only if one slope supports both
       summands at once: their normal cones meet (Fukuda, J. Symb. Comp.
       2004).  For ``k > 2`` the cloud keeps just the pairs whose slope boxes
-      (``_slope_boxes``) overlap in every coordinate, with a margin of
-      ``1e-7 (1 + max |g|)``.  At ``k = 2`` clouds are small and their hull
-      is a sorted chain, so this test is skipped.
+      overlap in every coordinate, with a margin of ``1e-7 (1 + max |g|)``.
+      The boxes are read from each input (``ConcavePL.boxes``), so a
+      function's are computed once (``_slope_boxes``) although it is the up
+      input of one update and the down input of another.  At ``k = 2``
+      clouds are small and their hull is a sorted chain, so this test is
+      skipped.
 
     The kept pairs stay in row-major order.  ``PAIR_CLOUD_LIMIT`` bounds
     ``nu * nd`` before any pair work, so every array built here, the shared
@@ -367,8 +387,9 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
     if up.k != down.k:
         raise ConfigError("pair supremum needs matching dimensions")
     # Python floats, whose overflowing sum is inf without a warning.
-    vu, vd = up.verts[:, -1].tolist(), down.verts[:, -1].tolist()
-    if not (isfinite(max(vu) + max(vd)) and isfinite(min(vu) + min(vd))):
+    vu, vd = up.verts[:, -1], down.verts[:, -1]
+    if not (isfinite(float(vu.max()) + float(vd.max()))
+            and isfinite(float(vu.min()) + float(vd.min()))):
         raise cost_overflow("a sum of stop costs")
     k = up.k
     if k == 1:
@@ -380,26 +401,29 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
         raise SizeGuardError(
             f"pair cloud of {nu * nd} points exceeds {PAIR_CLOUD_LIMIT}"
         )
-    # Candidate pairs, as two index arrays that broadcast against each other.
+    # Candidate pairs, as two index arrays: flat when shared, else two that
+    # broadcast against each other.
     if shared:
         # Flat indices, row-major; a 2-D ``np.nonzero`` takes several times as long.
         ku, kd = up.src[:, 1, None], down.src[:, 0]
         iu, idn = np.divmod(np.flatnonzero((ku == kd) | (ku < 0) | (kd < 0)), nd)
     else:
         iu, idn = np.arange(nu)[:, None], np.arange(nd)
-    meet = np.ones(np.broadcast_shapes(iu.shape, idn.shape), dtype=bool)
     if k > 2:
-        lo_u, hi_u = _slope_boxes(up)
-        lo_d, hi_d = _slope_boxes(down)
+        # One gather per box side.  The margin goes on the boxes before the
+        # gather: the same sums, over a function's rows and not its pairs.
+        (lo_u, hi_u), (lo_d, hi_d) = up.boxes, down.boxes
         margin = 1e-7 * (1.0 + max(np.abs(up.pieces).max(), np.abs(down.pieces).max()))
-        for j in range(k - 1):
-            meet &= lo_u[iu, j] <= hi_d[idn, j] + margin
-            meet &= lo_d[idn, j] <= hi_u[iu, j] + margin
-    iu, idn = np.broadcast_to(iu, meet.shape)[meet], np.broadcast_to(idn, meet.shape)[meet]
+        meet = ((lo_u[iu] <= (hi_d + margin)[idn]).all(axis=-1)
+                & (lo_d[idn] <= (hi_u + margin)[iu]).all(axis=-1))
+        iu, idn = np.broadcast_to(iu, meet.shape)[meet], np.broadcast_to(idn, meet.shape)[meet]
+    elif not shared:
+        iu, idn = np.divmod(np.arange(nu * nd), nd)
     # The cloud drops the last simplex coordinate; it is added in place, so
     # one cloud-sized temporary is alive at a time.
-    cloud = np.delete(up.verts, k - 1, axis=1)[iu]
-    cloud += np.delete(down.verts, k - 1, axis=1)[idn]
+    cols = [*range(k - 1), k]
+    cloud = up.verts[:, cols][iu]
+    cloud += down.verts[:, cols][idn]
     affine, vert_ids = _hull_upper(cloud)
     iu, idn = iu[vert_ids], idn[vert_ids]
     return ConcavePL(k=k, pieces=_pieces_from_affine(affine, k),

@@ -231,13 +231,15 @@ def _simplex(a, b, c):
     return Fraction(t[m][-1], den[m]), x, y, tuple(basis)
 
 
-def _certificate(ya, b, c, x, y) -> tuple:
+def _certificate(ya, b, c, x, y, on=slice(None)) -> tuple:
     """Reduced-cost violation, complementary slackness and duality gap of ``(x, y)``.
 
-    ``ya`` is ``y A``, summed by the caller.
+    ``ya`` is ``y A``, summed by the caller.  Slackness and the primal value
+    read only the columns ``on``, which must hold every nonzero of ``x``.
     """
     rc = c - ya
-    return max(0, rc.max(initial=0)), np.max(np.abs(x * rc), initial=0), abs(c @ x - y @ b)
+    x, xc = x[on], c[on]
+    return max(0, rc.max(initial=0)), np.max(np.abs(x * rc[on]), initial=0), abs(xc @ x - y @ b)
 
 
 def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
@@ -258,7 +260,9 @@ def _absorb_rounding_defect(problem: LpProblem, b_vec: np.ndarray) -> None:
 def _solve_exact(problem: LpProblem):
     """Value, ``x``, duals and certificate by the integer-row simplex, all rational.
 
-    The certificate sums in ``Fraction``s; ``Y A`` over the nonzeros of ``A`` only.
+    The certificate sums in ``Fraction``s; ``Y A`` over the nonzeros of ``A``,
+    slackness and ``c x`` over the nonzeros of ``x`` only, so every skipped
+    term is exactly zero.
     """
     # Fraction(float) is exact, so the rationals encode the float data.
     b = [Fraction(v) for v in problem.b]
@@ -269,7 +273,7 @@ def _solve_exact(problem: LpProblem):
                       for v in (b, [Fraction(v) for v in problem.c.tolist()], x, y))
     ya = np.zeros(problem.a.shape[1], dtype=object)
     np.add.at(ya, cols, y_[rows] * [Fraction(v) for v in problem.a[rows, cols].tolist()])
-    return value, x, y, _certificate(ya, b_, c_, x_, y_)
+    return value, x, y, _certificate(ya, b_, c_, x_, y_, np.flatnonzero(x_))
 
 
 def _solve_highs(problem: LpProblem):

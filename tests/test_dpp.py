@@ -8,6 +8,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -343,6 +344,54 @@ class TestPrunedPairCloud:
         w = from_samples(grid, vals)
         out = pair_sup(w, w)
         assert np.unique(out.pieces, axis=0).shape == out.pieces.shape
+
+    @staticmethod
+    def first_rows(affine: np.ndarray) -> np.ndarray:
+        """``affine`` without repeated rows, first occurrences in order, as ``np.unique`` reads them."""
+        return affine[np.sort(np.unique(affine, axis=0, return_index=True)[1])]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_repeated_hull_rows_are_kept_once_in_order(self, monkeypatch, k, levels):
+        # Merged facets: qhull gives each of their triangles one hyperplane.
+        grid = SimplexGrid(k, 6)
+        vals = np.minimum(np.floor(levels * grid.fractions[:, 0]), levels - 1.0)
+        cloud = np.column_stack([grid.fractions[:, : k - 1], vals])
+        hulls, convex_hull = [], dpp.ConvexHull
+
+        def spy(points):
+            hulls.append(convex_hull(points))
+            return hulls[-1]
+
+        monkeypatch.setattr(dpp, "ConvexHull", spy)
+        affine, ids = _hull_upper(cloud)
+        d = k - 1
+        eqs, simplices = hulls[0].equations, hulls[0].simplices
+        upper = (eqs[:, d] > dpp.UPPER_FACET_TOL) & (simplices != cloud.shape[0]).all(axis=1)
+        raw = np.column_stack([-eqs[upper, :d] / eqs[upper, d:d + 1],
+                               -eqs[upper, d + 1] / eqs[upper, d]])
+        assert raw.shape[0] > affine.shape[0]
+        assert affine.tobytes() == self.first_rows(raw).tobytes()
+        assert ids.tolist() == np.unique(simplices[upper]).tolist()
+
+    def test_rows_that_differ_by_the_sign_of_zero_are_one_row(self, monkeypatch):
+        # A stand-in hull whose upper facets fit rows that differ only by
+        # -0.0 against 0.0, repeat out of order, and differ for real.
+        cloud = np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 0.5]])
+        eqs = np.array([[0.0, -0.0, 1.0, -1.0],
+                        [-0.0, 0.0, 1.0, -1.0],
+                        [0.5, 0.0, 1.0, -2.0],
+                        [-0.0, -0.0, 1.0, -1.0],
+                        [0.5, -0.0, 1.0, -2.0],
+                        [0.0, 0.0, -1.0, 0.0]])
+        simplices = np.array([[0, 1, 3], [1, 2, 3], [0, 2, 3], [0, 1, 2], [1, 2, 3], [0, 1, 4]])
+        monkeypatch.setattr(dpp, "ConvexHull",
+                            lambda points: SimpleNamespace(equations=eqs, simplices=simplices))
+        affine, ids = _hull_upper(cloud)
+        raw = np.column_stack([-eqs[:5, :2] / eqs[:5, 2:3], -eqs[:5, 3] / eqs[:5, 2]])
+        assert affine.shape == (2, 3)
+        assert affine.tobytes() == self.first_rows(raw).tobytes()
+        assert ids.tolist() == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_a_wide_value_span_is_one_hull_scaled(self, k):
@@ -780,6 +829,9 @@ class TestParallelSteps:
             for p, (f, g) in enumerate(zip(fs, gs)):
                 assert g.pieces.tobytes() == f.pieces.tobytes(), (s, p)
                 assert g.verts.tobytes() == f.verts.tobytes(), (s, p)
+                # ``src`` drives the shared-grandchild mask and ``extract_policy``.
+                assert (g.src is None) == (f.src is None), (s, p)
+                assert f.src is None or g.src.tobytes() == f.src.tobytes(), (s, p)
         assert pooled.root_value == serial.root_value
         assert pooled.slack == serial.slack
 
@@ -817,6 +869,33 @@ class TestParallelSteps:
         mu = random_measure(np.random.default_rng(62), (4.0, 8.0, 12.0))
         solve(LatticeSpec(depth=12, dt=1.0), ABS, mu, resolution=4)
         assert built == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slope_boxes_are_built_once_per_stored_function(self, monkeypatch, workers):
+        # Each stored function is the up input of one update and the down
+        # input of another; its boxes are computed on the first read only.
+        built = []
+
+        def spy(f):
+            built.append(id(f))
+            return slope_boxes(f)
+
+        slope_boxes = dpp._slope_boxes
+        monkeypatch.setattr(dpp, "_slope_boxes", spy)
+        monkeypatch.setattr(dpp, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
+        mu = random_measure(np.random.default_rng(63), (3.0, 6.0, 9.0, 12.0))
+        table = solve(LatticeSpec(depth=12, dt=1.0), ABS, mu, resolution=4)
+        stored = {id(f): f for fs in table.functions for f in fs}
+        assert built and len(built) == len(set(built))
+        assert set(built) <= stored.keys()
+        seen = list(built)
+        for i in seen:
+            lo, hi = stored[i].boxes
+            fresh_lo, fresh_hi = slope_boxes(stored[i])
+            assert lo.tobytes() == fresh_lo.tobytes() and hi.tobytes() == fresh_hi.tobytes()
+        # Reading the cached boxes builds none.
+        assert built == seen
 
     def test_pooled_steps_without_malloc_trim(self, monkeypatch):
         monkeypatch.setattr(dpp, "_MALLOC_TRIM", None)
