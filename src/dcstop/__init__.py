@@ -5,8 +5,11 @@ expected cost of a symmetric random walk stopped so that the stopping time
 has an exactly prescribed discrete law.  The solver runs an exact
 piecewise-linear backward induction over renormalized stop-mass simplices;
 an independent linear program over the history tree serves as oracle; trees
-of conditional stopping laws connect the two views and support splicing,
-simulation and stability sweeps.
+of conditional stopping laws connect the two views and support policy
+extraction, simulation and stability sweeps.  The checks of the paper's
+argument step by step (the dynamic programming principle, splicing, pure
+rules, concavity and the right-shift identity) run in the test suite, over
+these public types.
 """
 
 from types import ModuleType as _ModuleType
@@ -16,24 +19,19 @@ __version__ = "0.1.0"
 from .cost import CostSpec, cost_from_json, evaluate, holder2_constant_from_range, modulus
 from .dpp import (
     ConcavePL,
-    DppReport,
     SimplexGrid,
     ValueTable,
-    check_dpp,
     extract_policy,
     pair_sup,
     perspective,
     solve,
-    strong_value,
 )
 from .errors import (
     ConfigError,
     CoverageError,
     DcstopError,
     NoChildrenError,
-    RightShiftError,
     SizeGuardError,
-    SpliceError,
     ValidationError,
 )
 from .lattice import (
@@ -49,12 +47,9 @@ from .lattice import (
 )
 from .measures import (
     DiscreteMeasure,
-    MonotoneCoupling,
     ceiling_project,
-    is_right_shift_of,
     measure_from_json,
     measure_to_json,
-    monotone_coupling,
     w1_distance,
 )
 from .mvm import (
@@ -62,24 +57,13 @@ from .mvm import (
     MvmReport,
     MvmTree,
     MvmViolation,
-    TerminationReport,
     accumulate,
-    extract_continuation,
     from_kernel,
     mvm_to_json,
-    splice,
-    termination,
     to_kernel,
     validate,
 )
-from .oracle import (
-    LpProblem,
-    LpSolution,
-    build_lp,
-    lp_solution_to_kernel,
-    oracle_value,
-    solve_lp,
-)
+from .oracle import LpProblem, LpSolution, build_lp, lp_solution_to_kernel, solve_lp
 from .rst import (
     SimReport,
     StoppingKernel,
@@ -87,17 +71,9 @@ from .rst import (
     kernel_to_json,
     marginal_of,
     objective_value,
-    push_right_with_shift,
     simulate,
 )
-from .stability import (
-    CheckReport,
-    blend_measures,
-    concavity_check,
-    convergence_sweep,
-    push_right_identity_check,
-    rows_to_csv,
-)
+from .stability import CheckReport, convergence_sweep, rows_to_csv
 
 # The names imported above, without the submodules the imports bind.
 __all__ = [name for name, value in sorted(globals().items())

@@ -37,7 +37,7 @@ Every induction here works on node positions (see ``lattice.nodes_at_step``):
 ``functions[s][p]`` belongs to the node at position ``p`` of step ``s``, and
 ``lattice.child_positions`` gives its children's positions one step on, and
 ``lattice.states_at_step`` the states a step's stop costs are read at.
-``NodeId`` only names nodes for ``theta`` and the keys of ``reps``.
+``NodeId`` only names nodes as the keys of ``reps``.
 
 A node's update reads only its children's functions one step later, so the
 updates of one step are independent.  Nodes whose children hold the same two
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb, isfinite
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import nnls
@@ -92,8 +92,6 @@ PAIR_CLOUD_LIMIT = 4_000_000
 # still passed.  From the bound of ``oracle.HIGHS_COST_LIMIT`` on, the value
 # column goes to qhull scaled by a power of two into [0.5, 1).
 HULL_SPAN_LIMIT = 2.0 ** 32
-PURE_DEPTH_LIMIT = 12
-PURE_TABLE_LIMIT = 500_000
 UPPER_FACET_TOL = 1e-12
 SLACK_FLOOR = 1e-9
 # Absolute bound on how far two routes to one value may differ.
@@ -636,49 +634,6 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     )
 
 
-@dataclass(frozen=True)
-class DppReport:
-    residual: float
-    ok: bool
-
-
-def check_dpp(table: ValueTable, theta: Callable[[LatticeSpec, NodeId], bool]) -> DppReport:
-    """Verify the dynamic-programming identity across a stopping frontier.
-
-    The root value is recomputed by backward induction that terminates early
-    wherever ``theta`` fires, substituting the solver's stored value function
-    there (at an atom step this is the pre-decision boundary function).  The
-    residual must sit within ``AGREE_TOL``; a frontier past the last atom
-    degenerates into a full recomputation.
-
-    Like ``solve``, it works on node positions (see the module docstring).  A
-    forward pass from the root marks the positions it reaches before the
-    frontier; only those are recomputed, each once, and without the
-    shared-grandchild filter, so the check also crosses ``pair_sup``'s
-    pruning.
-    """
-    spec, functions = table.spec, table.functions
-    horizon = table.steps[-1]
-    expand, reached = [], np.ones(1, dtype=bool)
-    for s in range(horizon):
-        nodes, child = nodes_at_step(spec, s), child_positions(spec, s)
-        open_ = np.array([bool(r) and not theta(spec, node) for r, node in zip(reached, nodes)])
-        expand.append((open_, child))
-        reached = np.zeros(len(functions[s + 1]), dtype=bool)
-        reached[child[open_].ravel()] = True
-
-    values = functions[horizon]
-    for s in range(horizon - 1, -1, -1):
-        open_, child = expand[s]
-        stops = _stop_values(spec, table.cost, s, table.steps)
-        values = [_bellman(values[up], values[down], stop) if o else f
-                  for o, (down, up), stop, f in zip(open_, child.tolist(), stops, functions[s])]
-
-    recomputed = values[0].evaluate(_mu_vector(table.mu))
-    residual = abs(recomputed - table.root_value)
-    return DppReport(residual=residual, ok=residual <= AGREE_TOL)
-
-
 def _facet_split(w: ConcavePL, up: ConcavePL, y: np.ndarray) -> np.ndarray:
     """The up child's point of an optimal split at ``y``, from ``w = pair_sup(up, down)``.
 
@@ -763,57 +718,3 @@ def extract_policy(table: ValueTable) -> MvmTree:
         kids[split, 0, first:] = 2.0 * ahead[split] - up
         at = child[at].ravel()
     return MvmTree(spec.dt, table.mu.atoms, vectors)
-
-
-def strong_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> float:
-    """Best objective over non-randomized stopping rules, by exhaustion.
-
-    A pure rule sends each node's surviving mass to a single atom, so a
-    subtree's contribution is summarized by the vector of leaf-mass units it
-    assigns to each atom.  A backward pass over node positions merges each
-    node's two children by convolving these vectors, keeping the best value
-    per vector.  Returns ``-inf`` when the target law is not representable in
-    units of ``2**-horizon``.
-    """
-    steps = atom_steps(spec, mu.atoms)
-    r = len(steps)
-    horizon = steps[-1]
-    if horizon > PURE_DEPTH_LIMIT:
-        raise SizeGuardError(f"pure-rule search limited to horizon {PURE_DEPTH_LIMIT}")
-    units = 2 ** horizon
-    target = []
-    for w in mu.weights:
-        scaled = w * units
-        if abs(scaled - round(scaled)) > 1e-9:
-            return float("-inf")
-        target.append(int(round(scaled)))
-    step_of_atom = {s: i for i, s in enumerate(steps)}
-    # Position p of ``best`` holds, for the node at p of the current step, the
-    # best value per unit vector its subtree can assign.
-    best: list[dict[tuple[int, ...], float]] = []
-    for s in range(horizon, -1, -1):
-        nxt, best = best, []
-        child = child_positions(spec, s).tolist() if s < horizon else None
-        i = step_of_atom.get(s)
-        if i is not None:
-            stops = (evaluate(cost, states_at_step(spec, s)) * 2.0 ** (-s)).tolist()
-        for p in range(node_count(spec, s)):
-            out: dict[tuple[int, ...], float] = {}
-            if i is not None:
-                vec = [0] * r
-                vec[i] = 2 ** (horizon - s)
-                out[tuple(vec)] = stops[p]
-            if child is not None:
-                down, up = child[p]
-                for vu, valu in nxt[up].items():
-                    for vd, vald in nxt[down].items():
-                        vec = tuple(a + b for a, b in zip(vu, vd))
-                        val = valu + vald
-                        if out.get(vec, float("-inf")) < val:
-                            out[vec] = val
-                if len(out) > PURE_TABLE_LIMIT:
-                    raise SizeGuardError(
-                        f"pure-rule table grew past {PURE_TABLE_LIMIT} entries"
-                    )
-            best.append(out)
-    return best[0].get(tuple(target), float("-inf"))

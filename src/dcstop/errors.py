@@ -25,14 +25,6 @@ class NoChildrenError(DcstopError):
     """Asked for the children of a terminal lattice node."""
 
 
-class RightShiftError(DcstopError):
-    """A coupling or projection moves mass leftward where only rightward moves are allowed."""
-
-
-class SpliceError(DcstopError):
-    """A continuation tree cannot be attached at the requested node."""
-
-
 class SizeGuardError(DcstopError):
     """An exact computation was requested beyond its supported size."""
 

@@ -194,16 +194,8 @@ def histories(n: int) -> Iterator[tuple[int, ...]]:
     return product((0, 1), repeat=n)
 
 
-def heap_row(bits: tuple[int, ...]) -> int:
-    """Heap row of a history: in binary, ``row + 1`` is a leading 1 and then its bits."""
-    row = 1
-    for b in bits:
-        row = 2 * row + b
-    return row - 1
-
-
 def heap_history(row: int) -> tuple[int, ...]:
-    """The history at heap row ``row``; the inverse of ``heap_row``."""
+    """The history at heap row ``row``: in binary, ``row + 1`` is a leading 1 and then its bits."""
     return tuple(int(ch) for ch in bin(row + 1)[3:])
 
 

@@ -1,16 +1,14 @@
 """Finitely supported probability measures on the positive time axis.
 
 Measures here play the role of stopping-time laws.  The module provides the
-first-order transport geometry the rest of the package leans on: Wasserstein-1
-distance, the monotone (quantile) coupling that attains it, the rightward
-stochastic order, and ceiling projection onto a coarser time grid.
+first-order transport geometry the rest of the package leans on: the
+Wasserstein-1 distance and ceiling projection onto a coarser time grid.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import pairwise
 from typing import Sequence
 
@@ -29,7 +27,8 @@ class DiscreteMeasure:
 
     Atoms are kept sorted and strictly increasing; atoms closer than
     ``ATOM_MERGE_TOL`` are merged (keeping the smaller time) and zero-weight
-    atoms are dropped.  Weights must be nonnegative and sum to one within
+    atoms are dropped.  Every atom time must be positive, a dropped one
+    included.  Weights must be nonnegative and sum to one within
     ``WEIGHT_TOL``.
     """
 
@@ -46,6 +45,8 @@ class DiscreteMeasure:
         for t, w in pairs:
             if not (math.isfinite(t) and math.isfinite(w)):
                 raise ValidationError(f"non-finite atom {t} or weight {w}")
+            if t <= 0.0:
+                raise ValidationError(f"atoms must be strictly positive, got {t}")
             if w < -WEIGHT_TOL:
                 raise ValidationError(f"negative weight {w} at atom {t}")
             w = max(w, 0.0)
@@ -57,8 +58,6 @@ class DiscreteMeasure:
         kept = [(t, w) for t, w in zip(merged_t, merged_w) if w > 0.0]
         if not kept:
             raise ValidationError("all weights are zero")
-        if kept[0][0] <= 0.0:
-            raise ValidationError(f"atoms must be strictly positive, got {kept[0][0]}")
         total = sum(w for _, w in kept)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValidationError(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
@@ -87,30 +86,6 @@ class DiscreteMeasure:
         return sum(t * w for t, w in zip(self.atoms, self.weights))
 
 
-@dataclass(frozen=True)
-class MonotoneCoupling:
-    """The quantile coupling of ``source`` and ``target``, as ``monotone_coupling`` builds it.
-
-    ``rows[i]`` lists ``(target_index, mass)`` cells for source atom ``i`` in
-    increasing target index.  Row sums reproduce the source weights and
-    column sums the target weights, both within ``WEIGHT_TOL``, and no two
-    cells cross: the support is monotone in both indices.
-    """
-
-    source: DiscreteMeasure
-    target: DiscreteMeasure
-    rows: tuple[tuple[tuple[int, float], ...], ...]
-
-    def cost(self) -> float:
-        """Transport cost ``sum m * |t_source - t_target|`` of the coupling."""
-        total = 0.0
-        for i, row in enumerate(self.rows):
-            x = self.source.atoms[i]
-            for j, m in row:
-                total += m * abs(x - self.target.atoms[j])
-        return total
-
-
 def _cdf_walk(a: DiscreteMeasure, b: DiscreteMeasure):
     """``(t, F_a(t), F_b(t))`` at every atom ``t`` of either measure, in time order."""
     fa = fb = 0.0
@@ -131,46 +106,6 @@ def w1_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     for (left, fa, fb), (right, _, _) in pairwise(_cdf_walk(a, b)):
         total += abs(fa - fb) * (right - left)
     return total
-
-
-def monotone_coupling(source: DiscreteMeasure, target: DiscreteMeasure) -> MonotoneCoupling:
-    """Quantile coupling: align the two CDFs and pair off mass in time order.
-
-    The result is the unique coupling with monotone support; its cost equals
-    ``w1_distance(source, target)``.
-    """
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(len(source))]
-    i = j = 0
-    left_i = source.weights[0]
-    left_j = target.weights[0]
-    while True:
-        m = min(left_i, left_j)
-        if m > 0.0:
-            rows[i].append((j, m))
-        left_i -= m
-        left_j -= m
-        # Advance whichever side ran out; on exact ties advance both.
-        if left_i <= WEIGHT_TOL:
-            i += 1
-            if i < len(source):
-                left_i = source.weights[i]
-        if left_j <= WEIGHT_TOL:
-            j += 1
-            if j < len(target):
-                left_j = target.weights[j]
-        if i >= len(source) or j >= len(target):
-            break
-    return MonotoneCoupling(source, target, tuple(map(tuple, rows)))
-
-
-def is_right_shift_of(target: DiscreteMeasure, source: DiscreteMeasure,
-                      tol: float = WEIGHT_TOL) -> bool:
-    """True when ``target`` is reachable from ``source`` by moving mass right.
-
-    Equivalent to first-order stochastic dominance: the target CDF never
-    exceeds the source CDF by more than ``tol`` at any atom of either.
-    """
-    return all(ft <= fs + tol for _, fs, ft in _cdf_walk(source, target))
 
 
 def ceiling_project(mu: DiscreteMeasure, grid: Sequence[float]) -> DiscreteMeasure:

@@ -9,15 +9,14 @@ Three structural properties make such a tree meaningful:
   every descendant,
 * initial condition: the root vector is the prescribed law.
 
-The module converts between these trees and hazard-form stopping kernels,
-detects terminating (pure) trees, splices a continuation tree into a node
-through a monotone-coupling reweighting, and integrates running payoff along
-the tree (the Mayer-form accumulator).
+The module checks these properties, converts between the trees and
+hazard-form stopping kernels, and integrates running payoff along a tree (the
+Mayer-form accumulator).
 
 A tree is one array with a row per history, in heap order (see
-``lattice.histories``), so checks and surgery work on whole steps of rows.  A
-tree may start at a positive step (``start_step > 0``); such subtrees act as
-continuations for splicing and carry atom times in absolute units.  Readers
+``lattice.histories``), so checks work on whole steps of rows.  A tree may
+start at a positive step (``start_step > 0``); such a subtree is a
+continuation below a node, and carries atom times in absolute units.  Readers
 compare the atoms' steps (``rel_steps``, from the tree's start), not times,
 and ``from_kernel`` and ``accumulate`` walk from atom to atom.
 """
@@ -31,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .cost import CostSpec, evaluate
-from .errors import SizeGuardError, SpliceError, ValidationError, is_integer
+from .errors import SizeGuardError, ValidationError, is_integer
 from .lattice import (
     LatticeSpec,
     NodeId,
@@ -39,16 +38,14 @@ from .lattice import (
     distinct_steps,
     grid_step,
     heap_history,
-    heap_row,
     histories,
     history_to_str,
     states_at_step,
 )
-from .measures import DiscreteMeasure, is_right_shift_of, monotone_coupling
-from .rst import DEAD_MASS, StoppingKernel, kernel_from_laws
+from .measures import DiscreteMeasure
+from .rst import StoppingKernel, kernel_from_laws
 
 MARTINGALE_TOL = 1e-12
-SPLICE_TOL = 1e-9
 # A tree holds 2^(depth + 1) - 1 rows, and its memory and time double with
 # each step.  ``dcstop validate`` and ``dcstop policy`` both build one.  On
 # four atoms at depth 16 on a 2-core x86 machine, past the imports, validate
@@ -113,11 +110,6 @@ class MvmTree:
 
     def root_vector(self) -> np.ndarray:
         return self.vectors[0]
-
-    def root_measure(self) -> DiscreteMeasure:
-        vec = self.root_vector()
-        kept = [(t, w) for t, w in zip(self.atom_times, vec) if w > 0.0]
-        return DiscreteMeasure([t for t, _ in kept], [w for _, w in kept])
 
 
 @dataclass(frozen=True)
@@ -218,109 +210,6 @@ def to_kernel(mvm: MvmTree) -> StoppingKernel:
     spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
     laws = [mvm.vectors[_descendants(0, s)] for s in mvm.rel_steps[:-1]]
     return kernel_from_laws(spec, mvm.atom_times, laws)
-
-
-@dataclass(frozen=True)
-class TerminationReport:
-    """``tau`` holds each leaf's stopping time, leaves in code order."""
-
-    terminating: bool
-    tau: Optional[np.ndarray]
-    first_diffuse: Optional[NodeId]
-
-
-def termination(mvm: MvmTree) -> TerminationReport:
-    """A tree terminates when every leaf law is a point mass.
-
-    For a terminating adapted tree the per-path stopping time is the atom
-    carrying the unit weight, and the induced kernel is pure (all hazards 0
-    or 1); conversely pure kernels produce terminating trees.
-    """
-    first_leaf = len(mvm.vectors) // 2
-    leaves = mvm.vectors[first_leaf:]
-    diffuse = np.flatnonzero(leaves.max(axis=1) < 1.0 - MARTINGALE_TOL)
-    if diffuse.size:
-        return TerminationReport(False, None, _node(first_leaf + diffuse[0]))
-    return TerminationReport(True, np.array(mvm.atom_times)[np.argmax(leaves, axis=1)], None)
-
-
-def _future_law(base: MvmTree, bits):
-    """Row and vector of node ``bits``, its atoms ahead, their mass, and those carrying weight."""
-    if len(bits) > base.depth or any(b not in (0, 1) for b in bits):
-        raise SpliceError(f"node {bits} not in the tree")
-    row = heap_row(bits)
-    y = base.vectors[row]
-    future = [i for i, r in enumerate(base.rel_steps) if r > len(bits)]
-    mass = float(sum(y[i] for i in future))
-    if mass <= SPLICE_TOL:
-        raise SpliceError(f"no future mass at node {bits}")
-    return row, y, future, mass, [i for i in future if y[i] > DEAD_MASS]
-
-
-def extract_continuation(base: MvmTree, bits) -> MvmTree:
-    """The renormalized strict-future law tree rooted at ``bits``.
-
-    Splicing this back into the same node reproduces ``base`` exactly.
-    """
-    bits = tuple(bits)
-    row, _, _, mass, keep = _future_law(base, bits)
-    # The subtree may extend past the continuation's own last atom; those
-    # fully frozen tails are dropped and rebuilt on splice.
-    last_rel = base.rel_steps[keep[-1]] - len(bits)
-    subtree = np.concatenate([base.vectors[_descendants(row, s)] for s in range(last_rel + 1)])
-    return MvmTree(base.dt, [base.atom_times[i] for i in keep], subtree[:, keep] / mass,
-                   start_step=base.start_step + len(bits))
-
-
-def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
-    """Replace the future of ``base`` below ``bits`` by ``continuation``.
-
-    The frozen past coordinates at the node are kept.  The continuation's laws
-    are mapped onto the base atom grid through the monotone coupling between
-    the continuation's root law and the node's renormalized future law; this
-    requires the latter to be a right shift of the former.  Incompatible root
-    laws raise ``SpliceError``.
-    """
-    bits = tuple(bits)
-    row, y, future, mass, keep = _future_law(base, bits)
-    abs_step = base.start_step + len(bits)
-    if continuation.start_step != abs_step:
-        raise SpliceError(
-            f"continuation starts at step {continuation.start_step}, node sits at {abs_step}"
-        )
-    if abs(continuation.dt - base.dt) > 1e-15:
-        raise SpliceError("continuation uses a different step width")
-    if continuation.rel_steps[0] == 0:
-        raise SpliceError("continuation atoms must lie strictly after the splice time")
-    node_future = DiscreteMeasure([base.atom_times[i] for i in keep], [y[i] / mass for i in keep])
-    zeta = continuation.root_measure()
-    # Continuation atom live[k] is zeta's atom k.
-    live = np.flatnonzero(continuation.root_vector() > 0.0)
-    if not is_right_shift_of(node_future, zeta, tol=SPLICE_TOL):
-        raise SpliceError(
-            "continuation root law is not coupled-compatible with the node's future law"
-        )
-    coupling = monotone_coupling(zeta, node_future)
-    # Row-stochastic transfer matrix from continuation atoms to base atoms.
-    transfer = np.zeros((len(continuation.atom_times), len(base.atom_times)))
-    for j, w, row_k in zip(live, zeta.weights, coupling.rows):
-        for cell, m in row_k:
-            transfer[j, keep[cell]] += m / w
-    past_part = np.array([y[i] if i not in future else 0.0 for i in range(len(y))])
-    # One vector-matrix product per node: a matrix product may sum in another
-    # order and so differ from a single node's law in the last bit.
-    mapped = past_part + mass * np.matmul(continuation.vectors[:, None, :], transfer)[:, 0]
-
-    vectors = np.array(base.vectors)
-    for s in range(base.depth - len(bits) + 1):
-        if s <= continuation.depth:
-            level = mapped[_descendants(0, s)]
-        else:
-            # Past the continuation's last atom every law is frozen: each
-            # node repeats its parent's.
-            level = np.repeat(level, 2, axis=0)
-        vectors[_descendants(row, s)] = level
-    return MvmTree(base.dt, base.atom_times, vectors, start_step=base.start_step)
 
 
 @dataclass(frozen=True)

@@ -305,10 +305,6 @@ def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
                       np.asarray(y, dtype=float), *map(float, residuals))
 
 
-def oracle_value(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure) -> float:
-    return solve_lp(build_lp(spec, cost, mu)).value
-
-
 def lp_solution_to_kernel(problem: LpProblem, solution: LpSolution) -> StoppingKernel:
     """Convert conditional stop masses back to hazard form (``rst.kernel_from_laws``).
 

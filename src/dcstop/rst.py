@@ -8,11 +8,10 @@ node position (see ``lattice.nodes_at_step``) makes adaptedness structural: a
 decision can only read the node, that is, the path so far.
 
 The module computes exact marginals and objective values by a forward sweep
-over per-step arrays, re-routes stop mass rightward along a monotone coupling
-(the push-right construction used by the stability bounds), and simulates
-kernels by a seeded Monte Carlo over node counts.  A kernel stores its atom
-steps, and the sweeps walk from atom to atom: they carry the mass (or the
-path counts, split binomially) on to the next atom's step and split it there.
+over per-step arrays, and simulates kernels by a seeded Monte Carlo over node
+counts.  A kernel stores its atom steps, and the sweeps walk from atom to
+atom: they carry the mass (or the path counts, split binomially) on to the
+next atom's step and split it there.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostSpec, evaluate
-from .errors import RightShiftError, SizeGuardError, ValidationError
+from .errors import SizeGuardError, ValidationError
 from .lattice import (
     LatticeSpec,
     atom_steps,
@@ -33,7 +32,7 @@ from .lattice import (
     nodes_at_step,
     states_at_step,
 )
-from .measures import DiscreteMeasure, monotone_coupling
+from .measures import DiscreteMeasure
 
 Q_SNAP_TOL = 1e-12
 # Mass smaller than this is treated as never reaching a node (0/0 -> 0 rule).
@@ -103,30 +102,27 @@ def _advance(child: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """Mass one driver step on: each position sends half its mass to each child.
 
     ``child`` is the step's ``lattice.child_positions``; ``mass`` has one
-    entry, or one row, per position.  A node has at most two parents, so each
-    sum has at most two terms and comes out the same in any order.
+    entry per position.  A node has at most two parents, so each sum has at
+    most two terms and comes out the same in any order.
     """
-    if mass.ndim == 2:
-        return np.stack([_advance(child, col) for col in mass.T], axis=1)
     return np.bincount(child.ravel(), np.repeat(0.5 * mass, 2))
 
 
-def kernel_from_laws(spec: LatticeSpec, atom_times, laws, alive=None) -> StoppingKernel:
+def kernel_from_laws(spec: LatticeSpec, atom_times, laws) -> StoppingKernel:
     """Hazard-form kernel from the stopping laws at each earlier atom step.
 
     Row ``p`` of ``laws[i]`` holds, for the node at position ``p`` of atom
     ``i``'s step, the mass each atom ``j <= i`` takes given the path there
     (later columns are not read).  The hazard is atom ``i``'s mass over the
-    mass still alive, 0 where at most ``DEAD_MASS`` is alive, clamped into
-    ``[0, 1]`` with ``-0.0`` read as 0.0.  The final atom always stops, on
-    every node of its step on ``spec``, so a law given for it is not read.
-    The mass still alive is ``1 - sum_{j < i} laws[i][:, j]``, or
-    ``alive[i]`` when given, for laws of another scale.
+    mass still alive, ``1 - sum_{j < i} laws[i][:, j]``, 0 where at most
+    ``DEAD_MASS`` is alive, clamped into ``[0, 1]`` with ``-0.0`` read as 0.0.
+    The final atom always stops, on every node of its step on ``spec``, so a
+    law given for it is not read.
     """
     steps = atom_steps(spec, atom_times)
     q = []
     for i, law in enumerate(laws[:len(steps) - 1]):
-        remaining = 1.0 - law[:, :i].sum(axis=1) if alive is None else alive[i]
+        remaining = 1.0 - law[:, :i].sum(axis=1)
         dead = remaining <= DEAD_MASS
         ratio = law[:, i] / np.where(dead, 1.0, remaining)
         q.append(np.where(dead, 0.0, np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)))
@@ -162,62 +158,6 @@ def objective_value(kernel: StoppingKernel, cost: CostSpec) -> float:
         live = np.flatnonzero(stop)
         terms += (stop[live] * evaluate(cost, states_at_step(kernel.spec, s))[live]).tolist()
     return math.fsum(terms)
-
-
-def push_right_with_shift(kernel: StoppingKernel,
-                          target: DiscreteMeasure) -> tuple[StoppingKernel, float]:
-    """Re-route every stop decision rightward, onto the stopping-time law ``target``.
-
-    Mass moves along the monotone coupling of the kernel's marginal with
-    ``target``, which becomes the new marginal; ``RightShiftError`` when that
-    coupling moves mass left.  Each unit of mass stopped at a source atom
-    continues and stops at its coupled target time, split across the future
-    subtree proportionally to path probability, so the realized expected
-    shift equals the coupling cost exactly.  Returns the new kernel and that
-    shift, ``E|tau' - tau|``; the new kernel lives on the kernel's lattice.
-    """
-    spec = kernel.spec
-    source = marginal_of(kernel)
-    coupling = monotone_coupling(source, target)
-    tgt_steps = atom_steps(spec, target.atoms)
-    # Per kernel atom: fractions of its stop mass going to each target atom;
-    # none for an atom where the kernel never stops, which the marginal drops.
-    rows = dict(zip(source.atoms, zip(source.weights, coupling.rows)))
-    fractions = []
-    for t, s in zip(kernel.atom_times, kernel.steps):
-        weight, row = rows.get(t, (1.0, ()))
-        fractions.append([(j, m / weight) for j, m in row if m > 0.0])
-        for j, _ in fractions[-1]:
-            if tgt_steps[j] < s:
-                raise RightShiftError(f"coupling moves mass left: {t} -> {target.atoms[j]}")
-
-    last = tgt_steps[-1]
-    # alive[p]: mass still run by the old kernel; earm[p, j]: mass headed to
-    # stop at target atom j.  At each target step, earm is the (unconditional)
-    # law and alive plus the mass headed later is the mass still alive.
-    alive = np.ones(1)
-    earm = np.zeros((1, len(target)))
-    laws, alive_at = [], []
-    shift = 0.0
-    for s in range(0, last + 1):
-        if s in kernel.steps:
-            i = kernel.steps.index(s)
-            delta = alive * kernel.q[i]
-            alive = alive - delta
-            for j, frac in fractions[i]:
-                part = delta * frac
-                earm[:, j] += part
-                shift += math.fsum(part) * abs(target.atoms[j] - kernel.atom_times[i])
-        if s in tgt_steps:
-            j = tgt_steps.index(s)
-            alive_at.append(alive + earm[:, j:].sum(axis=1))
-            laws.append(earm.copy())
-            earm[:, j] = 0.0
-        if s < last:
-            child = child_positions(spec, s)
-            alive = _advance(child, alive)
-            earm = _advance(child, earm)
-    return kernel_from_laws(spec, target.atoms, laws, alive_at), shift
 
 
 @dataclass(frozen=True)

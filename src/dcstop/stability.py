@@ -1,30 +1,20 @@
-"""Quantitative sanity checks tying the solver to its continuity estimates.
+"""The convergence sweep that ties the solver to its continuity estimate.
 
-Three families of checks live here:
-
-* convergence sweeps: project a fine target law onto nested coarser time
-  grids, solve each instance on the same lattice, and compare the value gaps
-  against the cost's uniform-continuity modulus of the transport distance,
-* concavity probes: the value of a blend of target laws must dominate the
-  blend of values (extra randomization never hurts),
-* right-shift identities: pushing a kernel's marginal outward along a
-  monotone coupling must realize exactly the coupling's transport cost.
+The sweep projects a fine target law onto nested coarser time grids, solves
+each instance on the same lattice, and compares the value gaps against the
+cost's uniform-continuity modulus of the transport distance.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .cost import CostSpec, modulus
 from .errors import ConfigError
 from .lattice import LatticeSpec, atom_steps
 from .measures import ATOM_MERGE_TOL, DiscreteMeasure, ceiling_project, w1_distance
-from .rst import StoppingKernel, marginal_of, push_right_with_shift
-
-BLEND_TOL = 1e-9
-SHIFT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,69 +77,6 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
             "within": value_gap <= bound,
         })
     return CheckReport(tuple(rows), all(row["within"] for row in rows))
-
-
-def blend_measures(mu1: DiscreteMeasure, mu2: DiscreteMeasure, lam: float) -> DiscreteMeasure:
-    atoms = list(mu1.atoms) + list(mu2.atoms)
-    weights = [lam * w for w in mu1.weights] + [(1.0 - lam) * w for w in mu2.weights]
-    return DiscreteMeasure(atoms, weights)
-
-
-def concavity_check(spec: LatticeSpec, cost: CostSpec,
-                    mu1: DiscreteMeasure, mu2: DiscreteMeasure,
-                    lambdas: Sequence[float],
-                    value_fn: Optional[Callable] = None) -> CheckReport:
-    """Blending target laws can only help: value(blend) >= blend of values.
-
-    Defaults to the LP oracle for the values so the probe stays independent
-    of the block solver; pass ``value_fn`` to probe another route.
-    """
-    from .oracle import oracle_value
-
-    if value_fn is None:
-        def value_fn(m: DiscreteMeasure) -> float:
-            return oracle_value(spec, cost, m)
-
-    v1 = value_fn(mu1)
-    v2 = value_fn(mu2)
-    rows = []
-    for lam in lambdas:
-        if not 0.0 <= lam <= 1.0:
-            raise ConfigError(f"blend weight must sit in [0, 1], got {lam}")
-        lhs = value_fn(blend_measures(mu1, mu2, lam))
-        rhs = lam * v1 + (1.0 - lam) * v2
-        margin = lhs - rhs
-        rows.append({
-            "lam": lam,
-            "blend_value": lhs,
-            "mixed_values": rhs,
-            "margin": margin,
-            "ok": margin >= -BLEND_TOL,
-        })
-    return CheckReport(tuple(rows), all(row["ok"] for row in rows))
-
-
-def push_right_identity_check(kernel: StoppingKernel,
-                              targets: Sequence[DiscreteMeasure]) -> CheckReport:
-    """Pushing outward must cost exactly the transport distance.
-
-    The kernel's marginal, on the kernel's own lattice, is coupled
-    monotonically to each target; the rewired kernel must realize that
-    coupling's cost as its mean time shift and land on the target exactly.
-    """
-    source = marginal_of(kernel)
-    rows = []
-    for target in targets:
-        moved, shift = push_right_with_shift(kernel, target)
-        w1 = w1_distance(source, target)
-        err = w1_distance(marginal_of(moved), target)
-        rows.append({
-            "shift": shift,
-            "w1": w1,
-            "marginal_error": err,
-            "ok": abs(shift - w1) <= SHIFT_TOL and err <= 1e-9,
-        })
-    return CheckReport(tuple(rows), all(row["ok"] for row in rows))
 
 
 def rows_to_csv(rows: Sequence[dict], path: str) -> None:

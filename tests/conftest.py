@@ -4,15 +4,19 @@ The references recompute quantities by direct enumeration or in closed form,
 one driver path or node at a time, deliberately avoiding the package's
 mass-sweep internals so each comparison crosses two independent code paths.
 ``state`` and ``stop_cost`` price a stop one node at a time, the reference for
-``lattice.states_at_step`` and ``cost.evaluate`` on whole steps.
+``lattice.states_at_step`` and ``cost.evaluate`` on whole steps;
+``children`` and ``reference_advance`` walk from a node to its children, the
+reference for ``lattice.child_positions`` and ``rst._advance``.  The paper
+checks in ``paper_checks.py`` are built on these walks.
 ``block_samples`` samples stored functions on a simplex grid, and
 ``check_scaling`` re-derives a solved table's atom-step functions there
 through the explicit stop/renormalize quotient.  ``reference_pair_sup`` hulls
 every vertex pair, and ``reference_solve`` runs it at every node with nothing
 pruned or shared.  ``reference_simplex`` is the dense ``Fraction`` tableau the
 exact LP route used to pivot.  The two hazard references are the per-route
-conversions that ``rst.kernel_from_laws`` replaced.  The JSON readers at the
-end read back what the package and the CLI write.
+conversions that ``rst.kernel_from_laws`` replaced.  ``heap_row``,
+``tree_from_dict`` and ``tree_dict`` key law-tree rows by history bit tuples.
+The JSON readers at the end read back what the package and the CLI write.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dcstop import (
     root,
 )
 from dcstop.dpp import _hull_upper, _pieces_from_affine
-from dcstop.lattice import heap_history, heap_row, node_count
+from dcstop.lattice import heap_history, node_count
 from dcstop.measures import ATOM_MERGE_TOL, WEIGHT_TOL
 
 
@@ -146,6 +150,18 @@ def children(spec: LatticeSpec, node: NodeId) -> tuple[NodeId, NodeId]:
         NodeId(step=s, level=up_level, max_level=max(node.max_level, up_level)),
         NodeId(step=s, level=down_level, max_level=node.max_level),
     )
+
+
+def reference_advance(spec: LatticeSpec, alive) -> dict:
+    """Mass one driver step on, node by node: each ``(node, mass)`` sends half to each child.
+
+    The reference for ``rst._advance``; ``mass`` may be a float or an array.
+    """
+    nxt = {}
+    for node, mass in alive:
+        for child in children(spec, node):
+            nxt[child] = nxt.get(child, 0.0) + 0.5 * mass
+    return nxt
 
 
 def _paths_with_max_at_most(n: int, l: int, m: int) -> int:
@@ -358,10 +374,24 @@ def grid_rows(grid) -> dict[tuple[int, ...], int]:
     return {tuple(p): i for i, p in enumerate(grid.points.tolist())}
 
 
+def heap_row(bits: tuple[int, ...]) -> int:
+    """Heap row of a history: in binary, ``row + 1`` is a leading 1 and then its bits."""
+    row = 1
+    for b in bits:
+        row = 2 * row + b
+    return row - 1
+
+
 def tree_from_dict(dt, atom_times, vectors, start_step=0) -> MvmTree:
     """A law tree from vectors keyed by history bit tuples, each put at its heap row."""
     rows = [vectors[heap_history(h)] for h in range(len(vectors))]
     return MvmTree(dt, atom_times, np.array(rows, dtype=float), start_step=start_step)
+
+
+def root_measure(tree: MvmTree) -> DiscreteMeasure:
+    """A law tree's root law: its atoms of positive root weight."""
+    kept = [(t, w) for t, w in zip(tree.atom_times, tree.root_vector()) if w > 0.0]
+    return DiscreteMeasure([t for t, _ in kept], [w for _, w in kept])
 
 
 def tree_dict(tree: MvmTree) -> dict[tuple[int, ...], np.ndarray]:

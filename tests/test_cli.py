@@ -511,6 +511,18 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"invalid input: {message}\n"
         assert os.listdir(tmp_path) == ["bad.json"]
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_a_zero_weight_atom_before_time_zero_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                         command):
+        # Dropped with its zero weight before its time was read, it exited 0.
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = base_config()
+        config["measure"].append({"t": -1.0, "w": 0.0})
+        assert main([command, self.write(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: measure: atoms must be strictly positive, got -1.0\n")
+        assert os.listdir(tmp_path) == ["bad.json"]
+
     # One misspelled key per section, and two keys that are not settings.
     @pytest.mark.parametrize("section, key, value", [
         ("config", "sede", 7),

@@ -16,14 +16,13 @@ from dcstop import (
     DiscreteMeasure,
     ValidationError,
     ceiling_project,
-    is_right_shift_of,
     measure_from_json,
     measure_to_json,
-    monotone_coupling,
     w1_distance,
 )
 from dcstop.measures import WEIGHT_TOL
 
+from paper_checks import is_right_shift_of, monotone_coupling
 from conftest import moves_only_right
 
 # Random measures for property tests: up to 5 atoms on a coarse positive grid
@@ -197,6 +196,11 @@ class TestConstruction:
     def test_atoms_strictly_positive(self):
         with pytest.raises(ValidationError):
             DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0])
+    def test_a_zero_weight_atom_is_checked_before_it_is_dropped(self, t):
+        with pytest.raises(ValidationError, match=f"^atoms must be strictly positive, got {t}$"):
+            DiscreteMeasure([t, 2.0], [0.0, 1.0])
 
     def test_one_weight_per_atom(self):
         with pytest.raises(ValidationError, match="equal length"):

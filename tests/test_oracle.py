@@ -25,7 +25,6 @@ from dcstop import (
     lp_solution_to_kernel,
     marginal_of,
     objective_value,
-    oracle_value,
     solve,
     solve_lp,
 )
@@ -34,6 +33,7 @@ from dcstop import oracle
 from dcstop.oracle import EXACT_DEPTH_LIMIT, ORACLE_DEPTH_LIMIT, LpSolution
 from dcstop.rst import DEAD_MASS
 
+from paper_checks import oracle_value
 from conftest import random_measure, reference_lp_to_kernel, reference_simplex, stop_cost
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})

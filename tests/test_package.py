@@ -1,12 +1,15 @@
 """The package namespace and its sources.
 
 What ``from dcstop import *`` binds, that each module reads what it imports and
-its own private names, and that a test matches every size-guard message.
+its own private names, that the package reads each of its public names and
+imports nothing from the tests, that a test matches every size-guard message,
+and that the README's Python quick start runs.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 from types import ModuleType
 
@@ -27,25 +30,35 @@ def test_star_import_binds_no_module_and_no_future_flag():
 
 # Public names that only tests called; they left the package or live in the tests.
 REMOVED = (
-    "EmptyTailError", "cost_to_json", "kernel_from_json", "modulus_metadata", "mvm_from_json",
-    "node_from_json", "node_prob", "project_to_recombining", "push_right", "random_kernel",
-    "report_to_json", "restrict_renormalize", "spec_to_json", "state",
+    "BLEND_TOL", "DppReport", "EmptyTailError", "MonotoneCoupling", "PURE_DEPTH_LIMIT",
+    "PURE_TABLE_LIMIT", "RightShiftError", "SHIFT_TOL", "SPLICE_TOL", "SpliceError",
+    "TerminationReport", "blend_measures", "check_dpp", "concavity_check", "cost_to_json",
+    "extract_continuation", "heap_row", "is_right_shift_of", "kernel_from_json",
+    "modulus_metadata", "monotone_coupling", "mvm_from_json", "node_from_json", "node_prob",
+    "oracle_value", "project_to_recombining", "push_right", "push_right_identity_check",
+    "push_right_with_shift", "random_kernel", "report_to_json", "restrict_renormalize",
+    "spec_to_json", "splice", "state", "strong_value", "termination",
 )
-# The objects that check the paper's argument step by step.
-VERIFICATION = (
+# The checks of the paper's argument step by step, and the helpers that serve them.
+PAPER_CHECKS = (
     "check_dpp", "splice", "extract_continuation", "termination", "strong_value",
-    "concavity_check", "push_right_identity_check",
+    "concavity_check", "push_right_identity_check", "push_right_with_shift",
+    "monotone_coupling", "is_right_shift_of", "oracle_value",
 )
-
-
-def test_public_surface_keeps_the_verification_objects_and_drops_test_only_names():
-    assert [name for name in REMOVED if hasattr(dcstop, name)] == []
-    assert set(VERIFICATION) <= set(dcstop.__all__)
-
-
+PACKAGE = Path(dcstop.__file__).parent
 # ``__init__.py`` imports to re-export, so it reads none of its names.
-SOURCE_MODULES = sorted(p for p in Path(dcstop.__file__).parent.glob("*.py")
-                        if p.name != "__init__.py")
+SOURCE_MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+
+
+def test_public_surface_drops_test_only_names():
+    modules = [dcstop, *(importlib.import_module(f"dcstop.{p.stem}") for p in SOURCE_MODULES)]
+    assert [(m.__name__, name) for m in modules for name in REMOVED if hasattr(m, name)] == []
+    # Each paper check is defined once, in the tests.
+    defined = [node.name for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert {name: defined.count(name) for name in PAPER_CHECKS} == dict.fromkeys(PAPER_CHECKS, 1)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,20 +91,24 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["os", "os", "Refused", "solve"]
 
 
-def unused_private_names(source: str) -> list[str]:
-    """Each module-level function, class or assigned name with one leading ``_`` never read."""
-    tree = ast.parse(source)
+def module_names(source: str) -> list[str]:
+    """Each module-level function, class or assigned name."""
     bound = []
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound += [name.id for target in targets for name in ast.walk(target)
                       if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
-    read = {node.id for node in ast.walk(tree)
+    return bound
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Each module-level name with one leading ``_`` that the module never loads."""
+    read = {node.id for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [name for name in bound
+    return [name for name in module_names(source)
             if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
@@ -116,6 +133,92 @@ def test_an_unused_private_name_is_found():
         "    _SPARE = _helper()\n"
     )
     assert unused_private_names(source) == ["_SPARE", "_orphan", "_Gone"]
+
+
+def identifiers_read(source: str) -> set[str]:
+    """Every name a module loads and every attribute it reads; a string names nothing."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_public_names(sources, readers=()) -> list[str]:
+    """Each public name of ``sources`` that no source reads, nor any of ``readers``."""
+    read = set().union(*map(identifiers_read, [*sources, *readers]))
+    return [name for source in sources for name in module_names(source)
+            if not name.startswith("_") and name not in read]
+
+
+def test_every_public_name_is_read_by_the_package():
+    # The benchmark's scripts may read a name, as ``record_reference.py`` reads ``root``.
+    readers = [p.read_text() for p in (TESTS.parent / "perfbench").glob("*.py")]
+    assert unread_public_names([p.read_text() for p in SOURCE_MODULES], readers) == []
+
+
+def test_an_unread_public_name_is_found():
+    sources = [
+        "LIMIT = 3\n"
+        "_SPARE = 1\n"
+        "def solve():\n"
+        "    return LIMIT\n"
+        "def orphan():\n"
+        "    pass\n"
+        "class Report:\n"
+        "    pass\n",
+        "from .a import solve\n"
+        "def run():\n"
+        "    return solve()\n"
+        "def bench_only():\n"
+        "    pass\n",
+    ]
+    readers = ["import dcstop.b as b\nb.bench_only()\nwrap(b, 'orphan')\n"]
+    assert unread_public_names(sources, readers) == ["orphan", "Report", "run"]
+
+
+def imports_from(source: str, modules) -> list[str]:
+    """Each module that ``source`` imports by absolute name whose top level is in ``modules``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.partition(".")[0] in modules]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.partition(".")[0] in modules:
+            found.append(node.module)
+    return found
+
+
+def test_no_source_module_imports_the_tests():
+    tests = {"tests", *(p.stem for p in TESTS.glob("*.py"))}
+    assert [(p.name, module) for p in sorted(PACKAGE.glob("*.py"))
+            for module in imports_from(p.read_text(), tests)] == []
+
+
+def test_an_import_from_the_tests_is_found():
+    source = (
+        "import numpy, conftest\n"
+        "from tests.paper_checks import splice\n"
+        "from .lattice import root\n"
+        "def f():\n"
+        "    from paper_checks import check_dpp\n"
+    )
+    assert imports_from(source, {"tests", "conftest", "paper_checks"}) == [
+        "conftest", "tests.paper_checks", "paper_checks"]
+
+
+def test_the_readme_quick_start_runs(capsys):
+    readme = (TESTS.parent / "README.md").read_text()
+    block = readme.split("## Quick start (API)")[1].split("```python\n")[1].split("```")[0]
+    exec(block, {})
+    value, lp_value, simulated = capsys.readouterr().out.splitlines()
+    assert float(value) == pytest.approx(0.5, abs=1e-9)
+    assert float(lp_value) == pytest.approx(0.5, abs=1e-9)
+    mean, stderr = map(float, simulated.split())
+    assert 0.0 < stderr < 0.01 and abs(mean - 0.5) <= 4.0 * stderr
 
 
 # Every test module but this one, whose self-test holds made-up messages.

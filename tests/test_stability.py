@@ -13,14 +13,10 @@ from dcstop import (
     CoverageError,
     DiscreteMeasure,
     LatticeSpec,
-    blend_measures,
     ceiling_project,
-    concavity_check,
     convergence_sweep,
     feasible_kernel,
     marginal_of,
-    oracle_value,
-    push_right_identity_check,
     rows_to_csv,
     solve,
     w1_distance,
@@ -29,6 +25,12 @@ from dcstop import (
 import dcstop.stability as stability
 from dcstop.dpp import AGREE_TOL
 
+from paper_checks import (
+    blend_measures,
+    concavity_check,
+    oracle_value,
+    push_right_identity_check,
+)
 from conftest import random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
