@@ -189,7 +189,7 @@ def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
     table = solve(spec, cost, mu, settings.resolution)
     tree = extract_policy(table)
     report = validate(tree, mu)
-    objective = accumulate(tree, cost).leaf_expectation()
+    objective = accumulate(tree, cost)
     residual = abs(objective - table.root_value)
     failure = ""
     if not report.ok:

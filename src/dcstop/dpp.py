@@ -502,7 +502,7 @@ def _mu_vector(mu: DiscreteMeasure) -> np.ndarray:
 
 
 def _bellman(up: ConcavePL, down: ConcavePL, stop_value: Optional[float],
-             shared: bool = False) -> ConcavePL:
+             shared: bool) -> ConcavePL:
     """The children's pair supremum, then the atom decision if ``stop_value`` is given."""
     cont = pair_sup(up, down, shared)
     return cont if stop_value is None else perspective(stop_value, cont)

@@ -25,12 +25,14 @@ from .errors import (
     finite_number,
     refuse_unknown_keys,
 )
+from .measures import ATOM_MERGE_TOL
 
 MODES = ("recombining", "history")
 # Full history enumeration beyond this depth is refused outright.
 MAX_HISTORY_DEPTH = 20
 # Times must sit on the step grid to within this absolute slack.  ``grid_step``
-# and ``distinct_steps`` are the one rule by which every layer maps times to steps.
+# and ``atom_steps`` are the one rule by which every layer, kernels and law
+# trees included, maps times to steps.
 TIME_SNAP_TOL = 1e-9
 
 
@@ -46,8 +48,11 @@ class LatticeSpec:
     def __post_init__(self):
         if isinstance(self.depth, bool) or not isinstance(self.depth, int) or self.depth < 1:
             raise ConfigError(f"depth must be a positive integer, got {self.depth!r}")
-        if finite_number(self.dt, "dt") <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
+        # Wider steps keep times on distinct steps apart by more than the
+        # measures' merge slack, and snap no time onto two steps.
+        if finite_number(self.dt, "dt") <= ATOM_MERGE_TOL + 2 * TIME_SNAP_TOL:
+            raise ConfigError(f"dt must exceed {ATOM_MERGE_TOL + 2 * TIME_SNAP_TOL:.1g}, "
+                              f"got {self.dt!r}")
         if not isinstance(self.augment_max, bool):
             raise ConfigError(f"augment_max must be a boolean, got {self.augment_max!r}")
         if self.mode not in MODES:
@@ -231,13 +236,6 @@ def grid_step(dt: float, t: float) -> Optional[int]:
     return s if s is not None and abs(s * dt - t) <= TIME_SNAP_TOL else None
 
 
-def distinct_steps(steps: list[int], error=CoverageError) -> list[int]:
-    """``steps``, or ``error`` when two atom times snap onto one step (see ``grid_step``)."""
-    if len(set(steps)) != len(steps):
-        raise error("atom times collide on the step grid")
-    return steps
-
-
 def time_to_step(spec: LatticeSpec, t: float) -> int:
     """Map a time onto the step grid, refusing off-grid times."""
     s = grid_step(spec.dt, t)
@@ -249,14 +247,18 @@ def time_to_step(spec: LatticeSpec, t: float) -> int:
 
 
 def atom_steps(spec: LatticeSpec, atoms) -> list[int]:
-    """Steps of the given atom times; atoms must be distinct grid times >= one step."""
+    """Steps of increasing atom times, each on the grid from the first step on, none shared."""
+    if not atoms or any(b - a <= 0 for a, b in zip(atoms, atoms[1:])):
+        raise ValidationError("atom times must be nonempty and strictly increasing")
     steps = []
     for t in atoms:
         s = time_to_step(spec, t)
         if s < 1:
             raise CoverageError(f"atom time {t} must lie at or after the first step")
         steps.append(s)
-    return distinct_steps(steps)
+    if len(set(steps)) != len(steps):
+        raise CoverageError("atom times collide on the step grid")
+    return steps
 
 
 def spec_from_json(data: dict) -> LatticeSpec:

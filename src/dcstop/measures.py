@@ -82,9 +82,6 @@ class DiscreteMeasure:
         body = ", ".join(f"{w:.6g}*d({t:.6g})" for t, w in zip(self.atoms, self.weights))
         return f"DiscreteMeasure({body})"
 
-    def mean(self) -> float:
-        return sum(t * w for t, w in zip(self.atoms, self.weights))
-
 
 def _cdf_walk(a: DiscreteMeasure, b: DiscreteMeasure):
     """``(t, F_a(t), F_b(t))`` at every atom ``t`` of either measure, in time order."""

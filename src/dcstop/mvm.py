@@ -10,15 +10,14 @@ Three structural properties make such a tree meaningful:
 * initial condition: the root vector is the prescribed law.
 
 The module checks these properties, converts between the trees and
-hazard-form stopping kernels, and integrates running payoff along a tree (the
-Mayer-form accumulator).
+hazard-form stopping kernels, and integrates the cost along a tree's paths
+(``accumulate``, the tree's objective).
 
 A tree is one array with a row per history, in heap order (see
-``lattice.histories``), so checks work on whole steps of rows.  A tree may
-start at a positive step (``start_step > 0``); such a subtree is a
-continuation below a node, and carries atom times in absolute units.  Readers
-compare the atoms' steps (``rel_steps``, from the tree's start), not times,
-and ``from_kernel`` and ``accumulate`` walk from atom to atom.
+``lattice.histories``), so checks work on whole steps of rows.  Every tree
+starts at time 0, and a continuation below a node is a tree on a clock
+restarted there.  Readers compare the atoms' steps (``lattice.atom_steps``),
+not times, and ``from_kernel`` and ``accumulate`` walk from atom to atom.
 """
 
 from __future__ import annotations
@@ -30,12 +29,13 @@ from typing import Optional
 import numpy as np
 
 from .cost import CostSpec, evaluate
-from .errors import SizeGuardError, ValidationError, is_integer
+from .errors import SizeGuardError, ValidationError
 from .lattice import (
+    MAX_HISTORY_DEPTH,
     LatticeSpec,
     NodeId,
+    atom_steps,
     child_positions,
-    distinct_steps,
     grid_step,
     heap_history,
     histories,
@@ -55,9 +55,9 @@ MARTINGALE_TOL = 1e-12
 TREE_DEPTH_LIMIT = 16
 
 
-def _descendants(row: int, s: int) -> slice:
-    """Heap rows ``s`` steps below ``row``; ``_descendants(0, s)`` is step ``s``."""
-    return slice(((row + 1) << s) - 1, ((row + 2) << s) - 1)
+def _rows(s: int) -> slice:
+    """The heap rows of step ``s``."""
+    return slice(2 ** s - 1, 2 ** (s + 1) - 1)
 
 
 def _node(row) -> NodeId:
@@ -66,43 +66,28 @@ def _node(row) -> NodeId:
 
 
 class MvmTree:
-    """Heap-ordered weight vectors over a fixed atom grid.
+    """Heap-ordered weight vectors over a fixed atom grid, from time 0.
 
-    ``vectors`` (read-only) has a row per history up to the last atom and a column per atom.
+    ``steps`` are the atoms' steps of width ``dt``, the last one ``depth``.
+    ``vectors`` (read-only) has a row per history up to it and a column per atom.
     """
 
-    __slots__ = ("dt", "start_step", "atom_times", "rel_steps", "depth", "vectors")
+    __slots__ = ("dt", "atom_times", "steps", "depth", "vectors")
 
-    def __init__(self, dt: float, atom_times, vectors, start_step: int = 0):
-        if not (is_integer(start_step) and start_step >= 0):
-            raise ValidationError(f"start_step must be a non-negative integer, got {start_step!r}")
-        if not 0 < dt < math.inf:
-            raise ValidationError(f"dt must be positive and finite, got {dt!r}")
+    def __init__(self, dt: float, atom_times, vectors):
         times = tuple(float(t) for t in atom_times)
-        if not times or not all(math.isfinite(t) for t in times) or any(
-                b - a <= 0 for a, b in zip(times, times[1:])):
-            raise ValidationError("atom times must be finite, nonempty and strictly increasing")
-        rel_steps = []
-        for t in times:
-            s = grid_step(dt, t)
-            if s is None:
-                raise ValidationError(f"atom time {t} is not on the step grid with dt={dt}")
-            if s < max(start_step, 1):
-                raise ValidationError(f"atom time {t} lies before the tree start")
-            rel_steps.append(s - start_step)
-        depth = distinct_steps(rel_steps, ValidationError)[-1]
+        steps = tuple(atom_steps(LatticeSpec(MAX_HISTORY_DEPTH, dt, mode="history"), times))
         arr = np.array(vectors, dtype=float)
-        shape = (2 ** (depth + 1) - 1, len(times))
+        shape = (2 ** (steps[-1] + 1) - 1, len(times))
         if arr.shape != shape:
             raise ValidationError(f"vectors have shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("vectors must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "dt", float(dt))
-        object.__setattr__(self, "start_step", int(start_step))
         object.__setattr__(self, "atom_times", times)
-        object.__setattr__(self, "rel_steps", tuple(rel_steps))
-        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "depth", steps[-1])
         object.__setattr__(self, "vectors", arr)
 
     def __setattr__(self, name, value):
@@ -136,7 +121,7 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> MvmReport:
     or on no tree atom's step is a root violation of residual 1.0.
     """
     if mu is not None:
-        atom_at = {mvm.start_step + r: i for i, r in enumerate(mvm.rel_steps)}
+        atom_at = {s: i for i, s in enumerate(mvm.steps)}
         at = [atom_at.get(grid_step(mvm.dt, a)) for a in mu.atoms]
         res = 1.0
         if None not in at:
@@ -147,8 +132,8 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> MvmReport:
             return MvmReport(False, MvmViolation(_node(0), "root", res))
     vec = mvm.vectors
     inner, down, up = vec[: len(vec) // 2], vec[1::2], vec[2::2]
-    # Atom i is frozen from step rel_steps[i] on, that is from row 2**rel_steps[i] - 1.
-    frozen = np.arange(len(inner))[:, None] >= np.array([2 ** r - 1 for r in mvm.rel_steps])
+    # Atom i is frozen from step steps[i] on, that is from row 2**steps[i] - 1.
+    frozen = np.arange(len(inner))[:, None] >= np.array([2 ** s - 1 for s in mvm.steps])
     drift_up = np.max(np.where(frozen, np.abs(inner - up), 0.0), axis=1)
     drift_down = np.max(np.where(frozen, np.abs(inner - down), 0.0), axis=1)
     low = vec.min(axis=1)
@@ -196,60 +181,39 @@ def from_kernel(kernel: StoppingKernel) -> MvmTree:
     stopped = np.column_stack([np.repeat(stop, 2 ** (last - s))
                                for s, stop in zip(steps, stops)])
     vectors = np.empty((2 ** (last + 1) - 1, len(steps)))
-    vectors[_descendants(0, last)] = stopped
+    vectors[_rows(last)] = stopped
     for s in range(last - 1, -1, -1):
         stopped = 0.5 * (stopped[1::2] + stopped[0::2])
-        vectors[_descendants(0, s)] = stopped
+        vectors[_rows(s)] = stopped
     return MvmTree(spec.dt, kernel.atom_times, vectors)
 
 
 def to_kernel(mvm: MvmTree) -> StoppingKernel:
     """Hazard-form kernel of the tree, whose rows at each atom step are the laws there."""
-    if mvm.start_step != 0:
-        raise ValidationError("only full trees (start_step == 0) convert to kernels")
     spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
-    laws = [mvm.vectors[_descendants(0, s)] for s in mvm.rel_steps[:-1]]
+    laws = [mvm.vectors[_rows(s)] for s in mvm.steps[:-1]]
     return kernel_from_laws(spec, mvm.atom_times, laws)
 
 
-@dataclass(frozen=True)
-class Accumulator:
-    """Running payoff ``Y`` per node, in heap order: the cost paid at each freeze so far."""
+def accumulate(mvm: MvmTree, cost: CostSpec) -> float:
+    """The tree's objective, as its kernel's: the mean over leaves of what each path pays.
 
-    y: np.ndarray
-    depth: int
-
-    def leaf_expectation(self) -> float:
-        # Each leaf is weighted before the sum, so finite payoffs cannot
-        # overflow it; a power of two scales exactly.
-        return math.fsum(self.y[len(self.y) // 2:] * 2.0 ** -self.depth)
-
-
-def accumulate(mvm: MvmTree, cost: CostSpec) -> Accumulator:
-    """Integrate the cost against each path's freezing masses.
-
-    States are derived from the tree's own histories, its ``dt`` and its
-    depth.  The expectation of ``Y`` over leaves is the kernel objective of
-    the tree.
+    A path pays, atom by atom, the cost at the atom's step times the mass it
+    freezes there.  States come from the tree's own histories, ``dt`` and depth.
     """
-    if mvm.start_step != 0:
-        raise ValidationError("accumulate needs a full tree (start_step == 0)")
-    hist_spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
-    # The cost paid at each atom's step, then each node adds its parent's.
-    y = np.zeros(len(mvm.vectors))
-    for i, s in enumerate(mvm.rel_steps):
-        rows = _descendants(0, s)
-        y[rows] = evaluate(cost, states_at_step(hist_spec, s)) * mvm.vectors[rows, i]
-    for s in range(1, mvm.depth + 1):
-        y[_descendants(0, s)] += np.repeat(y[_descendants(0, s - 1)], 2)
-    return Accumulator(y=y, depth=mvm.depth)
+    spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
+    paid = np.zeros(1)
+    for i, (start, s) in enumerate(zip((0,) + mvm.steps, mvm.steps)):
+        paid = np.repeat(paid, 2 ** (s - start)) + \
+            evaluate(cost, states_at_step(spec, s)) * mvm.vectors[_rows(s), i]
+    # Leaves are weighted before the sum, so finite payoffs cannot overflow it.
+    return math.fsum(paid * 2.0 ** -mvm.depth)
 
 
 def mvm_to_json(mvm: MvmTree) -> dict:
     keys = (history_to_str(bits) for s in range(mvm.depth + 1) for bits in histories(s))
     return {
         "dt": mvm.dt,
-        "start_step": mvm.start_step,
         "atom_times": list(mvm.atom_times),
         "nodes": dict(zip(keys, mvm.vectors.tolist())),
     }

@@ -56,8 +56,6 @@ class StoppingKernel:
 
     def __init__(self, spec: LatticeSpec, atom_times, q):
         times = tuple(float(t) for t in atom_times)
-        if not times or any(b - a <= 0 for a, b in zip(times, times[1:])):
-            raise ValidationError("atom times must be nonempty and strictly increasing")
         steps = atom_steps(spec, times)
         if len(q) != len(steps):
             raise ValidationError(f"kernel has {len(q)} stop arrays for {len(steps)} atoms")

@@ -269,6 +269,10 @@ def random_measure(rng: np.random.Generator, times) -> DiscreteMeasure:
     return DiscreteMeasure(times, w / w.sum())
 
 
+def mean(mu: DiscreteMeasure) -> float:
+    return sum(t * w for t, w in zip(mu.atoms, mu.weights))
+
+
 def from_samples(grid, values) -> ConcavePL:
     """Concave envelope of values sampled on a simplex grid, as an exact ``ConcavePL``."""
     vals = np.asarray(values, dtype=float)
@@ -382,10 +386,10 @@ def heap_row(bits: tuple[int, ...]) -> int:
     return row - 1
 
 
-def tree_from_dict(dt, atom_times, vectors, start_step=0) -> MvmTree:
+def tree_from_dict(dt, atom_times, vectors) -> MvmTree:
     """A law tree from vectors keyed by history bit tuples, each put at its heap row."""
     rows = [vectors[heap_history(h)] for h in range(len(vectors))]
-    return MvmTree(dt, atom_times, np.array(rows, dtype=float), start_step=start_step)
+    return MvmTree(dt, atom_times, np.array(rows, dtype=float))
 
 
 def root_measure(tree: MvmTree) -> DiscreteMeasure:
@@ -508,7 +512,7 @@ def reference_tree_to_kernel(mvm: MvmTree) -> StoppingKernel:
     """The law-tree route's own hazard rule: dead below 1e-15, ``np.clip`` keeps ``-0.0``."""
     spec = LatticeSpec(depth=mvm.depth, dt=mvm.dt, mode="history")
     q = []
-    for i, s in enumerate(mvm.rel_steps[:-1]):
+    for i, s in enumerate(mvm.steps[:-1]):
         level = mvm.vectors[2 ** s - 1:2 ** (s + 1) - 1]
         remaining = 1.0 - level[:, :i].sum(axis=1)
         dead = remaining <= 1e-15
@@ -556,6 +560,5 @@ def kernel_from_json(spec: LatticeSpec, data) -> StoppingKernel:
 
 def mvm_from_json(data: dict) -> MvmTree:
     """Tree from its JSON form, where nodes are keyed by ``U``/``D`` history strings."""
-    rows = {heap_row(history_from_str(key)): vec for key, vec in data["nodes"].items()}
-    return MvmTree(data["dt"], data["atom_times"], [rows[h] for h in range(len(rows))],
-                   start_step=data["start_step"])
+    vectors = {history_from_str(key): vec for key, vec in data["nodes"].items()}
+    return tree_from_dict(data["dt"], data["atom_times"], vectors)

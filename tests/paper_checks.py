@@ -231,15 +231,20 @@ def _future(base: MvmTree, bits: tuple[int, ...]):
     if bits not in vectors:
         raise SpliceError(f"node {bits} not in the tree")
     y = vectors[bits]
-    future = [i for i, r in enumerate(base.rel_steps) if r > len(bits)]
+    future = [i for i, s in enumerate(base.steps) if s > len(bits)]
     mass = float(sum(y[i] for i in future))
     if mass <= SPLICE_TOL:
         raise SpliceError(f"no future mass at node {bits}")
     return vectors, y, future, mass, [i for i in future if y[i] > DEAD_MASS]
 
 
+def _clock(tree: MvmTree, n: int, atoms) -> list[float]:
+    """The times of ``tree``'s ``atoms`` on a clock restarted at step ``n``."""
+    return [(tree.steps[i] - n) * tree.dt for i in atoms]
+
+
 def extract_continuation(base: MvmTree, bits) -> MvmTree:
-    """The renormalized strict-future law tree rooted at ``bits``.
+    """The renormalized strict-future law tree rooted at ``bits``, in the node's own clock.
 
     Splicing it back into the same node reproduces ``base``.  The frozen
     tails past the continuation's own last atom are dropped; ``splice``
@@ -247,33 +252,25 @@ def extract_continuation(base: MvmTree, bits) -> MvmTree:
     """
     bits = tuple(bits)
     vectors, _, _, mass, keep = _future(base, bits)
-    last_rel = base.rel_steps[keep[-1]] - len(bits)
     sub = {rel: vectors[bits + rel][keep] / mass
-           for s in range(last_rel + 1) for rel in histories(s)}
-    return tree_from_dict(base.dt, [base.atom_times[i] for i in keep], sub,
-                          start_step=base.start_step + len(bits))
+           for s in range(base.steps[keep[-1]] - len(bits) + 1) for rel in histories(s)}
+    return tree_from_dict(base.dt, _clock(base, len(bits), keep), sub)
 
 
 def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
     """Replace the future of ``base`` below ``bits`` by ``continuation``.
 
-    The frozen past coordinates at the node are kept.  The continuation's laws
-    are mapped onto the base atom grid through the monotone coupling between
-    the continuation's root law and the node's renormalized future law, which
-    must be a right shift of it, else ``SpliceError``.
+    The frozen past coordinates at the node are kept.  The continuation's laws,
+    in the node's own clock, are mapped onto the base atom grid through the
+    monotone coupling between the continuation's root law and the node's
+    renormalized future law in that clock, which must be a right shift of it,
+    else ``SpliceError``.
     """
     bits = tuple(bits)
     vectors, y, future, mass, keep = _future(base, bits)
-    abs_step = base.start_step + len(bits)
-    if continuation.start_step != abs_step:
-        raise SpliceError(
-            f"continuation starts at step {continuation.start_step}, node sits at {abs_step}"
-        )
     if abs(continuation.dt - base.dt) > 1e-15:
         raise SpliceError("continuation uses a different step width")
-    if continuation.rel_steps[0] == 0:
-        raise SpliceError("continuation atoms must lie strictly after the splice time")
-    node_future = DiscreteMeasure([base.atom_times[i] for i in keep], [y[i] / mass for i in keep])
+    node_future = DiscreteMeasure(_clock(base, len(bits), keep), [y[i] / mass for i in keep])
     zeta = root_measure(continuation)
     if not is_right_shift_of(node_future, zeta, tol=SPLICE_TOL):
         raise SpliceError(
@@ -296,7 +293,7 @@ def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
             # Past the continuation's last atom each node repeats its parent's law.
             level = [level[code >> 1] for code in range(2 ** s)]
         new.update((bits + rel, vec) for rel, vec in zip(histories(s), level))
-    return tree_from_dict(base.dt, base.atom_times, new, start_step=base.start_step)
+    return tree_from_dict(base.dt, base.atom_times, new)
 
 
 def push_right_with_shift(kernel: StoppingKernel,

@@ -450,6 +450,18 @@ class TestConfigErrors:
         assert main(["solve", self.write(tmp_path, config)]) == 2
         capsys.readouterr()
 
+    # At dt = 1e-10 the two atoms merged into one and the off-grid 1.5e-10
+    # snapped onto a step; both commands ran on and exited 0.
+    @pytest.mark.parametrize("measure", [[{"t": 2e-10, "w": 0.5}, {"t": 4e-10, "w": 0.5}],
+                                         [{"t": 1.5e-10, "w": 1.0}]])
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_a_step_too_fine_to_keep_atoms_apart_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                         command, measure):
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        config = {**base_config(), "lattice": {"depth": 4, "dt": 1e-10}, "measure": measure}
+        assert main([command, self.write(tmp_path, config)]) == 2
+        assert "lattice: dt must exceed 3e-09, got 1e-10" in capsys.readouterr().err
+
     def test_bad_resolution(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
         config = base_config()

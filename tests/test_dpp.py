@@ -50,6 +50,7 @@ from conftest import (
     grid_rows,
     heap_row,
     kernel_from_dict,
+    mean,
     random_measure,
     reference_pair_sup,
     reference_solve,
@@ -593,7 +594,7 @@ class TestSolve:
         for resolution in (1, 37):
             mu = random_measure(rng, (0.5, 0.75, 1.0))
             table = solve(spec, SQUARE, mu, resolution=resolution)
-            assert table.root_value == pytest.approx(mu.mean(), abs=1e-12)
+            assert table.root_value == pytest.approx(mean(mu), abs=1e-12)
 
     def test_depth_40_root_value(self):
         # The benchmark's recombining depth-40 instance with atoms at 10, 20,
@@ -898,7 +899,7 @@ class TestParallelSteps:
         monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
         mu = DiscreteMeasure((1.0, 2.0, 3.0), (0.2, 0.3, 0.5))
         table = solve(LatticeSpec(depth=3, dt=1.0), SQUARE, mu, resolution=4)
-        assert table.root_value == pytest.approx(mu.mean(), abs=1e-12)
+        assert table.root_value == pytest.approx(mean(mu), abs=1e-12)
 
 
 THETAS = {
@@ -1094,7 +1095,7 @@ class TestExtractPolicy:
             table = solve(spec, cost, mu, resolution=25)
             tree = extract_policy(table)
             assert validate(tree, mu=mu).ok
-            got = accumulate(tree, cost).leaf_expectation()
+            got = accumulate(tree, cost)
             assert got >= table.root_value - AGREE_TOL
             assert got <= oracle_value(spec, cost, mu) + 1e-9
 

@@ -14,8 +14,10 @@ from dcstop import (
     ConfigError,
     CoverageError,
     LatticeSpec,
+    MvmTree,
     NodeId,
     NoChildrenError,
+    StoppingKernel,
     ValidationError,
     atom_steps,
     node_to_json,
@@ -24,7 +26,9 @@ from dcstop import (
     spec_from_json,
     time_to_step,
 )
-from dcstop.lattice import child_positions, node_count, states_at_step
+from dcstop.lattice import MAX_HISTORY_DEPTH, TIME_SNAP_TOL, child_positions
+from dcstop.lattice import node_count, states_at_step
+from dcstop.measures import ATOM_MERGE_TOL
 from dcstop.rst import _advance
 from conftest import children, node_from_json, node_prob, project_to_recombining, state
 
@@ -296,6 +300,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             LatticeSpec(depth=True, dt=1.0)
 
+    def test_a_step_within_the_merge_and_snap_slack_is_refused(self):
+        # At dt = 1e-10 the atoms 2e-10 and 4e-10 merged into one, and the
+        # off-grid time 1.5e-10 snapped onto a step.
+        bound = ATOM_MERGE_TOL + 2 * TIME_SNAP_TOL
+        for dt in (1e-10, bound, 0.0, -1.0):
+            with pytest.raises(ConfigError, match=rf"^dt must exceed 3e-09, got {dt!r}$"):
+                LatticeSpec(depth=2, dt=dt)
+        finest = LatticeSpec(depth=2, dt=math.nextafter(bound, 1.0))
+        assert atom_steps(finest, [finest.dt, 2 * finest.dt]) == [1, 2]
+        with pytest.raises(CoverageError, match="not on the step grid"):
+            atom_steps(finest, [1.5 * finest.dt])
+
     def test_a_history_lattice_refuses_augment_max(self):
         # A history node's state already holds its running maximum; the flag
         # used to be accepted and ignored, so two equal kernels compared unequal.
@@ -342,6 +358,32 @@ class TestTimeGrid:
         spec = LatticeSpec(depth=4, dt=1.0)
         with pytest.raises(CoverageError):
             atom_steps(spec, [1.0, 1.0 + 1e-12])
+
+
+# Bad lists of atom times, and the error that refuses each.
+BAD_ATOM_TIMES = {
+    "empty": ([], ValidationError),
+    "decreasing": ([2.0, 1.0], ValidationError),
+    "off-grid": ([1.0, 2.5], CoverageError),
+    "before-step-1": ([0.0, 1.0], CoverageError),
+    "one-step": ([1.0, 1.0 + 5e-10], CoverageError),
+    "nan": ([1.0, math.nan], CoverageError),
+    "inf": ([1.0, math.inf], CoverageError),
+}
+
+
+@pytest.mark.parametrize("times, error", BAD_ATOM_TIMES.values(), ids=BAD_ATOM_TIMES.keys())
+def test_atom_steps_kernels_and_law_trees_refuse_alike(times, error):
+    # A kernel and a law tree take their steps from ``atom_steps``, the one rule.
+    spec = LatticeSpec(depth=MAX_HISTORY_DEPTH, dt=1.0, mode="history")
+    refusals = set()
+    for make in (lambda: atom_steps(spec, times),
+                 lambda: StoppingKernel(spec, times, [[1.0]] * len(times)),
+                 lambda: MvmTree(1.0, times, np.ones((3, len(times))))):
+        with pytest.raises(error) as refused:
+            make()
+        refusals.add((type(refused.value), str(refused.value)))
+    assert len(refusals) == 1
 
 
 class TestJson:

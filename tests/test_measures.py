@@ -23,7 +23,7 @@ from dcstop import (
 from dcstop.measures import WEIGHT_TOL
 
 from paper_checks import is_right_shift_of, monotone_coupling
-from conftest import moves_only_right
+from conftest import mean, moves_only_right
 
 # Random measures for property tests: up to 5 atoms on a coarse positive grid
 # so exact ties between atom times are common (the hard case for sweeps).
@@ -235,7 +235,7 @@ class TestConstruction:
 
     def test_mean(self):
         mu = DiscreteMeasure([1.0, 3.0], [0.25, 0.75])
-        assert mu.mean() == pytest.approx(2.5, abs=1e-15)
+        assert mean(mu) == pytest.approx(2.5, abs=1e-15)
 
     def test_a_measure_equals_no_other_type(self):
         mu = delta(1.0)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from dcstop import (
+    ConfigError,
     CostSpec,
+    CoverageError,
     DiscreteMeasure,
     LatticeSpec,
     MvmTree,
@@ -30,7 +32,7 @@ from dcstop import (
 )
 
 from dcstop.lattice import atom_steps, child_positions, heap_history, histories
-from dcstop.lattice import node_count
+from dcstop.lattice import node_count, states_at_step
 from dcstop.mvm import MARTINGALE_TOL, MvmReport, MvmViolation
 from dcstop.rst import _forward_stops
 
@@ -179,7 +181,7 @@ def reference_validate(mvm, mu=None, tol=MARTINGALE_TOL):
             if res > tol:
                 return MvmReport(False, MvmViolation(_bits_node(bits), "martingale", res))
     for s in range(mvm.depth):
-        frozen = [i for i, r in enumerate(mvm.rel_steps) if r <= s]
+        frozen = [i for i, r in enumerate(mvm.steps) if r <= s]
         if not frozen:
             continue
         for bits in histories(s):
@@ -333,8 +335,8 @@ def corrupted_tree(rng):
             continue
         h = int(rng.integers(0, len(vectors) // 2))
         s = len(heap_history(h))
-        frozen = [i for i in range(r) if tree.rel_steps[i] <= s]
-        ahead = [i for i in range(r) if tree.rel_steps[i] > s]
+        frozen = [i for i in range(r) if tree.steps[i] <= s]
+        ahead = [i for i in range(r) if tree.steps[i] > s]
         if frozen and rng.random() < 0.5:
             i, j = rng.choice(frozen), rng.choice(ahead)
         elif len(ahead) > 1:
@@ -514,21 +516,20 @@ class TestKernelRoundTrip:
             assert got.spec == want.spec and got.atom_times == want.atom_times
             assert [q.tobytes() for q in got.q] == [q.tobytes() for q in want.q]
 
-    def test_partial_trees_do_not_convert(self):
-        base = from_kernel(
-            feasible_kernel(LatticeSpec(depth=2, dt=1.0),
-                            DiscreteMeasure((1.0, 2.0), (0.5, 0.5)),
-                            np.random.default_rng(0)))
-        cont = extract_continuation(base, (0,))
-        with pytest.raises(ValidationError):
-            to_kernel(cont)
+    def test_a_continuation_converts_in_its_own_clock(self):
+        # Below the up node, the atoms at steps 2 and 3 come 1 and 2 steps on.
+        base = from_kernel(random_kernel(LatticeSpec(depth=3, dt=1.0), (1.0, 2.0, 3.0),
+                                         np.random.default_rng(0)))
+        cont = extract_continuation(base, (1,))
+        kernel = to_kernel(cont)
+        assert (kernel.spec, kernel.atom_times) == (LatticeSpec(depth=2, dt=1.0, mode="history"),
+                                                    (1.0, 2.0))
+        assert marginal_of(kernel).weights == pytest.approx(cont.root_vector(), abs=1e-14)
 
 
 def point_mass_continuation(cont: MvmTree) -> MvmTree:
     """All of the future at the continuation's first atom: a right shift of any law ahead."""
-    depth = round(cont.atom_times[0] / cont.dt) - cont.start_step
-    return MvmTree(cont.dt, cont.atom_times[:1], np.ones((2 ** (depth + 1) - 1, 1)),
-                   start_step=cont.start_step)
+    return MvmTree(cont.dt, cont.atom_times[:1], np.ones((2 ** (cont.steps[0] + 1) - 1, 1)))
 
 
 class TestSplice:
@@ -551,13 +552,14 @@ class TestSplice:
             base = from_kernel(random_kernel(spec, tuple(0.5 * s for s in steps), rng))
             bits = tuple(int(b) for b in rng.integers(0, 2, size=int(rng.integers(0, base.depth))))
             cont = extract_continuation(base, bits)
-            assert (cont.dt, cont.start_step) == (base.dt, base.start_step + len(bits))
+            # The continuation's clock starts at the node.
+            assert cont.dt == base.dt
+            assert {s + len(bits) for s in cont.steps} <= set(base.steps)
             assert np.abs(cont.vectors.sum(axis=1) - 1.0).max() <= 1e-12
             again = splice(base, bits, cont)
             assert again.vectors == pytest.approx(base.vectors, abs=1e-12)
             flat = MvmTree(cont.dt, cont.atom_times,
-                           np.tile(cont.root_vector(), (len(cont.vectors), 1)),
-                           start_step=cont.start_step)
+                           np.tile(cont.root_vector(), (len(cont.vectors), 1)))
             for other in (flat, point_mass_continuation(cont)):
                 assert validate(splice(base, bits, other), mu=root_measure(base)).ok
 
@@ -575,36 +577,31 @@ class TestSplice:
 
     def test_point_mass_continuation_validates(self):
         tree = worked_tree()
-        cont = MvmTree(1.0, (2.0,), np.ones((3, 1)), start_step=1)
+        cont = MvmTree(1.0, (1.0,), np.ones((3, 1)))
         again = splice(tree, (0,), cont)
         assert validate(again, mu=root_measure(tree)).ok
         assert again.vectors == pytest.approx(tree.vectors, abs=1e-12)
 
     def test_incompatible_root_law_rejected(self):
         tree = worked_tree()
-        cont = MvmTree(1.0, (2.0,), np.ones((3, 1)), start_step=1)
+        cont = MvmTree(1.0, (1.0,), np.ones((3, 1)))
         with pytest.raises(SpliceError):
             splice(tree, (1,), cont)  # future mass at that node is zero
 
-    def test_wrong_start_step_rejected(self):
-        tree = worked_tree()
-        cont = MvmTree(1.0, (2.0,), [[1.0]], start_step=2)
-        with pytest.raises(SpliceError):
-            splice(tree, (0,), cont)
-
     def test_another_step_width_rejected(self):
-        cont = MvmTree(0.5, (2.0,), np.ones((15, 1)), start_step=1)
+        cont = MvmTree(0.5, (1.0,), np.ones((7, 1)))
         with pytest.raises(SpliceError, match="different step width"):
             splice(worked_tree(), (0,), cont)
 
     def test_an_atom_at_the_splice_time_rejected(self):
-        cont = MvmTree(1.0, (1.0,), [[1.0]], start_step=1)
-        with pytest.raises(SpliceError, match="strictly after the splice time"):
-            splice(worked_tree(), (0,), cont)
+        # The splice time is 0 in the continuation's clock, before a tree's first step.
+        with pytest.raises(CoverageError, match="must lie at or after the first step"):
+            MvmTree(1.0, (0.0,), [[1.0]])
 
     def test_a_later_root_law_rejected(self):
-        # The down node stops at 2; a continuation stopping at 3 moves mass left.
-        cont = MvmTree(1.0, (3.0,), np.ones((7, 1)), start_step=1)
+        # The down node stops one step on; a continuation stopping two steps on
+        # moves mass left.
+        cont = MvmTree(1.0, (2.0,), np.ones((7, 1)))
         with pytest.raises(SpliceError, match="not coupled-compatible"):
             splice(worked_tree(), (0,), cont)
 
@@ -613,7 +610,7 @@ class TestSplice:
         bits = (0,)
         cont = extract_continuation(base, bits)
         flat = np.tile(cont.root_vector(), (len(cont.vectors), 1))
-        flat_tree = MvmTree(cont.dt, cont.atom_times, flat, start_step=cont.start_step)
+        flat_tree = MvmTree(cont.dt, cont.atom_times, flat)
         again = splice(base, bits, flat_tree)
         assert validate(again, mu=mu).ok
         row = heap_row(bits)
@@ -625,11 +622,11 @@ class TestSplice:
         # objective cannot drop, and it can never beat the exact optimum for
         # the same root law.
         spec, mu, base = self.make_base(seed=39)
-        before = accumulate(base, INDICATOR).leaf_expectation()
+        before = accumulate(base, INDICATOR)
         tree = base
         for bits in ((1,), (0,)):
             tree = self._splice_best(tree, bits, spec)
-        after = accumulate(tree, INDICATOR).leaf_expectation()
+        after = accumulate(tree, INDICATOR)
         assert after >= before - 1e-12
         assert after <= oracle_value(spec, INDICATOR, mu) + 1e-9
 
@@ -652,10 +649,9 @@ class TestSplice:
                     (1, 0): np.array([a, 1.0 - a]),
                     (0, 1): np.array([b, 1.0 - b]),
                     (0, 0): np.array([b, 1.0 - b])}
-            cand = tree_from_dict(tree.dt, incumbent.atom_times, vecs,
-                                  start_step=incumbent.start_step)
+            cand = tree_from_dict(tree.dt, incumbent.atom_times, vecs)
             spliced = splice(tree, bits, cand)
-            val = accumulate(spliced, INDICATOR).leaf_expectation()
+            val = accumulate(spliced, INDICATOR)
             if val > best_val:
                 best, best_val = spliced, val
         return best
@@ -667,62 +663,62 @@ class TestAccumulate:
         rng = np.random.default_rng(50 + spec.depth)
         tree = from_kernel(random_kernel(spec, (1.0, 3.0, float(spec.depth)), rng))
         cost = CostSpec(kind="terminal", name="abs")
-        acc = accumulate(tree, cost)
         hist = LatticeSpec(depth=tree.depth, dt=tree.dt, mode="history")
         vectors = tree_dict(tree)
+        # Each node's payoff so far: its parent's, plus the cost paid at its own step.
         want = {(): 0.0}
         for bits in sorted(vectors, key=len):
             if bits:
                 want[bits] = want[bits[:-1]]
-                if len(bits) in tree.rel_steps:
-                    i = tree.rel_steps.index(len(bits))
+                if len(bits) in tree.steps:
+                    i = tree.steps.index(len(bits))
                     node = NodeId(step=len(bits), history=bits)
                     want[bits] += stop_cost(cost, hist, node) * float(vectors[bits][i])
-        assert acc.y.tolist() == [want[heap_history(h)] for h in range(len(acc.y))]
         leaves = [want[b] for b in histories(tree.depth)]
-        assert acc.leaf_expectation() == math.fsum(leaves) / 2 ** tree.depth
-        assert acc.leaf_expectation() == pytest.approx(sum(leaves) / 2 ** tree.depth,
-                                                       rel=1e-14, abs=1e-15)
+        got = accumulate(tree, cost)
+        assert got == math.fsum(np.array(leaves) * 2.0 ** -tree.depth)
+        assert got == math.fsum(leaves) / 2 ** tree.depth
+        assert got == pytest.approx(sum(leaves) / 2 ** tree.depth, rel=1e-14, abs=1e-15)
 
-    def test_a_continuation_does_not_accumulate(self):
-        cont = extract_continuation(worked_tree(), (0,))
-        with pytest.raises(ValidationError, match="full tree"):
-            accumulate(cont, INDICATOR)
+    def test_a_continuation_accumulates_in_its_own_clock(self):
+        # Its costs are read at the states of the node's own restarted walk.
+        rng = np.random.default_rng(45)
+        base = from_kernel(random_kernel(LatticeSpec(depth=4, dt=0.5), (0.5, 1.0, 2.0), rng))
+        cost = CostSpec(kind="terminal", name="abs")
+        for bits in ((), (1,), (0, 1)):
+            cont = extract_continuation(base, bits)
+            assert accumulate(cont, cost) == pytest.approx(
+                objective_value(to_kernel(cont), cost), abs=1e-12)
 
     def test_worked_tree_leaf_values(self):
-        tree = worked_tree()
-        acc = accumulate(tree, INDICATOR)
-        assert acc.y[heap_row((1, 1))] == pytest.approx(1.0, abs=1e-15)
-        assert acc.y[heap_row((1, 0))] == pytest.approx(1.0, abs=1e-15)
-        assert acc.y[heap_row((0, 1))] == pytest.approx(0.0, abs=1e-15)
-        assert acc.y[heap_row((0, 0))] == pytest.approx(0.0, abs=1e-15)
-        assert acc.leaf_expectation() == pytest.approx(0.5, abs=1e-15)
+        # The leaves that stop at the up node pay 1, the others 0.
+        assert accumulate(worked_tree(), INDICATOR) == 0.5
 
-    def test_flat_before_first_atom(self):
+    def test_flat_before_first_atom(self, monkeypatch):
+        # Costs are read at the atom steps only, so nothing is paid before step 2.
         rng = np.random.default_rng(40)
         spec = LatticeSpec(depth=3, dt=1.0)
         kernel = random_kernel(spec, (2.0, 3.0), rng)
-        acc = accumulate(from_kernel(kernel),
-                         CostSpec(kind="terminal", name="square"))
-        # Steps 0 and 1 are the first three heap rows.
-        assert acc.y[:3].tolist() == [0.0, 0.0, 0.0]
+        read = []
+        monkeypatch.setattr("dcstop.mvm.states_at_step",
+                            lambda spec, s: read.append(s) or states_at_step(spec, s))
+        accumulate(from_kernel(kernel), CostSpec(kind="terminal", name="square"))
+        assert read == [2, 3]
 
     def test_martingale_driver_accumulates_to_zero(self):
         rng = np.random.default_rng(41)
         spec = LatticeSpec(depth=4, dt=0.25)
         kernel = random_kernel(spec, (0.5, 0.75, 1.0), rng)
-        acc = accumulate(from_kernel(kernel),
-                         CostSpec(kind="terminal", name="identity"))
-        assert acc.leaf_expectation() == pytest.approx(0.0, abs=1e-12)
+        got = accumulate(from_kernel(kernel), CostSpec(kind="terminal", name="identity"))
+        assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_kernel_objective(self):
         rng = np.random.default_rng(42)
         spec = LatticeSpec(depth=3, dt=0.5)
         kernel = random_kernel(spec, (0.5, 1.0, 1.5), rng)
         cost = CostSpec(kind="terminal", name="abs")
-        acc = accumulate(from_kernel(kernel), cost)
         expect = objective_value(kernel, cost)
-        assert acc.leaf_expectation() == pytest.approx(expect, abs=1e-12)
+        assert accumulate(from_kernel(kernel), cost) == pytest.approx(expect, abs=1e-12)
 
 
 def payload(tree: MvmTree) -> dict:
@@ -744,21 +740,21 @@ class TestConstruction:
             mvm_from_json(data)
 
     def test_off_grid_atom_time(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(CoverageError, match="not on the step grid"):
             MvmTree(1.0, (1.5,), np.ones((3, 1)))
 
     def test_atoms_colliding_on_one_step(self):
         # Both snap onto step 1, where to_kernel could not tell them apart.
-        with pytest.raises(ValidationError, match="collide"):
+        with pytest.raises(CoverageError, match="collide"):
             MvmTree(1.0, [1.0, 1.0 + 5e-10], np.full((3, 2), 0.5))
 
     def test_atom_before_start(self):
-        with pytest.raises(ValidationError):
-            MvmTree(1.0, (1.0,), [[1.0]], start_step=2)
+        with pytest.raises(CoverageError, match="at or after the first step"):
+            MvmTree(1.0, (0.0, 1.0), np.ones((3, 2)))
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
     def test_dt_positive_and_finite(self, dt):
-        with pytest.raises(ValidationError, match="dt must be positive and finite"):
+        with pytest.raises(ConfigError, match="^dt must (exceed 3e-09|be a finite number)"):
             MvmTree(dt, (1.0,), np.ones((3, 1)))
 
     def test_atom_times_increase(self):
@@ -771,11 +767,6 @@ class TestConstruction:
         vectors[1, 0] = value
         with pytest.raises(ValidationError, match="finite"):
             MvmTree(1.0, (1.0,), vectors)
-
-    @pytest.mark.parametrize("start_step", [2.7, 2.0, True, "2", -1])
-    def test_start_step_is_a_non_negative_int(self, start_step):
-        with pytest.raises(ValidationError, match="start_step"):
-            MvmTree(1.0, (3.0,), np.ones((3, 1)), start_step=start_step)
 
     def test_immutable(self):
         tree = constant_tree((0.5, 0.5))
@@ -797,8 +788,7 @@ class TestJson:
         spec = LatticeSpec(depth=3, dt=0.5)
         tree = from_kernel(random_kernel(spec, (0.5, 1.5), rng))
         again = mvm_from_json(mvm_to_json(tree))
-        assert again.atom_times == tree.atom_times
-        assert again.start_step == tree.start_step
+        assert (again.atom_times, again.steps) == (tree.atom_times, tree.steps)
         assert np.array_equal(again.vectors, tree.vectors)
 
     def test_continuation_round_trip(self):
@@ -806,8 +796,10 @@ class TestJson:
         spec = LatticeSpec(depth=4, dt=1.0)
         base = from_kernel(random_kernel(spec, (1.0, 3.0, 4.0), rng))
         cont = extract_continuation(base, (1,))
-        again = mvm_from_json(payload(cont))
-        assert (again.start_step, again.atom_times) == (1, cont.atom_times)
+        data = payload(cont)
+        assert sorted(data) == ["atom_times", "dt", "nodes"]
+        again = mvm_from_json(data)
+        assert again.atom_times == cont.atom_times == (2.0, 3.0)
         assert np.array_equal(again.vectors, cont.vectors)
 
     def test_depth_12_policy_round_trip_is_exact(self):

@@ -34,7 +34,7 @@ from dcstop.oracle import EXACT_DEPTH_LIMIT, ORACLE_DEPTH_LIMIT, LpSolution
 from dcstop.rst import DEAD_MASS
 
 from paper_checks import oracle_value
-from conftest import random_measure, reference_lp_to_kernel, reference_simplex, stop_cost
+from conftest import mean, random_measure, reference_lp_to_kernel, reference_simplex, stop_cost
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 IDENTITY = CostSpec(kind="terminal", name="identity")
@@ -545,7 +545,7 @@ class TestOracleValue:
             mu = random_measure(rng, (0.25, 0.5, 1.0))
             assert oracle_value(spec, IDENTITY, mu) == pytest.approx(0.0, abs=1e-9)
             square = CostSpec(kind="terminal", name="square")
-            assert oracle_value(spec, square, mu) == pytest.approx(mu.mean(), abs=1e-9)
+            assert oracle_value(spec, square, mu) == pytest.approx(mean(mu), abs=1e-9)
 
     def test_agrees_with_the_block_solver(self):
         rng = np.random.default_rng(75)

@@ -1,9 +1,9 @@
 """The package namespace and its sources.
 
 What ``from dcstop import *`` binds, that each module reads what it imports and
-its own private names, that the package reads each of its public names and
-imports nothing from the tests, that a test matches every size-guard message,
-and that the README's Python quick start runs.
+its own private names, that the package reads each of its public names, passes
+each defaulted parameter and imports nothing from the tests, that a test
+matches every size-guard message, and that the README's Python quick start runs.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def test_star_import_binds_no_module_and_no_future_flag():
 
 # Public names that only tests called; they left the package or live in the tests.
 REMOVED = (
-    "BLEND_TOL", "DppReport", "EmptyTailError", "MonotoneCoupling", "PURE_DEPTH_LIMIT",
-    "PURE_TABLE_LIMIT", "RightShiftError", "SHIFT_TOL", "SPLICE_TOL", "SpliceError",
+    "Accumulator", "BLEND_TOL", "DppReport", "EmptyTailError", "MonotoneCoupling",
+    "PURE_DEPTH_LIMIT", "PURE_TABLE_LIMIT", "RightShiftError", "SHIFT_TOL", "SPLICE_TOL", "SpliceError",
     "TerminationReport", "blend_measures", "check_dpp", "concavity_check", "cost_to_json",
     "extract_continuation", "heap_row", "is_right_shift_of", "kernel_from_json",
     "modulus_metadata", "monotone_coupling", "mvm_from_json", "node_from_json", "node_prob",
@@ -177,6 +177,67 @@ def test_an_unread_public_name_is_found():
     ]
     readers = ["import dcstop.b as b\nb.bench_only()\nwrap(b, 'orphan')\n"]
     assert unread_public_names(sources, readers) == ["orphan", "Report", "run"]
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """``(callee, parameter, position)`` for each defaulted parameter of a function or method.
+
+    A method's positions skip ``self``, and ``__init__`` is called by its
+    class's name.  A keyword-only parameter has no position.
+    """
+    body = ast.parse(source).body
+    found = []
+    for cls, node in [(None, node) for node in body] + [
+            (c.name, node) for c in body if isinstance(c, ast.ClassDef) for node in c.body]:
+        if isinstance(node, ast.FunctionDef):
+            args, callee = node.args, cls if node.name == "__init__" else node.name
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            found += [(callee, a.arg, i - (cls is not None))
+                      for i, a in enumerate(positional) if i >= first]
+            found += [(callee, a.arg, None)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def unpassed_parameters(sources, callers=()) -> list[str]:
+    """``callee.parameter`` for each defaulted parameter of ``sources`` that no call passes.
+
+    A call in ``sources`` or ``callers`` to the callee's name passes a
+    parameter by keyword or by position; ``*args`` and ``**kwargs`` pass all.
+    """
+    calls = [(getattr(node.func, "id", getattr(node.func, "attr", None)), node)
+             for text in [*sources, *callers] for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call)]
+    return [f"{callee}.{param}" for text in sources
+            for callee, param, position in defaulted_parameters(text)
+            if not any(name == callee and (
+                any(k.arg in (param, None) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or position is not None and position < len(call.args)) for name, call in calls)]
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    # A default that only tests override keeps a second form of its function alive.
+    callers = [p.read_text() for p in (TESTS.parent / "perfbench").glob("*.py")]
+    assert unpassed_parameters([p.read_text() for p in PACKAGE.glob("*.py")], callers) == []
+
+
+def test_an_unpassed_parameter_is_found():
+    sources = [
+        "def solve(spec, resolution=10, *, exact=False): pass\n"
+        "class Tree:\n"
+        "    def __init__(self, dt, start=0, mode='full'): pass\n"
+        "    def walk(self, depth=1, width=2): pass\n"
+        "def grow(n=1): pass\n"
+        "def shrink(n=1): pass\n"
+        "def run(tree, args, options):\n"
+        "    solve(tree, 4), grow(*args), shrink(**options)\n"
+        "    Tree(1.0, mode='half').walk(3)\n",
+    ]
+    callers = ["import dcstop.a as a\na.solve(1, exact=True)\n"]
+    assert unpassed_parameters(sources, callers) == ["Tree.start", "walk.width"]
+    assert unpassed_parameters(sources) == ["solve.exact", "Tree.start", "walk.width"]
 
 
 def imports_from(source: str, modules) -> list[str]:

@@ -48,6 +48,7 @@ from conftest import (
     kernel_dict,
     kernel_from_dict,
     kernel_from_json,
+    mean,
     random_kernel,
     random_measure,
     reference_advance,
@@ -142,7 +143,7 @@ class TestObjective:
             kernel = random_kernel(spec, (0.4, 0.8, 1.0), rng)
             marg = marginal_of(kernel)
             got = objective_value(kernel, SQUARE)
-            assert got == pytest.approx(marg.mean(), abs=1e-12)
+            assert got == pytest.approx(mean(marg), abs=1e-12)
 
     @pytest.mark.parametrize("mode,augment", [
         ("recombining", True), ("history", False),

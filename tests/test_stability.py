@@ -31,7 +31,7 @@ from paper_checks import (
     oracle_value,
     push_right_identity_check,
 )
-from conftest import random_measure
+from conftest import mean, random_measure
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 SQUARE = CostSpec(kind="terminal", name="square")
@@ -58,10 +58,10 @@ class TestConvergenceSweep:
         fine = ceiling_project(mu, DYADIC_GRIDS[-1])
         for n, row in enumerate(report.rows):
             mu_n = ceiling_project(mu, DYADIC_GRIDS[n])
-            assert row["value"] == pytest.approx(mu_n.mean(), abs=1e-12)
+            assert row["value"] == pytest.approx(mean(mu_n), abs=1e-12)
             assert row["value_gap"] == pytest.approx(row["w1_to_fine"], abs=1e-12)
             assert row["w1_gap"] == pytest.approx(w1_distance(mu, mu_n), abs=1e-12)
-        assert report.rows[-1]["value"] == pytest.approx(fine.mean(), abs=1e-12)
+        assert report.rows[-1]["value"] == pytest.approx(mean(fine), abs=1e-12)
 
     def test_the_modulus_ranges_up_to_the_horizon(self):
         # No stop reaches past step 2, so neither do the constant's states:
