@@ -40,21 +40,26 @@ Every induction here works on node positions (see ``lattice.nodes_at_step``):
 ``NodeId`` only names nodes as the keys of ``reps``.
 
 A node's update reads only its children's functions one step later, so the
-updates of one step are independent.  Nodes whose children hold the same two
-functions and whose stop values are equal share one update and one stored
-function.  ``solve`` runs a large step's updates on a thread pool and stores
-them in position order once the step is done; every value is the one a
-serial pass computes.  Only qhull's own run, inside ``_hull_upper``,
-releases the GIL.  The rest of an update holds it: the pair mask and box
-gathers, the slope boxes, the ``k = 2`` chain and the dedupe of hull rows
-are small-array numpy and Python calls, so the pool speeds up only the qhull
-share of a step.
+updates of one step are independent.  A function is named by its vertex
+array, and nodes whose children hold the same two functions, in either
+order, and whose stop values are equal share one update.  ``pair_sup`` is
+symmetric in its inputs, so a node whose children hold an earlier node's two
+functions in swapped order stores that update's mirror
+(``ConcavePL.mirror``): the same arrays with the ``src`` columns swapped,
+sharing its twin's slope boxes.  ``solve`` runs a large step's updates on a
+thread pool and stores them in position order once the step is done; every
+value is the one a serial pass computes.  Only qhull's own run, inside
+``_hull_upper``, releases the GIL.  The rest of an update holds it: the pair
+mask and box gathers, the slope boxes, the ``k = 2`` chain and the dedupe of
+hull rows are small-array numpy and Python calls, so the pool speeds up only
+the qhull share of a step.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -106,6 +111,9 @@ try:
     _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
 except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
+
+# Held while ``ConcavePL.boxes`` reads or fills a memo.
+_BOXES_LOCK = threading.Lock()
 
 
 def _grid_size(k: int, resolution: int) -> int:
@@ -214,6 +222,8 @@ class ConcavePL:
     pieces: np.ndarray
     verts: np.ndarray
     src: Optional[np.ndarray] = None
+    # Holds ``boxes`` once read; a mirror holds its twin's dict.
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def constant(value: float) -> ConcavePL:
@@ -234,10 +244,28 @@ class ConcavePL:
         vals = self.pieces @ np.asarray(y, dtype=float)
         return int(np.argmin(vals))
 
-    @cached_property
+    @property
     def boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_slope_boxes(self)``, computed on first read and kept."""
-        return _slope_boxes(self)
+        """``_slope_boxes(self)``, computed on first read and kept in ``memo``.
+
+        One lock serializes the reads, so threads that read one function's
+        boxes at once build them once.
+        """
+        with _BOXES_LOCK:
+            if "boxes" not in self.memo:
+                self.memo["boxes"] = _slope_boxes(self)
+            return self.memo["boxes"]
+
+    def mirror(self) -> ConcavePL:
+        """This pair supremum with its inputs swapped: ``src``'s columns trade places.
+
+        The function, its arrays and its ``memo`` (so its boxes) are this
+        one's: ``pair_sup`` is symmetric, and each vertex row is still the
+        midpoint of its own up row and down row.
+        """
+        out = ConcavePL(self.k, self.pieces, self.verts, self.src[:, ::-1])
+        object.__setattr__(out, "memo", self.memo)
+        return out
 
 
 def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +400,8 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
       overlap in every coordinate, with a margin of ``1e-7 (1 + max |g|)``.
       The boxes are read from each input (``ConcavePL.boxes``), so a
       function's are computed once (``_slope_boxes``) although it is the up
-      input of one update and the down input of another.  At ``k = 2``
+      input of one update and the down input of another, and a mirror reads
+      its twin's.  At ``k = 2``
       clouds are small and their hull is a sorted chain, so this test is
       skipped.
 
@@ -492,7 +521,7 @@ class ValueTable:
         r, slack = len(self.steps), SLACK_FLOOR
         for k in range(1, r + 1):
             grid = SimplexGrid(k, self.resolution)
-            for f in {id(g): g for g in self.functions[self.steps[r - k]]}.values():
+            for f in {id(g.verts): g for g in self.functions[self.steps[r - k]]}.values():
                 slack = max(slack, grid.max_adjacent_diff(f.evaluate_batch(grid.fractions)))
         return slack
 
@@ -554,15 +583,22 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     past ``GRID_SIZE_LIMIT`` is refused before the induction.
 
     The Bellman updates of one step (``pair_sup``, then ``perspective`` at an
-    atom step) read only the functions of the step after it.  Positions whose
-    inputs (the up child's function, the down child's function, the bits of
-    the stop value) are the same share one update: the horizon holds one
-    constant per distinct stop value, and each later step one function per
-    distinct input.  So every position that holds a stored function has the
-    two child functions of the one update that built it, and a function's
-    rows in ``src`` refer to that update's inputs.  ``solve`` keeps those
-    inputs for the step just stored, and an update whose up child's down
-    input is its down child's up input passes ``shared`` to ``pair_sup``.
+    atom step) read only the functions of the step after it.  A function is
+    named by its vertex array.  Positions whose key (the up child's vertex
+    array, the down child's, the bits of the stop value) is the same share
+    one update: the horizon holds one constant per distinct stop value, and
+    each later step one function per distinct key.  A key whose swap (down,
+    up, stop bits) came at an earlier position of the step is that update's
+    mirror: it stores ``ConcavePL.mirror`` of the swap's function, built
+    after the step's updates, whose swapped ``src`` columns refer to its own
+    children and whose slope boxes are its twin's.  So every position that
+    holds a stored function has the vertex arrays of that function's two
+    inputs, and its rows in ``src`` refer to them.  ``solve`` keeps each
+    stored function's inputs (swapped for a mirror) for the step just
+    stored, and an update whose up child's down input and down child's up
+    input are one vertex array passes ``shared`` to ``pair_sup``.  Once a
+    step is stored, the slope boxes of the step after it, which only its
+    updates read, are dropped.
 
     A step whose summed pair count ``nu * nd`` over its distinct updates
     (from the children's vertex counts, before pruning) reaches
@@ -584,7 +620,7 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
         _grid_size(k, resolution)
     functions: list[tuple[ConcavePL, ...]] = [()] * (horizon + 1)
     # id of each function stored at step s + 1 -> the (up, down) inputs of its
-    # update; empty for the horizon's constants.
+    # update, swapped for a mirror; empty for the horizon's constants.
     inputs: dict = {}
 
     workers = _cpu_count()
@@ -597,16 +633,19 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
             if s < horizon:
                 nxt, child = functions[s + 1], child_positions(spec, s)
                 ups, downs = [nxt[p] for p in child[:, 1]], [nxt[p] for p in child[:, 0]]
-                keys = list(zip(map(id, ups), map(id, downs), keys))
-            # Position of the first node with each distinct input, in position order.
+                keys = [(id(u.verts), id(d.verts), b) for u, d, b in zip(ups, downs, keys)]
+            # Position of the first node with each distinct key, in position order.
             first: dict = {}
             for p, key in enumerate(keys):
                 first.setdefault(key, p)
             if s == horizon:
-                made = [ConcavePL.constant(stops[p]) for p in first.values()]
+                made = {key: ConcavePL.constant(stops[p]) for key, p in first.items()}
             else:
-                args = [[col[p] for p in first.values()] for col in (ups, downs, stops)]
-                args.append([bool(inputs) and inputs[id(u)][1] is inputs[id(d)][0]
+                # A key whose swap came first is that update's mirror.
+                twins = [key for key, p in first.items()
+                         if first.get((key[1], key[0], key[2]), p) >= p]
+                args = [[col[first[key]] for key in twins] for col in (ups, downs, stops)]
+                args.append([bool(inputs) and inputs[id(u)][1].verts is inputs[id(d)][0].verts
                              for u, d in zip(*args[:2])])
                 pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(*args[:2]))
                 if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
@@ -615,12 +654,19 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
                     _malloc_trim()
                     # Copied by this thread, so the stored functions live in
                     # its malloc arena and not in the pool threads' arenas.
-                    made = [ConcavePL(v.k, v.pieces.copy(), v.verts.copy(), v.src.copy())
-                            for v in pool.map(_bellman, *args)]
+                    results = [ConcavePL(v.k, v.pieces.copy(), v.verts.copy(), v.src.copy())
+                               for v in pool.map(_bellman, *args)]
                 else:
-                    made = list(map(_bellman, *args))
-                inputs = {id(f): (u, d) for f, u, d in zip(made, *args[:2])}
-            made = dict(zip(first, made))
+                    results = list(map(_bellman, *args))
+                # Step s + 1's boxes are read by this step's updates only.
+                for f in made.values():
+                    f.memo.clear()
+                made = dict(zip(twins, results))
+                inputs = {id(f): (u, d) for f, u, d in zip(results, *args[:2])}
+                for key, p in first.items():
+                    if key not in made:
+                        f = made[key] = made[key[1], key[0], key[2]].mirror()
+                        inputs[id(f)] = (ups[p], downs[p])
             # Written once the step is done: every update reads step s + 1 only.
             functions[s] = tuple(made[key] for key in keys)
     finally:

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
 from types import SimpleNamespace
@@ -759,29 +760,99 @@ class TestSharedGrandchildFlag:
         calls = []
 
         def recording(up, down, shared=False):
-            calls.append((up, down, shared))
+            calls.append((id(up.verts), id(down.verts), shared))
             return pair_sup(up, down, shared)
 
         monkeypatch.setattr(dpp, "pair_sup", recording)
         table = solve(spec, cost, random_measure(np.random.default_rng(62), atoms), resolution=4)
         functions, horizon = table.functions, table.steps[-1]
-        # Per (up child, down child) functions: is the up child's down child
-        # the down child's up child, one stored function?
-        want = {}
+        # One call per key (up child's vertex array, down child's, stop bits)
+        # whose swap does not come earlier in its step, flagged where the up
+        # child's down child and the down child's up child hold one vertex array.
+        want = []
         for s in range(horizon):
             below = child_positions(spec, s + 1) if s + 1 < horizon else None
-            for down, up in child_positions(spec, s).tolist():
-                key = (id(functions[s + 1][up]), id(functions[s + 1][down]))
+            stops = dpp._stop_values(spec, cost, s, table.steps)
+            first = {}
+            for p, (down, up) in enumerate(child_positions(spec, s).tolist()):
+                bits = None if stops[p] is None else stops[p].hex()
+                key = (id(functions[s + 1][up].verts), id(functions[s + 1][down].verts), bits)
                 flag = below is not None and (
-                    functions[s + 2][below[up, 0]] is functions[s + 2][below[down, 1]])
-                assert want.setdefault(key, flag) == flag
-        assert {(id(up), id(down)) for up, down, _ in calls} == want.keys()
-        for up, down, shared in calls:
-            assert shared is want[(id(up), id(down))]
+                    functions[s + 2][below[up, 0]].verts is functions[s + 2][below[down, 1]].verts)
+                first.setdefault(key, (p, flag))
+            for (u, d, bits), (p, flag) in first.items():
+                if first.get((d, u, bits), (p,))[0] >= p:
+                    want.append((u, d, flag))
+        assert Counter(calls) == Counter(want)
         # Next to the horizon every flag is False.
-        last = {id(f) for f in functions[horizon]}
-        assert {shared for up, _, shared in calls if id(up) in last} == {False}
-        assert {shared for up, _, shared in calls if id(up) not in last} == inner
+        last = {id(f.verts) for f in functions[horizon]}
+        assert {shared for up, _, shared in calls if up in last} == {False}
+        assert {shared for up, _, shared in calls if up not in last} == inner
+
+
+class TestMirrors:
+    """A node whose children hold another node's two functions in swapped order stores its mirror."""
+
+    CASES = [
+        (LatticeSpec(depth=12, dt=1.0), ABS, (3.0, 6.0, 9.0, 12.0)),
+        (LatticeSpec(depth=12, dt=1.0), SQUARE, (4.0, 8.0, 12.0)),
+        (LatticeSpec(depth=10, dt=1.0, augment_max=True), ABS, (3.0, 6.0, 10.0)),
+    ]
+    IDS = ["recombining-abs", "recombining-square", "max-abs"]
+
+    @staticmethod
+    def stored(table):
+        """Each distinct stored function below the horizon, with its children's and its step."""
+        spec, functions = table.spec, table.functions
+        out = {}
+        for s in range(table.steps[-1]):
+            for f, (down, up) in zip(functions[s], child_positions(spec, s).tolist()):
+                out.setdefault(id(f), (s, f, functions[s + 1][up], functions[s + 1][down]))
+        return list(out.values())
+
+    @pytest.mark.parametrize("spec, cost, atoms", CASES, ids=IDS)
+    def test_every_stored_function_is_its_own_inputs_pair_sup(self, spec, cost, atoms):
+        table = solve(spec, cost, random_measure(np.random.default_rng(71), atoms), resolution=4)
+        mirrors = 0
+        for s, f, up, down in self.stored(table):
+            cont = dpp._continuation(f, s in table.steps)
+            k = cont.k
+            np.testing.assert_array_equal(
+                cont.verts, 0.5 * (up.verts[cont.src[:, 0]] + down.verts[cont.src[:, 1]]))
+            grid = SimplexGrid(k, 12).fractions
+            np.testing.assert_allclose(cont.evaluate_batch(grid),
+                                       pair_sup(up, down).evaluate_batch(grid), rtol=0, atol=1e-12)
+            mirrors += any(g.verts is f.verts and g is not f for g in table.functions[s])
+        assert mirrors
+
+    @pytest.mark.parametrize("spec, cost, atoms", CASES, ids=IDS)
+    def test_pair_sup_runs_once_per_unordered_key(self, monkeypatch, spec, cost, atoms):
+        calls = []
+
+        def recording(up, down, shared=False):
+            calls.append(1)
+            return pair_sup(up, down, shared)
+
+        monkeypatch.setattr(dpp, "pair_sup", recording)
+        table = solve(spec, cost, random_measure(np.random.default_rng(72), atoms), resolution=4)
+        ordered, unordered = set(), set()
+        for s in range(table.steps[-1]):
+            stops = dpp._stop_values(spec, cost, s, table.steps)
+            for p, (down, up) in enumerate(child_positions(spec, s).tolist()):
+                u, d = (id(table.functions[s + 1][q].verts) for q in (up, down))
+                bits = None if stops[p] is None else stops[p].hex()
+                ordered.add((s, u, d, bits))
+                unordered.add((s, min(u, d), max(u, d), bits))
+        assert len(calls) == len(unordered) < len(ordered)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec, cost, atoms", CASES, ids=IDS)
+    def test_solved_tables_hold_no_boxes(self, monkeypatch, spec, cost, atoms, workers):
+        # Only step s's updates read step s + 1's boxes, so they go once step s is stored.
+        monkeypatch.setattr(dpp, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
+        table = solve(spec, cost, random_measure(np.random.default_rng(73), atoms), resolution=4)
+        assert not [f for fs in table.functions for f in fs if "boxes" in f.memo]
 
 
 class TestParallelSteps:
@@ -805,6 +876,7 @@ class TestParallelSteps:
         (LatticeSpec(depth=24, dt=1.0), ABS, (6.0, 12.0, 18.0, 24.0)),
         (LatticeSpec(depth=12, dt=1.0, augment_max=True), CostSpec(kind="running_max", name="identity"),
          (4.0, 8.0, 12.0)),
+        (LatticeSpec(depth=16, dt=1.0), SQUARE, (4.0, 8.0, 12.0, 16.0)),
     ])
     def test_pooled_steps_match_the_serial_pass(self, monkeypatch, spec, cost, atoms, workers):
         mu = random_measure(np.random.default_rng(61), atoms)
@@ -828,6 +900,10 @@ class TestParallelSteps:
                 # ``src`` drives the shared-grandchild mask and ``extract_policy``.
                 assert (g.src is None) == (f.src is None), (s, p)
                 assert f.src is None or g.src.tobytes() == f.src.tobytes(), (s, p)
+        # Positions share one vertex array, as twin and mirror, alike.
+        for fs, gs in zip(serial.functions, pooled.functions):
+            assert ([[q for q, h in enumerate(fs) if h.verts is f.verts] for f in fs]
+                    == [[q for q, h in enumerate(gs) if h.verts is g.verts] for g in gs])
         assert pooled.root_value == serial.root_value
         assert pooled.slack == serial.slack
 
@@ -868,13 +944,15 @@ class TestParallelSteps:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_slope_boxes_are_built_once_per_stored_function(self, monkeypatch, workers):
-        # Each stored function is the up input of one update and the down
-        # input of another; its boxes are computed on the first read only.
+        # Each stored vertex array is the up input of one update and the down
+        # input of another; its boxes are built on the first read only, and a
+        # mirror reads its twin's.
         built = []
 
         def spy(f):
-            built.append(id(f))
-            return slope_boxes(f)
+            boxes = slope_boxes(f)
+            built.append((id(f.verts), boxes))
+            return boxes
 
         slope_boxes = dpp._slope_boxes
         monkeypatch.setattr(dpp, "_slope_boxes", spy)
@@ -882,16 +960,15 @@ class TestParallelSteps:
         monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
         mu = random_measure(np.random.default_rng(63), (3.0, 6.0, 9.0, 12.0))
         table = solve(LatticeSpec(depth=12, dt=1.0), ABS, mu, resolution=4)
-        stored = {id(f): f for fs in table.functions for f in fs}
-        assert built and len(built) == len(set(built))
-        assert set(built) <= stored.keys()
-        seen = list(built)
-        for i in seen:
-            lo, hi = stored[i].boxes
-            fresh_lo, fresh_hi = slope_boxes(stored[i])
-            assert lo.tobytes() == fresh_lo.tobytes() and hi.tobytes() == fresh_hi.tobytes()
-        # Reading the cached boxes builds none.
-        assert built == seen
+        stored = {id(f): f for fs in table.functions for f in fs}.values()
+        boxes = dict(built)
+        assert built and len(boxes) == len(built)
+        assert boxes.keys() <= {id(f.verts) for f in stored}
+        # The boxes each function was read with, a mirror's included, are its own.
+        for f in stored:
+            if id(f.verts) in boxes:
+                (lo, hi), (fresh_lo, fresh_hi) = boxes[id(f.verts)], slope_boxes(f)
+                assert lo.tobytes() == fresh_lo.tobytes() and hi.tobytes() == fresh_hi.tobytes()
 
     def test_pooled_steps_without_malloc_trim(self, monkeypatch):
         monkeypatch.setattr(dpp, "_MALLOC_TRIM", None)
