@@ -40,19 +40,30 @@ Every induction here works on node positions (see ``lattice.nodes_at_step``):
 ``NodeId`` only names nodes as the keys of ``reps``.
 
 A node's update reads only its children's functions one step later, so the
-updates of one step are independent.  A function is named by its vertex
-array, and nodes whose children hold the same two functions, in either
-order, and whose stop values are equal share one update.  ``pair_sup`` is
-symmetric in its inputs, so a node whose children hold an earlier node's two
-functions in swapped order stores that update's mirror
-(``ConcavePL.mirror``): the same arrays with the ``src`` columns swapped,
-sharing its twin's slope boxes.  ``solve`` runs a large step's updates on a
-thread pool and stores them in position order once the step is done; every
-value is the one a serial pass computes.  Only qhull's own run, inside
-``_hull_upper``, releases the GIL.  The rest of an update holds it: the pair
-mask and box gathers, the slope boxes, the ``k = 2`` chain and the dedupe of
-hull rows are small-array numpy and Python calls, so the pool speeds up only
-the qhull share of a step.
+updates of one step are independent.  Value functions live on the simplex,
+where the masses sum to 1, so adding a constant to both children adds it to
+the parent: ``pair_sup(U + a, D + b) = pair_sup(U, D) + (a + b) / 2`` and
+``perspective(v, f + c) = perspective(v - c, f) + c``.  The induction
+(``_bases``) therefore carries each position as a base function plus a
+float shift: the horizon's constants are one zero base shifted by the stop
+costs, and a node's shift is the mean of its children's.  A base is named
+by its vertex array, and nodes whose children hold the same two bases, in
+either order, and whose stop values less their shifts have the same bits
+share one update.  ``pair_sup`` is symmetric in its inputs, so a node whose
+children hold an earlier node's two bases in swapped order gets that
+update's mirror (``ConcavePL.mirror``): the same arrays with the ``src``
+columns swapped, sharing its twin's slope boxes.  Which updates are shared
+depends only on exact bit equality, so a missed share costs time and never
+changes a value.  ``solve`` stores each position's base plus its shift, one
+function per base object and shift bits: a mirror shares its twin's vertex
+array but not its ``src``, so a copy keyed on the array would give a mirror
+its twin's rows.  ``_bases`` runs a large step's
+updates on a thread pool and places them by position once the step is
+done; every value is the one a serial pass computes.  Only qhull's own run,
+inside ``_hull_upper``, releases the GIL.  The rest of an update holds it:
+the pair mask and box gathers, the slope boxes, the ``k = 2`` chain and the
+dedupe of hull rows are small-array numpy and Python calls, so the pool
+speeds up only the qhull share of a step.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb, isfinite
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.optimize import nnls
@@ -493,7 +504,9 @@ class ValueTable:
     """Solver output: root value, exact value functions and the grid slack.
 
     ``functions[s][p]`` is the exact concave value function of the node at
-    position ``p`` of step ``s``; ``reps`` reads them keyed by ``(step, node)``.
+    position ``p`` of step ``s``: its base plus its shift (see ``solve``),
+    with the base's ``src``, whose rows refer to the functions of its
+    children.  ``reps`` reads them keyed by ``(step, node)``.
     ``slack`` samples each block's functions on ``SimplexGrid(k, resolution)``
     at the block's closing atom step and returns the largest value difference
     between adjacent grid points (at least ``SLACK_FLOOR``), a
@@ -537,11 +550,24 @@ def _bellman(up: ConcavePL, down: ConcavePL, stop_value: Optional[float],
     return cont if stop_value is None else perspective(stop_value, cont)
 
 
-def _stop_values(spec: LatticeSpec, cost: CostSpec, s: int, steps) -> list[Optional[float]]:
-    """The cost of stopping at each position of step ``s``; None throughout off the atom steps."""
-    if s not in steps:
-        return [None] * node_count(spec, s)
-    return evaluate(cost, states_at_step(spec, s)).tolist()
+def _shifted(f: ConcavePL, shift: float) -> ConcavePL:
+    """``f + shift``, with ``f``'s ``src``.
+
+    Pieces are barycentric, so ``shift`` goes on every coefficient, and on
+    the value column of ``verts``.  A sum past the floats is refused.
+    """
+    # Python floats, whose overflowing sum is inf without a warning.
+    for a in (f.pieces, f.verts[:, -1]):
+        if not (isfinite(float(a.max()) + shift) and isfinite(float(a.min()) + shift)):
+            raise cost_overflow("a sum of stop costs")
+    verts = f.verts.copy()
+    verts[:, -1] += shift
+    return ConcavePL(f.k, f.pieces + shift, verts, f.src)
+
+
+def _stop_values(spec: LatticeSpec, cost: CostSpec, s: int, steps) -> Optional[np.ndarray]:
+    """The cost of stopping at each position of step ``s``; None off the atom steps."""
+    return evaluate(cost, states_at_step(spec, s)) if s in steps else None
 
 
 def check_lattice_size(spec: LatticeSpec, horizon: int) -> None:
@@ -574,6 +600,112 @@ def _malloc_trim() -> None:
         _MALLOC_TRIM(0)
 
 
+def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
+    """The backward induction on base functions, one step at a time from the horizon.
+
+    Yields ``(s, bases, shifts)``: the node at position ``p`` of step ``s``
+    has the value function ``bases[p] + shifts[p]``.  The horizon's bases
+    are one zero constant, shifted by the stop costs.  A node above reads
+    its up child's ``(U, a)`` and its down child's ``(D, b)``; its shift is
+    ``(a + b) / 2`` and its base ``_bellman(U, D, stop - shift)``, since on
+    the simplex ``pair_sup(U + a, D + b) = pair_sup(U, D) + (a + b) / 2`` and
+    ``perspective(v, f + c) = perspective(v - c, f) + c``.  A shift or
+    relative stop value past the floats is refused before any key is formed.
+
+    A base is named by its vertex array, and positions with one key (the up
+    child's base array, the down child's, the bits of the relative stop
+    value, None off the atom steps) share one update.  A key whose swap
+    (down, up, bits) came at an earlier position is that update's mirror:
+    the position gets ``ConcavePL.mirror`` of the swap's base, built after
+    the step's updates, whose swapped ``src`` columns refer to its own
+    children's bases and whose slope boxes are its twin's.  The inputs of
+    each base of the step just yielded are kept (swapped for a mirror), and
+    an update whose up child's down input and down child's up input are one
+    vertex array passes ``shared`` to ``pair_sup``.  Once a step's bases are
+    made, the slope boxes of the step after it, which only its updates read,
+    are dropped.
+
+    A step whose summed pair count ``nu * nd`` over its distinct updates
+    (from the children's vertex counts, before pruning) reaches
+    ``POOL_PAIR_CUTOFF`` runs them on a thread pool.  Smaller steps, and
+    every step on a single CPU, run serially.  The pool has one thread per
+    CPU this process may use (``os.sched_getaffinity``, else
+    ``os.cpu_count()``), is built on the first such step and is closed when
+    the induction ends.  Each update is deterministic and the results are
+    placed by node position (see the module docstring) after the step, so
+    bases and errors are those of a serial pass, bit for bit: the first
+    failing position raises.  Free heap memory is handed back
+    (``_malloc_trim``) before each pooled step and after the last, to hold
+    peak RSS.
+    """
+    horizon = steps[-1]
+    shifts = _stop_values(spec, cost, horizon, steps)
+    bases = [ConcavePL.constant(0.0)] * len(shifts)
+    made: dict = {}
+    # id of each base of the step just yielded -> the (up, down) bases of its
+    # update, swapped for a mirror; empty for the horizon's zero.
+    inputs: dict = {}
+    workers = _cpu_count()
+    pool = None
+    try:
+        yield horizon, bases, shifts
+        for s in range(horizon - 1, -1, -1):
+            child = child_positions(spec, s)
+            stops = _stop_values(spec, cost, s, steps)
+            # An overflowing sum is inf, refused here before any key is formed.
+            with np.errstate(over="ignore"):
+                total = shifts[child[:, 1]] + shifts[child[:, 0]]
+                shifts = 0.5 * total
+                rel = shifts if stops is None else stops - shifts
+            if not (np.isfinite(total).all() and np.isfinite(rel).all()):
+                raise cost_overflow("a sum of stop costs")
+            if stops is None:
+                rel = bits = [None] * len(shifts)
+            else:
+                # Keyed by their bits, so that 0.0 and -0.0 stay apart.
+                rel, bits = rel.tolist(), rel.view(np.int64).tolist()
+            ups, downs = [bases[p] for p in child[:, 1]], [bases[p] for p in child[:, 0]]
+            keys = [(id(u.verts), id(d.verts), b) for u, d, b in zip(ups, downs, bits)]
+            # Position of the first node with each distinct key, in position order.
+            first: dict = {}
+            for p, key in enumerate(keys):
+                first.setdefault(key, p)
+            # A key whose swap came first is that update's mirror.
+            twins = [key for key, p in first.items()
+                     if first.get((key[1], key[0], key[2]), p) >= p]
+            args = [[col[first[key]] for key in twins] for col in (ups, downs, rel)]
+            args.append([bool(inputs) and inputs[id(u)][1].verts is inputs[id(d)][0].verts
+                         for u, d in zip(*args[:2])])
+            pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(*args[:2]))
+            if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
+                if pool is None:
+                    pool = ThreadPoolExecutor(workers)
+                _malloc_trim()
+                # ``src`` is copied by this thread, so the arrays that the
+                # shifted functions keep live in its malloc arena and not in
+                # the pool threads' arenas.
+                results = [ConcavePL(v.k, v.pieces, v.verts, v.src.copy())
+                           for v in pool.map(_bellman, *args)]
+            else:
+                results = list(map(_bellman, *args))
+            # Step s + 1's boxes are read by this step's updates only.
+            for f in made.values():
+                f.memo.clear()
+            made = dict(zip(twins, results))
+            inputs = {id(f): (u, d) for f, u, d in zip(results, *args[:2])}
+            for key, p in first.items():
+                if key not in made:
+                    f = made[key] = made[key[1], key[0], key[2]].mirror()
+                    inputs[id(f)] = (ups[p], downs[p])
+            # Placed once the step is done: every update reads step s + 1 only.
+            bases = [made[key] for key in keys]
+            yield s, bases, shifts
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+            _malloc_trim()
+
+
 def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
           resolution: int) -> ValueTable:
     """Exact block backward induction for the constrained stopping value.
@@ -582,36 +714,16 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     is computed from the exact piecewise-linear representations.  A grid
     past ``GRID_SIZE_LIMIT`` is refused before the induction.
 
-    The Bellman updates of one step (``pair_sup``, then ``perspective`` at an
-    atom step) read only the functions of the step after it.  A function is
-    named by its vertex array.  Positions whose key (the up child's vertex
-    array, the down child's, the bits of the stop value) is the same share
-    one update: the horizon holds one constant per distinct stop value, and
-    each later step one function per distinct key.  A key whose swap (down,
-    up, stop bits) came at an earlier position of the step is that update's
-    mirror: it stores ``ConcavePL.mirror`` of the swap's function, built
-    after the step's updates, whose swapped ``src`` columns refer to its own
-    children and whose slope boxes are its twin's.  So every position that
-    holds a stored function has the vertex arrays of that function's two
-    inputs, and its rows in ``src`` refer to them.  ``solve`` keeps each
-    stored function's inputs (swapped for a mirror) for the step just
-    stored, and an update whose up child's down input and down child's up
-    input are one vertex array passes ``shared`` to ``pair_sup``.  Once a
-    step is stored, the slope boxes of the step after it, which only its
-    updates read, are dropped.
-
-    A step whose summed pair count ``nu * nd`` over its distinct updates
-    (from the children's vertex counts, before pruning) reaches
-    ``POOL_PAIR_CUTOFF`` runs them on a thread pool.  Smaller steps, and
-    every step on a single CPU, run serially.  The pool has one thread per
-    CPU this process may use (``os.sched_getaffinity``, else
-    ``os.cpu_count()``), is built on the first such step and is closed when
-    ``solve`` returns.  Each update is deterministic and the results are
-    stored by node position (see the module docstring) after the step, so
-    functions, slack and errors are those of a serial pass, bit for bit:
-    the first failing position raises.  Free heap memory is handed back
-    (``_malloc_trim``) before each pooled step and after the last, to hold
-    peak RSS.
+    ``_bases`` carries each position as a base function plus a shift, and
+    nodes whose children hold the same two bases and whose stop values less
+    their shifts have the same bits share one Bellman update.  Each step
+    then stores every position's ``base + shift`` (``_shifted``), one
+    function per base object and shift bits.  A mirror shares its twin's
+    vertex array but not its ``src``, so the copies are keyed on the base
+    object, not on its array, and a mirror's copy shares its twin's shifted
+    arrays.  So ``functions[s][p]`` is the node's own value function, and
+    its ``src`` rows refer to the rows of its children's functions, which
+    are their bases' rows.
     """
     steps = atom_steps(spec, mu.atoms)
     horizon = steps[-1]
@@ -619,60 +731,21 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     for k in range(1, len(steps) + 1):
         _grid_size(k, resolution)
     functions: list[tuple[ConcavePL, ...]] = [()] * (horizon + 1)
-    # id of each function stored at step s + 1 -> the (up, down) inputs of its
-    # update, swapped for a mirror; empty for the horizon's constants.
-    inputs: dict = {}
-
-    workers = _cpu_count()
-    pool = None
-    try:
-        for s in range(horizon, -1, -1):
-            stops = _stop_values(spec, cost, s, steps)
-            # Stop values are keyed by their bits, so that 0.0 and -0.0 stay apart.
-            keys = [None if v is None else v.hex() for v in stops]
-            if s < horizon:
-                nxt, child = functions[s + 1], child_positions(spec, s)
-                ups, downs = [nxt[p] for p in child[:, 1]], [nxt[p] for p in child[:, 0]]
-                keys = [(id(u.verts), id(d.verts), b) for u, d, b in zip(ups, downs, keys)]
-            # Position of the first node with each distinct key, in position order.
-            first: dict = {}
-            for p, key in enumerate(keys):
-                first.setdefault(key, p)
-            if s == horizon:
-                made = {key: ConcavePL.constant(stops[p]) for key, p in first.items()}
-            else:
-                # A key whose swap came first is that update's mirror.
-                twins = [key for key, p in first.items()
-                         if first.get((key[1], key[0], key[2]), p) >= p]
-                args = [[col[first[key]] for key in twins] for col in (ups, downs, stops)]
-                args.append([bool(inputs) and inputs[id(u)][1].verts is inputs[id(d)][0].verts
-                             for u, d in zip(*args[:2])])
-                pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(*args[:2]))
-                if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
-                    if pool is None:
-                        pool = ThreadPoolExecutor(workers)
-                    _malloc_trim()
-                    # Copied by this thread, so the stored functions live in
-                    # its malloc arena and not in the pool threads' arenas.
-                    results = [ConcavePL(v.k, v.pieces.copy(), v.verts.copy(), v.src.copy())
-                               for v in pool.map(_bellman, *args)]
-                else:
-                    results = list(map(_bellman, *args))
-                # Step s + 1's boxes are read by this step's updates only.
-                for f in made.values():
-                    f.memo.clear()
-                made = dict(zip(twins, results))
-                inputs = {id(f): (u, d) for f, u, d in zip(results, *args[:2])}
-                for key, p in first.items():
-                    if key not in made:
-                        f = made[key] = made[key[1], key[0], key[2]].mirror()
-                        inputs[id(f)] = (ups[p], downs[p])
-            # Written once the step is done: every update reads step s + 1 only.
-            functions[s] = tuple(made[key] for key in keys)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-            _malloc_trim()
+    for s, bases, shifts in _bases(spec, cost, steps):
+        by_base: dict = {}
+        by_verts: dict = {}
+        row = []
+        for base, shift, bits in zip(bases, shifts.tolist(), shifts.view(np.int64).tolist()):
+            f = by_base.get((id(base), bits))
+            if f is None:
+                twin = by_verts.get((id(base.verts), bits))
+                if twin is None:
+                    twin = by_verts[id(base.verts), bits] = _shifted(base, shift)
+                f = by_base[id(base), bits] = (
+                    twin if twin.src is base.src
+                    else ConcavePL(base.k, twin.pieces, twin.verts, base.src))
+            row.append(f)
+        functions[s] = tuple(row)
 
     return ValueTable(
         spec=spec, cost=cost, mu=mu, resolution=resolution, steps=tuple(steps),
