@@ -21,12 +21,17 @@ each vertex with the rows of the two input vertices it is the midpoint of.
 Minkowski sum, by two necessary conditions that leave the hull unchanged:
 
 * a vertex of a Minkowski sum splits uniquely into vertices of its summands.
-  Where a node's up child and down child were both built from one grandchild
-  function ``B`` (always on a recombining lattice), their sum is
-  ``(A + B + B + C) / 2``, and a vertex of it takes the same vertex of ``B``
-  twice.  So only pairs that name the same ``B`` row in ``src`` go in, by
-  an exact equality mask with no tolerance, together with every pair on a
-  perspective's apex row;
+  Each child is the pair supremum of its own two children, so the node's sum
+  has four grandchild summands, and where the up child's input ``a`` and the
+  down child's input ``b`` are one function ``B`` (a slot ``(a, b)``), a
+  vertex of the sum takes the same vertex of ``B`` twice.  On a recombining
+  lattice the up child's down input and the down child's up input are one
+  node, the slot ``(1, 0)``; at a max-augmented node on its running maximum,
+  under a cost whose base depends only on the drawdown, both children's up
+  inputs have drawdown 0 and share one base, the slot ``(0, 0)``.  So only
+  pairs that name the same ``B`` row in ``src`` on every such slot go in, by
+  one exact equality mask per slot with no tolerance, together with every
+  pair on a perspective's apex row;
 * the summands of a vertex share a supporting slope, so pairs whose boxes of
   supporting slopes are disjoint go out.
 
@@ -384,7 +389,8 @@ def _slope_boxes(f: ConcavePL) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
+def pair_sup(up: ConcavePL, down: ConcavePL,
+             shared: tuple[tuple[int, int], ...] = ()) -> ConcavePL:
     """Best mean-preserving split of a driver step.
 
     ``W(y) = sup {(Vu(p) + Vd(q)) / 2 : (p + q) / 2 = y}`` for concave
@@ -396,14 +402,16 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
     Only a few pairs are vertices, and two necessary conditions drop most of
     the others before the hull, so no vertex of the hull is lost:
 
-    * ``shared`` says that ``up``'s down input and ``down``'s up input were
-      one function ``B``, so a pair is ``(a + b) / 2 + (b' + c) / 2`` with
-      ``b, b'`` vertices of ``hyp B`` (under a perspective, on its base).  A
-      vertex of a Minkowski sum splits uniquely into points of the summands,
-      and for ``b != b'`` the midpoint ``m = (b + b') / 2``, also in ``hyp B``,
-      splits the same sum a second way, as ``(a + m) / 2 + (m + c) / 2``; so
-      it is no vertex.  An exact equality mask, with no tolerance, keeps the
-      pairs with ``up.src[:, 1] == down.src[:, 0]``, and every pair on a
+    * ``shared`` lists the slots ``(a, b)`` on which ``up``'s input ``a`` and
+      ``down``'s input ``b`` (0 up, 1 down, as in ``src``) were one function
+      ``B``.  On such a slot a pair is ``(b + c) / 2 + (b' + e) / 2``, in
+      either order within each half, with ``b, b'`` vertices of ``hyp B``
+      (under a perspective, on its base).  A vertex of a Minkowski sum splits
+      uniquely into points of the summands, and for ``b != b'`` the midpoint
+      ``m = (b + b') / 2``, also in ``hyp B``, splits the same sum a second
+      way, as ``(m + c) / 2 + (m + e) / 2``; so it is no vertex.  One exact
+      equality mask per slot, with no tolerance, keeps the pairs with
+      ``up.src[:, a] == down.src[:, b]`` on every slot, and every pair on a
       perspective's apex row (``src`` row ``-1``), which is no such sum.
     * A sum ``u + d`` is on the upper hull only if one slope supports both
       summands at once: their normal cones meet (Fukuda, J. Symb. Comp.
@@ -417,8 +425,8 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
       skipped.
 
     The kept pairs stay in row-major order.  ``PAIR_CLOUD_LIMIT`` bounds
-    ``nu * nd`` before any pair work, so every array built here, the shared
-    call's ``nu x nd`` mask included, holds at most that many pairs.  Inputs
+    ``nu * nd`` before any pair work, so every array built here, a shared
+    call's ``nu x nd`` masks included, holds at most that many pairs.  Inputs
     whose largest or smallest values sum past the floats are refused before
     any pair is summed.
     """
@@ -442,9 +450,15 @@ def pair_sup(up: ConcavePL, down: ConcavePL, shared: bool = False) -> ConcavePL:
     # Candidate pairs, as two index arrays: flat when shared, else two that
     # broadcast against each other.
     if shared:
+        (a, b), *rest = shared
+        keep = up.src[:, a, None] == down.src[:, b]
+        for a, b in rest:
+            keep &= up.src[:, a, None] == down.src[:, b]
+        # An apex row, ``-1`` in both ``src`` columns, passes every slot.
+        keep[up.src[:, 0] < 0] = True
+        keep[:, down.src[:, 0] < 0] = True
         # Flat indices, row-major; a 2-D ``np.nonzero`` takes several times as long.
-        ku, kd = up.src[:, 1, None], down.src[:, 0]
-        iu, idn = np.divmod(np.flatnonzero((ku == kd) | (ku < 0) | (kd < 0)), nd)
+        iu, idn = np.divmod(np.flatnonzero(keep), nd)
     else:
         iu, idn = np.arange(nu)[:, None], np.arange(nd)
     if k > 2:
@@ -544,7 +558,7 @@ def _mu_vector(mu: DiscreteMeasure) -> np.ndarray:
 
 
 def _bellman(up: ConcavePL, down: ConcavePL, stop_value: Optional[float],
-             shared: bool) -> ConcavePL:
+             shared: tuple[tuple[int, int], ...]) -> ConcavePL:
     """The children's pair supremum, then the atom decision if ``stop_value`` is given."""
     cont = pair_sup(up, down, shared)
     return cont if stop_value is None else perspective(stop_value, cont)
@@ -620,8 +634,9 @@ def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
     the step's updates, whose swapped ``src`` columns refer to its own
     children's bases and whose slope boxes are its twin's.  The inputs of
     each base of the step just yielded are kept (swapped for a mirror), and
-    an update whose up child's down input and down child's up input are one
-    vertex array passes ``shared`` to ``pair_sup``.  Once a step's bases are
+    an update passes ``pair_sup`` as ``shared`` every slot ``(a, b)``, in
+    ascending order, on which its up child's input ``a`` and its down
+    child's input ``b`` are one vertex array.  Once a step's bases are
     made, the slope boxes of the step after it, which only its updates read,
     are dropped.
 
@@ -674,8 +689,9 @@ def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
             twins = [key for key, p in first.items()
                      if first.get((key[1], key[0], key[2]), p) >= p]
             args = [[col[first[key]] for key in twins] for col in (ups, downs, rel)]
-            args.append([bool(inputs) and inputs[id(u)][1].verts is inputs[id(d)][0].verts
-                         for u, d in zip(*args[:2])])
+            args.append([tuple((a, b) for a in (0, 1) for b in (0, 1)
+                               if inputs[id(u)][a].verts is inputs[id(d)][b].verts)
+                         if inputs else () for u, d in zip(*args[:2])])
             pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(*args[:2]))
             if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
                 if pool is None:

@@ -12,8 +12,9 @@ checks in ``paper_checks.py`` are built on these walks.
 ``check_scaling`` re-derives a solved table's atom-step functions there
 through the explicit stop/renormalize quotient.  ``reference_pair_sup`` hulls
 every vertex pair, and ``reference_solve`` runs it at every node with nothing
-pruned or shared.  ``reference_simplex`` is the dense ``Fraction`` tableau the
-exact LP route used to pivot.  The two hazard references are the per-route
+pruned or shared.  ``barrier_value`` prices a barrier rule by a forward
+sweep over ``children``, with no hull at all.  ``reference_simplex`` is the
+dense ``Fraction`` tableau the exact LP route used to pivot.  The two hazard references are the per-route
 conversions that ``rst.kernel_from_laws`` replaced.  ``heap_row``,
 ``tree_from_dict`` and ``tree_dict`` key law-tree rows by history bit tuples.
 The JSON readers at the end read back what the package and the CLI write.
@@ -371,6 +372,41 @@ def reference_solve(spec: LatticeSpec, cost, mu: DiscreteMeasure):
 
     root_fn = value(root(spec))
     return root_fn, {s: [value(node) for node in nodes_at_step(spec, s)] for s in steps}
+
+
+def barrier_value(spec: LatticeSpec, cost, mu: DiscreteMeasure,
+                  priority: Callable[[PathState], float]) -> float:
+    """The expected stop cost of the barrier rule that stops the highest ``priority`` first.
+
+    A greedy forward sweep over ``children``, node by node.  At each atom
+    step the atom's weight is stopped from the alive mass: whole priority
+    levels from the highest down, and the level where the weight runs out
+    pro rata, each of its nodes by one fraction.  The rest then moves one
+    step on.  ``priority`` reads a node's ``state``; priorities within 1e-9
+    are one level.  For costs whose optimum is the hitting time of a barrier
+    (Beiglboeck, Eder, Elgert & Schmock, PTRF 2018), the rule with the right
+    order attains ``solve``'s value.
+    """
+    atoms = dict(zip(atom_steps(spec, mu.atoms), mu.weights))
+    alive, value = {root(spec): 1.0}, 0.0
+    for s in range(max(atoms) + 1):
+        if s in atoms:
+            prio = {node: priority(state(spec, node)) for node in alive}
+            order = sorted(alive, key=prio.get, reverse=True)
+            left, i = atoms[s], 0
+            while left > 0.0 and i < len(order):
+                j = i
+                while j < len(order) and prio[order[j]] >= prio[order[i]] - 1e-9:
+                    j += 1
+                mass = sum(alive[node] for node in order[i:j])
+                frac, left = (1.0, left - mass) if mass <= left else (left / mass, 0.0)
+                for node in order[i:j]:
+                    value += frac * alive[node] * stop_cost(cost, spec, node)
+                    alive[node] *= 1.0 - frac
+                i = j
+        if s < max(atoms):
+            alive = reference_advance(spec, alive.items())
+    return value
 
 
 def grid_rows(grid) -> dict[tuple[int, ...], int]:

@@ -44,6 +44,7 @@ from dcstop.lattice import child_positions
 from dcstop.measures import measure_from_json
 from paper_checks import check_dpp, oracle_value, strong_value, termination
 from conftest import (
+    barrier_value,
     block_samples,
     brute_kernel_stats,
     check_scaling,
@@ -315,6 +316,14 @@ def assert_same_hull(got: ConcavePL, ref: ConcavePL) -> None:
                                rtol=0, atol=tol)
 
 
+ALL_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def slot_id(slots) -> str:
+    """A test id for a ``shared`` tuple: ``()`` and ``((1, 0),)`` keep their ids as False and True."""
+    return {(): "False", ((1, 0),): "True"}.get(slots) or "-".join(f"{a}{b}" for a, b in slots)
+
+
 class TestPrunedPairCloud:
     KINDS = ("points", "grid", "perspective")
 
@@ -433,9 +442,10 @@ class TestPrunedPairCloud:
     def expected_cloud(up, down, shared):
         """The cloud ``pair_sup(up, down, shared)`` should build, one pair at a time.
 
-        Pairs go in row-major order; a shared call keeps ``(i, j)`` when the
-        ``src`` keys agree or either is an apex's ``-1``, and for ``k > 2``
-        the two slope boxes must overlap by ``pair_sup``'s margin.
+        Pairs go in row-major order; ``(i, j)`` is kept when either row is an
+        apex's ``-1`` or ``up.src[i, a] == down.src[j, b]`` on every slot
+        ``(a, b)`` of ``shared``, and for ``k > 2`` the two slope boxes must
+        overlap by ``pair_sup``'s margin.
         """
         k = up.k
         if k > 2:
@@ -445,8 +455,8 @@ class TestPrunedPairCloud:
         rows = []
         for i in range(up.verts.shape[0]):
             for j in range(down.verts.shape[0]):
-                ku, kd = (up.src[i, 1], down.src[j, 0]) if shared else (-1, -1)
-                if not (ku == kd or ku < 0 or kd < 0):
+                apex = up.src[i, 0] < 0 or down.src[j, 0] < 0
+                if not (apex or all(up.src[i, a] == down.src[j, b] for a, b in shared)):
                     continue
                 if k > 2 and not ((lo_u[i] <= hi_d[j] + margin)
                                   & (lo_d[j] <= hi_u[i] + margin)).all():
@@ -454,10 +464,31 @@ class TestPrunedPairCloud:
                 rows.append(np.delete(up.verts[i], k - 1) + np.delete(down.verts[j], k - 1))
         return np.array(rows)
 
-    def shared_inputs(self, rng, k, kinds, levels, atom):
-        """``pair_sup(A, B)`` and ``pair_sup(B, C)``, both under a perspective if ``atom``."""
-        a, b, c = (random_concave(rng, k, kind, levels) for kind in kinds)
-        up, down = pair_sup(a, b), pair_sup(b, c)
+    @staticmethod
+    def summands(slots) -> list[int]:
+        """Which summand each of ``(up's up, up's down, down's up, down's down)`` input is.
+
+        Each slot ``(a, b)`` makes up's input ``a`` and down's input ``b``
+        one summand; summands are numbered in order of first appearance, so
+        the slot ``(1, 0)`` gives ``A, B, B, C``.
+        """
+        label = [0, 1, 2, 3]
+        for a, b in slots:
+            old, new = label[2 + b], label[a]
+            label = [new if x == old else x for x in label]
+        first: dict = {}
+        return [first.setdefault(x, len(first)) for x in label]
+
+    def shared_inputs(self, rng, k, kinds, levels, atom, slots=((1, 0),)):
+        """``up`` and ``down``, two pair suprema whose inputs coincide on ``slots``.
+
+        Each summand is a ``random_concave`` of the next kind of ``kinds``; at
+        the slot ``(1, 0)`` these are ``pair_sup(A, B)`` and ``pair_sup(B, C)``.
+        Both go under a perspective if ``atom``.
+        """
+        label = self.summands(slots)
+        fs = [random_concave(rng, k, kind, levels) for kind in kinds[:max(label) + 1]]
+        up, down = pair_sup(fs[label[0]], fs[label[1]]), pair_sup(fs[label[2]], fs[label[3]])
         if atom:
             up, down = perspective(float(rng.normal()), up), perspective(float(rng.normal()), down)
         return up, down
@@ -468,30 +499,51 @@ class TestPrunedPairCloud:
     def test_shared_grandchild_filter_matches_the_all_pairs_hull(self, seed, k, kinds, levels,
                                                                  atom):
         up, down = self.shared_inputs(np.random.default_rng(seed), k, kinds, levels, atom)
-        assert_same_hull(pair_sup(up, down, shared=True), reference_pair_sup(up, down))
+        assert_same_hull(pair_sup(up, down, ((1, 0),)), reference_pair_sup(up, down))
 
+    # Each slot alone, and sets of them: one summand shared in two slots
+    # (``(0, 0), (0, 1)``), two summands shared (with ``(0, 0), (1, 1)`` up
+    # and down are one function, with ``(0, 1), (1, 0)`` mirrors) and one
+    # summand in all four.
+    SLOT_SETS = [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),), ((0, 0), (0, 1)),
+                 ((0, 0), (1, 1)), ((0, 1), (1, 0)), ALL_SLOTS]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4),
+           st.tuples(*[st.sampled_from(KINDS)] * 3), st.booleans(), st.booleans(),
+           st.sampled_from(SLOT_SETS))
+    def test_every_shared_slot_matches_the_all_pairs_hull(self, seed, k, kinds, levels, atom,
+                                                          slots):
+        up, down = self.shared_inputs(np.random.default_rng(seed), k, kinds, levels, atom,
+                                      slots)
+        assert_same_hull(pair_sup(up, down, slots), reference_pair_sup(up, down))
+
+    # The slot ``(1, 0)`` keeps the ids it had as ``shared=True``.
     @pytest.mark.parametrize("k", [2, 3, 4])
-    @pytest.mark.parametrize("atom", [False, True])
-    def test_shared_grandchild_filter_drops_pairs(self, monkeypatch, k, atom):
+    @pytest.mark.parametrize("atom, slots", [
+        pytest.param(atom, slots, id=f"{atom}" if slots == ((1, 0),) else f"{atom}-{slot_id(slots)}")
+        for slots in SLOT_SETS for atom in (False, True)])
+    def test_shared_grandchild_filter_drops_pairs(self, monkeypatch, k, atom, slots):
         rng = np.random.default_rng(80 + k)
         for kinds in itertools.product(("points", "grid"), repeat=3):
-            up, down = self.shared_inputs(rng, k, kinds, False, atom)
-            got, kept = self.cloud_rows(monkeypatch, up, down, True)
-            plain, all_kept = self.cloud_rows(monkeypatch, up, down, False)
+            up, down = self.shared_inputs(rng, k, kinds, False, atom, slots)
+            got, kept = self.cloud_rows(monkeypatch, up, down, slots)
+            plain, all_kept = self.cloud_rows(monkeypatch, up, down, ())
             assert len(kept) < len(all_kept)
             assert_same_hull(got, plain)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("atom", [False, True])
-    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("shared", [(), *SLOT_SETS], ids=slot_id)
     def test_the_hull_gets_the_kept_pairs_in_row_major_order(self, monkeypatch, k, atom,
                                                              shared):
         # The cloud's rows and their order fix qhull's output bit for bit.
         # Under a perspective both sides have an apex, so apex x apex pairs
-        # are among them.
+        # are among them.  The unshared call gets the inputs of the slot
+        # ``(1, 0)``.
         rng = np.random.default_rng(90 + k)
         for kinds in itertools.product(self.KINDS, repeat=3):
-            up, down = self.shared_inputs(rng, k - atom, kinds, False, atom)
+            up, down = self.shared_inputs(rng, k - atom, kinds, False, atom, shared or ((1, 0),))
             _, cloud = self.cloud_rows(monkeypatch, up, down, shared)
             expected = self.expected_cloud(up, down, shared)
             assert cloud.shape == expected.shape
@@ -589,6 +641,47 @@ class TestAtomBoundary:
         assert cone.evaluate([1.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
         assert cone.evaluate([0.0, 1.0]) == pytest.approx(-7.0, abs=1e-12)
         assert cone.evaluate([0.5, 0.5]) == pytest.approx(-2.5, abs=1e-12)
+
+
+class TestBarrierRules:
+    """``solve`` against ``barrier_value`` on costs whose optimum is a barrier's hitting time.
+
+    Each cost's priority order is measured, not derived: on the lattices of
+    ``CASES`` with two to four evenly spaced atoms, ``random_measure`` seeds
+    0 and 1 and ``dt`` 1 and 0.5, ``solve`` matched these rules to 1.8e-15,
+    and the reversed orders missed by 0.27 or more.
+    """
+
+    # name -> (cost, augment_max, priority): larger |x| first (Root's
+    # barrier) for abs; larger drawdown m - x first for the running maximum,
+    # whose E M = E (M - X) is the cost of a reflected walk.
+    ORDERS = {
+        "abs": (ABS, False, lambda st: abs(st.w)),
+        "running_max": (CostSpec(kind="running_max", name="identity"), True,
+                        lambda st: st.m - st.w),
+    }
+    CASES = [("abs", 24, 3), ("abs", 40, 4), ("running_max", 16, 3), ("running_max", 20, 4)]
+
+    def instance(self, name, depth, atoms, dt):
+        cost, augment, priority = self.ORDERS[name]
+        spec = LatticeSpec(depth=depth, dt=dt, augment_max=augment)
+        steps = [round(depth * i / atoms) for i in range(1, atoms + 1)]
+        mu = random_measure(np.random.default_rng(depth), tuple(s * dt for s in steps))
+        return spec, cost, mu, priority
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("name, depth, atoms", CASES)
+    def test_solve_attains_the_barrier_value(self, name, depth, atoms, dt):
+        spec, cost, mu, priority = self.instance(name, depth, atoms, dt)
+        value = solve(spec, cost, mu, resolution=2).root_value
+        assert value == pytest.approx(barrier_value(spec, cost, mu, priority), abs=AGREE_TOL)
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("name, depth, atoms", CASES)
+    def test_the_reversed_order_misses_the_value(self, name, depth, atoms, dt):
+        spec, cost, mu, priority = self.instance(name, depth, atoms, dt)
+        value = solve(spec, cost, mu, resolution=2).root_value
+        assert barrier_value(spec, cost, mu, lambda st: -priority(st)) < value - 0.1
 
 
 class TestSolve:
@@ -770,7 +863,7 @@ def recorded_bases(monkeypatch) -> dict:
     seen, calls = {}, []
     bases, original = dpp._bases, dpp.pair_sup
 
-    def recording_pair_sup(up, down, shared=False):
+    def recording_pair_sup(up, down, shared=()):
         calls.append((up, down, shared))
         return original(up, down, shared)
 
@@ -807,17 +900,22 @@ def relative_stops(spec, cost, steps, s, shifts) -> list:
 class TestSharedGrandchildFlag:
     """``solve`` passes ``shared`` to ``pair_sup`` exactly where the children share a grandchild."""
 
-    # Away from the horizon, children on a recombining lattice always share a
-    # grandchild base.  On a max-augmented lattice they do under a terminal
-    # cost, whose stored functions do not depend on the maximum, and only
-    # sometimes under a running-max cost.
-    @pytest.mark.parametrize("spec, cost, atoms, inner", [
-        (LatticeSpec(depth=10, dt=1.0), ABS, (3.0, 6.0, 8.0, 10.0), {True}),
+    # Away from the horizon, children on a recombining lattice always share
+    # the grandchild between them, the slot (1, 0).  On a max-augmented
+    # lattice they do under a terminal cost, whose stored functions do not
+    # depend on the maximum, and only sometimes under a running-max cost.
+    # There, at a node on its running maximum (m == w) both children's up
+    # children have drawdown 0, and under the identity they hold one base:
+    # the slot (0, 0).  ``on_max`` lists the flags of such nodes two steps
+    # or more below the horizon, where all four grandchildren are one zero.
+    @pytest.mark.parametrize("spec, cost, atoms, inner, on_max", [
+        (LatticeSpec(depth=10, dt=1.0), ABS, (3.0, 6.0, 8.0, 10.0), {True}, set()),
         (LatticeSpec(depth=10, dt=1.0, augment_max=True), CostSpec(kind="running_max", name="identity"),
-         (3.0, 7.0, 10.0), {True, False}),
-        (LatticeSpec(depth=9, dt=1.0, augment_max=True), INDICATOR, (2.0, 5.0, 9.0), {True}),
+         (3.0, 7.0, 10.0), {True, False}, {((0, 0),), ALL_SLOTS}),
+        (LatticeSpec(depth=9, dt=1.0, augment_max=True), INDICATOR, (2.0, 5.0, 9.0), {True},
+         {((1, 0),), ALL_SLOTS}),
     ], ids=["recombining-abs", "max-running_max", "max-indicator"])
-    def test_flags_match_the_definition(self, monkeypatch, spec, cost, atoms, inner):
+    def test_flags_match_the_definition(self, monkeypatch, spec, cost, atoms, inner, on_max):
         seen = recorded_bases(monkeypatch)
         table = solve(spec, cost, random_measure(np.random.default_rng(62), atoms), resolution=4)
         horizon, shifts = table.steps[-1], expected_shifts(spec, cost, table.steps)
@@ -826,9 +924,9 @@ class TestSharedGrandchildFlag:
                  for s in range(horizon) for u, d, shared in seen[s][2]]
         # One call per key (up child's base array, down child's, bits of the
         # stop value less the shift) whose swap does not come earlier in its
-        # step, flagged where the up child's down input and the down child's
-        # up input are one base array.
-        want = []
+        # step, flagged on each slot (a, b) where the up child's input a and
+        # the down child's input b (0 up, 1 down) are one base array.
+        want, max_flags = [], set()
         for s in range(horizon):
             assert seen[s][1].tolist() == shifts[s]
             below = child_positions(spec, s + 1) if s + 1 < horizon else None
@@ -837,18 +935,23 @@ class TestSharedGrandchildFlag:
                     child_positions(spec, s).tolist(),
                     relative_stops(spec, cost, table.steps, s, shifts[s]))):
                 key = (id(bases[s + 1][up].verts), id(bases[s + 1][down].verts), bits)
-                flag = below is not None and (
-                    bases[s + 2][below[up, 0]].verts is bases[s + 2][below[down, 1]].verts)
+                flag = () if below is None else tuple(
+                    (a, b) for a in (0, 1) for b in (0, 1)
+                    if bases[s + 2][below[up, 1 - a]].verts is bases[s + 2][below[down, 1 - b]].verts)
                 first.setdefault(key, (p, flag))
+                node = nodes_at_step(spec, s)[p]
+                if below is not None and node.max_level == node.level:
+                    max_flags.add(first[key][1])
             for (u, d, bits), (p, flag) in first.items():
                 if first.get((d, u, bits), (p,))[0] >= p:
                     want.append((u, d, flag))
         assert Counter(calls) == Counter(want)
-        # Next to the horizon every flag is False; every horizon base is one zero.
+        # Next to the horizon nothing is flagged; every horizon base is one zero.
         last = {id(f.verts) for f in bases[horizon]}
         assert len(last) == 1 and bases[horizon][0].verts.tolist() == [[1.0, 0.0]]
-        assert {shared for up, _, shared in calls if up in last} == {False}
-        assert {shared for up, _, shared in calls if up not in last} == inner
+        assert {shared for up, _, shared in calls if up in last} == {()}
+        assert {(1, 0) in shared for up, _, shared in calls if up not in last} == inner
+        assert max_flags == on_max
 
 
 class TestMirrors:
