@@ -39,10 +39,10 @@ Simplex grids only enter when a solved table's ``slack`` is read; the root
 value and every agreement check never build one.
 
 Every induction here works on node positions (see ``lattice.nodes_at_step``):
-``functions[s][p]`` belongs to the node at position ``p`` of step ``s``, and
-``lattice.child_positions`` gives its children's positions one step on, and
-``lattice.states_at_step`` the states a step's stop costs are read at.
-``NodeId`` only names nodes as the keys of ``reps``.
+``bases[s][p]`` and ``shifts[s][p]`` belong to the node at position ``p`` of
+step ``s``, ``lattice.child_positions`` gives its children's positions one
+step on, and ``lattice.states_at_step`` the states a step's stop costs are
+read at.  ``NodeId`` only names nodes as the keys of ``reps``.
 
 A node's update reads only its children's functions one step later, so the
 updates of one step are independent.  Value functions live on the simplex,
@@ -50,32 +50,30 @@ where the masses sum to 1, so adding a constant to both children adds it to
 the parent: ``pair_sup(U + a, D + b) = pair_sup(U, D) + (a + b) / 2`` and
 ``perspective(v, f + c) = perspective(v - c, f) + c``.  The induction
 (``_bases``) therefore carries each position as a base function plus a
-float shift: the horizon's constants are one zero base shifted by the stop
+float shift, and a solved table keeps just those (``ValueTable.function``
+adds them): the horizon's constants are one zero base shifted by the stop
 costs, and a node's shift is the mean of its children's.  A base is named
 by its vertex array, and nodes whose children hold the same two bases, in
 either order, and whose stop values less their shifts have the same bits
 share one update.  ``pair_sup`` is symmetric in its inputs, so a node whose
 children hold an earlier node's two bases in swapped order gets that
 update's mirror (``ConcavePL.mirror``): the same arrays with the ``src``
-columns swapped, sharing its twin's slope boxes.  Which updates are shared
-depends only on exact bit equality, so a missed share costs time and never
-changes a value.  ``solve`` stores each position's base plus its shift, one
-function per base object and shift bits: a mirror shares its twin's vertex
-array but not its ``src``, so a copy keyed on the array would give a mirror
-its twin's rows.  ``_bases`` runs a large step's
+columns swapped.  Which updates are shared depends only on exact bit
+equality, so a missed share costs time and never changes a value.  Each
+step's slope boxes are computed once per base vertex array, before the
+step above reads them.  ``_bases`` runs a large step's
 updates on a thread pool and places them by position once the step is
 done; every value is the one a serial pass computes.  Only qhull's own run,
 inside ``_hull_upper``, releases the GIL.  The rest of an update holds it:
-the pair mask and box gathers, the slope boxes, the ``k = 2`` chain and the
-dedupe of hull rows are small-array numpy and Python calls, so the pool
-speeds up only the qhull share of a step.
+the pair mask and box gathers, the ``k = 2`` chain and the dedupe of hull
+rows are small-array numpy and Python calls, so the pool speeds up only the
+qhull share of a step.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -127,9 +125,6 @@ try:
     _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
 except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
-
-# Held while ``ConcavePL.boxes`` reads or fills a memo.
-_BOXES_LOCK = threading.Lock()
 
 
 def _grid_size(k: int, resolution: int) -> int:
@@ -238,8 +233,6 @@ class ConcavePL:
     pieces: np.ndarray
     verts: np.ndarray
     src: Optional[np.ndarray] = None
-    # Holds ``boxes`` once read; a mirror holds its twin's dict.
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def constant(value: float) -> ConcavePL:
@@ -260,28 +253,14 @@ class ConcavePL:
         vals = self.pieces @ np.asarray(y, dtype=float)
         return int(np.argmin(vals))
 
-    @property
-    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_slope_boxes(self)``, computed on first read and kept in ``memo``.
-
-        One lock serializes the reads, so threads that read one function's
-        boxes at once build them once.
-        """
-        with _BOXES_LOCK:
-            if "boxes" not in self.memo:
-                self.memo["boxes"] = _slope_boxes(self)
-            return self.memo["boxes"]
-
     def mirror(self) -> ConcavePL:
         """This pair supremum with its inputs swapped: ``src``'s columns trade places.
 
-        The function, its arrays and its ``memo`` (so its boxes) are this
-        one's: ``pair_sup`` is symmetric, and each vertex row is still the
-        midpoint of its own up row and down row.
+        The function and its arrays are this one's: ``pair_sup`` is
+        symmetric, and each vertex row is still the midpoint of its own up
+        row and down row.
         """
-        out = ConcavePL(self.k, self.pieces, self.verts, self.src[:, ::-1])
-        object.__setattr__(out, "memo", self.memo)
-        return out
+        return ConcavePL(self.k, self.pieces, self.verts, self.src[:, ::-1])
 
 
 def _hull_upper(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,8 +368,8 @@ def _slope_boxes(f: ConcavePL) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def pair_sup(up: ConcavePL, down: ConcavePL,
-             shared: tuple[tuple[int, int], ...] = ()) -> ConcavePL:
+def pair_sup(up: ConcavePL, down: ConcavePL, shared: tuple[tuple[int, int], ...] = (),
+             boxes: Optional[tuple] = None) -> ConcavePL:
     """Best mean-preserving split of a driver step.
 
     ``W(y) = sup {(Vu(p) + Vd(q)) / 2 : (p + q) / 2 = y}`` for concave
@@ -417,12 +396,11 @@ def pair_sup(up: ConcavePL, down: ConcavePL,
       summands at once: their normal cones meet (Fukuda, J. Symb. Comp.
       2004).  For ``k > 2`` the cloud keeps just the pairs whose slope boxes
       overlap in every coordinate, with a margin of ``1e-7 (1 + max |g|)``.
-      The boxes are read from each input (``ConcavePL.boxes``), so a
-      function's are computed once (``_slope_boxes``) although it is the up
-      input of one update and the down input of another, and a mirror reads
-      its twin's.  At ``k = 2``
-      clouds are small and their hull is a sorted chain, so this test is
-      skipped.
+      ``boxes``, when given, is ``(_slope_boxes(up), _slope_boxes(down))``:
+      ``_bases`` computes each base's boxes once, although it is the up
+      input of one update and the down input of another.  Without it they
+      are computed here.  At ``k = 2`` clouds are small and their hull is a
+      sorted chain, so this test is skipped.
 
     The kept pairs stay in row-major order.  ``PAIR_CLOUD_LIMIT`` bounds
     ``nu * nd`` before any pair work, so every array built here, a shared
@@ -464,7 +442,7 @@ def pair_sup(up: ConcavePL, down: ConcavePL,
     if k > 2:
         # One gather per box side.  The margin goes on the boxes before the
         # gather: the same sums, over a function's rows and not its pairs.
-        (lo_u, hi_u), (lo_d, hi_d) = up.boxes, down.boxes
+        (lo_u, hi_u), (lo_d, hi_d) = boxes or (_slope_boxes(up), _slope_boxes(down))
         margin = 1e-7 * (1.0 + max(np.abs(up.pieces).max(), np.abs(down.pieces).max()))
         meet = ((lo_u[iu] <= (hi_d + margin)[idn]).all(axis=-1)
                 & (lo_d[idn] <= (hi_u + margin)[iu]).all(axis=-1))
@@ -517,15 +495,16 @@ def _continuation(f: ConcavePL, atom: bool) -> ConcavePL:
 class ValueTable:
     """Solver output: root value, exact value functions and the grid slack.
 
-    ``functions[s][p]`` is the exact concave value function of the node at
-    position ``p`` of step ``s``: its base plus its shift (see ``solve``),
-    with the base's ``src``, whose rows refer to the functions of its
-    children.  ``reps`` reads them keyed by ``(step, node)``.
-    ``slack`` samples each block's functions on ``SimplexGrid(k, resolution)``
-    at the block's closing atom step and returns the largest value difference
-    between adjacent grid points (at least ``SLACK_FLOOR``), a
-    Lipschitz-times-mesh bound on anything one grid step can move; it is
-    computed on first read.
+    The node at position ``p`` of step ``s`` has the exact concave value
+    function ``bases[s][p] + shifts[s][p]`` (``function``), the base and
+    shift that ``_bases`` yields.  A base's ``src`` rows refer to the bases
+    of its children; a shift moves no ``y`` column, so they name the same
+    points of the children's functions.  ``reps`` reads the functions keyed
+    by ``(step, node)``.  ``slack`` samples each block's functions on
+    ``SimplexGrid(k, resolution)`` at the block's closing atom step and
+    returns the largest value difference between adjacent grid points (at
+    least ``SLACK_FLOOR``), a Lipschitz-times-mesh bound on anything one
+    grid step can move; it is computed on first read.
     """
 
     spec: LatticeSpec
@@ -534,22 +513,30 @@ class ValueTable:
     resolution: int
     steps: tuple[int, ...]
     root_value: float
-    functions: tuple[tuple[ConcavePL, ...], ...] = field(repr=False)
+    bases: tuple[tuple[ConcavePL, ...], ...] = field(repr=False)
+    shifts: tuple[np.ndarray, ...] = field(repr=False)
+
+    def function(self, s: int, p: int) -> ConcavePL:
+        """The value function at position ``p`` of step ``s``, with its base's ``src``."""
+        return _shifted(self.bases[s][p], float(self.shifts[s][p]))
 
     @property
     def reps(self) -> dict[tuple[int, NodeId], ConcavePL]:
-        """``functions`` keyed by ``(step, node)``, built on each read."""
-        return {(s, node): f for s, fs in enumerate(self.functions)
-                for node, f in zip(nodes_at_step(self.spec, s), fs)}
+        """Each node's ``function`` keyed by ``(step, node)``, built on each read."""
+        return {(s, node): self.function(s, p) for s in range(len(self.bases))
+                for p, node in enumerate(nodes_at_step(self.spec, s))}
 
     @cached_property
     def slack(self) -> float:
-        """The grid slack; each distinct stored function is sampled once."""
+        """The grid slack; each distinct base vertex array and shift is sampled once."""
         r, slack = len(self.steps), SLACK_FLOOR
         for k in range(1, r + 1):
+            s = self.steps[r - k]
             grid = SimplexGrid(k, self.resolution)
-            for f in {id(g.verts): g for g in self.functions[self.steps[r - k]]}.values():
-                slack = max(slack, grid.max_adjacent_diff(f.evaluate_batch(grid.fractions)))
+            keys = zip((id(b.verts) for b in self.bases[s]), self.shifts[s].view(np.int64).tolist())
+            for p in {key: p for p, key in enumerate(keys)}.values():
+                slack = max(slack, grid.max_adjacent_diff(
+                    self.function(s, p).evaluate_batch(grid.fractions)))
         return slack
 
 
@@ -558,9 +545,9 @@ def _mu_vector(mu: DiscreteMeasure) -> np.ndarray:
 
 
 def _bellman(up: ConcavePL, down: ConcavePL, stop_value: Optional[float],
-             shared: tuple[tuple[int, int], ...]) -> ConcavePL:
+             shared: tuple[tuple[int, int], ...], boxes: Optional[tuple]) -> ConcavePL:
     """The children's pair supremum, then the atom decision if ``stop_value`` is given."""
-    cont = pair_sup(up, down, shared)
+    cont = pair_sup(up, down, shared, boxes)
     return cont if stop_value is None else perspective(stop_value, cont)
 
 
@@ -604,10 +591,10 @@ def _cpu_count() -> int:
 
 
 def _malloc_trim() -> None:
-    """Give free heap memory back to the OS around pooled steps.
+    """Give free heap back to the OS around pooled steps.
 
     Each pool thread allocates from its own glibc arena and cannot reuse the
-    free memory another arena holds, so without a trim every arena keeps its
+    free heap another arena holds, so without a trim every arena keeps its
     own high-water mark resident.  A no-op where libc has no ``malloc_trim``.
     """
     if _MALLOC_TRIM is not None:
@@ -617,12 +604,13 @@ def _malloc_trim() -> None:
 def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
     """The backward induction on base functions, one step at a time from the horizon.
 
-    Yields ``(s, bases, shifts)``: the node at position ``p`` of step ``s``
-    has the value function ``bases[p] + shifts[p]``.  The horizon's bases
-    are one zero constant, shifted by the stop costs.  A node above reads
-    its up child's ``(U, a)`` and its down child's ``(D, b)``; its shift is
-    ``(a + b) / 2`` and its base ``_bellman(U, D, stop - shift)``, since on
-    the simplex ``pair_sup(U + a, D + b) = pair_sup(U, D) + (a + b) / 2`` and
+    Yields ``(s, bases, shifts)``: ``bases`` is a tuple and ``shifts`` a
+    float array, and the node at position ``p`` of step ``s`` has the value
+    function ``bases[p] + shifts[p]``.  The horizon's bases are one zero
+    constant, shifted by the stop costs.  A node above reads its up child's
+    ``(U, a)`` and its down child's ``(D, b)``; its shift is ``(a + b) / 2``
+    and its base ``_bellman(U, D, stop - shift)``, since on the simplex
+    ``pair_sup(U + a, D + b) = pair_sup(U, D) + (a + b) / 2`` and
     ``perspective(v, f + c) = perspective(v - c, f) + c``.  A shift or
     relative stop value past the floats is refused before any key is formed.
 
@@ -632,13 +620,13 @@ def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
     (down, up, bits) came at an earlier position is that update's mirror:
     the position gets ``ConcavePL.mirror`` of the swap's base, built after
     the step's updates, whose swapped ``src`` columns refer to its own
-    children's bases and whose slope boxes are its twin's.  The inputs of
-    each base of the step just yielded are kept (swapped for a mirror), and
-    an update passes ``pair_sup`` as ``shared`` every slot ``(a, b)``, in
-    ascending order, on which its up child's input ``a`` and its down
-    child's input ``b`` are one vertex array.  Once a step's bases are
-    made, the slope boxes of the step after it, which only its updates read,
-    are dropped.
+    children's bases.  The inputs of each base of the step just yielded are
+    kept (swapped for a mirror), and an update passes ``pair_sup`` as
+    ``shared`` every slot ``(a, b)``, in ascending order, on which its up
+    child's input ``a`` and its down child's input ``b`` are one vertex
+    array.  Before a step's updates run, ``_slope_boxes`` runs once per
+    distinct vertex array of the step below with ``k > 2``, and each update
+    gets its inputs' boxes.
 
     A step whose summed pair count ``nu * nd`` over its distinct updates
     (from the children's vertex counts, before pruning) reaches
@@ -649,14 +637,12 @@ def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
     the induction ends.  Each update is deterministic and the results are
     placed by node position (see the module docstring) after the step, so
     bases and errors are those of a serial pass, bit for bit: the first
-    failing position raises.  Free heap memory is handed back
-    (``_malloc_trim``) before each pooled step and after the last, to hold
-    peak RSS.
+    failing position raises.  Free heap is handed back (``_malloc_trim``)
+    before each pooled step and after the last, to hold peak RSS.
     """
     horizon = steps[-1]
     shifts = _stop_values(spec, cost, horizon, steps)
-    bases = [ConcavePL.constant(0.0)] * len(shifts)
-    made: dict = {}
+    bases = (ConcavePL.constant(0.0),) * len(shifts)
     # id of each base of the step just yielded -> the (up, down) bases of its
     # update, swapped for a mirror; empty for the horizon's zero.
     inputs: dict = {}
@@ -692,21 +678,23 @@ def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
             args.append([tuple((a, b) for a in (0, 1) for b in (0, 1)
                                if inputs[id(u)][a].verts is inputs[id(d)][b].verts)
                          if inputs else () for u, d in zip(*args[:2])])
+            boxes: dict = {}
+            for f in bases:
+                if f.k > 2 and id(f.verts) not in boxes:
+                    boxes[id(f.verts)] = _slope_boxes(f)
+            args.append([(boxes[id(u.verts)], boxes[id(d.verts)]) if boxes else None
+                         for u, d in zip(*args[:2])])
             pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(*args[:2]))
             if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
                 if pool is None:
                     pool = ThreadPoolExecutor(workers)
                 _malloc_trim()
-                # ``src`` is copied by this thread, so the arrays that the
-                # shifted functions keep live in its malloc arena and not in
-                # the pool threads' arenas.
-                results = [ConcavePL(v.k, v.pieces, v.verts, v.src.copy())
+                # Copied by this thread, so the arrays that the table keeps
+                # live in its malloc arena and not in the pool threads' arenas.
+                results = [ConcavePL(v.k, v.pieces.copy(), v.verts.copy(), v.src.copy())
                            for v in pool.map(_bellman, *args)]
             else:
                 results = list(map(_bellman, *args))
-            # Step s + 1's boxes are read by this step's updates only.
-            for f in made.values():
-                f.memo.clear()
             made = dict(zip(twins, results))
             inputs = {id(f): (u, d) for f, u, d in zip(results, *args[:2])}
             for key, p in first.items():
@@ -714,7 +702,7 @@ def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
                     f = made[key] = made[key[1], key[0], key[2]].mirror()
                     inputs[id(f)] = (ups[p], downs[p])
             # Placed once the step is done: every update reads step s + 1 only.
-            bases = [made[key] for key in keys]
+            bases = tuple(made[key] for key in keys)
             yield s, bases, shifts
     finally:
         if pool is not None:
@@ -728,44 +716,21 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
 
     ``resolution`` only sets the grid that ``slack`` samples; the root value
     is computed from the exact piecewise-linear representations.  A grid
-    past ``GRID_SIZE_LIMIT`` is refused before the induction.
-
-    ``_bases`` carries each position as a base function plus a shift, and
-    nodes whose children hold the same two bases and whose stop values less
-    their shifts have the same bits share one Bellman update.  Each step
-    then stores every position's ``base + shift`` (``_shifted``), one
-    function per base object and shift bits.  A mirror shares its twin's
-    vertex array but not its ``src``, so the copies are keyed on the base
-    object, not on its array, and a mirror's copy shares its twin's shifted
-    arrays.  So ``functions[s][p]`` is the node's own value function, and
-    its ``src`` rows refer to the rows of its children's functions, which
-    are their bases' rows.
+    past ``GRID_SIZE_LIMIT`` is refused before the induction.  The table
+    keeps each step's bases and shifts as ``_bases`` yields them; the root
+    value is the root's base plus its shift, evaluated at ``mu``'s weights.
     """
     steps = atom_steps(spec, mu.atoms)
     horizon = steps[-1]
     check_lattice_size(spec, horizon)
     for k in range(1, len(steps) + 1):
         _grid_size(k, resolution)
-    functions: list[tuple[ConcavePL, ...]] = [()] * (horizon + 1)
-    for s, bases, shifts in _bases(spec, cost, steps):
-        by_base: dict = {}
-        by_verts: dict = {}
-        row = []
-        for base, shift, bits in zip(bases, shifts.tolist(), shifts.view(np.int64).tolist()):
-            f = by_base.get((id(base), bits))
-            if f is None:
-                twin = by_verts.get((id(base.verts), bits))
-                if twin is None:
-                    twin = by_verts[id(base.verts), bits] = _shifted(base, shift)
-                f = by_base[id(base), bits] = (
-                    twin if twin.src is base.src
-                    else ConcavePL(base.k, twin.pieces, twin.verts, base.src))
-            row.append(f)
-        functions[s] = tuple(row)
-
+    # ``_bases`` yields the steps from the horizon down to 0.
+    _, bases, shifts = zip(*reversed(list(_bases(spec, cost, steps))))
+    root = _shifted(bases[0][0], float(shifts[0][0]))
     return ValueTable(
         spec=spec, cost=cost, mu=mu, resolution=resolution, steps=tuple(steps),
-        root_value=functions[0][0].evaluate(_mu_vector(mu)), functions=tuple(functions),
+        root_value=root.evaluate(_mu_vector(mu)), bases=bases, shifts=shifts,
     )
 
 
@@ -778,7 +743,8 @@ def _facet_split(w: ConcavePL, up: ConcavePL, y: np.ndarray) -> np.ndarray:
     the up split point; the down one is ``2y`` minus it.  Together they
     achieve the supremum exactly.  The face may be a merged polygon, so the
     combination is found by nonnegative least squares.  Ties between pieces
-    pick the lowest index.
+    pick the lowest index.  Only ``up``'s ``y`` columns are read, which a
+    shift leaves as they are, so ``up`` may be the child's base.
     """
     k = w.k
     if k == 1:
@@ -806,8 +772,8 @@ def extract_policy(table: ValueTable) -> MvmTree:
     Each history node carries the stop masses of the atoms already passed,
     which stay frozen, plus the (unnormalized) law of the atoms still ahead,
     which each driver step splits through the optimal pair-sup facet.  The
-    pair supremum is the one ``solve`` stored (``_continuation``), read with
-    its ``src`` rows.  The result is a valid adapted martingale tree whose
+    pair supremum is the one inside a visited node's ``table.function``
+    (``_continuation``), read with its ``src`` rows into the up child's base.  The result is a valid adapted martingale tree whose
     objective matches the root value.
 
     The split at a history depends only on its state: its node position and
@@ -831,7 +797,7 @@ def extract_policy(table: ValueTable) -> MvmTree:
     for s in range(horizon):
         # The atoms still ahead are the columns from ``first`` on.
         first = sum(step <= s for step in steps)
-        child, here, nxt = child_positions(spec, s), table.functions[s], table.functions[s + 1]
+        child, nxt = child_positions(spec, s), table.bases[s + 1]
         rows = vectors[2 ** s - 1: 2 ** (s + 1) - 1]
         kids = vectors[2 ** (s + 1) - 1: 2 ** (s + 2) - 1].reshape(-1, 2, len(steps))
         kids[:] = rows[:, None]
@@ -844,7 +810,7 @@ def extract_policy(table: ValueTable) -> MvmTree:
             key = (pos, y.tobytes())
             if key not in keys:
                 if pos not in conts:
-                    conts[pos] = _continuation(here[pos], s in steps)
+                    conts[pos] = _continuation(table.function(s, pos), s in steps)
                 keys[key] = len(points)
                 points.append(_facet_split(conts[pos], nxt[child[pos, 1]], y.copy()))
             which.append(keys[key])

@@ -231,9 +231,18 @@ def states_at_step(spec: LatticeSpec, step: int) -> PathState:
 
 
 def grid_step(dt: float, t: float) -> Optional[int]:
-    """The step within ``TIME_SNAP_TOL`` of time ``t`` on the grid of width ``dt``, or None."""
+    """The step within ``TIME_SNAP_TOL``, or 4 ulps of ``t``, of time ``t`` on the grid of width ``dt``.
+
+    None when there is none.  For a time written as ``s`` times a step
+    written as ``dt``, reading ``dt``, reading ``t`` and forming ``s * dt``
+    each round once, each by at most 2^-53 of the exact ``|s * dt|``.  That
+    is below ``math.ulp(t)`` to first order, so the three together miss by
+    under 3 ulps plus terms of order 2^-106, and 4 ulps cover them.  Below
+    ``|t| = 2^21``, 4 ulps are under ``TIME_SNAP_TOL``, which decides alone.
+    """
     s = round(t / dt) if math.isfinite(t / dt) else None
-    return s if s is not None and abs(s * dt - t) <= TIME_SNAP_TOL else None
+    tol = max(TIME_SNAP_TOL, 4.0 * math.ulp(t))
+    return s if s is not None and abs(s * dt - t) <= tol else None
 
 
 def time_to_step(spec: LatticeSpec, t: float) -> int:

@@ -8,7 +8,8 @@ mass-sweep internals so each comparison crosses two independent code paths.
 ``children`` and ``reference_advance`` walk from a node to its children, the
 reference for ``lattice.child_positions`` and ``rst._advance``.  The paper
 checks in ``paper_checks.py`` are built on these walks.
-``block_samples`` samples stored functions on a simplex grid, and
+``stored_functions`` reads a solved table's atom-step functions, one per
+position, ``block_samples`` samples such functions on a simplex grid, and
 ``check_scaling`` re-derives a solved table's atom-step functions there
 through the explicit stop/renormalize quotient.  ``reference_pair_sup`` hulls
 every vertex pair, and ``reference_solve`` runs it at every node with nothing
@@ -294,11 +295,17 @@ def unit_simplex_pieces(affine: np.ndarray, k: int) -> np.ndarray:
     return g
 
 
+def stored_functions(table: ValueTable) -> dict:
+    """Each atom step's value functions in position order, from ``table.function``."""
+    return {s: [table.function(s, p) for p in range(len(table.bases[s]))] for s in table.steps}
+
+
 def block_samples(spec: LatticeSpec, steps, functions, resolution: int) -> dict:
     """Each block's functions sampled on ``SimplexGrid(k, resolution)``.
 
     Keyed ``(k, step, node)``, at the block's closing atom step; ``functions[s]``
-    lists step ``s``'s functions in position order, as ``ValueTable.functions``.
+    lists step ``s``'s functions in position order, as ``stored_functions``
+    and ``reference_solve`` give them.
     """
     r, samples = len(steps), {}
     for k in range(1, r + 1):
@@ -321,7 +328,8 @@ def check_scaling(table: ValueTable) -> None:
         y = SimplexGrid(k, table.resolution).fractions
         y1, rest = y[:, 0], 1.0 - y[:, 0]
         live = rest > 1e-14
-        for node, f in zip(nodes_at_step(table.spec, s), table.functions[s]):
+        for p, node in enumerate(nodes_at_step(table.spec, s)):
+            f = table.function(s, p)
             vals = f.evaluate_batch(y)
             c = stop_cost(table.cost, table.spec, node)
             inner = f.pieces[:, 1:]  # perspective's copy of the continuation

@@ -84,6 +84,24 @@ class TestSolve:
         assert main(["solve", str(config_path)]) == 0
         assert (out / "result.json").read_bytes() == first
 
+    @pytest.mark.parametrize("off", [0.0, 1e-6])
+    def test_a_multiple_of_a_large_step_is_on_the_grid(self, workspace, capsys, off):
+        # 3 * dt is 300000000.29999995 in floats, 1 ulp (6e-8) from the time
+        # 300000000.3 and past TIME_SNAP_TOL; a time 1e-6 dt away is no multiple.
+        config_path, out = workspace
+        dt = 100000000.1
+        t = 300000000.3 + off * dt
+        config_path.write_text(json.dumps({
+            **base_config(), "lattice": {"depth": 3, "dt": dt},
+            "measure": [{"t": dt, "w": 0.5}, {"t": t, "w": 0.5}]}))
+        if off:
+            assert main(["solve", str(config_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"invalid input: time {t} is not on the step grid with dt={dt}\n")
+        else:
+            assert main(["solve", str(config_path)]) == 0
+            assert read_result(out)["atom_steps"] == [1, 3]
+
 
 class TestPolicy:
     def test_emits_a_valid_optimal_tree(self, workspace):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import sys
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
@@ -58,6 +60,7 @@ from conftest import (
     reference_solve,
     state,
     stop_cost,
+    stored_functions,
     unit_simplex_pieces,
 )
 
@@ -511,12 +514,19 @@ class TestPrunedPairCloud:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4),
            st.tuples(*[st.sampled_from(KINDS)] * 3), st.booleans(), st.booleans(),
-           st.sampled_from(SLOT_SETS))
+           st.sampled_from(SLOT_SETS), st.booleans())
     def test_every_shared_slot_matches_the_all_pairs_hull(self, seed, k, kinds, levels, atom,
-                                                          slots):
+                                                          slots, share):
         up, down = self.shared_inputs(np.random.default_rng(seed), k, kinds, levels, atom,
                                       slots)
         assert_same_hull(pair_sup(up, down, slots), reference_pair_sup(up, down))
+        # The caller's slope boxes give the bytes of the boxes made inside.
+        shared = slots if share else ()
+        own = pair_sup(up, down, shared)
+        handed = pair_sup(up, down, shared, (dpp._slope_boxes(up), dpp._slope_boxes(down)))
+        for a, b in ((own.pieces, handed.pieces), (own.verts, handed.verts),
+                     (own.src, handed.src)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     # The slot ``(1, 0)`` keeps the ids it had as ``shared=True``.
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -585,7 +595,7 @@ class TestSolveMatchesTheAllPairsReference:
         mu = random_measure(rng, tuple(float(s) * dt for s in steps))
         table = solve(spec, cost, mu, resolution=6)
         root_fn, functions = reference_solve(spec, cost, mu)
-        tables = block_samples(spec, table.steps, table.functions, 6)
+        tables = block_samples(spec, table.steps, stored_functions(table), 6)
         expected = block_samples(spec, table.steps, functions, 6)
         assert tables.keys() == expected.keys()
         for key, vals in expected.items():
@@ -593,9 +603,9 @@ class TestSolveMatchesTheAllPairsReference:
         # Off dt = 1 a point on a flat face may pass as a vertex on one side
         # only (the k = 2 chain drops a collinear point by a rounded cross
         # product), so there the rows are matched and not counted.
-        assert_same_hull(table.functions[0][0], root_fn)
+        assert_same_hull(table.function(0, 0), root_fn)
         if dt == 1.0:
-            assert table.functions[0][0].verts.shape == root_fn.verts.shape
+            assert table.function(0, 0).verts.shape == root_fn.verts.shape
         assert table.root_value == pytest.approx(root_fn.evaluate(mu.weights), abs=1e-12)
 
 
@@ -757,12 +767,11 @@ class TestSolve:
         # Lower the stop coefficient of every piece of one 3-block function:
         # its values move by 1e-9 y1, its continuation pieces do not.
         s = table.steps[0]
-        f = table.functions[s][0]
-        functions = list(table.functions)
-        functions[s] = (dataclasses.replace(f, pieces=f.pieces - [1e-9, 0.0, 0.0]),
-                        *functions[s][1:])
+        f = table.bases[s][0]
+        bases = list(table.bases)
+        bases[s] = (dataclasses.replace(f, pieces=f.pieces - [1e-9, 0.0, 0.0]), *bases[s][1:])
         with pytest.raises(AssertionError, match="renormalization identity off by"):
-            check_scaling(dataclasses.replace(table, functions=tuple(functions)))
+            check_scaling(dataclasses.replace(table, bases=tuple(bases)))
 
     # Recorded before the grid layer was rebuilt on arrays; any change to the
     # order of the grid points, the sampling or the slack shows here.
@@ -780,7 +789,7 @@ class TestSolve:
     def test_terminal_atom_tables_match_the_cost(self):
         spec, cost, mu = worked_instance()
         table = solve(spec, cost, mu, resolution=4)
-        tables = block_samples(spec, table.steps, table.functions, table.resolution)
+        tables = block_samples(spec, table.steps, stored_functions(table), table.resolution)
         for node in nodes_at_step(spec, 2):
             vals = tables[(1, 2, node)]
             assert vals.shape == (1,)
@@ -791,7 +800,7 @@ class TestSolve:
         spec = LatticeSpec(depth=3, dt=0.5)
         mu = random_measure(rng, (0.5, 1.0, 1.5))
         table = solve(spec, INDICATOR, mu, resolution=6)
-        for (k, _, _), vals in block_samples(spec, table.steps, table.functions,
+        for (k, _, _), vals in block_samples(spec, table.steps, stored_functions(table),
                                              table.resolution).items():
             if k < 2:
                 continue
@@ -863,9 +872,9 @@ def recorded_bases(monkeypatch) -> dict:
     seen, calls = {}, []
     bases, original = dpp._bases, dpp.pair_sup
 
-    def recording_pair_sup(up, down, shared=()):
+    def recording_pair_sup(up, down, shared=(), boxes=None):
         calls.append((up, down, shared))
-        return original(up, down, shared)
+        return original(up, down, shared, boxes)
 
     def recording(*args):
         done = 0
@@ -1013,11 +1022,23 @@ class TestMirrors:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("spec, cost, atoms", CASES, ids=IDS)
     def test_solved_tables_hold_no_boxes(self, monkeypatch, spec, cost, atoms, workers):
-        # Only step s's updates read step s + 1's boxes, so they go once step s is stored.
+        # Only step s's updates read step s + 1's boxes, so none outlives the
+        # induction: the solved table refers to no box array.
+        alive = []
+
+        def spy(f):
+            boxes = slope_boxes(f)
+            alive.extend(weakref.ref(a) for a in boxes)
+            return boxes
+
+        slope_boxes = dpp._slope_boxes
+        monkeypatch.setattr(dpp, "_slope_boxes", spy)
         monkeypatch.setattr(dpp, "_cpu_count", lambda: workers)
         monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
         table = solve(spec, cost, random_measure(np.random.default_rng(73), atoms), resolution=4)
-        assert not [f for fs in table.functions for f in fs if "boxes" in f.memo]
+        gc.collect()
+        assert alive and table.bases
+        assert not [ref for ref in alive if ref() is not None]
 
 
 class TestShiftedBases:
@@ -1063,22 +1084,24 @@ class TestShiftedBases:
     ], ids=[*TestMirrors.IDS, "recombining-abs-dt0.3", "max-running_max-dt0.5"])
     def test_each_stored_function_is_its_base_plus_its_shift(self, monkeypatch, spec, cost,
                                                              atoms):
-        # One stored function per base object and shift bits: a mirror's
-        # keeps its own src, so its rows name its own children's vertices.
+        # The table keeps the bases and shifts the induction yields, and a
+        # node's function keeps its base's src, so a mirror's rows name its
+        # own children's vertices.
         seen = recorded_bases(monkeypatch)
         table = solve(spec, cost, random_measure(np.random.default_rng(74), atoms), resolution=4)
-        for s, fs in enumerate(table.functions):
+        functions = [[table.function(s, p) for p in range(len(bs))]
+                     for s, bs in enumerate(table.bases)]
+        for s, fs in enumerate(functions):
             bases, shifts, _ = seen[s]
+            assert table.bases[s] is bases and table.shifts[s] is shifts
             assert shifts.tolist() == expected_shifts(spec, cost, table.steps)[s]
-            made = {}
             for f, base, shift in zip(fs, bases, shifts.tolist()):
-                assert made.setdefault((id(base), shift.hex()), f) is f
                 assert f.src is base.src
                 assert f.pieces.tobytes() == (base.pieces + shift).tobytes()
                 assert f.verts[:, :-1].tobytes() == base.verts[:, :-1].tobytes()
                 assert f.verts[:, -1].tobytes() == (base.verts[:, -1] + shift).tobytes()
             if s < table.steps[-1]:
-                nxt = table.functions[s + 1]
+                nxt = functions[s + 1]
                 for f, (down, up) in zip(fs, child_positions(spec, s).tolist()):
                     cont = dpp._continuation(f, s in table.steps)
                     mid = 0.5 * (nxt[up].verts[cont.src[:, 0]] + nxt[down].verts[cont.src[:, 1]])
@@ -1145,8 +1168,9 @@ class TestParallelSteps:
         finally:
             sys.setswitchinterval(interval)
         assert built == [(workers,)]
-        assert [len(fs) for fs in pooled.functions] == [len(fs) for fs in serial.functions]
-        for s, (fs, gs) in enumerate(zip(serial.functions, pooled.functions)):
+        assert [len(fs) for fs in pooled.bases] == [len(fs) for fs in serial.bases]
+        for s, (fs, gs) in enumerate(zip(serial.bases, pooled.bases)):
+            assert pooled.shifts[s].tobytes() == serial.shifts[s].tobytes(), s
             for p, (f, g) in enumerate(zip(fs, gs)):
                 assert g.pieces.tobytes() == f.pieces.tobytes(), (s, p)
                 assert g.verts.tobytes() == f.verts.tobytes(), (s, p)
@@ -1154,7 +1178,7 @@ class TestParallelSteps:
                 assert (g.src is None) == (f.src is None), (s, p)
                 assert f.src is None or g.src.tobytes() == f.src.tobytes(), (s, p)
         # Positions share one vertex array, as twin and mirror, alike.
-        for fs, gs in zip(serial.functions, pooled.functions):
+        for fs, gs in zip(serial.bases, pooled.bases):
             assert ([[q for q, h in enumerate(fs) if h.verts is f.verts] for f in fs]
                     == [[q for q, h in enumerate(gs) if h.verts is g.verts] for g in gs])
         assert pooled.root_value == serial.root_value
@@ -1200,30 +1224,41 @@ class TestParallelSteps:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_slope_boxes_are_built_once_per_stored_function(self, monkeypatch, workers):
         # Each base's vertex array is the up input of one update and the down
-        # input of another; its boxes are built on the first read only, and a
-        # mirror reads its twin's.
-        built = []
+        # input of another; its boxes are built once, before the step above
+        # runs, and each update with k > 2 is handed its inputs' boxes.
+        built, given = [], []
 
         def spy(f):
             boxes = slope_boxes(f)
             built.append((id(f.verts), boxes))
             return boxes
 
+        def handed(up, down, shared=(), boxes=None):
+            given.append((up, down, boxes))
+            return recording(up, down, shared, boxes)
+
         slope_boxes = dpp._slope_boxes
         monkeypatch.setattr(dpp, "_slope_boxes", spy)
         monkeypatch.setattr(dpp, "_cpu_count", lambda: workers)
         monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
         seen = recorded_bases(monkeypatch)
+        recording = dpp.pair_sup
+        monkeypatch.setattr(dpp, "pair_sup", handed)
         mu = random_measure(np.random.default_rng(63), (3.0, 6.0, 9.0, 12.0))
         solve(LatticeSpec(depth=12, dt=1.0), ABS, mu, resolution=4)
-        bases = {id(f): f for bs, _, _ in seen.values() for f in bs}.values()
         boxes = dict(built)
         assert built and len(boxes) == len(built)
-        assert boxes.keys() <= {id(f.verts) for f in bases}
-        # The boxes each base was read with, a mirror's included, are its own.
-        for f in bases:
-            if id(f.verts) in boxes:
-                (lo, hi), (fresh_lo, fresh_hi) = boxes[id(f.verts)], slope_boxes(f)
+        # Every vertex array with k > 2 that a later update reads: all but the root's step.
+        assert boxes.keys() == {id(f.verts) for s, (bs, _, _) in seen.items() if s > 0
+                                for f in bs if f.k > 2}
+        # The boxes each input was handed, a mirror's included, are its own.
+        assert given
+        for up, down, got in given:
+            if up.k <= 2:
+                assert got is None
+                continue
+            for f, (lo, hi) in zip((up, down), got):
+                fresh_lo, fresh_hi = slope_boxes(f)
                 assert lo.tobytes() == fresh_lo.tobytes() and hi.tobytes() == fresh_hi.tobytes()
 
     def test_pooled_steps_without_malloc_trim(self, monkeypatch):
@@ -1331,7 +1366,7 @@ def reference_extract_policy(table, states=None):
     at = np.zeros(1, dtype=np.intp)
     for s in range(horizon):
         live = [j for j, step in enumerate(steps) if step > s]
-        child, here, nxt = child_positions(spec, s), table.functions[s], table.functions[s + 1]
+        child = child_positions(spec, s)
         for h, pos in enumerate(at.tolist(), start=2 ** s - 1):
             vec = vectors[h]
             vectors[2 * h + 1] = vectors[2 * h + 2] = vec
@@ -1340,8 +1375,8 @@ def reference_extract_policy(table, states=None):
                 y = vec[live] / mass
                 if states is not None:
                     states.append((s, pos, y.tobytes()))
-                cont = dpp._continuation(here[pos], s in steps)
-                p = dpp._facet_split(cont, nxt[child[pos, 1]], y)
+                cont = dpp._continuation(table.function(s, pos), s in steps)
+                p = dpp._facet_split(cont, table.function(s + 1, child[pos, 1]), y)
                 vectors[2 * h + 2, live] = mass * p
                 vectors[2 * h + 1, live] = 2.0 * vec[live] - vectors[2 * h + 2, live]
         at = child[at].ravel()

@@ -340,6 +340,14 @@ class TestTimeGrid:
         with pytest.raises(CoverageError):
             time_to_step(spec, 0.3)
 
+    def test_below_2_to_the_21_the_snap_is_time_snap_tol(self):
+        # There 4 ulps of the time are under TIME_SNAP_TOL.
+        spec = LatticeSpec(depth=2 ** 21, dt=1.0)
+        t = 2.0 ** 21 - 1
+        assert time_to_step(spec, t + 0.9 * TIME_SNAP_TOL) == 2 ** 21 - 1
+        with pytest.raises(CoverageError, match="not on the step grid"):
+            time_to_step(spec, t + 1.5 * TIME_SNAP_TOL)
+
     def test_beyond_depth(self):
         spec = LatticeSpec(depth=4, dt=0.25)
         with pytest.raises(CoverageError):
