@@ -3,10 +3,11 @@
 One config file describes an instance (lattice, cost, target law) and its
 settings.  ``main`` is the one pipeline of every subcommand: it removes
 every ``OUTPUT_FILES`` entry an earlier command left, loads the config,
-parses the instance, checks every ``SETTINGS`` row whichever command
-runs, runs the command and writes its payload as ``result.json`` (after
-``policy.json`` or ``table.csv``) into the current directory, or into
-``$DCSTOP_OUT`` when set, and only then reports a verification failure.
+parses the instance, checks every ``SETTINGS`` row and the largest
+simplex grid's size whichever command runs, runs the command and writes its
+payload as ``result.json`` (after ``policy.json`` or ``table.csv``) into the
+current directory, or into ``$DCSTOP_OUT`` when set, and only then reports a
+verification failure.
 Outputs are deterministic for a fixed config and seed: keys are sorted and
 every file embeds the config digest and version.
 
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dpp
 from .cost import cost_from_json
 from .errors import ConfigError, DcstopError, finite_number, is_integer, refuse_unknown_keys
 from .lattice import atom_steps, node_to_json, spec_from_json
@@ -168,12 +169,7 @@ class _Outcome(NamedTuple):
 
 
 def cmd_solve(args, spec, cost, mu, settings) -> _Outcome:
-    # Here and in cmd_policy and cmd_compare, ``dpp`` names are looked up at
-    # each call, not bound when ``cli`` is imported: ``perfbench/tracing.py``
-    # replaces ``dpp.solve`` and ``dpp.extract_policy`` on the module.
-    from .dpp import solve
-
-    table = solve(spec, cost, mu, settings.resolution)
+    table = dpp.solve(spec, cost, mu, settings.resolution)
     return _Outcome({
         "value": table.root_value,
         "slack": table.slack,
@@ -183,11 +179,9 @@ def cmd_solve(args, spec, cost, mu, settings) -> _Outcome:
 
 
 def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
-    from .dpp import AGREE_TOL, extract_policy, solve
-
     check_tree_depth(atom_steps(spec, mu.atoms)[-1])
-    table = solve(spec, cost, mu, settings.resolution)
-    tree = extract_policy(table)
+    table = dpp.solve(spec, cost, mu, settings.resolution)
+    tree = dpp.extract_policy(table)
     report = validate(tree, mu)
     objective = accumulate(tree, cost)
     residual = abs(objective - table.root_value)
@@ -196,7 +190,7 @@ def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
         v = report.violation
         failure = (f"policy tree violates {v.prop} at {json.dumps(node_to_json(v.node))} "
                    f"(residual {v.residual:.3e})")
-    elif residual > AGREE_TOL:
+    elif residual > dpp.AGREE_TOL:
         failure = f"policy objective off the solved value by {residual:.3e}"
     return _Outcome({
         "value": table.root_value,
@@ -223,18 +217,16 @@ def cmd_oracle(args, spec, cost, mu, settings) -> _Outcome:
 
 
 def cmd_compare(args, spec, cost, mu, settings) -> _Outcome:
-    from .dpp import AGREE_TOL, solve
-
     check_oracle_depth(atom_steps(spec, mu.atoms)[-1])
-    table = solve(spec, cost, mu, settings.resolution)
+    table = dpp.solve(spec, cost, mu, settings.resolution)
     reference = solve_lp(build_lp(spec, cost, mu)).value
     difference = abs(table.root_value - reference)
-    agree = difference <= AGREE_TOL
+    agree = difference <= dpp.AGREE_TOL
     payload = {
         "solver_value": table.root_value,
         "oracle_value": reference,
         "difference": difference,
-        "tolerance": AGREE_TOL,
+        "tolerance": dpp.AGREE_TOL,
         "agree": agree,
     }
     return _Outcome(payload, "" if agree else f"solver and oracle disagree by {difference:.3e}")
@@ -321,7 +313,11 @@ def main(argv=None) -> int:
         args.out = _out_dir()
         config = _load_config(args.config)
         spec, cost, mu = _parse_instance(config)
-        outcome = args.func(args, spec, cost, mu, _settings(config))
+        settings = _settings(config)
+        # The largest grid a solved table's ``slack`` samples, refused for
+        # every command: a config is valid or not whichever command runs it.
+        dpp.check_grid_size(len(mu.atoms), settings.resolution)
+        outcome = args.func(args, spec, cost, mu, settings)
     except DcstopError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

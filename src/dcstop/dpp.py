@@ -127,7 +127,7 @@ except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
 
 
-def _grid_size(k: int, resolution: int) -> int:
+def check_grid_size(k: int, resolution: int) -> int:
     """Point count of ``SimplexGrid(k, resolution)``, refusing one past ``GRID_SIZE_LIMIT``."""
     if not (isinstance(k, int) and k >= 1):
         raise ConfigError(f"dimension must be a positive int, got {k!r}")
@@ -153,7 +153,7 @@ class SimplexGrid:
     __slots__ = ("k", "resolution", "points", "fractions")
 
     def __init__(self, k: int, resolution: int):
-        n = _grid_size(k, resolution)
+        n = check_grid_size(k, resolution)
         # Stars and bars: bar positions in ascending lexicographic order give the
         # compositions in ascending order, so the reversed rows descend.
         bars = np.fromiter(
@@ -166,10 +166,6 @@ class SimplexGrid:
         self.resolution = resolution
         self.points = pts
         self.fractions = pts.astype(float) / resolution
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
 
     def max_adjacent_diff(self, values) -> float:
         """Largest value change across one unit of grid mass transfer.
@@ -508,7 +504,6 @@ class ValueTable:
     """
 
     spec: LatticeSpec
-    cost: CostSpec
     mu: DiscreteMeasure
     resolution: int
     steps: tuple[int, ...]
@@ -715,21 +710,18 @@ def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     """Exact block backward induction for the constrained stopping value.
 
     ``resolution`` only sets the grid that ``slack`` samples; the root value
-    is computed from the exact piecewise-linear representations.  A grid
-    past ``GRID_SIZE_LIMIT`` is refused before the induction.  The table
+    is computed from the exact piecewise-linear representations, and a grid
+    past ``GRID_SIZE_LIMIT`` is refused when ``slack`` is read.  The table
     keeps each step's bases and shifts as ``_bases`` yields them; the root
     value is the root's base plus its shift, evaluated at ``mu``'s weights.
     """
     steps = atom_steps(spec, mu.atoms)
-    horizon = steps[-1]
-    check_lattice_size(spec, horizon)
-    for k in range(1, len(steps) + 1):
-        _grid_size(k, resolution)
+    check_lattice_size(spec, steps[-1])
     # ``_bases`` yields the steps from the horizon down to 0.
     _, bases, shifts = zip(*reversed(list(_bases(spec, cost, steps))))
     root = _shifted(bases[0][0], float(shifts[0][0]))
     return ValueTable(
-        spec=spec, cost=cost, mu=mu, resolution=resolution, steps=tuple(steps),
+        spec=spec, mu=mu, resolution=resolution, steps=tuple(steps),
         root_value=root.evaluate(_mu_vector(mu)), bases=bases, shifts=shifts,
     )
 

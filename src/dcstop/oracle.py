@@ -165,8 +165,8 @@ def _simplex(a, b, c):
     test cross-multiplies.  The artificial columns stay through phase 2, barred
     from entering, and the objective row under them is the exact dual ``y``
     (Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007).  Returns the
-    optimal value, ``x``, ``y`` and final basis; an LP without an optimum
-    raises ``ValidationError``.
+    optimal value, ``x`` and ``y``; an LP without an optimum raises
+    ``ValidationError``.
     """
     m, n = len(b), len(c)
     flip = [-1 if v < 0 else 1 for v in b]
@@ -228,7 +228,7 @@ def _simplex(a, b, c):
     x = {j: Fraction(t[i][-1], den[i]) for i, j in enumerate(basis)}
     x = [x.get(j, Fraction(0)) for j in range(n)]
     y = [s * Fraction(v, den[m]) for s, v in zip(flip, t[m][n:n + m])]
-    return Fraction(t[m][-1], den[m]), x, y, tuple(basis)
+    return Fraction(t[m][-1], den[m]), x, y
 
 
 def _certificate(ya, b, c, x, y, on=slice(None)) -> tuple:
@@ -267,7 +267,7 @@ def _solve_exact(problem: LpProblem):
     # Fraction(float) is exact, so the rationals encode the float data.
     b = [Fraction(v) for v in problem.b]
     _absorb_rounding_defect(problem, b)
-    value, x, y, _ = _simplex(problem.a, b, problem.c)
+    value, x, y = _simplex(problem.a, b, problem.c)
     rows, cols = np.nonzero(problem.a)
     b_, c_, x_, y_ = (np.array(v, dtype=object)
                       for v in (b, [Fraction(v) for v in problem.c.tolist()], x, y))

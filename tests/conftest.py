@@ -32,6 +32,7 @@ import numpy as np
 from dcstop import (
     ConcavePL,
     ConfigError,
+    CostSpec,
     DiscreteMeasure,
     LatticeSpec,
     MvmTree,
@@ -278,7 +279,7 @@ def mean(mu: DiscreteMeasure) -> float:
 def from_samples(grid, values) -> ConcavePL:
     """Concave envelope of values sampled on a simplex grid, as an exact ``ConcavePL``."""
     vals = np.asarray(values, dtype=float)
-    assert vals.shape == (grid.size,)
+    assert vals.shape == (len(grid.points),)
     if grid.k == 1:
         return ConcavePL.constant(float(vals[0]))
     cloud = np.column_stack([grid.fractions[:, : grid.k - 1], vals])
@@ -316,11 +317,12 @@ def block_samples(spec: LatticeSpec, steps, functions, resolution: int) -> dict:
     return samples
 
 
-def check_scaling(table: ValueTable) -> None:
+def check_scaling(table: ValueTable, cost: CostSpec) -> None:
     """Stored functions must equal the explicit stop/renormalize quotient to 1e-12.
 
-    Each atom-step function is sampled on its own ``SimplexGrid(k,
-    table.resolution)`` and compared with its perspective's inner pieces.
+    ``table`` is the solve of its instance under ``cost``.  Each atom-step
+    function is sampled on its own ``SimplexGrid(k, table.resolution)`` and
+    compared with its perspective's inner pieces.
     """
     steps, r = table.steps, len(table.steps)
     for k in range(2, r + 1):
@@ -331,7 +333,7 @@ def check_scaling(table: ValueTable) -> None:
         for p, node in enumerate(nodes_at_step(table.spec, s)):
             f = table.function(s, p)
             vals = f.evaluate_batch(y)
-            c = stop_cost(table.cost, table.spec, node)
+            c = stop_cost(cost, table.spec, node)
             inner = f.pieces[:, 1:]  # perspective's copy of the continuation
             direct = np.full(len(y), c)
             direct[live] = y1[live] * c + rest[live] * np.min(
@@ -485,8 +487,10 @@ def reference_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     Two-phase, Bland's rule throughout, over ``Fraction`` object arrays.
 
     Every comparison is exact, and Bland's rule cannot cycle, so the routine
-    terminates.  Returns the value, ``x`` and the final basis; an LP without
-    an optimum raises ``ValidationError``.
+    terminates.  The artificial columns stay through phase 2, barred from
+    entering, so the objective row under them is the dual ``y``.  Returns the
+    value, ``x`` and ``y``; an LP without an optimum raises
+    ``ValidationError``.
     """
     m, n = a.shape
     flip = np.where(b < 0, -1, 1)
@@ -538,7 +542,6 @@ def reference_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
             if candidates.size:
                 pivot(i, int(candidates[0]))
                 basis[i] = int(candidates[0])
-    t[:, n:n + m] = zero
     t[m, :] = zero
     t[m, :n] = -c
     for i in range(m):
@@ -549,7 +552,7 @@ def reference_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = t[i, -1]
-    return c @ x, x, tuple(basis)
+    return c @ x, x, flip * t[m, n:n + m]
 
 
 def reference_tree_to_kernel(mvm: MvmTree) -> StoppingKernel:

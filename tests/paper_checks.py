@@ -131,8 +131,11 @@ def is_right_shift_of(target: DiscreteMeasure, source: DiscreteMeasure,
     return all(ft <= fs + tol for _, fs, ft in _cdf_walk(source, target))
 
 
-def check_dpp(table: ValueTable, theta: Callable[[LatticeSpec, NodeId], bool]) -> float:
+def check_dpp(table: ValueTable, cost: CostSpec,
+              theta: Callable[[LatticeSpec, NodeId], bool]) -> float:
     """The residual of the dynamic programming identity across the frontier ``theta``.
+
+    ``table`` is the solve of its instance under ``cost``.
 
     A memoised recursion from the root recomputes the root value, stopping
     wherever ``theta`` fires, or at the last atom, to read the solver's stored
@@ -152,7 +155,7 @@ def check_dpp(table: ValueTable, theta: Callable[[LatticeSpec, NodeId], bool]) -
                 # Read through the module, so a test that patches it counts the calls.
                 cont = dpp.pair_sup(u(up), u(down))
                 if node.step in table.steps:
-                    cont = dpp.perspective(stop_cost(table.cost, spec, node), cont)
+                    cont = dpp.perspective(stop_cost(cost, spec, node), cont)
                 memo[node] = cont
         return memo[node]
 

@@ -155,7 +155,7 @@ def test_criterion_04_dpp_identity_on_stopping_frontiers(c3_results):
 
     for inst in c3_results:
         for theta in (first_step, hit_or_cap):
-            residual = check_dpp(inst.table, theta)
+            residual = check_dpp(inst.table, inst.cost, theta)
             assert residual <= AGREE_TOL, (inst.cost.name, inst.mu.atoms, residual)
     announce(4, "frontier recomputation within AGREE_TOL everywhere")
 
@@ -165,7 +165,7 @@ def test_criterion_05_renormalization_identity():
     for cost in SWEEP_COSTS:
         spec = LatticeSpec(depth=4, dt=0.5, augment_max=True)
         mu = random_measure(rng, (0.5, 1.0, 2.0))
-        check_scaling(solve(spec, cost, mu, resolution=15))
+        check_scaling(solve(spec, cost, mu, resolution=15), cost)
     announce(5, "stop/renormalize quotient verified to 1e-12")
 
 

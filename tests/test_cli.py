@@ -299,6 +299,8 @@ class TestValidate:
         assert (out / "result.json").read_bytes() == first
 
 
+# The four-atom weights of the depth-40 instances.
+WEIGHTS40 = (0.21356950974843217, 0.29684989146271784, 0.41039060019339013, 0.07918999859545982)
 # Instances at the edge of what the commands take, each in full.
 EDGE_CONFIGS = {
     # The exact oracle on a 35-row, 68-column LP.
@@ -351,6 +353,60 @@ EDGE_CONFIGS = {
         "solver": {"resolution": 10},
         "seed": 7,
     },
+    # Solves past the benchmark's instances.  The recombining depth-40
+    # four-atom indicator instance that its deep workload leaves out for
+    # cost: the solver's largest pair clouds (3.1M pairs before pruning).
+    "indicator40": {
+        "lattice": {"depth": 40, "dt": 1.0},
+        "cost": {"kind": "terminal", "name": "indicator", "params": {"threshold": 1.0}},
+        "measure": [{"t": t, "w": w} for t, w in zip((10.0, 20.0, 30.0, 40.0), WEIGHTS40)],
+        "solver": {"resolution": 10},
+    },
+    # Max-augmented depth 20: children that share a grandchild function, and
+    # nodes that share one update, on a lattice where positions alone do not
+    # say which functions are one.
+    "max20": {
+        "lattice": {"depth": 20, "dt": 1.0, "augment_max": True},
+        "cost": {"kind": "terminal", "name": "indicator", "params": {"threshold": 1.0}},
+        "measure": [{"t": 5.0, "w": 0.1}, {"t": 10.0, "w": 0.3},
+                    {"t": 15.0, "w": 0.2}, {"t": 20.0, "w": 0.4}],
+        "solver": {"resolution": 10},
+    },
+    # indicator40's symmetric twin: under abs, the node at -x has the
+    # children of the node at x in swapped order, so it stores that update's
+    # mirror.
+    "abs40": {
+        "lattice": {"depth": 40, "dt": 1.0},
+        "cost": {"kind": "terminal", "name": "abs"},
+        "measure": [{"t": t, "w": w} for t, w in zip((10.0, 20.0, 30.0, 40.0), WEIGHTS40)],
+        "solver": {"resolution": 10},
+    },
+    # A running_max identity cost: V(w, m) = w + G(m - w), so nodes whose
+    # values differ by a constant share one base function and one update.
+    "maxrm20": {
+        "lattice": {"depth": 20, "dt": 1.0, "augment_max": True},
+        "cost": {"kind": "running_max", "name": "identity"},
+        "measure": [{"t": 5.0, "w": 0.1}, {"t": 10.0, "w": 0.3},
+                    {"t": 15.0, "w": 0.2}, {"t": 20.0, "w": 0.4}],
+        "solver": {"resolution": 10},
+    },
+    # policy reads each visited node's function and its up child's base: the
+    # shallowest four-atom law tree whose solve runs pooled steps.
+    "policy16": {
+        "lattice": {"depth": 16, "dt": 1.0, "augment_max": True},
+        "cost": {"kind": "terminal", "name": "indicator", "params": {"threshold": 1.0}},
+        "measure": [{"t": 4.0, "w": 0.1}, {"t": 8.0, "w": 0.3},
+                    {"t": 12.0, "w": 0.2}, {"t": 16.0, "w": 0.4}],
+        "solver": {"resolution": 10},
+    },
+}
+# Values in result.json held to 1e-12, by (instance, command).  abs40's
+# value was solved before mirrors existed and maxrm20's before bases were
+# shared; both slacks were sampled before the table kept bases and shifts.
+PINS = {
+    ("indicator40", "solve"): {"value": 0.6005032747646508},
+    ("abs40", "solve"): {"value": 4.362215235084616, "slack": 0.6617126464843759},
+    ("maxrm20", "solve"): {"value": 2.9506595611572264, "slack": 0.408203125},
 }
 
 
@@ -368,9 +424,13 @@ class TestEdgeInstances:
         ("flat12", "policy"),
         ("tree", "validate"),
         ("tree", "policy"),
+        *((name, "solve") for name in ("indicator40", "max20", "abs40", "maxrm20")),
+        ("policy16", "policy"),
     ])
     def test_exits_0(self, workspace, name, argv):
-        self.run(workspace, name, *argv.split())
+        payload = self.run(workspace, name, *argv.split())
+        for key, pin in PINS.get((name, argv), {}).items():
+            assert abs(payload[key] - pin) <= 1e-12, (key, payload[key])
 
     @pytest.mark.parametrize("name", ["exact7", "deep"])
     def test_exact_oracle_certifies_the_float_value(self, workspace, name):
@@ -723,20 +783,23 @@ class TestGuardsBeforeWork:
             f"invalid input: lattice holds more than 1000000 nodes up to step {int(atoms[-1])}; "
             "lower the depth or the last atom time\n")
 
-    @pytest.mark.parametrize("command", ["solve", "compare", "policy", "stability"])
+    # Every command refuses the grid, whether it builds one or not.
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_grid_size_guard_fires_first(self, tmp_path, monkeypatch, capsys, command):
-        def pair_sup(*args, **kwargs):
-            raise AssertionError("the induction ran before the grid size guard")
+        def expensive_call(*args, **kwargs):
+            raise AssertionError("the command ran before the grid size guard")
 
-        monkeypatch.setattr("dcstop.dpp.pair_sup", pair_sup)
-        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path))
+        for name in ("dcstop.dpp.solve", "dcstop.cli.convergence_sweep", "dcstop.cli.build_lp",
+                     "dcstop.cli.feasible_kernel"):
+            monkeypatch.setattr(name, expensive_call)
+        monkeypatch.setenv("DCSTOP_OUT", str(tmp_path / "out"))
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**README_CONFIG, "solver": {"resolution": 10 ** 6}}))
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == (
             "invalid input: simplex grid would hold 1000001 points (limit 1000000); "
             "lower the resolution\n")
-        assert not (tmp_path / "result.json").exists()
+        assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.parametrize("command", ["compare", "policy", "stability"])
     def test_gates_build_no_grid(self, tmp_path, monkeypatch, command):

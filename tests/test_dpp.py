@@ -44,6 +44,7 @@ from dcstop.dpp import AGREE_TOL, _hull_upper
 from dcstop.errors import NumericalError
 from dcstop.lattice import child_positions
 from dcstop.measures import measure_from_json
+from dcstop.mvm import TREE_DEPTH_LIMIT
 from paper_checks import check_dpp, oracle_value, strong_value, termination
 from conftest import (
     barrier_value,
@@ -84,7 +85,7 @@ class TestSimplexGrid:
     @pytest.mark.parametrize("k,resolution", [(1, 5), (2, 7), (3, 4), (4, 3)])
     def test_size_counts_compositions(self, k, resolution):
         grid = SimplexGrid(k, resolution)
-        assert grid.size == comb(resolution + k - 1, k - 1)
+        assert len(grid.points) == comb(resolution + k - 1, k - 1)
         assert (grid.points.sum(axis=1) == resolution).all()
         assert (grid.points >= 0).all()
         assert np.allclose(grid.fractions.sum(axis=1), 1.0)
@@ -111,14 +112,14 @@ class TestSimplexGrid:
         rng = np.random.default_rng(67)
         grid = SimplexGrid(k, resolution)
         for scale in (1e-6, 1.0, 1e6):
-            values = scale * rng.normal(size=grid.size)
+            values = scale * rng.normal(size=len(grid.points))
             assert grid.max_adjacent_diff(values) == pairwise_max_adjacent_diff(grid, values)
         values[::3] = np.nan
         assert grid.max_adjacent_diff(values) == pairwise_max_adjacent_diff(grid, values)
 
     def test_single_coordinate_grid_is_trivial(self):
         grid = SimplexGrid(1, 9)
-        assert grid.size == 1
+        assert len(grid.points) == 1
         assert grid.max_adjacent_diff([4.2]) == 0.0
 
     def test_guards(self):
@@ -174,7 +175,7 @@ class TestEnvelope:
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(52)
         grid = SimplexGrid(3, 5)
-        w = from_samples(grid, rng.normal(size=grid.size))
+        w = from_samples(grid, rng.normal(size=len(grid.points)))
         ys = random_simplex_points(rng, 3, 10)
         batch = w.evaluate_batch(ys)
         single = [w.evaluate(y) for y in ys]
@@ -183,7 +184,7 @@ class TestEnvelope:
     def test_argmin_piece_attains_the_value(self):
         rng = np.random.default_rng(53)
         grid = SimplexGrid(3, 5)
-        w = from_samples(grid, rng.normal(size=grid.size))
+        w = from_samples(grid, rng.normal(size=len(grid.points)))
         for y in random_simplex_points(rng, 3, 10):
             row = w.pieces[w.argmin_piece(y)]
             assert float(row @ y) == pytest.approx(w.evaluate(y), abs=1e-12)
@@ -192,7 +193,7 @@ class TestEnvelope:
 def brute_grid_pair_sup(grid, vu, vd):
     """Best grid-pair randomization per grid point, by full enumeration."""
     rows = grid_rows(grid)
-    out = np.full(grid.size, -np.inf)
+    out = np.full(len(grid.points), -np.inf)
     for t, target in enumerate(grid.points):
         doubled = 2 * target
         for i, p in enumerate(grid.points):
@@ -217,8 +218,8 @@ class TestPairSup:
     def test_dominates_average_and_brute_pairs(self):
         rng = np.random.default_rng(54)
         grid = SimplexGrid(3, 4)
-        vu = rng.normal(size=grid.size)
-        vd = rng.normal(size=grid.size)
+        vu = rng.normal(size=len(grid.points))
+        vd = rng.normal(size=len(grid.points))
         w = pair_sup(from_samples(grid, vu), from_samples(grid, vd))
         got = w.evaluate_batch(grid.fractions)
         assert (got >= 0.5 * (vu + vd) - 1e-12).all()
@@ -228,8 +229,8 @@ class TestPairSup:
     def test_midpoint_concave(self):
         rng = np.random.default_rng(55)
         grid = SimplexGrid(3, 4)
-        w = pair_sup(from_samples(grid, rng.normal(size=grid.size)),
-                     from_samples(grid, rng.normal(size=grid.size)))
+        w = pair_sup(from_samples(grid, rng.normal(size=len(grid.points))),
+                     from_samples(grid, rng.normal(size=len(grid.points))))
         for a, b in zip(random_simplex_points(rng, 3, 20),
                         random_simplex_points(rng, 3, 20)):
             mid = 0.5 * (a + b)
@@ -245,7 +246,7 @@ class TestPairSup:
 
     def test_mismatched_dimensions(self):
         grids = SimplexGrid(2, 2), SimplexGrid(3, 2)
-        w2, w3 = (from_samples(grid, np.zeros(grid.size)) for grid in grids)
+        w2, w3 = (from_samples(grid, np.zeros(len(grid.points))) for grid in grids)
         with pytest.raises(ConfigError, match="matching dimensions"):
             pair_sup(w2, w3)
 
@@ -561,7 +562,7 @@ class TestPrunedPairCloud:
 
     def test_the_cloud_guard_fires_before_any_pair_work(self, monkeypatch):
         grid = SimplexGrid(3, 2)
-        w = from_samples(grid, np.random.default_rng(7).normal(size=grid.size))
+        w = from_samples(grid, np.random.default_rng(7).normal(size=len(grid.points)))
         n = w.verts.shape[0] ** 2
 
         def pair_work(*args):
@@ -755,7 +756,7 @@ class TestSolve:
         spec = LatticeSpec(depth=3, dt=0.5)
         mu = random_measure(rng, (0.5, 1.0, 1.5))
         table = solve(spec, ABS, mu, resolution=7)
-        check_scaling(table)
+        check_scaling(table, ABS)
         assert table.root_value >= 0.0
 
     def test_scaling_check_catches_a_corrupted_table_entry(self):
@@ -763,7 +764,7 @@ class TestSolve:
         spec = LatticeSpec(depth=3, dt=0.5)
         mu = random_measure(rng, (0.5, 1.0, 1.5))
         table = solve(spec, ABS, mu, resolution=7)
-        check_scaling(table)
+        check_scaling(table, ABS)
         # Lower the stop coefficient of every piece of one 3-block function:
         # its values move by 1e-9 y1, its continuation pieces do not.
         s = table.steps[0]
@@ -771,7 +772,7 @@ class TestSolve:
         bases = list(table.bases)
         bases[s] = (dataclasses.replace(f, pieces=f.pieces - [1e-9, 0.0, 0.0]), *bases[s][1:])
         with pytest.raises(AssertionError, match="renormalization identity off by"):
-            check_scaling(dataclasses.replace(table, bases=tuple(bases)))
+            check_scaling(dataclasses.replace(table, bases=tuple(bases)), ABS)
 
     # Recorded before the grid layer was rebuilt on arrays; any change to the
     # order of the grid points, the sampling or the slack shows here.
@@ -807,7 +808,7 @@ class TestSolve:
             grid = SimplexGrid(k, table.resolution)
             rows = grid_rows(grid)
             for _ in range(20):
-                i, j = rng.integers(0, grid.size, size=2)
+                i, j = rng.integers(0, len(grid.points), size=2)
                 doubled = grid.points[i] + grid.points[j]
                 if (doubled % 2).any():
                     continue
@@ -836,19 +837,20 @@ class TestSolve:
         assert table.root_value == pytest.approx(strong_value(spec, cost, mu), abs=1e-12)
         assert table.root_value == pytest.approx(oracle_value(spec, cost, mu), abs=1e-12)
 
+    # ``solve`` builds no grid, so its root value takes any resolution; the
+    # grid guard meets an API caller when ``slack`` is read.
     def test_bad_resolution(self):
         spec, cost, mu = worked_instance()
-        with pytest.raises(ConfigError):
-            solve(spec, cost, mu, resolution=0)
+        table = solve(spec, cost, mu, resolution=0)
+        with pytest.raises(ConfigError, match="resolution must be a positive int"):
+            table.slack
 
-    def test_size_guard_fires_before_the_induction(self, monkeypatch):
-        def induction(*args, **kwargs):
-            raise AssertionError("the induction ran before the grid size guard")
-
-        monkeypatch.setattr(dpp, "pair_sup", induction)
+    def test_slack_refuses_a_grid_past_the_limit(self):
         mu = DiscreteMeasure((1.0, 2.0, 3.0), (0.2, 0.3, 0.5))
-        with pytest.raises(SizeGuardError):
-            solve(LatticeSpec(depth=3, dt=1.0), ABS, mu, resolution=2000)
+        table = solve(LatticeSpec(depth=3, dt=1.0), SQUARE, mu, resolution=2000)
+        assert table.root_value == pytest.approx(mean(mu), abs=1e-12)
+        with pytest.raises(SizeGuardError, match="simplex grid would hold 2003001 points"):
+            table.slack
 
     @pytest.mark.parametrize("last, refused", [(3.0, False), (4.0, True)])
     def test_lattice_size_guard_counts_nodes_up_to_the_last_atom(self, monkeypatch, last, refused):
@@ -1148,14 +1150,19 @@ class TestParallelSteps:
     # Eight workers is more threads than cores; the short switch interval
     # makes the threads interleave often.
     @pytest.mark.parametrize("workers", [2, 8])
-    @pytest.mark.parametrize("spec, cost, atoms", [
-        (LatticeSpec(depth=24, dt=1.0), ABS, (6.0, 12.0, 18.0, 24.0)),
+    @pytest.mark.parametrize("spec, cost, mu", [
+        (LatticeSpec(depth=24, dt=1.0), ABS,
+         random_measure(np.random.default_rng(61), (6.0, 12.0, 18.0, 24.0))),
         (LatticeSpec(depth=12, dt=1.0, augment_max=True), CostSpec(kind="running_max", name="identity"),
-         (4.0, 8.0, 12.0)),
-        (LatticeSpec(depth=16, dt=1.0), SQUARE, (4.0, 8.0, 12.0, 16.0)),
-    ])
-    def test_pooled_steps_match_the_serial_pass(self, monkeypatch, spec, cost, atoms, workers):
-        mu = random_measure(np.random.default_rng(61), atoms)
+         random_measure(np.random.default_rng(61), (4.0, 8.0, 12.0))),
+        (LatticeSpec(depth=16, dt=1.0), SQUARE,
+         random_measure(np.random.default_rng(61), (4.0, 8.0, 12.0, 16.0))),
+        # test_cli.py's ``EDGE_CONFIGS["policy16"]``: the shallowest
+        # four-atom law tree whose solve runs pooled steps.
+        (LatticeSpec(depth=16, dt=1.0, augment_max=True), INDICATOR,
+         DiscreteMeasure((4.0, 8.0, 12.0, 16.0), (0.1, 0.3, 0.2, 0.4))),
+    ], ids=["abs24", "running_max12", "square16", "indicator_max16"])
+    def test_pooled_steps_match_the_serial_pass(self, monkeypatch, spec, cost, mu, workers):
         monkeypatch.setattr(dpp, "_cpu_count", lambda: 1)
         serial = solve(spec, cost, mu, resolution=10)
         built = self.pool_counter(monkeypatch)
@@ -1183,6 +1190,10 @@ class TestParallelSteps:
                     == [[q for q, h in enumerate(gs) if h.verts is g.verts] for g in gs])
         assert pooled.root_value == serial.root_value
         assert pooled.slack == serial.slack
+        # A policy reads each visited node's function and its up child's base.
+        if pooled.steps[-1] <= TREE_DEPTH_LIMIT:
+            assert (extract_policy(pooled).vectors.tobytes()
+                    == extract_policy(serial).vectors.tobytes())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_lowest_failing_node_raises(self, monkeypatch, workers):
@@ -1261,6 +1272,17 @@ class TestParallelSteps:
                 fresh_lo, fresh_hi = slope_boxes(f)
                 assert lo.tobytes() == fresh_lo.tobytes() and hi.tobytes() == fresh_hi.tobytes()
 
+    def test_cpu_count_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(dpp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(dpp.os, "cpu_count", lambda: 8)
+        assert dpp._cpu_count() == 1
+
+    @pytest.mark.parametrize("count, workers", [(3, 3), (None, 1)])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, count, workers):
+        monkeypatch.delattr(dpp.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(dpp.os, "cpu_count", lambda: count)
+        assert dpp._cpu_count() == workers
+
     def test_pooled_steps_without_malloc_trim(self, monkeypatch):
         monkeypatch.setattr(dpp, "_MALLOC_TRIM", None)
         monkeypatch.setattr(dpp, "_cpu_count", lambda: 2)
@@ -1285,7 +1307,7 @@ class TestCheckDpp:
         spec, cost, mu = worked_instance()
         table = solve(spec, cost, mu, resolution=4)
         for theta in THETAS.values():
-            assert check_dpp(table, theta) <= AGREE_TOL
+            assert check_dpp(table, cost, theta) <= AGREE_TOL
 
     def test_builds_no_grid(self, monkeypatch):
         def grid(*args, **kwargs):
@@ -1295,12 +1317,12 @@ class TestCheckDpp:
         spec, cost, mu = worked_instance()
         table = solve(spec, cost, mu, resolution=40)
         for theta in THETAS.values():
-            assert check_dpp(table, theta) <= AGREE_TOL
+            assert check_dpp(table, cost, theta) <= AGREE_TOL
 
     def test_degenerate_frontier_recomputes_exactly(self):
         spec, cost, mu = worked_instance()
         table = solve(spec, cost, mu, resolution=4)
-        assert check_dpp(table, THETAS["past_horizon"]) <= 1e-12
+        assert check_dpp(table, cost, THETAS["past_horizon"]) <= 1e-12
 
     def test_random_instance_residuals(self):
         rng = np.random.default_rng(63)
@@ -1308,7 +1330,7 @@ class TestCheckDpp:
         mu = random_measure(rng, (0.5, 0.75, 1.0))
         table = solve(spec, ABS, mu, resolution=5)
         for theta in THETAS.values():
-            assert check_dpp(table, theta) <= AGREE_TOL
+            assert check_dpp(table, ABS, theta) <= AGREE_TOL
 
 
 REFERENCE_LATTICES = [
@@ -1334,7 +1356,7 @@ class TestPositionLoopsMatchTheRecursions:
             return original(up, down, *args)
 
         monkeypatch.setattr(dpp, "pair_sup", counting)
-        assert check_dpp(table, THETAS[theta]) <= AGREE_TOL
+        assert check_dpp(table, cost, THETAS[theta]) <= AGREE_TOL
         assert calls
 
     @pytest.mark.parametrize("spec, cost", REFERENCE_LATTICES)
