@@ -35,7 +35,8 @@ from .cost import cost_from_json
 from .errors import ConfigError, DcstopError, finite_number, is_integer, refuse_unknown_keys
 from .lattice import atom_steps, node_to_json, spec_from_json
 from .measures import measure_from_json, measure_to_json
-from .mvm import accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel, validate
+from .mvm import (JsonText, accumulate, check_tree_depth, from_kernel, mvm_to_json, to_kernel,
+                  validate)
 from .oracle import (build_lp, check_exact_depth, check_oracle_depth, lp_solution_to_kernel,
                      solve_lp)
 from .rst import (check_sim_paths, feasible_kernel, kernel_to_json, marginal_of, objective_value,
@@ -143,13 +144,25 @@ def _out_dir() -> str:
     return out
 
 
-def _emit(out: str, name: str, payload: dict, config: dict) -> None:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    payload = dict(payload)
-    payload["config_digest"] = hashlib.sha256(canon.encode()).hexdigest()
-    payload["version"] = __version__
+def render(document: dict) -> str:
+    """``json.dumps(document, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    A ``JsonText`` value (the law tree's ``nodes``) comes written: it goes
+    where ``json.dumps`` writes ``null`` for it, on the one line that opens
+    with two spaces and its key.
+    """
+    written = {key: value for key, value in document.items() if isinstance(value, JsonText)}
+    text = json.dumps({**document, **dict.fromkeys(written)}, sort_keys=True, indent=2)
+    for key, value in written.items():
+        field = f"\n  {json.dumps(key)}: "
+        text = text.replace(field + "null", field + value, 1)
+    return text + "\n"
+
+
+def _emit(out: str, name: str, payload: dict, digest: str) -> None:
+    document = {**payload, "config_digest": digest, "version": __version__}
     with open(os.path.join(out, name), "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(render(document))
 
 
 def _echo(payload: dict) -> None:
@@ -321,9 +334,11 @@ def main(argv=None) -> int:
     except DcstopError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canon.encode()).hexdigest()
     for name, document in outcome.files:
-        _emit(args.out, name, document, config)
-    _emit(args.out, "result.json", outcome.payload, config)
+        _emit(args.out, name, document, digest)
+    _emit(args.out, "result.json", outcome.payload, digest)
     _echo(outcome.payload)
     if outcome.failure:
         print(f"verification failed: {outcome.failure}", file=sys.stderr)

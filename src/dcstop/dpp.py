@@ -765,17 +765,19 @@ def extract_policy(table: ValueTable) -> MvmTree:
     which stay frozen, plus the (unnormalized) law of the atoms still ahead,
     which each driver step splits through the optimal pair-sup facet.  The
     pair supremum is the one inside a visited node's ``table.function``
-    (``_continuation``), read with its ``src`` rows into the up child's base.  The result is a valid adapted martingale tree whose
-    objective matches the root value.
+    (``_continuation``), read with its ``src`` rows into the up child's base.
+    The result is a valid adapted martingale tree whose objective matches the
+    root value.
 
     The split at a history depends only on its state: its node position and
-    the normalized law of the atoms still ahead.  Each step is one sweep over
-    the step's rows, and ``_facet_split`` runs once per distinct key
-    ``(position, bytes of the normalized law)``, in order of first row; a
-    history whose live mass is 1e-14 or less is not split.  Rows with one key
-    hand ``_facet_split`` the same bits, and every other operation is the
-    elementwise arithmetic of a per-history loop, so the tree is bit for bit
-    the one that loop builds, down to the first ``NumericalError``.
+    the normalized law of the atoms still ahead.  Each step keys its rows in
+    one array pass, a row's position and its law's bits read as one bytes
+    object, and ``_facet_split`` runs once per distinct key, at its first
+    row, in row order; a history whose live mass is 1e-14 or less is not
+    split.  Rows with one key hand ``_facet_split`` the same bits, and every
+    other operation is the elementwise arithmetic of a per-history loop, so
+    the tree is bit for bit the one that loop builds, down to the first
+    ``NumericalError``.
     """
     spec = table.spec
     steps = table.steps
@@ -797,16 +799,20 @@ def extract_policy(table: ValueTable) -> MvmTree:
         mass = ahead.sum(axis=1)
         split = np.flatnonzero(mass > 1e-14)
         law = ahead[split] / mass[split, None]
-        keys, conts, points, which = {}, {}, [], []
-        for pos, y in zip(at[split].tolist(), law):
-            key = (pos, y.tobytes())
-            if key not in keys:
-                if pos not in conts:
-                    conts[pos] = _continuation(table.function(s, pos), s in steps)
-                keys[key] = len(points)
-                points.append(_facet_split(conts[pos], nxt[child[pos, 1]], y.copy()))
-            which.append(keys[key])
-        up = mass[split, None] * np.reshape(points, (len(points), len(steps) - first))[which]
+        # A row's key is its position and its law's bits, read as one bytes
+        # object; ``heads`` maps each key to its first row, in row order.
+        keyed = np.column_stack((at[split], law.view(np.int64)))
+        keys = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel().tolist()
+        heads = {}
+        for row, key in enumerate(keys):
+            heads.setdefault(key, row)
+        pos, conts, points = at[split].tolist(), {}, np.empty_like(law)
+        for row in heads.values():
+            p = pos[row]
+            if p not in conts:
+                conts[p] = _continuation(table.function(s, p), s in steps)
+            points[row] = _facet_split(conts[p], nxt[child[p, 1]], law[row])
+        up = mass[split, None] * points[list(map(heads.__getitem__, keys))]
         kids[split, 1, first:] = up
         kids[split, 0, first:] = 2.0 * ahead[split] - up
         at = child[at].ravel()

@@ -22,6 +22,7 @@ not times, and ``from_kernel`` and ``accumulate`` walk from atom to atom.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,8 +39,6 @@ from .lattice import (
     child_positions,
     grid_step,
     heap_history,
-    histories,
-    history_to_str,
     states_at_step,
 )
 from .measures import DiscreteMeasure
@@ -49,9 +48,9 @@ MARTINGALE_TOL = 1e-12
 # A tree holds 2^(depth + 1) - 1 rows, and its memory and time double with
 # each step.  ``dcstop validate`` and ``dcstop policy`` both build one.  On
 # four atoms at depth 16 on a 2-core x86 machine, past the imports, validate
-# takes 0.06 s at 90 MB peak RSS, and policy 1.5 s at 210 MB, mostly writing
-# a 15 MB policy.json (``extract_policy`` takes 0.15 s).  validate took 1 s
-# and 180 MB at depth 20.
+# takes 0.06 s at 90 MB peak RSS, and policy 0.3-0.5 s at 160 MB, of which
+# ``extract_policy`` takes 0.06-0.15 s and laying out the 15 MB policy.json
+# (``mvm_to_json``) 0.13-0.18 s.  validate took 1 s and 180 MB at depth 20.
 TREE_DEPTH_LIMIT = 16
 
 
@@ -210,10 +209,57 @@ def accumulate(mvm: MvmTree, cost: CostSpec) -> float:
     return math.fsum(paid * 2.0 ** -mvm.depth)
 
 
+class JsonText(str):
+    """A document's value already written, one level in, as the document's
+    ``json.dumps(document, sort_keys=True, indent=2)`` writes it."""
+
+
+def _preorder(depth: int) -> tuple[np.ndarray, list[str]]:
+    """A tree's heap rows and their ``U``/``D`` keys, in the keys' sorted order.
+
+    ``D`` sorts before ``U`` and a key before its extensions, so that order is
+    the pre-order walk with the down child first: the root, then the down
+    subtree, then the up one.  Under a new root, a subtree row at step ``s``
+    moves on by ``2**s`` in the down subtree and by twice that in the up one.
+    """
+    rows, step, keys = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), [""]
+    for _ in range(depth):
+        width = 2 ** step
+        rows = np.concatenate(([0], rows + width, rows + 2 * width))
+        step = np.concatenate(([0], step + 1, step + 1))
+        keys = ["", *["D" + key for key in keys], *["U" + key for key in keys]]
+    return rows, keys
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float's text as ``json`` writes it, each distinct one formatted once.
+
+    Floats are told apart by their bits, so ``-0.0`` keeps its sign, and a
+    non-finite one would read ``NaN`` or ``Infinity``.
+    """
+    bits = values.view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    texts = json.dumps(np.array(distinct, dtype=np.int64).view(float).tolist())[1:-1].split(", ")
+    return list(map(dict(zip(distinct, texts)).__getitem__, bits))
+
+
 def mvm_to_json(mvm: MvmTree) -> dict:
-    keys = (history_to_str(bits) for s in range(mvm.depth + 1) for bits in histories(s))
+    """The tree's document: ``dt``, ``atom_times`` and ``nodes``, each history's vector by its key.
+
+    ``nodes`` comes written (``JsonText``), straight from the array, its keys
+    in their sorted order (``_preorder``).
+    """
+    rows, keys = _preorder(mvm.depth)
+    floats = _json_floats(mvm.vectors[rows].ravel())
+    # What goes before each float: a row's key opens its list, and a comma
+    # parts the floats within a row.
+    heads = [",\n      "] * len(floats)
+    heads[::len(mvm.atom_times)] = ["{\n    \"\": [\n      ",
+                                    *(f'\n    ],\n    "{key}": [\n      ' for key in keys[1:])]
+    parts = [""] * (2 * len(floats))
+    parts[::2], parts[1::2] = heads, floats
     return {
         "dt": mvm.dt,
         "atom_times": list(mvm.atom_times),
-        "nodes": dict(zip(keys, mvm.vectors.tolist())),
+        "nodes": JsonText("".join(parts) + "\n    ]\n  }"),
     }

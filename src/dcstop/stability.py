@@ -11,6 +11,7 @@ import csv
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from . import dpp
 from .cost import CostSpec, modulus
 from .errors import ConfigError
 from .lattice import LatticeSpec, atom_steps
@@ -42,8 +43,6 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     states reachable by the latest projected horizon; values come from the block
     solver, which solves each distinct projected law once, the finest first.
     """
-    from .dpp import AGREE_TOL, check_lattice_size, solve
-
     if not grids:
         raise ConfigError("need at least one grid to sweep")
     for a, b in zip(grids, grids[1:]):
@@ -53,17 +52,17 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     horizon = max(atom_steps(spec, m.atoms)[-1] for m in projected)
     # Before the modulus constant, which takes time linear in the horizon: no
     # solve stops past it, so neither do the states the constant ranges over.
-    check_lattice_size(spec, horizon)
+    dpp.check_lattice_size(spec, horizon)
     phi = modulus(cost, replace(spec, depth=horizon))
     mu_fine = projected[-1]
-    values = {m: solve(spec, cost, m, resolution).root_value
+    values = {m: dpp.solve(spec, cost, m, resolution).root_value
               for m in dict.fromkeys([mu_fine, *projected])}
     v_fine = values[mu_fine]
     rows = []
     for n, (grid, mu_n) in enumerate(zip(grids, projected)):
         w1_to_fine = w1_distance(mu_n, mu_fine)
         v_n = values[mu_n]
-        bound = phi(w1_to_fine) + 2.0 * AGREE_TOL
+        bound = phi(w1_to_fine) + 2.0 * dpp.AGREE_TOL
         value_gap = abs(v_n - v_fine)
         rows.append({
             "n": n,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -431,6 +432,19 @@ class TestEdgeInstances:
         payload = self.run(workspace, name, *argv.split())
         for key, pin in PINS.get((name, argv), {}).items():
             assert abs(payload[key] - pin) <= 1e-12, (key, payload[key])
+
+    # sha256 of policy.json as json.dumps(sort_keys=True, indent=2) wrote it
+    # (Python 3.11, numpy 2.4, scipy 1.17), before it was written from the
+    # tree's array: the bytes must not change.
+    @pytest.mark.parametrize("name, digest", [
+        ("readme", "b8d49595cba3fd98fefc7c9f8cb80499c7180042546e5195c5f34f5e0e74c08c"),
+        ("tree", "48c8f9a91a9e1110808c221050515a6f82a9e03b36395e76b3b45b8ae3662129"),
+    ])
+    def test_policy_json_bytes_are_pinned(self, workspace, name, digest):
+        config_path, out = workspace
+        config_path.write_text(json.dumps({"readme": README_CONFIG, **EDGE_CONFIGS}[name]))
+        assert main(["policy", str(config_path)]) == 0
+        assert hashlib.sha256((out / "policy.json").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["exact7", "deep"])
     def test_exact_oracle_certifies_the_float_value(self, workspace, name):

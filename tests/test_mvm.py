@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcstop import (
     ConfigError,
@@ -31,9 +33,10 @@ from dcstop import (
     validate,
 )
 
-from dcstop.lattice import atom_steps, child_positions, heap_history, histories
+from dcstop.cli import render
+from dcstop.lattice import atom_steps, child_positions, heap_history, histories, history_to_str
 from dcstop.lattice import node_count, states_at_step
-from dcstop.mvm import MARTINGALE_TOL, MvmReport, MvmViolation
+from dcstop.mvm import MARTINGALE_TOL, MvmReport, MvmViolation, _json_floats
 from dcstop.rst import _forward_stops
 
 from paper_checks import SpliceError, extract_continuation, oracle_value, splice, termination
@@ -722,7 +725,12 @@ class TestAccumulate:
 
 
 def payload(tree: MvmTree) -> dict:
-    return json.loads(json.dumps(mvm_to_json(tree)))
+    return json.loads(render(mvm_to_json(tree)))
+
+
+# Floats whose text is easy to get wrong: both zeros side by side,
+# subnormals, reprs with an exponent, and ones that need 17 digits.
+AWKWARD = (0.0, -0.0, 5e-324, 2.5e-310, 1e-05, 1e+16, -1.5e-07, 0.1, 1.0 / 3.0, 1.2345678901234568e+17)
 
 
 class TestConstruction:
@@ -783,11 +791,35 @@ class TestConstruction:
 
 
 class TestJson:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 4), st.sampled_from((1.0, 0.5, 0.25)),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_writer_matches_the_standard_encoder(self, depth, atoms, dt, drawn, seed):
+        # The writer's bytes against json.dumps of the document with its
+        # nodes keyed one history at a time.
+        rng = np.random.default_rng(seed)
+        early = rng.choice(np.arange(1, depth), min(atoms, depth) - 1, replace=False)
+        times = [dt * s for s in sorted([*early.tolist(), depth])]
+        pool = np.array([*AWKWARD, *drawn])
+        vectors = rng.choice(pool, size=(2 ** (depth + 1) - 1, len(times)))
+        head = min(vectors.size, len(AWKWARD))
+        vectors.flat[:head] = pool[:head]
+        tree = MvmTree(dt, times, vectors)
+        nodes = {history_to_str(heap_history(h)): row for h, row in enumerate(vectors.tolist())}
+        document = {"dt": dt, "atom_times": times, "nodes": nodes, "version": "0.1.0"}
+        want = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        assert render({**mvm_to_json(tree), "version": "0.1.0"}) == want
+
+    def test_floats_are_told_apart_by_bits_and_written_as_json_writes_them(self):
+        values = np.array([0.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e-05, 1e-05])
+        assert _json_floats(values) == json.dumps(values.tolist())[1:-1].split(", ")
+
     def test_round_trip(self):
         rng = np.random.default_rng(43)
         spec = LatticeSpec(depth=3, dt=0.5)
         tree = from_kernel(random_kernel(spec, (0.5, 1.5), rng))
-        again = mvm_from_json(mvm_to_json(tree))
+        again = mvm_from_json(payload(tree))
         assert (again.atom_times, again.steps) == (tree.atom_times, tree.steps)
         assert np.array_equal(again.vectors, tree.vectors)
 
