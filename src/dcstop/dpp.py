@@ -72,7 +72,6 @@ qhull share of a step.
 
 from __future__ import annotations
 
-import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -119,12 +118,6 @@ AGREE_TOL = 1e-9
 # Bellman updates go to the thread pool; smaller steps cost less than the
 # hand-off.
 POOL_PAIR_CUTOFF = 20_000
-
-try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
 
 
 def check_grid_size(k: int, resolution: int) -> int:
@@ -585,17 +578,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _malloc_trim() -> None:
-    """Give free heap back to the OS around pooled steps.
-
-    Each pool thread allocates from its own glibc arena and cannot reuse the
-    free heap another arena holds, so without a trim every arena keeps its
-    own high-water mark resident.  A no-op where libc has no ``malloc_trim``.
-    """
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-
-
 def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
     """The backward induction on base functions, one step at a time from the horizon.
 
@@ -632,8 +614,7 @@ def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
     the induction ends.  Each update is deterministic and the results are
     placed by node position (see the module docstring) after the step, so
     bases and errors are those of a serial pass, bit for bit: the first
-    failing position raises.  Free heap is handed back (``_malloc_trim``)
-    before each pooled step and after the last, to hold peak RSS.
+    failing position raises.
     """
     horizon = steps[-1]
     shifts = _stop_values(spec, cost, horizon, steps)
@@ -680,16 +661,10 @@ def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
             args.append([(boxes[id(u.verts)], boxes[id(d.verts)]) if boxes else None
                          for u, d in zip(*args[:2])])
             pairs = sum(u.verts.shape[0] * d.verts.shape[0] for u, d in zip(*args[:2]))
-            if workers > 1 and pairs >= POOL_PAIR_CUTOFF:
-                if pool is None:
-                    pool = ThreadPoolExecutor(workers)
-                _malloc_trim()
-                # Copied by this thread, so the arrays that the table keeps
-                # live in its malloc arena and not in the pool threads' arenas.
-                results = [ConcavePL(v.k, v.pieces.copy(), v.verts.copy(), v.src.copy())
-                           for v in pool.map(_bellman, *args)]
-            else:
-                results = list(map(_bellman, *args))
+            pooled = workers > 1 and pairs >= POOL_PAIR_CUTOFF
+            if pooled and pool is None:
+                pool = ThreadPoolExecutor(workers)
+            results = list((pool.map if pooled else map)(_bellman, *args))
             made = dict(zip(twins, results))
             inputs = {id(f): (u, d) for f, u, d in zip(results, *args[:2])}
             for key, p in first.items():
@@ -702,7 +677,6 @@ def _bases(spec: LatticeSpec, cost: CostSpec, steps) -> Iterator[tuple]:
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-            _malloc_trim()
 
 
 def solve(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,

@@ -188,8 +188,8 @@ def histories(n: int) -> Iterator[tuple[int, ...]]:
     The code of a history reads its moves as binary digits, first move
     highest, up = 1.  So the prefix of code ``c`` at an earlier step ``s`` is
     ``c >> (n - s)``, and the children of ``c`` are ``2c`` (down) and
-    ``2c + 1`` (up).  Every walk over a step's histories goes through here,
-    in this order, which is the lexicographic order of the bit tuples.
+    ``2c + 1`` (up).  This yields code order, the bit tuples' lexicographic
+    order; array code names histories by code (``np.arange``) or heap row.
 
     An array over a whole history tree lists its steps one after another, in
     heap order: history ``c`` of step ``s`` is row ``2**s - 1 + c``, the

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import itertools
 import sys
+import threading
 import time
 import weakref
 from collections import Counter
@@ -1195,16 +1196,16 @@ class TestParallelSteps:
             assert (extract_policy(pooled).vectors.tobytes()
                     == extract_policy(serial).vectors.tobytes())
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_the_lowest_failing_node_raises(self, monkeypatch, workers):
-        # Atoms at 3 and 6 under the cube cost: each node at step 3 has the
-        # shift x^3 + 9x, so its stop value less its shift, -9x, names the
-        # node, and each holds its own update.  Position 1 (x = -1) fails
-        # late and position 3 (x = 3) early; the error must still be
-        # position 1's, as in the serial loop.
-        spec = LatticeSpec(depth=6, dt=1.0)
-        mu = DiscreteMeasure((3.0, 6.0), (0.5, 0.5))
-        cube = CostSpec(kind="terminal", name="polynomial", params={"coeffs": [0, 0, 0, 1]})
+    # Atoms at 3 and 6 under the cube cost: each node at step 3 has the shift
+    # x^3 + 9x, so its stop value less its shift, -9x, names the node, and
+    # each holds its own update.
+    FAILING = (LatticeSpec(depth=6, dt=1.0),
+               CostSpec(kind="terminal", name="polynomial", params={"coeffs": [0, 0, 0, 1]}),
+               DiscreteMeasure((3.0, 6.0), (0.5, 0.5)))
+
+    @staticmethod
+    def fail_positions_1_and_3(monkeypatch):
+        """Make position 1 (x = -1) of ``FAILING``'s step 3 fail late and position 3 (x = 3) early."""
         original = dpp.perspective
 
         def failing(stop_value, inner):
@@ -1215,13 +1216,34 @@ class TestParallelSteps:
                 raise SizeGuardError("position 3")
             return original(stop_value, inner)
 
-        built = self.pool_counter(monkeypatch)
         monkeypatch.setattr(dpp, "perspective", failing)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_lowest_failing_node_raises(self, monkeypatch, workers):
+        # The error must be position 1's, as in the serial loop.
+        self.fail_positions_1_and_3(monkeypatch)
+        built = self.pool_counter(monkeypatch)
         monkeypatch.setattr(dpp, "_cpu_count", lambda: workers)
         monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
         with pytest.raises(SizeGuardError, match="^position 1$"):
-            solve(spec, cube, mu, resolution=4)
+            solve(*self.FAILING, resolution=4)
         assert len(built) == (workers > 1)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["solved", "raised"])
+    def test_the_pool_threads_are_gone_when_solve_returns(self, monkeypatch, fails):
+        if fails:
+            self.fail_positions_1_and_3(monkeypatch)
+        built = self.pool_counter(monkeypatch)
+        monkeypatch.setattr(dpp, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
+        before = set(threading.enumerate())
+        if fails:
+            with pytest.raises(SizeGuardError, match="^position 1$"):
+                solve(*self.FAILING, resolution=4)
+        else:
+            solve(*self.FAILING, resolution=4)
+        assert built == [(2,)]
+        assert [t.name for t in threading.enumerate() if t not in before] == []
 
     @pytest.mark.parametrize("workers, cutoff", [(1, 0), (2, 10 ** 9)])
     def test_no_pool_on_one_cpu_or_below_the_cutoff(self, monkeypatch, workers, cutoff):
@@ -1282,14 +1304,6 @@ class TestParallelSteps:
         monkeypatch.delattr(dpp.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(dpp.os, "cpu_count", lambda: count)
         assert dpp._cpu_count() == workers
-
-    def test_pooled_steps_without_malloc_trim(self, monkeypatch):
-        monkeypatch.setattr(dpp, "_MALLOC_TRIM", None)
-        monkeypatch.setattr(dpp, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(dpp, "POOL_PAIR_CUTOFF", 0)
-        mu = DiscreteMeasure((1.0, 2.0, 3.0), (0.2, 0.3, 0.5))
-        table = solve(LatticeSpec(depth=3, dt=1.0), SQUARE, mu, resolution=4)
-        assert table.root_value == pytest.approx(mean(mu), abs=1e-12)
 
 
 THETAS = {
