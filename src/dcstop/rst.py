@@ -208,7 +208,8 @@ def simulate(kernel: StoppingKernel, cost: CostSpec, n_paths: int, seed: int) ->
     count, value = np.concatenate(stops), np.concatenate(costs)
     live = count > 0
     count, value = count[live], value[live]
-    mean = math.fsum(count / n_paths * value)
+    # fsum of the rounded shares can land an ulp off a constant payoff.
+    mean = min(max(math.fsum(count / n_paths * value), value.min()), value.max())
     stderr = 0.0
     if n_paths > 1:
         dev = value - mean

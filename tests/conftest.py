@@ -15,8 +15,9 @@ through the explicit stop/renormalize quotient.  ``reference_pair_sup`` hulls
 every vertex pair, and ``reference_solve`` runs it at every node with nothing
 pruned or shared.  ``barrier_value`` prices a barrier rule by a forward
 sweep over ``children``, with no hull at all.  ``reference_simplex`` is the
-dense ``Fraction`` tableau the exact LP route used to pivot.  The two hazard references are the per-route
-conversions that ``rst.kernel_from_laws`` replaced.  ``heap_row``,
+dense ``Fraction`` tableau the exact LP route used to pivot.
+``reference_tree_to_kernel`` is the law-tree route's own hazard conversion,
+which ``rst.kernel_from_laws`` replaced.  ``heap_row``,
 ``tree_from_dict`` and ``tree_dict`` key law-tree rows by history bit tuples.
 The JSON readers at the end read back what the package and the CLI write.
 """
@@ -567,24 +568,6 @@ def reference_tree_to_kernel(mvm: MvmTree) -> StoppingKernel:
         q.append(np.where(dead, 0.0, np.clip(ratio, 0.0, 1.0)))
     q.append(np.ones(2 ** mvm.depth))
     return StoppingKernel(spec, mvm.atom_times, q)
-
-
-def reference_lp_to_kernel(problem, solution) -> StoppingKernel:
-    """The LP route's own hazard rule: dead below 1e-12, a clamp that writes 0.0 for ``-0.0``."""
-    steps = problem.steps
-    hist = LatticeSpec(depth=steps[-1], dt=problem.spec.dt, mode="history")
-    offsets = list(itertools.accumulate((2 ** s for s in steps), initial=0))
-    x, q = solution.x, []
-    for i, s in enumerate(steps[:-1]):
-        codes = np.arange(2 ** s)
-        # Mass the earlier atoms stopped on each path, added in atom order.
-        remaining = 1.0 - sum(x[offsets[j] + (codes >> (s - steps[j]))] for j in range(i))
-        dead = remaining <= 1e-12
-        ratio = x[offsets[i]:offsets[i + 1]] / np.where(dead, 1.0, remaining)
-        ratio = np.where(ratio > 0.0, ratio, 0.0)
-        q.append(np.where(dead, 0.0, np.where(ratio < 1.0, ratio, 1.0)))
-    q.append(np.ones(2 ** steps[-1]))
-    return StoppingKernel(hist, problem.mu.atoms, q)
 
 
 # --- JSON readers: they read back what the package and the CLI write. -------

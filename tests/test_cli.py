@@ -230,6 +230,21 @@ class TestSimulate:
         assert main(["simulate", str(config_path)]) == 2
         assert sorted(os.listdir(out)) == []
 
+    @pytest.mark.parametrize("lattice, cost, t", [
+        ({"depth": 1, "dt": 0.3, "augment_max": True}, {"kind": "time", "name": "identity"}, 0.3),
+        ({"depth": 1, "dt": 0.5}, {"kind": "terminal", "name": "abs"}, 0.5),
+    ])
+    def test_a_payoff_every_path_pays_alike_has_no_spread(self, workspace, lattice, cost, t):
+        # The mean of equal payoffs is that payoff, not the sum of 1000
+        # rounded shares an ulp away, so no spread reads off the rounding.
+        config_path, out = workspace
+        config_path.write_text(json.dumps({
+            "lattice": lattice, "cost": cost, "measure": [{"t": t, "w": 1.0}],
+            "seed": 4, "simulate": {"paths": 1000}}))
+        assert main(["simulate", str(config_path)]) == 0
+        payload = read_result(out)
+        assert (payload["mean"], payload["stderr"]) == (payload["expected"], 0.0)
+
 
 class TestStability:
     def test_sweep_and_csv(self, workspace):
@@ -409,16 +424,18 @@ PINS = {
     ("abs40", "solve"): {"value": 4.362215235084616, "slack": 0.6617126464843759},
     ("maxrm20", "solve"): {"value": 2.9506595611572264, "slack": 0.408203125},
 }
+INSTANCES = {"readme": README_CONFIG, **EDGE_CONFIGS}
 
 
 class TestEdgeInstances:
     def run(self, workspace, name, *argv):
         config_path, out = workspace
-        config_path.write_text(json.dumps(EDGE_CONFIGS[name]))
+        config_path.write_text(json.dumps(INSTANCES[name]))
         assert main([argv[0], str(config_path), *argv[1:]]) == 0
         return read_result(out)
 
     @pytest.mark.parametrize("name, argv", [
+        *(("readme", command) for command in COMMANDS),
         *((name, command) for name in ("time", "markov")
           for command in ("compare", "policy", "simulate", "oracle --exact")),
         *(("deep", command) for command in ("compare", "simulate", "policy", "validate")),
@@ -442,7 +459,7 @@ class TestEdgeInstances:
     ])
     def test_policy_json_bytes_are_pinned(self, workspace, name, digest):
         config_path, out = workspace
-        config_path.write_text(json.dumps({"readme": README_CONFIG, **EDGE_CONFIGS}[name]))
+        config_path.write_text(json.dumps(INSTANCES[name]))
         assert main(["policy", str(config_path)]) == 0
         assert hashlib.sha256((out / "policy.json").read_bytes()).hexdigest() == digest
 

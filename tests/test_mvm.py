@@ -34,10 +34,9 @@ from dcstop import (
 )
 
 from dcstop.cli import render
-from dcstop.lattice import atom_steps, child_positions, heap_history, histories, history_to_str
+from dcstop.lattice import atom_steps, heap_history, histories, history_to_str
 from dcstop.lattice import node_count, states_at_step
 from dcstop.mvm import MARTINGALE_TOL, MvmReport, MvmViolation, _json_floats
-from dcstop.rst import _forward_stops
 
 from paper_checks import SpliceError, extract_continuation, oracle_value, splice, termination
 from conftest import (
@@ -93,55 +92,6 @@ def reference_from_kernel(kernel):
     for s in range(steps[-1] - 1, -1, -1):
         for bits in histories(s):
             vectors[bits] = 0.5 * (vectors[bits + (1,)] + vectors[bits + (0,)])
-    return vectors
-
-
-def reference_forward_loop(kernel) -> np.ndarray:
-    """Heap-ordered vectors by the forward loop over histories that ``from_kernel`` ran
-    before it read the lattice's forward stop sweep: one path's own masses per row."""
-    spec = kernel.spec
-    steps = kernel.steps
-    last = steps[-1]
-    r = len(kernel.atom_times)
-    pos = np.zeros(1, dtype=np.intp)
-    stopped = np.zeros((1, r))
-    alive = np.ones(1)
-    for s in range(1, last + 1):
-        pos = child_positions(spec, s - 1)[pos].ravel()
-        stopped, alive = np.repeat(stopped, 2, axis=0), np.repeat(alive, 2)
-        if s in steps:
-            i = steps.index(s)
-            qv = kernel.q[i][pos]
-            stopped[:, i] = alive * qv
-            alive = alive * (1.0 - qv)
-    vectors = np.empty((2 ** (last + 1) - 1, r))
-    vectors[2 ** last - 1:] = stopped
-    for s in range(last - 1, -1, -1):
-        stopped = 0.5 * (stopped[1::2] + stopped[0::2])
-        vectors[2 ** s - 1:2 ** (s + 1) - 1] = stopped
-    return vectors
-
-
-def reference_history_kernel(kernel) -> np.ndarray:
-    """Heap-ordered vectors by the route ``from_kernel`` took before it carried each
-    path's own survival: the kernel lifted onto the history lattice, that lattice's
-    forward stop sweep, and each step-``s`` mass scaled back by ``2**s``."""
-    spec, steps, last = kernel.spec, kernel.steps, kernel.steps[-1]
-    hist = LatticeSpec(depth=last, dt=spec.dt, mode="history")
-    pos = np.zeros(1, dtype=np.intp)
-    q = []
-    for start, s, qv in zip((0,) + steps, steps, kernel.q):
-        for r in range(start, s):
-            pos = child_positions(spec, r)[pos].ravel()
-        q.append(qv[pos])
-    stops = _forward_stops(StoppingKernel(hist, kernel.atom_times, q))
-    stopped = np.column_stack([np.repeat(stop * 2.0 ** s, 2 ** (last - s))
-                               for s, stop in zip(steps, stops)])
-    vectors = np.empty((2 ** (last + 1) - 1, len(steps)))
-    vectors[2 ** last - 1:] = stopped
-    for s in range(last - 1, -1, -1):
-        stopped = 0.5 * (stopped[1::2] + stopped[0::2])
-        vectors[2 ** s - 1:2 ** (s + 1) - 1] = stopped
     return vectors
 
 
@@ -217,36 +167,23 @@ KERNEL_SPECS = [
 class TestFromKernel:
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["recombining", "max", "history"])
     def test_matches_the_per_leaf_loop(self, spec):
+        # Byte for byte, on random kernels, mixed ones whose dead branches
+        # carry exact zeros, and feasibility witnesses of depth 2-13 on the
+        # same kind of lattice.
         rng = np.random.default_rng(spec.depth)
-        for atoms in ((float(spec.depth),), (1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
-            kernel = random_kernel(spec, atoms, rng)
-            tree = from_kernel(kernel)
-            want = reference_from_kernel(kernel)
-            got = tree_dict(tree)
-            assert got.keys() == want.keys()
-            assert all(np.array_equal(got[b], want[b]) for b in want)
-
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["recombining", "max", "history"])
-    def test_matches_the_forward_loop_bit_for_bit(self, spec):
-        rng = np.random.default_rng(100 + spec.depth)
-        for atoms in ((float(spec.depth),), (1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0)):
-            for kernel in (random_kernel(spec, atoms, rng), mixed_kernel(spec, atoms, rng)):
-                got = from_kernel(kernel).vectors
-                assert got.tobytes() == reference_forward_loop(kernel).tobytes()
-
-    def test_matches_the_history_kernel_route_bit_for_bit(self):
-        # Random witnesses on the three lattices, depth 2-13, one to four atoms.
-        rng = np.random.default_rng(39)
-        for n in range(60):
+        kernels = [make(spec, atoms, rng) for make in (random_kernel, mixed_kernel)
+                   for atoms in ((float(spec.depth),), (1.0, 3.0, float(spec.depth)), (2.0, 4.0, 5.0))]
+        for _ in range(20):
             depth = int(rng.integers(2, 14))
-            spec = LatticeSpec(depth=depth, dt=0.5, augment_max=n % 3 == 1,
-                               mode="history" if n % 3 == 2 else "recombining")
             steps = rng.choice(np.arange(1, depth + 1), int(rng.integers(1, min(4, depth) + 1)),
                                replace=False)
             mu = random_measure(rng, [0.5 * s for s in sorted(steps)])
-            kernel = feasible_kernel(spec, mu, rng)
-            assert from_kernel(kernel).vectors.tobytes() == \
-                reference_history_kernel(kernel).tobytes()
+            witness = LatticeSpec(depth=depth, dt=0.5, mode=spec.mode, augment_max=spec.augment_max)
+            kernels.append(feasible_kernel(witness, mu, rng))
+        for kernel in kernels:
+            want = reference_from_kernel(kernel)
+            rows = np.array([want[heap_history(h)] for h in range(len(want))])
+            assert from_kernel(kernel).vectors.tobytes() == rows.tobytes()
 
     def test_a_subnormal_history_mass_keeps_the_path_mass(self):
         # Each path stops with 1e-305 at step 10; that path's history mass,

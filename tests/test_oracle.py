@@ -34,7 +34,7 @@ from dcstop.oracle import EXACT_DEPTH_LIMIT, ORACLE_DEPTH_LIMIT, LpSolution
 from dcstop.rst import DEAD_MASS
 
 from paper_checks import oracle_value
-from conftest import mean, random_measure, reference_lp_to_kernel, reference_simplex, stop_cost
+from conftest import mean, random_measure, reference_simplex, stop_cost
 
 INDICATOR = CostSpec(kind="terminal", name="indicator", params={"threshold": 1.0})
 IDENTITY = CostSpec(kind="terminal", name="identity")
@@ -67,7 +67,7 @@ def column(steps, i, code):
 
 
 def reference_build_lp(spec, cost, mu):
-    """The full leaf-row LP, tuple-keyed: ``(a, b, c, var_keys)``.
+    """The full leaf-row LP, its columns keyed by ``(atom, history)``: ``(a, b, c)``.
 
     One path row and one last-atom column per leaf, the marginal rows scaled
     by ``2**step``.  ``build_lp`` merges the leaves under each step-``d``
@@ -96,7 +96,7 @@ def reference_build_lp(spec, cost, mu):
     for j, (i, bits) in enumerate(var_keys):
         node = NodeId(step=steps[i], history=bits)
         c[j] = stop_cost(cost, hist, node) * 2.0 ** (-steps[i])
-    return a, b, c, var_keys
+    return a, b, c
 
 
 def merged_reference(spec, cost, mu):
@@ -106,7 +106,7 @@ def merged_reference(spec, cost, mu):
     stands for them all, with the merged column of its prefix.  The merged
     column's coefficient is the ``math.fsum`` of its leaves' coefficients.
     """
-    a, b, c, var_keys = reference_build_lp(spec, cost, mu)
+    a, b, c = reference_build_lp(spec, cost, mu)
     steps = tuple(atom_steps(spec, mu.atoms))
     horizon, d = steps[-1], (0, *steps)[-2]
     early, n_leaves, fan = sum(2 ** s for s in steps[:-1]), 2 ** steps[-1], 2 ** (horizon - d)
@@ -117,12 +117,12 @@ def merged_reference(spec, cost, mu):
     merged_a = np.vstack([np.hstack([firsts, np.eye(2 ** d)]), marginals])
     merged_b = np.concatenate([np.ones(2 ** d), b[n_leaves:-1], [b[-1] / fan]])
     merged_c = np.concatenate([c[:early], [math.fsum(leaf) for leaf in c[early:].reshape(-1, fan)]])
-    return merged_a, merged_b, merged_c, var_keys
+    return merged_a, merged_b, merged_c
 
 
 def reference_exact_value(spec, cost, mu) -> Fraction:
     """Exact optimum of the full leaf-row LP, its rounding defect absorbed at ``2**horizon``."""
-    a, b, c, _ = reference_build_lp(spec, cost, mu)
+    a, b, c = reference_build_lp(spec, cost, mu)
     steps = atom_steps(spec, mu.atoms)
     b = [Fraction(v) for v in b]
     defect = 1 - sum(w / 2 ** s for w, s in zip(b[len(b) - len(steps):], steps))
@@ -131,10 +131,15 @@ def reference_exact_value(spec, cost, mu) -> Fraction:
     return oracle._simplex(a, b, c)[0]
 
 
-def reference_kernel_q(problem, x, var_keys):
-    """The tuple-keyed hazard read-off the shifted codes replaced."""
+def reference_kernel_q(problem, x):
+    """The tuple-keyed hazard read-off the shifted codes replaced.
+
+    Each earlier atom's block holds one variable per history of its step, in
+    code order; the last atom's block is not read, since it stops surely.
+    """
     steps = problem.steps
-    by_node = {key: float(x[j]) for j, key in enumerate(var_keys)}
+    keys = [(i, bits) for i, s in enumerate(steps[:-1]) for bits in histories(s)]
+    by_node = {key: float(v) for key, v in zip(keys, x)}
     q = {}
     for i, s in enumerate(steps):
         final = i == len(steps) - 1
@@ -149,6 +154,16 @@ def reference_kernel_q(problem, x, var_keys):
             else:
                 q[node] = min(1.0, max(0.0, by_node[(i, bits)] / remaining))
     return q
+
+
+def assert_hazards_match_the_read_off(problem, x, kernel):
+    """Position by position, down to the sign of a zero."""
+    want = reference_kernel_q(problem, x)
+    assert kernel.spec == LatticeSpec(depth=problem.steps[-1], dt=problem.spec.dt, mode="history")
+    assert kernel.atom_times == problem.mu.atoms
+    for s, values in zip(problem.steps, kernel.q):
+        nodes = nodes_at_step(kernel.spec, s)
+        assert [repr(v) for v in values.tolist()] == [repr(want[n]) for n in nodes]
 
 
 class TestBuildLp:
@@ -203,7 +218,7 @@ class TestBuildLp:
             mu = random_measure(rng, [0.5 * s for s in sorted(set(steps))])
             for cost in costs:
                 problem = build_lp(spec, cost, mu)
-                a, b, c, var_keys = merged_reference(spec, cost, mu)
+                a, b, c = merged_reference(spec, cost, mu)
                 assert np.array_equal(problem.a, a)
                 assert np.array_equal(problem.b, b)
                 assert np.array_equal(problem.c, c)
@@ -213,17 +228,8 @@ class TestBuildLp:
                 x[rng.random(x.size) < 0.2] = 0.0
                 x[rng.random(x.size) < 0.1] = -0.0
                 solution = LpSolution(0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
-                got = lp_solution_to_kernel(problem, solution)
-                # The reference reads one last-atom variable per leaf: each
-                # leaf takes its prefix's.
-                early = sum(2 ** s for s in problem.steps[:-1])
-                fan = 2 ** (problem.steps[-1] - (0, *problem.steps)[-2])
-                want = reference_kernel_q(
-                    problem, np.concatenate([x[:early], np.repeat(x[early:], fan)]), var_keys)
-                # Position by position, down to the sign of a zero.
-                for s, values in zip(problem.steps, got.q):
-                    nodes = nodes_at_step(got.spec, s)
-                    assert [repr(v) for v in values.tolist()] == [repr(want[n]) for n in nodes]
+                assert_hazards_match_the_read_off(
+                    problem, x, lp_solution_to_kernel(problem, solution))
 
     @pytest.mark.parametrize("augment", [False, True])
     @pytest.mark.parametrize("depth", range(1, 9))
@@ -504,8 +510,7 @@ class TestKernelExtraction:
             assert got == pytest.approx(solution.value, abs=1e-10)
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_hazards_match_the_lp_route_they_replaced(self, exact):
-        # Byte for byte, on solved polytopes of every lattice kind.
+    def test_hazards_match_the_read_off_on_solved_polytopes(self, exact):
         rng = np.random.default_rng(74)
         specs = (LatticeSpec(depth=4, dt=1.0), LatticeSpec(depth=4, dt=1.0, augment_max=True),
                  LatticeSpec(depth=4, dt=1.0, mode="history"))
@@ -514,10 +519,8 @@ class TestKernelExtraction:
                 for atoms in ((1.0, 2.0, 4.0), (2.0, 3.0, 4.0), (1.0, 4.0)):
                     problem = build_lp(spec, cost, random_measure(rng, atoms))
                     solution = solve_lp(problem, exact=exact)
-                    got = lp_solution_to_kernel(problem, solution)
-                    want = reference_lp_to_kernel(problem, solution)
-                    assert got.spec == want.spec and got.atom_times == want.atom_times
-                    assert [q.tobytes() for q in got.q] == [q.tobytes() for q in want.q]
+                    assert_hazards_match_the_read_off(
+                        problem, solution.x, lp_solution_to_kernel(problem, solution))
 
     def test_worked_problem_kernel(self):
         problem = worked_problem()

@@ -31,7 +31,7 @@ from dcstop import (
     w1_distance,
 )
 
-from dcstop.lattice import node_count, nodes_at_step, root
+from dcstop.lattice import node_count, root
 from dcstop.measures import ATOM_MERGE_TOL
 from dcstop.oracle import LpSolution, lp_solution_to_kernel
 from dcstop.rst import (
@@ -52,7 +52,6 @@ from conftest import (
     random_kernel,
     random_measure,
     reference_advance,
-    reference_lp_to_kernel,
     reference_tree_to_kernel,
     stop_cost,
 )
@@ -182,7 +181,6 @@ class TestKernelFromLaws:
         assert x.size == problem.a.shape[1]
         solution = LpSolution(0.0, x, np.zeros(0), 0.0, 0.0, 0.0)
         assert lp_solution_to_kernel(problem, solution).q[1].tobytes() == want.q[1].tobytes()
-        assert np.array_equal(reference_lp_to_kernel(problem, solution).q[1], np.zeros(4))
 
     def test_clamps_into_the_unit_interval_and_writes_no_negative_zero(self):
         hist = LatticeSpec(depth=2, dt=1.0, mode="history")
@@ -488,83 +486,6 @@ def reference_objective(kernel, cost):
     return total
 
 
-def reference_atom_lookups(kernel, cost):
-    spec = kernel.spec
-    q = kernel_dict(kernel)
-    lookups = []
-    for s in kernel.steps:
-        if spec.mode == "history":
-            size = 1 << s
-        elif spec.augment_max:
-            size = (s + 1) * (s + 1)
-        else:
-            size = s + 1
-        q_arr = np.full(size, np.nan)
-        c_arr = np.full(size, np.nan)
-        for idx, node in enumerate(nodes_at_step(spec, s)):
-            if spec.mode != "history":
-                idx = (node.level + s) // 2
-                if spec.augment_max:
-                    idx = idx * (s + 1) + node.max_level
-            q_arr[idx] = q[node]
-            c_arr[idx] = stop_cost(cost, spec, node)
-        lookups.append((s, q_arr, c_arr))
-    return lookups
-
-
-# Paths the per-path reference moves at a time.
-REFERENCE_CHUNK = 1 << 17
-
-
-def reference_simulate(kernel, cost, n_paths, seed):
-    """The simulation that tracked level, running maximum and history code per path."""
-    spec = kernel.spec
-    lookups = reference_atom_lookups(kernel, cost)
-    last = lookups[-1][0]
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(len(kernel.atom_times), dtype=np.int64)
-    payoff_chunks = []
-    done = 0
-    while done < n_paths:
-        chunk = min(REFERENCE_CHUNK, n_paths - done)
-        levels = np.zeros(chunk, dtype=np.int64)
-        maxes = np.zeros(chunk, dtype=np.int64)
-        codes = np.zeros(chunk, dtype=np.int64)
-        active = np.ones(chunk, dtype=bool)
-        payoff = np.zeros(chunk)
-        atom_idx = 0
-        for s in range(1, last + 1):
-            ups = rng.random(chunk) < 0.5
-            levels += np.where(ups, 1, -1)
-            np.maximum(maxes, levels, out=maxes)
-            if spec.mode == "history":
-                codes = (codes << 1) | ups.astype(np.int64)
-            step_s, q_arr, c_arr = lookups[atom_idx]
-            if s == step_s:
-                if spec.mode == "history":
-                    enc = codes
-                elif spec.augment_max:
-                    enc = (levels + s) // 2 * (s + 1) + maxes
-                else:
-                    enc = (levels + s) // 2
-                u = rng.random(chunk)
-                stop_now = active & (u < q_arr[enc])
-                payoff[stop_now] = c_arr[enc[stop_now]]
-                counts[atom_idx] += int(stop_now.sum())
-                active &= ~stop_now
-                atom_idx += 1
-                if atom_idx == len(lookups):
-                    break
-        payoff_chunks.append(payoff)
-        done += chunk
-    payoffs = np.concatenate(payoff_chunks)
-    mean = float(payoffs.mean())
-    stderr = float(payoffs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    kept = [(t, c) for t, c in zip(kernel.atom_times, counts) if c > 0]
-    marginal = DiscreteMeasure([t for t, _ in kept], [c / n_paths for _, c in kept])
-    return mean, stderr, marginal
-
-
 def random_instances(mode, augment, seed):
     """Random kernels with random coarser right-shift targets, depths 1 to 8."""
     rng = np.random.default_rng(seed)
@@ -630,23 +551,26 @@ class TestAgainstTheDictWalks:
 
     @pytest.mark.parametrize("mode,augment", LATTICE_MODES)
     def test_simulate(self, mode, augment):
-        # The count sampler draws another stream than the per-path walk, so
-        # the two agree in law: means, stderrs and stop-date frequencies
-        # within five standard errors of their difference.
+        # The sample's mean within five standard errors of the walk's
+        # objective, its stderr within 10% of the walk's, and each stop-date
+        # frequency within five standard errors of the walk's stop mass.
         cost = CostSpec(kind="running_max", name="identity") if mode == "history" or augment \
             else IDENTITY
         n = 20_000
         for k, (spec, kernel, _) in enumerate(random_instances(mode, augment, 44)):
             report = simulate(kernel, cost, n_paths=n, seed=k)
-            mean, stderr, marginal = reference_simulate(kernel, cost, n, k)
-            assert abs(report.mean - mean) <= 5.0 * math.hypot(report.stderr, stderr) + 1e-12
-            assert report.stderr == pytest.approx(stderr, rel=0.1, abs=1e-12)
+            stops = reference_forward_stops(kernel)
+            law = [(mass, stop_cost(cost, spec, node))
+                   for stopped in stops for node, mass in stopped.items() if mass != 0.0]
+            mean = math.fsum(mass * c for mass, c in law)
+            stderr = math.sqrt(math.fsum(mass * (c - mean) ** 2 for mass, c in law) / n)
+            assert abs(report.mean - mean) <= 5.0 * stderr + 1e-12, k
+            assert report.stderr == pytest.approx(stderr, rel=0.1, abs=1e-12), k
             got = dict(zip(report.empirical_marginal.atoms, report.empirical_marginal.weights))
-            want = dict(zip(marginal.atoms, marginal.weights))
-            for t in kernel.atom_times:
-                p = 0.5 * (got.get(t, 0.0) + want.get(t, 0.0))
-                band = 5.0 * math.sqrt(2.0 * p * (1.0 - p) / n)
-                assert abs(got.get(t, 0.0) - want.get(t, 0.0)) <= band + 1e-12, (k, t)
+            for t, stopped in zip(kernel.atom_times, stops):
+                p = sum(stopped.values())
+                band = 5.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+                assert abs(got.get(t, 0.0) - p) <= band + 1e-12, (k, t)
 
 
 class TestCountSampler:
