@@ -21,10 +21,11 @@ the leaves under one prefix loses nothing: a leaf's path row fixes its
 last-atom mass at one minus the earlier masses on its path, which depend on
 the leaf only through its step-``d`` prefix.
 
-The float route solves the LP with HiGHS through ``scipy.optimize.linprog``
-(the dual revised simplex of Huangfu & Hall, Math. Prog. Comp. 2018), which
-shares no code with the block solver.  ``exact=True`` runs a two-phase Bland
-simplex on integer rows instead, with exact duals from its last tableau.
+The float route solves the LP with HiGHS (the dual revised simplex of
+Huangfu & Hall, Math. Prog. Comp. 2018), called through scipy's own binding
+``scipy.optimize._highspy``, which shares no code with the block solver.
+``exact=True`` runs a two-phase Bland simplex on integer rows instead, with
+exact duals from its last tableau.
 Either way dcstop recomputes the certificate from ``x`` and the duals, in
 the route's arithmetic: reduced-cost violation, slackness and duality gap.
 """
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .cost import CostSpec, cost_overflow, evaluate
 from .errors import SizeGuardError, ValidationError, unit_scale
@@ -52,7 +53,7 @@ ORACLE_DEPTH_LIMIT = 12
 # (4.3 s, 111 MB peak RSS), and d = 10 (atoms at 5, 10, 11) took 33 s and 201 MB.
 EXACT_DEPTH_LIMIT = 10
 # HiGHS reads a cost of 1e20 or more as infinite, and large costs below that
-# already make it fail (linprog status 4, numerical difficulties).  Probed on
+# already make it fail (model status "Solve error" or "Unknown").  Probed on
 # about 500 random instances (depth 3-8, 2-4 atoms, all lattice modes) at
 # quarter powers of two, unscaled solves first failed at a largest cost of
 # 2^33.75, and nearly all failed from 2^60 on.  So from this bound on the
@@ -61,6 +62,13 @@ EXACT_DEPTH_LIMIT = 10
 # largest costs from 2^10 to 2^67, all priced within 4.2e-16 (relative) of
 # the exact route.
 HIGHS_COST_LIMIT = 2.0 ** 32
+# The options scipy's HiGHS LP method sets: silent, presolve on, the dual
+# simplex (strategy 1), no debug checks.  An option HiGHS refuses is a fault.
+HIGHS_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "on",
+                 "simplex_strategy": 1, "highs_debug_level": 0}
+_HIGHS_REFUSALS = {highs.HighsModelStatus.kInfeasible: "LP is infeasible",
+                   highs.HighsModelStatus.kModelError: "LP is infeasible",
+                   highs.HighsModelStatus.kUnbounded: "LP is unbounded"}
 
 
 @dataclass(frozen=True)
@@ -277,17 +285,41 @@ def _solve_exact(problem: LpProblem):
 
 
 def _solve_highs(problem: LpProblem):
-    """Value, ``x``, duals and certificate by HiGHS, all float."""
+    """Value, ``x``, duals and certificate by HiGHS, all float.
+
+    One fresh solver per LP, so no state carries between solves.  A model
+    HiGHS cannot load counts as a model error, as scipy counts it.
+    """
     top = float(np.abs(problem.c).max(initial=0.0))
     scale = unit_scale(top, HIGHS_COST_LIMIT)
-    res = linprog(-scale * problem.c, A_eq=problem.a, b_eq=problem.b, bounds=(0, None),
-                  method="highs")
-    if res.status != 0:
-        raise ValidationError({2: "LP is infeasible", 3: "LP is unbounded"}.get(
-            res.status, f"LP solver failed: {res.message}"))
-    y = -res.eqlin.marginals / scale
-    residuals = _certificate(y @ problem.a, problem.b, problem.c, res.x, y)
-    return problem.c @ res.x, res.x, y, residuals
+    m, n = problem.a.shape
+    # Column-major nonzeros, rows ascending within each column.
+    cols, rows = np.nonzero(problem.a.T)
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = -scale * problem.c
+    lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = problem.b
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = n, m
+    matrix.start_ = np.searchsorted(cols, np.arange(n + 1))
+    matrix.index_, matrix.value_ = rows, problem.a[rows, cols]
+    solver = highs._Highs()
+    for name, value in HIGHS_OPTIONS.items():
+        if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS refused option {name} = {value!r}")
+    loaded = solver.passModel(lp) != highs.HighsStatus.kError
+    ran = loaded and solver.run() != highs.HighsStatus.kError
+    status = solver.getModelStatus() if loaded else highs.HighsModelStatus.kModelError
+    if not ran or status != highs.HighsModelStatus.kOptimal:
+        raise ValidationError(_HIGHS_REFUSALS.get(
+            status, f"LP solver failed: {solver.modelStatusToString(status)}"))
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    y = -np.array(solution.row_dual) / scale
+    residuals = _certificate(y @ problem.a, problem.b, problem.c, x, y)
+    return problem.c @ x, x, y, residuals
 
 
 def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:

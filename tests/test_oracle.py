@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from dcstop import (
 )
 from dcstop.lattice import atom_steps, histories, nodes_at_step
 from dcstop import oracle
-from dcstop.oracle import EXACT_DEPTH_LIMIT, ORACLE_DEPTH_LIMIT, LpSolution
+from dcstop.oracle import EXACT_DEPTH_LIMIT, ORACLE_DEPTH_LIMIT, LpSolution, highs
 from dcstop.rst import DEAD_MASS
 
 from paper_checks import oracle_value
@@ -45,6 +44,21 @@ def worked_problem():
     spec = LatticeSpec(depth=2, dt=1.0)
     mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
     return build_lp(spec, INDICATOR, mu)
+
+
+def spy_on_highs(monkeypatch, **overrides):
+    """Record each ``HighsLp`` handed to HiGHS; ``overrides`` replace solver methods."""
+    seen = []
+
+    class Spy(highs._Highs):
+        def passModel(self, lp):
+            seen.append(lp)
+            return super().passModel(lp)
+
+    for name, method in overrides.items():
+        setattr(Spy, name, method)
+    monkeypatch.setattr(highs, "_Highs", Spy)
+    return seen
 
 
 def tiny_problem(a, b, c):
@@ -287,22 +301,22 @@ class TestSolveLp:
         exact = solve_lp(problem, exact=True)
         assert abs(exact.value - solve_lp(problem).value) <= 1e-9
 
-    @pytest.mark.parametrize("cost", [2.0 ** 66 * (1 - 2.0 ** -53), 2.0 ** 66, 1e20, 1e306])
+    @pytest.mark.parametrize("cost", [2.0 ** 31, 2.0 ** 66 * (1 - 2.0 ** -53), 2.0 ** 66, 1e20,
+                                      1e306])
     def test_costs_past_highs_bound_go_to_it_scaled(self, monkeypatch, cost):
-        seen = []
-        real = oracle.linprog
-        monkeypatch.setattr(oracle, "linprog", lambda c, **kw: seen.append(c) or real(c, **kw))
+        seen = spy_on_highs(monkeypatch)
         solution = solve_lp(tiny_problem([[1.0]], [1.0], [cost]))
         assert solution.value == cost
         assert solution.duals[0] == pytest.approx(cost, rel=1e-12)
+        handed = seen[0].col_cost_[0]
         if cost < oracle.HIGHS_COST_LIMIT:
-            assert seen[0][0] == -cost
+            assert handed == -cost
         else:
-            assert 0.5 <= -seen[0][0] < 1.0
+            assert 0.5 <= -handed < 1.0
 
     @pytest.mark.parametrize("e", [3e18, 1e19, 4e19])
     def test_costs_where_unscaled_highs_fails_price_like_exact(self, e):
-        # Handed to HiGHS unscaled, these objectives end in HiGHS Status 4.
+        # Handed to HiGHS unscaled, these objectives end in model status "Solve error".
         spec = LatticeSpec(depth=6, dt=1.0, augment_max=True)
         mu = DiscreteMeasure((2.0, 4.0, 6.0), (0.3, 0.3, 0.4))
         cost = CostSpec(kind="terminal", name="polynomial", params={"coeffs": [0.0, 1.0, e]})
@@ -359,15 +373,25 @@ class TestSolveLp:
                 solve_lp(tiny_problem([[1.0]], [-1.0], [0.0]), exact=exact)
 
     def test_unbounded_system(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^LP is unbounded$"):
             solve_lp(tiny_problem([[0.0]], [0.0], [1.0]))
 
     def test_other_solver_status_is_a_validation_error(self, monkeypatch):
-        def linprog(*args, **kwargs):
-            return SimpleNamespace(status=4, message="Numerical difficulties encountered.")
+        status = highs.HighsModelStatus.kSolveError
+        words = highs._Highs().modelStatusToString(status)
+        spy_on_highs(monkeypatch, getModelStatus=lambda self: status)
+        with pytest.raises(ValidationError, match=f"^LP solver failed: {words}$"):
+            solve_lp(worked_problem())
 
-        monkeypatch.setattr("dcstop.oracle.linprog", linprog)
-        with pytest.raises(ValidationError, match="Numerical difficulties encountered"):
+    def test_model_highs_cannot_load_is_infeasible(self, monkeypatch):
+        spy_on_highs(monkeypatch, passModel=lambda self, lp: highs.HighsStatus.kError)
+        with pytest.raises(ValidationError, match="^LP is infeasible$"):
+            solve_lp(worked_problem())
+
+    def test_refused_highs_option_is_a_fault(self, monkeypatch):
+        # HiGHS takes no feasibility tolerance below 1e-10.
+        monkeypatch.setitem(oracle.HIGHS_OPTIONS, "primal_feasibility_tolerance", 1e-11)
+        with pytest.raises(RuntimeError, match="refused option primal_feasibility_tolerance"):
             solve_lp(worked_problem())
 
     def test_exact_arithmetic_agrees(self):
