@@ -53,7 +53,6 @@ from .measures import (
     w1_distance,
 )
 from .mvm import (
-    MvmReport,
     MvmTree,
     MvmViolation,
     accumulate,

@@ -195,12 +195,11 @@ def cmd_policy(args, spec, cost, mu, settings) -> _Outcome:
     check_tree_depth(atom_steps(spec, mu.atoms)[-1])
     table = dpp.solve(spec, cost, mu, settings.resolution)
     tree = dpp.extract_policy(table)
-    report = validate(tree, mu)
+    v = validate(tree, mu)
     objective = accumulate(tree, cost)
     residual = abs(objective - table.root_value)
     failure = ""
-    if not report.ok:
-        v = report.violation
+    if v is not None:
         failure = (f"policy tree violates {v.prop} at {json.dumps(node_to_json(v.node))} "
                    f"(residual {v.residual:.3e})")
     elif residual > dpp.AGREE_TOL:
@@ -280,13 +279,12 @@ def cmd_validate(args, spec, cost, mu, settings) -> _Outcome:
     check_tree_depth(steps[-1])
     kernel = feasible_kernel(spec, mu, np.random.default_rng(settings.seed))
     tree = from_kernel(kernel)
-    report = validate(tree, mu)
-    v = report.violation
+    v = validate(tree, mu)
     return _Outcome({
-        "ok": report.ok,
+        "ok": v is None,
         "atom_steps": list(steps),
         "witness_marginal": measure_to_json(marginal_of(to_kernel(tree))),
-    }, "" if report.ok else f"witness tree violates {v.prop} (residual {v.residual:.3e})")
+    }, "" if v is None else f"witness tree violates {v.prop} (residual {v.residual:.3e})")
 
 
 def build_parser() -> argparse.ArgumentParser:

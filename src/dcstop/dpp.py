@@ -107,8 +107,8 @@ PAIR_CLOUD_LIMIT = 4_000_000
 # qhull fails (QH6154, or no upper facet) on a cloud whose values dwarf its
 # width in [0, 2]: on a max-augmented depth-6 ``polynomial [0, 1, 1e12]``
 # instance the first failing cloud spanned 2^42.9 in value, where 2^39.5
-# still passed.  From the bound of ``oracle.HIGHS_COST_LIMIT`` on, the value
-# column goes to qhull scaled by a power of two into [0.5, 1).
+# still passed.  From this bound on, the value column goes to qhull scaled
+# by a power of two into [0.5, 1).
 HULL_SPAN_LIMIT = 2.0 ** 32
 UPPER_FACET_TOL = 1e-12
 SLACK_FLOOR = 1e-9

@@ -92,9 +92,6 @@ class MvmTree:
     def __setattr__(self, name, value):
         raise AttributeError("MvmTree is immutable")
 
-    def root_vector(self) -> np.ndarray:
-        return self.vectors[0]
-
 
 @dataclass(frozen=True)
 class MvmViolation:
@@ -103,16 +100,11 @@ class MvmViolation:
     residual: float
 
 
-@dataclass(frozen=True)
-class MvmReport:
-    ok: bool
-    violation: Optional[MvmViolation] = None
-
-
-def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> MvmReport:
+def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> Optional[MvmViolation]:
     """Check root law, martingale, adaptedness and normalization, in that order.
 
-    Returns the first violation found as ``(node, property, residual)``.
+    Returns the first violation found as ``(node, property, residual)``, or
+    ``None`` for a valid tree; without ``mu`` the root law goes unchecked.
     Within a property the reported node is the first offender in heap order:
     the shallowest, and among those the one with the lowest code.  An
     adaptedness residual is the up child's when that one offends, else the
@@ -126,9 +118,9 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> MvmReport:
         if None not in at:
             target = np.zeros(len(mvm.atom_times))
             target[at] = mu.weights
-            res = float(np.max(np.abs(mvm.root_vector() - target)))
+            res = float(np.max(np.abs(mvm.vectors[0] - target)))
         if res > MARTINGALE_TOL:
-            return MvmReport(False, MvmViolation(_node(0), "root", res))
+            return MvmViolation(_node(0), "root", res)
     vec = mvm.vectors
     inner, down, up = vec[: len(vec) // 2], vec[1::2], vec[2::2]
     # Atom i is frozen from step steps[i] on, that is from row 2**steps[i] - 1.
@@ -145,8 +137,8 @@ def validate(mvm: MvmTree, mu: Optional[DiscreteMeasure] = None) -> MvmReport:
     for prop, res in residuals:
         bad = np.flatnonzero(res > MARTINGALE_TOL)
         if bad.size:
-            return MvmReport(False, MvmViolation(_node(bad[0]), prop, float(res[bad[0]])))
-    return MvmReport(True, None)
+            return MvmViolation(_node(bad[0]), prop, float(res[bad[0]]))
+    return None
 
 
 def check_tree_depth(horizon: int) -> None:

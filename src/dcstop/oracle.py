@@ -53,19 +53,28 @@ ORACLE_DEPTH_LIMIT = 12
 # (4.3 s, 111 MB peak RSS), and d = 10 (atoms at 5, 10, 11) took 33 s and 201 MB.
 EXACT_DEPTH_LIMIT = 10
 # HiGHS reads a cost of 1e20 or more as infinite, and large costs below that
-# already make it fail (model status "Solve error" or "Unknown").  Probed on
-# about 500 random instances (depth 3-8, 2-4 atoms, all lattice modes) at
-# quarter powers of two, unscaled solves first failed at a largest cost of
-# 2^33.75, and nearly all failed from 2^60 on.  So from this bound on the
-# costs go to it scaled by a power of two into [0.5, 1), and the duals come
-# back unscaled.  With this bound, 1,740 solves of 60 further instances, at
-# largest costs from 2^10 to 2^67, all priced within 4.2e-16 (relative) of
-# the exact route.
-HIGHS_COST_LIMIT = 2.0 ** 32
-# The options scipy's HiGHS LP method sets: silent, presolve on, the dual
-# simplex (strategy 1), no debug checks.  An option HiGHS refuses is a fault.
-HIGHS_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "on",
-                 "simplex_strategy": 1, "highs_debug_level": 0}
+# already make it fail (model status "Solve error" or "Unknown").  Under
+# ``HIGHS_OPTIONS``, on 700 random instances (depth 3-8, 2-4 atoms, all
+# lattice modes) at quarter powers of two, unscaled solves first failed at a
+# largest cost of 2^24 (2^33.75 at HiGHS's default tolerances), and 1,000
+# further instances solved at every largest cost up to 2^20.  So from this
+# bound on the costs go to it scaled by a power of two into [0.5, 1), and the
+# duals come back unscaled.  With this bound, 60 further instances solved at
+# every quarter power of two from 2^10 to 2^67.75 (13,920 solves), and at the
+# whole powers all priced within 9.1e-16 (relative) of the exact route.
+HIGHS_COST_LIMIT = 2.0 ** 20
+# Only the settings dcstop chooses; each differs from HiGHS's own default.
+# ``output_flag`` off keeps HiGHS silent.  A marginal row's right-hand side is
+# ``w_i 2^t_i``, and at HiGHS's default tolerances (1e-7) and presolve an atom
+# below about 3e-8 can lose its mass or empty the polytope.  On two draws of
+# 756 random instances (depth 2-9, 2-5 atoms, weights scaled down to 1e-12)
+# the defaults refused 25 and 18 as infeasible and mispriced 15 and 28 past
+# ``AGREE_TOL``.  On the first, tolerances at 1e-10 alone still refused 6 and
+# presolve off alone mispriced 11.  Both together refused and mispriced none
+# on either draw, and every value came within 3.0e-12 of the block solver.
+# 1e-10 is the lowest tolerance HiGHS takes.  An option it refuses is a fault.
+HIGHS_OPTIONS = {"output_flag": False, "presolve": "off",
+                 "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 _HIGHS_REFUSALS = {highs.HighsModelStatus.kInfeasible: "LP is infeasible",
                    highs.HighsModelStatus.kModelError: "LP is infeasible",
                    highs.HighsModelStatus.kUnbounded: "LP is unbounded"}

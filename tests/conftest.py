@@ -441,7 +441,7 @@ def tree_from_dict(dt, atom_times, vectors) -> MvmTree:
 
 def root_measure(tree: MvmTree) -> DiscreteMeasure:
     """A law tree's root law: its atoms of positive root weight."""
-    kept = [(t, w) for t, w in zip(tree.atom_times, tree.root_vector()) if w > 0.0]
+    kept = [(t, w) for t, w in zip(tree.atom_times, tree.vectors[0]) if w > 0.0]
     return DiscreteMeasure([t for t, _ in kept], [w for _, w in kept])
 
 

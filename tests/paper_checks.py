@@ -281,7 +281,7 @@ def splice(base: MvmTree, bits, continuation: MvmTree) -> MvmTree:
         )
     # Row-stochastic transfer matrix from continuation atoms to base atoms;
     # continuation atom live[k] is zeta's atom k.
-    live = np.flatnonzero(continuation.root_vector() > 0.0)
+    live = np.flatnonzero(continuation.vectors[0] > 0.0)
     transfer = np.zeros((len(continuation.atom_times), len(base.atom_times)))
     for j, w, row in zip(live, zeta.weights, monotone_coupling(zeta, node_future).rows):
         for cell, m in row:

@@ -17,7 +17,7 @@ import pytest
 from scipy.spatial import QhullError
 
 import dcstop
-from dcstop import LatticeSpec, MvmReport, MvmViolation, NodeId, objective_value, validate
+from dcstop import LatticeSpec, MvmViolation, NodeId, objective_value, validate
 from dcstop import cli
 from dcstop.cli import main
 
@@ -115,8 +115,7 @@ class TestPolicy:
             doc = json.load(fh)
         tree = mvm_from_json(doc)
         from dcstop import DiscreteMeasure
-        report = validate(tree, mu=DiscreteMeasure((1.0, 2.0), (0.5, 0.5)))
-        assert report.ok
+        assert validate(tree, mu=DiscreteMeasure((1.0, 2.0), (0.5, 0.5))) is None
 
     def test_finite_costs_whose_leaf_sum_passes_the_floats(self, workspace):
         # 2^10 leaves of cost 1e306 sum past the floats; their mean does not.
@@ -415,6 +414,28 @@ EDGE_CONFIGS = {
                     {"t": 12.0, "w": 0.2}, {"t": 16.0, "w": 0.4}],
         "solver": {"resolution": 10},
     },
+    # Atoms lighter than HiGHS's default feasibility tolerance of 1e-7.  At
+    # that tolerance the float oracle found the first LP infeasible, and
+    # priced the second 1.2e-8 above E[tau] = 1.500000021, the value of
+    # every feasible rule.
+    "light_markov": {
+        "lattice": {"depth": 9, "dt": 0.5},
+        "cost": {"kind": "markov", "name": "square"},
+        "measure": [{"t": 1.5, "w": 1.1545962543411864e-08}, {"t": 4.0, "w": 0.9999999859280698},
+                    {"t": 4.5, "w": 2.525967651122065e-09}],
+        "solver": {"resolution": 20},
+        "seed": 7,
+        "simulate": {"paths": 100000},
+    },
+    "light_time": {
+        "lattice": {"depth": 7, "dt": 1.0},
+        "cost": {"kind": "time", "name": "identity"},
+        "measure": [{"t": 1.0, "w": 0.5}, {"t": 2.0, "w": 0.5 - 6e-9},
+                    {"t": 4.0, "w": 3e-9}, {"t": 7.0, "w": 3e-9}],
+        "solver": {"resolution": 20},
+        "seed": 7,
+        "simulate": {"paths": 100000},
+    },
 }
 # Values in result.json held to 1e-12, by (instance, command).  abs40's
 # value was solved before mirrors existed and maxrm20's before bases were
@@ -444,9 +465,13 @@ class TestEdgeInstances:
         ("tree", "policy"),
         *((name, "solve") for name in ("indicator40", "max20", "abs40", "maxrm20")),
         ("policy16", "policy"),
+        *((name, command) for name in ("light_markov", "light_time")
+          for command in ("oracle", "compare", "simulate")),
     ])
     def test_exits_0(self, workspace, name, argv):
         payload = self.run(workspace, name, *argv.split())
+        if argv == "compare":
+            assert payload["agree"] is True
         for key, pin in PINS.get((name, argv), {}).items():
             assert abs(payload[key] - pin) <= 1e-12, (key, payload[key])
 
@@ -993,7 +1018,7 @@ class TestVerificationFailure:
     def test_a_failed_tree_check_writes_its_outputs_first(self, workspace, monkeypatch, capsys,
                                                           command, message, files, payload):
         violation = MvmViolation(NodeId(step=1, history=(1,)), "martingale", 1e-3)
-        monkeypatch.setattr(cli, "validate", lambda tree, mu: MvmReport(False, violation))
+        monkeypatch.setattr(cli, "validate", lambda tree, mu: violation)
         config_path, out = workspace
         assert main([command, str(config_path)]) == 3
         assert capsys.readouterr().err == f"verification failed: {message}\n"

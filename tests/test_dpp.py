@@ -1498,7 +1498,7 @@ class TestExtractPolicy:
             mu = random_measure(rng, (0.25, 0.75, 1.0))
             table = solve(spec, cost, mu, resolution=25)
             tree = extract_policy(table)
-            assert validate(tree, mu=mu).ok
+            assert validate(tree, mu=mu) is None
             got = accumulate(tree, cost)
             assert got >= table.root_value - AGREE_TOL
             assert got <= oracle_value(spec, cost, mu) + 1e-9

@@ -36,7 +36,7 @@ from dcstop import (
 from dcstop.cli import render
 from dcstop.lattice import atom_steps, heap_history, histories, history_to_str
 from dcstop.lattice import node_count, states_at_step
-from dcstop.mvm import MARTINGALE_TOL, MvmReport, MvmViolation, _json_floats
+from dcstop.mvm import MARTINGALE_TOL, MvmViolation, _json_floats
 
 from paper_checks import SpliceError, extract_continuation, oracle_value, splice, termination
 from conftest import (
@@ -121,10 +121,10 @@ def reference_validate(mvm, mu=None, tol=MARTINGALE_TOL):
                     target[i] = w
                     del lookup[a]
         if lookup:
-            return MvmReport(False, MvmViolation(_bits_node(()), "root", 1.0))
+            return MvmViolation(_bits_node(()), "root", 1.0)
         res = float(np.max(np.abs(vectors[()] - target)))
         if res > tol:
-            return MvmReport(False, MvmViolation(_bits_node(()), "root", res))
+            return MvmViolation(_bits_node(()), "root", res)
     for s in range(mvm.depth):
         for bits in histories(s):
             vec = vectors[bits]
@@ -132,7 +132,7 @@ def reference_validate(mvm, mu=None, tol=MARTINGALE_TOL):
             down = vectors[bits + (0,)]
             res = float(np.max(np.abs(vec - 0.5 * (up + down))))
             if res > tol:
-                return MvmReport(False, MvmViolation(_bits_node(bits), "martingale", res))
+                return MvmViolation(_bits_node(bits), "martingale", res)
     for s in range(mvm.depth):
         frozen = [i for i, r in enumerate(mvm.steps) if r <= s]
         if not frozen:
@@ -143,18 +143,16 @@ def reference_validate(mvm, mu=None, tol=MARTINGALE_TOL):
                 cvec = vectors[child]
                 res = max(abs(float(vec[i] - cvec[i])) for i in frozen)
                 if res > tol:
-                    return MvmReport(False, MvmViolation(_bits_node(bits), "adapted", res))
+                    return MvmViolation(_bits_node(bits), "adapted", res)
     for s in range(mvm.depth + 1):
         for bits in histories(s):
             vec = vectors[bits]
             if float(vec.min()) < -tol:
-                return MvmReport(
-                    False, MvmViolation(_bits_node(bits), "normalized", -float(vec.min()))
-                )
+                return MvmViolation(_bits_node(bits), "normalized", -float(vec.min()))
             res = abs(float(vec.sum()) - 1.0)
             if res > tol:
-                return MvmReport(False, MvmViolation(_bits_node(bits), "normalized", res))
-    return MvmReport(True, None)
+                return MvmViolation(_bits_node(bits), "normalized", res)
+    return None
 
 
 KERNEL_SPECS = [
@@ -212,7 +210,7 @@ class TestFromKernel:
         tree = from_kernel(kernel)
         marg = marginal_of(kernel)
         assert root_measure(tree).atoms == marg.atoms
-        assert tree.root_vector() == pytest.approx(marg.weights, abs=1e-14)
+        assert tree.vectors[0] == pytest.approx(marg.weights, abs=1e-14)
 
     def test_leaf_average_reproduces_root(self):
         rng = np.random.default_rng(32)
@@ -220,7 +218,7 @@ class TestFromKernel:
         tree = from_kernel(random_kernel(spec, (0.5, 1.5), rng))
         leaves = tree.vectors[heap_row((0,) * tree.depth):]
         assert len(leaves) == 2 ** tree.depth
-        assert leaves.sum(axis=0) / 2 ** tree.depth == pytest.approx(tree.root_vector(), abs=1e-14)
+        assert leaves.sum(axis=0) / 2 ** tree.depth == pytest.approx(tree.vectors[0], abs=1e-14)
 
     def test_always_validates(self):
         rng = np.random.default_rng(33)
@@ -228,8 +226,8 @@ class TestFromKernel:
             spec = LatticeSpec(depth=4, dt=0.25, mode=mode)
             kernel = random_kernel(spec, (0.25, 0.5, 1.0), rng)
             tree = from_kernel(kernel)
-            report = validate(tree, mu=marginal_of(kernel))
-            assert report.ok, report.violation
+            violation = validate(tree, mu=marginal_of(kernel))
+            assert violation is None, violation
 
     def test_depth_guard(self):
         spec = LatticeSpec(depth=17, dt=1.0)
@@ -309,23 +307,21 @@ class TestValidate:
                 monkeypatch.setattr("dcstop.mvm.MARTINGALE_TOL", tol)
                 want = reference_validate(tree, mu, tol)
                 assert validate(tree, mu) == want
-                seen.add(want.violation.prop if want.violation else "ok")
+                seen.add(want.prop if want else "ok")
         assert seen == {"ok", "root", "martingale", "adapted", "normalized"}
 
     def test_constant_tree_is_valid(self):
-        report = validate(constant_tree((0.5, 0.5)))
-        assert report.ok
+        assert validate(constant_tree((0.5, 0.5))) is None
 
     def test_martingale_violation_reported_at_parent(self):
         tree = constant_tree((0.5, 0.5))
         vectors = np.array(tree.vectors)
         vectors[heap_row((1,))] += [1e-3, -1e-3]
         bad = MvmTree(1.0, tree.atom_times, vectors)
-        report = validate(bad)
-        assert not report.ok
-        assert report.violation.prop == "martingale"
-        assert report.violation.node.step == 0
-        assert report.violation.residual == pytest.approx(5e-4, abs=1e-12)
+        violation = validate(bad)
+        assert violation.prop == "martingale"
+        assert violation.node.step == 0
+        assert violation.residual == pytest.approx(5e-4, abs=1e-12)
 
     def test_lowest_code_reported_among_one_steps_violations(self):
         # Both step-2 parents (1, 1) and (0, 1) break the martingale property;
@@ -336,10 +332,10 @@ class TestValidate:
         for parent, nudge in (((1, 1), 1e-3), ((0, 1), 2e-3)):
             for child in (parent + (1,), parent + (0,)):
                 vectors[heap_row(child)] += [nudge, -nudge]
-        report = validate(MvmTree(1.0, tree.atom_times, vectors))
-        assert report.violation.prop == "martingale"
-        assert report.violation.node.history == (0, 1)
-        assert report.violation.residual == pytest.approx(2e-3, abs=1e-12)
+        violation = validate(MvmTree(1.0, tree.atom_times, vectors))
+        assert violation.prop == "martingale"
+        assert violation.node.history == (0, 1)
+        assert violation.residual == pytest.approx(2e-3, abs=1e-12)
 
     def test_frozen_coordinate_drift_is_adapted_violation(self):
         # Mirror-image nudges on the two children keep their average intact,
@@ -349,31 +345,27 @@ class TestValidate:
         vectors[heap_row((1, 1))] += [1e-3, -1e-3]
         vectors[heap_row((1, 0))] += [-1e-3, 1e-3]
         bad = MvmTree(1.0, tree.atom_times, vectors)
-        report = validate(bad)
-        assert not report.ok
-        assert report.violation.prop == "adapted"
-        assert report.violation.node.step == 1
-        assert report.violation.residual == pytest.approx(1e-3, abs=1e-12)
+        violation = validate(bad)
+        assert violation.prop == "adapted"
+        assert violation.node.step == 1
+        assert violation.residual == pytest.approx(1e-3, abs=1e-12)
 
     def test_negative_weight_is_normalization_violation(self):
         tree = constant_tree((0.5, 0.5))
         bad = MvmTree(1.0, tree.atom_times, np.tile([1.1, -0.1], (len(tree.vectors), 1)))
-        report = validate(bad)
-        assert not report.ok
-        assert report.violation.prop == "normalized"
+        violation = validate(bad)
+        assert violation.prop == "normalized"
 
     def test_root_law_mismatch(self):
-        report = validate(constant_tree((0.5, 0.5)),
-                          mu=DiscreteMeasure((1.0, 2.0), (0.25, 0.75)))
-        assert not report.ok
-        assert report.violation.prop == "root"
-        assert report.violation.residual == pytest.approx(0.25, abs=1e-12)
+        violation = validate(constant_tree((0.5, 0.5)),
+                             mu=DiscreteMeasure((1.0, 2.0), (0.25, 0.75)))
+        assert violation.prop == "root"
+        assert violation.residual == pytest.approx(0.25, abs=1e-12)
 
     def test_root_law_with_unknown_atom(self):
-        report = validate(constant_tree((0.5, 0.5)),
-                          mu=DiscreteMeasure((3.0,), (1.0,)))
-        assert not report.ok
-        assert report.violation.prop == "root"
+        violation = validate(constant_tree((0.5, 0.5)),
+                             mu=DiscreteMeasure((3.0,), (1.0,)))
+        assert violation.prop == "root"
 
 
 class TestTermination:
@@ -464,7 +456,7 @@ class TestKernelRoundTrip:
         kernel = to_kernel(cont)
         assert (kernel.spec, kernel.atom_times) == (LatticeSpec(depth=2, dt=1.0, mode="history"),
                                                     (1.0, 2.0))
-        assert marginal_of(kernel).weights == pytest.approx(cont.root_vector(), abs=1e-14)
+        assert marginal_of(kernel).weights == pytest.approx(cont.vectors[0], abs=1e-14)
 
 
 def point_mass_continuation(cont: MvmTree) -> MvmTree:
@@ -499,9 +491,9 @@ class TestSplice:
             again = splice(base, bits, cont)
             assert again.vectors == pytest.approx(base.vectors, abs=1e-12)
             flat = MvmTree(cont.dt, cont.atom_times,
-                           np.tile(cont.root_vector(), (len(cont.vectors), 1)))
+                           np.tile(cont.vectors[0], (len(cont.vectors), 1)))
             for other in (flat, point_mass_continuation(cont)):
-                assert validate(splice(base, bits, other), mu=root_measure(base)).ok
+                assert validate(splice(base, bits, other), mu=root_measure(base)) is None
 
     def test_missing_node_rejected(self):
         _, _, base = self.make_base()
@@ -519,7 +511,7 @@ class TestSplice:
         tree = worked_tree()
         cont = MvmTree(1.0, (1.0,), np.ones((3, 1)))
         again = splice(tree, (0,), cont)
-        assert validate(again, mu=root_measure(tree)).ok
+        assert validate(again, mu=root_measure(tree)) is None
         assert again.vectors == pytest.approx(tree.vectors, abs=1e-12)
 
     def test_incompatible_root_law_rejected(self):
@@ -549,10 +541,10 @@ class TestSplice:
         spec, mu, base = self.make_base(seed=38)
         bits = (0,)
         cont = extract_continuation(base, bits)
-        flat = np.tile(cont.root_vector(), (len(cont.vectors), 1))
+        flat = np.tile(cont.vectors[0], (len(cont.vectors), 1))
         flat_tree = MvmTree(cont.dt, cont.atom_times, flat)
         again = splice(base, bits, flat_tree)
-        assert validate(again, mu=mu).ok
+        assert validate(again, mu=mu) is None
         row = heap_row(bits)
         assert again.vectors[row] == pytest.approx(base.vectors[row], abs=1e-12)
 
@@ -573,7 +565,7 @@ class TestSplice:
     @staticmethod
     def _splice_best(tree: MvmTree, bits, spec: LatticeSpec) -> MvmTree:
         incumbent = extract_continuation(tree, bits)
-        zeta = incumbent.root_vector()
+        zeta = incumbent.vectors[0]
         z2 = float(zeta[0])
         lo, hi = max(0.0, 2.0 * z2 - 1.0), min(1.0, 2.0 * z2)
         best, best_val = None, -np.inf
@@ -724,7 +716,7 @@ class TestConstruction:
         vectors = np.full((7, 2), 0.5)
         tree = MvmTree(1.0, (1.0, 2.0), vectors)
         vectors[0, 0] = 1.0
-        assert validate(tree).ok
+        assert validate(tree) is None
 
 
 class TestJson:

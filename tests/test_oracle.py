@@ -27,6 +27,7 @@ from dcstop import (
     solve,
     solve_lp,
 )
+from dcstop.dpp import AGREE_TOL
 from dcstop.lattice import atom_steps, histories, nodes_at_step
 from dcstop import oracle
 from dcstop.oracle import EXACT_DEPTH_LIMIT, ORACLE_DEPTH_LIMIT, LpSolution, highs
@@ -394,6 +395,13 @@ class TestSolveLp:
         with pytest.raises(RuntimeError, match="refused option primal_feasibility_tolerance"):
             solve_lp(worked_problem())
 
+    def test_every_highs_option_is_taken_and_moves_a_default(self):
+        solver = highs._Highs()
+        for name, value in oracle.HIGHS_OPTIONS.items():
+            status, default = solver.getOptionValue(name)
+            assert status == highs.HighsStatus.kOk and default != value, name
+            assert solver.setOptionValue(name, value) == highs.HighsStatus.kOk, name
+
     def test_exact_arithmetic_agrees(self):
         problem = worked_problem()
         assert solve_lp(problem, exact=True).value == 0.5
@@ -610,6 +618,37 @@ class TestOracleValue:
         value = solve(spec, cost, mu, resolution=2).root_value
         assert abs(value - solve_lp(build_lp(spec, cost, mu), exact=True).value) <= 1e-9
         assert abs(value - oracle_value(spec, cost, mu)) <= 1e-9
+
+    # Weights across twelve decades.  At HiGHS's default feasibility
+    # tolerance (1e-7) the float route refused or mispriced atoms below 3e-8.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_small_weights_agree_across_routes(self, data):
+        depth = data.draw(st.integers(2, 9), label="depth")
+        augment = data.draw(st.booleans(), label="augment_max")
+        dt = data.draw(st.sampled_from([1.0, 0.5, 0.25]), label="dt")
+        steps = sorted(data.draw(
+            st.lists(st.integers(1, depth), min_size=2, max_size=4, unique=True), label="steps"
+        ))
+        exponents = data.draw(
+            st.lists(st.floats(-12.0, 0.0), min_size=len(steps), max_size=len(steps)),
+            label="exponents"
+        )
+        costs = [ABS, INDICATOR, CostSpec(kind="time", name="identity"),
+                 CostSpec(kind="markov", name="square")]
+        if augment:
+            costs.append(CostSpec(kind="running_max", name="identity"))
+        cost = data.draw(st.sampled_from(costs), label="cost")
+        spec = LatticeSpec(depth=depth, dt=dt, augment_max=augment)
+        weights = 10.0 ** np.array(exponents)
+        mu = DiscreteMeasure([s * dt for s in steps], weights / weights.sum())
+        value = solve(spec, cost, mu, resolution=2).root_value
+        problem = build_lp(spec, cost, mu)
+        highs_value = solve_lp(problem).value
+        assert abs(value - highs_value) <= AGREE_TOL
+        if steps[-2] <= 6:
+            exact = solve_lp(problem, exact=True).value
+            assert max(abs(exact - value), abs(exact - highs_value)) <= AGREE_TOL
 
     @pytest.mark.parametrize("augment, steps, weights", [
         (False, (4, 8, ORACLE_DEPTH_LIMIT), (0.3, 0.3, 0.4)),
