@@ -71,7 +71,7 @@ from .rst import (
     objective_value,
     simulate,
 )
-from .stability import CheckReport, convergence_sweep, rows_to_csv
+from .stability import convergence_sweep, rows_to_csv
 
 # The names imported above, without the submodules the imports bind.
 __all__ = [name for name, value in sorted(globals().items())

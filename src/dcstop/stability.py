@@ -8,7 +8,7 @@ cost's uniform-continuity modulus of the transport distance.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from . import dpp
@@ -18,22 +18,16 @@ from .lattice import LatticeSpec, atom_steps
 from .measures import ATOM_MERGE_TOL, DiscreteMeasure, ceiling_project, w1_distance
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """A check's rows, and ``ok`` when every row passed."""
-
-    rows: tuple[dict, ...]
-    ok: bool
-
-
 def _nested(coarse: Sequence[float], fine: Sequence[float]) -> bool:
     return all(any(abs(t - u) <= ATOM_MERGE_TOL for u in fine) for t in coarse)
 
 
 def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
-                      grids: Sequence[Sequence[float]], resolution: int) -> CheckReport:
-    """Value gaps along nested grid projections versus the modulus bound.
+                      grids: Sequence[Sequence[float]], resolution: int) -> tuple[dict, ...]:
+    """Return the sweep's rows, one per grid coarse to fine.
 
+    A row holds its projected law's value gap to the finest proxy, the gap's
+    modulus bound, and ``within`` when the gap sits inside the bound.
     ``grids`` must be nested coarse-to-fine and every grid must cover the
     target law's support from above, so each projected law is a right shift
     of the target and all comparisons happen on one lattice.  The reference
@@ -75,7 +69,7 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
             "bound": bound,
             "within": value_gap <= bound,
         })
-    return CheckReport(tuple(rows), all(row["within"] for row in rows))
+    return tuple(rows)
 
 
 def rows_to_csv(rows: Sequence[dict], path: str) -> None:

@@ -20,7 +20,6 @@ import numpy as np
 
 import dcstop.dpp as dpp
 from dcstop import (
-    CheckReport,
     ConfigError,
     CostSpec,
     DcstopError,
@@ -357,7 +356,7 @@ def push_right_with_shift(kernel: StoppingKernel,
 
 
 def push_right_identity_check(kernel: StoppingKernel,
-                              targets: Sequence[DiscreteMeasure]) -> CheckReport:
+                              targets: Sequence[DiscreteMeasure]) -> tuple[dict, ...]:
     """Pushing outward must cost exactly the transport distance.
 
     The kernel's marginal is coupled monotonically to each target; the
@@ -372,7 +371,7 @@ def push_right_identity_check(kernel: StoppingKernel,
         err = w1_distance(marginal_of(moved), target)
         rows.append({"shift": shift, "w1": w1, "marginal_error": err,
                      "ok": abs(shift - w1) <= SHIFT_TOL and err <= 1e-9})
-    return CheckReport(tuple(rows), all(row["ok"] for row in rows))
+    return tuple(rows)
 
 
 def blend_measures(mu1: DiscreteMeasure, mu2: DiscreteMeasure, lam: float) -> DiscreteMeasure:
@@ -384,7 +383,7 @@ def blend_measures(mu1: DiscreteMeasure, mu2: DiscreteMeasure, lam: float) -> Di
 def concavity_check(spec: LatticeSpec, cost: CostSpec,
                     mu1: DiscreteMeasure, mu2: DiscreteMeasure,
                     lambdas: Sequence[float],
-                    value_fn: Optional[Callable] = None) -> CheckReport:
+                    value_fn: Optional[Callable] = None) -> tuple[dict, ...]:
     """Blending target laws can only help: value(blend) >= blend of values.
 
     Defaults to the LP oracle for the values so the probe stays independent
@@ -404,4 +403,4 @@ def concavity_check(spec: LatticeSpec, cost: CostSpec,
         margin = lhs - rhs
         rows.append({"lam": lam, "blend_value": lhs, "mixed_values": rhs, "margin": margin,
                      "ok": margin >= -BLEND_TOL})
-    return CheckReport(tuple(rows), all(row["ok"] for row in rows))
+    return tuple(rows)

@@ -405,6 +405,17 @@ EDGE_CONFIGS = {
                     {"t": 15.0, "w": 0.2}, {"t": 20.0, "w": 0.4}],
         "solver": {"resolution": 10},
     },
+    # A running_max square cost, whose stored functions depend on the maximum
+    # itself: a node on its running maximum has no two grandchildren that
+    # hold one base, so its pair_sup calls take the unshared path, at k = 2
+    # and at k > 2.
+    "maxsq12": {
+        "lattice": {"depth": 12, "dt": 1.0, "augment_max": True},
+        "cost": {"kind": "running_max", "name": "square"},
+        "measure": [{"t": 3.0, "w": 0.1}, {"t": 6.0, "w": 0.3},
+                    {"t": 9.0, "w": 0.2}, {"t": 12.0, "w": 0.4}],
+        "solver": {"resolution": 10},
+    },
     # policy reads each visited node's function and its up child's base: the
     # shallowest four-atom law tree whose solve runs pooled steps.
     "policy16": {
@@ -444,6 +455,7 @@ PINS = {
     ("indicator40", "solve"): {"value": 0.6005032747646508},
     ("abs40", "solve"): {"value": 4.362215235084616, "slack": 0.6617126464843759},
     ("maxrm20", "solve"): {"value": 2.9506595611572264, "slack": 0.408203125},
+    ("maxsq12", "solve"): {"value": 9.30029296875},
 }
 INSTANCES = {"readme": README_CONFIG, **EDGE_CONFIGS}
 
@@ -465,6 +477,7 @@ class TestEdgeInstances:
         ("tree", "policy"),
         *((name, "solve") for name in ("indicator40", "max20", "abs40", "maxrm20")),
         ("policy16", "policy"),
+        *(("maxsq12", command) for command in ("solve", "compare", "policy")),
         *((name, command) for name in ("light_markov", "light_time")
           for command in ("oracle", "compare", "simulate")),
     ])
@@ -487,6 +500,30 @@ class TestEdgeInstances:
         config_path.write_text(json.dumps(INSTANCES[name]))
         assert main(["policy", str(config_path)]) == 0
         assert hashlib.sha256((out / "policy.json").read_bytes()).hexdigest() == digest
+
+    # sha256 of the Quick start's stability outputs (Python 3.11, numpy 2.4,
+    # scipy 1.17): table.csv holds the sweep's rows, and result.json's
+    # all_within reads their ``within``.
+    @pytest.mark.parametrize("name, digest", [
+        ("table.csv", "a23ea40559e7cd5df788da4ba5341976b9a7b8c1805182b7c071b4a317800e80"),
+        ("result.json", "6f1bddc1e31dff8fac8aa46f0ea2dca53b5769758d1fd9df55b08a2c5b7be45e"),
+    ])
+    def test_stability_output_bytes_are_pinned(self, workspace, name, digest):
+        out = workspace[1]
+        self.run(workspace, "readme", "stability")
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_maxsq12_runs_the_unshared_pair_path(self, workspace, monkeypatch):
+        dims, pair_sup = [], dcstop.dpp.pair_sup
+
+        def spy(up, down, shared=(), boxes=None):
+            if not shared:
+                dims.append(up.k)
+            return pair_sup(up, down, shared, boxes)
+
+        monkeypatch.setattr("dcstop.dpp.pair_sup", spy)
+        self.run(workspace, "maxsq12", "solve")
+        assert 2 in dims and max(dims) > 2
 
     @pytest.mark.parametrize("name", ["exact7", "deep"])
     def test_exact_oracle_certifies_the_float_value(self, workspace, name):

@@ -918,15 +918,20 @@ class TestSharedGrandchildFlag:
     # depend on the maximum, and only sometimes under a running-max cost.
     # There, at a node on its running maximum (m == w) both children's up
     # children have drawdown 0, and under the identity they hold one base:
-    # the slot (0, 0).  ``on_max`` lists the flags of such nodes two steps
-    # or more below the horizon, where all four grandchildren are one zero.
+    # the slot (0, 0).  Under the square, whose functions depend on the
+    # maximum itself, no two of its grandchildren hold one base: the flag is
+    # (), and ``pair_sup`` takes its unshared path.  ``on_max`` lists the flags
+    # of such nodes two steps or more below the horizon, where all four
+    # grandchildren are one zero.
     @pytest.mark.parametrize("spec, cost, atoms, inner, on_max", [
         (LatticeSpec(depth=10, dt=1.0), ABS, (3.0, 6.0, 8.0, 10.0), {True}, set()),
         (LatticeSpec(depth=10, dt=1.0, augment_max=True), CostSpec(kind="running_max", name="identity"),
          (3.0, 7.0, 10.0), {True, False}, {((0, 0),), ALL_SLOTS}),
         (LatticeSpec(depth=9, dt=1.0, augment_max=True), INDICATOR, (2.0, 5.0, 9.0), {True},
          {((1, 0),), ALL_SLOTS}),
-    ], ids=["recombining-abs", "max-running_max", "max-indicator"])
+        (LatticeSpec(depth=12, dt=1.0, augment_max=True), CostSpec(kind="running_max", name="square"),
+         (3.0, 6.0, 9.0, 12.0), {True, False}, {(), ALL_SLOTS}),
+    ], ids=["recombining-abs", "max-running_max", "max-indicator", "max-running_max-square"])
     def test_flags_match_the_definition(self, monkeypatch, spec, cost, atoms, inner, on_max):
         seen = recorded_bases(monkeypatch)
         table = solve(spec, cost, random_measure(np.random.default_rng(62), atoms), resolution=4)

@@ -30,7 +30,7 @@ def test_star_import_binds_no_module_and_no_future_flag():
 
 # Public names that only tests called; they left the package or live in the tests.
 REMOVED = (
-    "Accumulator", "BLEND_TOL", "DppReport", "EmptyTailError", "MonotoneCoupling",
+    "Accumulator", "BLEND_TOL", "CheckReport", "DppReport", "EmptyTailError", "MonotoneCoupling",
     "PURE_DEPTH_LIMIT", "PURE_TABLE_LIMIT", "RightShiftError", "SHIFT_TOL", "SPLICE_TOL", "SpliceError",
     "TerminationReport", "blend_measures", "check_dpp", "concavity_check", "cost_to_json",
     "extract_continuation", "heap_row", "is_right_shift_of", "kernel_from_json",
