@@ -268,7 +268,7 @@ def cmd_simulate(args, spec, cost, mu, settings) -> _Outcome:
 def cmd_stability(args, spec, cost, mu, settings) -> _Outcome:
     if settings.grids is None:
         raise ConfigError("stability: needs a grids list")
-    rows = convergence_sweep(spec, cost, mu, settings.grids, settings.resolution)
+    rows = convergence_sweep(spec, cost, mu, settings.grids)
     rows_to_csv(rows, os.path.join(args.out, "table.csv"))
     ok = all(row["within"] for row in rows)
     return _Outcome({"all_within": ok, "levels": len(rows)},

@@ -72,44 +72,19 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class NodeId:
-    """A lattice node.
+    """A lattice node, a label for its position, as ``nodes_at_step`` builds it.
 
     Recombining nodes store ``level`` (and ``max_level`` when the lattice is
-    augmented); history nodes store the move bit string, bit 1 meaning an up
-    move.  ``level`` obeys ``|level| <= step`` and ``level == step (mod 2)``;
-    ``max_level`` obeys ``max(level, 0) <= max_level <= step``.
+    augmented); history nodes store the ``step`` move bits, bit 1 meaning an
+    up move.  ``level`` obeys ``|level| <= step`` and ``level == step (mod 2)``;
+    ``max_level`` obeys ``max(level, 0) <= max_level <= (step + level) // 2``.
+    Only ``nodes_at_step`` and ``mvm._node`` build nodes, so none is checked here.
     """
 
     step: int
     level: Optional[int] = None
     max_level: Optional[int] = None
     history: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.step < 0:
-            raise ValidationError(f"step must be nonnegative, got {self.step}")
-        if (self.level is None) == (self.history is None):
-            raise ValidationError("exactly one of level or history must be set")
-        if self.history is not None:
-            if self.max_level is not None:
-                raise ValidationError("history nodes derive max_level, do not store it")
-            if len(self.history) != self.step:
-                raise ValidationError(
-                    f"history length {len(self.history)} does not match step {self.step}"
-                )
-            if any(b not in (0, 1) for b in self.history):
-                raise ValidationError("history bits must be 0 or 1")
-            return
-        if abs(self.level) > self.step or (self.level + self.step) % 2 != 0:
-            raise ValidationError(
-                f"level {self.level} unreachable at step {self.step}"
-            )
-        if self.max_level is not None:
-            if not max(self.level, 0) <= self.max_level <= self.step:
-                raise ValidationError(
-                    f"max_level {self.max_level} inconsistent with level {self.level} "
-                    f"at step {self.step}"
-                )
 
 
 @dataclass(frozen=True)
@@ -122,11 +97,7 @@ class PathState:
 
 
 def root(spec: LatticeSpec) -> NodeId:
-    if spec.mode == "history":
-        return NodeId(step=0, history=())
-    if spec.augment_max:
-        return NodeId(step=0, level=0, max_level=0)
-    return NodeId(step=0, level=0)
+    return nodes_at_step(spec, 0)[0]
 
 
 def nodes_at_step(spec: LatticeSpec, step: int) -> list[NodeId]:

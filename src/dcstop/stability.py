@@ -23,7 +23,7 @@ def _nested(coarse: Sequence[float], fine: Sequence[float]) -> bool:
 
 
 def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
-                      grids: Sequence[Sequence[float]], resolution: int) -> tuple[dict, ...]:
+                      grids: Sequence[Sequence[float]]) -> tuple[dict, ...]:
     """Return the sweep's rows, one per grid coarse to fine.
 
     A row holds its projected law's value gap to the finest proxy, the gap's
@@ -36,6 +36,7 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     ``modulus(W1 to that proxy) + 2 AGREE_TOL``, the modulus taken over the
     states reachable by the latest projected horizon; values come from the block
     solver, which solves each distinct projected law once, the finest first.
+    Solves take ``resolution=1``, as no row reads the ``slack`` a resolution sets.
     """
     if not grids:
         raise ConfigError("need at least one grid to sweep")
@@ -49,7 +50,7 @@ def convergence_sweep(spec: LatticeSpec, cost: CostSpec, mu: DiscreteMeasure,
     dpp.check_lattice_size(spec, horizon)
     phi = modulus(cost, replace(spec, depth=horizon))
     mu_fine = projected[-1]
-    values = {m: dpp.solve(spec, cost, m, resolution).root_value
+    values = {m: dpp.solve(spec, cost, m, resolution=1).root_value
               for m in dict.fromkeys([mu_fine, *projected])}
     v_fine = values[mu_fine]
     rows = []

@@ -237,7 +237,7 @@ def test_criterion_09_refinement_gaps_respect_the_modulus():
     grids = ([1.0], [0.5, 1.0], [0.25, 0.5, 0.75, 1.0])
     for cost in (SQUARE, CostSpec(kind="running_max", name="square")):
         mu = random_measure(rng, (0.3, 0.6, 0.9))
-        rows = convergence_sweep(spec, cost, mu, grids, resolution=30)
+        rows = convergence_sweep(spec, cost, mu, grids)
         assert all(row["within"] for row in rows), rows
         gaps = [row["value_gap"] for row in rows]
         assert all(a >= b - 1e-9 for a, b in zip(gaps, gaps[1:])), gaps

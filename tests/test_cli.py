@@ -969,13 +969,17 @@ STOP, SUMS, CONSTANT = (f"cost: {what} is not a finite float" for what in (
     "a stop cost", "a sum of stop costs", "the continuity constant"))
 # name: ((form, coeffs), depth, refusal by the commands that price a stop, by
 # stability).  Stop costs past the floats (big, and mk through the polynomial2
-# branch), finite stop costs whose sums are not (huge), and a cost whose
-# continuity constant passes the floats only on levels no atom reaches (far:
-# solve prices it, and stability's constant ranges up to the horizon only).
+# branch), finite stop costs whose sums are not (huge), finite stop costs and
+# shifts whose step-1 update sums two apexes of -1e308 (msum: the solver's
+# pair supremum refuses it, and the LP's sum), and a cost whose continuity
+# constant passes the floats only on levels no atom reaches (far: solve
+# prices it, and stability's constant ranges up to the horizon only).
 OVERFLOW_COSTS = {
     "big": (("polynomial", [0, 0, 1e308]), 4, STOP, CONSTANT),
     "mk": (("polynomial2", [[0], [0], [1e308]]), 4, STOP, "no modulus route for markov costs"),
     "huge": (("polynomial", [1e308, 1e307]), 4, SUMS, SUMS),
+    "msum": (("polynomial2", [[-8.333333333333333e+307, 0, 8.333333333333333e+306]]), 4, SUMS,
+             "no modulus route for markov costs"),
     "far": (("polynomial", [0, 0, 1e306]), 200, None, None),
 }
 

@@ -29,6 +29,7 @@ from dcstop import (
 from dcstop.lattice import MAX_HISTORY_DEPTH, TIME_SNAP_TOL, child_positions
 from dcstop.lattice import node_count, states_at_step
 from dcstop.measures import ATOM_MERGE_TOL
+from dcstop.mvm import _node
 from dcstop.rst import _advance
 from conftest import children, node_from_json, node_prob, project_to_recombining, state
 
@@ -114,6 +115,31 @@ class TestPositions:
         assert pairs == sorted(pairs)
         # Exactly the pairs some walk reaches.
         assert set(pairs) == set(walk_stats(s))
+
+    @pytest.mark.parametrize("mode,augment", [
+        ("recombining", False), ("recombining", True), ("history", False),
+    ])
+    def test_every_built_node_is_a_reachable_position(self, mode, augment):
+        # NodeId checks nothing itself: its builders are held here to its invariants.
+        spec = LatticeSpec(depth=12, dt=1.0, mode=mode, augment_max=augment)
+        assert root(spec) == nodes_at_step(spec, 0)[0]
+        for s in range(spec.depth + 1):
+            nodes = nodes_at_step(spec, s)
+            assert len(nodes) == len(set(nodes)) == node_count(spec, s)
+            for node in nodes:
+                assert node.step == s
+                if mode == "history":
+                    assert node.level is None and node.max_level is None
+                    assert len(node.history) == s and set(node.history) <= {0, 1}
+                    continue
+                assert node.history is None
+                assert abs(node.level) <= s and (node.level + s) % 2 == 0
+                if augment:
+                    assert max(node.level, 0) <= node.max_level <= (s + node.level) // 2
+                else:
+                    assert node.max_level is None
+            if mode == "history":  # mvm names heap row 2^s - 1 + c by the node at position c
+                assert [_node(2 ** s - 1 + c) for c in range(2 ** s)] == nodes
 
     def test_terminal_step_has_no_child_map(self):
         spec = LatticeSpec(depth=2, dt=1.0)
@@ -250,42 +276,6 @@ class TestState:
 
 
 class TestValidation:
-    def test_level_parity(self):
-        with pytest.raises(ValidationError):
-            NodeId(step=2, level=1)
-
-    def test_level_magnitude(self):
-        with pytest.raises(ValidationError):
-            NodeId(step=1, level=3)
-
-    def test_max_level_bounds(self):
-        with pytest.raises(ValidationError):
-            NodeId(step=2, level=2, max_level=1)
-        with pytest.raises(ValidationError):
-            NodeId(step=2, level=0, max_level=3)
-
-    def test_history_length(self):
-        with pytest.raises(ValidationError):
-            NodeId(step=2, history=(1,))
-
-    def test_negative_step(self):
-        with pytest.raises(ValidationError, match="step must be nonnegative"):
-            NodeId(step=-1, history=())
-
-    def test_a_history_node_stores_no_max_level(self):
-        with pytest.raises(ValidationError, match="derive max_level"):
-            NodeId(step=1, history=(1,), max_level=1)
-
-    def test_history_bits_are_0_or_1(self):
-        with pytest.raises(ValidationError, match="0 or 1"):
-            NodeId(step=2, history=(0, 2))
-
-    def test_exactly_one_indexing(self):
-        with pytest.raises(ValidationError):
-            NodeId(step=1, level=1, history=(1,))
-        with pytest.raises(ValidationError):
-            NodeId(step=1)
-
     def test_spec_guards(self):
         with pytest.raises(ConfigError):
             LatticeSpec(depth=0, dt=1.0)

@@ -2,8 +2,9 @@
 
 What ``from dcstop import *`` binds, that each module reads what it imports and
 its own private names, that the package reads each of its public names, passes
-each defaulted parameter and imports nothing from the tests, that a test
-matches every size-guard message, and that the README's Python quick start runs.
+each defaulted parameter and imports nothing from the tests, that only the
+lattice's builders make nodes, that a test matches every size-guard message,
+and that the README's Python quick start runs.
 """
 
 from __future__ import annotations
@@ -269,6 +270,44 @@ def test_an_import_from_the_tests_is_found():
     )
     assert imports_from(source, {"tests", "conftest", "paper_checks"}) == [
         "conftest", "tests.paper_checks", "paper_checks"]
+
+
+def callers_of(source: str, callee: str) -> list[str]:
+    """The innermost function around each call to ``callee``, or ``""`` outside any."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and callee in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(where)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_lattice_builders_make_nodes():
+    # ``NodeId`` checks nothing itself; ``tests/test_lattice.py`` holds what
+    # these two build to its invariants, so a new builder must join them there.
+    assert {(p.stem, where) for p in PACKAGE.glob("*.py")
+            for where in callers_of(p.read_text(), "NodeId")} == {
+        ("lattice", "nodes_at_step"), ("mvm", "_node")}
+
+
+def test_the_callers_of_a_name_are_found():
+    source = (
+        "HEAD = Node(0)\n"
+        "def build(n):\n"
+        "    def leaf(i):\n"
+        "        return lattice.Node(i)\n"
+        "    return [leaf(i) for i in range(n)] + [Node(n), Nodes(n)]\n"
+        "class Tree:\n"
+        "    async def grow(self):\n"
+        "        return Node(1)\n"
+    )
+    assert callers_of(source, "Node") == ["", "leaf", "build", "grow"]
 
 
 def test_the_readme_quick_start_runs(capsys):

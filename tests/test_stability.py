@@ -43,7 +43,7 @@ class TestConvergenceSweep:
     def test_law_already_on_the_coarsest_grid(self):
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = DiscreteMeasure((1.0,), (1.0,))
-        rows = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS, resolution=10)
+        rows = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS)
         assert all(row["within"] for row in rows)
         for row in rows:
             assert row["value_gap"] == pytest.approx(0.0, abs=1e-12)
@@ -53,7 +53,7 @@ class TestConvergenceSweep:
         rng = np.random.default_rng(80)
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = random_measure(rng, (0.3, 0.6, 0.9))
-        rows = convergence_sweep(spec, SQUARE, mu, DYADIC_GRIDS, resolution=8)
+        rows = convergence_sweep(spec, SQUARE, mu, DYADIC_GRIDS)
         assert all(row["within"] for row in rows)
         fine = ceiling_project(mu, DYADIC_GRIDS[-1])
         for n, row in enumerate(rows):
@@ -68,7 +68,7 @@ class TestConvergenceSweep:
         # over all 10,000 levels, row 0's bound read 9999.500000002.
         spec = LatticeSpec(depth=10_000, dt=1.0)
         mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
-        rows = convergence_sweep(spec, SQUARE, mu, ([2.0], [1.0, 2.0]), resolution=4)
+        rows = convergence_sweep(spec, SQUARE, mu, ([2.0], [1.0, 2.0]))
         assert all(row["within"] for row in rows)
         assert rows[0]["bound"] == pytest.approx(1.500000002, abs=1e-12)
 
@@ -79,10 +79,10 @@ class TestConvergenceSweep:
         spec = LatticeSpec(depth=2, dt=1.0)
         mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
         grids = ([2.0], [1.0, 2.0])
-        gap = convergence_sweep(spec, SQUARE, mu, grids, 4)[0]["value_gap"]
+        gap = convergence_sweep(spec, SQUARE, mu, grids)[0]["value_gap"]
         monkeypatch.setattr(stability, "modulus",
                             lambda cost, spec: lambda w: gap - 2.0 * AGREE_TOL - 5e-13)
-        rows = convergence_sweep(spec, SQUARE, mu, grids, 4)
+        rows = convergence_sweep(spec, SQUARE, mu, grids)
         row = rows[0]
         assert (row["value_gap"], gap) == (0.5, 0.5)
         assert 0.0 < row["value_gap"] - row["bound"] < 1e-12
@@ -92,7 +92,7 @@ class TestConvergenceSweep:
         rng = np.random.default_rng(81)
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = random_measure(rng, (0.3, 0.55, 0.8))
-        rows = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS, resolution=40)
+        rows = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS)
         assert all(row["within"] for row in rows)
         gaps = [row["value_gap"] for row in rows]
         slack = 2e-2
@@ -103,7 +103,7 @@ class TestConvergenceSweep:
         rng = np.random.default_rng(82)
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = random_measure(rng, (0.3, 0.6))
-        rows = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS, 10)
+        rows = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS)
         for grid, row in zip(DYADIC_GRIDS, rows):
             via_lp = oracle_value(spec, INDICATOR, ceiling_project(mu, grid))
             assert row["value"] == pytest.approx(via_lp, abs=1e-9)
@@ -112,22 +112,22 @@ class TestConvergenceSweep:
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = DiscreteMeasure((1.0,), (1.0,))
         with pytest.raises(ConfigError):
-            convergence_sweep(spec, INDICATOR, mu, ([0.75, 1.0], [0.5, 1.0]), 5)
+            convergence_sweep(spec, INDICATOR, mu, ([0.75, 1.0], [0.5, 1.0]))
         with pytest.raises(ConfigError):
-            convergence_sweep(spec, INDICATOR, mu, (), 5)
+            convergence_sweep(spec, INDICATOR, mu, ())
 
     def test_grid_must_cover_the_support(self):
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = DiscreteMeasure((1.0,), (1.0,))
         with pytest.raises(CoverageError):
-            convergence_sweep(spec, INDICATOR, mu, ([0.5],), 5)
+            convergence_sweep(spec, INDICATOR, mu, ([0.5],))
 
     def test_cost_without_modulus_rejected(self):
         spec = LatticeSpec(depth=2, dt=1.0)
         mu = DiscreteMeasure((1.0,), (1.0,))
         cost = CostSpec(kind="markov", name="abs")
         with pytest.raises(ConfigError):
-            convergence_sweep(spec, cost, mu, ([1.0],), 5)
+            convergence_sweep(spec, cost, mu, ([1.0],))
 
 
 class TestConcavity:
@@ -240,7 +240,7 @@ class TestReportOutput:
     def test_csv_round_trip(self, tmp_path):
         spec = LatticeSpec(depth=4, dt=0.25)
         mu = DiscreteMeasure((1.0,), (1.0,))
-        rows = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS, 5)
+        rows = convergence_sweep(spec, INDICATOR, mu, DYADIC_GRIDS)
         path = tmp_path / "sweep.csv"
         rows_to_csv(rows, str(path))
         with open(path, newline="") as fh:
